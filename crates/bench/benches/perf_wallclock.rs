@@ -6,21 +6,17 @@
 //! load sweep in both [`SimMode`]s and reports **simulated byte-times per
 //! wall-clock second**.
 //!
-//! Two-phase protocol so one file can carry a before/after comparison of an
-//! engine change measured on the same machine:
-//!
-//! * `WALLCLOCK_PHASE=before cargo bench --bench perf_wallclock` snapshots
-//!   the current engine into `results/.wallclock_before.json`.
-//! * A plain run then re-measures, folds the snapshot in as `before`, and
-//!   writes the combined `results/BENCH_wallclock.json` with per-mode
-//!   speedups. Without a snapshot, `before` is null.
+//! Writes `results/BENCH_wallclock.json`. Before/after comparisons of an
+//! engine change are `benchmark compare`'s job (BENCHMARK.json), not this
+//! file's.
 //!
 //! The run at load 0.08 doubles as a drift check: its counters must match
 //! the checked-in `results/BENCH_engine.json` rows byte for byte.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 use wormcast_bench::fig10::{self, Fig10Config};
+use wormcast_bench::perf::{self, field_u64, machine_desc};
 use wormcast_bench::runner;
 use wormcast_sim::network::SimMode;
 
@@ -37,7 +33,7 @@ const CFG: Fig10Config = Fig10Config {
     seed: 0xF1610,
 };
 
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Serialize)]
 struct PointRow {
     load: f64,
     scheme: String,
@@ -51,7 +47,7 @@ struct PointRow {
     worms_delivered: u64,
 }
 
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Serialize)]
 struct PhaseDump {
     machine: String,
     rows: Vec<PointRow>,
@@ -65,12 +61,9 @@ struct WallclockDump {
     experiment: String,
     loads: Vec<f64>,
     windows: (u64, u64, u64),
-    /// Snapshot of the pre-change engine (same machine), if one was taken.
-    before: Option<PhaseDump>,
+    /// Named `after` since the days this file also carried a `before`
+    /// snapshot; `perf_shard` reads its rows under that key.
     after: PhaseDump,
-    /// after/before rate ratios (the tentpole claims ≥ 2× span-batched).
-    speedup_per_byte: Option<f64>,
-    speedup_span_batched: Option<f64>,
 }
 
 fn mode_name(mode: SimMode) -> &'static str {
@@ -78,19 +71,6 @@ fn mode_name(mode: SimMode) -> &'static str {
         SimMode::PerByte => "per_byte",
         SimMode::SpanBatched => "span_batched",
     }
-}
-
-fn machine_desc() -> String {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    let uname = std::process::Command::new("uname")
-        .arg("-srm")
-        .output()
-        .ok()
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_default();
-    format!("{uname} ({cpus} cpus)")
 }
 
 fn measure_phase() -> PhaseDump {
@@ -147,16 +127,7 @@ fn check_against_engine_baseline(phase: &PhaseDump, results_dir: &str) {
         return;
     };
     let baseline = serde_json::parse_value(&text).expect("parse BENCH_engine.json");
-    let serde_json::Value::Array(rows) = baseline.get("rows").expect("rows field").clone() else {
-        panic!("BENCH_engine.json rows is not an array");
-    };
-    let field_u64 = |v: &serde_json::Value, key: &str| -> u64 {
-        match v.get(key) {
-            Some(&serde_json::Value::U64(n)) => n,
-            other => panic!("BENCH_engine.json {key}: expected u64, got {other:?}"),
-        }
-    };
-    for row in &rows {
+    for row in perf::rows(&baseline) {
         let Some(serde_json::Value::Str(scheme)) = row.get("scheme") else {
             panic!("BENCH_engine.json row without scheme");
         };
@@ -187,32 +158,14 @@ fn main() {
     // Under `cargo bench` the harness receives filter args; ignore them.
     let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     std::fs::create_dir_all(results_dir).expect("create results dir");
-    let snapshot_path = format!("{results_dir}/.wallclock_before.json");
     let phase = measure_phase();
     check_against_engine_baseline(&phase, results_dir);
-    if std::env::var("WALLCLOCK_PHASE").as_deref() == Ok("before") {
-        let json = serde_json::to_string_pretty(&phase).expect("serialize snapshot");
-        std::fs::write(&snapshot_path, json).expect("write snapshot");
-        eprintln!("wallclock: wrote before-snapshot {snapshot_path}");
-        return;
-    }
-    let before: Option<PhaseDump> = std::fs::read_to_string(&snapshot_path)
-        .ok()
-        .map(|t| serde_json::from_str(&t).expect("parse before-snapshot"));
     let dump = WallclockDump {
         experiment: "fig10 8x8 torus sweep, 10 groups x 10 members, p(mcast)=0.10".into(),
         loads: LOADS.to_vec(),
         windows: (CFG.warmup, CFG.measure, CFG.drain),
-        speedup_per_byte: before.as_ref().map(|b| phase.per_byte_rate / b.per_byte_rate),
-        speedup_span_batched: before
-            .as_ref()
-            .map(|b| phase.span_batched_rate / b.span_batched_rate),
-        before,
         after: phase,
     };
-    if let Some(s) = dump.speedup_span_batched {
-        eprintln!("wallclock: span-batched speedup over before-snapshot: {s:.2}x");
-    }
     let path = format!("{results_dir}/BENCH_wallclock.json");
     let json = serde_json::to_string_pretty(&dump).expect("serialize dump");
     std::fs::write(&path, json).expect("write BENCH_wallclock.json");

@@ -20,6 +20,7 @@
 use serde::Serialize;
 use std::time::Instant;
 use wormcast_bench::fig10::{self, figure_tree_scheme, Fig10Config};
+use wormcast_bench::perf::{self, field_u64};
 use wormcast_bench::runner;
 
 /// Same windows and seed as `BENCH_engine.json`, so counters line up.
@@ -59,13 +60,6 @@ struct LaneDump {
     rows: Vec<LaneRow>,
 }
 
-fn field_u64(v: &serde_json::Value, key: &str) -> u64 {
-    match v.get(key) {
-        Some(&serde_json::Value::U64(n)) => n,
-        other => panic!("BENCH_engine.json {key}: expected u64, got {other:?}"),
-    }
-}
-
 /// The single-lane load-0.08 point must reproduce the checked-in engine
 /// baseline's counters (the tree-scheme span-batched row).
 fn check_against_engine_baseline(rows: &[LaneRow], results_dir: &str) -> bool {
@@ -75,9 +69,7 @@ fn check_against_engine_baseline(rows: &[LaneRow], results_dir: &str) -> bool {
         return true;
     };
     let baseline = serde_json::parse_value(&text).expect("parse BENCH_engine.json");
-    let serde_json::Value::Array(brows) = baseline.get("rows").expect("rows").clone() else {
-        panic!("BENCH_engine.json rows is not an array");
-    };
+    let brows = perf::rows(&baseline);
     let scheme = format!("{:?}", figure_tree_scheme());
     let b = brows
         .iter()

@@ -12,6 +12,7 @@
 use serde::Serialize;
 use std::time::Instant;
 use wormcast_bench::fig10::{self, Fig10Config};
+use wormcast_bench::perf::{self, field_u64};
 use wormcast_bench::runner;
 use wormcast_sim::network::SimMode;
 
@@ -34,13 +35,6 @@ struct SmokeRow {
     events_scheduled: u64,
     bytes_moved: u64,
     worms_delivered: u64,
-}
-
-fn field_u64(v: &serde_json::Value, key: &str) -> u64 {
-    match v.get(key) {
-        Some(&serde_json::Value::U64(n)) => n,
-        other => panic!("BENCH_engine.json {key}: expected u64, got {other:?}"),
-    }
 }
 
 fn main() {
@@ -85,11 +79,9 @@ fn main() {
     let path = format!("{results_dir}/BENCH_engine.json");
     let text = std::fs::read_to_string(&path).expect("read BENCH_engine.json");
     let baseline = serde_json::parse_value(&text).expect("parse BENCH_engine.json");
-    let serde_json::Value::Array(brows) = baseline.get("rows").expect("rows").clone() else {
-        panic!("BENCH_engine.json rows is not an array");
-    };
+    let brows = perf::rows(&baseline);
     let mut drift = false;
-    for brow in &brows {
+    for brow in brows {
         let Some(serde_json::Value::Str(scheme)) = brow.get("scheme") else {
             panic!("BENCH_engine.json row without scheme");
         };

@@ -1,29 +1,29 @@
 //! CI trace-perf smoke: traced runs must move at span-batched speed.
 //!
-//! Before span-native tracing, attaching a trace sink silently forced the
-//! per-byte engine; tracing cost roughly the full span-batching speedup.
-//! This bench pins the recovery at the Fig 10 operating point that
+//! Attaching a trace sink once forced the per-byte engine, so tracing
+//! cost roughly the full span-batching speedup. This bench pins that it
+//! no longer does, at the Fig 10 operating point that
 //! `results/BENCH_engine.json` uses (load 0.08, seed 0xF1610): for every
 //! Figure 10 scheme it times the four corners of
 //! {per-byte, span-batched} x {untraced, in-memory trace} and gates
 //!
 //! - traced span-batched at least `MIN_TRACED_SPEEDUP`x faster than
-//!   traced per-byte (the fallback this PR removed), and
+//!   traced per-byte, and
 //! - the tracing overhead of span-batched runs at most
 //!   `MAX_TRACE_OVERHEAD`x untraced span-batched.
 //!
 //! Both are same-machine wall-clock *ratios*, so they hold on slow
 //! runners. On top sits the hardware-independent equivalence gate: the
-//! span-level trace must validate against the JSONL schema and its
-//! per-byte expansion must be byte-identical to the per-byte engine's
-//! trace. Measurements land in `results/BENCH_trace.json`.
+//! span-batched trace must validate against the JSONL schema and be
+//! byte-identical, as recorded, to the per-byte engine's trace.
+//! Measurements land in `results/BENCH_trace.json`.
 
 use serde::Serialize;
 use std::time::Instant;
 use wormcast_bench::fig10::{self, Fig10Config};
 use wormcast_bench::runner::run_traced;
 use wormcast_bench::schemes::Scheme;
-use wormcast_bench::trace_io::{expand_spans, validate_jsonl};
+use wormcast_bench::trace_io::validate_jsonl;
 use wormcast_sim::network::SimMode;
 use wormcast_sim::trace::TraceConfig;
 
@@ -54,7 +54,6 @@ struct TraceRow {
     /// on the fast path.
     trace_overhead: f64,
     trace_lines: u64,
-    span_lines: u64,
 }
 
 fn timed(
@@ -78,25 +77,23 @@ fn main() {
     let mut rows = Vec::new();
     let mut failed = false;
     for scheme in fig10::schemes() {
-        let (pb_off, _) = timed(scheme.clone(), SimMode::PerByte, TraceConfig::Off);
-        let (pb_mem, pb_trace) = timed(scheme.clone(), SimMode::PerByte, TraceConfig::Memory);
-        let (sp_off, _) = timed(scheme.clone(), SimMode::SpanBatched, TraceConfig::Off);
-        let (sp_mem, sp_trace) = timed(scheme.clone(), SimMode::SpanBatched, TraceConfig::Memory);
+        let (pb_off, _) = timed(scheme, SimMode::PerByte, TraceConfig::Off);
+        let (pb_mem, pb_trace) = timed(scheme, SimMode::PerByte, TraceConfig::Memory);
+        let (sp_off, _) = timed(scheme, SimMode::SpanBatched, TraceConfig::Off);
+        let (sp_mem, sp_trace) = timed(scheme, SimMode::SpanBatched, TraceConfig::Memory);
 
-        // Hardware-independent gate first: span-native tracing is only
-        // worth its speed if it is *lossless* — schema-valid, and
-        // expanding the span-level stream reproduces the per-byte trace
-        // byte for byte.
+        // Hardware-independent gate first: tracing on the fast path is
+        // only worth its speed if it is *lossless* — schema-valid and
+        // byte-identical to the per-byte trace.
         let span_jsonl = sp_trace.to_jsonl();
         let violations = validate_jsonl(&span_jsonl);
         assert!(
             violations.is_empty(),
-            "{scheme:?}: span trace schema violations: {violations:?}"
+            "{scheme:?}: span-batched trace schema violations: {violations:?}"
         );
-        let per_byte_jsonl = pb_trace.to_jsonl();
         assert!(
-            expand_spans(&span_jsonl) == per_byte_jsonl,
-            "{scheme:?}: expanded span trace diverged from the per-byte trace"
+            span_jsonl == pb_trace.to_jsonl(),
+            "{scheme:?}: span-batched trace diverged from the per-byte trace"
         );
 
         let traced_speedup = pb_mem / sp_mem;
@@ -128,8 +125,7 @@ fn main() {
             span_traced_s: sp_mem,
             traced_speedup,
             trace_overhead,
-            trace_lines: per_byte_jsonl.lines().count() as u64,
-            span_lines: span_jsonl.lines().count() as u64,
+            trace_lines: span_jsonl.lines().count() as u64,
         });
     }
 
@@ -142,6 +138,6 @@ fn main() {
     }
     eprintln!(
         "perf-trace: all schemes >= {MIN_TRACED_SPEEDUP}x traced speedup, \
-         <= {MAX_TRACE_OVERHEAD}x trace overhead, expansions byte-identical"
+         <= {MAX_TRACE_OVERHEAD}x trace overhead, traces byte-identical"
     );
 }

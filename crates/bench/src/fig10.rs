@@ -83,7 +83,7 @@ pub fn schemes() -> Vec<Scheme> {
 }
 
 /// One experiment point of the figure (public so engine benches can rerun
-/// the same operating point under a different [`SimMode`]).
+/// the same operating point under a different `SimMode`).
 pub fn setup(scheme: Scheme, load: f64, cfg: &Fig10Config) -> SimSetup {
     let mut grng = host_stream(cfg.seed, 0x6071);
     let groups = GroupSet::random(64, 10, 10, &mut grng);

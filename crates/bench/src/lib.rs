@@ -12,14 +12,16 @@
 //!   model; see `benches/fig12_prototype_throughput.rs` and
 //!   `benches/fig13_prototype_loss.rs`.
 //! * [`runner`] and [`schemes`] — shared simulation assembly.
+//! * [`perf`] — helpers shared by the perf drivers.
 
 pub mod fig10;
 pub mod fig11;
+pub mod perf;
 pub mod runner;
 pub mod schemes;
 pub mod trace_io;
 
 pub use runner::{run, run_parallel, run_traced, RunReport, SimSetup, SimSetupBuilder};
 pub use schemes::Scheme;
-pub use trace_io::{expand_spans, validate_jsonl, write_jsonl};
+pub use trace_io::{validate_jsonl, write_jsonl};
 pub use wormcast_sim::network::RunOutcome;

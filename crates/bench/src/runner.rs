@@ -43,9 +43,8 @@ pub struct SimSetup {
     /// Fault injection, folded into the network configuration.
     pub faults: FaultConfig,
     /// Shards the single simulation runs on (1 = sequential engine). A
-    /// sharded run produces byte-identical statistics and traces;
-    /// configurations the parallel engine cannot honor (fault injection,
-    /// switch-level multicast) fall back to the sequential engine.
+    /// sharded run produces byte-identical statistics and traces; the
+    /// builder rejects configurations the parallel engine cannot honor.
     pub shards: u32,
     /// Explicit switch→shard plan; `None` derives a balanced contiguous
     /// plan from the up/down root ([`ShardPlan::bfs_contiguous`]).
@@ -157,8 +156,10 @@ impl SimSetupBuilder {
     }
 
     /// Run the single simulation on `n` parallel shards (1 = sequential).
-    /// Results are byte-identical to the sequential engine; configurations
-    /// the parallel engine cannot honor fall back to sequential.
+    /// Results are byte-identical to the sequential engine; [`build`]
+    /// rejects configurations the parallel engine cannot honor.
+    ///
+    /// [`build`]: SimSetupBuilder::build
     pub fn shards(mut self, n: u32) -> Self {
         self.setup.shards = n;
         self
@@ -231,6 +232,11 @@ impl SimSetupBuilder {
             });
         }
         if s.shards > 1 {
+            if s.faults.corrupt_prob != 0.0 {
+                return Err(ConfigError::Unshardable {
+                    feature: "fault injection",
+                });
+            }
             let plan = resolve_plan(&s).map_err(|reason| ConfigError::Invalid {
                 field: "shards",
                 reason,
@@ -352,24 +358,22 @@ pub fn run(setup: &SimSetup) -> RunReport {
 /// trace-equivalence tests use this.
 pub fn run_traced(setup: &SimSetup) -> (RunReport, Trace) {
     if setup.shards > 1 {
-        // Sharded path (tracing shards cleanly: each lifecycle event is
-        // recorded by exactly one owning shard and the logs merge into
-        // the canonical stream). A build error means the configuration
-        // is not shardable (e.g. fault injection) — fall through to
-        // sequential.
-        if let Ok(mut sharded) = build_sharded(setup) {
-            let outcome = sharded.run_until(setup.drain_until);
-            debug_assert!(
-                outcome.deadlock.is_none(),
-                "unexpected deadlock: {outcome:?}"
-            );
-            sharded.audit().expect("conservation invariant");
-            let msgs = sharded.msgs();
-            let util = sharded.mean_host_tx_utilization(setup.drain_until);
-            let trace = sharded.trace();
-            let report = make_report(setup, outcome, &msgs, util, trace.dropped());
-            return (report, trace);
-        }
+        // Tracing shards cleanly: each lifecycle event is recorded by
+        // exactly one owning shard and the logs merge into the canonical
+        // stream.
+        let mut sharded = build_sharded(setup)
+            .expect("SimSetup::builder validated this configuration as shardable");
+        let outcome = sharded.run_until(setup.drain_until);
+        debug_assert!(
+            outcome.deadlock.is_none(),
+            "unexpected deadlock: {outcome:?}"
+        );
+        sharded.audit().expect("conservation invariant");
+        let msgs = sharded.msgs();
+        let util = sharded.mean_host_tx_utilization(setup.drain_until);
+        let trace = sharded.trace();
+        let report = make_report(setup, outcome, &msgs, util, trace.dropped());
+        return (report, trace);
     }
     let mut net = build_network(setup);
     let outcome = net.run_until(setup.drain_until);
@@ -463,4 +467,36 @@ pub fn run_parallel(setups: Vec<SimSetup>) -> Vec<RunReport> {
                 .expect("every slot filled")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wormcast_topo::torus::torus;
+    use wormcast_traffic::rng::host_stream;
+    use wormcast_traffic::LengthDist;
+
+    /// Fault injection needs the global event order; asking for it on a
+    /// sharded run is a typed error, not a quiet sequential run.
+    #[test]
+    fn builder_rejects_sharded_fault_injection() {
+        let groups = GroupSet::random(16, 2, 4, &mut host_stream(1, 0));
+        let workload = PaperWorkload {
+            offered_load: 0.05,
+            multicast_prob: 0.10,
+            lengths: LengthDist::Geometric { mean: 400 },
+            stop_at: None,
+        };
+        let scheme = crate::fig10::figure_tree_scheme();
+        let built = SimSetup::builder(torus(4, 1), groups, scheme, workload)
+            .faults(FaultConfig { corrupt_prob: 0.01 })
+            .shards(2)
+            .build();
+        assert_eq!(
+            built.err(),
+            Some(ConfigError::Unshardable {
+                feature: "fault injection"
+            })
+        );
+    }
 }

@@ -3,9 +3,8 @@
 //! The simulator's [`Trace`] already knows how to render itself as JSON
 //! Lines ([`Trace::to_jsonl`]); this module adds the file plumbing the
 //! bench targets and the CI smoke job need — write a run's trace to disk,
-//! validate that a JSONL stream conforms to the event schema (DESIGN.md
-//! §3.2), and expand a span-batched trace back to the canonical per-byte
-//! stream ([`expand_spans`]).
+//! and validate that a JSONL stream conforms to the event schema
+//! (DESIGN.md §3.2).
 
 use serde_json::Value;
 use std::io::Write;
@@ -22,20 +21,31 @@ pub fn write_jsonl(trace: &Trace, path: &Path) -> std::io::Result<()> {
     f.flush()
 }
 
-/// Deterministically reconstruct the canonical per-byte JSONL from a
-/// span-level trace.
+/// Drop every `span-*` line from a JSONL stream, keeping the rest in order.
 ///
-/// The canonical schema has no per-data-byte events — the thirteen
-/// lifecycle events fire at the same per-byte-exact times in both engine
-/// modes (see the determinism notes in `wormcast_sim::trace`) — so a
-/// span-batched trace is exactly the per-byte trace plus interleaved
-/// `span-*` engine events, and expansion is pure erasure of those lines.
-/// Relative order of the surviving lines is untouched; [`Trace::to_jsonl`]
-/// already emitted them in the canonical `(t, line)` sort, so for every
-/// seed and configuration `expand_spans(trace(SpanBatched))` is
-/// byte-identical to `trace(PerByte)` (pinned by the differential tests
-/// in `tests/span_equivalence.rs` and `tests/shard_equivalence.rs`).
+/// This is the identity on every trace this engine produces: the span
+/// engine records no events of its own, so a traced `SpanBatched` run
+/// (sequential or sharded) renders the same thirteen-event JSONL as the
+/// `PerByte` run and there is nothing to erase. The function survives,
+/// signature and behaviour unchanged, only because the `benchmark/`
+/// package imports it; nothing else may call it, and a later `benchmark`
+/// issue should drop both the call and this function.
 pub fn expand_spans(jsonl: &str) -> String {
+    /// The renderer's field order is fixed (`t` then `ev`), so a cheap
+    /// substring probe is exact — but fall back to a real parse for
+    /// foreign-produced lines that may order fields differently.
+    fn is_span_line(line: &str) -> bool {
+        if line.contains("\"ev\":\"span-") {
+            return true;
+        }
+        if !line.contains("span-") {
+            return false;
+        }
+        matches!(
+            serde_json::parse_value(line),
+            Ok(v) if as_str(v.get("ev")).is_some_and(|e| e.starts_with("span-"))
+        )
+    }
     let mut out = String::with_capacity(jsonl.len());
     for line in jsonl.lines() {
         if !is_span_line(line) {
@@ -44,23 +54,6 @@ pub fn expand_spans(jsonl: &str) -> String {
         }
     }
     out
-}
-
-/// True when a rendered JSONL line is a span-level engine event. The
-/// renderer's field order is fixed (`t` then `ev`), so a cheap substring
-/// probe is exact — but fall back to a real parse for foreign-produced
-/// lines that may order fields differently.
-fn is_span_line(line: &str) -> bool {
-    if line.contains("\"ev\":\"span-") {
-        return true;
-    }
-    if !line.contains("span-") {
-        return false;
-    }
-    matches!(
-        serde_json::parse_value(line),
-        Ok(v) if as_str(v.get("ev")).is_some_and(|e| e.starts_with("span-"))
-    )
 }
 
 /// A schema violation found by [`validate_jsonl`]: line number (1-based)
@@ -86,9 +79,7 @@ fn required_fields(ev: &str) -> Option<&'static [&'static str]> {
         "blocked" | "resumed" => &["worm"],
         "fragment-parked" | "fragment-resumed" => &["worm", "host", "body_got"],
         "delivered" => &["msg", "host"],
-        "stop" | "go" | "span-nack" | "span-credit" => &["ch", "lane"],
-        "span-emitted" | "span-delivered" => &["worm", "ch", "lane", "len"],
-        "span-truncated" => &["worm", "ch", "lane", "revoked"],
+        "stop" | "go" => &["ch", "lane"],
         _ => return None,
     })
 }
@@ -192,7 +183,6 @@ mod tests {
     use super::*;
     use wormcast_sim::engine::HostId;
     use wormcast_sim::trace::TraceEvent;
-    
 
     #[test]
     fn real_trace_validates_clean() {
@@ -225,48 +215,6 @@ not json at all
         assert!(violations[2].reason.contains("backwards"));
         assert!(violations[3].reason.contains("ch"));
         assert!(violations[4].reason.contains("host"));
-    }
-
-    #[test]
-    fn span_events_validate_and_expand_away() {
-        use wormcast_sim::link::ChanId;
-        let mut tr = Trace::default();
-        tr.push(5, TraceEvent::WormInjected {
-            worm: 3,
-            host: HostId(1),
-        });
-        tr.push(6, TraceEvent::SpanEmitted {
-            worm: 3,
-            ch: ChanId(2),
-            lane: 0,
-            len: 16,
-        });
-        tr.push(7, TraceEvent::SpanTruncated {
-            worm: 3,
-            ch: ChanId(2),
-            lane: 0,
-            revoked: 4,
-        });
-        tr.push(8, TraceEvent::SpanDelivered {
-            worm: 3,
-            ch: ChanId(2),
-            lane: 0,
-            len: 12,
-        });
-        tr.push(8, TraceEvent::SpanNack { ch: ChanId(2), lane: 0 });
-        tr.push(9, TraceEvent::SpanCredit { ch: ChanId(2), lane: 0 });
-        tr.push(9, TraceEvent::WormReceived {
-            worm: 3,
-            host: HostId(2),
-        });
-        let jsonl = tr.to_jsonl();
-        assert_eq!(validate_jsonl(&jsonl), vec![]);
-        let expanded = expand_spans(&jsonl);
-        assert_eq!(validate_jsonl(&expanded), vec![]);
-        assert_eq!(expanded.lines().count(), 2);
-        assert!(!expanded.contains("span-"));
-        // A trace with no span events expands to itself.
-        assert_eq!(expand_spans(&expanded), expanded);
     }
 
     #[test]

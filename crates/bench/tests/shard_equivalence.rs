@@ -4,12 +4,12 @@
 //! sequential run's statistics and message log **byte for byte** — only
 //! the engine-cost counters (`events_scheduled` / `events_fired`) may
 //! differ, exactly as between the two [`SimMode`]s (DESIGN.md §3.4).
-//! Traced runs shard too: the merged span-batched trace, expanded back to
-//! per-byte by `trace_io::expand_spans`, must match the sequential
-//! per-byte trace byte for byte (DESIGN.md §3.2).
+//! Traced runs shard too: the merged trace of either mode must match the
+//! sequential per-byte trace byte for byte, as recorded (DESIGN.md §3.2).
 
+use wormcast_bench::fig10::{self, Fig10Config};
 use wormcast_bench::runner::{build_network, build_sharded, SimSetup};
-use wormcast_bench::trace_io::{expand_spans, validate_jsonl};
+use wormcast_bench::trace_io::validate_jsonl;
 use wormcast_bench::Scheme;
 use wormcast_core::{HcConfig, TreeConfig};
 use wormcast_sim::network::{MessageLog, NetStats, SimMode};
@@ -22,8 +22,6 @@ use wormcast_topo::{ShardPlan, Topology};
 use wormcast_traffic::rng::host_stream;
 use wormcast_traffic::workload::PaperWorkload;
 use wormcast_traffic::{GroupSet, LengthDist};
-
-const DRAIN_UNTIL: u64 = 26_000;
 
 fn setup_on(topo: Topology, scheme: Scheme, mode: SimMode) -> SimSetup {
     let hosts = topo.num_hosts();
@@ -63,7 +61,7 @@ fn canonical(mut stats: NetStats, mut msgs: MessageLog) -> (String, String, Stri
 
 fn run_sequential(setup: &SimSetup) -> (String, String, String) {
     let mut net = build_network(setup);
-    let out = net.run_until(DRAIN_UNTIL);
+    let out = net.run_until(setup.drain_until);
     assert!(out.deadlock.is_none(), "sequential deadlock: {out:?}");
     net.audit().expect("sequential conservation");
     canonical(net.stats.clone(), net.msgs.clone())
@@ -71,7 +69,7 @@ fn run_sequential(setup: &SimSetup) -> (String, String, String) {
 
 fn run_sharded_with(setup: &SimSetup) -> (String, String, String) {
     let mut sharded = build_sharded(setup).expect("shardable setup");
-    let out = sharded.run_until(DRAIN_UNTIL);
+    let out = sharded.run_until(setup.drain_until);
     assert!(out.deadlock.is_none(), "sharded deadlock: {out:?}");
     sharded.audit().expect("sharded conservation");
     canonical(sharded.stats(), sharded.msgs())
@@ -194,9 +192,8 @@ fn adversarial_round_robin_plan_still_matches() {
 
 /// Multi-lane boundary channels: with two virtual lanes per link, every
 /// cut channel is two independent byte streams, each lane carrying its own
-/// optimistic spans with its own mirror-truncation cutoff and NACK/credit
-/// optimism state. Both shard counts must stay byte-identical to the
-/// sequential two-lane run.
+/// optimistic spans with its own mirror-truncation cutoff. Both shard
+/// counts must stay byte-identical to the sequential two-lane run.
 #[test]
 fn torus_lanes2_matches_sharded() {
     let mut seq = setup_on(
@@ -222,7 +219,7 @@ fn torus_lanes2_matches_sharded() {
 /// (switch-hash on `x + y` rather than the raw index) puts **every**
 /// switch-to-switch link in the cut, so no worm ever advances a byte
 /// without crossing a shard boundary — every hot link exercises the
-/// optimistic-span / receive-side-truncation / credit-return protocol.
+/// optimistic-span / receive-side-truncation / admit-or-expand protocol.
 /// Both engine modes must still match sequential byte for byte.
 #[test]
 fn adversarial_checkerboard_all_links_cut_still_matches() {
@@ -243,10 +240,35 @@ fn adversarial_checkerboard_all_links_cut_still_matches() {
     }
 }
 
+/// Truncate-or-expand past the knee: the Figure 10 fabric under cut-through
+/// Hamiltonian circuits at load 0.12 is saturated (STOP storms, full slack
+/// buffers), and the 8×8 parity checkerboard cuts every switch-to-switch
+/// link — so optimistic spans keep arriving at congested inputs with
+/// nothing throttling the sender, and the receive side must reject and
+/// expand them byte-exactly.
+#[test]
+fn fig10_saturated_all_links_cut_still_matches() {
+    let cfg = Fig10Config {
+        loads: &[0.12],
+        warmup: 2_000,
+        measure: 20_000,
+        drain: 8_000,
+        seed: 7,
+    };
+    let seq = fig10::setup(Scheme::Hc(HcConfig::cut_through()), 0.12, &cfg);
+    let owner: Vec<u32> = (0..64).map(|i| ((i / 8 + i % 8) % 2) as u32).collect();
+    let plan = ShardPlan::from_assignment(2, owner).expect("plan");
+    assert_eq!(plan.cut_links(&seq.topo).len(), seq.topo.links.len());
+    let mut sh = fig10::setup(Scheme::Hc(HcConfig::cut_through()), 0.12, &cfg);
+    sh.shards = 2;
+    sh.shard_plan = Some(plan);
+    assert_equivalent("fig10 cut-through load 0.12 checkerboard", &seq, &sh);
+}
+
 /// Rendered JSONL of a traced sequential run.
 fn traced_sequential(setup: &SimSetup) -> String {
     let mut net = build_network(setup);
-    let out = net.run_until(DRAIN_UNTIL);
+    let out = net.run_until(setup.drain_until);
     assert!(out.deadlock.is_none(), "sequential deadlock: {out:?}");
     net.audit().expect("sequential conservation");
     net.trace.to_jsonl()
@@ -255,7 +277,7 @@ fn traced_sequential(setup: &SimSetup) -> String {
 /// Rendered JSONL of a traced sharded run (merged across shards).
 fn traced_sharded(setup: &SimSetup) -> String {
     let mut sharded = build_sharded(setup).expect("shardable setup");
-    let out = sharded.run_until(DRAIN_UNTIL);
+    let out = sharded.run_until(setup.drain_until);
     assert!(out.deadlock.is_none(), "sharded deadlock: {out:?}");
     sharded.audit().expect("sharded conservation");
     sharded.trace().to_jsonl()
@@ -281,10 +303,8 @@ fn first_diff(a: &str, b: &str) -> String {
     format!("line counts differ: {} vs {}", la.len(), lb.len())
 }
 
-/// Span-native tracing across shards: the merged span-batched sharded
-/// trace, run through the per-byte expander, must be byte-identical to
-/// the sequential per-byte trace — and a sharded *per-byte* trace must
-/// match it without any expansion at all.
+/// Tracing across shards: the merged sharded trace of either engine mode
+/// must be byte-identical, as recorded, to the sequential per-byte trace.
 fn assert_traced_equivalent(
     name: &str,
     mk: &dyn Fn(SimMode) -> SimSetup,
@@ -303,44 +323,33 @@ fn assert_traced_equivalent(
     let mut sp_seq = mk(SimMode::SpanBatched);
     sp_seq.trace = TraceConfig::Memory;
     let j_sp_seq = traced_sequential(&sp_seq);
-    let exp_seq = expand_spans(&j_sp_seq);
     assert!(
-        exp_seq == j_ref,
+        j_sp_seq == j_ref,
         "{name}: SEQ span trace diverged from sequential per-byte\n{}",
-        first_diff(&j_ref, &exp_seq)
+        first_diff(&j_ref, &j_sp_seq)
     );
 
-    let mut sp = mk(SimMode::SpanBatched);
-    sp.trace = TraceConfig::Memory;
-    sp.shards = shards;
-    sp.shard_plan = plan.clone();
-    let j_span = traced_sharded(&sp);
-    let violations = validate_jsonl(&j_span);
+    for mode in [SimMode::SpanBatched, SimMode::PerByte] {
+        let mut sh = mk(mode);
+        sh.trace = TraceConfig::Memory;
+        sh.shards = shards;
+        sh.shard_plan = plan.clone();
+        let j_sh = traced_sharded(&sh);
+        assert!(
+            j_sh == j_ref,
+            "{name}: sharded {mode:?} trace diverged from sequential per-byte\n{}",
+            first_diff(&j_ref, &j_sh)
+        );
+    }
+    let violations = validate_jsonl(&j_ref);
     assert!(
         violations.is_empty(),
-        "{name}: sharded span trace violates the schema: {violations:?}"
-    );
-    let expanded = expand_spans(&j_span);
-    assert!(
-        expanded == j_ref,
-        "{name}: expanded sharded span trace diverged from sequential per-byte\n{}",
-        first_diff(&j_ref, &expanded)
-    );
-
-    let mut pb = mk(SimMode::PerByte);
-    pb.trace = TraceConfig::Memory;
-    pb.shards = shards;
-    pb.shard_plan = plan;
-    let j_pb = traced_sharded(&pb);
-    assert!(
-        j_pb == j_ref,
-        "{name}: sharded per-byte trace diverged from sequential per-byte\n{}",
-        first_diff(&j_ref, &j_pb)
+        "{name}: trace violates the schema: {violations:?}"
     );
 }
 
 #[test]
-fn traced_sharded_torus_expands_to_sequential() {
+fn traced_sharded_torus_matches_sequential() {
     let mk = |mode| setup_on(torus(4, 1), Scheme::Hc(HcConfig::store_and_forward()), mode);
     for shards in [2u32, 4] {
         assert_traced_equivalent(
@@ -353,7 +362,7 @@ fn traced_sharded_torus_expands_to_sequential() {
 }
 
 #[test]
-fn traced_sharded_shufflenet_expands_to_sequential() {
+fn traced_sharded_shufflenet_matches_sequential() {
     let mk = |mode| {
         setup_on(
             shufflenet24(1),
@@ -365,7 +374,7 @@ fn traced_sharded_shufflenet_expands_to_sequential() {
 }
 
 #[test]
-fn traced_sharded_tree_expands_to_sequential() {
+fn traced_sharded_tree_matches_sequential() {
     let mk = |mode| {
         setup_on(
             tree_fabric(5),
@@ -377,14 +386,14 @@ fn traced_sharded_tree_expands_to_sequential() {
 }
 
 #[test]
-fn traced_sharded_irregular_expands_to_sequential() {
+fn traced_sharded_irregular_matches_sequential() {
     let mk = |mode| setup_on(irregular_fabric(9), Scheme::Hc(HcConfig::cut_through()), mode);
     assert_traced_equivalent("traced irregular shards=2", &mk, 2, None);
 }
 
 #[test]
-fn traced_sharded_torus_lanes2_expands_to_sequential() {
-    // Two lanes per link: span-level lines carry the lane field and every
+fn traced_sharded_torus_lanes2_matches_sequential() {
+    // Two lanes per link: STOP/GO lines carry the lane field and every
     // cut channel runs the optimistic-span protocol per lane.
     let mk = |mode| {
         let mut s = setup_on(torus(4, 1), Scheme::Hc(HcConfig::store_and_forward()), mode);

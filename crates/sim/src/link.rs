@@ -170,9 +170,6 @@ pub struct Lane {
     /// Kick generation: bumped when a STOP truncates an in-flight span so
     /// the span chain's already-scheduled end-of-span `TxKick` is ignored.
     kick_gen: u32,
-    /// Transmit-side owner of a cut lane only: whether optimistic spans may
-    /// go out (cleared by a `SpanNack`, restored by `SpanCredit`/`GO`).
-    span_optimism: bool,
     /// Receive-side owner of a cut lane only: the send-slot cutoff implied
     /// by the newest STOP this side emitted — a span's bytes at slots
     /// `>= cutoff` were revoked at the (foreign) transmitter. 0 = never
@@ -181,9 +178,6 @@ pub struct Lane {
     /// Receive-side owner of a cut lane only: rejected optimistic spans
     /// being re-expanded into their per-byte arrival stream, in wire order.
     foreign_runs: VecDeque<ForeignRun>,
-    /// Receive-side owner of a cut lane only: a `SpanNack` is in force and
-    /// the matching `SpanCredit` has not been sent yet.
-    nack_sent: bool,
 }
 
 /// A rejected cross-shard span being expanded back into per-byte arrivals
@@ -235,10 +229,8 @@ impl Lane {
             // of outstanding spans at once).
             spans: VecDeque::with_capacity(8),
             kick_gen: 0,
-            span_optimism: true,
             foreign_stop_cutoff: 0,
             foreign_runs: VecDeque::new(),
-            nack_sent: false,
         }
     }
 
@@ -430,17 +422,6 @@ impl Lane {
 
     // -- cross-shard span protocol (DESIGN.md §3.4) --------------------------
 
-    /// Transmit-side owner of a cut lane: may optimistic spans go out?
-    #[inline]
-    pub(crate) fn span_optimism(&self) -> bool {
-        self.span_optimism
-    }
-
-    #[inline]
-    pub(crate) fn set_span_optimism(&mut self, on: bool) {
-        self.span_optimism = on;
-    }
-
     /// Receive-side owner of a cut lane: an optimistic span arrived from
     /// the foreign transmitter. Queued in wire order (the mailbox is FIFO)
     /// and counted in this copy's `in_flight` until delivery.
@@ -468,29 +449,21 @@ impl Lane {
     /// Truncate the just-arriving foreign span (queue front) against the
     /// recorded STOP cutoff, mirroring exactly the truncation the foreign
     /// transmitter performed on its copy: bytes at send slots `>= cutoff`
-    /// never went on the wire. Returns the revoked byte count.
-    pub(crate) fn truncate_arriving_foreign_span(&mut self) -> u64 {
+    /// never went on the wire.
+    pub(crate) fn truncate_arriving_foreign_span(&mut self) {
         let cutoff = self.foreign_stop_cutoff;
         let Some(span) = self.spans.front_mut() else {
-            return 0;
+            return;
         };
         if cutoff <= span.start || span.start + span.len <= cutoff {
-            return 0;
+            return;
         }
         // `cutoff > start` (a span can never start at its own STOP-arrival
         // slot: the STOP precedes the same-tick kick), so the transmitter's
         // `sent = (cutoff - start).max(1)` is exactly `cutoff - start`.
         let sent = cutoff - span.start;
-        let revoked = span.len - sent;
+        self.in_flight -= (span.len - sent) as u32;
         span.len = sent;
-        self.in_flight -= revoked as u32;
-        revoked
-    }
-
-    /// Worm carried by the oldest in-flight span, if any (trace
-    /// attribution for receive-side truncation).
-    pub(crate) fn front_span_worm(&self) -> Option<crate::worm::WormId> {
-        self.spans.front().map(|s| s.worm)
     }
 
     pub(crate) fn push_foreign_run(&mut self, run: ForeignRun) {
@@ -530,16 +503,6 @@ impl Lane {
                 .iter()
                 .map(|r| r.end.saturating_sub(r.next))
                 .sum::<u64>()
-    }
-
-    #[inline]
-    pub(crate) fn nack_pending(&self) -> bool {
-        self.nack_sent
-    }
-
-    #[inline]
-    pub(crate) fn set_nack_pending(&mut self, on: bool) {
-        self.nack_sent = on;
     }
 }
 

@@ -1014,7 +1014,7 @@ impl Network {
     }
 
     /// Resolve a canonical worm name (the `worm` field of
-    /// [`TraceEvent`](crate::trace::TraceEvent)s) back to the local worm
+    /// [`TraceEvent`]s) back to the local worm
     /// instance. Linear scan — meant for diagnostics and trace
     /// post-processing, not the simulation hot path.
     pub fn worm_by_name(&self, name: u64) -> Option<&WormInstance> {
@@ -1104,13 +1104,8 @@ impl Network {
         // the receive-side occupancy needed for an exact admission check
         // lives over there, so the owner performs it on arrival — either
         // admitting the span whole or expanding it back into per-byte
-        // arrivals — and NACKs persistent congestion (DESIGN.md §3.4).
+        // arrivals (DESIGN.md §3.4).
         let dst_foreign = self.chan_dst_foreign(ch);
-        if dst_foreign && !self.lanes[ch.0 as usize].span_optimism() {
-            // A NACK is in force; stay per-byte until a credit or GO
-            // restores optimism.
-            return false;
-        }
         let (src, dst, wire) = {
             let c = &self.lanes[ch.0 as usize];
             (c.src(), c.dst(), c.in_flight() as u64)
@@ -1190,14 +1185,6 @@ impl Network {
         let ticket = TxPort::new(&mut self.lanes[ch.0 as usize])
             .try_send(now, TxPayload::Span { worm, len: k }, true)
             .expect("span probe ran at the lane's ready time");
-        if self.trace.enabled() {
-            // Span-level engine events sit alongside the lifecycle stream;
-            // the per-byte expander erases them (trace.rs module docs).
-            let lane = self.lanes[ch.0 as usize].lane_index();
-            let worm = self.worm_name(worm);
-            self.trace
-                .push(now, TraceEvent::SpanEmitted { worm, ch, lane, len: k });
-        }
         if dst_foreign {
             self.send_boundary_span(ch, ticket.deliver_at, worm, k);
             // The receive-side owner delivers the bytes; this RxSpan fires
@@ -1246,17 +1233,7 @@ impl Network {
             // Mirror, before taking the span off the wire, exactly the
             // truncation any STOP this side emitted has meanwhile forced
             // on the transmitter's copy (`Lane::truncate_arriving_foreign_span`).
-            let revoked = self.lanes[ch.0 as usize].truncate_arriving_foreign_span();
-            if revoked > 0 && self.trace.enabled() {
-                let now = self.scheduler.now();
-                let l = &self.lanes[ch.0 as usize];
-                let (worm, lane) = (l.front_span_worm(), l.lane_index());
-                if let Some(worm) = worm {
-                    let worm = self.worm_name(worm);
-                    self.trace
-                        .push(now, TraceEvent::SpanTruncated { worm, ch, lane, revoked });
-                }
-            }
+            self.lanes[ch.0 as usize].truncate_arriving_foreign_span();
         }
         let (dst, span) = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
         if span.len == 0 {
@@ -1283,15 +1260,6 @@ impl Network {
             self.flushed_count == 0,
             "spans and flushes cannot coexist (switchcast gates the fast path)"
         );
-        if self.trace.enabled() {
-            let lane = self.lanes[ch.0 as usize].lane_index();
-            self.trace.push(now, TraceEvent::SpanDelivered {
-                worm: self.worm_name(span.worm),
-                ch,
-                lane,
-                len: span.len,
-            });
-        }
         match dst.node {
             NodeRef::Switch(s) => self.switch_rx_span(s, dst.port.0, span.worm, span.len),
             NodeRef::Host(h) => self.adapter_rx_span(h, span.worm, span.len),
@@ -1305,8 +1273,9 @@ impl Network {
     /// wire bytes: everything on the wire IS this span). Otherwise expand
     /// the span back into the per-byte arrival stream it stood for (one
     /// [`Event::RxForeign`] per wire slot, at exactly the canonical
-    /// per-byte positions) and NACK the transmitter when the input is
-    /// genuinely congested. Returns whether the span was admitted.
+    /// per-byte positions). A rejected span already cost one mailbox
+    /// message instead of `len`, so the transmitter is never throttled.
+    /// Returns whether the span was admitted.
     fn admit_foreign_span(&mut self, ch: ChanId, dst: Endpoint, span: &SpanInFlight) -> bool {
         let NodeRef::Switch(s) = dst.node else {
             unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
@@ -1327,15 +1296,6 @@ impl Network {
         // `now` fires the first expansion byte immediately after this
         // event — at its exact canonical arrival slot.
         self.scheduler.at(now, Event::RxForeign { ch });
-        let inp = &self.switches[s.0 as usize].inputs[dst.port.index()];
-        if inp.occupancy() > inp.slack.go_mark && !self.lanes[ch.0 as usize].nack_pending() {
-            // Congested beyond the GO threshold: further optimism is
-            // wasted mailbox traffic. (A rejection with a near-empty
-            // buffer — a STOP still in force during drain — clears on its
-            // own, so no NACK there.)
-            self.lanes[ch.0 as usize].set_nack_pending(true);
-            self.send_ctrl(ch, CtrlSym::SpanNack);
-        }
         false
     }
 
@@ -1393,16 +1353,6 @@ impl Network {
         let Some((worm, revoked)) = self.lanes[ch.0 as usize].truncate_newest_span(now) else {
             return;
         };
-        if self.trace.enabled() {
-            let lane = self.lanes[ch.0 as usize].lane_index();
-            let name = self.worm_name(worm);
-            self.trace.push(now, TraceEvent::SpanTruncated {
-                worm: name,
-                ch,
-                lane,
-                revoked,
-            });
-        }
         let src = self.lanes[ch.0 as usize].src();
         match src.node {
             NodeRef::Switch(s) => {
@@ -1471,11 +1421,6 @@ impl Network {
                 let lane = {
                     let l = &mut self.lanes[ch.0 as usize];
                     l.go(now);
-                    // A GO means the receive-side slack drained below the
-                    // low watermark — on a cut lane that also restores
-                    // span optimism (the receiver cleared its NACK flag
-                    // when it emitted this GO).
-                    l.set_span_optimism(true);
                     l.lane_index()
                 };
                 if self.trace.enabled() {
@@ -1483,26 +1428,6 @@ impl Network {
                     self.pending_ctrl_trace.push((now, ch, false));
                 }
                 self.kick_channel(ch);
-            }
-            CtrlSym::SpanNack => {
-                // The receive-side owner of this cut lane rejected an
-                // optimistic span into congestion; stop shipping spans
-                // until a credit (or GO) arrives. Pure engine throttle:
-                // the rejected bytes still arrive per-byte-exactly.
-                let l = &mut self.lanes[ch.0 as usize];
-                l.set_span_optimism(false);
-                let lane = l.lane_index();
-                if self.trace.enabled() {
-                    self.trace.push(now, TraceEvent::SpanNack { ch, lane });
-                }
-            }
-            CtrlSym::SpanCredit => {
-                let l = &mut self.lanes[ch.0 as usize];
-                l.set_span_optimism(true);
-                let lane = l.lane_index();
-                if self.trace.enabled() {
-                    self.trace.push(now, TraceEvent::SpanCredit { ch, lane });
-                }
             }
             CtrlSym::BackwardReset => self.switchcast_backward_reset(ch),
         }

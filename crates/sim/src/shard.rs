@@ -7,16 +7,16 @@
 //! whose target entity lives in another shard cross as *boundary
 //! messages* over per-ordered-pair FIFO mailboxes:
 //!
-//! - a byte put on a cross-shard channel crosses as [`BoundaryMsg::Rx`]
-//!   (the first byte of each worm carries a [`WormSnap`] so the receiving
+//! - a byte put on a cross-shard channel crosses as `BoundaryMsg::Rx`
+//!   (the first byte of each worm carries a `WormSnap` so the receiving
 //!   shard can materialise the worm locally),
-//! - a batched run of data bytes crosses as [`BoundaryMsg::RxSpan`] — an
+//! - a batched run of data bytes crosses as `BoundaryMsg::RxSpan` — an
 //!   *optimistic* span sized from sender-local state only; the receiving
 //!   shard truncates it against its own STOP watermarks on arrival and
 //!   either admits it whole or expands it back into the per-byte arrival
 //!   stream it stood for (DESIGN.md §3.4), and
-//! - a STOP/GO (or span credit/NACK) symbol emitted by a receive side
-//!   whose transmit side is foreign crosses as [`BoundaryMsg::Ctrl`].
+//! - a STOP/GO symbol emitted by a receive side whose transmit side is
+//!   foreign crosses as `BoundaryMsg::Ctrl`.
 //!
 //! Synchronization is conservative (Chandy–Misra–Bryant style) with
 //! lookahead equal to the minimum inter-shard link latency. Each shard

@@ -18,18 +18,15 @@
 //! delivery stay per-byte-exact, and the span emission guards
 //! (`switch_span_ready` / `switch_span_room`) keep slack occupancy
 //! strictly below the STOP watermark with no GO owed for the whole drain
-//! window, so the STOP/GO timeline cannot differ either. Under
-//! `SpanBatched` the trace *additionally* records span-level engine
-//! events ([`TraceEvent::SpanEmitted`] and friends) interleaved with the
-//! lifecycle stream. Because the canonical per-byte schema contains no
-//! per-data-byte events, expansion back to the canonical JSONL is pure
-//! erasure: `wormcast_bench::trace_io::expand_spans` drops the
-//! `span-*` lines and what remains is byte-identical to the per-byte
-//! trace (enforced by `tests/span_equivalence.rs` and the sharded
-//! differential harness). Events occur at per-byte-exact times; only the
-//! processing order within one timestamp is incidental, and
-//! [`Trace::to_jsonl`] sorts lines by `(time, line)` so the rendered
-//! JSONL is reproducible.
+//! window, so the STOP/GO timeline cannot differ either. The span engine
+//! records nothing of its own: a traced `SpanBatched` run (sequential or
+//! sharded) holds exactly the events of the traced `PerByte` run, so the
+//! sink grows with lifecycle events, not with engine events, and the raw
+//! JSONL of the two modes is byte-identical (enforced by
+//! `tests/span_equivalence.rs` and the sharded differential harness).
+//! Events occur at per-byte-exact times; only the processing order within
+//! one timestamp is incidental, and [`Trace::to_jsonl`] sorts lines by
+//! `(time, line)` so the rendered JSONL is reproducible.
 //!
 //! # Cost when disabled
 //!
@@ -108,27 +105,6 @@ pub enum TraceEvent {
     StopInForce { ch: ChanId, lane: u8 },
     /// A GO released the transmit side of `ch`.
     GoReceived { ch: ChanId, lane: u8 },
-    /// Span-batched engine only: `len` body bytes of `worm` left the
-    /// transmit side of `ch` as one batched span. Erased by the
-    /// per-byte expander.
-    SpanEmitted { worm: u64, ch: ChanId, lane: u8, len: u64 },
-    /// Span-batched engine only: a STOP (or a receive-side watermark on a
-    /// cut link) cut `revoked` not-yet-wire-committed bytes off the
-    /// newest in-flight span on `ch`. Erased by the per-byte expander.
-    SpanTruncated { worm: u64, ch: ChanId, lane: u8, revoked: u64 },
-    /// Span-batched engine only: `len` body bytes of `worm` were admitted
-    /// in one batch at the receive side of `ch`. Erased by the per-byte
-    /// expander.
-    SpanDelivered { worm: u64, ch: ChanId, lane: u8, len: u64 },
-    /// Span-batched engine only: a `SpanNack` control symbol arrived on
-    /// the transmit side of `ch` (receive shard of a cut link rejected an
-    /// optimistic span), standing sender optimism down. Erased by the
-    /// per-byte expander.
-    SpanNack { ch: ChanId, lane: u8 },
-    /// Span-batched engine only: a `SpanCredit` control symbol arrived on
-    /// the transmit side of `ch`, restoring sender optimism. Erased by
-    /// the per-byte expander.
-    SpanCredit { ch: ChanId, lane: u8 },
 }
 
 impl TraceEvent {
@@ -352,33 +328,6 @@ pub fn render_line(s: &mut String, t: SimTime, ev: &TraceEvent) {
         TraceEvent::GoReceived { ch, lane } => {
             let _ = write!(s, "\"go\",\"ch\":{},\"lane\":{}", ch.0, lane);
         }
-        TraceEvent::SpanEmitted { worm, ch, lane, len } => {
-            let _ = write!(
-                s,
-                "\"span-emitted\",\"worm\":{},\"ch\":{},\"lane\":{},\"len\":{}",
-                worm, ch.0, lane, len
-            );
-        }
-        TraceEvent::SpanTruncated { worm, ch, lane, revoked } => {
-            let _ = write!(
-                s,
-                "\"span-truncated\",\"worm\":{},\"ch\":{},\"lane\":{},\"revoked\":{}",
-                worm, ch.0, lane, revoked
-            );
-        }
-        TraceEvent::SpanDelivered { worm, ch, lane, len } => {
-            let _ = write!(
-                s,
-                "\"span-delivered\",\"worm\":{},\"ch\":{},\"lane\":{},\"len\":{}",
-                worm, ch.0, lane, len
-            );
-        }
-        TraceEvent::SpanNack { ch, lane } => {
-            let _ = write!(s, "\"span-nack\",\"ch\":{},\"lane\":{}", ch.0, lane);
-        }
-        TraceEvent::SpanCredit { ch, lane } => {
-            let _ = write!(s, "\"span-credit\",\"ch\":{},\"lane\":{}", ch.0, lane);
-        }
     }
     s.push('}');
 }
@@ -505,45 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn span_line_shapes() {
-        assert_eq!(
-            jsonl_line(5, &TraceEvent::SpanEmitted {
-                worm: 7,
-                ch: ChanId(3),
-                lane: 1,
-                len: 40,
-            }),
-            "{\"t\":5,\"ev\":\"span-emitted\",\"worm\":7,\"ch\":3,\"lane\":1,\"len\":40}"
-        );
-        assert_eq!(
-            jsonl_line(6, &TraceEvent::SpanTruncated {
-                worm: 7,
-                ch: ChanId(3),
-                lane: 0,
-                revoked: 12,
-            }),
-            "{\"t\":6,\"ev\":\"span-truncated\",\"worm\":7,\"ch\":3,\"lane\":0,\"revoked\":12}"
-        );
-        assert_eq!(
-            jsonl_line(8, &TraceEvent::SpanDelivered {
-                worm: 7,
-                ch: ChanId(3),
-                lane: 0,
-                len: 28,
-            }),
-            "{\"t\":8,\"ev\":\"span-delivered\",\"worm\":7,\"ch\":3,\"lane\":0,\"len\":28}"
-        );
-        assert_eq!(
-            jsonl_line(9, &TraceEvent::SpanNack { ch: ChanId(2), lane: 0 }),
-            "{\"t\":9,\"ev\":\"span-nack\",\"ch\":2,\"lane\":0}"
-        );
-        assert_eq!(
-            jsonl_line(9, &TraceEvent::SpanCredit { ch: ChanId(2), lane: 1 }),
-            "{\"t\":9,\"ev\":\"span-credit\",\"ch\":2,\"lane\":1}"
-        );
-    }
-
-    #[test]
     fn write_jsonl_matches_to_jsonl() {
         let mut t = Trace::default();
         t.push(7, TraceEvent::StopInForce { ch: ChanId(9), lane: 0 });
@@ -552,15 +462,9 @@ mod tests {
             host: HostId(0),
         });
         t.push(7, TraceEvent::GoReceived { ch: ChanId(1), lane: 0 });
-        t.push(7, TraceEvent::SpanEmitted {
-            worm: 1,
-            ch: ChanId(9),
-            lane: 0,
-            len: 16,
-        });
         let mut streamed = Vec::new();
         t.write_jsonl(&mut streamed).unwrap();
         assert_eq!(String::from_utf8(streamed).unwrap(), t.to_jsonl());
-        assert_eq!(t.to_jsonl().lines().count(), 4);
+        assert_eq!(t.to_jsonl().lines().count(), 3);
     }
 }

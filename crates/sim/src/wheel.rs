@@ -253,7 +253,7 @@ impl<T> TimingWheel<T> {
     /// time — slot `s` holds only entries with `time ≡ s (mod WHEEL_SLOTS)`
     /// and `now <= time < now + WHEEL_SLOTS`, so the slot index alone
     /// determines the due time. Pushes enforce the window, and
-    /// [`Self::fold_overflow`] runs after every advance of `now`, so
+    /// `fold_overflow` runs after every advance of `now`, so
     /// outside this method every overflow entry satisfies
     /// `time >= now + WHEEL_SLOTS`: the overflow heap only needs consulting
     /// when the occupancy bitmap is all zeroes.

@@ -1,23 +1,23 @@
 //! One traced low-load Figure 10 point, end to end — on the span fast
 //! path: run the tree scheme on the 8×8 torus span-batched with the
-//! in-memory trace sink, expand the span-level stream into the canonical
-//! per-byte JSON Lines (DESIGN.md §3.2), validate it against the event
-//! schema, diff it against a per-byte reference run, and print the
-//! observability summary — blocked-time histograms by cause.
+//! in-memory trace sink, render the canonical JSON Lines (DESIGN.md
+//! §3.2), validate them against the event schema, diff them against a
+//! per-byte reference run, and print the observability summary —
+//! blocked-time histograms by cause.
 //!
 //! CI runs this as a smoke job:
 //!
 //!     cargo run --release --example traced_fig10
 //!
 //! Exits non-zero if the run misbehaves, the JSONL fails validation, or
-//! the expanded span trace is not byte-identical to the per-byte engine's.
+//! the span-batched trace is not byte-identical to the per-byte engine's.
 
 use wormcast::sim::network::SimMode;
 use wormcast::sim::trace::TraceConfig;
 use wormcast::stats::blocked_times;
 use wormcast_bench::fig10::{figure_tree_scheme, setup, Fig10Config};
 use wormcast_bench::runner::{run_traced, SimSetup};
-use wormcast_bench::trace_io::{expand_spans, validate_jsonl};
+use wormcast_bench::trace_io::validate_jsonl;
 
 fn main() {
     let cfg = Fig10Config {
@@ -50,41 +50,35 @@ fn main() {
     assert!(!trace.is_empty(), "trace must capture the run");
     assert_eq!(report.trace_dropped, 0, "memory sink must not drop events");
 
-    // Expand the span-level stream into the canonical per-byte JSONL and
-    // pin it against a per-byte reference run of the same point.
-    let span_jsonl = trace.to_jsonl();
-    let expanded = expand_spans(&span_jsonl);
+    // Tracing is mode-invariant: pin the span-batched JSONL against a
+    // per-byte reference run of the same point.
+    let jsonl = trace.to_jsonl();
     let mut reference = point;
     reference.mode = SimMode::PerByte;
     let (_, ref_trace) = run_traced(&reference);
     assert!(
-        expanded == ref_trace.to_jsonl(),
-        "expanded span trace diverged from the per-byte reference"
+        jsonl == ref_trace.to_jsonl(),
+        "span-batched trace diverged from the per-byte reference"
     );
     println!(
-        "span trace: {} lines expand to the per-byte reference byte-for-byte",
-        span_jsonl.lines().count()
+        "span-batched trace: {} lines, byte-identical to the per-byte reference",
+        jsonl.lines().count()
     );
 
-    // Write and validate the canonical per-byte JSONL.
+    // Write and validate the JSONL.
     let path = std::path::Path::new("results/traced_fig10.jsonl");
     std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(path, &expanded).expect("write JSONL");
-    let violations = validate_jsonl(&expanded);
+    std::fs::write(path, &jsonl).expect("write JSONL");
+    let violations = validate_jsonl(&jsonl);
     if !violations.is_empty() {
         for v in violations.iter().take(20) {
             eprintln!("schema violation: {v}");
         }
         panic!("{} schema violations in {}", violations.len(), path.display());
     }
-    println!(
-        "wrote {} ({} lines, schema-valid)",
-        path.display(),
-        expanded.lines().count()
-    );
+    println!("wrote {} (schema-valid)", path.display());
 
-    // Blocked-time histograms by cause (span-* engine events are
-    // transparent to the lifecycle consumers).
+    // Blocked-time histograms by cause.
     let bt = blocked_times(&trace);
     println!("\nblocked intervals (byte-times):");
     println!(

@@ -9,9 +9,8 @@
 //! shufflenet, the Myrinet testbed line) and over random irregular
 //! topologies, then compare everything — including the rendered JSONL
 //! lifecycle trace: a traced span-batched run keeps the fast path live
-//! and records extra `span-*` engine events, and erasing those
-//! ([`wormcast_bench::trace_io::expand_spans`]) must reproduce the
-//! per-byte trace byte-for-byte (DESIGN.md §3.2).
+//! and records exactly the events of the per-byte run, so the raw JSONL
+//! of the two modes is byte-identical (DESIGN.md §3.2).
 
 use proptest::prelude::*;
 use wormcast::sim::network::{NetStats, SimMode};
@@ -22,7 +21,7 @@ use wormcast::topo::torus::torus;
 use wormcast::topo::{TopoBuilder, Topology};
 use wormcast_bench::fig10::figure_tree_scheme;
 use wormcast_bench::runner::{build_network, SimSetup};
-use wormcast_bench::trace_io::{expand_spans, validate_jsonl};
+use wormcast_bench::trace_io::validate_jsonl;
 use wormcast_bench::Scheme;
 use wormcast_core::HcConfig;
 use wormcast_traffic::rng::host_stream;
@@ -30,13 +29,13 @@ use wormcast_traffic::workload::PaperWorkload;
 use wormcast_traffic::{GroupSet, LengthDist};
 
 /// Everything a run observably produces: sorted `(msg, host, time)`
-/// delivery triples, the statistics block, and the rendered JSONL
-/// lifecycle trace. Deliveries are sorted because batching k simultaneous
-/// byte arrivals into one event legitimately permutes the processing order
-/// *within* a tick — the timestamps themselves must still match
-/// bit-for-bit. The JSONL needs no such help: `to_jsonl` renders in the
+/// delivery triples, the statistics block, the rendered JSONL lifecycle
+/// trace and the number of events the sink holds. Deliveries are sorted
+/// because batching k simultaneous byte arrivals into one event
+/// legitimately permutes the processing order *within* a tick — the
+/// timestamps themselves must still match bit-for-bit. The JSONL needs no such help: `to_jsonl` renders in the
 /// canonical `(t, line)` order by contract.
-type Observed = (Vec<(u64, u32, u64)>, NetStats, String);
+type Observed = (Vec<(u64, u32, u64)>, NetStats, String, usize);
 
 fn observe(mut setup: SimSetup, mode: SimMode, trace: TraceConfig) -> Observed {
     setup.mode = mode;
@@ -53,7 +52,12 @@ fn observe(mut setup: SimSetup, mode: SimMode, trace: TraceConfig) -> Observed {
         .map(|d| (d.msg.0, d.host.0, d.at))
         .collect();
     deliveries.sort_unstable();
-    (deliveries, net.stats.clone(), net.trace.to_jsonl())
+    (
+        deliveries,
+        net.stats.clone(),
+        net.trace.to_jsonl(),
+        net.trace.len(),
+    )
 }
 
 /// Statistics equality with the engine-cost counters (the one
@@ -71,42 +75,40 @@ fn assert_stats_eq(mut a: NetStats, mut b: NetStats, label: &str, what: &str) {
 }
 
 /// Run `setup` under both modes, traced and untraced, and require
-/// bit-identical observables. The span fast path stays live with a sink
-/// attached: the span-batched trace carries extra `span-*` engine events,
-/// and erasing them with the per-byte expander must reproduce the
-/// per-byte JSONL byte-for-byte. Tracing itself must be a pure observer:
-/// the traced and untraced runs must agree too. Returns the per-byte and
-/// span-batched scheduled-event counts of the untraced pair for callers
-/// that assert on cost.
+/// bit-identical observables — the raw JSONL included: the span engine
+/// records nothing of its own, so the sink holds the same events in both
+/// modes. Tracing itself must be a pure observer: the traced and untraced
+/// runs must agree too, down to the scheduled-event count (the fast path
+/// stays live with a sink attached). Returns the per-byte and
+/// span-batched scheduled-event counts for callers that assert on cost.
 fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
-    let (d_ref, s_ref, j_ref) = observe(mk(), SimMode::PerByte, TraceConfig::Memory);
-    let (d_span, s_span, j_span) = observe(mk(), SimMode::SpanBatched, TraceConfig::Memory);
+    let (d_ref, s_ref, j_ref, n_ref) = observe(mk(), SimMode::PerByte, TraceConfig::Memory);
+    let (d_span, s_span, j_span, n_span) = observe(mk(), SimMode::SpanBatched, TraceConfig::Memory);
     assert_eq!(
         d_ref, d_span,
         "{label}: traced delivery records diverged between engine modes"
     );
-    let expanded = expand_spans(&j_span);
     assert!(
-        j_ref == expanded,
-        "{label}: expanded span trace diverged from the per-byte trace\n{}",
-        first_diff(&j_ref, &expanded)
+        j_ref == j_span,
+        "{label}: span-batched trace diverged from the per-byte trace\n{}",
+        first_diff(&j_ref, &j_span)
     );
     assert!(!j_ref.is_empty(), "{label}: trace captured nothing");
+    // The sink scales with lifecycle events, not engine events.
+    assert_eq!(
+        n_ref, n_span,
+        "{label}: the trace sink holds a different number of events per engine mode"
+    );
     let violations = validate_jsonl(&j_span);
     assert!(
         violations.is_empty(),
-        "{label}: span-level trace violates the schema: {violations:?}"
+        "{label}: trace violates the schema: {violations:?}"
     );
-    // The fast path must actually be live on traced span-batched runs —
-    // that's the whole point of span-native tracing.
-    assert!(
-        s_span.events_scheduled <= s_ref.events_scheduled,
-        "{label}: traced span-batched run scheduled more events than per-byte"
-    );
+    let (e_traced_ref, e_traced_span) = (s_ref.events_scheduled, s_span.events_scheduled);
     assert_stats_eq(s_ref, s_span, label, "traced");
 
-    let (d_off_ref, s_off_ref, _) = observe(mk(), SimMode::PerByte, TraceConfig::Off);
-    let (d_off_span, s_off_span, _) = observe(mk(), SimMode::SpanBatched, TraceConfig::Off);
+    let (d_off_ref, s_off_ref, _, _) = observe(mk(), SimMode::PerByte, TraceConfig::Off);
+    let (d_off_span, s_off_span, _, _) = observe(mk(), SimMode::SpanBatched, TraceConfig::Off);
     assert_eq!(
         d_off_ref, d_off_span,
         "{label}: delivery records diverged between engine modes"
@@ -116,6 +118,11 @@ fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
         "{label}: attaching a trace sink changed the delivery records"
     );
     let (e_ref, e_span) = (s_off_ref.events_scheduled, s_off_span.events_scheduled);
+    assert_eq!(
+        (e_traced_ref, e_traced_span),
+        (e_ref, e_span),
+        "{label}: attaching a trace sink changed the engine's event counts"
+    );
     assert_stats_eq(s_off_ref, s_off_span, label, "untraced");
     (e_ref, e_span)
 }
@@ -161,25 +168,20 @@ fn torus_modes_agree_and_spans_win() {
             let groups = GroupSet::random(64, 10, 10, &mut grng);
             setup_on(torus(8, 1), groups, scheme, 0.06, 0x5EED0).windows(5_000, 25_000, 15_000)
         };
+        // `assert_equivalent` pinned traced == untraced event counts, so
+        // this also proves the fast path stayed live under tracing.
         let (e_ref, e_span) = assert_equivalent(mk, "torus8");
         assert!(
             e_span * 3 < e_ref,
             "span batching too weak on the torus: {e_ref} -> {e_span}"
-        );
-        // Span-native tracing: the traced span-batched run must have kept
-        // the fast path live (recorded span-level engine events).
-        let (_, _, j_span) = observe(mk(), SimMode::SpanBatched, TraceConfig::Memory);
-        assert!(
-            j_span.contains("\"ev\":\"span-emitted\""),
-            "traced span-batched torus run emitted no spans — fast path stood down"
         );
     }
 }
 
 #[test]
 fn torus_lanes2_traced_modes_agree() {
-    // Two-lane links: span-level events carry the lane field, and the
-    // expanded trace must still match per-byte byte-for-byte.
+    // Two-lane links: STOP/GO lines carry the lane field, and the trace
+    // must still match per-byte byte-for-byte.
     let mk = || {
         let mut grng = host_stream(0x5EED7, 0x6071);
         let groups = GroupSet::random(64, 10, 10, &mut grng);
