@@ -10,7 +10,7 @@
 //! everywhere; Hamiltonian cut-through below the tree at light load and
 //! above it at heavy load; the Hamiltonian curves saturate earlier.
 
-use crate::runner::{run_parallel, RunReport, SimSetup};
+use crate::runner::{run_parallel, RunReport, SimSetup, SimSetupBuilder};
 use crate::schemes::Scheme;
 use wormcast_core::{HcConfig, Reliability, TreeConfig, TreeMode};
 use wormcast_stats::Series;
@@ -82,9 +82,10 @@ pub fn schemes() -> Vec<Scheme> {
     ]
 }
 
-/// One experiment point of the figure (public so engine benches can rerun
-/// the same operating point under a different `SimMode`).
-pub fn setup(scheme: Scheme, load: f64, cfg: &Fig10Config) -> SimSetup {
+/// The builder for one experiment point of the figure, so callers that
+/// rerun the operating point under another engine mode, lane count, shard
+/// plan or trace sink set those through the validating builder.
+pub fn builder(scheme: Scheme, load: f64, cfg: &Fig10Config) -> SimSetupBuilder {
     let mut grng = host_stream(cfg.seed, 0x6071);
     let groups = GroupSet::random(64, 10, 10, &mut grng);
     let workload = PaperWorkload {
@@ -96,6 +97,11 @@ pub fn setup(scheme: Scheme, load: f64, cfg: &Fig10Config) -> SimSetup {
     SimSetup::builder(torus(8, 1), groups, scheme, workload)
         .seed(cfg.seed)
         .windows(cfg.warmup, cfg.measure, cfg.drain)
+}
+
+/// One experiment point of the figure.
+pub fn setup(scheme: Scheme, load: f64, cfg: &Fig10Config) -> SimSetup {
+    builder(scheme, load, cfg)
         .build()
         .expect("figure 10 parameters are valid")
 }

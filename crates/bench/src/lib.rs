@@ -12,7 +12,8 @@
 //!   model; see `benches/fig12_prototype_throughput.rs` and
 //!   `benches/fig13_prototype_loss.rs`.
 //! * [`runner`] and [`schemes`] — shared simulation assembly.
-//! * [`perf`] — helpers shared by the perf drivers.
+//! * [`perf`] — the perf harness behind `bin/perf.rs`: one grid of pinned
+//!   operating points, one row schema, one baseline diff.
 
 pub mod fig10;
 pub mod fig11;

@@ -2,10 +2,10 @@
 
 use crate::schemes::Scheme;
 use std::sync::Arc;
+use std::time::Instant;
 use wormcast_core::Membership;
 use wormcast_sim::config::ConfigError;
 use wormcast_sim::fault::FaultConfig;
-use wormcast_sim::link::LaneArbiterKind;
 use wormcast_sim::network::{NetStats, NetworkConfig, RunOutcome, SimMode};
 use wormcast_sim::time::SimTime;
 use wormcast_sim::shard::ShardedNetwork;
@@ -51,8 +51,6 @@ pub struct SimSetup {
     pub shard_plan: Option<ShardPlan>,
     /// Lanes per switch-to-switch link (1 = the paper's single-lane links).
     pub lanes: u8,
-    /// Lane-selection policy for multi-lane links.
-    pub arbiter: LaneArbiterKind,
 }
 
 impl SimSetup {
@@ -81,7 +79,6 @@ impl SimSetup {
                 shards: 1,
                 shard_plan: None,
                 lanes: 1,
-                arbiter: LaneArbiterKind::default(),
             },
         }
     }
@@ -102,7 +99,6 @@ impl SimSetup {
             .trace(self.trace)
             .faults(self.faults)
             .lanes(self.lanes)
-            .arbiter(self.arbiter)
             .build()
     }
 }
@@ -178,12 +174,6 @@ impl SimSetupBuilder {
     /// default — reproduces the paper's single-lane Myrinet byte-for-byte.
     pub fn lanes(mut self, lanes: u8) -> Self {
         self.setup.lanes = lanes;
-        self
-    }
-
-    /// Lane-selection policy for multi-lane links (ignored with one lane).
-    pub fn arbiter(mut self, arbiter: LaneArbiterKind) -> Self {
-        self.setup.arbiter = arbiter;
         self
     }
 
@@ -283,6 +273,9 @@ pub struct RunReport {
     /// sinks; summed across shards). A nonzero count means the returned
     /// trace is a truncated suffix of the run, not the whole timeline.
     pub trace_dropped: u64,
+    /// Wall-clock seconds spent inside `run_until` (network construction,
+    /// audit and report derivation excluded).
+    pub run_wall_seconds: f64,
 }
 
 impl RunReport {
@@ -363,7 +356,9 @@ pub fn run_traced(setup: &SimSetup) -> (RunReport, Trace) {
         // stream.
         let mut sharded = build_sharded(setup)
             .expect("SimSetup::builder validated this configuration as shardable");
+        let t0 = Instant::now();
         let outcome = sharded.run_until(setup.drain_until);
+        let wall = t0.elapsed().as_secs_f64();
         debug_assert!(
             outcome.deadlock.is_none(),
             "unexpected deadlock: {outcome:?}"
@@ -372,11 +367,13 @@ pub fn run_traced(setup: &SimSetup) -> (RunReport, Trace) {
         let msgs = sharded.msgs();
         let util = sharded.mean_host_tx_utilization(setup.drain_until);
         let trace = sharded.trace();
-        let report = make_report(setup, outcome, &msgs, util, trace.dropped());
+        let report = make_report(setup, outcome, &msgs, util, trace.dropped(), wall);
         return (report, trace);
     }
     let mut net = build_network(setup);
+    let t0 = Instant::now();
     let outcome = net.run_until(setup.drain_until);
+    let wall = t0.elapsed().as_secs_f64();
     debug_assert!(
         outcome.deadlock.is_none(),
         "unexpected deadlock: {outcome:?}"
@@ -389,6 +386,7 @@ pub fn run_traced(setup: &SimSetup) -> (RunReport, Trace) {
         &net.msgs,
         host_tx_utilization,
         net.trace.dropped(),
+        wall,
     );
     (report, net.trace)
 }
@@ -401,6 +399,7 @@ fn make_report(
     msgs: &wormcast_sim::network::MessageLog,
     host_tx_utilization: f64,
     trace_dropped: u64,
+    run_wall_seconds: f64,
 ) -> RunReport {
     let membership = membership_of(&setup.groups);
     let multicast = latencies(msgs, Kind::Multicast, setup.warmup, setup.generate_until, None);
@@ -428,6 +427,7 @@ fn make_report(
         host_tx_utilization,
         delivery_ratio,
         trace_dropped,
+        run_wall_seconds,
     }
 }
 

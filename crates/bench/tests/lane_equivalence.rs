@@ -9,8 +9,9 @@
 //!
 //! The multi-lane tests then check the one property lanes must add
 //! (per-lane STOP isolation: a stopped lane never blocks its siblings)
-//! without re-deriving throughput claims — those are gated in
-//! `perf_lanes` against `results/BENCH_lanes.json`.
+//! without re-deriving throughput claims — those are gated by
+//! `perf check lanes` against the `lanes` rows of
+//! `results/BENCH_perf.json`.
 
 use wormcast_bench::runner::{build_network, build_sharded, SimSetup};
 use wormcast_bench::Scheme;

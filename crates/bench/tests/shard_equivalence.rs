@@ -259,9 +259,10 @@ fn fig10_saturated_all_links_cut_still_matches() {
     let owner: Vec<u32> = (0..64).map(|i| ((i / 8 + i % 8) % 2) as u32).collect();
     let plan = ShardPlan::from_assignment(2, owner).expect("plan");
     assert_eq!(plan.cut_links(&seq.topo).len(), seq.topo.links.len());
-    let mut sh = fig10::setup(Scheme::Hc(HcConfig::cut_through()), 0.12, &cfg);
-    sh.shards = 2;
-    sh.shard_plan = Some(plan);
+    let sh = fig10::builder(Scheme::Hc(HcConfig::cut_through()), 0.12, &cfg)
+        .shard_plan(plan)
+        .build()
+        .expect("shardable point");
     assert_equivalent("fig10 cut-through load 0.12 checkerboard", &seq, &sh);
 }
 

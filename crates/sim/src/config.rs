@@ -7,7 +7,6 @@
 //! violations come back as a typed [`ConfigError`] instead of an abort.
 
 use crate::fault::FaultConfig;
-use crate::link::LaneArbiterKind;
 use crate::network::{NetworkConfig, SimMode};
 use crate::switch::SlackCfg;
 use crate::switchcast::SwitchcastMode;
@@ -135,12 +134,6 @@ impl NetworkConfigBuilder {
     /// individual links can override via [`crate::network::LinkSpec::lanes`].
     pub fn lanes(mut self, lanes: u8) -> Self {
         self.cfg.lanes = lanes;
-        self
-    }
-
-    /// Lane-selection policy for multi-lane links (ignored with one lane).
-    pub fn arbiter(mut self, arbiter: LaneArbiterKind) -> Self {
-        self.cfg.arbiter = arbiter;
         self
     }
 
@@ -293,14 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn lanes_and_arbiter_round_trip() {
-        let cfg = NetworkConfig::builder()
-            .lanes(4)
-            .arbiter(crate::link::LaneArbiterKind::LeastOccupied)
-            .build()
-            .expect("valid");
+    fn lanes_round_trip() {
+        let cfg = NetworkConfig::builder().lanes(4).build().expect("valid");
         assert_eq!(cfg.lanes, 4);
-        assert_eq!(cfg.arbiter, crate::link::LaneArbiterKind::LeastOccupied);
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub mod prelude {
     pub use crate::engine::{HostId, SwitchId};
     pub use crate::fault::FaultConfig;
     pub use crate::link::{
-        ChanId, Lane, LaneArbiter, LaneArbiterKind, LaneCandidate, LeastOccupied, Link,
-        LinkId, LinkStats, NodeRef, PortId, RxPort, SeededRoundRobin, SpanInFlight, TxPort,
+        ChanId, Lane, Link, LinkId, LinkStats, NodeRef, PortId, RxPort, SeededRoundRobin,
+        SpanInFlight, TxPort,
     };
     pub use crate::network::{
         FabricSpec, HostAttach, LinkSpec, NetStats, Network, NetworkConfig, RouteTable,

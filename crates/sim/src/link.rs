@@ -743,32 +743,8 @@ impl Link {
 // Lane arbitration
 // ---------------------------------------------------------------------------
 
-/// One selectable output lane, offered to a [`LaneArbiter`].
-#[derive(Clone, Copy, Debug)]
-pub struct LaneCandidate {
-    /// Lane index within the physical port (0-based).
-    pub lane: u8,
-    /// Bytes currently in flight on that lane's outgoing channel.
-    pub in_flight: u32,
-}
-
 /// Picks which free lane of a physical output port a granted worm binds
-/// to.
-///
-/// # Contract
-///
-/// `pick` is called with a non-empty candidate list (the *free* lanes of
-/// one physical port, in ascending lane order) and must return an index
-/// into that list. Implementations must be deterministic — the simulator's
-/// replay guarantees extend through the arbiter — and must not assume all
-/// lanes of the port are present (busy lanes are filtered out). With a
-/// single candidate every conforming arbiter picks it, which is how a
-/// single-lane fabric degenerates to the historical behavior.
-pub trait LaneArbiter: Send + std::fmt::Debug {
-    fn pick(&mut self, candidates: &[LaneCandidate], num_lanes: u8) -> usize;
-}
-
-/// Selects lanes round-robin by lane index, starting from a seeded offset.
+/// to: round-robin by lane index, starting from a seeded offset.
 #[derive(Clone, Debug)]
 pub struct SeededRoundRobin {
     next: u8,
@@ -780,65 +756,17 @@ impl SeededRoundRobin {
             next: (seed % 251) as u8,
         }
     }
-}
 
-impl LaneArbiter for SeededRoundRobin {
-    fn pick(&mut self, candidates: &[LaneCandidate], num_lanes: u8) -> usize {
-        debug_assert!(!candidates.is_empty());
+    /// The first lane at or after the cursor (wrapping over `num_lanes`)
+    /// that `free` accepts, or `None` when every lane is busy. Advances
+    /// the cursor past the pick.
+    pub fn pick(&mut self, num_lanes: u8, free: impl Fn(u8) -> bool) -> Option<u8> {
         let n = num_lanes.max(1);
-        for step in 0..n {
-            let want = (self.next.wrapping_add(step)) % n;
-            if let Some(pos) = candidates.iter().position(|c| c.lane == want) {
-                self.next = (want + 1) % n;
-                return pos;
-            }
-        }
-        // Candidates are always lanes of this port.
-        unreachable!("candidate list held an out-of-range lane");
-    }
-}
-
-/// Selects the free lane with the fewest bytes in flight (ties broken by
-/// lowest lane index).
-#[derive(Clone, Debug, Default)]
-pub struct LeastOccupied;
-
-impl LaneArbiter for LeastOccupied {
-    fn pick(&mut self, candidates: &[LaneCandidate], _num_lanes: u8) -> usize {
-        debug_assert!(!candidates.is_empty());
-        let mut best = 0;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            let b = &candidates[best];
-            if (c.in_flight, c.lane) < (b.in_flight, b.lane) {
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-/// Serializable arbiter selection, configured via
-/// `NetworkConfig::builder().arbiter(...)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum LaneArbiterKind {
-    /// [`SeededRoundRobin`] (the default).
-    #[default]
-    RoundRobin,
-    /// [`LeastOccupied`].
-    LeastOccupied,
-}
-
-impl LaneArbiterKind {
-    /// Instantiate the arbiter for one physical output port. `stream`
-    /// decorrelates the round-robin starting offsets of different ports
-    /// under one master seed.
-    pub fn instantiate(self, seed: u64, stream: u64) -> Box<dyn LaneArbiter> {
-        match self {
-            LaneArbiterKind::RoundRobin => Box::new(SeededRoundRobin::new(
-                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(stream),
-            )),
-            LaneArbiterKind::LeastOccupied => Box::new(LeastOccupied),
-        }
+        let lane = (0..n)
+            .map(|step| self.next.wrapping_add(step) % n)
+            .find(|&lane| free(lane))?;
+        self.next = (lane + 1) % n;
+        Some(lane)
     }
 }
 
@@ -979,30 +907,11 @@ mod tests {
     #[test]
     fn round_robin_arbiter_cycles_lanes() {
         let mut arb = SeededRoundRobin::new(0);
-        let all = [
-            LaneCandidate { lane: 0, in_flight: 0 },
-            LaneCandidate { lane: 1, in_flight: 0 },
-            LaneCandidate { lane: 2, in_flight: 0 },
-        ];
-        let picks: Vec<u8> = (0..6).map(|_| all[arb.pick(&all, 3)].lane).collect();
+        let picks: Vec<u8> = (0..6).filter_map(|_| arb.pick(3, |_| true)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-        // Busy lanes are simply absent: the cursor skips over them.
-        let partial = [LaneCandidate { lane: 2, in_flight: 0 }];
-        assert_eq!(arb.pick(&partial, 3), 0);
-        assert_eq!(all[arb.pick(&all, 3)].lane, 0);
-    }
-
-    #[test]
-    fn least_occupied_arbiter_prefers_emptier_lane() {
-        let mut arb = LeastOccupied;
-        let cands = [
-            LaneCandidate { lane: 0, in_flight: 9 },
-            LaneCandidate { lane: 1, in_flight: 2 },
-            LaneCandidate { lane: 2, in_flight: 2 },
-        ];
-        // Lane 1 wins: fewest in flight, ties broken by lowest lane.
-        assert_eq!(arb.pick(&cands, 3), 1);
-        let single = [LaneCandidate { lane: 2, in_flight: 100 }];
-        assert_eq!(arb.pick(&single, 3), 0);
+        // Busy lanes are skipped over; the cursor moves past the pick.
+        assert_eq!(arb.pick(3, |lane| lane == 2), Some(2));
+        assert_eq!(arb.pick(3, |_| true), Some(0));
+        assert_eq!(arb.pick(3, |_| false), None);
     }
 }

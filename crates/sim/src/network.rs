@@ -5,7 +5,7 @@ use crate::config::ConfigError;
 use crate::deadlock::DeadlockReport;
 use crate::engine::{CtrlSym, Event, HostId, Scheduler, SwitchId};
 use crate::link::{
-    ChanId, Endpoint, ForeignRun, Lane, LaneArbiterKind, Link, LinkId, NodeRef, PortId, RxPort,
+    ChanId, Endpoint, ForeignRun, Lane, Link, LinkId, NodeRef, PortId, RxPort,
     SpanInFlight, TxPayload, TxPort,
 };
 use crate::protocol::{
@@ -139,9 +139,6 @@ pub struct NetworkConfig {
     /// overrides this per link. `1` reproduces the paper's single-lane
     /// fabric byte-for-byte.
     pub lanes: u8,
-    /// Which [`crate::link::LaneArbiter`] policy binds granted worms to
-    /// free lanes (irrelevant with one lane per link).
-    pub arbiter: LaneArbiterKind,
 }
 
 impl Default for NetworkConfig {
@@ -156,7 +153,6 @@ impl Default for NetworkConfig {
             switchcast: SwitchcastMode::Off,
             mode: SimMode::SpanBatched,
             lanes: 1,
-            arbiter: LaneArbiterKind::RoundRobin,
         }
     }
 }
@@ -398,10 +394,7 @@ impl Network {
                     SwitchId(i as u32),
                     pl,
                     cfg.slack.unwrap_or_else(|| SlackCfg::for_delay(1)),
-                    |port| {
-                        cfg.arbiter
-                            .instantiate(cfg.seed, ((i as u64) << 8) | port as u64)
-                    },
+                    cfg.seed,
                 )
             })
             .collect();

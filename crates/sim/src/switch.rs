@@ -8,7 +8,7 @@
 //! [`crate::switchcast`].
 
 use crate::engine::{CtrlSym, SwitchId};
-use crate::link::{ChanId, LaneArbiter, LaneCandidate};
+use crate::link::{ChanId, SeededRoundRobin};
 use crate::network::Network;
 use crate::time::SimTime;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
@@ -157,22 +157,23 @@ impl Default for OutPort {
 
 /// Per-physical-output-port arbitration state: the input slots queued for
 /// the port (input round-robin, exactly the historical policy) plus the
-/// pluggable [`LaneArbiter`] that picks among its free lanes.
+/// [`SeededRoundRobin`] that picks among its free lanes.
 #[derive(Debug)]
 pub struct PortArb {
     /// Input slots waiting for this physical port (worm heads blocked here).
     pub waiting: Vec<u8>,
     /// Round-robin pointer: the next arbitration starts scanning here.
     pub rr_next: u8,
-    arbiter: Box<dyn LaneArbiter>,
+    /// Picks among the port's free lanes.
+    pub(crate) lane_rr: SeededRoundRobin,
 }
 
 impl PortArb {
-    pub(crate) fn new(arbiter: Box<dyn LaneArbiter>) -> Self {
+    pub(crate) fn new(lane_rr: SeededRoundRobin) -> Self {
         PortArb {
             waiting: Vec::new(),
             rr_next: 0,
-            arbiter,
+            lane_rr,
         }
     }
 
@@ -192,13 +193,6 @@ impl PortArb {
         }
         // Waiting entries must always be valid slot indices.
         unreachable!("waiting list held an out-of-range slot");
-    }
-
-    /// Delegate a free-lane choice to the pluggable arbiter.
-    pub(crate) fn pick_lane(&mut self, candidates: &[LaneCandidate], num_lanes: u8) -> usize {
-        let idx = self.arbiter.pick(candidates, num_lanes);
-        debug_assert!(idx < candidates.len(), "arbiter picked out of range");
-        idx.min(candidates.len() - 1)
     }
 }
 
@@ -223,12 +217,10 @@ pub struct Switch {
 }
 
 impl Switch {
-    pub(crate) fn new(
-        id: SwitchId,
-        port_lanes: &[u8],
-        slack: SlackCfg,
-        mut arb: impl FnMut(u8) -> Box<dyn LaneArbiter>,
-    ) -> Self {
+    /// `seed` is the network's master seed; each physical port's lane
+    /// round-robin starts at an offset derived from it and the (switch,
+    /// port) pair, so ports are decorrelated.
+    pub(crate) fn new(id: SwitchId, port_lanes: &[u8], slack: SlackCfg, seed: u64) -> Self {
         let mut slot_base = Vec::with_capacity(port_lanes.len());
         let mut slot_port = Vec::new();
         let mut base = 0u8;
@@ -245,8 +237,13 @@ impl Switch {
             id,
             inputs: (0..slots).map(|_| InPort::new(slack)).collect(),
             outputs: (0..slots).map(|_| OutPort::new()).collect(),
-            arbs: (0..port_lanes.len())
-                .map(|p| PortArb::new(arb(p as u8)))
+            arbs: (0..port_lanes.len() as u64)
+                .map(|p| {
+                    let stream = (u64::from(id.0) << 8) | p;
+                    PortArb::new(SeededRoundRobin::new(
+                        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(stream),
+                    ))
+                })
                 .collect(),
             slot_base,
             slot_port,
@@ -450,14 +447,14 @@ impl Network {
     }
 
     /// An input slot asks for a *physical* output port. Grants a lane
-    /// immediately when one is free (the [`LaneArbiter`] picks which),
+    /// immediately when one is free (the port's lane round-robin picks which),
     /// otherwise queues the request for round-robin arbitration.
     pub(crate) fn switch_request_output(&mut self, sw: SwitchId, out: u8, in_port: u8) {
         let granted = {
             let n = self.switches[sw.0 as usize].lanes_of(out);
             if n == 1 {
                 // Single-lane fast path: the historical grant-or-queue,
-                // no arbiter consultation.
+                // no lane choice to make.
                 let swm = &mut self.switches[sw.0 as usize];
                 let slot = swm.slot_of(out, 0);
                 let outp = &mut swm.outputs[slot as usize];
@@ -469,33 +466,22 @@ impl Network {
                     None
                 }
             } else {
-                let candidates: Vec<LaneCandidate> = {
-                    let swr = &self.switches[sw.0 as usize];
-                    let base = swr.slots_of(out).start;
-                    swr.slots_of(out)
-                        .filter_map(|s| {
-                            let o = &swr.outputs[s];
-                            if o.owner.is_some() {
-                                return None;
-                            }
-                            o.chan_out.map(|ch| LaneCandidate {
-                                lane: (s - base) as u8,
-                                in_flight: self.lanes[ch.0 as usize].in_flight(),
-                            })
-                        })
-                        .collect()
-                };
-                if candidates.is_empty() {
-                    self.switches[sw.0 as usize].arbs[out as usize]
-                        .waiting
-                        .push(in_port);
-                    None
-                } else {
-                    let swm = &mut self.switches[sw.0 as usize];
-                    let idx = swm.arbs[out as usize].pick_lane(&candidates, n);
-                    let slot = swm.slot_of(out, candidates[idx].lane);
-                    swm.outputs[slot as usize].owner = Some(in_port);
-                    Some(slot)
+                let swm = &mut self.switches[sw.0 as usize];
+                let base = swm.slot_of(out, 0);
+                let outputs = &swm.outputs;
+                let picked = swm.arbs[out as usize].lane_rr.pick(n, |lane| {
+                    let o = &outputs[(base + lane) as usize];
+                    o.owner.is_none() && o.chan_out.is_some()
+                });
+                match picked {
+                    Some(lane) => {
+                        swm.outputs[(base + lane) as usize].owner = Some(in_port);
+                        Some(base + lane)
+                    }
+                    None => {
+                        swm.arbs[out as usize].waiting.push(in_port);
+                        None
+                    }
                 }
             }
         };
@@ -836,7 +822,7 @@ mod tests {
     }
 
     fn arb() -> PortArb {
-        PortArb::new(Box::new(crate::link::SeededRoundRobin::new(0)))
+        PortArb::new(SeededRoundRobin::new(0))
     }
 
     #[test]
@@ -864,12 +850,7 @@ mod tests {
 
     #[test]
     fn slot_layout_is_contiguous_per_port() {
-        let sw = Switch::new(
-            SwitchId(0),
-            &[1, 2, 1],
-            SlackCfg::for_delay(1),
-            |_| Box::new(crate::link::SeededRoundRobin::new(0)),
-        );
+        let sw = Switch::new(SwitchId(0), &[1, 2, 1], SlackCfg::for_delay(1), 0);
         assert_eq!(sw.num_ports(), 3);
         assert_eq!(sw.num_slots(), 4);
         assert_eq!(sw.slot_of(0, 0), 0);

@@ -60,7 +60,6 @@ pub use wormcast_traffic as traffic;
 ///     .seed(7)
 ///     .mode(SimMode::SpanBatched)
 ///     .lanes(2)
-///     .arbiter(LaneArbiterKind::LeastOccupied)
 ///     .build()
 ///     .expect("valid configuration");
 /// let mut net = Network::build(&spec, RouteTable::new(2), cfg);
