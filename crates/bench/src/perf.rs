@@ -44,7 +44,6 @@ const GATE_SPEEDUP: f64 = 2.5;
 /// Pins receive-side span admission (DESIGN.md §3.4): if cut links regress
 /// to per-byte crossing, inflation shoots back toward 3×.
 const GATE_INFLATION: f64 = 1.3;
-const MIN_TRACED_SPEEDUP: f64 = 3.0;
 const MAX_TRACE_OVERHEAD: f64 = 1.3;
 /// Relative band around a sharded row's pinned event counts. A sharded
 /// run's *results* are deterministic, its event count only nearly:
@@ -395,12 +394,6 @@ pub fn gates(runs: &[Run]) -> Vec<Finding> {
                 ),
             );
             if let Some(jsonl) = &run.jsonl {
-                let ratio = pb.row.wall_seconds / row.wall_seconds;
-                gate(
-                    "trace-speedup",
-                    pass(ratio >= MIN_TRACED_SPEEDUP),
-                    format!("{ratio:.2}x traced per-byte (need >= {MIN_TRACED_SPEEDUP}x)"),
-                );
                 let violations = validate_jsonl(jsonl);
                 gate(
                     "trace-identity",
@@ -414,6 +407,18 @@ pub fn gates(runs: &[Run]) -> Vec<Finding> {
             }
         }
         if let (true, true, Some(untraced)) = (span, p.traced, find(Point { traced: false, ..p })) {
+            // A sink must not stand the span fast path down: the traced
+            // run schedules and fires exactly the untraced run's events.
+            let events = |r: &Row| (r.events_scheduled, r.events_fired);
+            gate(
+                "trace-fast-path",
+                pass(events(row) == events(&untraced.row)),
+                format!(
+                    "(events_scheduled, events_fired) {:?}, untraced {:?}",
+                    events(row),
+                    events(&untraced.row)
+                ),
+            );
             let ratio = row.wall_seconds / untraced.row.wall_seconds;
             gate(
                 "trace-overhead",
@@ -604,6 +609,33 @@ mod tests {
         let problems = diff(&[], &duplicated);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("share this key"));
+    }
+
+    /// One event more under a sink means the sink changed what the span
+    /// engine did.
+    #[test]
+    fn traced_row_with_an_extra_event_fails_trace_fast_path() {
+        let base = baseline();
+        let traced = index_of(&base, |r| r.traced && r.mode == SimMode::SpanBatched);
+        let untraced = index_of(&base, |r| {
+            let mut twin = base[traced].clone();
+            twin.traced = false;
+            twin.trace_lines = 0;
+            *r == twin
+        });
+        let verdicts = |rows: [Row; 2]| -> Vec<Verdict> {
+            let runs = rows.map(|row| Run { row, jsonl: None });
+            gates(&runs)
+                .iter()
+                .filter(|f| f.gate == "trace-fast-path")
+                .map(|f| f.verdict)
+                .collect()
+        };
+        let same = [base[traced].clone(), base[untraced].clone()];
+        assert_eq!(verdicts(same), [Verdict::Ok]);
+        let mut extra = base[traced].clone();
+        extra.events_fired += 1;
+        assert_eq!(verdicts([extra, base[untraced].clone()]), [Verdict::Fail]);
     }
 
     /// A hand-edited baseline fails here, not only in the CI perf job.

@@ -183,11 +183,13 @@ impl PortArb {
         if self.waiting.is_empty() {
             return None;
         }
-        for step in 0..num_slots {
-            let cand = (self.rr_next + step) % num_slots;
+        // A switch may have up to 255 slots: `rr_next + step` needs `u16`.
+        let n = u16::from(num_slots);
+        for step in 0..n {
+            let cand = ((u16::from(self.rr_next) + step) % n) as u8;
             if let Some(pos) = self.waiting.iter().position(|&w| w == cand) {
                 self.waiting.swap_remove(pos);
-                self.rr_next = (cand + 1) % num_slots;
+                self.rr_next = ((u16::from(cand) + 1) % n) as u8;
                 return Some(cand);
             }
         }
@@ -846,6 +848,16 @@ mod tests {
         out.waiting = vec![0, 1];
         assert_eq!(out.arbitrate(4), Some(0));
         assert_eq!(out.arbitrate(4), Some(1));
+    }
+
+    /// More than 128 slots: `rr_next + step` does not fit a `u8`.
+    #[test]
+    fn arbitration_wraps_past_u8_range() {
+        let mut out = arb();
+        out.rr_next = 150;
+        out.waiting = vec![40];
+        assert_eq!(out.arbitrate(200), Some(40));
+        assert_eq!(out.rr_next, 41);
     }
 
     #[test]

@@ -7,6 +7,23 @@
 //! go to a small overflow heap and are folded back into the wheel as time
 //! advances.
 //!
+//! Two facts about how the engine uses the queue shape its inside (see
+//! DESIGN.md §3.3):
+//!
+//! - **Tick drain.** A byte-time on a busy fabric holds tens of events, and
+//!   they must fire in `(key, seq)` order. When the clock advances to an
+//!   occupied slot the whole slot is moved into one `current` run and sorted
+//!   once; `pop` then takes the front. A push at `time == now` is an ordered
+//!   insert into what is left of that run, so `pop` always returns the
+//!   pending entry with the least `(time, key, seq)`, whatever the
+//!   interleaving of pushes and pops.
+//! - **Pooled slots.** Entries waiting in the wheel live in one node pool,
+//!   chained per slot through `u32` links. Order inside a slot is
+//!   irrelevant (the drain sorts) and the slot index implies the due time,
+//!   so a node stores neither. Wheel memory scales with the number of
+//!   *pending* events, and a freed node is the next one reused, so push and
+//!   pop keep touching the same few kilobytes.
+//!
 //! Sparse schedules (the span-batched engine's normal regime) are as cheap
 //! as dense ones: a 4096-bit slot-occupancy bitmap (64 `u64` words) mirrors
 //! which slots hold events, so advancing the clock across an empty stretch
@@ -18,9 +35,9 @@
 //! Determinism: events that share a timestamp are delivered in ascending
 //! order of an *ordering key* computed at push time (see
 //! [`TimingWheel::with_order`]); entries with equal keys fire in the order
-//! they were scheduled (FIFO by a monotonic sequence number), regardless of
-//! which internal structure they travelled through. The default key is
-//! constant, which degenerates to plain schedule-order FIFO.
+//! they were scheduled (a monotonic sequence number breaks the tie),
+//! regardless of which internal structure they travelled through. The
+//! default key is constant, which degenerates to plain schedule-order FIFO.
 //!
 //! The key exists for the sharded engine: a canonical same-timestamp order
 //! that depends only on the event itself (not on push order) is what lets a
@@ -29,7 +46,7 @@
 //! engine's schedule exactly.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Number of slots in the wheel. Must be a power of two. Events scheduled
 /// less than `WHEEL_SLOTS` byte-times ahead take the O(1) path.
@@ -37,6 +54,9 @@ const WHEEL_SLOTS: usize = 4096;
 
 /// Words of the slot-occupancy bitmap (64 slots per `u64`).
 const OCC_WORDS: usize = WHEEL_SLOTS / 64;
+
+/// End of a slot chain or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// An entry waiting in the overflow heap, ordered by `(time, key, seq)`.
 struct Overflow<T> {
@@ -63,6 +83,15 @@ impl<T> Ord for Overflow<T> {
     }
 }
 
+/// One pool cell: an entry chained into its slot's list (`item` is `Some`)
+/// or a free cell chained into the free list (`item` is `None`).
+struct Node<T> {
+    key: u64,
+    seq: u64,
+    next: u32,
+    item: Option<T>,
+}
+
 /// A monotonic-time priority queue specialised for near-future scheduling.
 ///
 /// `pop` never returns an item with a timestamp smaller than one already
@@ -82,11 +111,18 @@ impl<T> Ord for Overflow<T> {
 /// assert_eq!(w.pop(), Some((1_000_000, "overflow-horizon")));
 /// ```
 pub struct TimingWheel<T> {
-    /// `(time, key, seq, item)` per entry; `key` is the ordering key
-    /// computed at push time by `order`.
-    slots: Vec<Vec<(u64, u64, u64, T)>>,
+    /// `(key, seq, item)` of every pending entry due at `now`, ascending;
+    /// `key` is the ordering key computed at push time by `order`.
+    current: VecDeque<(u64, u64, T)>,
+    /// Pool behind the slot lists and the free list.
+    nodes: Vec<Node<T>>,
+    /// First free cell of `nodes`, or `NIL`.
+    free: u32,
+    /// First node of each slot's list, or `NIL`. The slot of `now` is
+    /// always empty: its entries are in `current`.
+    heads: [u32; WHEEL_SLOTS],
     /// Slot-occupancy bitmap: bit `s` of word `s / 64` is set iff
-    /// `slots[s]` is non-empty. Kept exactly in sync by push/pop/fold.
+    /// `heads[s]` is not `NIL`. Kept exactly in sync by push/pop/fold.
     occupied: [u64; OCC_WORDS],
     /// The earliest time `pop` may still return. Everything below has fired.
     now: u64,
@@ -120,10 +156,11 @@ impl<T> TimingWheel<T> {
     /// ascending `order(item)`, ties broken by schedule order. The key is
     /// evaluated once, at push time.
     pub fn with_order(order: fn(&T) -> u64) -> Self {
-        let mut slots = Vec::with_capacity(WHEEL_SLOTS);
-        slots.resize_with(WHEEL_SLOTS, Vec::new);
         TimingWheel {
-            slots,
+            current: VecDeque::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [NIL; WHEEL_SLOTS],
             occupied: [0; OCC_WORDS],
             now: 0,
             seq: 0,
@@ -160,16 +197,6 @@ impl<T> TimingWheel<T> {
         self.now
     }
 
-    #[inline]
-    fn mark_occupied(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-    }
-
-    #[inline]
-    fn mark_empty(&mut self, slot: usize) {
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-    }
-
     /// Schedule `item` at absolute time `time`.
     pub fn push(&mut self, time: u64, item: T) {
         debug_assert!(
@@ -184,10 +211,13 @@ impl<T> TimingWheel<T> {
         self.seq += 1;
         self.len += 1;
         self.pushed += 1;
-        if time - self.now < WHEEL_SLOTS as u64 {
-            let slot = (time as usize) & (WHEEL_SLOTS - 1);
-            self.slots[slot].push((time, key, seq, item));
-            self.mark_occupied(slot);
+        if time == self.now {
+            // Into the unfired rest of this tick, after every equal key:
+            // this entry's `seq` is the largest there is.
+            let at = self.current.partition_point(|e| e.0 <= key);
+            self.current.insert(at, (key, seq, item));
+        } else if time - self.now < WHEEL_SLOTS as u64 {
+            self.link(time, key, seq, item);
         } else {
             self.overflow.push(Reverse(Overflow {
                 time,
@@ -198,26 +228,73 @@ impl<T> TimingWheel<T> {
         }
     }
 
+    /// Chain an entry due at `time` (inside the horizon, after `now`) into
+    /// its slot, in a recycled pool cell when there is one.
+    fn link(&mut self, time: u64, key: u64, seq: u64, item: T) {
+        let slot = (time as usize) & (WHEEL_SLOTS - 1);
+        let node = Node {
+            key,
+            seq,
+            next: self.heads[slot],
+            item: Some(item),
+        };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            let cell = &mut self.nodes[idx as usize];
+            self.free = cell.next;
+            *cell = node;
+            idx
+        } else {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&idx| idx != NIL)
+                .expect("node pool outgrew its u32 links");
+            self.nodes.push(node);
+            idx
+        };
+        self.heads[slot] = idx;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
     /// Move every overflow item that has entered the horizon into the wheel.
     /// Restores the horizon invariant after `now` advances.
     fn fold_overflow(&mut self) {
         while let Some(Reverse(top)) = self.overflow.peek() {
-            if top.time - self.now < WHEEL_SLOTS as u64 {
-                let Reverse(o) = self.overflow.pop().expect("peeked");
-                let slot = (o.time as usize) & (WHEEL_SLOTS - 1);
-                self.slots[slot].push((o.time, o.key, o.seq, o.item));
-                self.mark_occupied(slot);
-            } else {
+            if top.time - self.now >= WHEEL_SLOTS as u64 {
                 break;
             }
+            let Reverse(o) = self.overflow.pop().expect("peeked");
+            self.link(o.time, o.key, o.seq, o.item);
         }
     }
 
-    /// Distance in byte-times from `now` to the nearest occupied slot
-    /// (0 when something is due now), or `None` when the wheel part is
-    /// empty. A word-wise circular bit-scan over the occupancy bitmap:
-    /// under the horizon invariant the slot index alone determines the
-    /// entry time, `now + dist`.
+    /// Empty the slot of `now` into `current` and sort it into firing
+    /// order, returning its cells to the pool. `current` must be empty.
+    fn drain_tick(&mut self) {
+        let slot = (self.now as usize) & (WHEEL_SLOTS - 1);
+        let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        while idx != NIL {
+            let cell = &mut self.nodes[idx as usize];
+            let item = cell.item.take().expect("a chained cell holds an item");
+            self.current.push_back((cell.key, cell.seq, item));
+            let next = cell.next;
+            cell.next = self.free;
+            self.free = idx;
+            idx = next;
+        }
+        if self.current.len() > 1 {
+            self.current
+                .make_contiguous()
+                .sort_unstable_by_key(|e| (e.0, e.1));
+        }
+    }
+
+    /// Distance in byte-times from `now` to the nearest occupied slot, or
+    /// `None` when the wheel part is empty. A word-wise circular bit-scan
+    /// over the occupancy bitmap: under the horizon invariant the slot
+    /// index alone determines the entry time, `now + dist`. Never 0 — the
+    /// slot of `now` is kept empty.
     #[inline]
     fn next_occupied_dist(&self) -> Option<u64> {
         let start = (self.now as usize) & (WHEEL_SLOTS - 1);
@@ -249,68 +326,52 @@ impl<T> TimingWheel<T> {
     /// Remove and return the earliest `(time, item)` pair, advancing the
     /// wheel's clock to that time. Returns `None` when empty.
     ///
-    /// Horizon invariant: every in-wheel entry is due at exactly its slot's
+    /// Horizon invariant: every chained entry is due at exactly its slot's
     /// time — slot `s` holds only entries with `time ≡ s (mod WHEEL_SLOTS)`
-    /// and `now <= time < now + WHEEL_SLOTS`, so the slot index alone
-    /// determines the due time. Pushes enforce the window, and
-    /// `fold_overflow` runs after every advance of `now`, so
-    /// outside this method every overflow entry satisfies
-    /// `time >= now + WHEEL_SLOTS`: the overflow heap only needs consulting
-    /// when the occupancy bitmap is all zeroes.
+    /// and `now < time < now + WHEEL_SLOTS`, so the slot index alone
+    /// determines the due time; entries due at `now` itself are in
+    /// `current`. Pushes enforce the window, and `fold_overflow` runs after
+    /// every advance of `now`, so outside this method every overflow entry
+    /// satisfies `time >= now + WHEEL_SLOTS`: the overflow heap only needs
+    /// consulting when the occupancy bitmap is all zeroes.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        match self.next_occupied_dist() {
-            Some(0) => {}
-            Some(dist) => {
-                // Jump the clock straight to the next occupied slot, then
-                // restore the horizon invariant for the widened window.
-                self.now += dist;
-                self.fold_overflow();
+        if self.current.is_empty() {
+            if self.len == 0 {
+                return None;
             }
-            None => {
-                // Wheel empty: the overflow head is the next event.
-                let Reverse(top) = self.overflow.peek().expect("len > 0");
-                self.now = top.time;
-                self.fold_overflow();
-            }
+            // Jump the clock straight to the next tick, restore the
+            // horizon invariant for the moved window, then take the tick.
+            self.now = self.next_tick();
+            self.fold_overflow();
+            self.drain_tick();
         }
-        let slot = (self.now as usize) & (WHEEL_SLOTS - 1);
-        let due = &mut self.slots[slot];
-        debug_assert!(!due.is_empty(), "advanced to an empty slot");
-        // Select the minimum `(key, seq)` entry. The slot is usually tiny
-        // (a handful of events per byte-time), so a linear scan beats any
-        // ordered structure.
-        let mut best = 0;
-        for i in 1..due.len() {
-            if (due[i].1, due[i].2) < (due[best].1, due[best].2) {
-                best = i;
-            }
-        }
-        let (time, _key, _seq, item) = due.swap_remove(best);
-        debug_assert_eq!(time, self.now, "slot held an entry off its slot time");
-        if due.is_empty() {
-            self.mark_empty(slot);
-        }
+        let (_key, _seq, item) = self.current.pop_front().expect("advanced to an empty slot");
         self.len -= 1;
         self.popped += 1;
-        Some((time, item))
+        Some((self.now, item))
     }
 
     /// Peek at the earliest pending timestamp without popping. O(1): a
     /// bitmap scan, falling back to the overflow head only when the wheel
     /// part is empty (valid by the horizon invariant — see [`Self::pop`]).
     pub fn peek_time(&self) -> Option<u64> {
+        if !self.current.is_empty() {
+            return Some(self.now);
+        }
         if self.len == 0 {
             return None;
         }
+        Some(self.next_tick())
+    }
+
+    /// Due time of the earliest entry after `now`: the next occupied slot
+    /// or, with the wheel part empty, the overflow head (valid by the
+    /// horizon invariant). `current` must be empty and the wheel not.
+    #[inline]
+    fn next_tick(&self) -> u64 {
         match self.next_occupied_dist() {
-            Some(dist) => Some(self.now + dist),
-            None => {
-                let Reverse(top) = self.overflow.peek().expect("len > 0");
-                Some(top.time)
-            }
+            Some(dist) => self.now + dist,
+            None => self.overflow.peek().expect("len > 0").0.time,
         }
     }
 }
@@ -320,6 +381,10 @@ mod tests {
     use super::*;
     use std::cmp::Reverse as Rev;
     use std::collections::BinaryHeap;
+
+    /// The differential tests run ten times the cases in release builds
+    /// (CI runs both).
+    const SCALE: u64 = if cfg!(debug_assertions) { 1 } else { 10 };
 
     #[test]
     fn empty_pops_none() {
@@ -430,7 +495,7 @@ mod tests {
         let mut reference: BinaryHeap<Rev<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
-        for _ in 0..5_000 {
+        for _ in 0..5_000 * SCALE {
             if rng.gen_bool(0.5) || w.is_empty() {
                 // Gaps of up to ~16 horizons, biased well past WHEEL_SLOTS.
                 let ahead: u64 = if rng.gen_bool(0.3) {
@@ -497,7 +562,7 @@ mod tests {
         let mut w: TimingWheel<u32> = TimingWheel::new();
         let mut now = 0u64;
         let mut id = 0u32;
-        for round in 0..2_000 {
+        for round in 0..2_000 * SCALE {
             let burst = rng.gen_range(1usize..6);
             for _ in 0..burst {
                 let ahead: u64 = match round % 3 {
@@ -545,6 +610,179 @@ mod tests {
         assert!(w.is_empty());
     }
 
+    /// A keyed wheel next to the binary heap it must agree with, checked
+    /// after every operation. Items are `(key, id)`; ids count pushes, so
+    /// an id is also the entry's `seq`.
+    struct Checked {
+        wheel: TimingWheel<(u64, u64)>,
+        heap: BinaryHeap<Rev<(u64, u64, u64)>>,
+        peak_pending: usize,
+    }
+
+    impl Checked {
+        fn new() -> Self {
+            Checked {
+                wheel: TimingWheel::with_order(|&(key, _)| key),
+                heap: BinaryHeap::new(),
+                peak_pending: 0,
+            }
+        }
+
+        fn push(&mut self, time: u64, key: u64) {
+            let id = self.wheel.pushed();
+            self.wheel.push(time, (key, id));
+            self.heap.push(Rev((time, key, id)));
+            self.check();
+        }
+
+        /// Pop both; returns the `(time, key)` that fired.
+        fn pop(&mut self) -> (u64, u64) {
+            let Rev((time, key, id)) = self.heap.pop().expect("non-empty");
+            assert_eq!(self.wheel.pop(), Some((time, (key, id))));
+            assert_eq!(self.wheel.now(), time);
+            self.check();
+            (time, key)
+        }
+
+        fn check(&mut self) {
+            let w = &self.wheel;
+            assert_eq!(w.len(), self.heap.len());
+            assert_eq!(w.is_empty(), self.heap.is_empty());
+            assert_eq!(w.pushed() - w.popped(), w.len() as u64);
+            assert_eq!(w.peek_time(), self.heap.peek().map(|e| e.0 .0));
+            // Steady state allocates nothing: the pool never holds more
+            // cells than were ever pending at once.
+            self.peak_pending = self.peak_pending.max(w.len());
+            assert!(w.nodes.len() <= self.peak_pending);
+        }
+    }
+
+    /// The contract the tick drain relies on: with a hundred-odd entries
+    /// per timestamp, a push into the tick being drained fires next when
+    /// its key is below entries that already fired, after its equals at a
+    /// key tie, and last when above everything.
+    #[test]
+    fn dense_ticks_with_same_tick_pushes_match_reference_heap() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xD0_5E);
+        let mut c = Checked::new();
+        let mut t = 0u64;
+        for _ in 0..30 * SCALE {
+            t += if rng.gen_bool(0.2) {
+                rng.gen_range(4_000..9_000u64) // through the overflow heap
+            } else {
+                rng.gen_range(1..50u64)
+            };
+            for _ in 0..rng.gen_range(100..160) {
+                c.push(t, rng.gen_range(10..60));
+            }
+            for _ in 0..rng.gen_range(0..20) {
+                c.push(t + rng.gen_range(1..6_000u64), rng.gen_range(10..60));
+            }
+            // Fire part of tick `t`, pushing into it as the engine does.
+            for _ in 0..rng.gen_range(40..90) {
+                let (now, fired) = c.pop();
+                // Below what fired, a tie with the last fired, (likely) a
+                // tie with something pending, above everything.
+                let key = match rng.gen_range(0..8) {
+                    0 => fired.saturating_sub(rng.gen_range(1..10u64)),
+                    1 => fired,
+                    2 => rng.gen_range(10..60),
+                    3 => u64::MAX,
+                    _ => continue,
+                };
+                c.push(now, key);
+            }
+        }
+        while !c.heap.is_empty() {
+            c.pop();
+        }
+    }
+
+    /// Overflow entries due at exactly the tick the clock jumps to are
+    /// folded in before the drain, so they sort with the rest of the tick.
+    #[test]
+    fn overflow_entries_due_at_the_jump_target_sort_with_the_tick() {
+        let mut c = Checked::new();
+        // Wheel part empty: the clock jumps to the overflow head's time.
+        for key in [7, 3, 9, 3, 1] {
+            c.push(50_000, key);
+        }
+        c.push(50_001, 0);
+        assert_eq!(c.pop(), (50_000, 1));
+        c.push(50_000, 2); // same tick, between fired and pending
+
+        // Overflow entries that entered the horizon on an earlier advance
+        // share a slot with direct pushes.
+        c.push(60_000, 5); // overflow from now = 50 000
+        c.push(56_500, 4);
+        while c.pop() != (56_500, 4) {}
+        c.push(60_000, 1); // in the horizon now
+        c.push(60_000, 8);
+        let mut fired = Vec::new();
+        while !c.heap.is_empty() {
+            fired.push(c.pop());
+        }
+        assert_eq!(fired, [(60_000, 1), (60_000, 5), (60_000, 8)]);
+    }
+
+    /// Many horizon wraps at a steady pending count: the pool reaches its
+    /// size in the first wrap and every later push reuses a freed cell.
+    #[test]
+    fn pool_is_reused_across_horizon_wraps() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x9001);
+        let mut c = Checked::new();
+        for _ in 0..300 {
+            c.push(rng.gen_range(1..WHEEL_SLOTS as u64), rng.gen_range(0..8));
+        }
+        let mut cells_after_first_wrap = None;
+        let wraps = 20 * SCALE;
+        while c.wheel.now() < wraps * WHEEL_SLOTS as u64 {
+            let (now, key) = c.pop();
+            // Mostly near, some a tick-sharing distance, some overflow.
+            let ahead = match rng.gen_range(0..10) {
+                0 => rng.gen_range(WHEEL_SLOTS as u64..3 * WHEEL_SLOTS as u64),
+                1 => 0,
+                _ => rng.gen_range(1..200),
+            };
+            c.push(now + ahead, key);
+            if now >= WHEEL_SLOTS as u64 {
+                let cells = *cells_after_first_wrap.get_or_insert(c.wheel.nodes.len());
+                assert_eq!(c.wheel.nodes.len(), cells, "pool grew at t={now}");
+            }
+        }
+        assert_eq!(c.wheel.len(), 300);
+    }
+
+    /// A non-`Copy` item: whatever is pending when the wheel is dropped
+    /// mid-tick — in the sorted run, chained in a slot, in the overflow
+    /// heap — is dropped exactly once, and a popped item not again.
+    #[test]
+    fn drop_mid_tick_drops_every_pending_item_once() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct Counted(Rc<Cell<u32>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let drops = Rc::new(Cell::new(0));
+        let mut w: TimingWheel<Counted> = TimingWheel::new();
+        for t in [5, 5, 5, 5, 5, 6, 6, 900, 4_095, 10_000, 10_000, 70_000] {
+            w.push(t, Counted(drops.clone()));
+        }
+        w.pop(); // drains tick 5 into the run; the popped item drops here
+        w.pop();
+        w.push(5, Counted(drops.clone())); // into the unfired rest
+        w.push(7, Counted(drops.clone())); // into a recycled cell
+        assert_eq!(drops.get(), 2);
+        assert_eq!(w.len(), 12);
+        drop(w);
+        assert_eq!(drops.get(), 14);
+    }
+
     /// Differential test against a reference binary heap.
     #[test]
     fn matches_reference_heap() {
@@ -554,7 +792,7 @@ mod tests {
         let mut reference: BinaryHeap<Rev<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
-        for _ in 0..20_000 {
+        for _ in 0..20_000 * SCALE {
             if rng.gen_bool(0.6) || w.is_empty() {
                 let ahead: u64 = if rng.gen_bool(0.9) {
                     rng.gen_range(0..64)

@@ -58,6 +58,17 @@ impl Topology {
         out
     }
 
+    /// [`Self::neighbors`] of every switch, indexed by switch, from one pass
+    /// over the links. For callers that visit many switches many times.
+    pub(crate) fn adjacency(&self) -> Vec<Vec<(usize, u8, u8, usize)>> {
+        let mut adj = vec![Vec::new(); self.num_switches()];
+        for (i, l) in self.links.iter().enumerate() {
+            adj[l.a].push((l.b, l.a_port, l.b_port, i));
+            adj[l.b].push((l.a, l.b_port, l.a_port, i));
+        }
+        adj
+    }
+
     /// The hosts attached to switch `sw`, in host-ID order.
     pub fn hosts_at(&self, sw: usize) -> Vec<HostId> {
         self.hosts

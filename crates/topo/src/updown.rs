@@ -138,64 +138,7 @@ impl UpDown {
         restrict_to_tree: bool,
         tiebreak: u64,
     ) -> Option<Vec<u8>> {
-        if from == to {
-            return Some(Vec::new());
-        }
-        let n = topo.num_switches();
-        // BFS over (switch, phase): phase 0 = may still climb, 1 = descending.
-        const UNSEEN: usize = usize::MAX;
-        let mut pred: Vec<usize> = vec![UNSEEN; 2 * n]; // predecessor state
-        let mut pred_port: Vec<u8> = vec![0; 2 * n];
-        let start = from * 2;
-        let mut q = VecDeque::new();
-        pred[start] = start; // mark visited; self-predecessor flags the start
-        q.push_back(start);
-        let mut goal: Option<usize> = None;
-        'bfs: while let Some(state) = q.pop_front() {
-            let (u, phase) = (state / 2, state % 2);
-            let mut neigh = topo.neighbors(u);
-            if tiebreak != 0 {
-                // Deterministic shuffle keyed on (tiebreak, u): rotates and
-                // reverses the exploration order so equal-length paths vary
-                // per source-destination pair.
-                let key = tiebreak
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(u as u64);
-                let m = neigh.len().max(1);
-                neigh.rotate_left((key as usize) % m);
-                if (key >> 32) & 1 == 1 {
-                    neigh.reverse();
-                }
-            }
-            for (v, out_port, _, li) in neigh {
-                if restrict_to_tree && !self.tree_link[li] {
-                    continue;
-                }
-                let up = self.is_up(u, v);
-                let next_phase = if up { 0 } else { 1 };
-                if phase == 1 && up {
-                    continue; // no up after down
-                }
-                let next = v * 2 + next_phase;
-                if pred[next] == UNSEEN {
-                    pred[next] = state;
-                    pred_port[next] = out_port;
-                    if v == to {
-                        goal = Some(next);
-                        break 'bfs;
-                    }
-                    q.push_back(next);
-                }
-            }
-        }
-        let mut state = goal?;
-        let mut ports = Vec::new();
-        while pred[state] != state {
-            ports.push(pred_port[state]);
-            state = pred[state];
-        }
-        ports.reverse();
-        Some(ports)
+        RouteSearch::new(self, topo).route(from, to, restrict_to_tree, tiebreak)
     }
 
     /// The full switch sequence of the route from `from` to `to` (for
@@ -233,6 +176,7 @@ impl UpDown {
         // Cache switch-to-switch port paths.
         let ns = topo.num_switches();
         let mut cache: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; ns]; ns];
+        let mut search = RouteSearch::new(self, topo);
         for (si, s) in topo.hosts.iter().enumerate() {
             for (di, d) in topo.hosts.iter().enumerate() {
                 if si == di {
@@ -241,7 +185,8 @@ impl UpDown {
                 if cache[s.switch][d.switch].is_none() {
                     let tiebreak = (s.switch as u64) << 32 | d.switch as u64 | 1;
                     cache[s.switch][d.switch] = Some(
-                        self.route_ports_tiebreak(topo, s.switch, d.switch, restrict_to_tree, tiebreak)
+                        search
+                            .route(s.switch, d.switch, restrict_to_tree, tiebreak)
                             .expect("spanning tree keeps everything reachable"),
                     );
                 }
@@ -259,13 +204,14 @@ impl UpDown {
     pub fn mean_hops(&self, topo: &Topology, restrict_to_tree: bool) -> f64 {
         let mut total = 0usize;
         let mut pairs = 0usize;
+        let mut search = RouteSearch::new(self, topo);
         for (si, s) in topo.hosts.iter().enumerate() {
             for (di, d) in topo.hosts.iter().enumerate() {
                 if si == di {
                     continue;
                 }
-                total += self
-                    .route_ports(topo, s.switch, d.switch, restrict_to_tree)
+                total += search
+                    .route(s.switch, d.switch, restrict_to_tree, 0)
                     .expect("reachable")
                     .len();
                 pairs += 1;
@@ -276,6 +222,99 @@ impl UpDown {
         } else {
             total as f64 / pairs as f64
         }
+    }
+}
+
+/// Shortest-legal-route search over one topology: the per-switch neighbour
+/// lists are built once (link-insertion order, as [`Topology::neighbors`]
+/// gives them) and the BFS scratch is reused from one pair to the next.
+struct RouteSearch<'a> {
+    ud: &'a UpDown,
+    adj: Vec<Vec<(usize, u8, u8, usize)>>,
+    /// Predecessor state per `(switch, phase)` state, `UNSEEN` if unvisited.
+    pred: Vec<usize>,
+    pred_port: Vec<u8>,
+    queue: VecDeque<usize>,
+}
+
+const UNSEEN: usize = usize::MAX;
+
+impl<'a> RouteSearch<'a> {
+    fn new(ud: &'a UpDown, topo: &Topology) -> Self {
+        let states = 2 * topo.num_switches();
+        RouteSearch {
+            ud,
+            adj: topo.adjacency(),
+            pred: vec![UNSEEN; states],
+            pred_port: vec![0; states],
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// See [`UpDown::route_ports_tiebreak`].
+    fn route(
+        &mut self,
+        from: usize,
+        to: usize,
+        restrict_to_tree: bool,
+        tiebreak: u64,
+    ) -> Option<Vec<u8>> {
+        if from == to {
+            return Some(Vec::new());
+        }
+        // BFS over (switch, phase): phase 0 = may still climb, 1 = descending.
+        self.pred.fill(UNSEEN);
+        self.queue.clear();
+        let start = from * 2;
+        self.pred[start] = start; // mark visited; self-predecessor flags the start
+        self.queue.push_back(start);
+        let mut goal: Option<usize> = None;
+        'bfs: while let Some(state) = self.queue.pop_front() {
+            let (u, phase) = (state / 2, state % 2);
+            let neigh = &self.adj[u];
+            let m = neigh.len();
+            // Deterministic shuffle keyed on (tiebreak, u): rotates and
+            // reverses the exploration order so equal-length paths vary
+            // per source-destination pair.
+            let (rotate, reverse) = if tiebreak != 0 {
+                let key = tiebreak
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(u as u64);
+                ((key as usize) % m.max(1), (key >> 32) & 1 == 1)
+            } else {
+                (0, false)
+            };
+            for i in 0..m {
+                let i = if reverse { m - 1 - i } else { i };
+                let (v, out_port, _, li) = neigh[(i + rotate) % m];
+                if restrict_to_tree && !self.ud.tree_link[li] {
+                    continue;
+                }
+                let up = self.ud.is_up(u, v);
+                let next_phase = if up { 0 } else { 1 };
+                if phase == 1 && up {
+                    continue; // no up after down
+                }
+                let next = v * 2 + next_phase;
+                if self.pred[next] == UNSEEN {
+                    self.pred[next] = state;
+                    self.pred_port[next] = out_port;
+                    if v == to {
+                        goal = Some(next);
+                        break 'bfs;
+                    }
+                    self.queue.push_back(next);
+                }
+            }
+        }
+        let mut state = goal?;
+        let mut ports = Vec::new();
+        while self.pred[state] != state {
+            ports.push(self.pred_port[state]);
+            state = self.pred[state];
+        }
+        ports.reverse();
+        Some(ports)
     }
 }
 
@@ -386,6 +425,105 @@ mod tests {
         let rt = ud.route_table(&t, false);
         let r = rt.get(HostId(0), HostId(1));
         assert_eq!(r, &[1]); // host 1 sits on port 1
+    }
+
+    /// The search as it was before the neighbour lists were built once:
+    /// `Topology::neighbors` (a scan of every link) at every BFS state,
+    /// shuffled in place.
+    fn reference_route_ports(
+        ud: &UpDown,
+        topo: &Topology,
+        from: usize,
+        to: usize,
+        restrict_to_tree: bool,
+        tiebreak: u64,
+    ) -> Vec<u8> {
+        let mut pred = vec![UNSEEN; 2 * topo.num_switches()];
+        let mut pred_port = vec![0u8; 2 * topo.num_switches()];
+        let start = from * 2;
+        let mut q = VecDeque::from([start]);
+        pred[start] = start;
+        let mut goal = None;
+        'bfs: while let Some(state) = q.pop_front() {
+            let (u, phase) = (state / 2, state % 2);
+            let mut neigh = topo.neighbors(u);
+            let key = tiebreak
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(u as u64);
+            let m = neigh.len().max(1);
+            neigh.rotate_left((key as usize) % m);
+            if (key >> 32) & 1 == 1 {
+                neigh.reverse();
+            }
+            for (v, out_port, _, li) in neigh {
+                let up = ud.is_up(u, v);
+                if (restrict_to_tree && !ud.tree_link[li]) || (phase == 1 && up) {
+                    continue;
+                }
+                let next = v * 2 + usize::from(!up);
+                if pred[next] == UNSEEN {
+                    pred[next] = state;
+                    pred_port[next] = out_port;
+                    if v == to {
+                        goal = Some(next);
+                        break 'bfs;
+                    }
+                    q.push_back(next);
+                }
+            }
+        }
+        let mut state = goal.expect("reachable");
+        let mut ports = Vec::new();
+        while pred[state] != state {
+            ports.push(pred_port[state]);
+            state = pred[state];
+        }
+        ports.reverse();
+        ports
+    }
+
+    /// Which of several equal-length legal paths a pair gets decides which
+    /// links congest, so every simulated statistic depends on it: the
+    /// table must equal the reference search's, pair for pair.
+    #[test]
+    fn route_table_matches_per_state_neighbor_scan() {
+        use crate::irregular::{irregular, IrregularSpec};
+        let spec = IrregularSpec {
+            num_switches: 14,
+            extra_links: 9,
+            hosts_per_switch: 2,
+            link_delay: 1,
+        };
+        let mut topos = vec![
+            crate::torus::torus(8, 1),
+            crate::shufflenet::shufflenet24(1),
+        ];
+        topos.extend([3, 17, 40].map(|seed| irregular(spec, seed)));
+        for topo in &topos {
+            let ud = UpDown::compute(topo, 0);
+            for restrict in [false, true] {
+                let rt = ud.route_table(topo, restrict);
+                for (si, s) in topo.hosts.iter().enumerate() {
+                    for (di, d) in topo.hosts.iter().enumerate() {
+                        if si == di {
+                            continue;
+                        }
+                        let tiebreak = (s.switch as u64) << 32 | d.switch as u64 | 1;
+                        let mut want = if s.switch == d.switch {
+                            Vec::new()
+                        } else {
+                            reference_route_ports(&ud, topo, s.switch, d.switch, restrict, tiebreak)
+                        };
+                        want.push(d.port);
+                        assert_eq!(
+                            rt.get(HostId(si as u32), HostId(di as u32)),
+                            want,
+                            "{si}->{di} restrict={restrict}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
