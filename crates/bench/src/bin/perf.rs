@@ -6,8 +6,8 @@
 //! touches a tracked file.
 //!
 //! `perf pin` re-measures the whole grid and rewrites the baseline — the
-//! deliberate act after an engine change that alters *what* is simulated.
-//! It refuses when a cross-row gate fails.
+//! deliberate act after an engine change that alters *what* is simulated
+//! or how many events it takes. It refuses when a cross-row gate fails.
 //!
 //! See `wormcast_bench::perf` for the grid, the row schema and the gates.
 
@@ -23,10 +23,7 @@ fn measure(grids: &[String]) -> Vec<Run> {
         .filter(|p| grids.is_empty() || grids.iter().any(|g| p.in_grid(g)))
         .map(|p| {
             let run = perf::measure(p);
-            eprintln!(
-                "perf {p}: {:.3}s, {} events scheduled",
-                run.row.wall_seconds, run.row.events_scheduled
-            );
+            eprintln!("perf {p}: {} events scheduled", run.row.events_scheduled);
             run
         })
         .collect()

@@ -2,7 +2,6 @@
 
 use crate::schemes::Scheme;
 use std::sync::Arc;
-use std::time::Instant;
 use wormcast_core::Membership;
 use wormcast_sim::config::ConfigError;
 use wormcast_sim::fault::FaultConfig;
@@ -273,9 +272,6 @@ pub struct RunReport {
     /// sinks; summed across shards). A nonzero count means the returned
     /// trace is a truncated suffix of the run, not the whole timeline.
     pub trace_dropped: u64,
-    /// Wall-clock seconds spent inside `run_until` (network construction,
-    /// audit and report derivation excluded).
-    pub run_wall_seconds: f64,
 }
 
 impl RunReport {
@@ -356,9 +352,7 @@ pub fn run_traced(setup: &SimSetup) -> (RunReport, Trace) {
         // stream.
         let mut sharded = build_sharded(setup)
             .expect("SimSetup::builder validated this configuration as shardable");
-        let t0 = Instant::now();
         let outcome = sharded.run_until(setup.drain_until);
-        let wall = t0.elapsed().as_secs_f64();
         debug_assert!(
             outcome.deadlock.is_none(),
             "unexpected deadlock: {outcome:?}"
@@ -367,13 +361,11 @@ pub fn run_traced(setup: &SimSetup) -> (RunReport, Trace) {
         let msgs = sharded.msgs();
         let util = sharded.mean_host_tx_utilization(setup.drain_until);
         let trace = sharded.trace();
-        let report = make_report(setup, outcome, &msgs, util, trace.dropped(), wall);
+        let report = make_report(setup, outcome, &msgs, util, trace.dropped());
         return (report, trace);
     }
     let mut net = build_network(setup);
-    let t0 = Instant::now();
     let outcome = net.run_until(setup.drain_until);
-    let wall = t0.elapsed().as_secs_f64();
     debug_assert!(
         outcome.deadlock.is_none(),
         "unexpected deadlock: {outcome:?}"
@@ -386,7 +378,6 @@ pub fn run_traced(setup: &SimSetup) -> (RunReport, Trace) {
         &net.msgs,
         host_tx_utilization,
         net.trace.dropped(),
-        wall,
     );
     (report, net.trace)
 }
@@ -399,7 +390,6 @@ fn make_report(
     msgs: &wormcast_sim::network::MessageLog,
     host_tx_utilization: f64,
     trace_dropped: u64,
-    run_wall_seconds: f64,
 ) -> RunReport {
     let membership = membership_of(&setup.groups);
     let multicast = latencies(msgs, Kind::Multicast, setup.warmup, setup.generate_until, None);
@@ -427,7 +417,6 @@ fn make_report(
         host_tx_utilization,
         delivery_ratio,
         trace_dropped,
-        run_wall_seconds,
     }
 }
 

@@ -13,6 +13,12 @@
 //! * a host adapter whose outgoing channel is STOPped waits on the switch
 //!   input it feeds.
 //!
+//! Whatever is already on a wire arrives without anyone yielding, so it is
+//! latency, not a wait: a STOP counts only while no control symbol is in
+//! flight toward the stopped transmitter (the GO that lifts it may be a
+//! thousand byte-times out), and a hole only while the feeding lane
+//! carries nothing.
+//!
 //! Host adapter *receive* sides never appear: the paper's design point is
 //! that adapters always drain the network (no backpressure from the host
 //! interface), so every wait chain that reaches a host terminates.
@@ -24,7 +30,7 @@
 //! clean when they are followed.
 
 use crate::engine::{HostId, SwitchId};
-use crate::link::{ChanId, NodeRef};
+use crate::link::{ChanId, Lane, NodeRef};
 use crate::network::Network;
 use crate::switch::InState;
 use crate::worm::WormId;
@@ -168,6 +174,13 @@ fn node_worm(net: &Network, node: WaitNode) -> Option<WormId> {
     }
 }
 
+/// A STOP on `lane` that nothing already under way will lift. `far` is the
+/// other shard's copy of a cut lane (control symbols are counted where they
+/// are sent and where they land, see `Lane::ctrl_in_flight`).
+fn stop_holds(lane: &Lane, far: Option<&Lane>) -> bool {
+    lane.is_stopped() && lane.ctrl_in_flight() + far.map_or(0, Lane::ctrl_in_flight) == 0
+}
+
 /// Identify the entity currently *producing* bytes into a switch input port:
 /// the upstream output's owner input, or the upstream host.
 fn upstream_producer(net: &Network, sw: SwitchId, port: u8) -> Option<(WaitNode, ChanId)> {
@@ -220,7 +233,7 @@ pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
                 }
                 InState::Forwarding { out, worm } => {
                     if let Some(ch) = sw.outputs[*out as usize].chan_out {
-                        if net.lane(ch).is_stopped() {
+                        if stop_holds(net.lane(ch), None) {
                             let dst = net.lane(ch).dst();
                             if let NodeRef::Switch(down) = dst.node {
                                 push(
@@ -240,7 +253,9 @@ pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
                     };
                     if starved {
                         if let Some((up, ch)) = upstream_producer(net, sw.id, pi as u8) {
-                            push(net, me, up, Some(*worm), WaitCause::StarvedUpstream { ch });
+                            if net.lane(ch).in_flight() == 0 {
+                                push(net, me, up, Some(*worm), WaitCause::StarvedUpstream { ch });
+                            }
                         }
                     }
                 }
@@ -248,7 +263,7 @@ pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
                     // Any stopped branch blocks the replica.
                     for b in &rep.branches {
                         if let Some(ch) = sw.outputs[b.out as usize].chan_out {
-                            if net.lane(ch).is_stopped() {
+                            if stop_holds(net.lane(ch), None) {
                                 let dst = net.lane(ch).dst();
                                 if let NodeRef::Switch(down) = dst.node {
                                     push(
@@ -272,7 +287,7 @@ pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
         };
         if let Some(ch) = a.chan_out {
             let c = net.lane(ch);
-            if c.is_stopped() {
+            if stop_holds(c, None) {
                 if let NodeRef::Switch(sw) = c.dst().node {
                     push(
                         net,
@@ -432,6 +447,20 @@ pub fn wait_edges_multi(
         }
     };
 
+    // The copy of cut lane `ch` held by the shard at its other end, as
+    // seen from shard `si` (`None` for a lane inside one shard).
+    let far_copy = |si: usize, ch: ChanId| -> Option<&Lane> {
+        let lane = nets[si].lane(ch);
+        [lane.src().node, lane.dst().node]
+            .into_iter()
+            .map(|node| match node {
+                NodeRef::Switch(sw) => switch_owner[sw.0 as usize] as usize,
+                NodeRef::Host(h) => host_owner[h.0 as usize] as usize,
+            })
+            .find(|&owner| owner != si)
+            .map(|owner| nets[owner].lane(ch))
+    };
+
     let mut raw: Vec<RawEdge> = Vec::new();
     for (si, net) in nets.iter().enumerate() {
         for sw in &net.switches {
@@ -463,7 +492,7 @@ pub fn wait_edges_multi(
                         // The transmit-side STOP state of this input's
                         // outgoing channel is owned here (we are its src).
                         if let Some(ch) = sw.outputs[*out as usize].chan_out {
-                            if net.lane(ch).is_stopped() {
+                            if stop_holds(net.lane(ch), far_copy(si, ch)) {
                                 let dst = net.lane(ch).dst();
                                 if let NodeRef::Switch(down) = dst.node {
                                     let to = WaitNode::SwitchIn(down, dst.port.0);
@@ -487,28 +516,36 @@ pub fn wait_edges_multi(
                                 // optimistic span (or its expansion) still
                                 // in transit across the shard boundary is
                                 // latency, not a wait — label it so cycle
-                                // detection can ignore the edge.
+                                // detection can ignore the edge. So are
+                                // bytes either copy of the lane still
+                                // counts on the wire: no edge at all.
+                                let on_wire = net.lane(ch).in_flight()
+                                    + far_copy(si, ch).map_or(0, Lane::in_flight);
                                 let cause = if net.chan_src_foreign(ch)
                                     && net.lane(ch).has_foreign_in_transit()
                                 {
-                                    WaitCause::SpanInTransit { ch }
+                                    Some(WaitCause::SpanInTransit { ch })
+                                } else if on_wire == 0 {
+                                    Some(WaitCause::StarvedUpstream { ch })
                                 } else {
-                                    WaitCause::StarvedUpstream { ch }
+                                    None
                                 };
-                                raw.push(RawEdge {
-                                    from: me,
-                                    to: up,
-                                    worm: Some((si, *worm)),
-                                    holds: node_worm_multi(up),
-                                    cause,
-                                });
+                                if let Some(cause) = cause {
+                                    raw.push(RawEdge {
+                                        from: me,
+                                        to: up,
+                                        worm: Some((si, *worm)),
+                                        holds: node_worm_multi(up),
+                                        cause,
+                                    });
+                                }
                             }
                         }
                     }
                     InState::Replicating(rep) => {
                         for b in &rep.branches {
                             if let Some(ch) = sw.outputs[b.out as usize].chan_out {
-                                if net.lane(ch).is_stopped() {
+                                if stop_holds(net.lane(ch), far_copy(si, ch)) {
                                     let dst = net.lane(ch).dst();
                                     if let NodeRef::Switch(down) = dst.node {
                                         let to = WaitNode::SwitchIn(down, dst.port.0);
@@ -536,7 +573,7 @@ pub fn wait_edges_multi(
             };
             if let Some(ch) = a.chan_out {
                 let c = net.lane(ch);
-                if c.is_stopped() {
+                if stop_holds(c, far_copy(si, ch)) {
                     if let NodeRef::Switch(sw) = c.dst().node {
                         let to = WaitNode::SwitchIn(sw, c.dst().port.0);
                         raw.push(RawEdge {

@@ -39,6 +39,7 @@ pub mod network;
 pub mod protocol;
 pub mod shard;
 pub mod slab;
+pub mod slackbuf;
 pub mod switch;
 pub mod switchcast;
 pub mod time;

@@ -153,10 +153,25 @@ pub struct Lane {
     next_tx_time: SimTime,
     /// Bytes currently in flight on the wire (sent, not yet received).
     in_flight: u32,
-    /// Total data bytes carried (for utilization statistics).
+    /// Total data bytes carried (for utilization statistics). A span is
+    /// credited whole at emission; between runs the part the deadline cut
+    /// off waits in `parked` (see [`Lane::settle`]).
     bytes_carried: u64,
+    /// Bytes of the span still sending whose send slots lie at or beyond
+    /// the deadline the last run stopped at; back in `bytes_carried` while
+    /// a run is under way.
+    parked: u64,
     /// Total IDLE fill bytes carried (wasted bandwidth, Section 3).
     idles_carried: u64,
+    /// Control symbols on the wire toward this lane's transmitter: `+1`
+    /// where one is sent, `-1` where it lands. On a cut lane the two
+    /// happen on different shards' copies, so only the sum over both
+    /// copies is the in-flight count (hence signed).
+    ctrl_in_flight: i32,
+    /// One past the last send slot of the newest span taken off the wire
+    /// (delivered wholesale at its first byte's arrival, so possibly still
+    /// in the future).
+    delivered_end: SimTime,
     /// When the current STOP interval began, if one is in force.
     stalled_since: Option<SimTime>,
     /// Accumulated byte-times spent under STOP (closed intervals only; an
@@ -219,7 +234,10 @@ impl Lane {
             next_tx_time: 0,
             in_flight: 0,
             bytes_carried: 0,
+            parked: 0,
             idles_carried: 0,
+            ctrl_in_flight: 0,
+            delivered_end: 0,
             stalled_since: None,
             stall_total: 0,
             stalls: 0,
@@ -299,7 +317,66 @@ impl Lane {
         self.next_tx_time.saturating_sub(now + 1)
     }
 
-    /// Counter snapshot for statistics consumers.
+    /// Receive side: bytes of the newest delivered span whose per-byte
+    /// arrival slots are still in the future. A span lands wholesale at
+    /// its first byte's arrival, so until its last slot passes the
+    /// receiver's buffer holds this many bytes its per-byte twin does not
+    /// hold yet. (Only the newest delivered span can reach past `now`:
+    /// spans on a lane occupy disjoint, ordered send slots.)
+    #[inline]
+    pub(crate) fn rx_future_bytes(&self, now: SimTime) -> u64 {
+        (self.delivered_end + self.delay).saturating_sub(now + 1)
+    }
+
+    /// One past the last send slot of the newest delivered span.
+    #[inline]
+    pub(crate) fn delivered_end(&self) -> SimTime {
+        self.delivered_end
+    }
+
+    /// Control symbols in flight toward this lane's transmitter, as this
+    /// copy of the lane counted them (sum both copies of a cut lane).
+    #[inline]
+    pub(crate) fn ctrl_in_flight(&self) -> i32 {
+        self.ctrl_in_flight
+    }
+
+    /// A control symbol left the receive side for this lane's transmitter.
+    #[inline]
+    pub(crate) fn note_ctrl_sent(&mut self) {
+        self.ctrl_in_flight += 1;
+    }
+
+    /// A control symbol landed at this lane's transmitter.
+    #[inline]
+    pub(crate) fn note_ctrl_received(&mut self) {
+        self.ctrl_in_flight -= 1;
+    }
+
+    /// A run stopped at `horizon` (its deadline; `SimTime::MAX` when the
+    /// event queue drained): take the part of the span still sending that
+    /// lies at send slots `>= horizon` out of `bytes_carried` until the
+    /// next run starts, so that [`Lane::stats`] and [`Lane::utilization`]
+    /// read what the per-byte engine has carried by then, not a span's
+    /// worth more. Returns the bytes parked.
+    pub(crate) fn settle(&mut self, horizon: SimTime) -> u64 {
+        debug_assert_eq!(self.parked, 0, "settled twice without a run between");
+        self.parked = self.next_tx_time.saturating_sub(horizon);
+        self.bytes_carried -= self.parked;
+        self.parked
+    }
+
+    /// The next run starts: credit what [`Lane::settle`] parked again (the
+    /// engine's own arithmetic — truncation above all — works on the full
+    /// credit). Returns the bytes restored.
+    pub(crate) fn resume(&mut self) -> u64 {
+        let parked = std::mem::take(&mut self.parked);
+        self.bytes_carried += parked;
+        parked
+    }
+
+    /// Counter snapshot for statistics consumers, exact at the horizon the
+    /// last run stopped at.
     pub fn stats(&self) -> LinkStats {
         LinkStats {
             bytes_carried: self.bytes_carried,
@@ -639,6 +716,7 @@ impl<'a> RxPort<'a> {
             .pop_front()
             .expect("RxSpan without queued span");
         self.lane.in_flight -= span.len as u32;
+        self.lane.delivered_end = span.start + span.len;
         (self.lane.dst, span)
     }
 }

@@ -488,7 +488,6 @@ impl Network {
                 for inp in &mut sw.inputs {
                     if let Some(ch) = inp.chan_in {
                         inp.slack = SlackCfg::for_delay(lanes[ch.0 as usize].delay());
-                        inp.buf.reserve(inp.slack.capacity as usize);
                     }
                 }
             }
@@ -678,6 +677,14 @@ impl Network {
             *rem > 0
         });
         self.stats.bytes_moved += moved;
+        // Likewise the send-side counters `settle_run` cut back to the
+        // previous deadline.
+        for lane in &mut self.lanes {
+            let back = lane.resume();
+            if let (1.., NodeRef::Host(h)) = (back, lane.src().node) {
+                self.adapters[h.0 as usize].counters.bytes_sent += back;
+            }
+        }
         self.scheduler.at(t_end, Event::Stop);
         // A shard engine skips the watchdog: its local view cannot tell a
         // cross-shard stall from deadlock, so liveness analysis runs once
@@ -695,6 +702,9 @@ impl Network {
     pub(crate) fn finish_drained(&mut self) -> RunOutcome {
         self.flush_ctrl_trace();
         self.sync_event_stats();
+        // The per-byte engine drains only once every span's last byte is
+        // out: nothing counts as unsent.
+        self.settle_run(SimTime::MAX);
         let deadlock = if self.stats.active_worms > 0 {
             Some(crate::deadlock::forensics(self))
         } else {
@@ -721,6 +731,7 @@ impl Network {
                 if t >= self.run_deadline {
                     self.flush_ctrl_trace();
                     self.sync_event_stats();
+                    self.settle_run(t);
                     // Worms still outstanding at the deadline: check for
                     // a genuine wait cycle so callers can tell overload
                     // apart from deadlock. A shard engine leaves this to
@@ -779,6 +790,19 @@ impl Network {
         self.deadlock_seen.as_ref()
     }
 
+    /// A run ends at `horizon`: a span is credited to its lane's
+    /// `bytes_carried` (and its adapter's `bytes_sent`) whole at emission,
+    /// so cut both back to the bytes whose send slots have passed — what
+    /// the per-byte engine reads there. `begin_run` restores the rest.
+    fn settle_run(&mut self, horizon: SimTime) {
+        for lane in &mut self.lanes {
+            let unsent = lane.settle(horizon);
+            if let (1.., NodeRef::Host(h)) = (unsent, lane.src().node) {
+                self.adapters[h.0 as usize].counters.bytes_sent -= unsent;
+            }
+        }
+    }
+
     /// Mirror the scheduler's lifetime event counters into [`NetStats`].
     fn sync_event_stats(&mut self) {
         self.stats.events_scheduled = self.scheduler.events_scheduled();
@@ -827,6 +851,7 @@ impl Network {
     /// propagation delay — locally, or across the shard boundary when the
     /// transmit side is foreign.
     pub(crate) fn send_ctrl(&mut self, ch: ChanId, sym: CtrlSym) {
+        self.lanes[ch.0 as usize].note_ctrl_sent();
         let delay = self.lanes[ch.0 as usize].delay();
         if self.chan_src_foreign(ch) {
             let now = self.scheduler.now();
@@ -1127,16 +1152,24 @@ impl Network {
             }
             r
         } else {
-            let probed = match dst.node {
-                NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire),
-                NodeRef::Host(h) => self.adapter_span_room(h, worm),
-            };
-            let Some(room) = probed else {
-                return false;
-            };
-            room
+            match dst.node {
+                // A refusal leaves no no-drain room, but the circuit may
+                // still be clear.
+                NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire).unwrap_or(0),
+                NodeRef::Host(h) => match self.adapter_span_room(h, worm) {
+                    Some(room) => room,
+                    None => return false,
+                },
+            }
         };
-        let mut k = avail.min(room);
+        // Two admission rules: the run fits below the receiver's STOP mark
+        // even if nothing drains (`room`), or the rest of the worm's
+        // circuit is clear and nothing can stop the run at all.
+        let mut k = if avail > room && self.circuit_clear(ch, worm) {
+            avail
+        } else {
+            avail.min(room)
+        };
         // Keep the watchdog's progress sampling meaningful: a span credits
         // all its bytes in one event, so cap the movement gap well below
         // the sampling interval. (Any cap is semantics-preserving.)
@@ -1153,10 +1186,8 @@ impl Network {
                     .owner
                     .expect("span-ready output has an owner");
                 let inp = &mut self.switches[s.0 as usize].inputs[owner as usize];
-                for _ in 0..k {
-                    let b = inp.buf.pop_front().expect("span-ready bytes buffered");
-                    debug_assert!(b.worm == worm && matches!(b.kind, ByteKind::Data));
-                }
+                let popped = inp.buf.pop_front_run(k);
+                debug_assert_eq!(popped, k, "span-ready bytes lead the buffer as one run");
                 // No per-dequeue GO check: `switch_span_ready` guaranteed
                 // `sent_stop` is false for the whole drain window.
                 inp.buf.is_empty()
@@ -1357,12 +1388,13 @@ impl Network {
                     inp.state,
                     crate::switch::InState::Forwarding { worm: w, .. } if w == worm
                 ));
-                for _ in 0..revoked {
-                    inp.buf.push_front(crate::worm::WireByte {
+                inp.buf.push_front_run(
+                    crate::worm::WireByte {
                         worm,
                         kind: ByteKind::Data,
-                    });
-                }
+                    },
+                    revoked,
+                );
             }
             NodeRef::Host(h) => {
                 let a = &mut self.adapters[h.0 as usize];
@@ -1392,8 +1424,17 @@ impl Network {
 
     fn handle_ctrl(&mut self, ch: ChanId, sym: CtrlSym) {
         let now = self.scheduler.now();
+        self.lanes[ch.0 as usize].note_ctrl_received();
         match sym {
             CtrlSym::Stop => {
+                // A span is delivered wholesale at its first byte's
+                // arrival; its emission guard promised that no STOP can
+                // reach the bytes still to be sent after that. Truncation
+                // could no longer take them back.
+                debug_assert!(
+                    now >= self.lanes[ch.0 as usize].delivered_end(),
+                    "STOP on {ch:?} inside the send window of a delivered span"
+                );
                 // Stall-interval accounting runs inside `Lane::stop`
                 // whether or not tracing is on; STOP/GO symbols are rare
                 // relative to bytes.

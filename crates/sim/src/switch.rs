@@ -8,12 +8,12 @@
 //! [`crate::switchcast`].
 
 use crate::engine::{CtrlSym, SwitchId};
-use crate::link::{ChanId, SeededRoundRobin};
+use crate::link::{ChanId, NodeRef, SeededRoundRobin};
 use crate::network::Network;
+use crate::slackbuf::SlackBuf;
 use crate::time::SimTime;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Slack-buffer configuration (Figure 1): capacity and the two watermarks.
 ///
@@ -92,10 +92,15 @@ pub struct InPort {
     /// The channel delivering bytes into this port (None if unconnected).
     pub chan_in: Option<ChanId>,
     /// The slack buffer.
-    pub buf: VecDeque<WireByte>,
+    pub buf: SlackBuf,
     pub slack: SlackCfg,
     /// True while our STOP is in force upstream.
     pub sent_stop: bool,
+    /// The worm this input is proven never to raise a STOP for again — it
+    /// sits on that worm's clear circuit (see `Network::circuit_clear`).
+    /// Worm ids never recur, so a mark left behind by a finished worm
+    /// matches nothing.
+    pub(crate) clear_worm: Option<WormId>,
     pub state: InState,
     /// Bytes dropped at this input (only possible with fault injection or a
     /// flush; plain backpressure never overflows a validated slack buffer).
@@ -106,12 +111,10 @@ impl InPort {
     pub fn new(slack: SlackCfg) -> Self {
         InPort {
             chan_in: None,
-            // The slack buffer is bounded by its configured capacity;
-            // reserving it up front keeps the per-byte enqueue path free
-            // of allocator calls for the life of the simulation.
-            buf: VecDeque::with_capacity(slack.capacity as usize),
+            buf: SlackBuf::new(),
             slack,
             sent_stop: false,
+            clear_worm: None,
             state: InState::Idle,
             dropped_bytes: 0,
         }
@@ -295,7 +298,11 @@ impl Network {
     pub(crate) fn switch_rx_byte(&mut self, sw: SwitchId, port: u8, byte: WireByte) {
         let (occupancy, chan_in, crossed_stop, overflowed) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            if inp.occupancy() >= inp.slack.capacity {
+            // On its clear circuit a worm can never raise a STOP here, and
+            // the buffer may hold bytes of a span delivered wholesale that
+            // its per-byte twin has not received yet: the two watermark
+            // tests below would read an occupancy the twin never has.
+            if inp.occupancy() >= inp.slack.capacity && inp.clear_worm != Some(byte.worm) {
                 // A validated slack buffer never overflows under plain
                 // backpressure; this can only happen with fault injection or
                 // a misconfiguration. Count and drop.
@@ -304,7 +311,9 @@ impl Network {
             } else {
                 inp.buf.push_back(byte);
                 let occ = inp.occupancy();
-                let crossed = occ >= inp.slack.stop_mark && !inp.sent_stop;
+                let crossed = occ >= inp.slack.stop_mark
+                    && !inp.sent_stop
+                    && inp.clear_worm != Some(byte.worm);
                 if crossed {
                     inp.sent_stop = true;
                 }
@@ -655,34 +664,34 @@ impl Network {
         // or per-byte) only lower occupancy, and at most one arrival per
         // byte-time can land, so `occupancy + wire_bytes` bounds occupancy
         // throughout the window in both modes; below the stop mark, neither
-        // mode can emit a STOP while the run drains.
-        let wire = match inp.chan_in {
-            // Fed across a shard boundary: the local `in_flight` copy
-            // only counts queued optimistic spans. Paced per-byte
-            // crossings occupy distinct send slots in `(now-delay, now]`
-            // at the foreign transmitter, so `delay` bounds them — but
-            // optimistic spans and rejected-run expansions claim send
-            // slots reaching into the transmitter's future and can each
-            // exceed `delay`; count those explicitly on top.
-            Some(c) if self.chan_src_foreign(c) => {
-                let l = &self.lanes[c.0 as usize];
-                l.delay() + l.foreign_span_backlog()
+        // mode can emit a STOP while the run drains. On the worm's clear
+        // circuit no STOP can be emitted at all, and the local occupancy
+        // (wholesale-delivered spans included) is not the per-byte one.
+        if inp.clear_worm != Some(worm) {
+            let wire = match inp.chan_in {
+                // Fed across a shard boundary: the local `in_flight` copy
+                // only counts queued optimistic spans. Paced per-byte
+                // crossings occupy distinct send slots in `(now-delay, now]`
+                // at the foreign transmitter, so `delay` bounds them — but
+                // optimistic spans and rejected-run expansions claim send
+                // slots reaching into the transmitter's future and can each
+                // exceed `delay`; count those explicitly on top.
+                Some(c) if self.chan_src_foreign(c) => {
+                    let l = &self.lanes[c.0 as usize];
+                    l.delay() + l.foreign_span_backlog()
+                }
+                Some(c) => self.lanes[c.0 as usize].in_flight() as u64,
+                None => 0,
+            };
+            if inp.occupancy() as u64 + wire >= inp.slack.stop_mark as u64 {
+                return None;
             }
-            Some(c) => self.lanes[c.0 as usize].in_flight() as u64,
-            None => 0,
-        };
-        if inp.occupancy() as u64 + wire >= inp.slack.stop_mark as u64 {
-            return None;
         }
-        let run = inp
-            .buf
-            .iter()
-            .take_while(|b| b.worm == worm && matches!(b.kind, ByteKind::Data))
-            .count() as u64;
-        if run == 0 {
-            None
-        } else {
-            Some((worm, run))
+        match inp.buf.front_run() {
+            Some((b, run)) if b.worm == worm && matches!(b.kind, ByteKind::Data) => {
+                Some((worm, run))
+            }
+            _ => None,
         }
     }
 
@@ -730,24 +739,123 @@ impl Network {
         }
     }
 
+    /// Whether `worm`'s circuit downstream of lane `ch` is *clear*: nothing
+    /// on it can ever STOP the rest of the worm, so a span of any length
+    /// put on `ch` now is exact (DESIGN.md §3.1).
+    ///
+    /// Walking downstream from `ch`, every lane must be un-stopped with no
+    /// control symbol on its way to the transmitter (a STOP chased by a GO
+    /// on a long wire shows in neither end's flags), and every switch input
+    /// must be forwarding this worm, hold no STOP of its own, and have a
+    /// per-byte-equivalent occupancy `q` at least two below its STOP mark;
+    /// the walk must end at an adapter that has decided the worm's
+    /// admission (adapters never STOP). `q` is what the per-byte engine's
+    /// buffer holds right now: the local occupancy, minus the bytes of a
+    /// wholesale-delivered span whose arrival slots are still to come, plus
+    /// the bytes a span batch-dequeued for send slots still to come.
+    ///
+    /// Induction from the sink: the last output is never stopped, so its
+    /// input dequeues a byte in every byte-time it is non-empty while at
+    /// most one arrives, so its per-byte occupancy never exceeds `q + 1`
+    /// (`+ 1` again for where in the tick the walk happens to look), never
+    /// reaches the mark, never emits a STOP — so the output one hop up is
+    /// never stopped either, and so on up to `ch`. The crossbar connections
+    /// are held until the tail, which stays a per-byte event.
+    ///
+    /// On success every input walked is marked ([`InPort::clear_worm`]):
+    /// later kicks stop at the first mark, and a marked input skips the
+    /// watermark logic that reads its *local* occupancy. A shard engine
+    /// always refuses — its mirrors of foreign switches are dead state.
+    pub(crate) fn circuit_clear(&mut self, ch: ChanId, worm: WormId) -> bool {
+        if self.shard.is_some() {
+            return false;
+        }
+        let now = self.scheduler.now();
+        // A deliverable worm crosses each lane at most once; one whose
+        // route loops back into an input it still occupies never reaches a
+        // sink, and the bound keeps the walk from circling with it.
+        let mut walked = 0;
+        let mut c = ch;
+        loop {
+            let lane = &self.lanes[c.0 as usize];
+            if lane.is_stopped() || lane.ctrl_in_flight() != 0 || walked == self.lanes.len() {
+                return false;
+            }
+            walked += 1;
+            let dst = lane.dst();
+            let s = match dst.node {
+                NodeRef::Host(h) => {
+                    if self.adapter_span_room(h, worm).is_none() {
+                        return false;
+                    }
+                    break;
+                }
+                NodeRef::Switch(s) => s,
+            };
+            let sw = &self.switches[s.0 as usize];
+            let inp = &sw.inputs[dst.port.index()];
+            if inp.clear_worm == Some(worm) {
+                break;
+            }
+            let InState::Forwarding { worm: w, out } = inp.state else {
+                return false;
+            };
+            let Some(next) = sw.outputs[out as usize].chan_out else {
+                return false;
+            };
+            if w != worm || inp.sent_stop {
+                return false;
+            }
+            let ahead = self.lanes[next.0 as usize].drain_advance(now);
+            if inp.occupancy() as u64 + ahead + 2
+                >= inp.slack.stop_mark as u64 + lane.rx_future_bytes(now)
+            {
+                return false;
+            }
+            c = next;
+        }
+        // Proven: mark the same inputs, in the same order.
+        let mut c = ch;
+        while let NodeRef::Switch(s) = self.lanes[c.0 as usize].dst().node {
+            let port = self.lanes[c.0 as usize].dst().port.index();
+            let sw = &mut self.switches[s.0 as usize];
+            let inp = &mut sw.inputs[port];
+            if inp.clear_worm == Some(worm) {
+                break;
+            }
+            inp.clear_worm = Some(worm);
+            let InState::Forwarding { out, .. } = inp.state else {
+                unreachable!("walked inputs forward the worm");
+            };
+            c = sw.outputs[out as usize]
+                .chan_out
+                .expect("walked outputs are connected");
+        }
+        true
+    }
+
     /// A batched run of `len` data bytes of `worm` arrived at input `port`
-    /// (span-batched mode). The emission guards guarantee the run fits below
-    /// the STOP watermark; the bytes are buffered in one go and the input
-    /// state machine advances once.
+    /// (span-batched mode). The emission guards guarantee that the run fits
+    /// below the STOP watermark, or that the input sits on the worm's clear
+    /// circuit and holds the bytes only until their per-byte arrival slots
+    /// come round; the bytes are buffered in one go and the input state
+    /// machine advances once.
     pub(crate) fn switch_rx_span(&mut self, sw: SwitchId, port: u8, worm: WormId, len: u64) {
         let (chan_in, crossed_stop) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+            let clear = inp.clear_worm == Some(worm);
             debug_assert!(
-                inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
+                clear || inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
                 "span overflows slack buffer at {sw:?}:{port}"
             );
-            for _ in 0..len {
-                inp.buf.push_back(WireByte {
+            inp.buf.push_back_run(
+                WireByte {
                     worm,
                     kind: ByteKind::Data,
-                });
-            }
-            let crossed = inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop;
+                },
+                len,
+            );
+            let crossed = !clear && inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop;
             if crossed {
                 inp.sent_stop = true;
             }
@@ -858,6 +966,146 @@ mod tests {
         out.waiting = vec![40];
         assert_eq!(out.arbitrate(200), Some(40));
         assert_eq!(out.rr_next, 41);
+    }
+
+    /// host0 — sw0 — sw1 — host1 in per-byte mode (whose buffers *are* the
+    /// per-byte occupancy and which never marks anything), run until a
+    /// 2 000-byte worm's head sits in host1's adapter: its circuit is then
+    /// clear from host0's lane down. Returns that lane with the network.
+    fn midworm_net() -> (Network, ChanId, WormId) {
+        use crate::engine::HostId;
+        use crate::link::PortId;
+        use crate::network::{FabricSpec, HostAttach, LinkSpec, NetworkConfig, RouteTable, SimMode};
+        use crate::protocol::{AppMessage, Destination, SendSpec};
+        use crate::worm::MessageId;
+
+        let spec = FabricSpec {
+            switch_ports: vec![2, 2],
+            hosts: vec![
+                HostAttach { switch: 0, port: 1 },
+                HostAttach { switch: 1, port: 1 },
+            ],
+            links: vec![LinkSpec {
+                a: (0, PortId(0)),
+                b: (1, PortId(0)),
+                delay: 3,
+                lanes: 0,
+            }],
+            host_link_delay: 1,
+        };
+        let mut routes = RouteTable::new(2);
+        routes.set(HostId(0), HostId(1), vec![0, 1]);
+        let cfg = NetworkConfig {
+            mode: SimMode::PerByte,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::build(&spec, routes, cfg);
+        let msg = AppMessage {
+            msg: MessageId(1),
+            origin: HostId(0),
+            dest: Destination::Unicast(HostId(1)),
+            payload_len: 2_000,
+            created: 0,
+        };
+        let worm = net.inject_worm(HostId(0), SendSpec::data(&msg, HostId(1), WormKind::Unicast));
+        net.run_until(100);
+        let ch = net.adapters[0].chan_out.expect("host0 is attached");
+        (net, ch, worm)
+    }
+
+    /// The lane after `ch` on the worm's circuit, and the input between.
+    fn next_hop(net: &Network, ch: ChanId) -> (SwitchId, usize, ChanId) {
+        let dst = net.lane(ch).dst();
+        let NodeRef::Switch(s) = dst.node else {
+            panic!("{ch:?} ends at a host");
+        };
+        let InState::Forwarding { out, .. } = net.switches[s.0 as usize].inputs[dst.port.index()].state
+        else {
+            panic!("input behind {ch:?} is not forwarding");
+        };
+        let next = net.switches[s.0 as usize].outputs[out as usize].chan_out;
+        (s, dst.port.index(), next.expect("connected"))
+    }
+
+    /// Fill the input behind `ch` with the worm's data up to `occupancy`.
+    fn fill_to(net: &mut Network, ch: ChanId, occupancy: u32) {
+        let (s, p, _) = next_hop(net, ch);
+        let inp = &mut net.switches[s.0 as usize].inputs[p];
+        let InState::Forwarding { worm, .. } = inp.state else {
+            unreachable!()
+        };
+        let byte = WireByte {
+            worm,
+            kind: ByteKind::Data,
+        };
+        inp.buf.push_back_run(byte, u64::from(occupancy - inp.occupancy()));
+    }
+
+    #[test]
+    fn clear_circuit_is_granted_once_and_marks_every_input() {
+        let (mut net, ch, worm) = midworm_net();
+        // `q + 2 < stop_mark` still holds three below the mark.
+        let mark = SlackCfg::for_delay(1).stop_mark;
+        fill_to(&mut net, ch, mark - 3);
+        assert!(net.circuit_clear(ch, worm));
+        let (s0, p0, mid) = next_hop(&net, ch);
+        let (s1, p1, _) = next_hop(&net, mid);
+        for (s, p) in [(s0, p0), (s1, p1)] {
+            assert_eq!(net.switches[s.0 as usize].inputs[p].clear_worm, Some(worm));
+        }
+        // A later kick stops at the first mark; another worm's id matches
+        // nothing (ids never recur, so a stale mark is inert).
+        assert!(net.circuit_clear(ch, worm));
+        assert!(!net.circuit_clear(ch, WormId(worm.0 + 1)));
+    }
+
+    #[test]
+    fn anything_that_could_still_stop_the_worm_refuses_the_rule() {
+        let refused = |what: &str, perturb: &dyn Fn(&mut Network, ChanId)| {
+            let (mut net, ch, worm) = midworm_net();
+            perturb(&mut net, ch);
+            assert!(!net.circuit_clear(ch, worm), "{what} must refuse the rule");
+            let (s, p, _) = next_hop(&net, ch);
+            assert_eq!(
+                net.switches[s.0 as usize].inputs[p].clear_worm, None,
+                "{what}: a refused walk marks nothing"
+            );
+        };
+        refused("a control symbol in flight", &|net, ch| {
+            let (_, _, mid) = next_hop(net, ch);
+            net.lanes[mid.0 as usize].note_ctrl_sent();
+        });
+        refused("a stopped lane downstream", &|net, ch| {
+            let (_, _, mid) = next_hop(net, ch);
+            let now = net.scheduler.now();
+            net.lanes[mid.0 as usize].stop(now);
+        });
+        refused("a head still requesting its output", &|net, ch| {
+            let (_, _, mid) = next_hop(net, ch);
+            let dst = net.lane(mid).dst();
+            let NodeRef::Switch(s) = dst.node else {
+                unreachable!()
+            };
+            let inp = &mut net.switches[s.0 as usize].inputs[dst.port.index()];
+            let InState::Forwarding { worm, out } = inp.state else {
+                unreachable!()
+            };
+            inp.state = InState::Requesting { worm, out };
+        });
+        refused("an input within two bytes of its STOP mark", &|net, ch| {
+            fill_to(net, ch, SlackCfg::for_delay(1).stop_mark - 2);
+        });
+        refused("a shard engine", &|net, _| {
+            let lanes = net.lanes.len();
+            net.install_shard_ctx(crate::shard::ShardCtx {
+                me: 0,
+                chan_src_owner: vec![0; lanes],
+                chan_dst_owner: vec![0; lanes],
+                outboxes: vec![None],
+                snap_sent: crate::slab::PerWorm::new(0),
+                tag_to_worm: std::collections::HashMap::new(),
+            });
+        });
     }
 
     #[test]

@@ -293,14 +293,12 @@ pub struct ReplicaState {
 impl ReplicaState {
     /// Absolute index one past the last body/tail byte currently available
     /// in `buf` for this worm.
-    fn available(&self, buf: &std::collections::VecDeque<WireByte>) -> u64 {
-        let mut n = 0u64;
-        for b in buf.iter() {
-            if b.worm != self.worm {
-                break;
-            }
-            n += 1;
-        }
+    fn available(&self, buf: &crate::slackbuf::SlackBuf) -> u64 {
+        let n: u64 = buf
+            .runs()
+            .take_while(|(b, _)| b.worm == self.worm)
+            .map(|(_, n)| n)
+            .sum();
         self.body_released + n
     }
 

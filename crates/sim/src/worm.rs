@@ -65,7 +65,7 @@ pub enum ByteKind {
 }
 
 /// One byte on the wire.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WireByte {
     pub worm: WormId,
     pub kind: ByteKind,

@@ -6,9 +6,17 @@
 //! producer. These tests force STOPs with a two-senders-one-sink contention
 //! pattern and then check the strongest observable consequence: stepping
 //! both engine modes through the same run in small time increments, the
-//! `bytes_moved` counter matches at *every* horizon — so the receiver side
-//! of every stopped channel holds exactly the bytes the per-byte engine
-//! would have delivered, never a span's worth too many.
+//! `bytes_moved` counter and the lanes' `bytes_carried` match at *every*
+//! horizon — so the receiver side of every stopped channel holds exactly
+//! the bytes the per-byte engine would have delivered, never a span's
+//! worth too many, and a deadline that falls inside a span counts only
+//! the bytes whose slots have passed.
+//!
+//! Once a worm's head has reached its sink its circuit is clear and the
+//! rest of the body goes out as one span per hop (DESIGN.md §3.1): the
+//! same lockstep comparison runs over spans thousands of bytes long, and
+//! an event count that does not grow with the worm pins that the rule
+//! actually fires.
 
 #![allow(clippy::needless_range_loop)] // index math mirrors ports
 
@@ -53,9 +61,15 @@ impl TrafficSource for Script {
 }
 
 /// A line of three switches, one host each, explicit left/right routes —
-/// hosts 0 and 1 both route through the sw1→sw2 link, so simultaneous
-/// worms to host 2 collide there and raise STOPs.
-fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) -> Network {
+/// hosts 0 and 1 both route through the sw1→sw2 link. Each `(host, at)`
+/// of `senders` fires one `worm_len`-byte worm at host 2.
+fn line_net(
+    delay: u64,
+    mode: SimMode,
+    worm_len: u32,
+    trace: TraceConfig,
+    senders: &[(u32, u64)],
+) -> Network {
     let n = 3usize;
     let mut links = Vec::new();
     let mut next_port = vec![0u8; n];
@@ -105,9 +119,7 @@ fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) 
     for h in 0..n as u32 {
         net.set_protocol(HostId(h), Box::new(Echoless));
     }
-    // Both senders fire long worms nearly together; the second loses the
-    // sw1→sw2 output and backpressures while spans are in flight.
-    for (h, at) in [(0u32, 10u64), (1, 12)] {
+    for &(h, at) in senders {
         let items = vec![(at, SourceMessage {
             dest: Destination::Unicast(HostId(2)),
             payload_len: worm_len,
@@ -115,6 +127,45 @@ fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) 
         net.set_source(HostId(h), Box::new(Script { items, ix: 0 }), at);
     }
     net
+}
+
+/// Both senders fire long worms nearly together; the second loses the
+/// sw1→sw2 output and backpressures while spans are in flight.
+fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) -> Network {
+    line_net(delay, mode, worm_len, trace, &[(0, 10), (1, 12)])
+}
+
+/// Data bytes every lane has carried and every adapter has sent, as the
+/// statistics readers see them.
+fn bytes_carried(net: &Network) -> (u64, u64) {
+    (
+        net.lanes().iter().map(|l| l.stats().bytes_carried).sum(),
+        net.adapters.iter().map(|a| a.counters.bytes_sent).sum(),
+    )
+}
+
+/// Step both engines to `t_end` in 7-byte-time increments (off-phase with
+/// spans and link delays on purpose) and require identical progress at
+/// every horizon.
+fn lockstep(per_byte: &mut Network, spans: &mut Network, t_end: u64, label: &str) {
+    let mut t = 0;
+    while t < t_end {
+        t += 7;
+        per_byte.run_until(t);
+        spans.run_until(t);
+        assert_eq!(
+            per_byte.stats.bytes_moved, spans.stats.bytes_moved,
+            "{label}: byte progress diverged at t={t}"
+        );
+        assert_eq!(
+            bytes_carried(per_byte),
+            bytes_carried(spans),
+            "{label}: bytes carried / sent diverged at t={t}"
+        );
+    }
+    per_byte.audit().expect("per-byte conservation");
+    spans.audit().expect("span conservation");
+    assert_eq!(deliveries(per_byte), deliveries(spans), "{label}: deliveries diverged");
 }
 
 fn deliveries(net: &Network) -> Vec<(u64, u32, u64)> {
@@ -140,23 +191,7 @@ fn stop_mid_span_truncates_to_the_exact_byte() {
         // longer stands the fast path down (DESIGN.md §3.2).
         let mut per_byte = contention_net(delay, SimMode::PerByte, 2_000, TraceConfig::Memory);
         let mut spans = contention_net(delay, SimMode::SpanBatched, 2_000, TraceConfig::Off);
-        let mut t = 0;
-        while t < 30_000 {
-            t += 7; // off-phase with spans and link delays on purpose
-            per_byte.run_until(t);
-            spans.run_until(t);
-            assert_eq!(
-                per_byte.stats.bytes_moved, spans.stats.bytes_moved,
-                "delay {delay}: byte progress diverged at t={t}"
-            );
-        }
-        per_byte.audit().expect("per-byte conservation");
-        spans.audit().expect("span conservation");
-        assert_eq!(
-            deliveries(&per_byte),
-            deliveries(&spans),
-            "delay {delay}: deliveries diverged"
-        );
+        lockstep(&mut per_byte, &mut spans, 30_000, &format!("delay {delay}"));
         assert_eq!(deliveries(&spans).len(), 2, "delay {delay}: both worms arrive");
         // The scenario must actually have exercised backpressure — STOPs
         // the span engine (whose byte progress matched at every horizon
@@ -168,6 +203,61 @@ fn stop_mid_span_truncates_to_the_exact_byte() {
             .filter(|(_, e)| matches!(e, TraceEvent::StopInForce { .. }))
             .count();
         assert!(stops > 0, "delay {delay}: no STOP raised — not a truncation test");
+    }
+}
+
+/// The same contention with worms long enough that the first one's circuit
+/// goes clear — its body leaves as worm-length spans — while the second
+/// blocks behind it and STOPs its own upstream: both rules at work on one
+/// fabric, lockstep-equal throughout.
+#[test]
+fn clear_circuit_beside_a_stopped_worm_stays_exact() {
+    for delay in [1u64, 3, 8] {
+        let mut per_byte = contention_net(delay, SimMode::PerByte, 6_000, TraceConfig::Memory);
+        let mut spans = contention_net(delay, SimMode::SpanBatched, 6_000, TraceConfig::Off);
+        lockstep(&mut per_byte, &mut spans, 30_000, &format!("delay {delay}"));
+        assert_eq!(deliveries(&spans).len(), 2, "delay {delay}: both worms arrive");
+        let stops = per_byte
+            .trace
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, TraceEvent::StopInForce { .. }))
+            .count();
+        assert!(stops > 0, "delay {delay}: the second worm never backpressured");
+        // 12 000 bytes over up to 4 hops cost the per-byte engine ~84 000
+        // events; one span per hop for the clear worm plus the second
+        // worm's STOP/GO exchanges is a few hundred.
+        let events = contention_net(delay, SimMode::SpanBatched, 6_000, TraceConfig::Off)
+            .run_until(30_000)
+            .stats
+            .events_scheduled;
+        assert!(events < 1_000, "delay {delay}: {events} events — no worm-length spans");
+    }
+}
+
+/// One uncontended worm: once its head is in the sink's adapter the rest
+/// goes out as one span per hop, so the engine's cost does not depend on
+/// the worm's length — and every horizon still reads what per-byte reads.
+#[test]
+fn uncontended_worm_costs_the_same_events_at_any_length() {
+    for delay in [1u64, 3, 8] {
+        let run = |mode, len| {
+            let mut net = line_net(delay, mode, len, TraceConfig::Off, &[(0, 10)]);
+            let out = net.run_until(40_000);
+            assert!(out.drained, "delay {delay}: a single worm drains");
+            out.stats
+        };
+        let short = run(SimMode::SpanBatched, 4_000).events_scheduled;
+        let long = run(SimMode::SpanBatched, 8_000).events_scheduled;
+        assert_eq!(short, long, "delay {delay}: event count grew with the worm");
+        assert!(short < 300, "delay {delay}: {short} events for one worm");
+        let reference = run(SimMode::PerByte, 8_000).events_scheduled;
+        assert!(reference > 50_000, "delay {delay}: per-byte costs {reference}");
+
+        let mut per_byte = line_net(delay, SimMode::PerByte, 4_000, TraceConfig::Off, &[(0, 10)]);
+        let mut spans = line_net(delay, SimMode::SpanBatched, 4_000, TraceConfig::Off, &[(0, 10)]);
+        lockstep(&mut per_byte, &mut spans, 6_000, &format!("delay {delay}, one worm"));
+        assert_eq!(deliveries(&spans).len(), 1, "delay {delay}: the worm arrives");
     }
 }
 

@@ -5,6 +5,8 @@
 //! 2. The same traffic under up/down routes always completes.
 //! 3. Opposing multicasts with a single merged buffer pool starve each
 //!    other (Figure 6); the two-buffer-class rule (Figure 7) fixes it.
+//! 4. Bytes and control symbols still on a long wire are latency, not a
+//!    wait: a busy up/down fabric cut off mid-flight shows no cycle.
 
 use std::sync::Arc;
 use wormcast::core::buffers::PoolConfig;
@@ -229,4 +231,49 @@ fn single_class_pool_thrashes_under_the_same_pressure() {
         one.stats.worms_refused,
         two.stats.worms_refused
     );
+}
+
+/// Found by the span fuzzer, in both engine modes: at a deadline that cuts
+/// a loaded fabric of 100-byte-time links off mid-flight, an input whose
+/// bytes were all on the wire counted as starved while its upstream
+/// counted as stopped by a STOP whose GO was already on its way back —
+/// a two-node "cycle" on an up/down fabric.
+#[test]
+fn bytes_and_symbols_on_a_long_wire_are_not_a_wait_cycle() {
+    use wormcast::sim::network::SimMode;
+    use wormcast::topo::irregular::{irregular, IrregularSpec};
+    use wormcast_bench::runner::{build_network, SimSetup};
+    use wormcast_bench::Scheme;
+    use wormcast_traffic::rng::host_stream;
+    use wormcast_traffic::workload::PaperWorkload;
+    use wormcast_traffic::{GroupSet, LengthDist};
+
+    let seed = 58_473;
+    let spec = IrregularSpec {
+        num_switches: 8,
+        extra_links: 3,
+        hosts_per_switch: 3,
+        link_delay: 100,
+    };
+    for mode in [SimMode::PerByte, SimMode::SpanBatched] {
+        let mut grng = host_stream(seed ^ 0xA5A5, 0x6131);
+        let groups = GroupSet::random(24, 2, 3, &mut grng);
+        let workload = PaperWorkload {
+            offered_load: 0.24,
+            multicast_prob: 0.10,
+            lengths: LengthDist::Geometric { mean: 40 },
+            stop_at: None,
+        };
+        let scheme = Scheme::Hc(HcConfig::cut_through());
+        let setup = SimSetup::builder(irregular(spec, seed), groups, scheme, workload)
+            .seed(seed)
+            .mode(mode)
+            .windows(2_000, 12_000, 10_000)
+            .build()
+            .expect("valid setup");
+        let mut net = build_network(&setup);
+        let out = net.run_until(setup.drain_until);
+        assert!(!out.drained, "{mode:?}: the deadline must cut the run off mid-flight");
+        assert!(out.deadlock.is_none(), "{mode:?}: {}", out.deadlock.unwrap());
+    }
 }
