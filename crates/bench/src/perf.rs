@@ -423,7 +423,7 @@ pub fn gates(runs: &[Run]) -> Vec<Finding> {
                     seq.row.results()
                 ),
             );
-            // A shard engine refuses the clear-circuit rule (its mirrors of
+            // A shard engine refuses the drain-window rule (its mirrors of
             // foreign switches are dead state), so it pays per-slack-window
             // spans where the sequential engine pays one per hop: evidence
             // for ROADMAP's sharding verdict, not a gate.

@@ -1163,13 +1163,14 @@ impl Network {
             }
         };
         // Two admission rules: the run fits below the receiver's STOP mark
-        // even if nothing drains (`room`), or the rest of the worm's
-        // circuit is clear and nothing can stop the run at all.
-        let mut k = if avail > room && self.circuit_clear(ch, worm) {
-            avail
+        // even if nothing drains (`room`), or the receiver is certain to
+        // keep draining for long enough (`drain_window`).
+        let certified = if avail > room {
+            self.drain_window(ch, worm)
         } else {
-            avail.min(room)
+            0
         };
+        let mut k = avail.min(room.max(certified));
         // Keep the watchdog's progress sampling meaningful: a span credits
         // all its bytes in one event, so cap the movement gap well below
         // the sampling interval. (Any cap is semantics-preserving.)
@@ -1218,6 +1219,15 @@ impl Network {
             self.scheduler.at(now + k, Event::RxSpan { ch });
         } else {
             self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
+        }
+        if k > room && certified != u64::MAX {
+            // Sent on a finite drain window: the receiving input holds the
+            // certificate until the span's last arrival slot has passed.
+            let NodeRef::Switch(s) = dst.node else {
+                unreachable!("an adapter's room is unbounded");
+            };
+            self.switches[s.0 as usize].inputs[dst.port.index()].drain_cert =
+                Some((worm, ticket.deliver_at + k));
         }
         if producer_drained {
             // The span took everything the producer had; an end-of-span

@@ -6,7 +6,7 @@
 //! handing back a span of any length is one run operation, and the memory
 //! a buffer takes follows the number of worm *segments* it holds (route
 //! bytes, a body run, a tail), not the number of bytes — which is what
-//! lets a span outgrow the slack depth on a clear circuit (DESIGN.md §3.1)
+//! lets a span outgrow the slack depth inside a drain window (DESIGN.md §3.1)
 //! without the buffers growing with it.
 //!
 //! Only `Data` and `Idle` bytes of one worm merge into a run; route

@@ -96,11 +96,11 @@ pub struct InPort {
     pub slack: SlackCfg,
     /// True while our STOP is in force upstream.
     pub sent_stop: bool,
-    /// The worm this input is proven never to raise a STOP for again — it
-    /// sits on that worm's clear circuit (see `Network::circuit_clear`).
-    /// Worm ids never recur, so a mark left behind by a finished worm
-    /// matches nothing.
-    pub(crate) clear_worm: Option<WormId>,
+    /// Drain certificate `(worm, until)`: while this input forwards `worm`
+    /// it is proven to raise no STOP before `until` — `SimTime::MAX` on a
+    /// clear circuit (see `Network::drain_window`). Worm ids never recur,
+    /// so a certificate left behind by a finished worm matches nothing.
+    pub(crate) drain_cert: Option<(WormId, SimTime)>,
     pub state: InState,
     /// Bytes dropped at this input (only possible with fault injection or a
     /// flush; plain backpressure never overflows a validated slack buffer).
@@ -114,7 +114,7 @@ impl InPort {
             buf: SlackBuf::new(),
             slack,
             sent_stop: false,
-            clear_worm: None,
+            drain_cert: None,
             state: InState::Idle,
             dropped_bytes: 0,
         }
@@ -124,6 +124,15 @@ impl InPort {
     #[inline]
     pub fn occupancy(&self) -> u32 {
         self.buf.len() as u32
+    }
+
+    /// Whether `worm`'s drain certificate is in force here at `now`: the
+    /// buffer may then hold bytes of a span delivered wholesale that its
+    /// per-byte twin has not received yet, and the watermark logic that
+    /// reads the *local* occupancy must stand aside.
+    #[inline]
+    fn certified(&self, worm: WormId, now: SimTime) -> bool {
+        matches!(self.drain_cert, Some((w, until)) if w == worm && now < until)
     }
 }
 
@@ -296,13 +305,14 @@ impl Switch {
 impl Network {
     /// A byte arrived at input `port` of switch `sw`.
     pub(crate) fn switch_rx_byte(&mut self, sw: SwitchId, port: u8, byte: WireByte) {
+        let now = self.scheduler.now();
         let (occupancy, chan_in, crossed_stop, overflowed) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            // On its clear circuit a worm can never raise a STOP here, and
-            // the buffer may hold bytes of a span delivered wholesale that
-            // its per-byte twin has not received yet: the two watermark
-            // tests below would read an occupancy the twin never has.
-            if inp.occupancy() >= inp.slack.capacity && inp.clear_worm != Some(byte.worm) {
+            // Under a drain certificate the per-byte twin raises no STOP
+            // here, and the two watermark tests below would read an
+            // occupancy the twin does not have.
+            let certified = inp.certified(byte.worm, now);
+            if inp.occupancy() >= inp.slack.capacity && !certified {
                 // A validated slack buffer never overflows under plain
                 // backpressure; this can only happen with fault injection or
                 // a misconfiguration. Count and drop.
@@ -311,9 +321,7 @@ impl Network {
             } else {
                 inp.buf.push_back(byte);
                 let occ = inp.occupancy();
-                let crossed = occ >= inp.slack.stop_mark
-                    && !inp.sent_stop
-                    && inp.clear_worm != Some(byte.worm);
+                let crossed = occ >= inp.slack.stop_mark && !inp.sent_stop && !certified;
                 if crossed {
                     inp.sent_stop = true;
                 }
@@ -664,10 +672,11 @@ impl Network {
         // or per-byte) only lower occupancy, and at most one arrival per
         // byte-time can land, so `occupancy + wire_bytes` bounds occupancy
         // throughout the window in both modes; below the stop mark, neither
-        // mode can emit a STOP while the run drains. On the worm's clear
-        // circuit no STOP can be emitted at all, and the local occupancy
-        // (wholesale-delivered spans included) is not the per-byte one.
-        if inp.clear_worm != Some(worm) {
+        // mode can emit a STOP while the run drains. Under a drain
+        // certificate the per-byte occupancy is already proven to stay
+        // below the mark, and the local one (wholesale-delivered spans
+        // included) is not it.
+        if !inp.certified(worm, self.scheduler.now()) {
             let wire = match inp.chan_in {
                 // Fed across a shard boundary: the local `in_flight` copy
                 // only counts queued optimistic spans. Paced per-byte
@@ -739,91 +748,117 @@ impl Network {
         }
     }
 
-    /// Whether `worm`'s circuit downstream of lane `ch` is *clear*: nothing
-    /// on it can ever STOP the rest of the worm, so a span of any length
-    /// put on `ch` now is exact (DESIGN.md §3.1).
+    /// The longest span of `worm` that lane `ch` may carry from now on the
+    /// strength of how long the input behind it is *certain to keep
+    /// draining* (DESIGN.md §3.1): `u64::MAX` on a clear circuit, 0 when
+    /// nothing is certain.
     ///
     /// Walking downstream from `ch`, every lane must be un-stopped with no
     /// control symbol on its way to the transmitter (a STOP chased by a GO
     /// on a long wire shows in neither end's flags), and every switch input
     /// must be forwarding this worm, hold no STOP of its own, and have a
-    /// per-byte-equivalent occupancy `q` at least two below its STOP mark;
-    /// the walk must end at an adapter that has decided the worm's
-    /// admission (adapters never STOP). `q` is what the per-byte engine's
-    /// buffer holds right now: the local occupancy, minus the bytes of a
-    /// wholesale-delivered span whose arrival slots are still to come, plus
-    /// the bytes a span batch-dequeued for send slots still to come.
+    /// per-byte-equivalent occupancy `q` at least two below its STOP mark.
+    /// `q` is what the per-byte engine's buffer holds right now: the local
+    /// occupancy, minus the bytes of a wholesale-delivered span whose
+    /// arrival slots are still to come, plus the bytes a span batch-dequeued
+    /// for send slots still to come.
     ///
-    /// Induction from the sink: the last output is never stopped, so its
-    /// input dequeues a byte in every byte-time it is non-empty while at
-    /// most one arrives, so its per-byte occupancy never exceeds `q + 1`
-    /// (`+ 1` again for where in the tick the walk happens to look), never
-    /// reaches the mark, never emits a STOP — so the output one hop up is
-    /// never stopped either, and so on up to `ch`. The crossbar connections
-    /// are held until the tail, which stays a per-byte event.
+    /// Induction from wherever the walk stops. A STOP that is neither in
+    /// force on a lane nor on its control wire has yet to be emitted, so it
+    /// lands no sooner than the lane's delay from now. Until then the input
+    /// feeding that lane dequeues a byte in every byte-time it is non-empty
+    /// while at most one arrives, so its per-byte occupancy never exceeds
+    /// `q + 1` (`+ 1` again for where in the tick the walk happens to
+    /// look), never reaches the mark, never emits a STOP — which keeps the
+    /// lane one hop up un-stopped for *its* delay more, and so on up to
+    /// `ch`: no STOP lands on the first input's output before `now + W`,
+    /// `W` the summed delay of the lanes after `ch` that passed. A walk
+    /// that reaches an adapter which has decided the worm's admission has
+    /// `W = ∞` (adapters never STOP): the circuit is clear for good. The
+    /// crossbar connections are held until the tail, which stays a per-byte
+    /// event.
     ///
-    /// On success every input walked is marked ([`InPort::clear_worm`]):
-    /// later kicks stop at the first mark, and a marked input skips the
-    /// watermark logic that reads its *local* occupancy. A shard engine
-    /// always refuses — its mirrors of foreign switches are dead state.
-    pub(crate) fn circuit_clear(&mut self, ch: ChanId, worm: WormId) -> bool {
+    /// Inside a finite window a span is exact when the first input's twin
+    /// has received *and forwarded* every byte of it before the window
+    /// closes — then nothing distinguishes the window from a clear circuit
+    /// while any of the span is around.
+    ///
+    /// A clear walk marks every input it passed ([`InPort::drain_cert`],
+    /// `SimTime::MAX`): later kicks stop at the first mark. A finite window
+    /// marks nothing here — the caller stamps the first input with the
+    /// expiry that follows from the length it sends. A shard engine always
+    /// refuses — its mirrors of foreign switches are dead state.
+    pub(crate) fn drain_window(&mut self, ch: ChanId, worm: WormId) -> u64 {
         if self.shard.is_some() {
-            return false;
+            return 0;
         }
         let now = self.scheduler.now();
         // A deliverable worm crosses each lane at most once; one whose
         // route loops back into an input it still occupies never reaches a
         // sink, and the bound keeps the walk from circling with it.
         let mut walked = 0;
+        let mut window: SimTime = 0;
+        let mut q_first = 0;
         let mut c = ch;
-        loop {
+        let clear = loop {
             let lane = &self.lanes[c.0 as usize];
             if lane.is_stopped() || lane.ctrl_in_flight() != 0 || walked == self.lanes.len() {
-                return false;
+                break false;
+            }
+            if walked > 0 {
+                window += lane.delay();
             }
             walked += 1;
             let dst = lane.dst();
             let s = match dst.node {
-                NodeRef::Host(h) => {
-                    if self.adapter_span_room(h, worm).is_none() {
-                        return false;
-                    }
-                    break;
-                }
+                NodeRef::Host(h) => break self.adapter_span_room(h, worm).is_some(),
                 NodeRef::Switch(s) => s,
             };
             let sw = &self.switches[s.0 as usize];
             let inp = &sw.inputs[dst.port.index()];
-            if inp.clear_worm == Some(worm) {
-                break;
+            if inp.drain_cert == Some((worm, SimTime::MAX)) {
+                break true;
             }
             let InState::Forwarding { worm: w, out } = inp.state else {
-                return false;
+                break false;
             };
             let Some(next) = sw.outputs[out as usize].chan_out else {
-                return false;
+                break false;
             };
             if w != worm || inp.sent_stop {
-                return false;
+                break false;
             }
-            let ahead = self.lanes[next.0 as usize].drain_advance(now);
-            if inp.occupancy() as u64 + ahead + 2
-                >= inp.slack.stop_mark as u64 + lane.rx_future_bytes(now)
-            {
-                return false;
+            let held = inp.occupancy() as u64 + self.lanes[next.0 as usize].drain_advance(now);
+            let future = lane.rx_future_bytes(now);
+            if held + 2 >= inp.slack.stop_mark as u64 + future {
+                break false;
+            }
+            if walked == 1 {
+                q_first = held.saturating_sub(future);
             }
             c = next;
+        };
+        if !clear {
+            // The span's last byte reaches the first input at slot
+            // `now + delay + k − 1` and must have left it again before a
+            // STOP can land at `now + W`. Charged in full, one slot per
+            // place where the position inside a tick could matter: the
+            // bytes on the wire, the `q + 2` of the input test above, and
+            // the landing tick itself — a STOP precedes its tick's kick.
+            let first = &self.lanes[ch.0 as usize];
+            let ahead = first.in_flight() as u64 + q_first + 2;
+            return window.saturating_sub(first.delay() + ahead + 1);
         }
-        // Proven: mark the same inputs, in the same order.
+        // Clear for good: mark the same inputs, in the same order.
         let mut c = ch;
         while let NodeRef::Switch(s) = self.lanes[c.0 as usize].dst().node {
             let port = self.lanes[c.0 as usize].dst().port.index();
             let sw = &mut self.switches[s.0 as usize];
             let inp = &mut sw.inputs[port];
-            if inp.clear_worm == Some(worm) {
+            if inp.drain_cert == Some((worm, SimTime::MAX)) {
                 break;
             }
-            inp.clear_worm = Some(worm);
+            inp.drain_cert = Some((worm, SimTime::MAX));
             let InState::Forwarding { out, .. } = inp.state else {
                 unreachable!("walked inputs forward the worm");
             };
@@ -831,21 +866,22 @@ impl Network {
                 .chan_out
                 .expect("walked outputs are connected");
         }
-        true
+        u64::MAX
     }
 
     /// A batched run of `len` data bytes of `worm` arrived at input `port`
     /// (span-batched mode). The emission guards guarantee that the run fits
-    /// below the STOP watermark, or that the input sits on the worm's clear
-    /// circuit and holds the bytes only until their per-byte arrival slots
-    /// come round; the bytes are buffered in one go and the input state
-    /// machine advances once.
+    /// below the STOP watermark, or that the input holds the worm's drain
+    /// certificate and keeps the bytes only until their per-byte arrival
+    /// slots come round; the bytes are buffered in one go and the input
+    /// state machine advances once.
     pub(crate) fn switch_rx_span(&mut self, sw: SwitchId, port: u8, worm: WormId, len: u64) {
+        let now = self.scheduler.now();
         let (chan_in, crossed_stop) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            let clear = inp.clear_worm == Some(worm);
+            let certified = inp.certified(worm, now);
             debug_assert!(
-                clear || inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
+                certified || inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
                 "span overflows slack buffer at {sw:?}:{port}"
             );
             inp.buf.push_back_run(
@@ -855,7 +891,7 @@ impl Network {
                 },
                 len,
             );
-            let crossed = !clear && inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop;
+            let crossed = !certified && inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop;
             if crossed {
                 inp.sent_stop = true;
             }
@@ -969,10 +1005,10 @@ mod tests {
     }
 
     /// host0 — sw0 — sw1 — host1 in per-byte mode (whose buffers *are* the
-    /// per-byte occupancy and which never marks anything), run until a
-    /// 2 000-byte worm's head sits in host1's adapter: its circuit is then
-    /// clear from host0's lane down. Returns that lane with the network.
-    fn midworm_net() -> (Network, ChanId, WormId) {
+    /// per-byte occupancy and which never marks anything), with a
+    /// 2 000-byte worm under way from host0 at time `at`. Returns host0's
+    /// lane with the network.
+    fn line_net(trunk_delay: SimTime, at: SimTime) -> (Network, ChanId, WormId) {
         use crate::engine::HostId;
         use crate::link::PortId;
         use crate::network::{FabricSpec, HostAttach, LinkSpec, NetworkConfig, RouteTable, SimMode};
@@ -988,7 +1024,7 @@ mod tests {
             links: vec![LinkSpec {
                 a: (0, PortId(0)),
                 b: (1, PortId(0)),
-                delay: 3,
+                delay: trunk_delay,
                 lanes: 0,
             }],
             host_link_delay: 1,
@@ -1008,9 +1044,21 @@ mod tests {
             created: 0,
         };
         let worm = net.inject_worm(HostId(0), SendSpec::data(&msg, HostId(1), WormKind::Unicast));
-        net.run_until(100);
+        net.run_until(at);
         let ch = net.adapters[0].chan_out.expect("host0 is attached");
         (net, ch, worm)
+    }
+
+    /// The head sits in host1's adapter: the circuit is clear from host0's
+    /// lane down.
+    fn midworm_net() -> (Network, ChanId, WormId) {
+        line_net(3, 100)
+    }
+
+    /// The head is still crossing a 40-byte-time trunk: the input behind
+    /// host0's lane is certain to drain for that long, and no longer.
+    fn head_on_trunk_net() -> (Network, ChanId, WormId) {
+        line_net(40, 20)
     }
 
     /// The lane after `ch` on the worm's circuit, and the input between.
@@ -1041,33 +1089,39 @@ mod tests {
         inp.buf.push_back_run(byte, u64::from(occupancy - inp.occupancy()));
     }
 
+    fn cert_of(net: &Network, s: SwitchId, p: usize) -> Option<(WormId, SimTime)> {
+        net.switches[s.0 as usize].inputs[p].drain_cert
+    }
+
     #[test]
     fn clear_circuit_is_granted_once_and_marks_every_input() {
         let (mut net, ch, worm) = midworm_net();
         // `q + 2 < stop_mark` still holds three below the mark.
         let mark = SlackCfg::for_delay(1).stop_mark;
         fill_to(&mut net, ch, mark - 3);
-        assert!(net.circuit_clear(ch, worm));
+        assert_eq!(net.drain_window(ch, worm), u64::MAX);
         let (s0, p0, mid) = next_hop(&net, ch);
         let (s1, p1, _) = next_hop(&net, mid);
         for (s, p) in [(s0, p0), (s1, p1)] {
-            assert_eq!(net.switches[s.0 as usize].inputs[p].clear_worm, Some(worm));
+            assert_eq!(cert_of(&net, s, p), Some((worm, SimTime::MAX)));
         }
         // A later kick stops at the first mark; another worm's id matches
         // nothing (ids never recur, so a stale mark is inert).
-        assert!(net.circuit_clear(ch, worm));
-        assert!(!net.circuit_clear(ch, WormId(worm.0 + 1)));
+        assert_eq!(net.drain_window(ch, worm), u64::MAX);
+        assert_eq!(net.drain_window(ch, WormId(worm.0 + 1)), 0);
     }
 
-    #[test]
-    fn anything_that_could_still_stop_the_worm_refuses_the_rule() {
+    /// Everything the walk reads, perturbed one at a time on `net_of()`:
+    /// each must leave nothing certain and nothing marked.
+    fn assert_refusals(net_of: fn() -> (Network, ChanId, WormId)) {
         let refused = |what: &str, perturb: &dyn Fn(&mut Network, ChanId)| {
-            let (mut net, ch, worm) = midworm_net();
-            perturb(&mut net, ch);
-            assert!(!net.circuit_clear(ch, worm), "{what} must refuse the rule");
+            let (mut net, ch, worm) = net_of();
             let (s, p, _) = next_hop(&net, ch);
+            perturb(&mut net, ch);
+            assert_eq!(net.drain_window(ch, worm), 0, "{what} must refuse the rule");
             assert_eq!(
-                net.switches[s.0 as usize].inputs[p].clear_worm, None,
+                cert_of(&net, s, p),
+                None,
                 "{what}: a refused walk marks nothing"
             );
         };
@@ -1081,8 +1135,7 @@ mod tests {
             net.lanes[mid.0 as usize].stop(now);
         });
         refused("a head still requesting its output", &|net, ch| {
-            let (_, _, mid) = next_hop(net, ch);
-            let dst = net.lane(mid).dst();
+            let dst = net.lane(ch).dst();
             let NodeRef::Switch(s) = dst.node else {
                 unreachable!()
             };
@@ -1106,6 +1159,90 @@ mod tests {
                 tag_to_worm: std::collections::HashMap::new(),
             });
         });
+    }
+
+    #[test]
+    fn anything_that_could_still_stop_the_worm_refuses_the_rule() {
+        assert_refusals(midworm_net);
+        assert_refusals(head_on_trunk_net);
+        // Downstream of the first input a failure only ends the window:
+        // with the second input's head still requesting, a 3-byte-time
+        // trunk leaves less than the first input needs.
+        let (mut net, ch, worm) = midworm_net();
+        let (_, _, mid) = next_hop(&net, ch);
+        let dst = net.lane(mid).dst();
+        let NodeRef::Switch(s) = dst.node else {
+            unreachable!()
+        };
+        let inp = &mut net.switches[s.0 as usize].inputs[dst.port.index()];
+        let InState::Forwarding { worm: w, out } = inp.state else {
+            unreachable!()
+        };
+        inp.state = InState::Requesting { worm: w, out };
+        assert_eq!(net.drain_window(ch, worm), 0);
+    }
+
+    #[test]
+    fn a_long_trunk_ahead_certifies_a_span_as_long_as_its_delay() {
+        let (mut net, ch, worm) = head_on_trunk_net();
+        let (s0, p0, trunk) = next_hop(&net, ch);
+        let dst = net.lane(trunk).dst();
+        let NodeRef::Switch(s1) = dst.node else {
+            unreachable!()
+        };
+        assert!(
+            matches!(
+                net.switches[s1.0 as usize].inputs[dst.port.index()].state,
+                InState::Idle
+            ),
+            "the head is still on the trunk"
+        );
+        // Per-byte buffers are the per-byte occupancy `q`.
+        let q = u64::from(net.switches[s0.0 as usize].inputs[p0].occupancy());
+        let wire = u64::from(net.lane(ch).in_flight());
+        assert_eq!(net.lane(trunk).delay(), 40);
+        assert_eq!(net.drain_window(ch, worm), 40 - 1 - wire - q - 3);
+        // The walk itself marks nothing on a finite window...
+        assert_eq!(cert_of(&net, s0, p0), None);
+        // ...the emission stamps the first input, and only it, until one
+        // past the last arrival slot of the span it sent.
+        net.cfg.mode = crate::network::SimMode::SpanBatched;
+        let t0 = net.scheduler.now();
+        net.run_until(t0 + 3);
+        let lane = net.lane(ch);
+        let sent = lane.delivered_end() - t0;
+        assert!(
+            sent > u64::from(SlackCfg::for_delay(1).stop_mark),
+            "one span beyond the slack"
+        );
+        assert_eq!(
+            cert_of(&net, s0, p0),
+            Some((worm, lane.delivered_end() + lane.delay()))
+        );
+        assert_eq!(cert_of(&net, s1, dst.port.index()), None);
+    }
+
+    #[test]
+    fn an_expired_certificate_no_longer_exempts() {
+        let mark = SlackCfg::for_delay(1).stop_mark;
+        let crossing = |until_from_now: SimTime| {
+            let (mut net, ch, worm) = midworm_net();
+            let (s, p, _) = next_hop(&net, ch);
+            fill_to(&mut net, ch, mark - 1);
+            let now = net.scheduler.now();
+            net.switches[s.0 as usize].inputs[p].drain_cert = Some((worm, now + until_from_now));
+            let byte = WireByte {
+                worm,
+                kind: ByteKind::Data,
+            };
+            net.switch_rx_byte(s, p as u8, byte);
+            net.switches[s.0 as usize].inputs[p].sent_stop
+        };
+        assert!(!crossing(1), "in force: the watermark test stands aside");
+        assert!(
+            crossing(0),
+            "expired: the byte that reaches the mark sends STOP"
+        );
     }
 
     #[test]

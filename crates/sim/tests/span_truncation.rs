@@ -16,7 +16,9 @@
 //! rest of the body goes out as one span per hop (DESIGN.md §3.1): the
 //! same lockstep comparison runs over spans thousands of bytes long, and
 //! an event count that does not grow with the worm pins that the rule
-//! actually fires.
+//! actually fires. Before that, a lane whose successors' control wires are
+//! empty may carry a span as long as their delay — the same comparison on
+//! 100- and 1 000-byte-time trunks.
 
 #![allow(clippy::needless_range_loop)] // index math mirrors ports
 
@@ -258,6 +260,50 @@ fn uncontended_worm_costs_the_same_events_at_any_length() {
         let mut spans = line_net(delay, SimMode::SpanBatched, 4_000, TraceConfig::Off, &[(0, 10)]);
         lockstep(&mut per_byte, &mut spans, 6_000, &format!("delay {delay}, one worm"));
         assert_eq!(deliveries(&spans).len(), 1, "delay {delay}: the worm arrives");
+    }
+}
+
+/// Trunks that take 1 000 byte-times to cross: a worm of a few hundred
+/// bytes is over before its head reaches the sink, so the clear-circuit
+/// case never helps it. The certified drain window does — the host link
+/// feeds a trunk whose control wire is known to be empty — and the worm
+/// costs a few dozen events, not one per eight bytes, at every horizon
+/// reading what per-byte reads.
+#[test]
+fn long_haul_worm_rides_the_drain_window_of_its_trunk() {
+    for len in [900u32, 3_000] {
+        let lone = |mode| line_net(1_000, mode, len, TraceConfig::Off, &[(0, 10)]);
+        let out = lone(SimMode::SpanBatched).run_until(40_000);
+        assert!(out.drained, "{len} bytes: a single worm drains");
+        let events = out.stats.events_scheduled;
+        assert!(events < 120, "{len} bytes: {events} events — no drain window opened");
+        lockstep(
+            &mut lone(SimMode::PerByte),
+            &mut lone(SimMode::SpanBatched),
+            8_000,
+            &format!("{len} bytes over 1000-byte-time trunks"),
+        );
+    }
+}
+
+/// The contention of `stop_mid_span_truncates_to_the_exact_byte` on long
+/// trunks: the loser's head blocks at sw1 while window-certified spans are
+/// on their way to it, and the STOP it raises must find every one of them
+/// already forwarded.
+#[test]
+fn drain_windows_close_before_the_stop_they_cannot_see() {
+    for delay in [100u64, 1_000] {
+        let mut per_byte = contention_net(delay, SimMode::PerByte, 2_500, TraceConfig::Memory);
+        let mut spans = contention_net(delay, SimMode::SpanBatched, 2_500, TraceConfig::Off);
+        lockstep(&mut per_byte, &mut spans, 20_000, &format!("delay {delay}"));
+        assert_eq!(deliveries(&spans).len(), 2, "delay {delay}: both worms arrive");
+        let stops = per_byte
+            .trace
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, TraceEvent::StopInForce { .. }))
+            .count();
+        assert!(stops > 0, "delay {delay}: no STOP raised");
     }
 }
 

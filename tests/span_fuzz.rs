@@ -3,22 +3,29 @@
 //!
 //! `span_equivalence.rs` pins per-byte ≡ span-batched on a handful of
 //! hand-picked fabrics; this file draws the fabric, the scheme, the load,
-//! the lane count and the worm-length distribution from a seed and runs
-//! the same harness on each draw (sorted deliveries, `NetStats` minus the
-//! event counters, raw JSONL byte for byte, traced ≡ untraced) plus "no
-//! deadlock verdict, either mode" — every fabric here routes up/down.
+//! the lane count, the worm-length distribution and the delay of the host
+//! links and of each trunk from a seed and runs the same harness on each
+//! draw (sorted deliveries, `NetStats` minus the event counters, raw JSONL
+//! byte for byte, traced ≡ untraced) plus "no deadlock verdict, either
+//! mode" — every fabric here routes up/down.
 //! Each case prints a one-line description before it runs; replay one
 //! with `FUZZ_SEED=<seed> FUZZ_CASES=1 cargo test --test span_fuzz`.
 //!
-//! It earns its keep: a tempting extension of the clear-circuit rule —
-//! "the rest of the worm fits below the receiver's mark, so never mind
-//! whether it drains" — diverges within a few dozen cases (ROADMAP, "Fewer
-//! events per byte").
+//! It earns its keep. A tempting *volume* rule for long links — "the rest
+//! of the worm fits below the receiver's mark, so never mind whether it
+//! drains" — diverges within a few dozen cases: a STOP already on the
+//! control wire halts the drain it counted on. The rule that replaced it
+//! asks for a *time* instead: how long the receiver is certain to keep
+//! draining, given that no STOP is in force or on the wire anywhere it
+//! looked (DESIGN.md §3.1, "certified drain window"). That rule lives
+//! where a short lane feeds a long one, so half the cases draw every
+//! trunk's delay separately and a quarter lengthen the host links.
 
 mod common;
 
 use common::assert_equivalent;
 use wormcast::topo::irregular::{irregular, IrregularSpec};
+use wormcast::topo::Topology;
 use wormcast_bench::fig10::figure_tree_scheme;
 use wormcast_bench::runner::SimSetup;
 use wormcast_bench::Scheme;
@@ -40,7 +47,28 @@ struct Case {
     load: f64,
     lanes: u8,
     mean: u32,
+    /// Delay of every host link.
+    host_delay: u64,
+    /// Generator each trunk draws its own delay from, or `None` for
+    /// `spec.link_delay` on every trunk.
+    trunks: Option<XorShift>,
 }
+
+/// The generator every draw of a case comes from.
+#[derive(Clone, Copy, Debug)]
+struct XorShift(u64);
+
+impl XorShift {
+    fn pick(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// What a trunk's delay is drawn from when trunks differ.
+const TRUNK_DELAYS: [u64; 7] = [1, 2, 3, 7, 20, 100, 300];
 
 const SCHEMES: [&str; 3] = ["s&f", "cut-through", "tree"];
 
@@ -48,7 +76,7 @@ impl std::fmt::Display for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "seed={} sw={} extra={} hps={} delay={} {} load={:.2} lanes={} mean={}",
+            "seed={} sw={} extra={} hps={} delay={} {} load={:.2} lanes={} mean={} host-delay={} trunks={}",
             self.seed,
             self.spec.num_switches,
             self.spec.extra_links,
@@ -57,7 +85,9 @@ impl std::fmt::Display for Case {
             SCHEMES[self.scheme],
             self.load,
             self.lanes,
-            self.mean
+            self.mean,
+            self.host_delay,
+            if self.trunks.is_some() { "mixed" } else { "uniform" }
         )
     }
 }
@@ -65,26 +95,38 @@ impl std::fmt::Display for Case {
 impl Case {
     /// Everything about the case follows from `seed` alone.
     fn draw(seed: u64) -> Case {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut pick = |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
+        let mut x = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         Case {
             seed,
             spec: IrregularSpec {
-                num_switches: 3 + pick(6) as usize,
-                extra_links: pick(5) as usize,
-                hosts_per_switch: 1 + pick(3) as usize,
-                link_delay: [1, 2, 3, 7, 20, 100][pick(6) as usize],
+                num_switches: 3 + x.pick(6) as usize,
+                extra_links: x.pick(5) as usize,
+                hosts_per_switch: 1 + x.pick(3) as usize,
+                link_delay: [1, 2, 3, 7, 20, 100][x.pick(6) as usize],
             },
-            scheme: pick(3) as usize,
-            load: (4 + pick(22)) as f64 / 100.0,
-            lanes: 1 + pick(2) as u8,
-            mean: [40, 400, 1500][pick(3) as usize],
+            scheme: x.pick(3) as usize,
+            load: (4 + x.pick(22)) as f64 / 100.0,
+            lanes: 1 + x.pick(2) as u8,
+            mean: [40, 400, 1500][x.pick(3) as usize],
+            // Drawn last, so that a seed keeps the fabric, scheme, load,
+            // lanes and worm length it had before these two existed.
+            host_delay: [1, 1, 2, 5][x.pick(4) as usize],
+            trunks: (x.pick(2) == 1).then_some(x),
         }
+    }
+
+    /// The drawn fabric: `irregular`'s switch graph, with the host links
+    /// and (on half the cases) each trunk given its own delay — a short
+    /// lane feeding a long one is where a drain window opens.
+    fn topology(&self) -> Topology {
+        let mut topo = irregular(self.spec, self.seed);
+        topo.host_link_delay = self.host_delay;
+        if let Some(mut x) = self.trunks {
+            for link in &mut topo.links {
+                link.delay = TRUNK_DELAYS[x.pick(TRUNK_DELAYS.len() as u64) as usize];
+            }
+        }
+        topo
     }
 
     fn setup(&self) -> SimSetup {
@@ -106,7 +148,7 @@ impl Case {
         // in 12 000 byte-times; stretch the window until ~16 messages are
         // expected, so that no case passes vacuously.
         let measure = (16.0 * self.mean as f64 / (self.load * hosts as f64)) as u64;
-        SimSetup::builder(irregular(self.spec, self.seed), groups, scheme, workload)
+        SimSetup::builder(self.topology(), groups, scheme, workload)
             .seed(self.seed)
             .lanes(self.lanes)
             .windows(2_000, measure.max(12_000), 10_000)
