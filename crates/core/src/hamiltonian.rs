@@ -24,6 +24,7 @@
 
 use crate::group::Membership;
 use crate::reliable::{Reliability, ReliableFwd};
+use crate::sequencer::Sequencer;
 use std::collections::HashSet;
 use std::sync::Arc;
 use wormcast_sim::engine::HostId;
@@ -77,20 +78,12 @@ pub struct HcProtocol {
     cfg: HcConfig,
     groups: Arc<Membership>,
     fwd: ReliableFwd,
-    /// Per-group sequence counter (serialized mode; meaningful only at the
-    /// lowest-ID member).
-    seq: std::collections::HashMap<u8, u32>,
+    /// Serialized mode: the stamps (at the lowest-ID member) and the
+    /// in-order delivery they make possible.
+    order: Sequencer,
     /// Worms already forwarded at header time (cut-through), so the
     /// receive-complete handler does not forward them again.
     forwarded_at_header: HashSet<WormId>,
-    /// Serialized mode: next sequence number to deliver, per group.
-    /// Retransmissions can overtake each other on the circuit, so local
-    /// delivery holds out-of-order arrivals until the gap closes.
-    next_deliver: std::collections::HashMap<u8, u32>,
-    /// Out-of-order arrivals awaiting delivery: seq -> message (None for
-    /// our own message coming around, which advances the cursor without a
-    /// local delivery).
-    pending_deliver: std::collections::HashMap<u8, std::collections::BTreeMap<u32, Option<wormcast_sim::worm::MessageId>>>,
     /// Confirmations observed (return-to-origin mode).
     pub confirmed: u64,
 }
@@ -102,41 +95,9 @@ impl HcProtocol {
             cfg,
             groups,
             fwd: ReliableFwd::new(cfg.reliability),
-            seq: std::collections::HashMap::new(),
+            order: Sequencer::default(),
             forwarded_at_header: HashSet::new(),
-            next_deliver: std::collections::HashMap::new(),
-            pending_deliver: std::collections::HashMap::new(),
             confirmed: 0,
-        }
-    }
-
-    /// Deliver respecting the serializer's sequence numbers (total
-    /// ordering survives retransmission reordering). Unserialized worms
-    /// (seq 0) deliver immediately.
-    fn deliver_in_order(
-        &mut self,
-        ctx: &mut ProtocolCtx,
-        group: u8,
-        seq: u32,
-        msg: Option<wormcast_sim::worm::MessageId>,
-    ) {
-        if seq == 0 {
-            if let Some(m) = msg {
-                ctx.deliver_local(m);
-            }
-            return;
-        }
-        let next = self.next_deliver.entry(group).or_insert(1);
-        if seq < *next {
-            return; // stale duplicate
-        }
-        let pending = self.pending_deliver.entry(group).or_default();
-        pending.insert(seq, msg);
-        while let Some(entry) = pending.remove(&*next) {
-            if let Some(m) = entry {
-                ctx.deliver_local(m);
-            }
-            *next += 1;
         }
     }
 
@@ -187,9 +148,7 @@ impl HcProtocol {
                 return;
             }
             // We are the serializer: stamp the sequence and circulate.
-            let seq = self.seq.entry(group).or_insert(0);
-            *seq += 1;
-            let seq = *seq;
+            let seq = self.order.stamp(group);
             self.circulate_new(ctx, msg, group, seq);
         } else {
             self.circulate_new(ctx, msg, group, 0);
@@ -244,10 +203,11 @@ impl HcProtocol {
         // Deliver locally unless this is the origin's own message coming
         // back around (which still advances the sequence cursor).
         if worm.meta.origin != self.host {
-            self.deliver_in_order(ctx, group, worm.meta.seq, Some(worm.meta.msg));
+            self.order
+                .deliver_in_order(ctx, group, worm.meta.seq, Some(worm.meta.msg));
         } else {
             self.confirmed += 1;
-            self.deliver_in_order(ctx, group, worm.meta.seq, None);
+            self.order.deliver_in_order(ctx, group, worm.meta.seq, None);
         }
         if !self.forwarded_at_header.remove(&worm.id) {
             if let Some(spec) = self.forward_spec(worm, group) {
@@ -270,9 +230,7 @@ impl HcProtocol {
         if self.groups.is_member(group, self.host) {
             ctx.deliver_local(worm.meta.msg);
         }
-        let seq = self.seq.entry(group).or_insert(0);
-        *seq += 1;
-        let seq = *seq;
+        let seq = self.order.stamp(group);
         let members = self.groups.members(group);
         let n = members.len();
         // Everybody but us receives from the circulation (the origin is

@@ -31,6 +31,7 @@ pub mod ipmap;
 pub mod manager;
 pub mod ordering;
 pub mod reliable;
+mod sequencer;
 pub mod switchcast;
 pub mod tags;
 pub mod tree;

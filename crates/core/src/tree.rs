@@ -23,6 +23,7 @@
 //! the reassembled buffer — exactly the behaviour the paper describes.
 
 use crate::reliable::{Reliability, ReliableFwd};
+use crate::sequencer::Sequencer;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use wormcast_sim::engine::HostId;
@@ -74,12 +75,9 @@ pub struct TreeProtocol {
     cfg: TreeConfig,
     trees: Arc<HashMap<u8, MulticastTree>>,
     fwd: ReliableFwd,
-    /// Root-side per-group sequence numbers (RootSerialized).
-    seq: HashMap<u8, u32>,
-    /// Receiver-side sequence cursors and reorder buffers (RootSerialized
-    /// total ordering survives retransmission reordering).
-    next_deliver: HashMap<u8, u32>,
-    pending_deliver: HashMap<u8, std::collections::BTreeMap<u32, Option<wormcast_sim::worm::MessageId>>>,
+    /// RootSerialized: the stamps (at the root) and the in-order delivery
+    /// they make possible.
+    order: Sequencer,
     /// Worms whose first-child copy was already issued at header time.
     forwarded_at_header: HashSet<WormId>,
 }
@@ -95,38 +93,8 @@ impl TreeProtocol {
             cfg,
             trees,
             fwd: ReliableFwd::new(cfg.reliability),
-            seq: HashMap::new(),
-            next_deliver: HashMap::new(),
-            pending_deliver: HashMap::new(),
+            order: Sequencer::default(),
             forwarded_at_header: HashSet::new(),
-        }
-    }
-
-    /// Sequence-ordered local delivery (see the Hamiltonian twin).
-    fn deliver_in_order(
-        &mut self,
-        ctx: &mut ProtocolCtx,
-        group: u8,
-        seq: u32,
-        msg: Option<wormcast_sim::worm::MessageId>,
-    ) {
-        if seq == 0 {
-            if let Some(m) = msg {
-                ctx.deliver_local(m);
-            }
-            return;
-        }
-        let next = self.next_deliver.entry(group).or_insert(1);
-        if seq < *next {
-            return;
-        }
-        let pending = self.pending_deliver.entry(group).or_default();
-        pending.insert(seq, msg);
-        while let Some(entry) = pending.remove(&*next) {
-            if let Some(m) = entry {
-                ctx.deliver_local(m);
-            }
-            *next += 1;
         }
     }
 
@@ -191,9 +159,7 @@ impl TreeProtocol {
         match self.cfg.mode {
             TreeMode::RootSerialized => {
                 if self.host == tree.root() {
-                    let seq = self.seq.entry(group).or_insert(0);
-                    *seq += 1;
-                    let seq = *seq;
+                    let seq = self.order.stamp(group);
                     for &c in tree.children(self.host) {
                         let mut spec = SendSpec::data(msg, c, WormKind::Multicast { group });
                         spec.stage = STAGE_DESCEND;
@@ -248,9 +214,7 @@ impl TreeProtocol {
                 if worm.meta.origin != self.host {
                     ctx.deliver_local(worm.meta.msg);
                 }
-                let seq = self.seq.entry(group).or_insert(0);
-                *seq += 1;
-                let seq = *seq;
+                let seq = self.order.stamp(group);
                 for mut spec in self.descend_specs(worm, group, false) {
                     spec.stage = STAGE_DESCEND;
                     spec.seq = seq;
@@ -259,11 +223,10 @@ impl TreeProtocol {
                 self.fwd.done_receiving(worm.meta.msg);
             }
             (TreeMode::RootSerialized, _) => {
-                if worm.meta.origin != self.host {
-                    self.deliver_in_order(ctx, group, worm.meta.seq, Some(worm.meta.msg));
-                } else {
-                    self.deliver_in_order(ctx, group, worm.meta.seq, None);
-                }
+                // The origin's own message coming back only advances the
+                // cursor.
+                let msg = (worm.meta.origin != self.host).then_some(worm.meta.msg);
+                self.order.deliver_in_order(ctx, group, worm.meta.seq, msg);
                 let skip_first = self.forwarded_at_header.remove(&worm.id);
                 for spec in self.descend_specs(worm, group, skip_first) {
                     self.fwd.forward(ctx, spec, Some(worm.meta.msg));

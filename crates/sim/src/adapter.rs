@@ -206,8 +206,21 @@ impl Network {
         }
     }
 
-    /// A byte arrived at the adapter from its switch.
-    pub(crate) fn adapter_rx_byte(&mut self, host: HostId, byte: WireByte) {
+    /// `len` copies of `byte` arrived at the adapter from its switch: one
+    /// byte, or the data run of a span (span-batched mode), credited in one
+    /// event. That is byte-exact because every reader of the reception
+    /// progress (the cut-through transmit pacing) moves at one byte per
+    /// byte-time itself and so can never overtake the per-byte arrival
+    /// slots the credit stands for.
+    pub(crate) fn adapter_rx(&mut self, host: HostId, byte: WireByte, len: u64) {
+        debug_assert!(
+            len == 1
+                || matches!(
+                    self.adapters[host.0 as usize].rx,
+                    RxState::Receiving { worm, .. } | RxState::Dropping { worm } if worm == byte.worm
+                ),
+            "span delivered to adapter {host:?} outside its worm: emission guard failed"
+        );
         // IDLE fill bytes are holes in a stalled multicast worm; the
         // interface discards them.
         if matches!(byte.kind, ByteKind::Idle) {
@@ -279,13 +292,13 @@ impl Network {
             RxAction::Accumulate(worm) => {
                 let a = &mut self.adapters[host.0 as usize];
                 if let RxState::Receiving { body_got, .. } = &mut a.rx {
-                    *body_got += 1;
+                    *body_got += len;
                 }
                 if let Some(g) = a.rx_body_got.get_mut(worm) {
                     // u64::MAX marks "fully received" and must stay sticky.
-                    *g = g.saturating_add(1);
+                    *g = g.saturating_add(len);
                 }
-                a.counters.bytes_received += 1;
+                a.counters.bytes_received += len;
                 self.adapter_kick_followers(host);
             }
             RxAction::Complete(worm) => {
@@ -366,7 +379,7 @@ impl Network {
                         a.rx = RxState::Receiving { worm, body_got };
                         if done {
                             // Re-dispatch as a completion.
-                            self.adapter_rx_byte(host, byte);
+                            self.adapter_rx(host, byte, 1);
                         } else {
                             a.parked.insert(worm, body_got);
                             a.rx = RxState::Idle;
@@ -400,7 +413,7 @@ impl Network {
                 }
             }
             RxAction::DropByte => {
-                self.adapters[host.0 as usize].counters.bytes_refused += 1;
+                self.adapters[host.0 as usize].counters.bytes_refused += len;
             }
             RxAction::DropComplete(worm) => {
                 {
@@ -413,76 +426,6 @@ impl Network {
                 self.stats.active_worms -= 1;
                 self.stats.worms_refused += 1;
             }
-        }
-    }
-
-    /// Span fast-path probe for an adapter's outgoing channel: how many body
-    /// bytes of the head worm are unconditionally ready. Route symbols and
-    /// the tail stay per-byte (they drive switch parsing and completion),
-    /// and a cut-through follower of a still-arriving worm is paced by the
-    /// per-byte arrival stream, so only a fully-available body batches.
-    pub(crate) fn adapter_span_ready(&self, host: HostId) -> Option<(WormId, u64)> {
-        let a = &self.adapters[host.0 as usize];
-        let head = a.tx_queue.front()?;
-        let inst = &self.worms[head.worm.0 as usize];
-        if head.route_sent < inst.route.len() {
-            return None;
-        }
-        let body_left = inst.body_len().saturating_sub(head.body_sent);
-        if body_left == 0 {
-            return None;
-        }
-        if let Some(src) = head.follow {
-            if a.rx_body_got.get(src) != Some(u64::MAX) {
-                return None;
-            }
-        }
-        Some((head.worm, body_left))
-    }
-
-    /// Span fast-path check for a receiving adapter: the adapter never
-    /// backpressures, so any amount fits — but only mid-worm, once the
-    /// admission decision (taken on the first body byte) is behind us.
-    pub(crate) fn adapter_span_room(&self, host: HostId, worm: WormId) -> Option<u64> {
-        let a = &self.adapters[host.0 as usize];
-        match a.rx {
-            RxState::Receiving { worm: w, .. } if w == worm => Some(u64::MAX),
-            RxState::Dropping { worm: w } if w == worm => Some(u64::MAX),
-            _ => None,
-        }
-    }
-
-    /// A batched run of `len` body bytes of `worm` arrived (span-batched
-    /// mode). Credits the whole run in one event; this is byte-exact because
-    /// every reader of the reception progress (the cut-through transmit
-    /// pacing) moves at one byte per byte-time itself and so can never
-    /// overtake the per-byte arrival slots the credit stands for.
-    pub(crate) fn adapter_rx_span(&mut self, host: HostId, worm: WormId, len: u64) {
-        let refused = {
-            let a = &mut self.adapters[host.0 as usize];
-            match &mut a.rx {
-                RxState::Receiving { worm: w, body_got } => {
-                    debug_assert_eq!(*w, worm, "span for a worm not being received");
-                    *body_got += len;
-                    if let Some(g) = a.rx_body_got.get_mut(worm) {
-                        // u64::MAX (fully received) stays sticky.
-                        *g = g.saturating_add(len);
-                    }
-                    a.counters.bytes_received += len;
-                    false
-                }
-                RxState::Dropping { worm: w } => {
-                    debug_assert_eq!(*w, worm, "span for a worm not being dropped");
-                    a.counters.bytes_refused += len;
-                    true
-                }
-                RxState::Idle => unreachable!(
-                    "span delivered to idle adapter {host:?}: emission guard failed"
-                ),
-            }
-        };
-        if !refused {
-            self.adapter_kick_followers(host);
         }
     }
 

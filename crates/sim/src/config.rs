@@ -1,10 +1,9 @@
 //! Validating configuration builders.
 //!
-//! [`NetworkConfig`] used to be assembled by struct-literal field poking,
-//! with invariants enforced by scattered panicking asserts. The builder is
-//! now the single construction path: every knob is set through a method,
-//! [`NetworkConfigBuilder::build`] validates the whole configuration, and
-//! violations come back as a typed [`ConfigError`] instead of an abort.
+//! Every knob of a [`NetworkConfig`] is set through a builder method,
+//! [`NetworkConfigBuilder::build`] checks the whole configuration with
+//! [`NetworkConfig::validate`], and violations come back as a typed
+//! [`ConfigError`] instead of an abort.
 
 use crate::fault::FaultConfig;
 use crate::network::{NetworkConfig, SimMode};
@@ -130,8 +129,7 @@ impl NetworkConfigBuilder {
     }
 
     /// Lanes per switch-to-switch link (virtual channels). 1 — the
-    /// default — reproduces the paper's single-lane Myrinet byte-for-byte;
-    /// individual links can override via [`crate::network::LinkSpec::lanes`].
+    /// default — reproduces the paper's single-lane Myrinet byte-for-byte.
     pub fn lanes(mut self, lanes: u8) -> Self {
         self.cfg.lanes = lanes;
         self
@@ -139,8 +137,22 @@ impl NetworkConfigBuilder {
 
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<NetworkConfig, ConfigError> {
-        let cfg = self.cfg;
-        if cfg.lanes == 0 {
+        self.cfg.validate()?;
+        Ok(self.cfg)
+    }
+}
+
+impl NetworkConfig {
+    /// Start building a configuration from the defaults.
+    pub fn builder() -> NetworkConfigBuilder {
+        NetworkConfigBuilder::default()
+    }
+
+    /// Check every invariant among the knobs. The builder and
+    /// [`crate::network::Network::try_build`] (which also takes
+    /// hand-assembled configurations) both call this.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.lanes == 0 {
             return Err(ConfigError::OutOfRange {
                 field: "lanes",
                 value: 0.0,
@@ -148,21 +160,21 @@ impl NetworkConfigBuilder {
                 max: u8::MAX as f64,
             });
         }
-        if cfg.lanes > 1 && cfg.switchcast != SwitchcastMode::Off {
+        if self.lanes > 1 && self.switchcast != SwitchcastMode::Off {
             return Err(ConfigError::Invalid {
                 field: "lanes",
                 reason: "switch-level multicast requires single-lane links".into(),
             });
         }
-        if !(0.0..=1.0).contains(&cfg.corrupt_prob) {
+        if !(0.0..=1.0).contains(&self.corrupt_prob) {
             return Err(ConfigError::OutOfRange {
                 field: "corrupt_prob",
-                value: cfg.corrupt_prob,
+                value: self.corrupt_prob,
                 min: 0.0,
                 max: 1.0,
             });
         }
-        if cfg.header_len == 0 {
+        if self.header_len == 0 {
             return Err(ConfigError::OutOfRange {
                 field: "header_len",
                 value: 0.0,
@@ -170,13 +182,13 @@ impl NetworkConfigBuilder {
                 max: u32::MAX as f64,
             });
         }
-        if let Some(slack) = &cfg.slack {
+        if let Some(slack) = &self.slack {
             slack.validate().map_err(|reason| ConfigError::Invalid {
                 field: "slack",
                 reason,
             })?;
         }
-        if let TraceConfig::Ring { capacity } = cfg.trace {
+        if let TraceConfig::Ring { capacity } = self.trace {
             if capacity == 0 {
                 return Err(ConfigError::OutOfRange {
                     field: "trace ring capacity",
@@ -186,14 +198,7 @@ impl NetworkConfigBuilder {
                 });
             }
         }
-        Ok(cfg)
-    }
-}
-
-impl NetworkConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> NetworkConfigBuilder {
-        NetworkConfigBuilder::default()
+        Ok(())
     }
 }
 

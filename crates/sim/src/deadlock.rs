@@ -181,134 +181,6 @@ fn stop_holds(lane: &Lane, far: Option<&Lane>) -> bool {
     lane.is_stopped() && lane.ctrl_in_flight() + far.map_or(0, Lane::ctrl_in_flight) == 0
 }
 
-/// Identify the entity currently *producing* bytes into a switch input port:
-/// the upstream output's owner input, or the upstream host.
-fn upstream_producer(net: &Network, sw: SwitchId, port: u8) -> Option<(WaitNode, ChanId)> {
-    let ch = net.switches[sw.0 as usize].inputs[port as usize].chan_in?;
-    let src = net.lane(ch).src();
-    match src.node {
-        NodeRef::Host(h) => Some((WaitNode::HostTx(h), ch)),
-        NodeRef::Switch(up) => {
-            let owner = net.switches[up.0 as usize].outputs[src.port.index()].owner?;
-            Some((WaitNode::SwitchIn(up, owner), ch))
-        }
-    }
-}
-
-/// Build the annotated wait-for edge list of the current network state —
-/// the forensics view the watchdog dumps when it trips.
-pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
-    let mut edges: Vec<WaitEdge> = Vec::new();
-    let mut push = |net: &Network, from: WaitNode, to: WaitNode, worm: Option<WormId>, cause| {
-        edges.push(WaitEdge {
-            from,
-            to,
-            worm,
-            holds: node_worm(net, to),
-            cause,
-        });
-    };
-    for sw in &net.switches {
-        for (pi, inp) in sw.inputs.iter().enumerate() {
-            let me = WaitNode::SwitchIn(sw.id, pi as u8);
-            match &inp.state {
-                InState::Idle | InState::Draining { .. } => {}
-                InState::Requesting { out, worm } => {
-                    // `out` is the physical port; the head waits on every
-                    // lane's current owner (any one freeing unblocks it).
-                    for slot in sw.slots_of(*out) {
-                        if let Some(owner) = sw.outputs[slot].owner {
-                            push(
-                                net,
-                                me,
-                                WaitNode::SwitchIn(sw.id, owner),
-                                Some(*worm),
-                                WaitCause::OutputHeldBy {
-                                    switch: sw.id,
-                                    out: *out,
-                                },
-                            );
-                        }
-                    }
-                }
-                InState::Forwarding { out, worm } => {
-                    if let Some(ch) = sw.outputs[*out as usize].chan_out {
-                        if stop_holds(net.lane(ch), None) {
-                            let dst = net.lane(ch).dst();
-                            if let NodeRef::Switch(down) = dst.node {
-                                push(
-                                    net,
-                                    me,
-                                    WaitNode::SwitchIn(down, dst.port.0),
-                                    Some(*worm),
-                                    WaitCause::StoppedDownstream { ch },
-                                );
-                            }
-                        }
-                    }
-                    // Starved (hole in the worm): wait on upstream producer.
-                    let starved = match inp.buf.front() {
-                        None => true,
-                        Some(front) => front.worm != *worm,
-                    };
-                    if starved {
-                        if let Some((up, ch)) = upstream_producer(net, sw.id, pi as u8) {
-                            if net.lane(ch).in_flight() == 0 {
-                                push(net, me, up, Some(*worm), WaitCause::StarvedUpstream { ch });
-                            }
-                        }
-                    }
-                }
-                InState::Replicating(rep) => {
-                    // Any stopped branch blocks the replica.
-                    for b in &rep.branches {
-                        if let Some(ch) = sw.outputs[b.out as usize].chan_out {
-                            if stop_holds(net.lane(ch), None) {
-                                let dst = net.lane(ch).dst();
-                                if let NodeRef::Switch(down) = dst.node {
-                                    push(
-                                        net,
-                                        me,
-                                        WaitNode::SwitchIn(down, dst.port.0),
-                                        Some(rep.worm),
-                                        WaitCause::BranchStopped { ch },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for a in &net.adapters {
-        let Some(head) = a.tx_queue.front() else {
-            continue;
-        };
-        if let Some(ch) = a.chan_out {
-            let c = net.lane(ch);
-            if stop_holds(c, None) {
-                if let NodeRef::Switch(sw) = c.dst().node {
-                    push(
-                        net,
-                        WaitNode::HostTx(a.id),
-                        WaitNode::SwitchIn(sw, c.dst().port.0),
-                        Some(head.worm),
-                        WaitCause::HostLinkStopped { ch },
-                    );
-                }
-            }
-        }
-    }
-    edges
-}
-
-/// Build the wait-for graph of the current network state (the adjacency
-/// view of [`wait_edges`]).
-pub fn wait_graph(net: &Network) -> HashMap<WaitNode, Vec<WaitNode>> {
-    graph_from_edges(&wait_edges(net))
-}
-
 /// Collapse an edge list into the adjacency map [`find_cycle`] consumes.
 pub fn graph_from_edges(edges: &[WaitEdge]) -> HashMap<WaitNode, Vec<WaitNode>> {
     let mut g: HashMap<WaitNode, Vec<WaitNode>> = HashMap::new();
@@ -370,15 +242,24 @@ pub fn find_cycle(g: &HashMap<WaitNode, Vec<WaitNode>>) -> Option<Vec<WaitNode>>
     None
 }
 
+/// Ownership tables of a one-engine run: engine 0 owns every switch and
+/// every host.
+fn sole_owner(net: &Network) -> (Vec<u32>, Vec<u32>) {
+    (vec![0; net.switches.len()], vec![0; net.adapters.len()])
+}
+
+/// Build the annotated wait-for edge list of the current network state —
+/// the forensics view the watchdog dumps when it trips. The one-engine
+/// case of [`wait_edges_multi`]; worm ids are the engine's own.
+pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
+    let (switch_owner, host_owner) = sole_owner(net);
+    wait_edges_multi(std::slice::from_ref(net), &switch_owner, &host_owner)
+}
+
 /// Analyze a network snapshot for a deadlock cycle. `Some` only when a
 /// genuine wait cycle exists (overload alone is not deadlock).
 pub fn analyze(net: &Network) -> Option<DeadlockReport> {
-    let report = forensics(net);
-    if report.cycle.is_empty() {
-        None
-    } else {
-        Some(report)
-    }
+    Some(forensics(net)).filter(|report| !report.cycle.is_empty())
 }
 
 /// Unconditional forensics snapshot: the full annotated wait-for graph, a
@@ -386,28 +267,24 @@ pub fn analyze(net: &Network) -> Option<DeadlockReport> {
 /// in protocol state rather than fabric state), and the outstanding-worm
 /// count. The watchdog and the drained-queue deadlock check dump this.
 pub fn forensics(net: &Network) -> DeadlockReport {
-    let edges = wait_edges(net);
-    let cycle = find_cycle(&graph_from_edges(&edges)).unwrap_or_default();
-    DeadlockReport {
-        cycle,
-        stuck_worms: net.stats.active_worms.max(0) as u64,
-        edges,
-    }
+    let (switch_owner, host_owner) = sole_owner(net);
+    forensics_multi(std::slice::from_ref(net), &switch_owner, &host_owner)
 }
 
 // ---------------------------------------------------------------------------
-// Sharded (multi-engine) aggregation
+// The walk, over the engines of one run
 // ---------------------------------------------------------------------------
 
-/// Build the merged wait-for edge list across the shard engines of one
-/// sharded run. Each shard walks its *owned* switches and adapters using
-/// its own (authoritative) state; whenever an edge's far side — the
-/// downstream input a STOP points at, the upstream producer of a starved
-/// worm, the holder of a contended output — lives in another shard, that
-/// shard's engine is consulted instead of the local idle mirror. Worm ids
-/// in the result are canonical *across* shards: each distinct worm tag is
-/// assigned a dense id in tag order, so the same worm blocked in one
-/// shard and holding a resource in another carries one name.
+/// Build the wait-for edge list across the engines of one run: the shard
+/// engines of a sharded run, or the one engine of a sequential run. Each
+/// engine walks its *owned* switches and adapters using its own
+/// (authoritative) state; whenever an edge's far side — the downstream
+/// input a STOP points at, the upstream producer of a starved worm, the
+/// holder of a contended output — lives in another shard, that shard's
+/// engine is consulted instead of the local idle mirror. With several
+/// engines the worm ids in the result are canonical *across* shards: each
+/// distinct worm tag is assigned a dense id in tag order, so the same worm
+/// blocked in one shard and holding a resource in another carries one name.
 pub fn wait_edges_multi(
     nets: &[Network],
     switch_owner: &[u32],
@@ -589,23 +466,25 @@ pub fn wait_edges_multi(
         }
     }
 
-    // Canonicalize worm names: every shard holds the worm under its own
-    // dense local id, but all of them know its globally unique tag.
-    // Dense-rank the tags so the report names each worm once, stably.
+    // Canonicalize worm names. One engine's dense ids name each worm once
+    // already and stay as they are. Several engines each hold the worm
+    // under their own dense local id, but all of them know its globally
+    // unique tag: dense-rank the tags so the report names each worm once,
+    // stably.
     let tag_of = |(s, w): (usize, WormId)| -> u64 {
         nets[s]
             .worm_tag(w)
             .unwrap_or(((s as u64) << 50) | w.0 as u64)
     };
-    let mut tags: Vec<u64> = raw
-        .iter()
-        .flat_map(|e| e.worm.into_iter().chain(e.holds))
-        .map(tag_of)
-        .collect();
+    let named = raw.iter().flat_map(|e| e.worm.into_iter().chain(e.holds));
+    let mut tags: Vec<u64> = named.map(tag_of).collect();
     tags.sort_unstable();
     tags.dedup();
     let canon = |o: Option<(usize, WormId)>| -> Option<WormId> {
         o.map(|sw| {
+            if nets.len() == 1 {
+                return sw.1;
+            }
             let rank = tags.binary_search(&tag_of(sw)).expect("tag collected");
             WormId(rank as u32)
         })
@@ -621,8 +500,7 @@ pub fn wait_edges_multi(
         .collect()
 }
 
-/// Unconditional merged forensics for a sharded run (the multi-engine
-/// analogue of [`forensics`]).
+/// [`forensics`] over the engines of one run.
 pub fn forensics_multi(
     nets: &[Network],
     switch_owner: &[u32],
@@ -653,12 +531,7 @@ pub fn analyze_multi(
     switch_owner: &[u32],
     host_owner: &[u32],
 ) -> Option<DeadlockReport> {
-    let report = forensics_multi(nets, switch_owner, host_owner);
-    if report.cycle.is_empty() {
-        None
-    } else {
-        Some(report)
-    }
+    Some(forensics_multi(nets, switch_owner, host_owner)).filter(|report| !report.cycle.is_empty())
 }
 
 #[cfg(test)]

@@ -16,18 +16,17 @@ pub struct SwitchId(pub u32);
 
 /// A control symbol travelling on the reverse channel of a link.
 ///
-/// `Stop`/`Go` implement the backpressure protocol of the paper's Figure 1.
-/// `BackwardReset` is the Myrinet `BRES` symbol, used by the switch-level
-/// "multicast-IDLE flush" scheme to evict a blocked unicast worm.
-///
-/// These three are the only symbols a link carries. The sharded span
-/// protocol (DESIGN.md §3.4) adds none: a cut link's receive side
-/// truncates and admits-or-expands optimistic spans on its own.
+/// `Stop`/`Go` implement the backpressure protocol of the paper's Figure 1
+/// and are the only symbols a link carries. The Myrinet `BRES` (Backward
+/// Reset) of the switch-level "multicast-IDLE flush" scheme is not one of
+/// them: `Network::flush_worm` performs that walk synchronously. The
+/// sharded span protocol (DESIGN.md §3.4) adds none either: a cut link's
+/// receive side truncates and admits-or-expands optimistic spans on its
+/// own.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CtrlSym {
     Stop,
     Go,
-    BackwardReset,
 }
 
 /// Every event the simulator processes.

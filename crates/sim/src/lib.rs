@@ -33,13 +33,16 @@ pub mod adapter;
 pub mod config;
 pub mod deadlock;
 pub mod engine;
+pub mod fabric;
 pub mod fault;
+pub mod host;
 pub mod link;
 pub mod network;
 pub mod protocol;
 pub mod shard;
 pub mod slab;
 pub mod slackbuf;
+pub mod span;
 pub mod switch;
 pub mod switchcast;
 pub mod time;

@@ -664,7 +664,7 @@ impl<'a> TxPort<'a> {
             TxPayload::Span { worm, len } => {
                 // Spans cross shard boundaries with `count_in_flight` true:
                 // the transmit-side copy tracks wire occupancy until the
-                // end-of-transmission retirement event (network.rs).
+                // end-of-transmission retirement event (`handle_rx_span`).
                 l.in_flight += len as u32;
                 l.bytes_carried += len;
                 l.next_tx_time = now + len;
@@ -839,11 +839,13 @@ impl SeededRoundRobin {
     /// that `free` accepts, or `None` when every lane is busy. Advances
     /// the cursor past the pick.
     pub fn pick(&mut self, num_lanes: u8, free: impl Fn(u8) -> bool) -> Option<u8> {
-        let n = num_lanes.max(1);
+        // The seeded cursor starts anywhere below 251: `next + step` needs
+        // `u16` (as in `PortArb::arbitrate`).
+        let n = u16::from(num_lanes.max(1));
         let lane = (0..n)
-            .map(|step| self.next.wrapping_add(step) % n)
+            .map(|step| ((u16::from(self.next) + step) % n) as u8)
             .find(|&lane| free(lane))?;
-        self.next = (lane + 1) % n;
+        self.next = ((u16::from(lane) + 1) % n) as u8;
         Some(lane)
     }
 }
@@ -991,5 +993,23 @@ mod tests {
         assert_eq!(arb.pick(3, |lane| lane == 2), Some(2));
         assert_eq!(arb.pick(3, |_| true), Some(0));
         assert_eq!(arb.pick(3, |_| false), None);
+    }
+
+    /// Whatever the seed, a port's one free lane is found: with seven or
+    /// more lanes the seeded cursor plus the scan step passes 255.
+    #[test]
+    fn round_robin_arbiter_finds_the_one_free_lane_from_any_seed() {
+        for seed in 0..251u64 {
+            for n in 1..=16u8 {
+                for only in 0..n {
+                    let mut arb = SeededRoundRobin::new(seed);
+                    assert_eq!(
+                        arb.pick(n, |lane| lane == only),
+                        Some(only),
+                        "seed {seed}, {n} lanes"
+                    );
+                }
+            }
+        }
     }
 }

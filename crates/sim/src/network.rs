@@ -1,87 +1,29 @@
-//! The network: fabric construction, the event loop, and protocol dispatch.
+//! The network: its state, the event loop, channel transmit/receive and
+//! flow control, and the conservation audit.
+//!
+//! The layers around it are `impl Network` blocks in their own modules,
+//! each reached from here through single calls: [`crate::fabric`] builds
+//! the network, [`crate::span`] holds every span rule, [`crate::host`]
+//! the protocol and injection glue, [`crate::shard`] everything that
+//! crosses a shard boundary; [`crate::switch`], [`crate::adapter`] and
+//! [`crate::switchcast`] are the nodes themselves.
 
-use crate::adapter::{Adapter, TxWorm};
-use crate::config::ConfigError;
+use crate::adapter::Adapter;
 use crate::deadlock::DeadlockReport;
-use crate::engine::{CtrlSym, Event, HostId, Scheduler, SwitchId};
-use crate::link::{
-    ChanId, Endpoint, ForeignRun, Lane, Link, LinkId, NodeRef, PortId, RxPort,
-    SpanInFlight, TxPayload, TxPort,
-};
-use crate::protocol::{
-    Admission, AdapterProtocol, AppMessage, Command, Destination, ProtocolCtx, SendSpec,
-    TrafficSource,
-};
+use crate::engine::{CtrlSym, Event, HostId, Scheduler};
+use crate::link::{ChanId, Endpoint, Lane, Link, LinkId, NodeRef, RxPort, TxPayload, TxPort};
+use crate::protocol::{AdapterProtocol, Command, Destination, TrafficSource};
 use crate::slab;
 use crate::switch::{SlackCfg, Switch};
 use crate::switchcast::SwitchcastMode;
 use crate::time::SimTime;
 use crate::trace::{BlockCause, Trace, TraceConfig, TraceEvent};
-use crate::worm::{ByteKind, MessageId, WormId, WormInstance, WormMeta};
+use crate::worm::{ByteKind, MessageId, WireByte, WormId, WormInstance};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Where a host attaches to the fabric.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct HostAttach {
-    pub switch: u32,
-    pub port: u8,
-}
-
-/// A switch-to-switch link.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct LinkSpec {
-    pub a: (u32, PortId),
-    pub b: (u32, PortId),
-    pub delay: SimTime,
-    /// Lanes per direction; 0 means "use [`NetworkConfig::lanes`]".
-    pub lanes: u8,
-}
-
-/// A complete fabric description, produced by `wormcast-topo`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FabricSpec {
-    /// Ports per switch.
-    pub switch_ports: Vec<u8>,
-    /// Host `i` attaches at `hosts[i]`.
-    pub hosts: Vec<HostAttach>,
-    pub links: Vec<LinkSpec>,
-    /// Propagation delay of host↔switch links.
-    pub host_link_delay: SimTime,
-}
-
-/// Unicast source routes for every ordered host pair.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct RouteTable {
-    table: Vec<Vec<Vec<u8>>>,
-}
-
-impl RouteTable {
-    pub fn new(num_hosts: usize) -> Self {
-        RouteTable {
-            table: vec![vec![Vec::new(); num_hosts]; num_hosts],
-        }
-    }
-
-    pub fn num_hosts(&self) -> usize {
-        self.table.len()
-    }
-
-    pub fn set(&mut self, src: HostId, dst: HostId, ports: Vec<u8>) {
-        self.table[src.0 as usize][dst.0 as usize] = ports;
-    }
-
-    /// The output-port sequence from `src`'s switch to `dst`'s host port.
-    pub fn get(&self, src: HostId, dst: HostId) -> &[u8] {
-        &self.table[src.0 as usize][dst.0 as usize]
-    }
-
-    /// Hop count (number of switches traversed) between two hosts.
-    pub fn hops(&self, src: HostId, dst: HostId) -> usize {
-        self.get(src, dst).len()
-    }
-}
+pub use crate::fabric::{FabricSpec, HostAttach, LinkSpec, RouteTable};
 
 /// Link-transmission engine mode.
 ///
@@ -102,10 +44,6 @@ pub enum SimMode {
     /// replication branch points, and on STOP truncation.
     SpanBatched,
 }
-
-/// Minimum run length worth batching: a 1-byte span costs the same two
-/// events (arrival + next kick) as the per-byte path, so fall through.
-const MIN_SPAN: u64 = 2;
 
 /// Tunables of the simulated fabric.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -135,8 +73,7 @@ pub struct NetworkConfig {
     pub mode: SimMode,
     /// Lanes per switch-to-switch link (virtual-channel width). Host links
     /// always have one lane (a host adapter injects at one byte per
-    /// byte-time regardless). A [`LinkSpec`] with a nonzero `lanes` field
-    /// overrides this per link. `1` reproduces the paper's single-lane
+    /// byte-time regardless). `1` reproduces the paper's single-lane
     /// fabric byte-for-byte.
     pub lanes: u8,
 }
@@ -255,25 +192,25 @@ pub struct Network {
     /// Down-tree + host ports per switch, for the broadcast address
     /// (configured via [`Network::set_broadcast_ports`]).
     pub(crate) broadcast_ports: Vec<Vec<u8>>,
-    protocols: Vec<Option<Box<dyn AdapterProtocol>>>,
-    sources: Vec<Option<Box<dyn TrafficSource>>>,
-    rngs: Vec<SmallRng>,
-    fault_rng: SmallRng,
+    pub(crate) protocols: Vec<Option<Box<dyn AdapterProtocol>>>,
+    pub(crate) sources: Vec<Option<Box<dyn TrafficSource>>>,
+    pub(crate) rngs: Vec<SmallRng>,
+    pub(crate) fault_rng: SmallRng,
     /// Per-host message sequence counters. [`MessageId`]s pack
     /// `(host << 40) | seq` so id assignment depends only on the host's own
     /// injection history — a sharded run (which never sees other shards'
     /// injections) allocates exactly the ids the sequential engine does.
-    next_msg_seq: Vec<u64>,
+    pub(crate) next_msg_seq: Vec<u64>,
     /// Canonical per-worm names, `(injecting host << 40) | seq` like
     /// [`MessageId`]s (`u64::MAX` = unnamed). Dense [`WormId`]s are
     /// per-engine — each shard of a sharded run allocates its own — so the
     /// trace and the cross-shard boundary protocol name worms by this tag
     /// instead; assignment depends only on the injecting host's own
     /// history, making the names identical however the run is partitioned.
-    worm_names: slab::PerWorm<u64>,
+    pub(crate) worm_names: slab::PerWorm<u64>,
     /// Per-host worm sequence counters backing `worm_names`.
-    next_worm_seq: Vec<u64>,
-    cmd_scratch: Vec<Command>,
+    pub(crate) next_worm_seq: Vec<u64>,
+    pub(crate) cmd_scratch: Vec<Command>,
     /// STOP/GO arrivals whose worm attribution is deferred to the end of
     /// the current scheduler tick (`bool` is "STOP"). Crossbar/adapter
     /// state is only guaranteed identical across [`SimMode`]s at whole
@@ -290,11 +227,11 @@ pub struct Network {
     /// deadline fires (and counts) in the next run. Keeps the counter
     /// bit-identical across [`SimMode`]s even when a run ends with span
     /// tails conceptually still arriving.
-    run_deadline: SimTime,
+    pub(crate) run_deadline: SimTime,
     /// Span-tail bytes whose per-byte arrival slots lie at or beyond the
     /// current deadline: `(first_slot, remaining)`, credited by whichever
     /// later run covers their slots.
-    deferred_moves: Vec<(SimTime, u64)>,
+    pub(crate) deferred_moves: Vec<(SimTime, u64)>,
     /// Present when this network instance executes one shard of a
     /// [`crate::shard::ShardedNetwork`]: channel-endpoint ownership,
     /// outbound mailboxes and the worm tag registry. `None` (the
@@ -309,206 +246,24 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build a network from a fabric description and unicast route table,
-    /// panicking on an invalid fabric. Prefer [`Network::try_build`] (or
-    /// the bench runner's validating `SimSetup` builder) to get a typed
-    /// [`ConfigError`] instead.
-    pub fn build(spec: &FabricSpec, routes: RouteTable, cfg: NetworkConfig) -> Self {
-        Self::try_build(spec, routes, cfg).unwrap_or_else(|e| panic!("invalid fabric: {e}"))
-    }
-
-    /// Build a network, surfacing fabric/configuration violations (zero
-    /// link delays, lane/switchcast conflicts, slot overflow) as a typed
-    /// [`ConfigError`].
-    pub fn try_build(
-        spec: &FabricSpec,
-        routes: RouteTable,
+    /// Stand up the run state around a wired fabric (the output of
+    /// [`Network::try_build`]): empty journals, counters at zero, one RNG
+    /// stream per host drawn from the master seed.
+    pub(crate) fn assemble(
         cfg: NetworkConfig,
-    ) -> Result<Self, ConfigError> {
-        assert_eq!(
-            routes.num_hosts(),
-            spec.hosts.len(),
-            "route table size must match host count"
-        );
-        for (i, l) in spec.links.iter().enumerate() {
-            if l.delay == 0 {
-                return Err(ConfigError::ZeroDelay {
-                    field: "links",
-                    index: i,
-                });
-            }
-        }
-        if spec.host_link_delay == 0 && !spec.hosts.is_empty() {
-            return Err(ConfigError::ZeroDelay {
-                field: "host_link_delay",
-                index: 0,
-            });
-        }
-        if cfg.lanes == 0 {
-            return Err(ConfigError::OutOfRange {
-                field: "lanes",
-                value: 0.0,
-                min: 1.0,
-                max: u8::MAX as f64,
-            });
-        }
-        // Effective lane count per spec link (0 defers to the config).
-        let link_lanes: Vec<u8> = spec
-            .links
-            .iter()
-            .map(|l| if l.lanes == 0 { cfg.lanes } else { l.lanes })
-            .collect();
-        if link_lanes.iter().any(|&n| n > 1) && cfg.switchcast != SwitchcastMode::Off {
-            return Err(ConfigError::Invalid {
-                field: "lanes",
-                reason: "switch-level multicast requires single-lane links".into(),
-            });
-        }
-
-        // Per-switch, per-physical-port lane counts (unlinked and
-        // host-facing ports keep one slot so slot indices stay aligned).
-        let mut port_lanes: Vec<Vec<u8>> = spec
-            .switch_ports
-            .iter()
-            .map(|&p| vec![1u8; p as usize])
-            .collect();
-        for (l, &n) in spec.links.iter().zip(&link_lanes) {
-            port_lanes[l.a.0 as usize][l.a.1.index()] = n;
-            port_lanes[l.b.0 as usize][l.b.1.index()] = n;
-        }
-        for (i, pl) in port_lanes.iter().enumerate() {
-            let slots: u32 = pl.iter().map(|&n| n as u32).sum();
-            if slots > u8::MAX as u32 {
-                return Err(ConfigError::Invalid {
-                    field: "lanes",
-                    reason: format!("switch {i} needs {slots} port slots (max 255)"),
-                });
-            }
-        }
-
-        let mut switches: Vec<Switch> = port_lanes
-            .iter()
-            .enumerate()
-            .map(|(i, pl)| {
-                Switch::new(
-                    SwitchId(i as u32),
-                    pl,
-                    cfg.slack.unwrap_or_else(|| SlackCfg::for_delay(1)),
-                    cfg.seed,
-                )
-            })
-            .collect();
-        let mut adapters: Vec<Adapter> = (0..spec.hosts.len())
-            .map(|i| Adapter::new(HostId(i as u32)))
-            .collect();
-        let mut lanes: Vec<Lane> = Vec::new();
-        let mut links: Vec<Link> = Vec::new();
-
-        // One forward + one backward `Link` per spec entry; each direction's
-        // lanes are contiguous, lane `i` pairing with reverse lane `i`. With
-        // one lane the ids are exactly the historical (fwd, back) pairs.
-        for (l, &n) in spec.links.iter().zip(&link_lanes) {
-            let base = lanes.len() as u32;
-            let na = NodeRef::Switch(SwitchId(l.a.0));
-            let nb = NodeRef::Switch(SwitchId(l.b.0));
-            let fwd = LinkId(links.len() as u32);
-            let bwd = LinkId(links.len() as u32 + 1);
-            for i in 0..n {
-                let slot_a = switches[l.a.0 as usize].slot_of(l.a.1.0, i);
-                let slot_b = switches[l.b.0 as usize].slot_of(l.b.1.0, i);
-                let ea = Endpoint { node: na, port: PortId(slot_a) };
-                let eb = Endpoint { node: nb, port: PortId(slot_b) };
-                let ab = ChanId(base + i as u32);
-                let ba = ChanId(base + n as u32 + i as u32);
-                lanes.push(Lane::new(ab, ea, eb, l.delay, ba, fwd, i));
-                switches[l.a.0 as usize].outputs[slot_a as usize].chan_out = Some(ab);
-                switches[l.b.0 as usize].inputs[slot_b as usize].chan_in = Some(ab);
-            }
-            for i in 0..n {
-                let slot_a = switches[l.a.0 as usize].slot_of(l.a.1.0, i);
-                let slot_b = switches[l.b.0 as usize].slot_of(l.b.1.0, i);
-                let ea = Endpoint { node: na, port: PortId(slot_a) };
-                let eb = Endpoint { node: nb, port: PortId(slot_b) };
-                let ab = ChanId(base + i as u32);
-                let ba = ChanId(base + n as u32 + i as u32);
-                lanes.push(Lane::new(ba, eb, ea, l.delay, ab, bwd, i));
-                switches[l.b.0 as usize].outputs[slot_b as usize].chan_out = Some(ba);
-                switches[l.a.0 as usize].inputs[slot_a as usize].chan_in = Some(ba);
-            }
-            links.push(Link::new(fwd, (na, l.a.1), (nb, l.b.1), l.delay, ChanId(base), n));
-            links.push(Link::new(
-                bwd,
-                (nb, l.b.1),
-                (na, l.a.1),
-                l.delay,
-                ChanId(base + n as u32),
-                n,
-            ));
-        }
-        // Host links always have a single lane: the adapter's injection
-        // rate is one byte per byte-time regardless.
-        for (h, att) in spec.hosts.iter().enumerate() {
-            let nh = NodeRef::Host(HostId(h as u32));
-            let ns = NodeRef::Switch(SwitchId(att.switch));
-            let slot = switches[att.switch as usize].slot_of(att.port, 0);
-            let eh = Endpoint { node: nh, port: PortId(0) };
-            let es = Endpoint { node: ns, port: PortId(slot) };
-            let hs = ChanId(lanes.len() as u32);
-            let sh = ChanId(lanes.len() as u32 + 1);
-            let up = LinkId(links.len() as u32);
-            let down = LinkId(links.len() as u32 + 1);
-            lanes.push(Lane::new(hs, eh, es, spec.host_link_delay, sh, up, 0));
-            lanes.push(Lane::new(sh, es, eh, spec.host_link_delay, hs, down, 0));
-            links.push(Link::new(
-                up,
-                (nh, PortId(0)),
-                (ns, PortId(att.port)),
-                spec.host_link_delay,
-                hs,
-                1,
-            ));
-            links.push(Link::new(
-                down,
-                (ns, PortId(att.port)),
-                (nh, PortId(0)),
-                spec.host_link_delay,
-                sh,
-                1,
-            ));
-            adapters[h].chan_out = Some(hs);
-            switches[att.switch as usize].inputs[slot as usize].chan_in = Some(hs);
-            switches[att.switch as usize].outputs[slot as usize].chan_out = Some(sh);
-            adapters[h].chan_in = Some(sh);
-        }
-
-        // Size each input slack buffer for its actual upstream link delay
-        // (unless the configuration pinned one).
-        if cfg.slack.is_none() {
-            for sw in &mut switches {
-                for inp in &mut sw.inputs {
-                    if let Some(ch) = inp.chan_in {
-                        inp.slack = SlackCfg::for_delay(lanes[ch.0 as usize].delay());
-                    }
-                }
-            }
-        }
-        for sw in &switches {
-            for inp in &sw.inputs {
-                inp.slack.validate().map_err(|reason| ConfigError::Invalid {
-                    field: "slack",
-                    reason,
-                })?;
-            }
-        }
-
-        let num_hosts = spec.hosts.len();
+        routes: RouteTable,
+        switches: Vec<Switch>,
+        adapters: Vec<Adapter>,
+        lanes: Vec<Lane>,
+        links: Vec<Link>,
+    ) -> Self {
+        let num_hosts = adapters.len();
         let mut seed_rng = SmallRng::seed_from_u64(cfg.seed);
         let rngs = (0..num_hosts)
             .map(|_| SmallRng::seed_from_u64(seed_rng.gen()))
             .collect();
         let fault_rng = SmallRng::seed_from_u64(seed_rng.gen());
-
-        Ok(Network {
+        Network {
             trace: Trace::new(cfg.trace),
             cfg,
             scheduler: Scheduler::new(),
@@ -541,7 +296,7 @@ impl Network {
             shard: None,
             pending_injects: 0,
             pending_timers: 0,
-        })
+        }
     }
 
     pub fn num_hosts(&self) -> usize {
@@ -603,35 +358,6 @@ impl Network {
         }
         *left -= 1;
         *left == 0
-    }
-
-    /// Install the protocol instance for a host.
-    pub fn set_protocol(&mut self, host: HostId, p: Box<dyn AdapterProtocol>) {
-        self.protocols[host.0 as usize] = Some(p);
-    }
-
-    /// Post a timer to a host's protocol from outside the simulation — the
-    /// "device driver" path: a control process prodding its adapter. The
-    /// protocol receives `on_timer(token)` after `delay`.
-    pub fn post_timer(&mut self, host: HostId, delay: SimTime, token: u64) {
-        self.pending_timers += 1;
-        self.scheduler.after(delay, Event::HostTimer { host, token });
-    }
-
-    /// Install a traffic source for a host and schedule its first injection.
-    ///
-    /// A host has exactly one source; installing a second replaces the
-    /// first (its already-scheduled injections will then draw from the new
-    /// source). Use one `Script` with the full schedule instead of several
-    /// `OneShot`s.
-    pub fn set_source(&mut self, host: HostId, s: Box<dyn TrafficSource>, first_at: SimTime) {
-        debug_assert!(
-            self.sources[host.0 as usize].is_none(),
-            "replacing an existing traffic source for {host:?}; use one Script"
-        );
-        self.sources[host.0 as usize] = Some(s);
-        self.pending_injects += 1;
-        self.scheduler.at(first_at, Event::Inject { host });
     }
 
     /// True when nothing can happen any more without outside input: no worm
@@ -819,206 +545,17 @@ impl Network {
         }
     }
 
-    // -- shard boundary handling --------------------------------------------
-
-    /// Install the sharding context (see [`crate::shard`]). Called once by
-    /// `ShardedNetwork::new` before any event runs.
-    pub(crate) fn install_shard_ctx(&mut self, ctx: crate::shard::ShardCtx) {
-        debug_assert!(self.shard.is_none(), "shard context installed twice");
-        self.shard = Some(Box::new(ctx));
-    }
-
-    /// True when the transmit-side endpoint of `ch` lives in another shard
-    /// (its local channel copy is a dead mirror: `in_flight` stays 0).
-    #[inline]
-    pub(crate) fn chan_src_foreign(&self, ch: ChanId) -> bool {
-        match &self.shard {
-            None => false,
-            Some(s) => s.chan_src_owner[ch.0 as usize] != s.me,
-        }
-    }
-
-    /// True when the receive-side endpoint of `ch` lives in another shard.
-    #[inline]
-    pub(crate) fn chan_dst_foreign(&self, ch: ChanId) -> bool {
-        match &self.shard {
-            None => false,
-            Some(s) => s.chan_dst_owner[ch.0 as usize] != s.me,
-        }
-    }
-
     /// Deliver a control symbol to the transmit side of `ch` after its
     /// propagation delay — locally, or across the shard boundary when the
     /// transmit side is foreign.
     pub(crate) fn send_ctrl(&mut self, ch: ChanId, sym: CtrlSym) {
         self.lanes[ch.0 as usize].note_ctrl_sent();
-        let delay = self.lanes[ch.0 as usize].delay();
         if self.chan_src_foreign(ch) {
-            let now = self.scheduler.now();
-            if sym == CtrlSym::Stop {
-                // Remember where this STOP cuts the foreign transmitter's
-                // send slots, so spans already in the mailbox can be
-                // truncated on arrival exactly as the transmitter will
-                // truncate its own copy (DESIGN.md §3.4).
-                self.lanes[ch.0 as usize].note_foreign_stop(now);
-            }
-            let ts = now + delay;
-            let s = self.shard.as_ref().expect("foreign src implies shard ctx");
-            let to = s.chan_src_owner[ch.0 as usize] as usize;
-            s.outboxes[to]
-                .as_ref()
-                .expect("cross-shard channel has a mailbox")
-                .lock()
-                .unwrap()
-                .push_back(crate::shard::BoundaryMsg::Ctrl { ts, ch, sym });
+            self.send_boundary_ctrl(ch, sym);
         } else {
+            let delay = self.lanes[ch.0 as usize].delay();
             self.scheduler.after(delay, Event::CtrlRx { ch, sym });
         }
-    }
-
-    /// Boundary-send bookkeeping shared by the per-byte and span paths:
-    /// the destination shard of `ch`, the worm's canonical tag, and its
-    /// snapshot iff this is the first contact between the two shards for
-    /// this worm.
-    fn boundary_tag_snap(
-        &mut self,
-        ch: ChanId,
-        worm: WormId,
-    ) -> (usize, u64, Option<Box<crate::shard::WormSnap>>) {
-        let tag = self.worm_names.get(worm);
-        debug_assert_ne!(tag, u64::MAX, "worm crossed a boundary without a name");
-        let (to, need_snap) = {
-            let s = self.shard.as_mut().expect("boundary send implies shard ctx");
-            let to = s.chan_dst_owner[ch.0 as usize] as usize;
-            let mask = s.snap_sent.get_mut(worm);
-            let need = *mask & (1 << to) == 0;
-            *mask |= 1 << to;
-            (to, need)
-        };
-        let snap =
-            need_snap.then(|| Box::new(crate::shard::WormSnap::of(&self.worms[worm.0 as usize])));
-        (to, tag, snap)
-    }
-
-    /// Enqueue one boundary message in shard `to`'s mailbox.
-    fn push_boundary(&self, to: usize, msg: crate::shard::BoundaryMsg) {
-        let s = self.shard.as_ref().expect("boundary send implies shard ctx");
-        s.outboxes[to]
-            .as_ref()
-            .expect("cross-shard channel has a mailbox")
-            .lock()
-            .unwrap()
-            .push_back(msg);
-    }
-
-    /// Put `b` on cross-shard channel `ch`: enqueue the arrival in the
-    /// receive-side owner's mailbox, attaching the worm snapshot the first
-    /// time this shard sends that shard a byte of this worm.
-    fn send_boundary_byte(&mut self, ch: ChanId, ts: SimTime, b: crate::worm::WireByte) {
-        let (to, tag, snap) = self.boundary_tag_snap(ch, b.worm);
-        self.push_boundary(
-            to,
-            crate::shard::BoundaryMsg::Rx {
-                ts,
-                ch,
-                tag,
-                kind: b.kind,
-                snap,
-            },
-        );
-    }
-
-    /// Put an optimistic span of `len` data bytes of `worm` on cross-shard
-    /// channel `ch`, first byte landing at `ts`. The receive-side owner
-    /// truncates it against its own STOP watermarks on arrival.
-    fn send_boundary_span(&mut self, ch: ChanId, ts: SimTime, worm: WormId, len: u64) {
-        let (to, tag, snap) = self.boundary_tag_snap(ch, worm);
-        self.push_boundary(
-            to,
-            crate::shard::BoundaryMsg::RxSpan {
-                ts,
-                ch,
-                tag,
-                len,
-                snap,
-            },
-        );
-    }
-
-    /// Enqueue one boundary message into the local wheel, materialising
-    /// the worm on first contact. Called by the shard worker loop while
-    /// draining its inbound mailboxes; the conservative horizon guarantees
-    /// `ts` has not been executed past.
-    pub(crate) fn ingest_boundary(&mut self, msg: crate::shard::BoundaryMsg) {
-        debug_assert!(
-            msg.ts() >= self.scheduler.now(),
-            "boundary message at {} arrived behind local time {}",
-            msg.ts(),
-            self.scheduler.now()
-        );
-        match msg {
-            crate::shard::BoundaryMsg::Rx {
-                ts,
-                ch,
-                tag,
-                kind,
-                snap,
-            } => {
-                let worm = self.worm_for_tag(tag, snap);
-                self.scheduler
-                    .at(ts, Event::RxByte { ch, byte: crate::worm::WireByte { worm, kind } });
-            }
-            crate::shard::BoundaryMsg::RxSpan {
-                ts,
-                ch,
-                tag,
-                len,
-                snap,
-            } => {
-                let worm = self.worm_for_tag(tag, snap);
-                let start = ts - self.lanes[ch.0 as usize].delay();
-                // Queue the span on the local (receive-side) lane copy and
-                // schedule its admission at first-byte arrival. A STOP this
-                // side emitted before `ts` truncates it then, mirroring the
-                // transmitter's own truncation (see `handle_rx_span`).
-                self.lanes[ch.0 as usize].enqueue_foreign_span(SpanInFlight {
-                    worm,
-                    start,
-                    len,
-                });
-                self.scheduler.at(ts, Event::RxSpan { ch });
-            }
-            crate::shard::BoundaryMsg::Ctrl { ts, ch, sym } => {
-                self.scheduler.at(ts, Event::CtrlRx { ch, sym });
-            }
-        }
-    }
-
-    /// Resolve a boundary worm tag to the local dense [`WormId`],
-    /// registering the worm from its snapshot on first contact. The
-    /// injecting shard counted the worm's statistics; a mirror counts
-    /// nothing here (its deliveries later drive this shard's
-    /// `active_worms` negative, which the merged statistics balance out).
-    fn worm_for_tag(&mut self, tag: u64, snap: Option<Box<crate::shard::WormSnap>>) -> WormId {
-        let s = self.shard.as_mut().expect("boundary ingest implies shard ctx");
-        if let Some(&w) = s.tag_to_worm.get(&tag) {
-            return w;
-        }
-        let snap = snap.expect("first boundary byte of a worm carries its snapshot");
-        let id = WormId(self.worms.len() as u32);
-        s.tag_to_worm.insert(tag, id);
-        *self.worm_names.get_mut(id) = tag;
-        self.worms.push(snap.instantiate(id));
-        id
-    }
-
-    /// The canonical name of a local worm, or `None` if it was never
-    /// injected or materialized here. Used by the merged deadlock analysis
-    /// to name one worm consistently across the shards that each hold a
-    /// mirror of it under different dense ids.
-    pub(crate) fn worm_tag(&self, worm: WormId) -> Option<u64> {
-        let tag = self.worm_names.get(worm);
-        (tag != u64::MAX).then_some(tag)
     }
 
     /// The canonical name of a local worm, for trace emission: every worm
@@ -1052,6 +589,13 @@ impl Network {
             .filter_map(|a| a.chan_out)
             .map(|ch| self.lanes[ch.0 as usize].utilization(elapsed))
             .sum()
+    }
+
+    /// Aggregate output-link utilization across all host adapters over
+    /// `elapsed` byte-times (the paper's "offered load" axis is per-host
+    /// output-link utilization).
+    pub fn mean_host_tx_utilization(&self, elapsed: SimTime) -> f64 {
+        self.host_tx_utilization_total(elapsed) / self.adapters.len().max(1) as f64
     }
 
     fn handle_tx_kick(&mut self, ch: ChanId, gen: u32) {
@@ -1106,329 +650,25 @@ impl Network {
         }
     }
 
-    /// Span-batched fast path (see DESIGN.md §3.1): when the producer holds
-    /// a run of contiguous ready data bytes of one worm and moving them in
-    /// a single event is provably indistinguishable from per-byte
-    /// transmission, put the whole run on the wire at once. Returns true
-    /// when a span went out (the end-of-span kick is scheduled); false
-    /// means the caller must produce per-byte.
-    fn try_emit_span(&mut self, ch: ChanId) -> bool {
-        // Replication, IDLE fill and flushes (Section 3 machinery) make
-        // byte-level interleaving observable; the fast path is off outright.
-        if !self.switchcast_allows_spans() {
-            return false;
-        }
-        // Bytes bound for another shard go out as an *optimistic* span:
-        // the receive-side occupancy needed for an exact admission check
-        // lives over there, so the owner performs it on arrival — either
-        // admitting the span whole or expanding it back into per-byte
-        // arrivals (DESIGN.md §3.4).
-        let dst_foreign = self.chan_dst_foreign(ch);
-        let (src, dst, wire) = {
-            let c = &self.lanes[ch.0 as usize];
-            (c.src(), c.dst(), c.in_flight() as u64)
-        };
-        let Some((worm, avail)) = (match src.node {
-            NodeRef::Switch(s) => self.switch_span_ready(s, src.port.0),
-            NodeRef::Host(h) => self.adapter_span_ready(h),
-        }) else {
-            return false;
-        };
-        let room = if dst_foreign {
-            // Bound the optimistic span by the mirror's slack geometry
-            // alone (shards are built from identical fabrics). Any bound
-            // is semantics-safe — the owner truncates or expands on
-            // arrival — this one just keeps the rejection rate low.
-            let NodeRef::Switch(s) = dst.node else {
-                // Host-terminated lanes never cross shards (hosts follow
-                // their attach switch); fall back defensively.
-                return false;
-            };
-            let mark =
-                self.switches[s.0 as usize].inputs[dst.port.index()].slack.stop_mark as u64;
-            let r = mark.saturating_sub(1 + wire);
-            if r == 0 {
-                return false;
-            }
-            r
-        } else {
-            match dst.node {
-                // A refusal leaves no no-drain room, but the circuit may
-                // still be clear.
-                NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire).unwrap_or(0),
-                NodeRef::Host(h) => match self.adapter_span_room(h, worm) {
-                    Some(room) => room,
-                    None => return false,
-                },
-            }
-        };
-        // Two admission rules: the run fits below the receiver's STOP mark
-        // even if nothing drains (`room`), or the receiver is certain to
-        // keep draining for long enough (`drain_window`).
-        let certified = if avail > room {
-            self.drain_window(ch, worm)
-        } else {
-            0
-        };
-        let mut k = avail.min(room.max(certified));
-        // Keep the watchdog's progress sampling meaningful: a span credits
-        // all its bytes in one event, so cap the movement gap well below
-        // the sampling interval. (Any cap is semantics-preserving.)
-        if self.cfg.watchdog_interval > 0 {
-            k = k.min((self.cfg.watchdog_interval / 2).max(1));
-        }
-        if k < MIN_SPAN {
-            return false;
-        }
-        // Commit: dequeue the run from the producer...
-        let producer_drained = match src.node {
-            NodeRef::Switch(s) => {
-                let owner = self.switches[s.0 as usize].outputs[src.port.index()]
-                    .owner
-                    .expect("span-ready output has an owner");
-                let inp = &mut self.switches[s.0 as usize].inputs[owner as usize];
-                let popped = inp.buf.pop_front_run(k);
-                debug_assert_eq!(popped, k, "span-ready bytes lead the buffer as one run");
-                // No per-dequeue GO check: `switch_span_ready` guaranteed
-                // `sent_stop` is false for the whole drain window.
-                inp.buf.is_empty()
-            }
-            NodeRef::Host(h) => {
-                let a = &mut self.adapters[h.0 as usize];
-                a.tx_queue
-                    .front_mut()
-                    .expect("span-ready head worm")
-                    .body_sent += k;
-                a.counters.bytes_sent += k;
-                // The tail byte (at least) is still owed, so the adapter
-                // always needs the end-of-span kick.
-                false
-            }
-        };
-        // ...and move it as one span.
-        let now = self.scheduler.now();
-        let ticket = TxPort::new(&mut self.lanes[ch.0 as usize])
-            .try_send(now, TxPayload::Span { worm, len: k }, true)
-            .expect("span probe ran at the lane's ready time");
-        if dst_foreign {
-            self.send_boundary_span(ch, ticket.deliver_at, worm, k);
-            // The receive-side owner delivers the bytes; this RxSpan fires
-            // at end-of-transmission to retire the local wire-occupancy
-            // entry, which must stay truncatable while still sending
-            // (see `handle_rx_span`).
-            self.scheduler.at(now + k, Event::RxSpan { ch });
-        } else {
-            self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
-        }
-        if k > room && certified != u64::MAX {
-            // Sent on a finite drain window: the receiving input holds the
-            // certificate until the span's last arrival slot has passed.
-            let NodeRef::Switch(s) = dst.node else {
-                unreachable!("an adapter's room is unbounded");
-            };
-            self.switches[s.0 as usize].inputs[dst.port.index()].drain_cert =
-                Some((worm, ticket.deliver_at + k));
-        }
-        if producer_drained {
-            // The span took everything the producer had; an end-of-span
-            // kick would only find an empty buffer (the dominant event cost
-            // at light load). Go idle instead: whatever refills the buffer
-            // re-kicks via `kick_channel`, which paces the kick to
-            // `next_tx_time`, so send slots are unchanged.
-            self.lanes[ch.0 as usize].set_tx_idle();
-        } else {
-            self.scheduler.after(k, Event::TxKick { ch, gen: ticket.gen });
-            // tx_active stays true: the end-of-span kick is pending.
-        }
-        true
-    }
-
-    /// Deliver the oldest in-flight span on `ch`. Spans and single bytes on
-    /// one channel share FIFO wire order, so the queue front is always the
-    /// arriving span.
-    ///
-    /// On a cut lane this event plays two roles: at the transmit-side owner
-    /// it fires at end-of-transmission and merely retires the local
-    /// wire-occupancy entry; at the receive-side owner it fires at
-    /// first-byte arrival and performs the admission check the transmitter
-    /// optimistically skipped.
-    fn handle_rx_span(&mut self, ch: ChanId) {
-        if self.chan_dst_foreign(ch) {
-            // Transmit-side retirement: the entry (possibly STOP-truncated
-            // since emission) only tracked wire occupancy here. Entries and
-            // retirement events pair up 1:1 in FIFO order, so the popped
-            // lengths sum correctly even when truncations reordered the
-            // nominal end-of-transmission times.
-            let _ = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
-            return;
-        }
-        let src_foreign = self.chan_src_foreign(ch);
-        if src_foreign {
-            // Mirror, before taking the span off the wire, exactly the
-            // truncation any STOP this side emitted has meanwhile forced
-            // on the transmitter's copy (`Lane::truncate_arriving_foreign_span`).
-            self.lanes[ch.0 as usize].truncate_arriving_foreign_span();
-        }
-        let (dst, span) = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
-        if span.len == 0 {
-            // Fully revoked by a STOP truncation (only the already-sent
-            // remainder of a span survives; an empty one is just the
-            // placeholder for this event).
-            return;
-        }
-        if src_foreign && !self.admit_foreign_span(ch, dst, &span) {
-            return;
-        }
-        // Credit `bytes_moved` per-byte-exactly: byte `j` of the span
-        // conceptually arrives at `now + j`, and only arrivals strictly
-        // before the run deadline count — its per-byte twin would sort
-        // behind the deadline's Stop event ([`Event::canon_key`]) and fire
-        // next run. The tail is credited by whichever later run covers it.
-        let now = self.scheduler.now();
-        let counted = span.len.min(self.run_deadline.saturating_sub(now));
-        self.stats.bytes_moved += counted;
-        if counted < span.len {
-            self.deferred_moves.push((now + counted, span.len - counted));
-        }
-        debug_assert!(
-            self.flushed_count == 0,
-            "spans and flushes cannot coexist (switchcast gates the fast path)"
-        );
-        match dst.node {
-            NodeRef::Switch(s) => self.switch_rx_span(s, dst.port.0, span.worm, span.len),
-            NodeRef::Host(h) => self.adapter_rx_span(h, span.worm, span.len),
-        }
-    }
-
-    /// Receive-side admission of an optimistic cross-shard span: admit it
-    /// whole iff bulk delivery is provably indistinguishable from per-byte
-    /// arrival — the input has no STOP in force and the whole run stays
-    /// strictly below the STOP watermark (`switch_span_room` with zero
-    /// wire bytes: everything on the wire IS this span). Otherwise expand
-    /// the span back into the per-byte arrival stream it stood for (one
-    /// [`Event::RxForeign`] per wire slot, at exactly the canonical
-    /// per-byte positions). A rejected span already cost one mailbox
-    /// message instead of `len`, so the transmitter is never throttled.
-    /// Returns whether the span was admitted.
-    fn admit_foreign_span(&mut self, ch: ChanId, dst: Endpoint, span: &SpanInFlight) -> bool {
-        let NodeRef::Switch(s) = dst.node else {
-            unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
-        };
-        if self
-            .switch_span_room(s, dst.port.0, 0)
-            .is_some_and(|room| span.len <= room)
-        {
-            return true;
-        }
-        let now = self.scheduler.now();
-        self.lanes[ch.0 as usize].push_foreign_run(ForeignRun {
-            worm: span.worm,
-            next: now,
-            end: now + span.len,
-        });
-        // Rank 4 (RxByte) sorts before this RxSpan's rank 5, so pushing at
-        // `now` fires the first expansion byte immediately after this
-        // event — at its exact canonical arrival slot.
-        self.scheduler.at(now, Event::RxForeign { ch });
-        false
-    }
-
-    /// One byte of a rejected cross-shard span lands: re-create exactly
-    /// the per-byte arrival the span stood for. Self-scheduling: each
-    /// delivery arms the next slot until the run is exhausted or a STOP
-    /// clamp revoked its tail.
-    fn handle_rx_foreign(&mut self, ch: ChanId) {
-        let now = self.scheduler.now();
-        let Some(run) = self.lanes[ch.0 as usize].foreign_run_front() else {
-            return;
-        };
-        if now >= run.end {
-            // A STOP clamp revoked everything still owed.
-            self.lanes[ch.0 as usize].pop_foreign_run();
-            return;
-        }
-        debug_assert_eq!(run.next, now, "expansion bytes arrive one per wire slot");
-        let dst = self.lanes[ch.0 as usize].dst();
-        if let Some(r) = self.lanes[ch.0 as usize].foreign_run_front_mut() {
-            r.next = now + 1;
-        }
-        self.stats.bytes_moved += 1;
-        let NodeRef::Switch(s) = dst.node else {
-            unreachable!("cut lanes terminate at switches");
-        };
-        self.switch_rx_byte(
-            s,
-            dst.port.0,
-            crate::worm::WireByte {
-                worm: run.worm,
-                kind: ByteKind::Data,
-            },
-        );
-        // The arrival may have crossed the STOP mark, clamping this very
-        // run's end through `note_foreign_stop` — re-read before arming
-        // the next slot.
-        match self.lanes[ch.0 as usize].foreign_run_front() {
-            Some(r) if r.next < r.end => self.scheduler.at(r.next, Event::RxForeign { ch }),
-            Some(_) => self.lanes[ch.0 as usize].pop_foreign_run(),
-            None => {}
-        }
-    }
-
-    /// A STOP just took effect on `ch` at time `now`. In per-byte mode the
-    /// CtrlRx always fires before the same-timestamp TxKick (it was
-    /// scheduled at least `delay` ≥ 1 byte-times earlier, and within its
-    /// scheduling timestamp the RxByte that triggered it precedes the chain
-    /// kick), so no byte with a send slot ≥ `now` has gone out — except the
-    /// first byte of a span emitted by a kick that ran earlier this very
-    /// timestamp. Cut every in-flight span back to its already-sent prefix
-    /// and hand the revoked bytes back to the producer.
-    fn truncate_spans(&mut self, ch: ChanId) {
-        let now = self.scheduler.now();
-        let Some((worm, revoked)) = self.lanes[ch.0 as usize].truncate_newest_span(now) else {
-            return;
-        };
-        let src = self.lanes[ch.0 as usize].src();
-        match src.node {
-            NodeRef::Switch(s) => {
-                let owner = self.switches[s.0 as usize].outputs[src.port.index()]
-                    .owner
-                    .expect("truncated span has a crossbar owner");
-                let inp = &mut self.switches[s.0 as usize].inputs[owner as usize];
-                debug_assert!(matches!(
-                    inp.state,
-                    crate::switch::InState::Forwarding { worm: w, .. } if w == worm
-                ));
-                inp.buf.push_front_run(
-                    crate::worm::WireByte {
-                        worm,
-                        kind: ByteKind::Data,
-                    },
-                    revoked,
-                );
-            }
-            NodeRef::Host(h) => {
-                let a = &mut self.adapters[h.0 as usize];
-                let head = a.tx_queue.front_mut().expect("truncated span's worm queued");
-                debug_assert_eq!(head.worm, worm);
-                head.body_sent -= revoked;
-                a.counters.bytes_sent -= revoked;
-            }
-        }
-    }
-
-    fn handle_rx_byte(&mut self, ch: ChanId, byte: crate::worm::WireByte) {
+    fn handle_rx_byte(&mut self, ch: ChanId, byte: WireByte) {
         // Bytes from a foreign transmit side never incremented the
         // local `in_flight` copy (see `handle_tx_kick`).
         let src_foreign = self.chan_src_foreign(ch);
         let dst = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver(!src_foreign);
         self.stats.bytes_moved += 1;
         // Bytes of a flushed (Backward Reset) worm evaporate on arrival.
-        if self.flushed_count > 0 && self.discard_if_flushed(&byte) {
+        if self.flushed_count > 0 && self.worm_flags.get(byte.worm) & slab::FLAG_FLUSHED != 0 {
             return;
         }
+        self.deliver_run(dst, byte, 1);
+    }
+
+    /// Hand `len` copies of `byte` that came off the wire together — one
+    /// byte, or the data run of a span — to the node at `dst`.
+    pub(crate) fn deliver_run(&mut self, dst: Endpoint, byte: WireByte, len: u64) {
         match dst.node {
-            NodeRef::Switch(s) => self.switch_rx_byte(s, dst.port.0, byte),
-            NodeRef::Host(h) => self.adapter_rx_byte(h, byte),
+            NodeRef::Switch(s) => self.switch_rx(s, dst.port.0, byte, len),
+            NodeRef::Host(h) => self.adapter_rx(h, byte, len),
         }
     }
 
@@ -1473,7 +713,6 @@ impl Network {
                 }
                 self.kick_channel(ch);
             }
-            CtrlSym::BackwardReset => self.switchcast_backward_reset(ch),
         }
     }
 
@@ -1526,296 +765,22 @@ impl Network {
         }
     }
 
-    fn handle_inject(&mut self, host: HostId) {
-        let Some(mut src) = self.sources[host.0 as usize].take() else {
-            return;
-        };
-        let now = self.scheduler.now();
-        let (m, next) = src.next(now, host);
-        self.sources[host.0 as usize] = Some(src);
-        if let Some(delay) = next {
-            self.pending_injects += 1;
-            self.scheduler.after(delay, Event::Inject { host });
-        }
-        if let Some(sm) = m {
-            let seq = &mut self.next_msg_seq[host.0 as usize];
-            let msg = MessageId(((host.0 as u64) << 40) | *seq);
-            *seq += 1;
-            self.stats.messages_generated += 1;
-            let app = AppMessage {
-                msg,
-                origin: host,
-                dest: sm.dest,
-                payload_len: sm.payload_len,
-                created: now,
-            };
-            self.msgs.created.push(MessageRecord {
-                msg,
-                origin: host,
-                dest: sm.dest,
-                payload_len: sm.payload_len,
-                created: now,
-            });
-            self.notify_generate(host, app);
-        }
-    }
-
-    // -- protocol dispatch ---------------------------------------------------
-
-    pub(crate) fn notify_generate(&mut self, host: HostId, msg: AppMessage) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_generate(&mut ctx, msg);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
-    }
-
-    pub(crate) fn protocol_admission(&mut self, host: HostId, worm: WormId) -> Admission {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return Admission::Accept;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        let admission = {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_header(&mut ctx, inst)
-        };
-        self.protocols[host.0 as usize] = Some(proto);
-        if admission == Admission::Refuse && self.trace.enabled() {
-            let worm = self.worm_name(worm);
-            self.trace
-                .push(self.scheduler.now(), TraceEvent::WormRefused { worm, host });
-        }
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
-        admission
-    }
-
-    pub(crate) fn notify_worm_received(&mut self, host: HostId, worm: WormId) {
-        self.stats.worms_delivered += 1;
-        if self.trace.enabled() {
-            let worm = self.worm_name(worm);
-            self.trace
-                .push(self.scheduler.now(), TraceEvent::WormReceived { worm, host });
-        }
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_worm_received(&mut ctx, inst);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
-    }
-
-    pub(crate) fn notify_tx_complete(&mut self, host: HostId, worm: WormId) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_tx_complete(&mut ctx, inst);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
-    }
-
-    pub(crate) fn notify_flushed(&mut self, host: HostId, worm: WormId) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_worm_flushed(&mut ctx, inst);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
-    }
-
-    pub(crate) fn notify_timer(&mut self, host: HostId, token: u64) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_timer(&mut ctx, token);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
-    }
-
-    fn apply_commands(&mut self, host: HostId, cmds: &mut Vec<Command>) {
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Command::Send(spec) => {
-                    self.inject_worm(host, spec);
-                }
-                Command::DeliverLocal { msg } => {
-                    let at = self.scheduler.now();
-                    self.msgs.deliveries.push(Delivery { msg, host, at });
-                    if self.trace.enabled() {
-                        self.trace.push(at, TraceEvent::Delivered { msg, host });
-                    }
-                }
-                Command::SetTimer { delay, token } => {
-                    self.pending_timers += 1;
-                    self.scheduler.after(delay, Event::HostTimer { host, token });
-                }
-            }
-        }
-    }
-
-    // -- worm injection ------------------------------------------------------
-
-    /// Create a worm instance per `spec` and queue it at `host`'s adapter.
-    pub(crate) fn inject_worm(&mut self, host: HostId, mut spec: SendSpec) -> WormId {
-        assert_ne!(
-            host, spec.dest,
-            "protocols must deliver locally instead of sending to self"
-        );
-        let route = match spec.route_override.take() {
-            Some(r) => r,
-            None => {
-                let ports = self.routes.get(host, spec.dest);
-                assert!(
-                    !ports.is_empty(),
-                    "no route from {host:?} to {:?}",
-                    spec.dest
-                );
-                // Reuse a recycled route buffer: steady-state injection
-                // performs no allocator calls.
-                let mut buf = self.route_pool.take();
-                buf.extend(ports.iter().map(|&p| crate::worm::RouteSym::Port(p)));
-                buf
-            }
-        };
-        let id = WormId(self.worms.len() as u32);
-        let now = self.scheduler.now();
-        // Cut-through sanity: following a worm that is not currently being
-        // received would stall forever; treat it as fully available.
-        let follow = spec.follow.filter(|w| {
-            self.adapters[host.0 as usize]
-                .rx_body_got
-                .get(*w)
-                .is_some_and(|g| g != u64::MAX)
-        });
-        let inst = WormInstance {
-            id,
-            sinks: spec.sinks.max(1),
-            meta: WormMeta {
-                kind: spec.kind,
-                msg: spec.msg,
-                injector: host,
-                origin: spec.origin,
-                dest: spec.dest,
-                seq: spec.seq,
-                hops_left: spec.hops_left,
-                buffer_class: spec.buffer_class,
-                frag_index: spec.frag_index,
-                frag_last: spec.frag_last,
-                advertised_size: spec.advertised_size,
-                stage: spec.stage,
-            },
-            route_len: route.len() as u32,
-            route,
-            header_len: self.cfg.header_len,
-            payload_len: spec.payload_len,
-            created: spec.created,
-            injected: now,
-        };
-        let sinks = inst.sinks.max(1) as u64;
-        self.worms.push(inst);
-        // Name the worm with its globally unique identity (`worm_names`):
-        // boundary bytes use it to name the worm in other shards, and the
-        // trace records it so sharded and sequential runs agree line for
-        // line. Allocation order follows the injecting host's own event
-        // order, which the canonical schedule makes identical to the
-        // sequential engine's.
-        let seq = &mut self.next_worm_seq[host.0 as usize];
-        let tag = ((host.0 as u64) << 40) | *seq;
-        *seq += 1;
-        *self.worm_names.get_mut(id) = tag;
-        if let Some(s) = self.shard.as_mut() {
-            s.tag_to_worm.insert(tag, id);
-        }
-        self.stats.worms_injected += 1;
-        self.stats.sinks_injected += sinks;
-        self.stats.active_worms += sinks as i64;
-        if self.cfg.corrupt_prob > 0.0 && self.fault_rng.gen_bool(self.cfg.corrupt_prob) {
-            *self.worm_flags.get_mut(id) |= slab::FLAG_CORRUPT;
-        }
-        if self.trace.enabled() {
-            self.trace
-                .push(now, TraceEvent::WormInjected { worm: tag, host });
-        }
-        let a = &mut self.adapters[host.0 as usize];
-        a.enqueue_tx(TxWorm::new(id, follow), spec.priority);
-        if let Some(ch) = a.chan_out {
-            self.kick_channel(ch);
-        }
-        id
-    }
-
     // -- auditing ------------------------------------------------------------
 
     /// Check the conservation invariant. Call at any quiescent point; cheap
     /// enough to call after every test run.
     pub fn audit(&self) -> Result<(), String> {
-        let s = &self.stats;
+        Self::audit_counters(&self.stats)?;
+        if self.stats.active_worms == 0 {
+            self.audit_fabric_empty()?;
+        }
+        Ok(())
+    }
+
+    /// The counter half of [`Network::audit`]: every sink injected is
+    /// delivered, refused, corrupt, flushed or still active. A sharded run
+    /// checks it on the merged statistics.
+    pub(crate) fn audit_counters(s: &NetStats) -> Result<(), String> {
         let expect = s.worms_delivered + s.worms_refused + s.worms_corrupt + s.worms_flushed;
         if s.sinks_injected as i64 != expect as i64 + s.active_worms {
             return Err(format!(
@@ -1829,45 +794,40 @@ impl Network {
                 s.active_worms
             ));
         }
-        if s.active_worms == 0 {
-            for c in &self.lanes {
-                if c.in_flight() != 0 {
-                    return Err(format!(
-                        "lane {:?} has {} bytes in flight with no active worms",
-                        c.id(),
-                        c.in_flight()
-                    ));
-                }
+        Ok(())
+    }
+
+    /// The structural half, for a fabric with no active worms: nothing on
+    /// a wire, nothing in a slack buffer.
+    pub(crate) fn audit_fabric_empty(&self) -> Result<(), String> {
+        for c in &self.lanes {
+            if c.in_flight() != 0 {
+                return Err(format!(
+                    "lane {:?} has {} bytes in flight with no active worms",
+                    c.id(),
+                    c.in_flight()
+                ));
             }
-            for sw in &self.switches {
-                for (i, inp) in sw.inputs.iter().enumerate() {
-                    if !inp.buf.is_empty() {
-                        return Err(format!(
-                            "switch {:?} input {} holds {} bytes with no active worms",
-                            sw.id,
-                            i,
-                            inp.buf.len()
-                        ));
-                    }
+            if c.has_foreign_in_transit() {
+                return Err(format!(
+                    "lane {:?} still holds a span or a foreign expansion run with no \
+                     active worms",
+                    c.id()
+                ));
+            }
+        }
+        for sw in &self.switches {
+            for (i, inp) in sw.inputs.iter().enumerate() {
+                if !inp.buf.is_empty() {
+                    return Err(format!(
+                        "switch {:?} input {} holds {} bytes with no active worms",
+                        sw.id,
+                        i,
+                        inp.buf.len()
+                    ));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Aggregate output-link utilization across all host adapters over
-    /// `elapsed` byte-times (the paper's "offered load" axis is per-host
-    /// output-link utilization).
-    pub fn mean_host_tx_utilization(&self, elapsed: SimTime) -> f64 {
-        if self.adapters.is_empty() || elapsed == 0 {
-            return 0.0;
-        }
-        let total: f64 = self
-            .adapters
-            .iter()
-            .filter_map(|a| a.chan_out)
-            .map(|ch| self.lanes[ch.0 as usize].utilization(elapsed))
-            .sum();
-        total / self.adapters.len() as f64
     }
 }

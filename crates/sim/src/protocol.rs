@@ -34,9 +34,12 @@ pub struct AppMessage {
 
 /// Admission decision when a worm's header reaches an adapter: accept it
 /// into buffer space, or refuse (drop) it — the refusal is what a NACK
-/// reports in the implicit-reservation scheme of Figure 5.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// reports in the implicit-reservation scheme of Figure 5. A host without
+/// a protocol accepts everything, as [`AdapterProtocol::on_header`] does
+/// by default.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Admission {
+    #[default]
     Accept,
     Refuse,
 }

@@ -39,14 +39,14 @@
 
 use crate::config::ConfigError;
 use crate::deadlock;
-use crate::engine::{CtrlSym, HostId, SwitchId};
-use crate::link::{ChanId, NodeRef};
+use crate::engine::{CtrlSym, Event, HostId, SwitchId};
+use crate::link::{ChanId, Endpoint, ForeignRun, NodeRef, SpanInFlight};
 use crate::network::{Delivery, MessageLog, MessageRecord, NetStats, Network, RunOutcome};
 use crate::slab::PerWorm;
 use crate::switchcast::SwitchcastMode;
 use crate::time::SimTime;
 use crate::trace::Trace;
-use crate::worm::{ByteKind, WormId, WormInstance, WormMeta};
+use crate::worm::{ByteKind, WireByte, WormId, WormInstance, WormMeta};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -170,6 +170,273 @@ pub(crate) struct ShardCtx {
     /// the trace names worms identically however the run is partitioned);
     /// only this reverse index is shard-specific.
     pub(crate) tag_to_worm: HashMap<u64, WormId>,
+}
+
+// ---------------------------------------------------------------------------
+// The boundary, as one shard engine sees it: which lane ends are foreign,
+// the outbound mailboxes, and the receive side of the optimistic span
+// protocol. `network.rs` and `span.rs` reach this through single calls.
+// ---------------------------------------------------------------------------
+
+impl Network {
+    /// Install the sharding context. Called once by `ShardedNetwork::new`
+    /// before any event runs.
+    pub(crate) fn install_shard_ctx(&mut self, ctx: ShardCtx) {
+        debug_assert!(self.shard.is_none(), "shard context installed twice");
+        self.shard = Some(Box::new(ctx));
+    }
+
+    /// True when the transmit-side endpoint of `ch` lives in another shard
+    /// (its local channel copy is a dead mirror: `in_flight` stays 0).
+    #[inline]
+    pub(crate) fn chan_src_foreign(&self, ch: ChanId) -> bool {
+        match &self.shard {
+            None => false,
+            Some(s) => s.chan_src_owner[ch.0 as usize] != s.me,
+        }
+    }
+
+    /// True when the receive-side endpoint of `ch` lives in another shard.
+    #[inline]
+    pub(crate) fn chan_dst_foreign(&self, ch: ChanId) -> bool {
+        match &self.shard {
+            None => false,
+            Some(s) => s.chan_dst_owner[ch.0 as usize] != s.me,
+        }
+    }
+
+    /// Enqueue one boundary message in shard `to`'s mailbox.
+    fn push_boundary(&self, to: u32, msg: BoundaryMsg) {
+        let s = self
+            .shard
+            .as_ref()
+            .expect("boundary send implies shard ctx");
+        s.outboxes[to as usize]
+            .as_ref()
+            .expect("cross-shard channel has a mailbox")
+            .lock()
+            .unwrap()
+            .push_back(msg);
+    }
+
+    /// Send `sym` to the foreign transmit side of cut channel `ch`.
+    pub(crate) fn send_boundary_ctrl(&mut self, ch: ChanId, sym: CtrlSym) {
+        let now = self.scheduler.now();
+        if sym == CtrlSym::Stop {
+            // Remember where this STOP cuts the foreign transmitter's
+            // send slots, so spans already in the mailbox can be
+            // truncated on arrival exactly as the transmitter will
+            // truncate its own copy (DESIGN.md §3.4).
+            self.lanes[ch.0 as usize].note_foreign_stop(now);
+        }
+        let ts = now + self.lanes[ch.0 as usize].delay();
+        let s = self.shard.as_ref().expect("foreign src implies shard ctx");
+        self.push_boundary(
+            s.chan_src_owner[ch.0 as usize],
+            BoundaryMsg::Ctrl { ts, ch, sym },
+        );
+    }
+
+    /// Boundary-send bookkeeping shared by the per-byte and span paths:
+    /// the destination shard of `ch`, the worm's canonical tag, and its
+    /// snapshot iff this is the first contact between the two shards for
+    /// this worm.
+    fn boundary_tag_snap(&mut self, ch: ChanId, worm: WormId) -> (u32, u64, Option<Box<WormSnap>>) {
+        let tag = self.worm_name(worm);
+        let s = self
+            .shard
+            .as_mut()
+            .expect("boundary send implies shard ctx");
+        let to = s.chan_dst_owner[ch.0 as usize];
+        let mask = s.snap_sent.get_mut(worm);
+        let need_snap = *mask & (1 << to) == 0;
+        *mask |= 1 << to;
+        let snap = need_snap.then(|| Box::new(WormSnap::of(&self.worms[worm.0 as usize])));
+        (to, tag, snap)
+    }
+
+    /// Put `b` on cross-shard channel `ch`: enqueue the arrival in the
+    /// receive-side owner's mailbox, attaching the worm snapshot the first
+    /// time this shard sends that shard a byte of this worm.
+    pub(crate) fn send_boundary_byte(&mut self, ch: ChanId, ts: SimTime, b: WireByte) {
+        let (to, tag, snap) = self.boundary_tag_snap(ch, b.worm);
+        let kind = b.kind;
+        self.push_boundary(
+            to,
+            BoundaryMsg::Rx {
+                ts,
+                ch,
+                tag,
+                kind,
+                snap,
+            },
+        );
+    }
+
+    /// Put an optimistic span of `len` data bytes of `worm` on cross-shard
+    /// channel `ch`, first byte landing at `ts`. The receive-side owner
+    /// truncates it against its own STOP watermarks on arrival.
+    pub(crate) fn send_boundary_span(&mut self, ch: ChanId, ts: SimTime, worm: WormId, len: u64) {
+        let (to, tag, snap) = self.boundary_tag_snap(ch, worm);
+        self.push_boundary(
+            to,
+            BoundaryMsg::RxSpan {
+                ts,
+                ch,
+                tag,
+                len,
+                snap,
+            },
+        );
+    }
+
+    /// Enqueue one boundary message into the local wheel, materialising
+    /// the worm on first contact. Called by the shard worker loop while
+    /// draining its inbound mailboxes; the conservative horizon guarantees
+    /// `ts` has not been executed past.
+    fn ingest_boundary(&mut self, msg: BoundaryMsg) {
+        debug_assert!(
+            msg.ts() >= self.scheduler.now(),
+            "boundary message at {} arrived behind local time {}",
+            msg.ts(),
+            self.scheduler.now()
+        );
+        match msg {
+            BoundaryMsg::Rx {
+                ts,
+                ch,
+                tag,
+                kind,
+                snap,
+            } => {
+                let worm = self.worm_for_tag(tag, snap);
+                let byte = WireByte { worm, kind };
+                self.scheduler.at(ts, Event::RxByte { ch, byte });
+            }
+            BoundaryMsg::RxSpan {
+                ts,
+                ch,
+                tag,
+                len,
+                snap,
+            } => {
+                let worm = self.worm_for_tag(tag, snap);
+                let start = ts - self.lanes[ch.0 as usize].delay();
+                // Queue the span on the local (receive-side) lane copy and
+                // schedule its admission at first-byte arrival. A STOP this
+                // side emitted before `ts` truncates it then, mirroring the
+                // transmitter's own truncation (see `handle_rx_span`).
+                self.lanes[ch.0 as usize].enqueue_foreign_span(SpanInFlight { worm, start, len });
+                self.scheduler.at(ts, Event::RxSpan { ch });
+            }
+            BoundaryMsg::Ctrl { ts, ch, sym } => {
+                self.scheduler.at(ts, Event::CtrlRx { ch, sym });
+            }
+        }
+    }
+
+    /// Resolve a boundary worm tag to the local dense [`WormId`],
+    /// registering the worm from its snapshot on first contact. The
+    /// injecting shard counted the worm's statistics; a mirror counts
+    /// nothing here (its deliveries later drive this shard's
+    /// `active_worms` negative, which the merged statistics balance out).
+    fn worm_for_tag(&mut self, tag: u64, snap: Option<Box<WormSnap>>) -> WormId {
+        let s = self
+            .shard
+            .as_mut()
+            .expect("boundary ingest implies shard ctx");
+        if let Some(&w) = s.tag_to_worm.get(&tag) {
+            return w;
+        }
+        let snap = snap.expect("first boundary byte of a worm carries its snapshot");
+        let id = WormId(self.worms.len() as u32);
+        s.tag_to_worm.insert(tag, id);
+        *self.worm_names.get_mut(id) = tag;
+        self.worms.push(snap.instantiate(id));
+        id
+    }
+
+    /// The canonical name of a local worm, or `None` if it was never
+    /// injected or materialized here. Used by the merged deadlock analysis
+    /// to name one worm consistently across the shards that each hold a
+    /// mirror of it under different dense ids.
+    pub(crate) fn worm_tag(&self, worm: WormId) -> Option<u64> {
+        let tag = self.worm_names.get(worm);
+        (tag != u64::MAX).then_some(tag)
+    }
+
+    /// Receive-side admission of an optimistic cross-shard span: admit it
+    /// whole iff bulk delivery is provably indistinguishable from per-byte
+    /// arrival — the input has no STOP in force and the whole run stays
+    /// strictly below the STOP watermark (`switch_span_room` with zero
+    /// wire bytes: everything on the wire IS this span). Otherwise expand
+    /// the span back into the per-byte arrival stream it stood for (one
+    /// [`Event::RxForeign`] per wire slot, at exactly the canonical
+    /// per-byte positions). A rejected span already cost one mailbox
+    /// message instead of `len`, so the transmitter is never throttled.
+    /// Returns whether the span was admitted.
+    pub(crate) fn admit_foreign_span(
+        &mut self,
+        ch: ChanId,
+        dst: Endpoint,
+        span: &SpanInFlight,
+    ) -> bool {
+        let NodeRef::Switch(s) = dst.node else {
+            unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
+        };
+        if self
+            .switch_span_room(s, dst.port.0, 0)
+            .is_some_and(|room| span.len <= room)
+        {
+            return true;
+        }
+        let now = self.scheduler.now();
+        self.lanes[ch.0 as usize].push_foreign_run(ForeignRun {
+            worm: span.worm,
+            next: now,
+            end: now + span.len,
+        });
+        // Rank 4 (RxByte) sorts before this RxSpan's rank 5, so pushing at
+        // `now` fires the first expansion byte immediately after this
+        // event — at its exact canonical arrival slot.
+        self.scheduler.at(now, Event::RxForeign { ch });
+        false
+    }
+
+    /// One byte of a rejected cross-shard span lands: re-create exactly
+    /// the per-byte arrival the span stood for. Self-scheduling: each
+    /// delivery arms the next slot until the run is exhausted or a STOP
+    /// clamp revoked its tail.
+    pub(crate) fn handle_rx_foreign(&mut self, ch: ChanId) {
+        let now = self.scheduler.now();
+        let Some(run) = self.lanes[ch.0 as usize].foreign_run_front() else {
+            return;
+        };
+        if now >= run.end {
+            // A STOP clamp revoked everything still owed.
+            self.lanes[ch.0 as usize].pop_foreign_run();
+            return;
+        }
+        debug_assert_eq!(run.next, now, "expansion bytes arrive one per wire slot");
+        let dst = self.lanes[ch.0 as usize].dst();
+        if let Some(r) = self.lanes[ch.0 as usize].foreign_run_front_mut() {
+            r.next = now + 1;
+        }
+        self.stats.bytes_moved += 1;
+        let byte = WireByte {
+            worm: run.worm,
+            kind: ByteKind::Data,
+        };
+        self.deliver_run(dst, byte, 1);
+        // The arrival may have crossed the STOP mark, clamping this very
+        // run's end through `note_foreign_stop` — re-read before arming
+        // the next slot.
+        match self.lanes[ch.0 as usize].foreign_run_front() {
+            Some(r) if r.next < r.end => self.scheduler.at(r.next, Event::RxForeign { ch }),
+            Some(_) => self.lanes[ch.0 as usize].pop_foreign_run(),
+            None => {}
+        }
+    }
 }
 
 /// A shard's published horizon clock, padded to its own cache line so the
@@ -490,52 +757,14 @@ impl ShardedNetwork {
     /// run per shard.
     pub fn audit(&self) -> Result<(), String> {
         let s = self.stats();
-        let expect = s.worms_delivered + s.worms_refused + s.worms_corrupt + s.worms_flushed;
-        if s.sinks_injected as i64 != expect as i64 + s.active_worms {
-            return Err(format!(
-                "worm conservation violated (merged): sinks_injected={} delivered={} \
-                 refused={} corrupt={} flushed={} active={}",
-                s.sinks_injected,
-                s.worms_delivered,
-                s.worms_refused,
-                s.worms_corrupt,
-                s.worms_flushed,
-                s.active_worms
-            ));
-        }
+        Network::audit_counters(&s)?;
         if s.active_worms == 0 {
             if !self.all_parked() {
                 return Err("boundary mailbox holds messages with no active worms".into());
             }
             for (i, n) in self.nets.iter().enumerate() {
-                for c in &n.lanes {
-                    if c.in_flight() != 0 {
-                        return Err(format!(
-                            "shard {i}: lane {:?} has {} bytes in flight with no active worms",
-                            c.id(),
-                            c.in_flight()
-                        ));
-                    }
-                    if c.has_foreign_in_transit() {
-                        return Err(format!(
-                            "shard {i}: lane {:?} still holds a foreign span or \
-                             expansion run with no active worms",
-                            c.id()
-                        ));
-                    }
-                }
-                for sw in &n.switches {
-                    for (p, inp) in sw.inputs.iter().enumerate() {
-                        if !inp.buf.is_empty() {
-                            return Err(format!(
-                                "shard {i}: switch {:?} input {p} holds {} bytes \
-                                 with no active worms",
-                                sw.id,
-                                inp.buf.len()
-                            ));
-                        }
-                    }
-                }
+                n.audit_fabric_empty()
+                    .map_err(|e| format!("shard {i}: {e}"))?;
             }
         }
         Ok(())
@@ -545,16 +774,12 @@ impl ShardedNetwork {
     /// axis). Each adapter's uplink is owned by exactly one shard; the
     /// other shards' copies never carry bytes and contribute zero.
     pub fn mean_host_tx_utilization(&self, elapsed: SimTime) -> f64 {
-        let hosts = self.host_owner.len();
-        if hosts == 0 || elapsed == 0 {
-            return 0.0;
-        }
         let total: f64 = self
             .nets
             .iter()
             .map(|n| n.host_tx_utilization_total(elapsed))
             .sum();
-        total / hosts as f64
+        total / self.host_owner.len().max(1) as f64
     }
 
     /// Owning shard of each host (tests and the bench runner use this to

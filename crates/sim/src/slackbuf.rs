@@ -49,17 +49,11 @@ impl SlackBuf {
 
     #[inline]
     pub fn push_back(&mut self, b: WireByte) {
-        self.len += 1;
-        if let Some((last, n)) = self.runs.back_mut() {
-            if merges(last, &b) {
-                *n += 1;
-                return;
-            }
-        }
-        self.runs.push_back((b, 1));
+        self.push_back_run(b, 1);
     }
 
     /// Append `n` copies of `b`.
+    #[inline]
     pub fn push_back_run(&mut self, b: WireByte, n: u64) {
         if n == 0 {
             return;

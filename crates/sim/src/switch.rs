@@ -8,7 +8,7 @@
 //! [`crate::switchcast`].
 
 use crate::engine::{CtrlSym, SwitchId};
-use crate::link::{ChanId, NodeRef, SeededRoundRobin};
+use crate::link::{ChanId, SeededRoundRobin};
 use crate::network::Network;
 use crate::slackbuf::SlackBuf;
 use crate::time::SimTime;
@@ -124,15 +124,6 @@ impl InPort {
     #[inline]
     pub fn occupancy(&self) -> u32 {
         self.buf.len() as u32
-    }
-
-    /// Whether `worm`'s drain certificate is in force here at `now`: the
-    /// buffer may then hold bytes of a span delivered wholesale that its
-    /// per-byte twin has not received yet, and the watermark logic that
-    /// reads the *local* occupancy must stand aside.
-    #[inline]
-    fn certified(&self, worm: WormId, now: SimTime) -> bool {
-        matches!(self.drain_cert, Some((w, until)) if w == worm && now < until)
     }
 }
 
@@ -303,34 +294,43 @@ impl Switch {
 // ---------------------------------------------------------------------------
 
 impl Network {
-    /// A byte arrived at input `port` of switch `sw`.
-    pub(crate) fn switch_rx_byte(&mut self, sw: SwitchId, port: u8, byte: WireByte) {
+    /// `len` copies of `byte` arrived at input `port` of switch `sw`: one
+    /// byte, or the data run of a span (span-batched mode), buffered in one
+    /// go. A span's emission guards guarantee that the run fits below the
+    /// STOP watermark, or that the input holds the worm's drain certificate
+    /// and keeps the bytes only until their per-byte arrival slots come
+    /// round; either way the input state machine advances once.
+    pub(crate) fn switch_rx(&mut self, sw: SwitchId, port: u8, byte: WireByte, len: u64) {
         let now = self.scheduler.now();
-        let (occupancy, chan_in, crossed_stop, overflowed) = {
+        let (chan_in, crossed_stop, overflowed) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
             // Under a drain certificate the per-byte twin raises no STOP
             // here, and the two watermark tests below would read an
             // occupancy the twin does not have.
             let certified = inp.certified(byte.worm, now);
-            if inp.occupancy() >= inp.slack.capacity && !certified {
+            if inp.occupancy() as u64 + len > inp.slack.capacity as u64 && !certified {
                 // A validated slack buffer never overflows under plain
                 // backpressure; this can only happen with fault injection or
                 // a misconfiguration. Count and drop.
-                inp.dropped_bytes += 1;
-                (inp.occupancy(), inp.chan_in, false, true)
+                inp.dropped_bytes += len;
+                (inp.chan_in, false, true)
             } else {
-                inp.buf.push_back(byte);
-                let occ = inp.occupancy();
-                let crossed = occ >= inp.slack.stop_mark && !inp.sent_stop && !certified;
+                inp.buf.push_back_run(byte, len);
+                let crossed =
+                    inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop && !certified;
                 if crossed {
                     inp.sent_stop = true;
                 }
-                (occ, inp.chan_in, crossed, false)
+                (inp.chan_in, crossed, false)
             }
         };
+        debug_assert!(!overflowed, "slack buffer overflow at {sw:?}:{port}");
+        // A span's emission guard makes a crossing impossible; the STOP
+        // still goes out, so a guard bug degrades to legal (if no longer
+        // byte-exact) backpressure rather than buffer overflow.
         debug_assert!(
-            !overflowed,
-            "slack buffer overflow at switch {sw:?} port {port} (occupancy {occupancy})"
+            len == 1 || !crossed_stop,
+            "span delivery crossed the STOP mark at {sw:?}:{port} — emission guard failed"
         );
         // A replicating input regenerates its own IDLE fills; upstream
         // fills are dropped so they never count as body bytes.
@@ -645,273 +645,6 @@ impl Network {
         byte
     }
 
-    /// Span fast-path probe for the producer side of the channel leaving
-    /// output `out`: the length of the run of contiguous data bytes of the
-    /// forwarded worm at the owning input's buffer front, provided no
-    /// byte-timed side effect (a GO emission or a STOP crossing) could occur
-    /// while the run drains — those must happen at exact per-byte dequeue
-    /// and arrival times, so their mere possibility disables batching for
-    /// this kick.
-    pub(crate) fn switch_span_ready(&self, sw: SwitchId, out: u8) -> Option<(WormId, u64)> {
-        let swr = &self.switches[sw.0 as usize];
-        let owner = swr.outputs[out as usize].owner?;
-        let inp = &swr.inputs[owner as usize];
-        let InState::Forwarding { worm, out: o } = &inp.state else {
-            return None;
-        };
-        let worm = *worm;
-        if *o != out {
-            return None;
-        }
-        // A pending GO must go out at the exact dequeue that crosses the low
-        // watermark; batching the dequeues would move it.
-        if inp.sent_stop {
-            return None;
-        }
-        // Upstream arrivals land during the drain window. Dequeues (batched
-        // or per-byte) only lower occupancy, and at most one arrival per
-        // byte-time can land, so `occupancy + wire_bytes` bounds occupancy
-        // throughout the window in both modes; below the stop mark, neither
-        // mode can emit a STOP while the run drains. Under a drain
-        // certificate the per-byte occupancy is already proven to stay
-        // below the mark, and the local one (wholesale-delivered spans
-        // included) is not it.
-        if !inp.certified(worm, self.scheduler.now()) {
-            let wire = match inp.chan_in {
-                // Fed across a shard boundary: the local `in_flight` copy
-                // only counts queued optimistic spans. Paced per-byte
-                // crossings occupy distinct send slots in `(now-delay, now]`
-                // at the foreign transmitter, so `delay` bounds them — but
-                // optimistic spans and rejected-run expansions claim send
-                // slots reaching into the transmitter's future and can each
-                // exceed `delay`; count those explicitly on top.
-                Some(c) if self.chan_src_foreign(c) => {
-                    let l = &self.lanes[c.0 as usize];
-                    l.delay() + l.foreign_span_backlog()
-                }
-                Some(c) => self.lanes[c.0 as usize].in_flight() as u64,
-                None => 0,
-            };
-            if inp.occupancy() as u64 + wire >= inp.slack.stop_mark as u64 {
-                return None;
-            }
-        }
-        match inp.buf.front_run() {
-            Some((b, run)) if b.worm == worm && matches!(b.kind, ByteKind::Data) => {
-                Some((worm, run))
-            }
-            _ => None,
-        }
-    }
-
-    /// Span fast-path check for a receiving switch input: how many bytes can
-    /// land (in one event, plus everything already on the wire) while
-    /// provably staying below the STOP watermark for the whole per-byte
-    /// delivery window. `wire` is the byte count already in flight on the
-    /// incoming channel.
-    pub(crate) fn switch_span_room(&self, sw: SwitchId, port: u8, wire: u64) -> Option<u64> {
-        let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-        // With a STOP in force the per-byte GO/STOP interplay is exact;
-        // stay on the slow path until it clears.
-        if inp.sent_stop {
-            return None;
-        }
-        // An optimistic span this input batch-drained toward a cut
-        // downstream lane is a gamble still in flight: the receive-side
-        // owner may yet refuse or STOP-truncate it, and the per-byte
-        // twin still holds its future-slot bytes right here — the local
-        // occupancy runs speculatively low by that unsent tail until
-        // the span's last send slot passes (or a STOP rewinds it).
-        // Charge it as used room: over-charging only shrinks spans
-        // (always exact), while reading the advanced occupancy would
-        // defer a STOP crossing the per-byte twin takes mid-window.
-        // Intra-shard drains need no charge — their emission guard
-        // certified the whole drain window crossing-free.
-        let advance = match inp.state {
-            InState::Forwarding { out, .. } => self.switches[sw.0 as usize].outputs
-                [out as usize]
-                .chan_out
-                .filter(|&c| self.chan_dst_foreign(c))
-                .map_or(0, |c| {
-                    self.lanes[c.0 as usize].drain_advance(self.scheduler.now())
-                }),
-            _ => 0,
-        };
-        let used = inp.occupancy() as u64 + wire + advance;
-        let mark = inp.slack.stop_mark as u64;
-        // Strictly below the mark even after all `wire + k` bytes land with
-        // no dequeue: occupancy can never cross it in either mode.
-        if used + 1 >= mark {
-            None
-        } else {
-            Some(mark - used - 1)
-        }
-    }
-
-    /// The longest span of `worm` that lane `ch` may carry from now on the
-    /// strength of how long the input behind it is *certain to keep
-    /// draining* (DESIGN.md §3.1): `u64::MAX` on a clear circuit, 0 when
-    /// nothing is certain.
-    ///
-    /// Walking downstream from `ch`, every lane must be un-stopped with no
-    /// control symbol on its way to the transmitter (a STOP chased by a GO
-    /// on a long wire shows in neither end's flags), and every switch input
-    /// must be forwarding this worm, hold no STOP of its own, and have a
-    /// per-byte-equivalent occupancy `q` at least two below its STOP mark.
-    /// `q` is what the per-byte engine's buffer holds right now: the local
-    /// occupancy, minus the bytes of a wholesale-delivered span whose
-    /// arrival slots are still to come, plus the bytes a span batch-dequeued
-    /// for send slots still to come.
-    ///
-    /// Induction from wherever the walk stops. A STOP that is neither in
-    /// force on a lane nor on its control wire has yet to be emitted, so it
-    /// lands no sooner than the lane's delay from now. Until then the input
-    /// feeding that lane dequeues a byte in every byte-time it is non-empty
-    /// while at most one arrives, so its per-byte occupancy never exceeds
-    /// `q + 1` (`+ 1` again for where in the tick the walk happens to
-    /// look), never reaches the mark, never emits a STOP — which keeps the
-    /// lane one hop up un-stopped for *its* delay more, and so on up to
-    /// `ch`: no STOP lands on the first input's output before `now + W`,
-    /// `W` the summed delay of the lanes after `ch` that passed. A walk
-    /// that reaches an adapter which has decided the worm's admission has
-    /// `W = ∞` (adapters never STOP): the circuit is clear for good. The
-    /// crossbar connections are held until the tail, which stays a per-byte
-    /// event.
-    ///
-    /// Inside a finite window a span is exact when the first input's twin
-    /// has received *and forwarded* every byte of it before the window
-    /// closes — then nothing distinguishes the window from a clear circuit
-    /// while any of the span is around.
-    ///
-    /// A clear walk marks every input it passed ([`InPort::drain_cert`],
-    /// `SimTime::MAX`): later kicks stop at the first mark. A finite window
-    /// marks nothing here — the caller stamps the first input with the
-    /// expiry that follows from the length it sends. A shard engine always
-    /// refuses — its mirrors of foreign switches are dead state.
-    pub(crate) fn drain_window(&mut self, ch: ChanId, worm: WormId) -> u64 {
-        if self.shard.is_some() {
-            return 0;
-        }
-        let now = self.scheduler.now();
-        // A deliverable worm crosses each lane at most once; one whose
-        // route loops back into an input it still occupies never reaches a
-        // sink, and the bound keeps the walk from circling with it.
-        let mut walked = 0;
-        let mut window: SimTime = 0;
-        let mut q_first = 0;
-        let mut c = ch;
-        let clear = loop {
-            let lane = &self.lanes[c.0 as usize];
-            if lane.is_stopped() || lane.ctrl_in_flight() != 0 || walked == self.lanes.len() {
-                break false;
-            }
-            if walked > 0 {
-                window += lane.delay();
-            }
-            walked += 1;
-            let dst = lane.dst();
-            let s = match dst.node {
-                NodeRef::Host(h) => break self.adapter_span_room(h, worm).is_some(),
-                NodeRef::Switch(s) => s,
-            };
-            let sw = &self.switches[s.0 as usize];
-            let inp = &sw.inputs[dst.port.index()];
-            if inp.drain_cert == Some((worm, SimTime::MAX)) {
-                break true;
-            }
-            let InState::Forwarding { worm: w, out } = inp.state else {
-                break false;
-            };
-            let Some(next) = sw.outputs[out as usize].chan_out else {
-                break false;
-            };
-            if w != worm || inp.sent_stop {
-                break false;
-            }
-            let held = inp.occupancy() as u64 + self.lanes[next.0 as usize].drain_advance(now);
-            let future = lane.rx_future_bytes(now);
-            if held + 2 >= inp.slack.stop_mark as u64 + future {
-                break false;
-            }
-            if walked == 1 {
-                q_first = held.saturating_sub(future);
-            }
-            c = next;
-        };
-        if !clear {
-            // The span's last byte reaches the first input at slot
-            // `now + delay + k − 1` and must have left it again before a
-            // STOP can land at `now + W`. Charged in full, one slot per
-            // place where the position inside a tick could matter: the
-            // bytes on the wire, the `q + 2` of the input test above, and
-            // the landing tick itself — a STOP precedes its tick's kick.
-            let first = &self.lanes[ch.0 as usize];
-            let ahead = first.in_flight() as u64 + q_first + 2;
-            return window.saturating_sub(first.delay() + ahead + 1);
-        }
-        // Clear for good: mark the same inputs, in the same order.
-        let mut c = ch;
-        while let NodeRef::Switch(s) = self.lanes[c.0 as usize].dst().node {
-            let port = self.lanes[c.0 as usize].dst().port.index();
-            let sw = &mut self.switches[s.0 as usize];
-            let inp = &mut sw.inputs[port];
-            if inp.drain_cert == Some((worm, SimTime::MAX)) {
-                break;
-            }
-            inp.drain_cert = Some((worm, SimTime::MAX));
-            let InState::Forwarding { out, .. } = inp.state else {
-                unreachable!("walked inputs forward the worm");
-            };
-            c = sw.outputs[out as usize]
-                .chan_out
-                .expect("walked outputs are connected");
-        }
-        u64::MAX
-    }
-
-    /// A batched run of `len` data bytes of `worm` arrived at input `port`
-    /// (span-batched mode). The emission guards guarantee that the run fits
-    /// below the STOP watermark, or that the input holds the worm's drain
-    /// certificate and keeps the bytes only until their per-byte arrival
-    /// slots come round; the bytes are buffered in one go and the input
-    /// state machine advances once.
-    pub(crate) fn switch_rx_span(&mut self, sw: SwitchId, port: u8, worm: WormId, len: u64) {
-        let now = self.scheduler.now();
-        let (chan_in, crossed_stop) = {
-            let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            let certified = inp.certified(worm, now);
-            debug_assert!(
-                certified || inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
-                "span overflows slack buffer at {sw:?}:{port}"
-            );
-            inp.buf.push_back_run(
-                WireByte {
-                    worm,
-                    kind: ByteKind::Data,
-                },
-                len,
-            );
-            let crossed = !certified && inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop;
-            if crossed {
-                inp.sent_stop = true;
-            }
-            (inp.chan_in, crossed)
-        };
-        // The emission guard makes a crossing impossible; keep the STOP
-        // behavior anyway so a guard bug degrades to legal (if no longer
-        // byte-exact) backpressure rather than buffer overflow.
-        debug_assert!(
-            !crossed_stop,
-            "span delivery crossed the STOP mark at {sw:?}:{port} — emission guard failed"
-        );
-        if crossed_stop {
-            if let Some(ch) = chan_in {
-                self.send_ctrl(ch, CtrlSym::Stop);
-            }
-        }
-        self.switch_advance_input(sw, port);
-    }
-
     /// Common post-dequeue bookkeeping for a switch input: send GO when the
     /// buffer has drained below the low watermark.
     pub(crate) fn after_slack_dequeue(&mut self, sw: SwitchId, port: u8) {
@@ -940,6 +673,7 @@ enum InputAction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::NodeRef;
 
     #[test]
     fn slack_cfg_for_delay_validates() {
@@ -1025,7 +759,6 @@ mod tests {
                 a: (0, PortId(0)),
                 b: (1, PortId(0)),
                 delay: trunk_delay,
-                lanes: 0,
             }],
             host_link_delay: 1,
         };
@@ -1235,7 +968,7 @@ mod tests {
                 worm,
                 kind: ByteKind::Data,
             };
-            net.switch_rx_byte(s, p as u8, byte);
+            net.switch_rx(s, p as u8, byte, 1);
             net.switches[s.0 as usize].inputs[p].sent_stop
         };
         assert!(!crossing(1), "in force: the watermark test stands aside");

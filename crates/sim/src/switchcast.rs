@@ -319,14 +319,6 @@ use crate::switch::InState;
 use crate::worm::{ByteKind, WireByte, WormKind};
 
 impl Network {
-    /// Whether the span-batched fast path may run at all. Switch-level
-    /// multicast makes byte-level interleaving observable (replication
-    /// branch points, IDLE fill, Backward Reset flushes), so any mode other
-    /// than `Off` forces per-byte transmission everywhere.
-    pub(crate) fn switchcast_allows_spans(&self) -> bool {
-        matches!(self.cfg.switchcast, SwitchcastMode::Off)
-    }
-
     /// A `SwitchMulticast` worm's head reached the front of an idle input:
     /// decide between a plain transit hop (single leading port byte) and a
     /// replication directive, and set up the state machine.
@@ -977,19 +969,6 @@ impl Network {
                 .push(at, crate::trace::TraceEvent::WormFlushed { worm, host: injector });
         }
         self.notify_flushed(injector, worm);
-    }
-
-    /// A byte of an already-flushed worm arrived somewhere: discard it.
-    /// Returns true if the byte was consumed.
-    pub(crate) fn discard_if_flushed(&mut self, byte: &WireByte) -> bool {
-        self.worm_flags.get(byte.worm) & crate::slab::FLAG_FLUSHED != 0
-    }
-
-    /// Unused legacy entry point: flushes are performed synchronously by
-    /// [`Network::flush_worm`]; no Backward Reset symbols are scheduled.
-    pub(crate) fn switchcast_backward_reset(&mut self, ch: crate::link::ChanId) {
-        let _ = ch;
-        unreachable!("Backward Reset symbols are never scheduled")
     }
 }
 

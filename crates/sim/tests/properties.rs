@@ -46,7 +46,6 @@ fn line_fabric(n: usize, delay: u64) -> (FabricSpec, RouteTable) {
             a: (s as u32, PortId(a)),
             b: ((s + 1) as u32, PortId(b)),
             delay,
-            lanes: 0,
         });
     }
     let mut hosts = Vec::new();

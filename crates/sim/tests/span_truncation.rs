@@ -84,7 +84,6 @@ fn line_net(
             a: (s as u32, PortId(a)),
             b: ((s + 1) as u32, PortId(b)),
             delay,
-            lanes: 0,
         });
     }
     let mut hosts = Vec::new();

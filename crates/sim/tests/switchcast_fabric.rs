@@ -125,7 +125,6 @@ fn nested_directive_stamps_subtree_prefix() {
             a: (0, PortId(2)),
             b: (1, PortId(0)),
             delay: 1,
-            lanes: 0,
         }],
         host_link_delay: 1,
     };

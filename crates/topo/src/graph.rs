@@ -14,8 +14,6 @@ pub struct SwLink {
     pub b: usize,
     pub b_port: u8,
     pub delay: SimTime,
-    /// Lanes per direction; 0 defers to `NetworkConfig::lanes`.
-    pub lanes: u8,
 }
 
 /// A host attachment with its allocated switch port.
@@ -98,7 +96,6 @@ impl Topology {
                     a: (l.a as u32, PortId(l.a_port)),
                     b: (l.b as u32, PortId(l.b_port)),
                     delay: l.delay,
-                    lanes: l.lanes,
                 })
                 .collect(),
             host_link_delay: self.host_link_delay,
@@ -163,16 +160,9 @@ impl TopoBuilder {
     }
 
     /// Add a bidirectional link between two switches; ports are allocated
-    /// in call order. Returns the link index. The link inherits the
-    /// network-wide lane count; use [`TopoBuilder::link_with_lanes`] to pin
-    /// one.
+    /// in call order. Returns the link index. Every link carries the
+    /// network-wide lane count (`NetworkConfig::lanes`).
     pub fn link(&mut self, a: usize, b: usize, delay: SimTime) -> usize {
-        self.link_with_lanes(a, b, delay, 0)
-    }
-
-    /// Add a bidirectional link with an explicit per-link lane count
-    /// (0 defers to `NetworkConfig::lanes`).
-    pub fn link_with_lanes(&mut self, a: usize, b: usize, delay: SimTime, lanes: u8) -> usize {
         assert_ne!(a, b, "self-links are not allowed");
         let a_port = self.alloc_port(a);
         let b_port = self.alloc_port(b);
@@ -182,7 +172,6 @@ impl TopoBuilder {
             b,
             b_port,
             delay,
-            lanes,
         });
         self.links.len() - 1
     }

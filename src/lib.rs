@@ -52,7 +52,6 @@ pub use wormcast_traffic as traffic;
 ///         a: (0, PortId(0)),
 ///         b: (1, PortId(0)),
 ///         delay: 2,
-///         lanes: 0, // defer to NetworkConfig::lanes
 ///     }],
 ///     host_link_delay: 1,
 /// };
