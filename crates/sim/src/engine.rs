@@ -76,10 +76,11 @@ impl Event {
     /// Kind ranks: `Stop` first (a run deadline cuts off the deadline
     /// tick, as it always has), then `Watchdog`, then control symbols
     /// (STOP/GO must precede the same-tick `TxKick` they gate — the span
-    /// truncation rule relies on this), then arrivals, then transmit
-    /// kicks, then host-side events. Two events with equal keys target
-    /// the same entity and are therefore produced by the same shard, where
-    /// schedule order (the seq tie-break) is itself deterministic.
+    /// truncation rule relies on this), then arrivals (single bytes and
+    /// spans alike, by lane), then transmit kicks, then host-side events.
+    /// Two events with equal keys target the same entity and are therefore
+    /// produced by the same shard, where schedule order (the seq
+    /// tie-break) is itself deterministic.
     pub fn canon_key(&self) -> u64 {
         const ID: u64 = 1 << 32;
         match *self {
@@ -91,13 +92,19 @@ impl Event {
             // both in a sequential run and through a shard mailbox (which
             // is per-sender FIFO). No per-symbol rank needed.
             Event::CtrlRx { ch, .. } => ID + ch.0 as u64,
-            // An expanded foreign-span byte is *the* per-byte arrival the
-            // span stood for, so it takes exactly the RxByte rank — the
-            // canonical per-byte schedule's position for that wire slot.
-            // The two kinds never share a (time, lane) pair: per-byte
-            // boundary bytes are paced behind the span they follow.
-            Event::RxByte { ch, .. } | Event::RxForeign { ch } => 4 * ID + ch.0 as u64,
-            Event::RxSpan { ch } => 5 * ID + ch.0 as u64,
+            // Every arrival takes the rank of the per-byte arrival it is
+            // or stands for — the canonical per-byte schedule's position
+            // for that wire slot. An expanded foreign-span byte *is* that
+            // arrival. A span fires at its first byte's slot, and that
+            // byte may be a worm's head: two heads reaching one switch in
+            // one tick are served in event order, so the one inside a span
+            // must sort where its `RxByte` would, not behind every single
+            // byte of the tick. No two of the three kinds share a (time,
+            // lane) pair — bytes on a lane occupy distinct send slots,
+            // however they are batched.
+            Event::RxByte { ch, .. } | Event::RxSpan { ch } | Event::RxForeign { ch } => {
+                4 * ID + ch.0 as u64
+            }
             Event::TxKick { ch, .. } => 6 * ID + ch.0 as u64,
             Event::HostTimer { host, .. } => 7 * ID + host.0 as u64,
             Event::Inject { host } => 8 * ID + host.0 as u64,

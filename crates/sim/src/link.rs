@@ -40,7 +40,7 @@
 
 use crate::engine::{HostId, SwitchId};
 use crate::time::SimTime;
-use crate::worm::WormId;
+use crate::worm::{RouteSym, WormId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -93,19 +93,34 @@ pub struct Endpoint {
     pub port: PortId,
 }
 
-/// A batched run of contiguous data bytes of one worm in flight on a
-/// lane (span-batched mode). Byte `j` of the span conceptually occupies
-/// the wire slot at `start + j`; the whole run is delivered by a single
-/// `RxSpan` event at `start + delay`.
+/// A batched run of contiguous bytes of one worm in flight on a lane
+/// (span-batched mode): `route` route symbols — a *head run* — followed by
+/// data bytes. Byte `j` of the span conceptually occupies the wire slot at
+/// `start + j`; the whole run is delivered by a single `RxSpan` event at
+/// `start + delay`.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanInFlight {
     pub worm: WormId,
     /// Time the first byte of the span was put on the wire.
     pub start: SimTime,
-    /// Number of data bytes in the span. A STOP truncation may cut this
-    /// back (possibly to the bytes already past the transmitter); the entry
+    /// Number of bytes in the span. A STOP truncation may cut this back
+    /// (possibly to the bytes already past the transmitter); the entry
     /// stays queued so it pairs up with its already-scheduled `RxSpan`.
     pub len: u64,
+    /// How many of the `len` bytes, from the front, are route symbols.
+    /// Their values travel beside the record, in the lane's symbol FIFO
+    /// ([`TxPort::stage_route_sym`] / [`RxPort::take_route_sym`]).
+    pub route: u64,
+}
+
+/// What [`Lane::truncate_newest_span`] took back from the span still
+/// sending: its unsent suffix, `route` route symbols followed by `data`
+/// data bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Revoked {
+    pub(crate) worm: WormId,
+    pub(crate) route: u64,
+    pub(crate) data: u64,
 }
 
 /// Read-only counter snapshot of one lane, for statistics consumers.
@@ -182,6 +197,9 @@ pub struct Lane {
     /// Batched byte runs currently on the wire, in send order
     /// (span-batched mode only; empty in per-byte mode).
     spans: VecDeque<SpanInFlight>,
+    /// The route symbols of the head runs in `spans`, in wire order: each
+    /// entry of `spans` owns its `route` next symbols.
+    route_syms: VecDeque<RouteSym>,
     /// Kick generation: bumped when a STOP truncates an in-flight span so
     /// the span chain's already-scheduled end-of-span `TxKick` is ignored.
     kick_gen: u32,
@@ -246,6 +264,7 @@ impl Lane {
             // no allocator calls (a lane rarely carries more than a couple
             // of outstanding spans at once).
             spans: VecDeque::with_capacity(8),
+            route_syms: VecDeque::new(),
             kick_gen: 0,
             foreign_stop_cutoff: 0,
             foreign_runs: VecDeque::new(),
@@ -332,6 +351,16 @@ impl Lane {
     #[inline]
     pub(crate) fn delivered_end(&self) -> SimTime {
         self.delivered_end
+    }
+
+    /// `span`, just taken off the wire, lands in the receiver's buffer
+    /// wholesale: until its last arrival slot has passed the buffer is
+    /// ahead of its per-byte twin ([`Lane::rx_future_bytes`]). Not for a
+    /// cross-shard span that was rejected and expanded back into per-byte
+    /// arrivals — none of its bytes is buffered ahead of its slot.
+    #[inline]
+    pub(crate) fn note_span_landed(&mut self, span: &SpanInFlight) {
+        self.delivered_end = span.start + span.len;
     }
 
     /// Control symbols in flight toward this lane's transmitter, as this
@@ -467,11 +496,12 @@ impl Lane {
     }
 
     /// Cut the newest in-flight span back to its already-sent prefix (a
-    /// STOP took effect at `now`). Returns the worm and the number of
-    /// revoked bytes the caller must hand back to the producer, or `None`
-    /// if nothing was still sending. Cancels the pending end-of-span kick
-    /// by bumping the generation.
-    pub(crate) fn truncate_newest_span(&mut self, now: SimTime) -> Option<(WormId, u64)> {
+    /// STOP took effect at `now`). Returns what was revoked — the caller
+    /// hands it back to the producer, taking the revoked route symbols off
+    /// the lane with [`Lane::unstage_route_sym`] — or `None` if nothing was
+    /// still sending. Cancels the pending end-of-span kick by bumping the
+    /// generation.
+    pub(crate) fn truncate_newest_span(&mut self, now: SimTime) -> Option<Revoked> {
         debug_assert!(
             self.spans.iter().rev().skip(1).all(|s| s.start + s.len <= now),
             "only the newest span can still be sending"
@@ -482,11 +512,19 @@ impl Lane {
         }
         let sent = (now - span.start).max(1).min(span.len);
         let revoked = span.len - sent;
-        span.len = sent;
         if revoked == 0 {
             return None;
         }
-        let worm = span.worm;
+        // The span is its route symbols, then its data: the sent prefix
+        // keeps the first `sent` of that sequence.
+        let route_kept = span.route.min(sent);
+        let out = Revoked {
+            worm: span.worm,
+            route: span.route - route_kept,
+            data: revoked - (span.route - route_kept),
+        };
+        span.len = sent;
+        span.route = route_kept;
         self.in_flight -= revoked as u32;
         self.bytes_carried -= revoked;
         self.next_tx_time = now;
@@ -494,7 +532,15 @@ impl Lane {
         // STOP will start a fresh chain at `next_tx_time`.
         self.kick_gen = self.kick_gen.wrapping_add(1);
         self.tx_active = false;
-        Some((worm, revoked))
+        Some(out)
+    }
+
+    /// Take back the newest staged route symbol: the revoked symbols of a
+    /// truncated span, last first.
+    pub(crate) fn unstage_route_sym(&mut self) -> RouteSym {
+        self.route_syms
+            .pop_back()
+            .expect("a revoked route symbol is still staged")
     }
 
     // -- cross-shard span protocol (DESIGN.md §3.4) --------------------------
@@ -600,9 +646,10 @@ pub enum TxPayload {
     Data,
     /// One IDLE fill byte (counted as wasted bandwidth).
     Idle,
-    /// A contiguous run of `len` data bytes of `worm`, moved as one span
-    /// (span-batched mode).
-    Span { worm: WormId, len: u64 },
+    /// A contiguous run of `len` bytes of `worm`, moved as one span
+    /// (span-batched mode): the `route` route symbols staged with
+    /// [`TxPort::stage_route_sym`] since the last span, then data.
+    Span { worm: WormId, len: u64, route: u64 },
 }
 
 /// Transmit-side handle on a lane: the only way to put bytes on the wire.
@@ -626,6 +673,13 @@ impl<'a> TxPort<'a> {
     #[inline]
     pub fn is_stopped(&self) -> bool {
         self.lane.stopped
+    }
+
+    /// Stage the next route symbol of the head run about to be sent: the
+    /// `route` count of the following [`TxPayload::Span`] claims it.
+    #[inline]
+    pub fn stage_route_sym(&mut self, sym: RouteSym) {
+        self.lane.route_syms.push_back(sym);
     }
 
     /// Try to put `payload` on the wire at `now`. Fails (returns `None`)
@@ -661,7 +715,7 @@ impl<'a> TxPort<'a> {
                 l.idles_carried += 1;
                 l.next_tx_time = now + 1;
             }
-            TxPayload::Span { worm, len } => {
+            TxPayload::Span { worm, len, route } => {
                 // Spans cross shard boundaries with `count_in_flight` true:
                 // the transmit-side copy tracks wire occupancy until the
                 // end-of-transmission retirement event (`handle_rx_span`).
@@ -672,7 +726,13 @@ impl<'a> TxPort<'a> {
                     worm,
                     start: now,
                     len,
+                    route,
                 });
+                debug_assert_eq!(
+                    l.route_syms.len() as u64,
+                    l.spans.iter().map(|s| s.route).sum::<u64>(),
+                    "every head run's symbols are staged, and nothing else"
+                );
             }
         }
         Some(SendTicket {
@@ -707,7 +767,9 @@ impl<'a> RxPort<'a> {
 
     /// The oldest in-flight span arrived: dequeue it (spans and single
     /// bytes share FIFO wire order) and return it together with the
-    /// landing endpoint.
+    /// landing endpoint. The caller takes its `route` symbols with
+    /// [`RxPort::take_route_sym`] and, if it buffers the span wholesale,
+    /// records that with `Lane::note_span_landed`.
     #[inline]
     pub fn deliver_span(&mut self) -> (Endpoint, SpanInFlight) {
         let span = self
@@ -716,8 +778,16 @@ impl<'a> RxPort<'a> {
             .pop_front()
             .expect("RxSpan without queued span");
         self.lane.in_flight -= span.len as u32;
-        self.lane.delivered_end = span.start + span.len;
         (self.lane.dst, span)
+    }
+
+    /// The next route symbol of the head run just delivered.
+    #[inline]
+    pub fn take_route_sym(&mut self) -> RouteSym {
+        self.lane
+            .route_syms
+            .pop_front()
+            .expect("a delivered head run's symbols are staged")
     }
 }
 
@@ -939,7 +1009,7 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 3, ChanId(1), LinkId(0), 0);
         let worm = WormId(7);
         let t = TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 5 }, true)
+            .try_send(10, TxPayload::Span { worm, len: 5, route: 0 }, true)
             .expect("lane free");
         assert_eq!(t.deliver_at, 13);
         assert_eq!(l.in_flight(), 5);
@@ -955,17 +1025,100 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
         let worm = WormId(3);
         TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 8 }, true)
+            .try_send(10, TxPayload::Span { worm, len: 8, route: 0 }, true)
             .expect("lane free");
         // STOP lands at t=13: bytes at slots 10..13 (3 of them) are out.
-        let (w, revoked) = l.truncate_newest_span(13).expect("still sending");
-        assert_eq!((w, revoked), (worm, 5));
+        let revoked = l.truncate_newest_span(13).expect("still sending");
+        assert_eq!(revoked, Revoked { worm, route: 0, data: 5 });
         assert_eq!(l.in_flight(), 3);
         assert_eq!(l.stats().bytes_carried, 3);
         // The old span chain's kick is cancelled.
         assert!(!l.kick_is_current(0));
         // Nothing left to truncate.
         assert!(l.truncate_newest_span(14).is_none());
+    }
+
+    /// A head run of five route symbols and three data bytes on a
+    /// delay-8 lane, cut by a STOP after two symbols: the other three come
+    /// back in order behind the data, and what stays on the wire delivers
+    /// exactly the two that left.
+    #[test]
+    fn truncation_hands_back_route_symbols_in_order() {
+        let mut l = Lane::new(ChanId(0), ep(0), ep(1), 8, ChanId(1), LinkId(0), 0);
+        let worm = WormId(3);
+        let mut tx = TxPort::new(&mut l);
+        for port in 1..=5 {
+            tx.stage_route_sym(RouteSym::Port(port));
+        }
+        let ticket = tx
+            .try_send(10, TxPayload::Span { worm, len: 8, route: 5 }, true)
+            .expect("lane free");
+        assert_eq!(ticket.deliver_at, 18);
+        // STOP lands at t=12: the symbols at slots 10 and 11 are out.
+        let revoked = l.truncate_newest_span(12).expect("still sending");
+        assert_eq!(revoked, Revoked { worm, route: 3, data: 3 });
+        // Last first, as the producer pushes them back onto its front.
+        let back: Vec<RouteSym> = (0..revoked.route).map(|_| l.unstage_route_sym()).collect();
+        assert_eq!(
+            back,
+            [RouteSym::Port(5), RouteSym::Port(4), RouteSym::Port(3)]
+        );
+        assert_eq!(l.in_flight(), 2);
+        assert_eq!(l.stats().bytes_carried, 2);
+        assert_eq!(TxPort::new(&mut l).ready_at(), 12);
+        assert!(!l.kick_is_current(0));
+        let mut rx = RxPort::new(&mut l);
+        let (_, span) = rx.deliver_span();
+        assert_eq!((span.start, span.len, span.route), (10, 2, 2));
+        assert_eq!(rx.take_route_sym(), RouteSym::Port(1));
+        assert_eq!(rx.take_route_sym(), RouteSym::Port(2));
+        assert_eq!(l.in_flight(), 0);
+        // The next head run starts from an empty symbol FIFO.
+        let mut tx = TxPort::new(&mut l);
+        tx.stage_route_sym(RouteSym::Port(3));
+        tx.try_send(20, TxPayload::Span { worm, len: 1, route: 1 }, true)
+            .expect("lane free");
+        assert_eq!(RxPort::new(&mut l).take_route_sym(), RouteSym::Port(3));
+    }
+
+    /// Only a span that lands wholesale puts its receiver ahead of the
+    /// per-byte twin. A cross-shard span that is taken off the wire and
+    /// then rejected is expanded into per-byte arrivals: none of its bytes
+    /// is buffered ahead of its slot, and `rx_future_bytes` must say so.
+    #[test]
+    fn only_a_span_that_lands_counts_as_delivered_ahead() {
+        let span = SpanInFlight {
+            worm: WormId(3),
+            start: 10,
+            len: 6,
+            route: 0,
+        };
+        let arrive = |landed: bool| {
+            let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
+            l.enqueue_foreign_span(span);
+            let (_, got) = RxPort::new(&mut l).deliver_span();
+            assert_eq!(got.len, 6);
+            if landed {
+                l.note_span_landed(&got);
+            } else {
+                l.push_foreign_run(ForeignRun {
+                    worm: got.worm,
+                    next: 12,
+                    end: 18,
+                });
+            }
+            l
+        };
+        // First byte arrives at t=12; five more have slots still to come.
+        let admitted = arrive(true);
+        assert_eq!(admitted.rx_future_bytes(12), 5);
+        assert_eq!(admitted.rx_future_bytes(16), 1);
+        assert_eq!(admitted.rx_future_bytes(17), 0);
+        assert_eq!(admitted.delivered_end(), 16);
+        let expanded = arrive(false);
+        assert_eq!(expanded.rx_future_bytes(12), 0);
+        assert_eq!(expanded.delivered_end(), 0);
+        assert_eq!(expanded.foreign_span_backlog(), 6);
     }
 
     #[test]

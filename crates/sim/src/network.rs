@@ -37,10 +37,11 @@ pub enum SimMode {
     /// One scheduler event per byte per hop — the reference semantics,
     /// O(bytes·hops) events.
     PerByte,
-    /// Contiguous runs of ready data bytes move as a single `RxSpan` event
-    /// whenever that is provably indistinguishable from per-byte
-    /// transmission, approaching O(worms·hops) events. Falls back to
-    /// per-byte at headers, tails, watermark proximity, cut-through pacing,
+    /// Contiguous runs of a worm's ready bytes — its route symbols, then
+    /// data — move as a single `RxSpan` event whenever that is provably
+    /// indistinguishable from per-byte transmission, approaching
+    /// O(worms·hops) events. Falls back to per-byte at tails, the first
+    /// body byte at an adapter, watermark proximity, cut-through pacing,
     /// replication branch points, and on STOP truncation.
     SpanBatched,
 }
@@ -539,8 +540,13 @@ impl Network {
 
     /// Ensure the transmit side of `ch` has a pending `TxKick`.
     pub(crate) fn kick_channel(&mut self, ch: ChanId) {
-        let now = self.scheduler.now();
-        if let Some((at, gen)) = self.lanes[ch.0 as usize].arm_kick(now) {
+        self.kick_channel_from(ch, self.scheduler.now());
+    }
+
+    /// Ensure the transmit side of `ch` has a pending `TxKick`, arming one
+    /// no sooner than `from` (`>= now`) if none is.
+    pub(crate) fn kick_channel_from(&mut self, ch: ChanId, from: SimTime) {
+        if let Some((at, gen)) = self.lanes[ch.0 as usize].arm_kick(from) {
             self.scheduler.at(at, Event::TxKick { ch, gen });
         }
     }
@@ -612,11 +618,15 @@ impl Network {
             self.lanes[ch.0 as usize].set_tx_idle();
             return;
         }
-        if self.cfg.mode == SimMode::SpanBatched && self.try_emit_span(ch) {
+        let spans = self.spans_enabled();
+        if spans && self.try_emit_span(ch, gen) {
             return;
         }
         let byte = match src.node {
-            NodeRef::Switch(s) => self.switch_produce_byte(s, src.port.0),
+            NodeRef::Switch(s) => {
+                self.debug_assert_paced(s, src.port.0);
+                self.switch_produce_byte(s, src.port.0)
+            }
             NodeRef::Host(h) => self.adapter_produce_byte(h),
         };
         match byte {
@@ -641,8 +651,14 @@ impl Network {
                     self.scheduler
                         .at(ticket.deliver_at, Event::RxByte { ch, byte: b });
                 }
-                self.scheduler.after(1, Event::TxKick { ch, gen: ticket.gen });
-                // tx_active stays true: the follow-up kick is pending.
+                if !spans || self.producer_has_byte(src) {
+                    self.scheduler.after(1, Event::TxKick { ch, gen: ticket.gen });
+                    // tx_active stays true: the follow-up kick is pending.
+                } else {
+                    // The chain kick would find nothing to send; whatever
+                    // refills the producer re-kicks (DESIGN.md §3.1).
+                    self.lanes[ch.0 as usize].set_tx_idle();
+                }
             }
             None => {
                 self.lanes[ch.0 as usize].set_tx_idle();
@@ -693,7 +709,7 @@ impl Network {
                     l.stop(now);
                     l.lane_index()
                 };
-                if self.cfg.mode == SimMode::SpanBatched {
+                if self.spans_enabled() {
                     self.truncate_spans(ch);
                 }
                 if self.trace.enabled() {

@@ -326,7 +326,15 @@ impl Network {
                 // schedule its admission at first-byte arrival. A STOP this
                 // side emitted before `ts` truncates it then, mirroring the
                 // transmitter's own truncation (see `handle_rx_span`).
-                self.lanes[ch.0 as usize].enqueue_foreign_span(SpanInFlight { worm, start, len });
+                // No head run crosses a boundary: a shard engine keeps route
+                // symbols per-byte.
+                let span = SpanInFlight {
+                    worm,
+                    start,
+                    len,
+                    route: 0,
+                };
+                self.lanes[ch.0 as usize].enqueue_foreign_span(span);
                 self.scheduler.at(ts, Event::RxSpan { ch });
             }
             BoundaryMsg::Ctrl { ts, ch, sym } => {
@@ -396,9 +404,10 @@ impl Network {
             next: now,
             end: now + span.len,
         });
-        // Rank 4 (RxByte) sorts before this RxSpan's rank 5, so pushing at
-        // `now` fires the first expansion byte immediately after this
-        // event — at its exact canonical arrival slot.
+        // `RxForeign` shares this `RxSpan`'s key (rank 4, this lane), and
+        // a push at `now` goes behind every equal key: the first expansion
+        // byte fires right after this event — where the per-byte twin's
+        // `RxByte` for this wire slot sorts.
         self.scheduler.at(now, Event::RxForeign { ch });
         false
     }

@@ -5,22 +5,31 @@
 //! A span is an *engine optimisation*: whatever is decided here, a run
 //! delivers the bytes, timestamps and statistics of the per-byte reference
 //! engine (`SimMode::PerByte`, which calls nothing in this module but
-//! `InPort::certified`, always false there). `link.rs` keeps the
-//! mechanism — in-flight span records, truncation arithmetic, send-slot
-//! accounting.
+//! `spans_enabled` and `InPort::certified`, both false there). `link.rs`
+//! keeps the mechanism — in-flight span records and the route symbols that
+//! travel beside them, truncation arithmetic, send-slot accounting.
 
 use crate::adapter::RxState;
 use crate::engine::{Event, HostId, SwitchId};
-use crate::link::{ChanId, NodeRef, RxPort, TxPayload, TxPort};
-use crate::network::Network;
+use crate::link::{ChanId, Endpoint, NodeRef, RxPort, TxPayload, TxPort};
+use crate::network::{Network, SimMode};
 use crate::switch::{InPort, InState};
 use crate::switchcast::SwitchcastMode;
 use crate::time::SimTime;
-use crate::worm::{ByteKind, WireByte, WormId};
+use crate::worm::{ByteKind, RouteSym, WireByte, WormId};
 
 /// Minimum run length worth batching: a 1-byte span costs the same two
 /// events (arrival + next kick) as the per-byte path, so fall through.
 const MIN_SPAN: u64 = 2;
+
+/// What a span producer holds ready at its front: `route` route symbols
+/// followed by `data` data bytes, all of `worm`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ready {
+    worm: WormId,
+    route: u64,
+    data: u64,
+}
 
 impl InPort {
     /// Whether `worm`'s drain certificate is in force here at `now`: the
@@ -34,26 +43,94 @@ impl InPort {
 }
 
 impl Network {
-    /// Whether the span-batched fast path may run at all. Switch-level
-    /// multicast makes byte-level interleaving observable (replication
-    /// branch points, IDLE fill, Backward Reset flushes), so any mode other
-    /// than `Off` forces per-byte transmission everywhere.
-    pub(crate) fn switchcast_allows_spans(&self) -> bool {
-        matches!(self.cfg.switchcast, SwitchcastMode::Off)
+    /// Whether the span rules are in force at all: span-batched mode, and
+    /// no switch-level multicast — replication branch points, IDLE fill and
+    /// Backward Reset flushes make byte-level interleaving observable, so
+    /// any mode other than `Off` forces per-byte transmission everywhere.
+    #[inline]
+    pub(crate) fn spans_enabled(&self) -> bool {
+        self.cfg.mode == SimMode::SpanBatched
+            && matches!(self.cfg.switchcast, SwitchcastMode::Off)
     }
 
-    /// Span-batched fast path (see DESIGN.md §3.1): when the producer holds
-    /// a run of contiguous ready data bytes of one worm and moving them in
-    /// a single event is provably indistinguishable from per-byte
-    /// transmission, put the whole run on the wire at once. Returns true
-    /// when a span went out (the end-of-span kick is scheduled); false
-    /// means the caller must produce per-byte.
-    pub(crate) fn try_emit_span(&mut self, ch: ChanId) -> bool {
-        // Replication, IDLE fill and flushes (Section 3 machinery) make
-        // byte-level interleaving observable; the fast path is off outright.
-        if !self.switchcast_allows_spans() {
-            return false;
+    /// The earliest time output `out` of `sw` may send the byte at the
+    /// front of its owner's buffer — `now`, or that byte's per-byte arrival
+    /// slot if it is still to come — or `None` when there is no such byte.
+    ///
+    /// *Pacing*: no byte leaves an input before its per-byte arrival slot.
+    /// A span lands wholesale at its first byte's slot, and its bytes
+    /// leave in order at one per byte-time at most, so byte `j` cannot go
+    /// before slot `a + j` — unless a byte ahead of it is *consumed*: the
+    /// head byte of a head run takes no send slot, and the byte behind it
+    /// (slot `a + 1`) is at the buffer front at time `a`. The bytes still
+    /// ahead of their slots are the newest `rx_future_bytes` that came in,
+    /// so the front byte is one of them iff the buffer holds no more than
+    /// that. Enforced where a kick is armed on a grant (`switch_grant`) and
+    /// again where any kick fires (`try_emit_span`).
+    pub(crate) fn front_byte_slot(&self, sw: SwitchId, out: u8) -> Option<SimTime> {
+        let swr = &self.switches[sw.0 as usize];
+        let inp = &swr.inputs[swr.outputs[out as usize].owner? as usize];
+        let held = inp.occupancy() as u64;
+        if held == 0 {
+            return None;
         }
+        let now = self.scheduler.now();
+        let future = inp
+            .chan_in
+            .map_or(0, |c| self.lanes[c.0 as usize].rx_future_bytes(now));
+        Some(now + (future + 1).saturating_sub(held))
+    }
+
+    /// The pacing invariant, checked where a byte leaves a switch: output
+    /// `out` of `sw` is about to send from the front of its owner's buffer
+    /// (one byte, or a span starting with it), and that byte has reached
+    /// its per-byte arrival slot.
+    #[inline]
+    pub(crate) fn debug_assert_paced(&self, sw: SwitchId, out: u8) {
+        debug_assert!(
+            !self.spans_enabled()
+                || self
+                    .front_byte_slot(sw, out)
+                    .is_none_or(|slot| slot <= self.scheduler.now()),
+            "output {out} of {sw:?} sends a byte ahead of its arrival slot"
+        );
+    }
+
+    /// Whether the producer behind `src` holds a byte it could send in its
+    /// next slot: the output's owner has a byte of the worm it forwards at
+    /// its buffer front; the adapter has a worm queued (its tail at
+    /// least). When it does not, a follow-up kick would find nothing: the
+    /// lane goes idle instead, and whatever refills the producer re-kicks
+    /// through `kick_channel`, paced by `next_tx_time` — same send slots,
+    /// no empty-handed wakeup.
+    pub(crate) fn producer_has_byte(&self, src: Endpoint) -> bool {
+        match src.node {
+            NodeRef::Switch(s) => {
+                let sw = &self.switches[s.0 as usize];
+                sw.outputs[src.port.index()].owner.is_some_and(|owner| {
+                    let inp = &sw.inputs[owner as usize];
+                    matches!(
+                        inp.state,
+                        InState::Forwarding { worm, out } if out == src.port.0
+                            && inp.buf.front().is_some_and(|b| b.worm == worm)
+                    )
+                })
+            }
+            NodeRef::Host(h) => !self.adapters[h.0 as usize].tx_queue.is_empty(),
+        }
+    }
+
+    /// Span-batched fast path (see DESIGN.md §3.1), entered by every kick
+    /// of lane `ch` while [`Network::spans_enabled`]: when the producer
+    /// holds a run of contiguous ready bytes of one worm — its leading
+    /// route symbols, then data — and moving them in a single event is
+    /// provably indistinguishable from per-byte transmission, put the whole
+    /// run on the wire at once. Returns true when the kick is dealt with
+    /// here: a span went out (the end-of-span kick is scheduled, or the
+    /// lane went idle behind a producer left empty-handed), or the kick
+    /// came before its byte's arrival slot and was re-armed for it. False
+    /// means the caller must produce per-byte, now.
+    pub(crate) fn try_emit_span(&mut self, ch: ChanId, gen: u32) -> bool {
         // Bytes bound for another shard go out as an *optimistic* span:
         // the receive-side occupancy needed for an exact admission check
         // lives over there, so the owner performs it on arrival — either
@@ -64,12 +141,25 @@ impl Network {
             let c = &self.lanes[ch.0 as usize];
             (c.src(), c.dst(), c.in_flight() as u64)
         };
-        let Some((worm, avail)) = (match src.node {
-            NodeRef::Switch(s) => self.switch_span_ready(s, src.port.0),
+        let now = self.scheduler.now();
+        let ready = match src.node {
+            NodeRef::Switch(s) => {
+                // Pacing, at kick time: a kick armed before the grant — by
+                // a GO, by the previous worm's chain — can fire in the very
+                // tick a head run was granted this output.
+                let early = self.front_byte_slot(s, src.port.0).filter(|&slot| slot > now);
+                if let Some(slot) = early {
+                    self.scheduler.at(slot, Event::TxKick { ch, gen });
+                    return true;
+                }
+                self.switch_span_ready(s, src.port.0)
+            }
             NodeRef::Host(h) => self.adapter_span_ready(h),
-        }) else {
+        };
+        let Some(Ready { worm, route, data }) = ready else {
             return false;
         };
+        let avail = route + data;
         let room = if dst_foreign {
             // Bound the optimistic span by the mirror's slack geometry
             // alone (shards are built from identical fabrics). Any bound
@@ -93,9 +183,10 @@ impl Network {
                 },
             }
         };
-        // Two admission rules: the run fits below the receiver's STOP mark
-        // even if nothing drains (`room`), or the receiver is certain to
-        // keep draining for long enough (`drain_window`).
+        // Two admission rules, both counting bytes whatever their kind:
+        // the run fits below the receiver's STOP mark even if nothing
+        // drains (`room`), or the receiver is certain to keep draining for
+        // long enough (`drain_window`).
         let certified = if avail > room {
             self.drain_window(ch, worm)
         } else {
@@ -111,37 +202,50 @@ impl Network {
         if k < MIN_SPAN {
             return false;
         }
-        // Commit: dequeue the run from the producer...
-        let producer_drained = match src.node {
+        // The span is the first `k` of the run: symbols first.
+        let route = route.min(k);
+        let data = k - route;
+        if let NodeRef::Switch(s) = src.node {
+            self.debug_assert_paced(s, src.port.0);
+        }
+        // Commit: dequeue the run from the producer, staging its route
+        // symbols on the lane...
+        let mut tx = TxPort::new(&mut self.lanes[ch.0 as usize]);
+        match src.node {
             NodeRef::Switch(s) => {
                 let owner = self.switches[s.0 as usize].outputs[src.port.index()]
                     .owner
                     .expect("span-ready output has an owner");
                 let inp = &mut self.switches[s.0 as usize].inputs[owner as usize];
-                let popped = inp.buf.pop_front_run(k);
-                debug_assert_eq!(popped, k, "span-ready bytes lead the buffer as one run");
-                // No per-dequeue GO check: `switch_span_ready` guaranteed
-                // `sent_stop` is false for the whole drain window.
-                inp.buf.is_empty()
+                for _ in 0..route {
+                    let Some(ByteKind::Route(sym)) = inp.buf.pop_front().map(|b| b.kind) else {
+                        unreachable!("span-ready route symbols lead the buffer");
+                    };
+                    tx.stage_route_sym(sym);
+                }
+                let popped = inp.buf.pop_front_run(data);
+                debug_assert_eq!(popped, data, "span-ready data follows as one run");
+                // No per-dequeue GO check: `switch_span_ready` stops a run
+                // short of the dequeue that reaches the GO mark.
             }
             NodeRef::Host(h) => {
                 let a = &mut self.adapters[h.0 as usize];
-                a.tx_queue
-                    .front_mut()
-                    .expect("span-ready head worm")
-                    .body_sent += k;
+                let head = a.tx_queue.front_mut().expect("span-ready head worm");
+                let unsent = &self.worms[head.worm.0 as usize].route[head.route_sent..];
+                for &sym in &unsent[..route as usize] {
+                    tx.stage_route_sym(sym);
+                }
+                head.route_sent += route as usize;
+                head.body_sent += data;
                 a.counters.bytes_sent += k;
-                // The tail byte (at least) is still owed, so the adapter
-                // always needs the end-of-span kick.
-                false
             }
-        };
+        }
         // ...and move it as one span.
-        let now = self.scheduler.now();
-        let ticket = TxPort::new(&mut self.lanes[ch.0 as usize])
-            .try_send(now, TxPayload::Span { worm, len: k }, true)
+        let ticket = tx
+            .try_send(now, TxPayload::Span { worm, len: k, route }, true)
             .expect("span probe ran at the lane's ready time");
         if dst_foreign {
+            debug_assert_eq!(route, 0, "a shard engine keeps route symbols per-byte");
             self.send_boundary_span(ch, ticket.deliver_at, worm, k);
             // The receive-side owner delivers the bytes; this RxSpan fires
             // at end-of-transmission to retire the local wire-occupancy
@@ -160,14 +264,7 @@ impl Network {
             self.switches[s.0 as usize].inputs[dst.port.index()].drain_cert =
                 Some((worm, ticket.deliver_at + k));
         }
-        if producer_drained {
-            // The span took everything the producer had; an end-of-span
-            // kick would only find an empty buffer (the dominant event cost
-            // at light load). Go idle instead: whatever refills the buffer
-            // re-kicks via `kick_channel`, which paces the kick to
-            // `next_tx_time`, so send slots are unchanged.
-            self.lanes[ch.0 as usize].set_tx_idle();
-        } else {
+        if self.producer_has_byte(src) {
             self.scheduler.after(
                 k,
                 Event::TxKick {
@@ -176,6 +273,10 @@ impl Network {
                 },
             );
             // tx_active stays true: the end-of-span kick is pending.
+        } else {
+            // The span took everything its producer had (never an
+            // adapter: that still owes the tail): no end-of-span kick.
+            self.lanes[ch.0 as usize].set_tx_idle();
         }
         true
     }
@@ -216,6 +317,8 @@ impl Network {
         if src_foreign && !self.admit_foreign_span(ch, dst, &span) {
             return;
         }
+        // From here the span lands wholesale.
+        self.lanes[ch.0 as usize].note_span_landed(&span);
         // Credit `bytes_moved` per-byte-exactly: byte `j` of the span
         // conceptually arrives at `now + j`, and only arrivals strictly
         // before the run deadline count — its per-byte twin would sort
@@ -232,11 +335,31 @@ impl Network {
             self.flushed_count == 0,
             "spans and flushes cannot coexist (switchcast gates the fast path)"
         );
+        if span.route > 0 {
+            // A head run: its route symbols go into the input's buffer as
+            // single entries, in wire order, ahead of the data run. Only
+            // the first of them can mean anything to this switch — a span
+            // starts at its producer's first unsent byte, so the worm's
+            // first byte *here* is always the first byte of a span, at its
+            // own arrival slot — and `switch_rx` acts on it below, once,
+            // after the whole run is in.
+            let NodeRef::Switch(s) = dst.node else {
+                unreachable!("route symbols are consumed by switches, never sent to a host");
+            };
+            let mut rx = RxPort::new(&mut self.lanes[ch.0 as usize]);
+            let inp = &mut self.switches[s.0 as usize].inputs[dst.port.index()];
+            for _ in 0..span.route {
+                inp.buf.push_back(WireByte {
+                    worm: span.worm,
+                    kind: ByteKind::Route(rx.take_route_sym()),
+                });
+            }
+        }
         let byte = WireByte {
             worm: span.worm,
             kind: ByteKind::Data,
         };
-        self.deliver_run(dst, byte, span.len);
+        self.deliver_run(dst, byte, span.len - span.route);
     }
 
     /// A STOP just took effect on `ch` at time `now`. In per-byte mode the
@@ -249,10 +372,12 @@ impl Network {
     /// and hand the revoked bytes back to the producer.
     pub(crate) fn truncate_spans(&mut self, ch: ChanId) {
         let now = self.scheduler.now();
-        let Some((worm, revoked)) = self.lanes[ch.0 as usize].truncate_newest_span(now) else {
+        let lane = &mut self.lanes[ch.0 as usize];
+        let Some(revoked) = lane.truncate_newest_span(now) else {
             return;
         };
-        let src = self.lanes[ch.0 as usize].src();
+        let worm = revoked.worm;
+        let src = lane.src();
         match src.node {
             NodeRef::Switch(s) => {
                 let owner = self.switches[s.0 as usize].outputs[src.port.index()]
@@ -263,33 +388,45 @@ impl Network {
                     inp.state,
                     InState::Forwarding { worm: w, .. } if w == worm
                 ));
+                // Back to the buffer front in wire order: the data run
+                // first, then the symbols ahead of it, last one first.
                 let byte = WireByte {
                     worm,
                     kind: ByteKind::Data,
                 };
-                inp.buf.push_front_run(byte, revoked);
+                inp.buf.push_front_run(byte, revoked.data);
+                for _ in 0..revoked.route {
+                    let kind = ByteKind::Route(lane.unstage_route_sym());
+                    inp.buf.push_front_run(WireByte { worm, kind }, 1);
+                }
             }
             NodeRef::Host(h) => {
+                // The adapter re-reads the symbols from the worm's route.
+                for _ in 0..revoked.route {
+                    lane.unstage_route_sym();
+                }
                 let a = &mut self.adapters[h.0 as usize];
                 let head = a
                     .tx_queue
                     .front_mut()
                     .expect("truncated span's worm queued");
                 debug_assert_eq!(head.worm, worm);
-                head.body_sent -= revoked;
-                a.counters.bytes_sent -= revoked;
+                head.route_sent -= revoked.route as usize;
+                head.body_sent -= revoked.data;
+                a.counters.bytes_sent -= revoked.route + revoked.data;
             }
         }
     }
 
     /// Span fast-path probe for the producer side of the channel leaving
-    /// output `out`: the length of the run of contiguous data bytes of the
-    /// forwarded worm at the owning input's buffer front, provided no
-    /// byte-timed side effect (a GO emission or a STOP crossing) could occur
-    /// while the run drains — those must happen at exact per-byte dequeue
-    /// and arrival times, so their mere possibility disables batching for
-    /// this kick.
-    pub(crate) fn switch_span_ready(&self, sw: SwitchId, out: u8) -> Option<(WormId, u64)> {
+    /// output `out`: the run of the forwarded worm at the front of the
+    /// owning input's buffer — its leading `Route(Port)` symbols (payload
+    /// to this switch: only the next one acts on them), then its
+    /// contiguous data; it stops at the tail or another worm — as far as
+    /// no byte-timed side effect (a GO emission or a STOP crossing) could
+    /// occur while the run drains. Those must happen at exact per-byte
+    /// dequeue and arrival times.
+    pub(crate) fn switch_span_ready(&self, sw: SwitchId, out: u8) -> Option<Ready> {
         let swr = &self.switches[sw.0 as usize];
         let owner = swr.outputs[out as usize].owner?;
         let inp = &swr.inputs[owner as usize];
@@ -300,11 +437,6 @@ impl Network {
         if *o != out {
             return None;
         }
-        // A pending GO must go out at the exact dequeue that crosses the low
-        // watermark; batching the dequeues would move it.
-        if inp.sent_stop {
-            return None;
-        }
         // Upstream arrivals land during the drain window. Dequeues (batched
         // or per-byte) only lower occupancy, and at most one arrival per
         // byte-time can land, so `occupancy + wire_bytes` bounds occupancy
@@ -312,8 +444,9 @@ impl Network {
         // mode can emit a STOP while the run drains. Under a drain
         // certificate the per-byte occupancy is already proven to stay
         // below the mark, and the local one (wholesale-delivered spans
-        // included) is not it.
-        if !inp.certified(worm, self.scheduler.now()) {
+        // included) is not it; with our STOP already in force no second
+        // one can be raised at all.
+        if !inp.sent_stop && !inp.certified(worm, self.scheduler.now()) {
             let wire = match inp.chan_in {
                 // Fed across a shard boundary: the local `in_flight` copy
                 // only counts queued optimistic spans. Paced per-byte
@@ -333,12 +466,40 @@ impl Network {
                 return None;
             }
         }
-        match inp.buf.front_run() {
-            Some((b, run)) if b.worm == worm && matches!(b.kind, ByteKind::Data) => {
-                Some((worm, run))
+        // While our STOP is in force the next byte-timed side effect is
+        // the GO, at the dequeue that brings the occupancy down to the GO
+        // mark: `occupancy − go_mark` dequeues from now if nothing arrives
+        // meanwhile, later if something does. No span is admitted into a
+        // stopped input (`switch_span_room` and `drain_window` both refuse
+        // it), so the buffer holds no byte ahead of its arrival slot and
+        // the local occupancy is the twin's. The dequeues before the
+        // crossing may go as one span; the end-of-span kick takes the
+        // crossing per-byte.
+        let limit = if inp.sent_stop {
+            (inp.occupancy() as u64).saturating_sub(inp.slack.go_mark as u64 + 1)
+        } else {
+            u64::MAX
+        };
+        // A shard engine keeps route symbols per-byte: the boundary
+        // message carries none.
+        let heads = self.shard.is_none();
+        let (mut route, mut data) = (0, 0);
+        for (b, n) in inp.buf.runs() {
+            if b.worm != worm {
+                break;
             }
-            _ => None,
+            match b.kind {
+                ByteKind::Route(RouteSym::Port(_)) if heads => route += n,
+                ByteKind::Data => {
+                    data = n;
+                    break;
+                }
+                _ => break,
+            }
         }
+        let route = route.min(limit);
+        let data = data.min(limit - route);
+        (route + data > 0).then_some(Ready { worm, route, data })
     }
 
     /// Span fast-path check for a receiving switch input: how many bytes can
@@ -505,28 +666,41 @@ impl Network {
         u64::MAX
     }
 
-    /// Span fast-path probe for an adapter's outgoing channel: how many body
-    /// bytes of the head worm are unconditionally ready. Route symbols and
-    /// the tail stay per-byte (they drive switch parsing and completion),
-    /// and a cut-through follower of a still-arriving worm is paced by the
-    /// per-byte arrival stream, so only a fully-available body batches.
-    pub(crate) fn adapter_span_ready(&self, host: HostId) -> Option<(WormId, u64)> {
+    /// Span fast-path probe for an adapter's outgoing channel: the unsent
+    /// route symbols of the head worm, then its unsent body. The tail stays
+    /// per-byte (it drives completion), and a cut-through follower of a
+    /// still-arriving worm is paced by the per-byte arrival stream, so only
+    /// a fully-available body batches — its route does regardless.
+    pub(crate) fn adapter_span_ready(&self, host: HostId) -> Option<Ready> {
         let a = &self.adapters[host.0 as usize];
         let head = a.tx_queue.front()?;
         let inst = &self.worms[head.worm.0 as usize];
-        if head.route_sent < inst.route.len() {
-            return None;
-        }
-        let body_left = inst.body_len().saturating_sub(head.body_sent);
-        if body_left == 0 {
-            return None;
-        }
-        if let Some(src) = head.follow {
-            if a.rx_body_got.get(src) != Some(u64::MAX) {
-                return None;
-            }
-        }
-        Some((head.worm, body_left))
+        let unsent = &inst.route[head.route_sent..];
+        // A shard engine keeps route symbols per-byte, as
+        // `switch_span_ready` does.
+        let route = if self.shard.is_some() {
+            0
+        } else {
+            unsent
+                .iter()
+                .take_while(|sym| matches!(sym, RouteSym::Port(_)))
+                .count()
+        };
+        let body_ready = route == unsent.len()
+            && head
+                .follow
+                .is_none_or(|src| a.rx_body_got.get(src) == Some(u64::MAX));
+        let data = if body_ready {
+            inst.body_len().saturating_sub(head.body_sent)
+        } else {
+            0
+        };
+        let route = route as u64;
+        (route + data > 0).then_some(Ready {
+            worm: head.worm,
+            route,
+            data,
+        })
     }
 
     /// Span fast-path check for a receiving adapter: the adapter never
@@ -539,5 +713,84 @@ impl Network {
             RxState::Dropping { worm: w } if w == worm => Some(u64::MAX),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::CtrlSym;
+    use crate::link::PortId;
+    use crate::network::{FabricSpec, HostAttach, NetworkConfig, RouteTable};
+    use crate::protocol::{AppMessage, Destination, SendSpec};
+    use crate::worm::{MessageId, WormKind};
+
+    /// The network half of `link.rs`'s
+    /// `truncation_hands_back_route_symbols_in_order`: an adapter's head
+    /// run — five route symbols, then body — on its delay-8 host link, cut
+    /// by a STOP after two symbols. `route_sent` and `body_sent` rewind
+    /// separately, and the next span starts at the third symbol.
+    #[test]
+    fn a_stop_inside_an_adapters_head_run_rewinds_route_and_body_separately() {
+        let spec = FabricSpec {
+            switch_ports: vec![2],
+            hosts: vec![
+                HostAttach { switch: 0, port: 0 },
+                HostAttach { switch: 0, port: 1 },
+            ],
+            links: vec![],
+            host_link_delay: 8,
+        };
+        let mut routes = RouteTable::new(2);
+        routes.set(HostId(0), HostId(1), vec![1]);
+        let mut net = Network::build(&spec, routes, NetworkConfig::default());
+        let msg = AppMessage {
+            msg: MessageId(1),
+            origin: HostId(0),
+            dest: Destination::Unicast(HostId(1)),
+            payload_len: 100,
+            created: 0,
+        };
+        // Only the send side is looked at: the run stops before anything
+        // arrives, so a route longer than the fabric is deep does no harm.
+        let mut send = SendSpec::data(&msg, HostId(1), WormKind::Unicast);
+        send.route_override = Some((1..=5).map(RouteSym::Port).collect());
+        let worm = net.inject_worm(HostId(0), send);
+        let ch = net.adapters[0].chan_out.expect("host0 is attached");
+        // A STOP lands two byte-times in, its GO two later.
+        for (at, sym) in [(2, CtrlSym::Stop), (4, CtrlSym::Go)] {
+            net.lanes[ch.0 as usize].note_ctrl_sent();
+            net.scheduler.at(at, Event::CtrlRx { ch, sym });
+        }
+        // Send progress, and the counters as a run's end settles them:
+        // what the per-byte engine has sent by that horizon.
+        let sent = |net: &Network| {
+            let head = net.adapters[0].tx_queue.front().expect("still sending");
+            let lane = net.lane(ch);
+            (
+                (head.route_sent, head.body_sent),
+                lane.in_flight(),
+                (net.adapters[0].counters.bytes_sent, lane.stats().bytes_carried),
+            )
+        };
+        // The 15-byte room of a delay-8 input: the route and ten body bytes.
+        net.run_until(2);
+        assert_eq!(sent(&net), ((5, 10), 15, (2, 2)));
+        net.run_until(3);
+        assert_eq!(sent(&net), ((2, 0), 2, (2, 2)));
+        let ready = net.adapter_span_ready(HostId(0)).expect("the rest is ready");
+        assert_eq!((ready.worm, ready.route, ready.data), (worm, 3, 108));
+        // The GO's kick sends the rest — as much as fits behind the two
+        // bytes on the wire — from the third symbol on.
+        net.run_until(5);
+        assert_eq!(sent(&net), ((5, 10), 15, (3, 3)));
+        let mut rx = RxPort::new(&mut net.lanes[ch.0 as usize]);
+        let (dst, first) = rx.deliver_span();
+        assert_eq!(dst.port, PortId(0));
+        assert_eq!((first.start, first.len, first.route), (0, 2, 2));
+        let (_, second) = rx.deliver_span();
+        assert_eq!((second.start, second.len, second.route), (4, 13, 3));
+        let syms: Vec<RouteSym> = (0..5).map(|_| rx.take_route_sym()).collect();
+        assert_eq!(syms, (1..=5).map(RouteSym::Port).collect::<Vec<_>>());
     }
 }

@@ -541,7 +541,8 @@ impl Network {
 
     /// Complete a grant of output slot `out` to input slot `in_port`: flip
     /// the input to Forwarding (or mark the replica branch granted) and
-    /// kick the output lane so it pulls bytes.
+    /// kick the output lane so it pulls bytes — under the span rules no
+    /// sooner than the front byte's arrival slot, and only if there is one.
     fn switch_grant(&mut self, sw: SwitchId, out: u8, in_port: u8) {
         let phys = self.switches[sw.0 as usize].port_of_slot(out);
         let replicating = {
@@ -561,7 +562,15 @@ impl Network {
             return;
         }
         if let Some(ch) = self.switches[sw.0 as usize].outputs[out as usize].chan_out {
-            self.kick_channel(ch);
+            if !self.spans_enabled() {
+                self.kick_channel(ch);
+            } else if let Some(slot) = self.front_byte_slot(sw, out) {
+                // Pacing (`front_byte_slot`): the head byte just consumed
+                // took no send slot, so the byte behind it may have come in
+                // with it, ahead of its own arrival slot. An empty buffer
+                // arms nothing: the arrival that fills it kicks.
+                self.kick_channel_from(ch, slot);
+            }
         }
     }
 

@@ -13,9 +13,11 @@
 //!
 //! The thirteen *lifecycle* events above are a pure function of seed and
 //! configuration, identical under [`crate::network::SimMode::PerByte`] and
-//! [`crate::network::SimMode::SpanBatched`]: spans carry only body (Data)
-//! bytes of a single worm, so route parsing, admission, completion and
-//! delivery stay per-byte-exact, and the span emission guards
+//! [`crate::network::SimMode::SpanBatched`]: a span carries bytes of a
+//! single worm, and the only one of them a node acts on — a head route
+//! byte, always the first byte of its span — lands at its own arrival
+//! slot, so route parsing, admission, completion and delivery stay
+//! per-byte-exact, and the span emission guards
 //! (`switch_span_ready` / `switch_span_room`) keep slack occupancy
 //! strictly below the STOP watermark with no GO owed for the whole drain
 //! window, so the STOP/GO timeline cannot differ either. The span engine

@@ -107,7 +107,7 @@ fn shufflenet_modes_agree() {
     // A mean worm is over before its head has crossed one trunk, so the
     // clear-circuit case alone leaves the host links' 8-byte room in
     // charge (7× fewer events than per-byte); the drain windows the trunks
-    // certify carry whole worms (46×).
+    // certify carry whole worms (46×; 60× with the route bytes in the spans).
     assert!(
         e_span * 25 < e_ref,
         "drain windows should carry whole worms onto the trunks: {e_ref} vs {e_span}"

@@ -20,6 +20,18 @@
 //! looked (DESIGN.md §3.1, "certified drain window"). That rule lives
 //! where a short lane feeds a long one, so half the cases draw every
 //! trunk's delay separately and a quarter lengthen the host links.
+//!
+//! Since a worm's route bytes ride in its spans ("head runs", same
+//! section) two more draws aim at what a head run can get wrong. One case
+//! in four sends *tiny worms* (geometric, mean 4): the whole body fits
+//! inside the head run, so heads land right behind the previous worm's
+//! tail, many heads meet in one tick at one switch (served in event order:
+//! a span's arrival must sort where its first byte's would), and a grant,
+//! a GO and a kick armed earlier fall into one tick (pacing: no byte
+//! leaves an input before its per-byte arrival slot). One case in eight
+//! is *tall*: 9–12 switches and no extra links, a random tree whose
+//! up/down routes are longer than the 8-byte room of a delay-1 input, so
+//! a head run is split across spans and truncated mid-route.
 
 mod common;
 
@@ -52,6 +64,11 @@ struct Case {
     /// Generator each trunk draws its own delay from, or `None` for
     /// `spec.link_delay` on every trunk.
     trunks: Option<XorShift>,
+    /// Tiny worms: `mean` is 4, whatever was drawn for it.
+    tiny: bool,
+    /// A tall tree: `spec` has 9–12 switches and no extra links, whatever
+    /// was drawn for it.
+    tall: bool,
 }
 
 /// The generator every draw of a case comes from.
@@ -76,7 +93,7 @@ impl std::fmt::Display for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "seed={} sw={} extra={} hps={} delay={} {} load={:.2} lanes={} mean={} host-delay={} trunks={}",
+            "seed={} sw={} extra={} hps={} delay={} {} load={:.2} lanes={} mean={} host-delay={} trunks={}{}{}",
             self.seed,
             self.spec.num_switches,
             self.spec.extra_links,
@@ -87,7 +104,9 @@ impl std::fmt::Display for Case {
             self.lanes,
             self.mean,
             self.host_delay,
-            if self.trunks.is_some() { "mixed" } else { "uniform" }
+            if self.trunks.is_some() { "mixed" } else { "uniform" },
+            if self.tiny { " tiny" } else { "" },
+            if self.tall { " tall" } else { "" }
         )
     }
 }
@@ -96,7 +115,7 @@ impl Case {
     /// Everything about the case follows from `seed` alone.
     fn draw(seed: u64) -> Case {
         let mut x = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        Case {
+        let mut case = Case {
             seed,
             spec: IrregularSpec {
                 num_switches: 3 + x.pick(6) as usize,
@@ -112,7 +131,19 @@ impl Case {
             // lanes and worm length it had before these two existed.
             host_delay: [1, 1, 2, 5][x.pick(4) as usize],
             trunks: (x.pick(2) == 1).then_some(x),
+            // Drawn after `trunks`, for the same reason: three seeds in
+            // four, and seven in eight, keep the case they had.
+            tiny: x.pick(4) == 0,
+            tall: x.pick(8) == 0,
+        };
+        if case.tiny {
+            case.mean = 4;
         }
+        if case.tall {
+            case.spec.num_switches = 9 + x.pick(4) as usize;
+            case.spec.extra_links = 0;
+        }
+        case
     }
 
     /// The drawn fabric: `irregular`'s switch graph, with the host links
