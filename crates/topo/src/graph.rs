@@ -57,7 +57,7 @@ impl Topology {
     }
 
     /// [`Self::neighbors`] of every switch, indexed by switch, from one pass
-    /// over the links. For callers that visit many switches many times.
+    /// over the links. For callers that visit many switches.
     pub(crate) fn adjacency(&self) -> Vec<Vec<(usize, u8, u8, usize)>> {
         let mut adj = vec![Vec::new(); self.num_switches()];
         for (i, l) in self.links.iter().enumerate() {
@@ -108,12 +108,13 @@ impl Topology {
         if n == 0 {
             return true;
         }
+        let adj = self.adjacency();
         let mut seen = vec![false; n];
         let mut stack = vec![0usize];
         seen[0] = true;
         let mut count = 1;
         while let Some(u) = stack.pop() {
-            for (v, _, _, _) in self.neighbors(u) {
+            for &(v, _, _, _) in &adj[u] {
                 if !seen[v] {
                     seen[v] = true;
                     count += 1;

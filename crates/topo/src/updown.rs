@@ -60,11 +60,12 @@ impl UpDown {
         let mut level = vec![u32::MAX; n];
         let mut parent = vec![None; n];
         let mut tree_link = vec![false; topo.links.len()];
+        let adj = topo.adjacency();
         let mut q = VecDeque::new();
         level[root] = 0;
         q.push_back(root);
         while let Some(u) = q.pop_front() {
-            for (v, _, _, li) in topo.neighbors(u) {
+            for &(v, _, _, li) in &adj[u] {
                 if level[v] == u32::MAX {
                     level[v] = level[u] + 1;
                     parent[v] = Some(u);
@@ -138,7 +139,10 @@ impl UpDown {
         restrict_to_tree: bool,
         tiebreak: u64,
     ) -> Option<Vec<u8>> {
-        RouteSearch::new(self, topo).route(from, to, restrict_to_tree, tiebreak)
+        let mut search = RouteSearch::new(self, topo, restrict_to_tree);
+        search.toward(to);
+        let ports = search.walk(from, tiebreak)?.map(|(port, _)| port);
+        Some(ports.collect())
     }
 
     /// The full switch sequence of the route from `from` to `to` (for
@@ -150,20 +154,10 @@ impl UpDown {
         to: usize,
         restrict_to_tree: bool,
     ) -> Option<Vec<usize>> {
-        let ports = self.route_ports(topo, from, to, restrict_to_tree)?;
-        let mut path = vec![from];
-        let mut cur = from;
-        for p in ports {
-            let (next, _, _, _) = *topo
-                .neighbors(cur)
-                .iter()
-                .find(|&&(_, out, _, _)| out == p)
-                .expect("route uses an existing port");
-            path.push(next);
-            cur = next;
-        }
-        debug_assert_eq!(cur, to);
-        Some(path)
+        let mut search = RouteSearch::new(self, topo, restrict_to_tree);
+        search.toward(to);
+        let hops = search.walk(from, 0)?.map(|(_, next)| next);
+        Some(std::iter::once(from).chain(hops).collect())
     }
 
     /// Build the unicast route table for every ordered host pair.
@@ -171,28 +165,25 @@ impl UpDown {
     /// A route is the switch-path ports followed by the destination host's
     /// port on its final switch. Hosts on the same switch route in one hop.
     pub fn route_table(&self, topo: &Topology, restrict_to_tree: bool) -> RouteTable {
-        let nh = topo.num_hosts();
-        let mut rt = RouteTable::new(nh);
-        // Cache switch-to-switch port paths.
-        let ns = topo.num_switches();
-        let mut cache: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; ns]; ns];
-        let mut search = RouteSearch::new(self, topo);
-        for (si, s) in topo.hosts.iter().enumerate() {
-            for (di, d) in topo.hosts.iter().enumerate() {
-                if si == di {
-                    continue;
+        let mut rt = RouteTable::new(topo.num_hosts());
+        let mut search = RouteSearch::new(self, topo, restrict_to_tree);
+        for to in 0..topo.num_switches() {
+            let dsts = topo.hosts_at(to);
+            if dsts.is_empty() {
+                continue;
+            }
+            search.toward(to);
+            for (si, s) in topo.hosts.iter().enumerate() {
+                let tiebreak = (s.switch as u64) << 32 | to as u64 | 1;
+                for &d in dsts.iter().filter(|d| d.0 as usize != si) {
+                    let hops = search
+                        .walk(s.switch, tiebreak)
+                        .expect("spanning tree keeps everything reachable");
+                    let mut route = Vec::with_capacity(hops.len() + 1);
+                    route.extend(hops.map(|(port, _)| port));
+                    route.push(topo.hosts[d.0 as usize].port);
+                    rt.set(HostId(si as u32), d, route);
                 }
-                if cache[s.switch][d.switch].is_none() {
-                    let tiebreak = (s.switch as u64) << 32 | d.switch as u64 | 1;
-                    cache[s.switch][d.switch] = Some(
-                        search
-                            .route(s.switch, d.switch, restrict_to_tree, tiebreak)
-                            .expect("spanning tree keeps everything reachable"),
-                    );
-                }
-                let mut ports = cache[s.switch][d.switch].clone().expect("just filled");
-                ports.push(d.port);
-                rt.set(HostId(si as u32), HostId(di as u32), ports);
             }
         }
         rt
@@ -201,120 +192,128 @@ impl UpDown {
     /// Mean switch-path hop count over all ordered host pairs (the metric
     /// behind the paper's observation that up/down paths are "generally not
     /// shortest paths").
+    ///
+    /// Every shortest legal path of a pair has the same length, so this
+    /// needs the distances only, no walk and no tie-break.
     pub fn mean_hops(&self, topo: &Topology, restrict_to_tree: bool) -> f64 {
+        let nh = topo.num_hosts();
+        if nh < 2 {
+            return 0.0;
+        }
         let mut total = 0usize;
-        let mut pairs = 0usize;
-        let mut search = RouteSearch::new(self, topo);
-        for (si, s) in topo.hosts.iter().enumerate() {
-            for (di, d) in topo.hosts.iter().enumerate() {
-                if si == di {
-                    continue;
+        let mut search = RouteSearch::new(self, topo, restrict_to_tree);
+        for to in 0..topo.num_switches() {
+            let dsts = topo.hosts_at(to).len();
+            if dsts > 0 {
+                search.toward(to);
+                for s in &topo.hosts {
+                    total += dsts * search.walk(s.switch, 0).expect("reachable").len();
                 }
-                total += search
-                    .route(s.switch, d.switch, restrict_to_tree, 0)
-                    .expect("reachable")
-                    .len();
-                pairs += 1;
             }
         }
-        if pairs == 0 {
-            0.0
-        } else {
-            total as f64 / pairs as f64
-        }
+        total as f64 / (nh * (nh - 1)) as f64
     }
 }
 
-/// Shortest-legal-route search over one topology: the per-switch neighbour
-/// lists are built once (link-insertion order, as [`Topology::neighbors`]
-/// gives them) and the BFS scratch is reused from one pair to the next.
-struct RouteSearch<'a> {
-    ud: &'a UpDown,
-    adj: Vec<Vec<(usize, u8, u8, usize)>>,
-    /// Predecessor state per `(switch, phase)` state, `UNSEEN` if unvisited.
-    pred: Vec<usize>,
-    pred_port: Vec<u8>,
+/// Shortest legal routes over one topology, one destination at a time.
+///
+/// A route is a path over `(switch, phase)` states (phase 0 may still
+/// climb, phase 1 is descending) to either state of the destination. A
+/// forward BFS exploring each switch's neighbours in the pair's permuted
+/// order would return the lexicographically first shortest path in that
+/// order; [`Self::walk`] finds the same path by taking, at each switch, the
+/// first neighbour one step nearer on [`Self::toward`]'s distances.
+struct RouteSearch {
+    /// Per switch, per neighbour in link-insertion order (as
+    /// [`Topology::neighbors`] gives them): the output port and the state
+    /// the move leads to from phase 0 and from phase 1, `NONE` where the
+    /// tree restriction or the no-up-after-down rule forbids it.
+    moves: Vec<Vec<(u8, [usize; 2])>>,
+    /// Per state, the states with a move into it.
+    preds: Vec<Vec<usize>>,
+    /// Per state, the hops to the last [`Self::toward`] destination
+    /// (`NONE` if unreachable).
+    dist: Vec<usize>,
     queue: VecDeque<usize>,
 }
 
-const UNSEEN: usize = usize::MAX;
+const NONE: usize = usize::MAX;
 
-impl<'a> RouteSearch<'a> {
-    fn new(ud: &'a UpDown, topo: &Topology) -> Self {
-        let states = 2 * topo.num_switches();
+impl RouteSearch {
+    fn new(ud: &UpDown, topo: &Topology, restrict_to_tree: bool) -> Self {
+        let adj = topo.adjacency();
+        let mut moves = Vec::with_capacity(adj.len());
+        let mut preds = vec![Vec::new(); 2 * adj.len()];
+        for (u, neigh) in adj.into_iter().enumerate() {
+            let mut out = Vec::with_capacity(neigh.len());
+            for (v, port, _, li) in neigh {
+                let up = ud.is_up(u, v);
+                let allowed = !restrict_to_tree || ud.tree_link[li];
+                let state = 2 * v + usize::from(!up);
+                let next = [allowed, allowed && !up].map(|ok| if ok { state } else { NONE });
+                for (phase, &t) in next.iter().enumerate().filter(|&(_, &t)| t != NONE) {
+                    preds[t].push(2 * u + phase);
+                }
+                out.push((port, next));
+            }
+            moves.push(out);
+        }
         RouteSearch {
-            ud,
-            adj: topo.adjacency(),
-            pred: vec![UNSEEN; states],
-            pred_port: vec![0; states],
+            dist: vec![NONE; preds.len()],
+            moves,
+            preds,
             queue: VecDeque::new(),
         }
     }
 
-    /// See [`UpDown::route_ports_tiebreak`].
-    fn route(
-        &mut self,
-        from: usize,
-        to: usize,
-        restrict_to_tree: bool,
-        tiebreak: u64,
-    ) -> Option<Vec<u8>> {
-        if from == to {
-            return Some(Vec::new());
-        }
-        // BFS over (switch, phase): phase 0 = may still climb, 1 = descending.
-        self.pred.fill(UNSEEN);
-        self.queue.clear();
-        let start = from * 2;
-        self.pred[start] = start; // mark visited; self-predecessor flags the start
-        self.queue.push_back(start);
-        let mut goal: Option<usize> = None;
-        'bfs: while let Some(state) = self.queue.pop_front() {
-            let (u, phase) = (state / 2, state % 2);
-            let neigh = &self.adj[u];
-            let m = neigh.len();
-            // Deterministic shuffle keyed on (tiebreak, u): rotates and
-            // reverses the exploration order so equal-length paths vary
-            // per source-destination pair.
-            let (rotate, reverse) = if tiebreak != 0 {
-                let key = tiebreak
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(u as u64);
-                ((key as usize) % m.max(1), (key >> 32) & 1 == 1)
-            } else {
-                (0, false)
-            };
-            for i in 0..m {
-                let i = if reverse { m - 1 - i } else { i };
-                let (v, out_port, _, li) = neigh[(i + rotate) % m];
-                if restrict_to_tree && !self.ud.tree_link[li] {
-                    continue;
-                }
-                let up = self.ud.is_up(u, v);
-                let next_phase = if up { 0 } else { 1 };
-                if phase == 1 && up {
-                    continue; // no up after down
-                }
-                let next = v * 2 + next_phase;
-                if self.pred[next] == UNSEEN {
-                    self.pred[next] = state;
-                    self.pred_port[next] = out_port;
-                    if v == to {
-                        goal = Some(next);
-                        break 'bfs;
-                    }
-                    self.queue.push_back(next);
+    /// Distances-to-go towards switch `to`: a BFS back from both its states.
+    fn toward(&mut self, to: usize) {
+        self.dist.fill(NONE);
+        self.dist[2 * to..2 * to + 2].fill(0);
+        self.queue.extend([2 * to, 2 * to + 1]);
+        while let Some(t) = self.queue.pop_front() {
+            for &s in &self.preds[t] {
+                if self.dist[s] == NONE {
+                    self.dist[s] = self.dist[t] + 1;
+                    self.queue.push_back(s);
                 }
             }
         }
-        let mut state = goal?;
-        let mut ports = Vec::new();
-        while self.pred[state] != state {
-            ports.push(self.pred_port[state]);
-            state = self.pred[state];
-        }
-        ports.reverse();
-        Some(ports)
+    }
+
+    /// The hops `(out_port, next_switch)` of `from`'s route to the last
+    /// [`Self::toward`] destination, `None` if it cannot be reached. Its
+    /// `len()` is the hop count, read without walking.
+    ///
+    /// Switch `u`'s neighbour order is rotated, and reversed on one bit, by
+    /// a key hashed from `(tiebreak, u)`, so equal-length paths vary per
+    /// source-destination pair; `tiebreak == 0` keeps link-insertion order.
+    fn walk(
+        &self,
+        from: usize,
+        tiebreak: u64,
+    ) -> Option<impl ExactSizeIterator<Item = (u8, usize)> + '_> {
+        let mut state = 2 * from;
+        let len = self.dist[state];
+        (len != NONE).then(|| {
+            (0..len).rev().map(move |left| {
+                let (u, phase) = (state / 2, state % 2);
+                let moves = &self.moves[u];
+                let m = moves.len();
+                let key = match tiebreak {
+                    0 => 0,
+                    t => t.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(u as u64),
+                };
+                let (rotate, reverse) = ((key as usize) % m, (key >> 32) & 1 == 1);
+                let (port, next) = (0..m)
+                    .map(|i| moves[(if reverse { m - 1 - i } else { i } + rotate) % m])
+                    .map(|(port, next)| (port, next[phase]))
+                    .find(|&(_, next)| next != NONE && self.dist[next] == left)
+                    .expect("every state short of the goal has a move one step nearer");
+                state = next;
+                (port, next / 2)
+            })
+        })
     }
 }
 
@@ -427,33 +426,81 @@ mod tests {
         assert_eq!(r, &[1]); // host 1 sits on port 1
     }
 
-    /// The search as it was before the neighbour lists were built once:
-    /// `Topology::neighbors` (a scan of every link) at every BFS state,
-    /// shuffled in place.
+    /// The oracle cases run ten times over in release builds (as
+    /// `wormcast_sim::wheel`'s differential tests do; CI runs both).
+    const SCALE: u64 = if cfg!(debug_assertions) { 1 } else { 10 };
+
+    type Neighbors = Vec<Vec<(usize, u8, u8, usize)>>;
+
+    /// Every switch's [`Topology::neighbors`], each from its own link scan.
+    fn neighbor_scan(topo: &Topology) -> Neighbors {
+        (0..topo.num_switches())
+            .map(|u| topo.neighbors(u))
+            .collect()
+    }
+
+    /// The fabrics the oracle tests draw: tori 3/5/12, the Fig 11
+    /// shufflenet, and `200 × SCALE` irregular ones of 3–32 switches, 0–20
+    /// crosslinks and 1–3 hosts per switch.
+    fn oracle_topologies() -> impl Iterator<Item = Topology> {
+        use crate::irregular::{irregular, IrregularSpec};
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let regular = [3, 5, 12].map(|k| crate::torus::torus(k, 1));
+        let drawn = (0..200 * SCALE).map(|seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let spec = IrregularSpec {
+                num_switches: rng.gen_range(3..=32),
+                extra_links: rng.gen_range(0..=20),
+                hosts_per_switch: rng.gen_range(1..=3),
+                link_delay: 1,
+            };
+            irregular(spec, seed)
+        });
+        regular
+            .into_iter()
+            .chain([crate::shufflenet::shufflenet24(1)])
+            .chain(drawn)
+    }
+
+    /// Up/down orientations from roots 0 and S/2.
+    fn rooted(topo: &Topology) -> [UpDown; 2] {
+        [0, topo.num_switches() / 2].map(|root| UpDown::compute(topo, root))
+    }
+
+    /// The forward search the route table used to run for every pair: a
+    /// `(switch, phase)` BFS from `(from, 0)` that explores each switch's
+    /// `neighbors` rotated and reversed by the `(tiebreak, switch)` key
+    /// (unpermuted for `tiebreak == 0`), and stops at the first state of
+    /// either phase discovered at `to`.
     fn reference_route_ports(
         ud: &UpDown,
-        topo: &Topology,
+        neighbors: &Neighbors,
         from: usize,
         to: usize,
         restrict_to_tree: bool,
         tiebreak: u64,
     ) -> Vec<u8> {
-        let mut pred = vec![UNSEEN; 2 * topo.num_switches()];
-        let mut pred_port = vec![0u8; 2 * topo.num_switches()];
+        if from == to {
+            return Vec::new();
+        }
+        let mut pred = vec![NONE; 2 * neighbors.len()];
+        let mut pred_port = vec![0u8; 2 * neighbors.len()];
         let start = from * 2;
         let mut q = VecDeque::from([start]);
         pred[start] = start;
         let mut goal = None;
         'bfs: while let Some(state) = q.pop_front() {
             let (u, phase) = (state / 2, state % 2);
-            let mut neigh = topo.neighbors(u);
-            let key = tiebreak
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(u as u64);
-            let m = neigh.len().max(1);
-            neigh.rotate_left((key as usize) % m);
-            if (key >> 32) & 1 == 1 {
-                neigh.reverse();
+            let mut neigh = neighbors[u].clone();
+            if tiebreak != 0 {
+                let key = tiebreak
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(u as u64);
+                let m = neigh.len().max(1);
+                neigh.rotate_left((key as usize) % m);
+                if (key >> 32) & 1 == 1 {
+                    neigh.reverse();
+                }
             }
             for (v, out_port, _, li) in neigh {
                 let up = ud.is_up(u, v);
@@ -461,7 +508,7 @@ mod tests {
                     continue;
                 }
                 let next = v * 2 + usize::from(!up);
-                if pred[next] == UNSEEN {
+                if pred[next] == NONE {
                     pred[next] = state;
                     pred_port[next] = out_port;
                     if v == to {
@@ -482,48 +529,163 @@ mod tests {
         ports
     }
 
+    /// `UpDown::compute` as it was before it read `Topology::adjacency`:
+    /// one `Topology::neighbors` link scan per dequeued switch.
+    fn reference_compute(topo: &Topology, root: usize) -> UpDown {
+        let n = topo.num_switches();
+        let mut level = vec![u32::MAX; n];
+        let mut parent = vec![None; n];
+        let mut tree_link = vec![false; topo.links.len()];
+        let mut q = VecDeque::from([root]);
+        level[root] = 0;
+        while let Some(u) = q.pop_front() {
+            for (v, _, _, li) in topo.neighbors(u) {
+                if level[v] == u32::MAX {
+                    level[v] = level[u] + 1;
+                    parent[v] = Some(u);
+                    tree_link[li] = true;
+                    q.push_back(v);
+                }
+            }
+        }
+        UpDown {
+            root,
+            level,
+            parent,
+            tree_link,
+        }
+    }
+
+    #[test]
+    fn compute_matches_per_switch_neighbor_scan() {
+        for topo in oracle_topologies() {
+            for ud in rooted(&topo) {
+                let want = reference_compute(&topo, ud.root);
+                assert_eq!(ud.level, want.level, "root {}", ud.root);
+                assert_eq!(ud.parent, want.parent, "root {}", ud.root);
+                assert_eq!(ud.tree_link, want.tree_link, "root {}", ud.root);
+            }
+        }
+    }
+
     /// Which of several equal-length legal paths a pair gets decides which
     /// links congest, so every simulated statistic depends on it: the
-    /// table must equal the reference search's, pair for pair.
+    /// table must equal the reference search's, pair for pair. `mean_hops`
+    /// must equal the mean of the reference routes' lengths, bit for bit.
     #[test]
     fn route_table_matches_per_state_neighbor_scan() {
-        use crate::irregular::{irregular, IrregularSpec};
-        let spec = IrregularSpec {
-            num_switches: 14,
-            extra_links: 9,
-            hosts_per_switch: 2,
-            link_delay: 1,
-        };
-        let mut topos = vec![
-            crate::torus::torus(8, 1),
-            crate::shufflenet::shufflenet24(1),
-        ];
-        topos.extend([3, 17, 40].map(|seed| irregular(spec, seed)));
-        for topo in &topos {
-            let ud = UpDown::compute(topo, 0);
-            for restrict in [false, true] {
-                let rt = ud.route_table(topo, restrict);
-                for (si, s) in topo.hosts.iter().enumerate() {
-                    for (di, d) in topo.hosts.iter().enumerate() {
-                        if si == di {
-                            continue;
+        for topo in oracle_topologies() {
+            let neighbors = neighbor_scan(&topo);
+            let ns = topo.num_switches();
+            for ud in rooted(&topo) {
+                for restrict in [false, true] {
+                    let rt = ud.route_table(&topo, restrict);
+                    let want: Vec<Vec<Vec<u8>>> = (0..ns)
+                        .map(|a| {
+                            (0..ns)
+                                .map(|b| {
+                                    let tiebreak = (a as u64) << 32 | b as u64 | 1;
+                                    reference_route_ports(&ud, &neighbors, a, b, restrict, tiebreak)
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let (mut total, mut pairs) = (0usize, 0usize);
+                    for (si, s) in topo.hosts.iter().enumerate() {
+                        for (di, d) in topo.hosts.iter().enumerate() {
+                            if si == di {
+                                continue;
+                            }
+                            let mut route = want[s.switch][d.switch].clone();
+                            total += route.len();
+                            pairs += 1;
+                            route.push(d.port);
+                            assert_eq!(
+                                rt.get(HostId(si as u32), HostId(di as u32)),
+                                route,
+                                "{si}->{di} root={} restrict={restrict}",
+                                ud.root
+                            );
                         }
-                        let tiebreak = (s.switch as u64) << 32 | d.switch as u64 | 1;
-                        let mut want = if s.switch == d.switch {
-                            Vec::new()
-                        } else {
-                            reference_route_ports(&ud, topo, s.switch, d.switch, restrict, tiebreak)
-                        };
-                        want.push(d.port);
-                        assert_eq!(
-                            rt.get(HostId(si as u32), HostId(di as u32)),
-                            want,
-                            "{si}->{di} restrict={restrict}"
-                        );
+                    }
+                    assert_eq!(
+                        ud.mean_hops(&topo, restrict).to_bits(),
+                        (total as f64 / pairs as f64).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_ports_tiebreak_matches_the_oracle_for_any_tiebreak() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x7E5);
+        for topo in oracle_topologies() {
+            let neighbors = neighbor_scan(&topo);
+            let ns = topo.num_switches();
+            for ud in rooted(&topo) {
+                for restrict in [false, true] {
+                    for _ in 0..8 {
+                        let (from, to) = (rng.gen_range(0..ns), rng.gen_range(0..ns));
+                        let table = (from as u64) << 32 | to as u64 | 1;
+                        for tiebreak in [0, table, rng.gen(), rng.gen()] {
+                            assert_eq!(
+                                ud.route_ports_tiebreak(&topo, from, to, restrict, tiebreak),
+                                Some(reference_route_ports(
+                                    &ud, &neighbors, from, to, restrict, tiebreak
+                                )),
+                                "{from}->{to} root={} restrict={restrict} tiebreak={tiebreak:#x}",
+                                ud.root
+                            );
+                        }
+                        let ports = ud.route_ports(&topo, from, to, restrict).unwrap();
+                        let path = ud.route_switches(&topo, from, to, restrict).unwrap();
+                        assert_eq!(path.len(), ports.len() + 1);
+                        assert!(path.windows(2).zip(&ports).all(|(w, &p)| {
+                            neighbors[w[0]]
+                                .iter()
+                                .any(|&(v, out, _, _)| (v, out) == (w[1], p))
+                        }));
                     }
                 }
             }
         }
+    }
+
+    /// The first fabric bigger than Fig 10's: every one of the 65 280
+    /// routes of the 16×16 torus is legal and ends at its destination's
+    /// host port, and a strided sample of them equals the oracle's.
+    #[test]
+    fn route_table_scales_to_the_16x16_torus() {
+        let topo = crate::torus::torus(16, 1);
+        let neighbors = neighbor_scan(&topo);
+        let ud = UpDown::compute(&topo, 0);
+        let rt = ud.route_table(&topo, false);
+        let nh = topo.num_hosts();
+        let mut sampled = 0;
+        for (si, s) in topo.hosts.iter().enumerate() {
+            for (di, d) in topo.hosts.iter().enumerate().filter(|&(di, _)| di != si) {
+                let route = rt.get(HostId(si as u32), HostId(di as u32));
+                let (&host_port, ports) = route.split_last().expect("non-empty route");
+                let mut path = vec![s.switch];
+                for &p in ports {
+                    let u = *path.last().unwrap();
+                    let &(v, _, _, _) = neighbors[u].iter().find(|n| n.1 == p).expect("port");
+                    path.push(v);
+                }
+                assert!(ud.is_legal(&path), "{si}->{di}: illegal {path:?}");
+                assert_eq!((*path.last().unwrap(), host_port), (d.switch, d.port));
+                if (si * nh + di).is_multiple_of(31) {
+                    let tiebreak = (s.switch as u64) << 32 | d.switch as u64 | 1;
+                    let want =
+                        reference_route_ports(&ud, &neighbors, s.switch, d.switch, false, tiebreak);
+                    assert_eq!(ports, want, "{si}->{di}");
+                    sampled += 1;
+                }
+            }
+        }
+        assert!(sampled >= 2000, "{sampled} sampled");
     }
 
     #[test]
