@@ -34,6 +34,11 @@ impl Membership {
         self.groups.insert(group, members);
     }
 
+    /// Drop a group (a no-op if unknown).
+    pub fn remove(&mut self, group: u8) {
+        self.groups.remove(&group);
+    }
+
     /// Build from `(group, members)` pairs.
     pub fn from_groups(list: impl IntoIterator<Item = (u8, Vec<HostId>)>) -> Arc<Self> {
         let mut m = Membership::new();

@@ -21,6 +21,10 @@
 //!   single sequence.
 //! * **reliability** — [`Reliability::AckNack`] enables the finite-buffer
 //!   implicit-reservation machinery.
+//!
+//! This is the only copy of the circuit: the dynamic group manager
+//! ([`crate::manager`]) and the Myrinet prototype model each own an
+//! [`HcProtocol`] and drive it.
 
 use crate::group::Membership;
 use crate::reliable::{Reliability, ReliableFwd};
@@ -98,6 +102,23 @@ impl HcProtocol {
             order: Sequencer::default(),
             forwarded_at_header: HashSet::new(),
             confirmed: 0,
+        }
+    }
+
+    /// This host's copy of the membership the circuit runs over.
+    pub fn membership(&self) -> &Membership {
+        &self.groups
+    }
+
+    /// Replace `group`'s member list in this host's copy of the membership;
+    /// an empty list removes the group. The dynamic group manager
+    /// ([`crate::manager`]) calls this as each membership update applies.
+    pub fn set_members(&mut self, group: u8, members: Vec<HostId>) {
+        let groups = Arc::make_mut(&mut self.groups);
+        if members.is_empty() {
+            groups.remove(group);
+        } else {
+            groups.insert(group, members);
         }
     }
 
@@ -578,6 +599,31 @@ mod tests {
             p.on_worm_received(ctx, &w);
         });
         assert_eq!(cmds.len(), 2, "deliver + store-and-forward send");
+    }
+
+    #[test]
+    fn set_members_reroutes_this_hosts_copy_only() {
+        let shared = groups();
+        let mut p = HcProtocol::new(HostId(3), HcConfig::store_and_forward(), shared.clone());
+        p.set_members(0, vec![HostId(9), HostId(1), HostId(3)]);
+        assert_eq!(shared.members(0).len(), 4, "other hosts keep the old table");
+        let cmds = run_cb(&mut p, HostId(3), 0, 0, |p, ctx| {
+            p.on_generate(ctx, msg(3, 0));
+        });
+        match &cmds[..] {
+            [Command::Send(s)] => {
+                assert_eq!(s.dest, HostId(9));
+                assert_eq!(s.hops_left, 2);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // An empty list removes the group: nothing left to send to.
+        p.set_members(0, vec![]);
+        assert_eq!(p.membership().group_ids().count(), 0);
+        let cmds = run_cb(&mut p, HostId(3), 0, 0, |p, ctx| {
+            p.on_generate(ctx, msg(3, 0));
+        });
+        assert!(cmds.is_empty(), "{cmds:?}");
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!   ascending-ID circuits, hop-count termination, optional cut-through,
 //!   optional return-to-origin confirmation, and total ordering by
 //!   serialising through the lowest-ID member;
+//! * [`manager`] — the dynamic multicast group manager Section 8 announces:
+//!   JOIN/LEAVE requests, versioned UPDATE dissemination, and per-host
+//!   local views, each feeding the host's own [`HcProtocol`];
 //! * [`tree`] — multicasting on a rooted tree (Section 6): start-at-root
 //!   (totally ordered) and broadcast-from-originator (two-buffer-class
 //!   climb/descend) modes;

@@ -11,12 +11,12 @@
 //! adapter then derives, per group, exactly the triple the paper's driver
 //! needed — *(group, next hop, hop count)* — from its current local view.
 //!
-//! The data path is the Section 5 Hamiltonian circuit (ascending IDs,
-//! store-and-forward, class reversal at the wrap), running against the
-//! live membership. Joins and leaves take one manager round trip plus one
-//! dissemination hop to converge; worms in flight during a change follow
-//! the forwarding tables of the hosts they traverse, like any routing
-//! update in a real network.
+//! The data path is the Section 5 Hamiltonian circuit itself: each host
+//! owns an [`HcProtocol`] (store-and-forward) and writes its local view into
+//! that circuit's membership whenever an update applies. Joins and leaves
+//! take one manager round trip plus one dissemination hop to converge;
+//! worms in flight during a change follow the forwarding tables of the
+//! hosts they traverse, like any routing update in a real network.
 //!
 //! Control-worm encoding note: the simulator's worms carry a small
 //! out-of-band header rather than payload bytes, so the update fields ride
@@ -24,11 +24,13 @@
 //! `seq` = version, `frag_index` = join/leave). A production LANai
 //! program would place them in the first payload bytes.
 
-use crate::group::BROADCAST_GROUP;
+use crate::group::{Membership, BROADCAST_GROUP};
+use crate::hamiltonian::{HcConfig, HcProtocol};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use wormcast_sim::engine::HostId;
 use wormcast_sim::protocol::{
-    AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec,
+    Admission, AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec,
 };
 use wormcast_sim::worm::{WormInstance, WormKind};
 
@@ -44,6 +46,22 @@ pub const UPDATE: u8 = 34;
 pub enum GroupOp {
     Join(u8),
     Leave(u8),
+}
+
+/// Add (`joined`) or remove `subject` in a sorted member list; false when
+/// that changes nothing (a join of a member, a leave of a non-member).
+fn toggle(members: &mut Vec<HostId>, subject: HostId, joined: bool) -> bool {
+    match members.binary_search(&subject) {
+        Ok(ix) if !joined => {
+            members.remove(ix);
+            true
+        }
+        Err(ix) if joined => {
+            members.insert(ix, subject);
+            true
+        }
+        _ => false,
+    }
 }
 
 /// One group's state at the manager.
@@ -72,18 +90,9 @@ impl LocalGroup {
             return; // duplicate / stale
         }
         self.pending.insert(version, (subject, joined));
-        while let Some(&(subject, joined)) = self.pending.get(&(self.version + 1)) {
-            self.pending.remove(&(self.version + 1));
+        while let Some((subject, joined)) = self.pending.remove(&(self.version + 1)) {
             self.version += 1;
-            match self.members.binary_search(&subject) {
-                Ok(ix) if !joined => {
-                    self.members.remove(ix);
-                }
-                Err(ix) if joined => {
-                    self.members.insert(ix, subject);
-                }
-                _ => {} // idempotent
-            }
+            toggle(&mut self.members, subject, joined);
         }
     }
 }
@@ -99,6 +108,8 @@ pub struct ManagedHcProtocol {
     local: HashMap<u8, LocalGroup>,
     /// Authoritative state (manager host only).
     authority: HashMap<u8, ManagedGroup>,
+    /// The data path, running over the local views.
+    hc: HcProtocol,
     pub updates_applied: u64,
 }
 
@@ -111,6 +122,7 @@ impl ManagedHcProtocol {
             next_token: 1,
             local: HashMap::new(),
             authority: HashMap::new(),
+            hc: HcProtocol::new(host, HcConfig::store_and_forward(), Arc::new(Membership::new())),
             updates_applied: 0,
         }
     }
@@ -126,32 +138,24 @@ impl ManagedHcProtocol {
 
     /// The current local member view of a group (sorted).
     pub fn members(&self, group: u8) -> &[HostId] {
-        self.local.get(&group).map_or(&[], |g| g.members.as_slice())
+        self.hc.membership().members(group)
     }
 
-    fn successor(&self, group: u8, h: HostId) -> Option<HostId> {
-        let members = self.members(group);
-        if members.is_empty() {
-            return None;
-        }
-        Some(match members.binary_search(&h) {
-            Ok(ix) => members[(ix + 1) % members.len()],
-            Err(ix) => members[ix % members.len()],
-        })
+    /// Apply update `version` of `group` to the local view and hand the
+    /// resulting member list to the circuit.
+    fn apply_update(&mut self, group: u8, version: u32, subject: HostId, joined: bool) {
+        let g = self.local.entry(group).or_default();
+        g.apply(version, subject, joined);
+        self.hc.set_members(group, g.members.clone());
+        self.updates_applied += 1;
     }
 
     /// Manager side: apply an op, bump the version, disseminate.
     fn manage(&mut self, ctx: &mut ProtocolCtx, group: u8, subject: HostId, joined: bool) {
         debug_assert_eq!(self.host, self.manager);
         let g = self.authority.entry(group).or_default();
-        match g.members.binary_search(&subject) {
-            Ok(ix) if !joined => {
-                g.members.remove(ix);
-            }
-            Err(ix) if joined => {
-                g.members.insert(ix, subject);
-            }
-            _ => return, // no-op join of a member / leave of a non-member
+        if !toggle(&mut g.members, subject, joined) {
+            return;
         }
         g.version += 1;
         g.log.push((subject, joined));
@@ -165,11 +169,7 @@ impl ManagedHcProtocol {
             targets.insert(ix, subject);
         }
         let log = g.log.clone();
-        self.local
-            .entry(group)
-            .or_default()
-            .apply(version, subject, joined);
-        self.updates_applied += 1;
+        self.apply_update(group, version, subject, joined);
         for t in targets {
             if t == self.host {
                 continue;
@@ -199,55 +199,16 @@ fn worm_msg_id(group: u8, version: u32) -> wormcast_sim::worm::MessageId {
 
 impl AdapterProtocol for ManagedHcProtocol {
     fn on_generate(&mut self, ctx: &mut ProtocolCtx, msg: AppMessage) {
-        match msg.dest {
-            Destination::Unicast(d) => {
-                ctx.send(SendSpec::data(&msg, d, WormKind::Unicast));
-            }
-            Destination::Multicast(group) => {
-                debug_assert_ne!(group, BROADCAST_GROUP);
-                let members = self.members(group);
-                let n = members.len();
-                let is_member = members.binary_search(&self.host).is_ok();
-                let receivers = if is_member { n.saturating_sub(1) } else { n };
-                if receivers == 0 {
-                    return;
-                }
-                let Some(succ) = self.successor(group, self.host) else {
-                    return;
-                };
-                if succ == self.host {
-                    return;
-                }
-                let mut spec = SendSpec::data(&msg, succ, WormKind::Multicast { group });
-                spec.hops_left = receivers as u16;
-                spec.buffer_class = if succ < self.host { 2 } else { 1 };
-                ctx.send(spec);
-            }
-        }
+        debug_assert_ne!(msg.dest, Destination::Multicast(BROADCAST_GROUP));
+        self.hc.on_generate(ctx, msg);
+    }
+
+    fn on_header(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) -> Admission {
+        self.hc.on_header(ctx, worm)
     }
 
     fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
         match worm.meta.kind {
-            WormKind::Unicast => ctx.deliver_local(worm.meta.msg),
-            WormKind::Multicast { group } => {
-                if worm.meta.origin != self.host {
-                    ctx.deliver_local(worm.meta.msg);
-                }
-                if worm.meta.hops_left > 1 {
-                    if let Some(succ) = self.successor(group, self.host) {
-                        if succ != self.host {
-                            let mut spec = SendSpec::forward(worm, succ);
-                            spec.hops_left = worm.meta.hops_left - 1;
-                            spec.buffer_class = if succ < self.host {
-                                2
-                            } else {
-                                worm.meta.buffer_class
-                            };
-                            ctx.send(spec);
-                        }
-                    }
-                }
-            }
             WormKind::Control(JOIN) | WormKind::Control(LEAVE) => {
                 let joined = matches!(worm.meta.kind, WormKind::Control(JOIN));
                 let group = worm.meta.stage;
@@ -258,19 +219,20 @@ impl AdapterProtocol for ManagedHcProtocol {
                 let group = worm.meta.stage;
                 let subject = HostId(worm.meta.hops_left as u32);
                 let joined = worm.meta.frag_index == 1;
-                self.local
-                    .entry(group)
-                    .or_default()
-                    .apply(worm.meta.seq, subject, joined);
-                self.updates_applied += 1;
+                self.apply_update(group, worm.meta.seq, subject, joined);
             }
-            other => unreachable!("unexpected worm {other:?} at managed-HC host"),
+            _ => self.hc.on_worm_received(ctx, worm),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut ProtocolCtx, token: u64) {
         let Some(op) = self.script.remove(&token) else {
-            return; // stale or foreign token
+            // A script token fires once and is stale after; a token the
+            // script never issued is the circuit's.
+            if !(1..self.next_token).contains(&token) {
+                self.hc.on_timer(ctx, token);
+            }
+            return;
         };
         let (group, joined) = match op {
             GroupOp::Join(g) => (g, true),
@@ -391,10 +353,11 @@ mod tests {
     #[test]
     fn data_path_follows_local_view() {
         let mut p = ManagedHcProtocol::new(HostId(3), HostId(0));
-        let g = p.local.entry(6).or_default();
-        g.apply(1, HostId(1), true);
-        g.apply(2, HostId(3), true);
-        g.apply(3, HostId(8), true);
+        // Version 3 arrives first and waits for 1 and 2.
+        p.apply_update(6, 3, HostId(8), true);
+        p.apply_update(6, 1, HostId(1), true);
+        p.apply_update(6, 2, HostId(3), true);
+        assert_eq!(p.members(6), &[HostId(1), HostId(3), HostId(8)]);
         let msg = AppMessage {
             msg: wormcast_sim::worm::MessageId(9),
             origin: HostId(3),
@@ -410,5 +373,25 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // Host 8 leaves: the circuit now wraps from 3 to 1, in class 2.
+        p.apply_update(6, 4, HostId(8), false);
+        let cmds = run_cb(&mut p, |p, ctx| p.on_generate(ctx, msg));
+        match &cmds[..] {
+            [Command::Send(s)] => {
+                assert_eq!(s.dest, HostId(1));
+                assert_eq!(s.hops_left, 1);
+                assert_eq!(s.buffer_class, 2);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sets no timers of its own")]
+    fn unknown_timer_token_reaches_the_circuit() {
+        let mut p = ManagedHcProtocol::new(HostId(7), HostId(0));
+        p.script(GroupOp::Join(2));
+        run_cb(&mut p, |p, ctx| p.on_timer(ctx, 99));
     }
 }

@@ -113,7 +113,7 @@ pub fn run_prototype(cfg: &PrototypeConfig) -> PrototypeResult {
         }
     }
     let out = net.run_until(cfg.duration);
-    debug_assert!(out.deadlock.is_none(), "prototype run deadlocked");
+    assert!(out.deadlock.is_none(), "prototype run deadlocked");
     net.audit().expect("conservation");
 
     // "Received data rate at each host" is what reaches the application

@@ -17,9 +17,11 @@
 //!   overhead, host-bus DMA bandwidth (the SBus, not the 640 Mb/s link, is
 //!   the sender bottleneck), LANai forwarding overhead, and the ~25 KB
 //!   worm-buffer budget;
-//! * [`prototype`] — the Hamiltonian forwarding logic as implemented in
-//!   the measured system (finite buffers, drop on overflow, greedy
-//!   saturating sources);
+//! * [`prototype`] — the measured system's adapter: `wormcast-core`'s
+//!   Hamiltonian circuit ([`wormcast_core::HcProtocol`], store-and-forward)
+//!   wrapped in the LANai host path — finite buffers with drop on overflow,
+//!   the serialized host DMA queue, the forwarding overhead, and greedy
+//!   saturating sources;
 //! * [`experiment`] — the two measurements: single-sender and
 //!   all-send/receive throughput vs packet size (Figure 12), and per-host
 //!   reception loss (Figure 13).

@@ -16,19 +16,25 @@
 //!   [`LanaiModel::pump_gap`] after the previous one finished transmitting
 //!   (so a busy adapter naturally throttles its own host, exactly like a
 //!   full injection queue would).
+//!
+//! The circuit itself is `wormcast-core`'s [`HcProtocol`] (group 0 over
+//! every host, store-and-forward); this module adds only the LANai host
+//! path around it: the SRAM check before a worm is admitted, the host DMA
+//! queue its local deliveries wait in, the forwarding overhead its relays
+//! wait out, and the pump.
 
 use crate::lanai::LanaiModel;
 use std::collections::VecDeque;
+use wormcast_core::{HcConfig, HcProtocol, Membership};
 use wormcast_sim::engine::HostId;
 use wormcast_sim::protocol::{
-    Admission, AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec,
+    Admission, AdapterProtocol, AppMessage, Command, Destination, ProtocolCtx, SendSpec,
 };
 use wormcast_sim::time::SimTime;
 use wormcast_sim::worm::{MessageId, WormInstance, WormKind};
 
-const PUMP_TIMER: u64 = 1;
-const FWD_TIMER: u64 = 2;
-const DMA_TIMER: u64 = 3;
+const FWD_TIMER: u64 = 1;
+const DMA_TIMER: u64 = 2;
 
 /// A job on the host's single DMA/driver path (SBus): either delivering a
 /// received worm up to the host, or preparing the next pump packet. Jobs
@@ -58,14 +64,12 @@ impl DmaJob {
 pub struct PrototypeProtocol {
     host: HostId,
     lanai: LanaiModel,
-    /// All hosts in ascending order (the measured multicast group was all
-    /// eight hosts).
-    circuit: Vec<HostId>,
+    /// The measured multicast group: all hosts, on one circuit.
+    hc: HcProtocol,
     packet_size: u32,
     is_sender: bool,
     /// Stop originating new packets at this time (lets the run drain).
     pump_until: SimTime,
-    next_synth_msg: u64,
     /// Worm-buffer bytes currently reserved.
     rx_used: u32,
     /// Worms waiting out the LANai forwarding overhead.
@@ -89,15 +93,14 @@ impl PrototypeProtocol {
         is_sender: bool,
         pump_until: SimTime,
     ) -> Self {
-        debug_assert!(circuit.windows(2).all(|w| w[0] < w[1]), "ascending IDs");
+        let group = Membership::from_groups([(0, circuit)]);
         PrototypeProtocol {
             host,
             lanai,
-            circuit,
+            hc: HcProtocol::new(host, HcConfig::store_and_forward(), group),
             packet_size,
             is_sender,
             pump_until,
-            next_synth_msg: 0,
             rx_used: 0,
             fwd_queue: VecDeque::new(),
             dma_queue: VecDeque::new(),
@@ -134,100 +137,77 @@ impl PrototypeProtocol {
         }
     }
 
-    fn successor(&self) -> HostId {
-        let ix = self
-            .circuit
-            .iter()
-            .position(|&h| h == self.host)
-            .expect("host is on the circuit");
-        self.circuit[(ix + 1) % self.circuit.len()]
+    fn pumping(&self, now: SimTime) -> bool {
+        self.is_sender && now < self.pump_until
     }
 
-    /// Synthetic message identity for pump packets (the saturating source
-    /// is not the simulator's traffic system, so it mints its own ids,
-    /// disjoint per host).
-    fn synth_msg(&mut self) -> MessageId {
-        let id = ((self.host.0 as u64 + 1) << 44) | self.next_synth_msg;
-        self.next_synth_msg += 1;
-        MessageId(id)
-    }
-
-    fn originate(&mut self, ctx: &mut ProtocolCtx) {
-        let msg = self.synth_msg();
-        let spec = SendSpec {
-            dest: self.successor(),
-            kind: WormKind::Multicast { group: 0 },
-            msg,
+    /// Hand the circuit the pump's next packet. The saturating source is
+    /// not the simulator's traffic system, so it mints its own message ids,
+    /// disjoint per host.
+    fn pump(&mut self, ctx: &mut ProtocolCtx) {
+        if !self.pumping(ctx.now) {
+            return;
+        }
+        let msg = AppMessage {
+            msg: MessageId(((self.host.0 as u64 + 1) << 44) | self.packets_originated),
             origin: self.host,
-            created: ctx.now,
-            seq: 0,
-            hops_left: (self.circuit.len() - 1) as u16,
-            buffer_class: 1,
+            dest: Destination::Multicast(0),
             payload_len: self.packet_size,
-            advertised_size: self.packet_size,
-            priority: false,
-            follow: None,
-            frag_index: 0,
-            frag_last: true,
-            stage: 0,
-            route_override: None,
-            sinks: 1,
+            created: ctx.now,
         };
         self.packets_originated += 1;
-        ctx.send(spec);
+        self.hc.on_generate(ctx, msg);
     }
 }
 
 impl AdapterProtocol for PrototypeProtocol {
     fn on_generate(&mut self, ctx: &mut ProtocolCtx, _msg: AppMessage) {
         // The one-shot source only kicks the pump off.
-        if self.is_sender && ctx.now < self.pump_until {
-            self.originate(ctx);
-        }
+        self.pump(ctx);
     }
 
-    fn on_header(&mut self, _ctx: &mut ProtocolCtx, worm: &WormInstance) -> Admission {
-        match worm.meta.kind {
-            WormKind::Multicast { .. } => {
-                let need = worm.meta.advertised_size;
-                // The ~25 KB SRAM also stages this host's own outgoing
-                // packet, so a sending host has less of it for worms in
-                // transit — the bigger the packets, the fewer transit
-                // slots remain (a large part of Figure 13's size slope).
-                let staging = if self.is_sender { self.packet_size } else { 0 };
-                let cap = self.lanai.rx_buffer_bytes.saturating_sub(staging);
-                if self.rx_used + need <= cap {
-                    self.rx_used += need;
-                    Admission::Accept
-                } else {
-                    // The measured system's only overload response: drop.
-                    Admission::Refuse
-                }
+    fn on_header(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) -> Admission {
+        if let WormKind::Multicast { .. } = worm.meta.kind {
+            let need = worm.meta.advertised_size;
+            // The ~25 KB SRAM also stages this host's own outgoing
+            // packet, so a sending host has less of it for worms in
+            // transit — the bigger the packets, the fewer transit
+            // slots remain (a large part of Figure 13's size slope).
+            let staging = if self.is_sender { self.packet_size } else { 0 };
+            let cap = self.lanai.rx_buffer_bytes.saturating_sub(staging);
+            if self.rx_used + need > cap {
+                // The measured system's only overload response: drop.
+                return Admission::Refuse;
             }
-            _ => Admission::Accept,
+            self.rx_used += need;
         }
+        self.hc.on_header(ctx, worm)
     }
 
     fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
-        debug_assert!(matches!(worm.meta.kind, WormKind::Multicast { .. }));
         let bytes = worm.meta.advertised_size;
-        let forwarding = worm.meta.hops_left > 1;
+        let mut cmds = Vec::new();
+        let mut hc_ctx = ProtocolCtx::new(ctx.now, ctx.host, ctx.tx_backlog, ctx.rng, &mut cmds);
+        self.hc.on_worm_received(&mut hc_ctx, worm);
         // The buffer is held by the pending host delivery and, when
         // forwarding, by the pending retransmission too.
-        self.held
-            .insert(worm.meta.msg, (1 + u8::from(forwarding), bytes));
-        // The worm reaches the application only after the shared host bus
-        // carries it up; this is where "received data rate at each host" is
-        // measured.
-        self.push_dma(ctx, DmaJob::Deliver {
-            msg: worm.meta.msg,
-            cost: self.lanai.delivery_cost(bytes),
-        });
-        if forwarding {
-            let mut spec = SendSpec::forward(worm, self.successor());
-            spec.hops_left = worm.meta.hops_left - 1;
-            self.fwd_queue.push_back(spec);
-            ctx.set_timer(self.lanai.forward_overhead, FWD_TIMER);
+        self.held.insert(worm.meta.msg, (cmds.len() as u8, bytes));
+        for cmd in cmds {
+            match cmd {
+                // The worm reaches the application only after the shared
+                // host bus carries it up; this is where "received data rate
+                // at each host" is measured.
+                Command::DeliverLocal { msg } => {
+                    let cost = self.lanai.delivery_cost(bytes);
+                    self.push_dma(ctx, DmaJob::Deliver { msg, cost });
+                }
+                Command::Send(relay) => {
+                    self.fwd_queue.push_back(relay);
+                    ctx.set_timer(self.lanai.forward_overhead, FWD_TIMER);
+                }
+                // Only `Reliability::AckNack` sets timers.
+                Command::SetTimer { .. } => unreachable!("timer from the prototype's circuit"),
+            }
         }
     }
 
@@ -235,7 +215,7 @@ impl AdapterProtocol for PrototypeProtocol {
         if worm.meta.origin == self.host {
             // Our own packet left the wire: preparing and staging the next
             // one is a job on the shared host CPU/bus path.
-            if self.is_sender && ctx.now < self.pump_until {
+            if self.pumping(ctx.now) {
                 let cost = self.lanai.pump_gap(self.packet_size);
                 self.push_dma(ctx, DmaJob::PumpReady { cost });
             }
@@ -247,11 +227,6 @@ impl AdapterProtocol for PrototypeProtocol {
 
     fn on_timer(&mut self, ctx: &mut ProtocolCtx, token: u64) {
         match token {
-            PUMP_TIMER => {
-                if self.is_sender && ctx.now < self.pump_until {
-                    self.originate(ctx);
-                }
-            }
             FWD_TIMER => {
                 if let Some(spec) = self.fwd_queue.pop_front() {
                     ctx.send(spec);
@@ -264,18 +239,14 @@ impl AdapterProtocol for PrototypeProtocol {
                         ctx.deliver_local(msg);
                         self.unref(msg);
                     }
-                    DmaJob::PumpReady { .. } => {
-                        if self.is_sender && ctx.now < self.pump_until {
-                            self.originate(ctx);
-                        }
-                    }
+                    DmaJob::PumpReady { .. } => self.pump(ctx),
                 }
                 match self.dma_queue.front() {
                     Some(next) => ctx.set_timer(next.cost(), DMA_TIMER),
                     None => self.dma_busy = false,
                 }
             }
-            other => unreachable!("unknown prototype timer token {other}"),
+            other => self.hc.on_timer(ctx, other),
         }
     }
 }
@@ -501,5 +472,13 @@ mod tests {
         let c4 = run_cb(&mut p, 16500, |p, ctx| p.on_timer(ctx, DMA_TIMER));
         assert!(matches!(c4[0], Command::DeliverLocal { msg: MessageId(10) }));
         assert_eq!(p.rx_used, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sets no timers of its own")]
+    fn unknown_timer_token_reaches_the_circuit() {
+        let mut p = proto(3, true);
+        run_cb(&mut p, 0, |p, ctx| p.on_timer(ctx, 99));
     }
 }

@@ -2,7 +2,9 @@
 //! (`core::manager`) running over the real fabric — joins and leaves
 //! propagate, and multicasts always follow the current membership.
 
+use std::collections::BTreeSet;
 use wormcast::core::manager::{GroupOp, ManagedHcProtocol};
+use wormcast::core::{HcConfig, HcProtocol, Membership};
 use wormcast::sim::engine::HostId;
 use wormcast::sim::protocol::{Destination, SourceMessage};
 use wormcast::sim::{Network, NetworkConfig};
@@ -112,4 +114,100 @@ fn leave_of_unknown_member_is_harmless() {
     let out = net.run_until(100_000);
     assert!(out.drained);
     net.audit().expect("conservation");
+}
+
+/// Two overlapping groups on a four-switch ring, three hosts per switch;
+/// every host belongs to at least one, host 4 to both, and the manager
+/// (host 0) to one.
+const GROUP_A: u8 = 3;
+const GROUP_B: u8 = 7;
+const MEMBERS_A: [u32; 7] = [1, 2, 4, 5, 8, 10, 11];
+const MEMBERS_B: [u32; 6] = [0, 3, 4, 6, 7, 9];
+
+fn ring_of_four() -> Network {
+    let mut b = TopoBuilder::new(4);
+    for s in 0..4 {
+        b.link(s, (s + 1) % 4, 1);
+        for _ in 0..3 {
+            b.host(s);
+        }
+    }
+    let topo = b.build();
+    let ud = UpDown::compute(&topo, 0);
+    Network::build(
+        &topo.to_fabric_spec(),
+        ud.route_table(&topo, false),
+        NetworkConfig::builder().build().expect("valid config"),
+    )
+}
+
+/// The `k`-th multicast of host `h`: five per host from `start` on,
+/// cycling through the groups it belongs to (a host learns only its own
+/// groups' membership from the manager, so only members send).
+fn schedule(groups: &Membership, h: u32, start: u64) -> Vec<(u64, u8)> {
+    let mine: Vec<u8> = groups.group_ids().filter(|&g| groups.is_member(g, HostId(h))).collect();
+    (0..5u64)
+        .map(|k| (start + 10_000 * k + 97 * h as u64, mine[k as usize % mine.len()]))
+        .collect()
+}
+
+/// Run the schedule of every host to completion; returns the deliveries
+/// as `(msg, host, time)` triples.
+fn deliveries(mut net: Network, groups: &Membership, start: u64) -> BTreeSet<(u64, u32, u64)> {
+    for h in 0..12u32 {
+        let items = schedule(groups, h, start)
+            .into_iter()
+            .map(|(at, g)| {
+                let dest = Destination::Multicast(g);
+                (at, SourceMessage { dest, payload_len: 300 })
+            })
+            .collect();
+        wormcast::traffic::script::install_script(&mut net, HostId(h), items);
+    }
+    let out = net.run_until(5_000_000);
+    assert!(out.drained, "run must drain");
+    assert!(out.deadlock.is_none());
+    net.audit().expect("conservation");
+    net.msgs.deliveries.iter().map(|d| (d.msg.0, d.host.0, d.at)).collect()
+}
+
+#[test]
+fn converged_manager_delivers_like_the_static_circuit() {
+    let ids = |m: &[u32]| m.iter().map(|&h| HostId(h)).collect::<Vec<_>>();
+    let groups = Membership::from_groups([(GROUP_A, ids(&MEMBERS_A)), (GROUP_B, ids(&MEMBERS_B))]);
+    let start = 100_000;
+
+    let mut net = ring_of_four();
+    for h in 0..12u32 {
+        let p = HcProtocol::new(HostId(h), HcConfig::store_and_forward(), groups.clone());
+        net.set_protocol(HostId(h), Box::new(p));
+    }
+    let fixed = deliveries(net, &groups, start);
+
+    // Every member joins through the manager long before the first send.
+    let mut net = ring_of_four();
+    let mut posts = Vec::new();
+    for h in 0..12u32 {
+        let mut p = ManagedHcProtocol::new(HostId(h), HostId(0));
+        for g in groups.group_ids().filter(|&g| groups.is_member(g, HostId(h))) {
+            posts.push((h, p.script(GroupOp::Join(g))));
+        }
+        net.set_protocol(HostId(h), Box::new(p));
+    }
+    for (i, &(h, token)) in posts.iter().enumerate() {
+        net.post_timer(HostId(h), 100 + 300 * i as u64, token);
+    }
+    let managed = deliveries(net, &groups, start);
+
+    let sends: Vec<(u32, u8)> = (0..12u32)
+        .flat_map(|h| schedule(&groups, h, start).into_iter().map(move |(_, g)| (h, g)))
+        .collect();
+    assert_eq!(sends.len(), 60);
+    assert!(sends.iter().any(|&(_, g)| g == GROUP_A) && sends.iter().any(|&(_, g)| g == GROUP_B));
+    let expected: usize =
+        sends.iter().map(|&(h, g)| groups.expected_deliveries(g, HostId(h))).sum();
+    assert_eq!(fixed.len(), expected, "the static circuit reaches every other member once");
+    // Converged views leave an idle fabric behind, so even the delivery
+    // times agree, not just the (msg, host) sets.
+    assert_eq!(managed, fixed, "same (msg, host, time) deliveries");
 }
