@@ -91,8 +91,7 @@ fn main() -> ExitCode {
         }
         if drift.is_empty() {
             eprintln!(
-                "perf pins: ok — {} rows match results/BENCH_perf.json (sharded event \
-                 counts within 0.2 %)",
+                "perf pins: ok — {} rows match results/BENCH_perf.json exactly",
                 rows.len()
             );
         }

@@ -41,15 +41,6 @@ const GATE_LOAD: f64 = 0.12;
 const SCALING_LOADS: [f64; 2] = [REF_LOAD, GATE_LOAD];
 const MODES: [SimMode; 2] = [SimMode::PerByte, SimMode::SpanBatched];
 
-/// Relative band around a sharded row's pinned event counts. A sharded
-/// run's *results* are deterministic, its event count only nearly:
-/// `switch_span_ready` sizes spans off `Lane::foreign_span_backlog`, which
-/// sees an optimistic span from the moment the worker thread drains it out
-/// of the mailbox, so thread timing moves a few hundred events per million
-/// (largest seen on 2 cpus: 0.12 % at 4 shards, none at 2). The stale pins
-/// this gate was added for were off by 0.15–0.37 %.
-const SHARDED_EVENTS_TOLERANCE: f64 = 0.002;
-
 /// The named sub-grids `perf check` accepts.
 pub const GRIDS: [&str; 5] = ["engine", "sweep", "lanes", "shard", "trace"];
 
@@ -277,8 +268,7 @@ pub fn measure(p: &Point) -> Run {
 /// Compare measured `rows` with the `baseline` rows; every returned line
 /// is a failure. The baseline must hold exactly one row per [`grid`]
 /// point (whichever subset was measured), and every measured counter must
-/// equal its pin — except a sharded row's event counts, which get
-/// `SHARDED_EVENTS_TOLERANCE`.
+/// equal its pin, sharded rows' event counts included.
 pub fn diff(rows: &[Row], baseline: &[Row]) -> Vec<String> {
     let grid = grid();
     let mut problems = Vec::new();
@@ -302,37 +292,24 @@ pub fn diff(rows: &[Row], baseline: &[Row]) -> Vec<String> {
         let Some(pin) = baseline.iter().find(|b| b.is_at(p)) else {
             continue; // reported as missing above
         };
-        let band = if row.shards > 1 {
-            SHARDED_EVENTS_TOLERANCE
-        } else {
-            0.0
-        };
-        for (name, got, want, tolerance) in [
+        for (name, got, want) in [
             (
                 "events_scheduled",
                 row.events_scheduled,
                 pin.events_scheduled,
-                band,
             ),
-            ("events_fired", row.events_fired, pin.events_fired, band),
-            ("bytes_moved", row.bytes_moved, pin.bytes_moved, 0.0),
-            (
-                "worms_delivered",
-                row.worms_delivered,
-                pin.worms_delivered,
-                0.0,
-            ),
+            ("events_fired", row.events_fired, pin.events_fired),
+            ("bytes_moved", row.bytes_moved, pin.bytes_moved),
+            ("worms_delivered", row.worms_delivered, pin.worms_delivered),
             (
                 "multicast_deliveries",
                 row.multicast_deliveries,
                 pin.multicast_deliveries,
-                0.0,
             ),
-            ("trace_lines", row.trace_lines, pin.trace_lines, 0.0),
+            ("trace_lines", row.trace_lines, pin.trace_lines),
         ] {
-            let slack = (want as f64 * tolerance) as u64;
-            if got.abs_diff(want) > slack {
-                problems.push(format!("{p}: {name} got {got}, pinned {want} (±{slack})"));
+            if got != want {
+                problems.push(format!("{p}: {name} got {got}, pinned {want}"));
             }
         }
     }
@@ -503,44 +480,55 @@ mod tests {
         assert_eq!(diff(&base, &base), Vec::<String>::new());
     }
 
+    /// Every counter is pinned exactly, on a sharded row as on any other.
     #[test]
     fn exact_counter_off_by_one_is_drift() {
         let base = baseline();
         let seq = index_of(&base, |r| r.shards == 1);
-        for bump in [
-            (|r: &mut Row| r.events_scheduled += 1) as fn(&mut Row),
-            |r| r.events_fired -= 1,
-            |r| r.bytes_moved += 1,
-            |r| r.worms_delivered -= 1,
-            |r| r.multicast_deliveries += 1,
-            |r| r.trace_lines += 1,
-        ] {
-            let mut row = base[seq].clone();
-            bump(&mut row);
-            let problems = diff(&[row], &base);
-            assert_eq!(problems.len(), 1, "{problems:?}");
+        let sharded = index_of(&base, |r| r.shards == 4);
+        for at in [seq, sharded] {
+            for bump in [
+                (|r: &mut Row| r.events_scheduled += 1) as fn(&mut Row),
+                |r| r.events_fired -= 1,
+                |r| r.bytes_moved += 1,
+                |r| r.worms_delivered -= 1,
+                |r| r.multicast_deliveries += 1,
+                |r| r.trace_lines += 1,
+            ] {
+                let mut row = base[at].clone();
+                bump(&mut row);
+                let problems = diff(&[row], &base);
+                assert_eq!(problems.len(), 1, "{problems:?}");
+            }
         }
     }
 
+    /// A sharded row's event counts get a band of width zero: drift at the
+    /// edge of the old 0.2 % band is reported on both counters, and one
+    /// event either way is drift too, while its results stay exact.
     #[test]
     fn sharded_event_counts_get_the_band_and_results_stay_exact() {
         let base = baseline();
         let sharded = index_of(&base, |r| r.shards == 4);
-        let mut row = base[sharded].clone();
-        row.events_scheduled += 2_000; // 0.2 % of 1 000 000: the band's edge
-        row.events_fired -= 1_998; // 0.2 % of 999 000
         assert_eq!(
-            diff(std::slice::from_ref(&row), &base),
+            diff(std::slice::from_ref(&base[sharded]), &base),
             Vec::<String>::new()
         );
-        row.events_scheduled += 1;
-        let problems = diff(std::slice::from_ref(&row), &base);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("events_scheduled"), "{problems:?}");
 
-        for bump in [(|r: &mut Row| r.bytes_moved += 1) as fn(&mut Row), |r| {
-            r.worms_delivered += 1
-        }] {
+        let mut row = base[sharded].clone();
+        row.events_scheduled += 2_000;
+        row.events_fired -= 1_998;
+        let problems = diff(std::slice::from_ref(&row), &base);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].contains("events_scheduled"), "{problems:?}");
+        assert!(problems[1].contains("events_fired"), "{problems:?}");
+
+        for bump in [
+            (|r: &mut Row| r.events_scheduled += 1) as fn(&mut Row),
+            |r| r.events_fired += 1,
+            |r| r.bytes_moved += 1,
+            |r| r.worms_delivered += 1,
+        ] {
             let mut row = base[sharded].clone();
             bump(&mut row);
             assert_eq!(diff(&[row], &base).len(), 1);

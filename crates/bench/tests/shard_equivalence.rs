@@ -67,20 +67,26 @@ fn run_sequential(setup: &SimSetup) -> (String, String, String) {
     canonical(net.stats.clone(), net.msgs.clone())
 }
 
-fn run_sharded_with(setup: &SimSetup) -> (String, String, String) {
+/// The canonical form of a sharded run, and its own engine-cost counters
+/// `(events_scheduled, events_fired)`.
+fn run_sharded_with(setup: &SimSetup) -> ((String, String, String), (u64, u64)) {
     let mut sharded = build_sharded(setup).expect("shardable setup");
     let out = sharded.run_until(setup.drain_until);
     assert!(out.deadlock.is_none(), "sharded deadlock: {out:?}");
     sharded.audit().expect("sharded conservation");
-    canonical(sharded.stats(), sharded.msgs())
+    let stats = sharded.stats();
+    let events = (stats.events_scheduled, stats.events_fired);
+    (canonical(stats, sharded.msgs()), events)
 }
 
-fn assert_equivalent(name: &str, setup_seq: &SimSetup, setup_sh: &SimSetup) {
+/// Returns the sharded run's event counts.
+fn assert_equivalent(name: &str, setup_seq: &SimSetup, setup_sh: &SimSetup) -> (u64, u64) {
     let (s0, c0, d0) = run_sequential(setup_seq);
-    let (s1, c1, d1) = run_sharded_with(setup_sh);
+    let ((s1, c1, d1), events) = run_sharded_with(setup_sh);
     assert_eq!(c0, c1, "{name}: created messages diverged");
     assert_eq!(d0, d1, "{name}: deliveries diverged");
     assert_eq!(s0, s1, "{name}: stats diverged");
+    events
 }
 
 fn tree_fabric(seed: u64) -> Topology {
@@ -191,9 +197,9 @@ fn adversarial_round_robin_plan_still_matches() {
 }
 
 /// Multi-lane boundary channels: with two virtual lanes per link, every
-/// cut channel is two independent byte streams, each lane carrying its own
-/// optimistic spans with its own mirror-truncation cutoff. Both shard
-/// counts must stay byte-identical to the sequential two-lane run.
+/// cut channel is two independent byte streams, each lane crossing
+/// per-byte under its own STOP/GO. Both shard counts must stay
+/// byte-identical to the sequential two-lane run.
 #[test]
 fn torus_lanes2_matches_sharded() {
     let mut seq = setup_on(
@@ -218,9 +224,9 @@ fn torus_lanes2_matches_sharded() {
 /// The strongest adversarial cut: a parity checkerboard over the 4×4 torus
 /// (switch-hash on `x + y` rather than the raw index) puts **every**
 /// switch-to-switch link in the cut, so no worm ever advances a byte
-/// without crossing a shard boundary — every hot link exercises the
-/// optimistic-span / receive-side-truncation / admit-or-expand protocol.
-/// Both engine modes must still match sequential byte for byte.
+/// without crossing a shard boundary — every hot link carries its bytes
+/// and its STOP/GO symbols through the mailboxes. Both engine modes must
+/// still match sequential byte for byte.
 #[test]
 fn adversarial_checkerboard_all_links_cut_still_matches() {
     let topo = torus(4, 1);
@@ -240,12 +246,14 @@ fn adversarial_checkerboard_all_links_cut_still_matches() {
     }
 }
 
-/// Truncate-or-expand past the knee: the Figure 10 fabric under cut-through
-/// Hamiltonian circuits at load 0.12 is saturated (STOP storms, full slack
-/// buffers), and the 8×8 parity checkerboard cuts every switch-to-switch
-/// link — so optimistic spans keep arriving at congested inputs with
-/// nothing throttling the sender, and the receive side must reject and
-/// expand them byte-exactly.
+/// Past the knee with every link cut: the Figure 10 fabric under
+/// cut-through Hamiltonian circuits at load 0.12 is saturated (STOP storms,
+/// full slack buffers), and the 8×8 parity checkerboard cuts every
+/// switch-to-switch link — so every STOP and GO crosses a mailbox while
+/// the inputs either side of it are full. The sharded run must match
+/// sequential byte for byte, and no engine decision may read what a
+/// mailbox holds: a second run schedules and fires exactly the same
+/// events.
 #[test]
 fn fig10_saturated_all_links_cut_still_matches() {
     let cfg = Fig10Config {
@@ -263,7 +271,12 @@ fn fig10_saturated_all_links_cut_still_matches() {
         .shard_plan(plan)
         .build()
         .expect("shardable point");
-    assert_equivalent("fig10 cut-through load 0.12 checkerboard", &seq, &sh);
+    let events = assert_equivalent("fig10 cut-through load 0.12 checkerboard", &seq, &sh);
+    let (_, again) = run_sharded_with(&sh);
+    assert_eq!(
+        events, again,
+        "sharded (events_scheduled, events_fired) differ between runs"
+    );
 }
 
 /// Rendered JSONL of a traced sequential run.
@@ -395,7 +408,7 @@ fn traced_sharded_irregular_matches_sequential() {
 #[test]
 fn traced_sharded_torus_lanes2_matches_sequential() {
     // Two lanes per link: STOP/GO lines carry the lane field and every
-    // cut channel runs the optimistic-span protocol per lane.
+    // cut channel crosses per-byte, lane by lane.
     let mk = |mode| {
         let mut s = setup_on(torus(4, 1), Scheme::Hc(HcConfig::store_and_forward()), mode);
         s.lanes = 2;

@@ -64,11 +64,6 @@ pub enum WaitCause {
     StoppedDownstream { ch: ChanId },
     /// The worm has a hole: its next byte has not arrived from upstream.
     StarvedUpstream { ch: ChanId },
-    /// The worm's next bytes are crossing a shard boundary — an optimistic
-    /// span (or its per-byte expansion) is still in transit on cut channel
-    /// `ch`. Transit latency, not a genuine wait: these edges are excluded
-    /// from cycle detection (the bytes arrive without anyone yielding).
-    SpanInTransit { ch: ChanId },
     /// A switchcast replica branch transmits into a STOPped channel.
     BranchStopped { ch: ChanId },
     /// The host's outgoing link itself has a STOP in force.
@@ -83,9 +78,6 @@ impl fmt::Display for WaitCause {
             }
             WaitCause::StoppedDownstream { ch } => write!(f, "STOP in force on ch{}", ch.0),
             WaitCause::StarvedUpstream { ch } => write!(f, "starved, waiting bytes on ch{}", ch.0),
-            WaitCause::SpanInTransit { ch } => {
-                write!(f, "cross-shard span in transit on ch{}", ch.0)
-            }
             WaitCause::BranchStopped { ch } => {
                 write!(f, "multicast branch STOPped on ch{}", ch.0)
             }
@@ -388,32 +380,19 @@ pub fn wait_edges_multi(
                             Some(front) => front.worm != *worm,
                         };
                         if starved {
+                            // Bytes either copy of the lane still counts on
+                            // the wire arrive without anyone yielding: no
+                            // edge.
                             if let Some((up, ch)) = upstream_multi(net, sw.id, pi as u8) {
-                                // A starvation whose missing bytes are an
-                                // optimistic span (or its expansion) still
-                                // in transit across the shard boundary is
-                                // latency, not a wait — label it so cycle
-                                // detection can ignore the edge. So are
-                                // bytes either copy of the lane still
-                                // counts on the wire: no edge at all.
                                 let on_wire = net.lane(ch).in_flight()
                                     + far_copy(si, ch).map_or(0, Lane::in_flight);
-                                let cause = if net.chan_src_foreign(ch)
-                                    && net.lane(ch).has_foreign_in_transit()
-                                {
-                                    Some(WaitCause::SpanInTransit { ch })
-                                } else if on_wire == 0 {
-                                    Some(WaitCause::StarvedUpstream { ch })
-                                } else {
-                                    None
-                                };
-                                if let Some(cause) = cause {
+                                if on_wire == 0 {
                                     raw.push(RawEdge {
                                         from: me,
                                         to: up,
                                         worm: Some((si, *worm)),
                                         holds: node_worm_multi(up),
-                                        cause,
+                                        cause: WaitCause::StarvedUpstream { ch },
                                     });
                                 }
                             }
@@ -507,15 +486,7 @@ pub fn forensics_multi(
     host_owner: &[u32],
 ) -> DeadlockReport {
     let edges = wait_edges_multi(nets, switch_owner, host_owner);
-    // In-transit cross-shard spans resolve on their own (the bytes are on
-    // the wire); keep the edges in the report for forensics but never let
-    // them close a "cycle".
-    let hard: Vec<WaitEdge> = edges
-        .iter()
-        .filter(|e| !matches!(e.cause, WaitCause::SpanInTransit { .. }))
-        .copied()
-        .collect();
-    let cycle = find_cycle(&graph_from_edges(&hard)).unwrap_or_default();
+    let cycle = find_cycle(&graph_from_edges(&edges)).unwrap_or_default();
     let stuck: i64 = nets.iter().map(|n| n.stats.active_worms).sum();
     DeadlockReport {
         cycle,

@@ -19,10 +19,7 @@ pub struct SwitchId(pub u32);
 /// `Stop`/`Go` implement the backpressure protocol of the paper's Figure 1
 /// and are the only symbols a link carries. The Myrinet `BRES` (Backward
 /// Reset) of the switch-level "multicast-IDLE flush" scheme is not one of
-/// them: `Network::flush_worm` performs that walk synchronously. The
-/// sharded span protocol (DESIGN.md §3.4) adds none either: a cut link's
-/// receive side truncates and admits-or-expands optimistic spans on its
-/// own.
+/// them: `Network::flush_worm` performs that walk synchronously.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CtrlSym {
     Stop,
@@ -39,18 +36,11 @@ pub enum Event {
     TxKick { ch: ChanId, gen: u32 },
     /// A byte arrives at the receive side of `ch`.
     RxByte { ch: ChanId, byte: WireByte },
-    /// A batched run of data bytes arrives at the receive side of `ch`
-    /// (span-batched mode). The span itself is queued on the channel.
-    ///
-    /// On a cut link this event plays two roles: the receive-side owner
-    /// schedules it at first-byte arrival to admit (or expand) the span,
-    /// and the transmit-side owner schedules it at end-of-transmission to
-    /// retire its local wire-occupancy entry (see `shard.rs`).
+    /// A batched run of bytes — route symbols, then data — arrives at the
+    /// receive side of `ch` (span-batched mode), at its first byte's
+    /// arrival slot. The span itself is queued on the channel. A lane cut
+    /// by a shard boundary never carries one.
     RxSpan { ch: ChanId },
-    /// One byte of a rejected cross-shard span lands at the receive side
-    /// of `ch` (sharded runs only): the span was turned back into the
-    /// per-byte arrival stream it stood for, one event per wire slot.
-    RxForeign { ch: ChanId },
     /// A control symbol arrives at the *transmit* side of `ch` (it travelled
     /// on the reverse channel from the receiver).
     CtrlRx { ch: ChanId, sym: CtrlSym },
@@ -94,17 +84,14 @@ impl Event {
             Event::CtrlRx { ch, .. } => ID + ch.0 as u64,
             // Every arrival takes the rank of the per-byte arrival it is
             // or stands for — the canonical per-byte schedule's position
-            // for that wire slot. An expanded foreign-span byte *is* that
-            // arrival. A span fires at its first byte's slot, and that
-            // byte may be a worm's head: two heads reaching one switch in
-            // one tick are served in event order, so the one inside a span
-            // must sort where its `RxByte` would, not behind every single
-            // byte of the tick. No two of the three kinds share a (time,
-            // lane) pair — bytes on a lane occupy distinct send slots,
-            // however they are batched.
-            Event::RxByte { ch, .. } | Event::RxSpan { ch } | Event::RxForeign { ch } => {
-                4 * ID + ch.0 as u64
-            }
+            // for that wire slot. A span fires at its first byte's slot,
+            // and that byte may be a worm's head: two heads reaching one
+            // switch in one tick are served in event order, so the one
+            // inside a span must sort where its `RxByte` would, not behind
+            // every single byte of the tick. The two kinds never share a
+            // (time, lane) pair — bytes on a lane occupy distinct send
+            // slots, however they are batched.
+            Event::RxByte { ch, .. } | Event::RxSpan { ch } => 4 * ID + ch.0 as u64,
             Event::TxKick { ch, .. } => 6 * ID + ch.0 as u64,
             Event::HostTimer { host, .. } => 7 * ID + host.0 as u64,
             Event::Inject { host } => 8 * ID + host.0 as u64,

@@ -203,27 +203,6 @@ pub struct Lane {
     /// Kick generation: bumped when a STOP truncates an in-flight span so
     /// the span chain's already-scheduled end-of-span `TxKick` is ignored.
     kick_gen: u32,
-    /// Receive-side owner of a cut lane only: the send-slot cutoff implied
-    /// by the newest STOP this side emitted — a span's bytes at slots
-    /// `>= cutoff` were revoked at the (foreign) transmitter. 0 = never
-    /// stopped; monotone (a fresh STOP can only raise it).
-    foreign_stop_cutoff: SimTime,
-    /// Receive-side owner of a cut lane only: rejected optimistic spans
-    /// being re-expanded into their per-byte arrival stream, in wire order.
-    foreign_runs: VecDeque<ForeignRun>,
-}
-
-/// A rejected cross-shard span being expanded back into per-byte arrivals
-/// at the receive-side owner: bytes at wire slots `next .. end` are still
-/// owed (one `Event::RxForeign` each).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ForeignRun {
-    pub(crate) worm: WormId,
-    /// Arrival slot of the next owed byte.
-    pub(crate) next: SimTime,
-    /// One past the last arrival slot (clamped when a STOP revokes the
-    /// span's unsent tail at the transmitter).
-    pub(crate) end: SimTime,
 }
 
 impl Lane {
@@ -266,8 +245,6 @@ impl Lane {
             spans: VecDeque::with_capacity(8),
             route_syms: VecDeque::new(),
             kick_gen: 0,
-            foreign_stop_cutoff: 0,
-            foreign_runs: VecDeque::new(),
         }
     }
 
@@ -355,9 +332,7 @@ impl Lane {
 
     /// `span`, just taken off the wire, lands in the receiver's buffer
     /// wholesale: until its last arrival slot has passed the buffer is
-    /// ahead of its per-byte twin ([`Lane::rx_future_bytes`]). Not for a
-    /// cross-shard span that was rejected and expanded back into per-byte
-    /// arrivals — none of its bytes is buffered ahead of its slot.
+    /// ahead of its per-byte twin ([`Lane::rx_future_bytes`]).
     #[inline]
     pub(crate) fn note_span_landed(&mut self, span: &SpanInFlight) {
         self.delivered_end = span.start + span.len;
@@ -542,91 +517,6 @@ impl Lane {
             .pop_back()
             .expect("a revoked route symbol is still staged")
     }
-
-    // -- cross-shard span protocol (DESIGN.md §3.4) --------------------------
-
-    /// Receive-side owner of a cut lane: an optimistic span arrived from
-    /// the foreign transmitter. Queued in wire order (the mailbox is FIFO)
-    /// and counted in this copy's `in_flight` until delivery.
-    pub(crate) fn enqueue_foreign_span(&mut self, span: SpanInFlight) {
-        self.in_flight += span.len as u32;
-        self.spans.push_back(span);
-    }
-
-    /// Receive-side owner of a cut lane emitted a STOP at `now`: it lands
-    /// at the foreign transmitter at `now + delay`, which truncates any
-    /// span still sending there. Record that cutoff (monotone — spans
-    /// emitted after the matching GO start later than any cutoff) and clamp
-    /// the active expansion runs: the transmitter physically sent only the
-    /// bytes before the cutoff, so arrivals end at `cutoff + delay`.
-    pub(crate) fn note_foreign_stop(&mut self, now: SimTime) {
-        let cutoff = now + self.delay;
-        debug_assert!(cutoff >= self.foreign_stop_cutoff, "clock runs forward");
-        self.foreign_stop_cutoff = cutoff;
-        let arrivals_end = cutoff + self.delay;
-        for run in &mut self.foreign_runs {
-            run.end = run.end.min(arrivals_end);
-        }
-    }
-
-    /// Truncate the just-arriving foreign span (queue front) against the
-    /// recorded STOP cutoff, mirroring exactly the truncation the foreign
-    /// transmitter performed on its copy: bytes at send slots `>= cutoff`
-    /// never went on the wire.
-    pub(crate) fn truncate_arriving_foreign_span(&mut self) {
-        let cutoff = self.foreign_stop_cutoff;
-        let Some(span) = self.spans.front_mut() else {
-            return;
-        };
-        if cutoff <= span.start || span.start + span.len <= cutoff {
-            return;
-        }
-        // `cutoff > start` (a span can never start at its own STOP-arrival
-        // slot: the STOP precedes the same-tick kick), so the transmitter's
-        // `sent = (cutoff - start).max(1)` is exactly `cutoff - start`.
-        let sent = cutoff - span.start;
-        self.in_flight -= (span.len - sent) as u32;
-        span.len = sent;
-    }
-
-    pub(crate) fn push_foreign_run(&mut self, run: ForeignRun) {
-        self.foreign_runs.push_back(run);
-    }
-
-    pub(crate) fn foreign_run_front(&self) -> Option<ForeignRun> {
-        self.foreign_runs.front().copied()
-    }
-
-    pub(crate) fn foreign_run_front_mut(&mut self) -> Option<&mut ForeignRun> {
-        self.foreign_runs.front_mut()
-    }
-
-    pub(crate) fn pop_foreign_run(&mut self) {
-        self.foreign_runs.pop_front();
-    }
-
-    /// Receive-side owner of a cut lane: bytes are still on the wire or
-    /// mid-expansion — the upstream starvation a deadlock probe sees is
-    /// transit latency, not a genuine wait.
-    pub(crate) fn has_foreign_in_transit(&self) -> bool {
-        !self.spans.is_empty() || !self.foreign_runs.is_empty()
-    }
-
-    /// Receive-side owner of a cut lane: bytes the foreign transmitter
-    /// still owes this copy beyond the per-byte pacing bound — queued
-    /// optimistic spans (the only contribution to this copy's
-    /// `in_flight`) plus the un-expanded remainder of rejected runs. An
-    /// optimistic span occupies send slots reaching into the
-    /// transmitter's future, so unlike paced per-byte traffic these are
-    /// not bounded by the wire delay.
-    pub(crate) fn foreign_span_backlog(&self) -> u64 {
-        self.in_flight as u64
-            + self
-                .foreign_runs
-                .iter()
-                .map(|r| r.end.saturating_sub(r.next))
-                .sum::<u64>()
-    }
 }
 
 /// Confirmation of a successful [`TxPort::try_send`]: when the payload
@@ -688,8 +578,9 @@ impl<'a> TxPort<'a> {
     /// carried-byte counters are updated; the caller schedules the arrival
     /// at `SendTicket::deliver_at`.
     ///
-    /// `count_in_flight` is false only for cross-shard sends, where the
-    /// receive-side owner keeps the occupancy (see `shard.rs`).
+    /// `count_in_flight` is false only for a byte put on a cut lane: its
+    /// arrival lands on the other shard's copy of the lane, so neither copy
+    /// counts it (see `shard.rs`). Spans never cross a cut.
     pub fn try_send(
         &mut self,
         now: SimTime,
@@ -716,9 +607,6 @@ impl<'a> TxPort<'a> {
                 l.next_tx_time = now + 1;
             }
             TxPayload::Span { worm, len, route } => {
-                // Spans cross shard boundaries with `count_in_flight` true:
-                // the transmit-side copy tracks wire occupancy until the
-                // end-of-transmission retirement event (`handle_rx_span`).
                 l.in_flight += len as u32;
                 l.bytes_carried += len;
                 l.next_tx_time = now + len;
@@ -1082,43 +970,25 @@ mod tests {
     }
 
     /// Only a span that lands wholesale puts its receiver ahead of the
-    /// per-byte twin. A cross-shard span that is taken off the wire and
-    /// then rejected is expanded into per-byte arrivals: none of its bytes
-    /// is buffered ahead of its slot, and `rx_future_bytes` must say so.
+    /// per-byte twin: taking it off the wire is not enough, and until
+    /// `note_span_landed` records it `rx_future_bytes` reads nothing.
     #[test]
     fn only_a_span_that_lands_counts_as_delivered_ahead() {
-        let span = SpanInFlight {
-            worm: WormId(3),
-            start: 10,
-            len: 6,
-            route: 0,
-        };
-        let arrive = |landed: bool| {
-            let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
-            l.enqueue_foreign_span(span);
-            let (_, got) = RxPort::new(&mut l).deliver_span();
-            assert_eq!(got.len, 6);
-            if landed {
-                l.note_span_landed(&got);
-            } else {
-                l.push_foreign_run(ForeignRun {
-                    worm: got.worm,
-                    next: 12,
-                    end: 18,
-                });
-            }
-            l
-        };
+        let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
+        let worm = WormId(3);
+        TxPort::new(&mut l)
+            .try_send(10, TxPayload::Span { worm, len: 6, route: 0 }, true)
+            .expect("lane free");
+        let (_, got) = RxPort::new(&mut l).deliver_span();
+        assert_eq!(got.len, 6);
+        assert_eq!(l.rx_future_bytes(12), 0);
+        assert_eq!(l.delivered_end(), 0);
         // First byte arrives at t=12; five more have slots still to come.
-        let admitted = arrive(true);
-        assert_eq!(admitted.rx_future_bytes(12), 5);
-        assert_eq!(admitted.rx_future_bytes(16), 1);
-        assert_eq!(admitted.rx_future_bytes(17), 0);
-        assert_eq!(admitted.delivered_end(), 16);
-        let expanded = arrive(false);
-        assert_eq!(expanded.rx_future_bytes(12), 0);
-        assert_eq!(expanded.delivered_end(), 0);
-        assert_eq!(expanded.foreign_span_backlog(), 6);
+        l.note_span_landed(&got);
+        assert_eq!(l.rx_future_bytes(12), 5);
+        assert_eq!(l.rx_future_bytes(16), 1);
+        assert_eq!(l.rx_future_bytes(17), 0);
+        assert_eq!(l.delivered_end(), 16);
     }
 
     #[test]

@@ -7,14 +7,10 @@
 //! whose target entity lives in another shard cross as *boundary
 //! messages* over per-ordered-pair FIFO mailboxes:
 //!
-//! - a byte put on a cross-shard channel crosses as `BoundaryMsg::Rx`
-//!   (the first byte of each worm carries a `WormSnap` so the receiving
-//!   shard can materialise the worm locally),
-//! - a batched run of data bytes crosses as `BoundaryMsg::RxSpan` — an
-//!   *optimistic* span sized from sender-local state only; the receiving
-//!   shard truncates it against its own STOP watermarks on arrival and
-//!   either admits it whole or expands it back into the per-byte arrival
-//!   stream it stood for (DESIGN.md §3.4), and
+//! - every byte put on a cut lane crosses as `BoundaryMsg::Rx`, one
+//!   message per byte (the span engine never batches across a cut; the
+//!   first byte of each worm carries a `WormSnap` so the receiving shard
+//!   can materialise the worm locally), and
 //! - a STOP/GO symbol emitted by a receive side whose transmit side is
 //!   foreign crosses as `BoundaryMsg::Ctrl`.
 //!
@@ -36,11 +32,13 @@
 //! sequential schedule and produces byte-identical statistics, message
 //! logs and deliveries. `tests/shard_equivalence.rs` enforces this
 //! against the sequential engine on four topologies in both `SimMode`s.
+//! No engine decision reads what a mailbox holds, so a sharded run's own
+//! event counts repeat exactly from run to run as well (`perf` pins them).
 
 use crate::config::ConfigError;
 use crate::deadlock;
 use crate::engine::{CtrlSym, Event, HostId, SwitchId};
-use crate::link::{ChanId, Endpoint, ForeignRun, NodeRef, SpanInFlight};
+use crate::link::{ChanId, NodeRef};
 use crate::network::{Delivery, MessageLog, MessageRecord, NetStats, Network, RunOutcome};
 use crate::slab::PerWorm;
 use crate::switchcast::SwitchcastMode;
@@ -118,18 +116,6 @@ pub(crate) enum BoundaryMsg {
         kind: ByteKind,
         snap: Option<Box<WormSnap>>,
     },
-    /// An optimistic span of `len` data bytes arriving at the receive side
-    /// of cut channel `ch`, first byte at `ts`. The sender sized it from
-    /// local state only; the receive-side owner truncates it against its
-    /// own STOP watermarks on arrival and either admits it whole or
-    /// expands it back into per-byte arrivals (DESIGN.md §3.4).
-    RxSpan {
-        ts: SimTime,
-        ch: ChanId,
-        tag: u64,
-        len: u64,
-        snap: Option<Box<WormSnap>>,
-    },
     /// A control symbol arriving at the transmit side of cross-shard
     /// channel `ch` (it travelled the reverse channel).
     Ctrl {
@@ -142,9 +128,7 @@ pub(crate) enum BoundaryMsg {
 impl BoundaryMsg {
     pub(crate) fn ts(&self) -> SimTime {
         match self {
-            BoundaryMsg::Rx { ts, .. }
-            | BoundaryMsg::RxSpan { ts, .. }
-            | BoundaryMsg::Ctrl { ts, .. } => *ts,
+            BoundaryMsg::Rx { ts, .. } | BoundaryMsg::Ctrl { ts, .. } => *ts,
         }
     }
 }
@@ -173,9 +157,9 @@ pub(crate) struct ShardCtx {
 }
 
 // ---------------------------------------------------------------------------
-// The boundary, as one shard engine sees it: which lane ends are foreign,
-// the outbound mailboxes, and the receive side of the optimistic span
-// protocol. `network.rs` and `span.rs` reach this through single calls.
+// The boundary, as one shard engine sees it: which lane ends are foreign
+// and the outbound mailboxes. `network.rs` and `span.rs` reach this through
+// single calls.
 // ---------------------------------------------------------------------------
 
 impl Network {
@@ -221,15 +205,7 @@ impl Network {
 
     /// Send `sym` to the foreign transmit side of cut channel `ch`.
     pub(crate) fn send_boundary_ctrl(&mut self, ch: ChanId, sym: CtrlSym) {
-        let now = self.scheduler.now();
-        if sym == CtrlSym::Stop {
-            // Remember where this STOP cuts the foreign transmitter's
-            // send slots, so spans already in the mailbox can be
-            // truncated on arrival exactly as the transmitter will
-            // truncate its own copy (DESIGN.md §3.4).
-            self.lanes[ch.0 as usize].note_foreign_stop(now);
-        }
-        let ts = now + self.lanes[ch.0 as usize].delay();
+        let ts = self.scheduler.now() + self.lanes[ch.0 as usize].delay();
         let s = self.shard.as_ref().expect("foreign src implies shard ctx");
         self.push_boundary(
             s.chan_src_owner[ch.0 as usize],
@@ -237,54 +213,27 @@ impl Network {
         );
     }
 
-    /// Boundary-send bookkeeping shared by the per-byte and span paths:
-    /// the destination shard of `ch`, the worm's canonical tag, and its
-    /// snapshot iff this is the first contact between the two shards for
-    /// this worm.
-    fn boundary_tag_snap(&mut self, ch: ChanId, worm: WormId) -> (u32, u64, Option<Box<WormSnap>>) {
-        let tag = self.worm_name(worm);
+    /// Put `b` on cross-shard channel `ch`: enqueue the arrival in the
+    /// receive-side owner's mailbox, attaching the worm snapshot the first
+    /// time this shard sends that shard a byte of this worm.
+    pub(crate) fn send_boundary_byte(&mut self, ch: ChanId, ts: SimTime, b: WireByte) {
+        let tag = self.worm_name(b.worm);
         let s = self
             .shard
             .as_mut()
             .expect("boundary send implies shard ctx");
         let to = s.chan_dst_owner[ch.0 as usize];
-        let mask = s.snap_sent.get_mut(worm);
+        let mask = s.snap_sent.get_mut(b.worm);
         let need_snap = *mask & (1 << to) == 0;
         *mask |= 1 << to;
-        let snap = need_snap.then(|| Box::new(WormSnap::of(&self.worms[worm.0 as usize])));
-        (to, tag, snap)
-    }
-
-    /// Put `b` on cross-shard channel `ch`: enqueue the arrival in the
-    /// receive-side owner's mailbox, attaching the worm snapshot the first
-    /// time this shard sends that shard a byte of this worm.
-    pub(crate) fn send_boundary_byte(&mut self, ch: ChanId, ts: SimTime, b: WireByte) {
-        let (to, tag, snap) = self.boundary_tag_snap(ch, b.worm);
-        let kind = b.kind;
+        let snap = need_snap.then(|| Box::new(WormSnap::of(&self.worms[b.worm.0 as usize])));
         self.push_boundary(
             to,
             BoundaryMsg::Rx {
                 ts,
                 ch,
                 tag,
-                kind,
-                snap,
-            },
-        );
-    }
-
-    /// Put an optimistic span of `len` data bytes of `worm` on cross-shard
-    /// channel `ch`, first byte landing at `ts`. The receive-side owner
-    /// truncates it against its own STOP watermarks on arrival.
-    pub(crate) fn send_boundary_span(&mut self, ch: ChanId, ts: SimTime, worm: WormId, len: u64) {
-        let (to, tag, snap) = self.boundary_tag_snap(ch, worm);
-        self.push_boundary(
-            to,
-            BoundaryMsg::RxSpan {
-                ts,
-                ch,
-                tag,
-                len,
+                kind: b.kind,
                 snap,
             },
         );
@@ -312,30 +261,6 @@ impl Network {
                 let worm = self.worm_for_tag(tag, snap);
                 let byte = WireByte { worm, kind };
                 self.scheduler.at(ts, Event::RxByte { ch, byte });
-            }
-            BoundaryMsg::RxSpan {
-                ts,
-                ch,
-                tag,
-                len,
-                snap,
-            } => {
-                let worm = self.worm_for_tag(tag, snap);
-                let start = ts - self.lanes[ch.0 as usize].delay();
-                // Queue the span on the local (receive-side) lane copy and
-                // schedule its admission at first-byte arrival. A STOP this
-                // side emitted before `ts` truncates it then, mirroring the
-                // transmitter's own truncation (see `handle_rx_span`).
-                // No head run crosses a boundary: a shard engine keeps route
-                // symbols per-byte.
-                let span = SpanInFlight {
-                    worm,
-                    start,
-                    len,
-                    route: 0,
-                };
-                self.lanes[ch.0 as usize].enqueue_foreign_span(span);
-                self.scheduler.at(ts, Event::RxSpan { ch });
             }
             BoundaryMsg::Ctrl { ts, ch, sym } => {
                 self.scheduler.at(ts, Event::CtrlRx { ch, sym });
@@ -371,80 +296,6 @@ impl Network {
     pub(crate) fn worm_tag(&self, worm: WormId) -> Option<u64> {
         let tag = self.worm_names.get(worm);
         (tag != u64::MAX).then_some(tag)
-    }
-
-    /// Receive-side admission of an optimistic cross-shard span: admit it
-    /// whole iff bulk delivery is provably indistinguishable from per-byte
-    /// arrival — the input has no STOP in force and the whole run stays
-    /// strictly below the STOP watermark (`switch_span_room` with zero
-    /// wire bytes: everything on the wire IS this span). Otherwise expand
-    /// the span back into the per-byte arrival stream it stood for (one
-    /// [`Event::RxForeign`] per wire slot, at exactly the canonical
-    /// per-byte positions). A rejected span already cost one mailbox
-    /// message instead of `len`, so the transmitter is never throttled.
-    /// Returns whether the span was admitted.
-    pub(crate) fn admit_foreign_span(
-        &mut self,
-        ch: ChanId,
-        dst: Endpoint,
-        span: &SpanInFlight,
-    ) -> bool {
-        let NodeRef::Switch(s) = dst.node else {
-            unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
-        };
-        if self
-            .switch_span_room(s, dst.port.0, 0)
-            .is_some_and(|room| span.len <= room)
-        {
-            return true;
-        }
-        let now = self.scheduler.now();
-        self.lanes[ch.0 as usize].push_foreign_run(ForeignRun {
-            worm: span.worm,
-            next: now,
-            end: now + span.len,
-        });
-        // `RxForeign` shares this `RxSpan`'s key (rank 4, this lane), and
-        // a push at `now` goes behind every equal key: the first expansion
-        // byte fires right after this event — where the per-byte twin's
-        // `RxByte` for this wire slot sorts.
-        self.scheduler.at(now, Event::RxForeign { ch });
-        false
-    }
-
-    /// One byte of a rejected cross-shard span lands: re-create exactly
-    /// the per-byte arrival the span stood for. Self-scheduling: each
-    /// delivery arms the next slot until the run is exhausted or a STOP
-    /// clamp revoked its tail.
-    pub(crate) fn handle_rx_foreign(&mut self, ch: ChanId) {
-        let now = self.scheduler.now();
-        let Some(run) = self.lanes[ch.0 as usize].foreign_run_front() else {
-            return;
-        };
-        if now >= run.end {
-            // A STOP clamp revoked everything still owed.
-            self.lanes[ch.0 as usize].pop_foreign_run();
-            return;
-        }
-        debug_assert_eq!(run.next, now, "expansion bytes arrive one per wire slot");
-        let dst = self.lanes[ch.0 as usize].dst();
-        if let Some(r) = self.lanes[ch.0 as usize].foreign_run_front_mut() {
-            r.next = now + 1;
-        }
-        self.stats.bytes_moved += 1;
-        let byte = WireByte {
-            worm: run.worm,
-            kind: ByteKind::Data,
-        };
-        self.deliver_run(dst, byte, 1);
-        // The arrival may have crossed the STOP mark, clamping this very
-        // run's end through `note_foreign_stop` — re-read before arming
-        // the next slot.
-        match self.lanes[ch.0 as usize].foreign_run_front() {
-            Some(r) if r.next < r.end => self.scheduler.at(r.next, Event::RxForeign { ch }),
-            Some(_) => self.lanes[ch.0 as usize].pop_foreign_run(),
-            None => {}
-        }
     }
 }
 

@@ -129,14 +129,10 @@ impl Network {
     /// here: a span went out (the end-of-span kick is scheduled, or the
     /// lane went idle behind a producer left empty-handed), or the kick
     /// came before its byte's arrival slot and was re-armed for it. False
-    /// means the caller must produce per-byte, now.
+    /// means the caller must produce per-byte, now — always so on a lane
+    /// cut by a shard boundary, whose receiver's state lives in another
+    /// shard.
     pub(crate) fn try_emit_span(&mut self, ch: ChanId, gen: u32) -> bool {
-        // Bytes bound for another shard go out as an *optimistic* span:
-        // the receive-side occupancy needed for an exact admission check
-        // lives over there, so the owner performs it on arrival — either
-        // admitting the span whole or expanding it back into per-byte
-        // arrivals (DESIGN.md §3.4).
-        let dst_foreign = self.chan_dst_foreign(ch);
         let (src, dst, wire) = {
             let c = &self.lanes[ch.0 as usize];
             (c.src(), c.dst(), c.in_flight() as u64)
@@ -159,29 +155,18 @@ impl Network {
         let Some(Ready { worm, route, data }) = ready else {
             return false;
         };
+        if self.chan_dst_foreign(ch) {
+            return false;
+        }
         let avail = route + data;
-        let room = if dst_foreign {
-            // Bound the optimistic span by the mirror's slack geometry
-            // alone (shards are built from identical fabrics). Any bound
-            // is semantics-safe — the owner truncates or expands on
-            // arrival — this one just keeps the rejection rate low.
-            let NodeRef::Switch(s) = dst.node else {
-                unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
-            };
-            let mark = self.switches[s.0 as usize].inputs[dst.port.index()]
-                .slack
-                .stop_mark as u64;
-            mark.saturating_sub(1 + wire)
-        } else {
-            match dst.node {
-                // A refusal leaves no no-drain room, but the circuit may
-                // still be clear.
-                NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire).unwrap_or(0),
-                NodeRef::Host(h) => match self.adapter_span_room(h, worm) {
-                    Some(room) => room,
-                    None => return false,
-                },
-            }
+        let room = match dst.node {
+            // A refusal leaves no no-drain room, but the circuit may still
+            // be clear.
+            NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire).unwrap_or(0),
+            NodeRef::Host(h) => match self.adapter_span_room(h, worm) {
+                Some(room) => room,
+                None => return false,
+            },
         };
         // Two admission rules, both counting bytes whatever their kind:
         // the run fits below the receiver's STOP mark even if nothing
@@ -244,17 +229,7 @@ impl Network {
         let ticket = tx
             .try_send(now, TxPayload::Span { worm, len: k, route }, true)
             .expect("span probe ran at the lane's ready time");
-        if dst_foreign {
-            debug_assert_eq!(route, 0, "a shard engine keeps route symbols per-byte");
-            self.send_boundary_span(ch, ticket.deliver_at, worm, k);
-            // The receive-side owner delivers the bytes; this RxSpan fires
-            // at end-of-transmission to retire the local wire-occupancy
-            // entry, which must stay truncatable while still sending
-            // (see `handle_rx_span`).
-            self.scheduler.at(now + k, Event::RxSpan { ch });
-        } else {
-            self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
-        }
+        self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
         if k > room && certified != u64::MAX {
             // Sent on a finite drain window: the receiving input holds the
             // certificate until the span's last arrival slot has passed.
@@ -283,41 +258,9 @@ impl Network {
 
     /// Deliver the oldest in-flight span on `ch`. Spans and single bytes on
     /// one channel share FIFO wire order, so the queue front is always the
-    /// arriving span.
-    ///
-    /// On a cut lane this event plays two roles: at the transmit-side owner
-    /// it fires at end-of-transmission and merely retires the local
-    /// wire-occupancy entry; at the receive-side owner it fires at
-    /// first-byte arrival and performs the admission check the transmitter
-    /// optimistically skipped.
+    /// arriving span. It lands wholesale.
     pub(crate) fn handle_rx_span(&mut self, ch: ChanId) {
-        if self.chan_dst_foreign(ch) {
-            // Transmit-side retirement: the entry (possibly STOP-truncated
-            // since emission) only tracked wire occupancy here. Entries and
-            // retirement events pair up 1:1 in FIFO order, so the popped
-            // lengths sum correctly even when truncations reordered the
-            // nominal end-of-transmission times.
-            let _ = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
-            return;
-        }
-        let src_foreign = self.chan_src_foreign(ch);
-        if src_foreign {
-            // Mirror, before taking the span off the wire, exactly the
-            // truncation any STOP this side emitted has meanwhile forced
-            // on the transmitter's copy (`Lane::truncate_arriving_foreign_span`).
-            self.lanes[ch.0 as usize].truncate_arriving_foreign_span();
-        }
         let (dst, span) = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
-        if span.len == 0 {
-            // Fully revoked by a STOP truncation (only the already-sent
-            // remainder of a span survives; an empty one is just the
-            // placeholder for this event).
-            return;
-        }
-        if src_foreign && !self.admit_foreign_span(ch, dst, &span) {
-            return;
-        }
-        // From here the span lands wholesale.
         self.lanes[ch.0 as usize].note_span_landed(&span);
         // Credit `bytes_moved` per-byte-exactly: byte `j` of the span
         // conceptually arrives at `now + j`, and only arrivals strictly
@@ -448,17 +391,10 @@ impl Network {
         // one can be raised at all.
         if !inp.sent_stop && !inp.certified(worm, self.scheduler.now()) {
             let wire = match inp.chan_in {
-                // Fed across a shard boundary: the local `in_flight` copy
-                // only counts queued optimistic spans. Paced per-byte
-                // crossings occupy distinct send slots in `(now-delay, now]`
-                // at the foreign transmitter, so `delay` bounds them — but
-                // optimistic spans and rejected-run expansions claim send
-                // slots reaching into the transmitter's future and can each
-                // exceed `delay`; count those explicitly on top.
-                Some(c) if self.chan_src_foreign(c) => {
-                    let l = &self.lanes[c.0 as usize];
-                    l.delay() + l.foreign_span_backlog()
-                }
+                // Fed across a shard boundary: neither copy of the lane
+                // counts its bytes, but they cross per-byte, one per send
+                // slot in `(now - delay, now]`, so `delay` bounds them.
+                Some(c) if self.chan_src_foreign(c) => self.lanes[c.0 as usize].delay(),
                 Some(c) => self.lanes[c.0 as usize].in_flight() as u64,
                 None => 0,
             };
@@ -480,8 +416,7 @@ impl Network {
         } else {
             u64::MAX
         };
-        // A shard engine keeps route symbols per-byte: the boundary
-        // message carries none.
+        // A shard engine keeps route symbols per-byte: no head runs.
         let heads = self.shard.is_none();
         let (mut route, mut data) = (0, 0);
         for (b, n) in inp.buf.runs() {
@@ -514,27 +449,7 @@ impl Network {
         if inp.sent_stop {
             return None;
         }
-        // An optimistic span this input batch-drained toward a cut
-        // downstream lane is a gamble still in flight: the receive-side
-        // owner may yet refuse or STOP-truncate it, and the per-byte
-        // twin still holds its future-slot bytes right here — the local
-        // occupancy runs speculatively low by that unsent tail until
-        // the span's last send slot passes (or a STOP rewinds it).
-        // Charge it as used room: over-charging only shrinks spans
-        // (always exact), while reading the advanced occupancy would
-        // defer a STOP crossing the per-byte twin takes mid-window.
-        // Intra-shard drains need no charge — their emission guard
-        // certified the whole drain window crossing-free.
-        let advance = match inp.state {
-            InState::Forwarding { out, .. } => self.switches[sw.0 as usize].outputs[out as usize]
-                .chan_out
-                .filter(|&c| self.chan_dst_foreign(c))
-                .map_or(0, |c| {
-                    self.lanes[c.0 as usize].drain_advance(self.scheduler.now())
-                }),
-            _ => 0,
-        };
-        let used = inp.occupancy() as u64 + wire + advance;
+        let used = inp.occupancy() as u64 + wire;
         let mark = inp.slack.stop_mark as u64;
         // Strictly below the mark even after all `wire + k` bytes land with
         // no dequeue: occupancy can never cross it in either mode.

@@ -39,11 +39,14 @@
 //! regardless of which internal structure they travelled through. The
 //! default key is constant, which degenerates to plain schedule-order FIFO.
 //!
-//! The key exists for the sharded engine: a canonical same-timestamp order
-//! that depends only on the event itself (not on push order) is what lets a
-//! partitioned simulation — where boundary events are pushed by a different
-//! thread at a nondeterministic wall-clock moment — replay the sequential
-//! engine's schedule exactly.
+//! The simulator's key (`Event::canon_key`) is a canonical same-timestamp
+//! order that depends only on the event itself, not on push order. Three
+//! things rest on it: the tick drain, which pops a tick's events in key
+//! order whichever structure they travelled through; the span engine, where
+//! an `RxSpan` takes the rank of the `RxByte` its first byte stands for; and
+//! the sharded engine, where boundary events are pushed by a different
+//! thread at a nondeterministic wall-clock moment and must still replay the
+//! sequential engine's schedule exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
