@@ -237,6 +237,12 @@ impl Network {
                 RxState::Idle => {
                     if a.parked.contains(byte.worm) {
                         RxAction::ResumeFragment(byte.worm)
+                    } else if matches!(byte.kind, ByteKind::Tail) {
+                        // No worm starts with its tail: this one ends a
+                        // worm whose body a fragment already completed
+                        // (the interrupt/resume scheme cut it after the
+                        // last body byte), so there is nothing left to do.
+                        RxAction::LateTail
                     } else {
                         RxAction::NewWorm(byte.worm)
                     }
@@ -412,6 +418,9 @@ impl Network {
                     }
                 }
             }
+            RxAction::LateTail => {
+                self.adapters[host.0 as usize].counters.bytes_received += 1;
+            }
             RxAction::DropByte => {
                 self.adapters[host.0 as usize].counters.bytes_refused += len;
             }
@@ -451,6 +460,7 @@ enum RxAction {
     Accumulate(WormId),
     Complete(WormId),
     FragmentBoundary,
+    LateTail,
     DropByte,
     DropComplete(WormId),
 }

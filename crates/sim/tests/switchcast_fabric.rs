@@ -2,6 +2,7 @@
 //! the replication machinery at the byte level (the protocol-level view is
 //! covered by the workspace integration tests).
 
+use wormcast_sim::adapter::RxState;
 use wormcast_sim::engine::HostId;
 use wormcast_sim::link::PortId;
 use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable};
@@ -31,9 +32,14 @@ impl AdapterProtocol for Injector {
     }
 }
 
+/// Sends its unicasts; delivers on receive.
 struct Sink;
 impl AdapterProtocol for Sink {
-    fn on_generate(&mut self, _ctx: &mut ProtocolCtx, _msg: AppMessage) {}
+    fn on_generate(&mut self, ctx: &mut ProtocolCtx, msg: AppMessage) {
+        if let Destination::Unicast(d) = msg.dest {
+            ctx.send(SendSpec::data(&msg, d, WormKind::Unicast));
+        }
+    }
     fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
         ctx.deliver_local(worm.meta.msg);
     }
@@ -189,6 +195,95 @@ fn nested_directive_stamps_subtree_prefix() {
     let mut hosts: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
     hosts.sort_unstable();
     assert_eq!(hosts, vec![1, 2, 3], "nested replication covers the tree");
+}
+
+/// V2 (RootedInterrupt): a replica branch that has sent every body byte
+/// but not yet received the tail ends its fragment there. Its receiver
+/// takes that fragment for the whole worm (the body is complete), and the
+/// resumed fragment — the tail alone — must not open a new reception that
+/// the next worm then interleaves with.
+///
+/// One switch, four hosts. Host 3 holds the output to host 2 with a long
+/// unicast; host 0's 10-byte multicast to hosts 1 and 2 then fills its
+/// input (the branch to host 2 is blocked, so nothing is released) until
+/// the STOP holds its tail back at host 0, while the branch to host 1 has
+/// sent the whole body. A later unicast from host 3 to host 1 must find
+/// host 1's receiver idle.
+#[test]
+fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
+    let spec = FabricSpec {
+        switch_ports: vec![4],
+        hosts: (0..4u8).map(|p| HostAttach { switch: 0, port: p }).collect(),
+        links: vec![],
+        host_link_delay: 1,
+    };
+    let mut rt = RouteTable::new(4);
+    for s in 0..4u32 {
+        for d in 0..4u32 {
+            if s != d {
+                rt.set(HostId(s), HostId(d), vec![d as u8]);
+            }
+        }
+    }
+    let mut net = Network::build(
+        &spec,
+        rt,
+        NetworkConfig::builder()
+            .switchcast(SwitchcastMode::RootedInterrupt)
+            .build()
+            .expect("valid config"),
+    );
+    let directive = Directive {
+        branches: vec![(1, Subroute::Host), (2, Subroute::Host)],
+    };
+    net.set_protocol(
+        HostId(0),
+        Box::new(Injector {
+            route: encode(&directive).unwrap(),
+            sinks: 2,
+        }),
+    );
+    for h in 1..4u32 {
+        net.set_protocol(HostId(h), Box::new(Sink));
+    }
+    net.set_source(
+        HostId(0),
+        Box::new(wormcast_sim_test_oneshot(SourceMessage {
+            dest: Destination::Multicast(0),
+            payload_len: 2,
+        })),
+        50,
+    );
+    let unicast = |to: u32, payload_len: u32| SourceMessage {
+        dest: Destination::Unicast(HostId(to)),
+        payload_len,
+    };
+    net.set_source(
+        HostId(3),
+        Box::new(Scripted(vec![(0, unicast(2, 2_000)), (3_000, unicast(1, 100))])),
+        0,
+    );
+    let out = net.run_until(100_000);
+    assert!(out.drained);
+    assert!(out.deadlock.is_none());
+    net.audit().expect("conservation");
+    let mut hosts: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
+    hosts.sort_unstable();
+    assert_eq!(hosts, vec![1, 1, 2, 2], "both copies and both unicasts");
+    for a in &net.adapters {
+        assert_eq!(a.rx, RxState::Idle, "host {:?} still receiving", a.id);
+    }
+}
+
+/// A source that sends `(at, message)` pairs in order, the first at the
+/// time it is installed for.
+struct Scripted(Vec<(u64, SourceMessage)>);
+
+impl wormcast_sim::protocol::TrafficSource for Scripted {
+    fn next(&mut self, now: u64, _host: HostId) -> (Option<SourceMessage>, Option<u64>) {
+        let (_, msg) = self.0.remove(0);
+        (Some(msg), self.0.first().map(|&(at, _)| at - now))
+    }
 }
 
 /// Minimal one-shot source (the traffic crate depends on this crate and
