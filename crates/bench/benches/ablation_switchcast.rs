@@ -18,128 +18,47 @@
 //!
 //! Run with `cargo bench --bench ablation_switchcast`.
 
-use std::sync::Arc;
-use wormcast_bench::runner::membership_of;
-use wormcast_core::switchcast::{SwitchcastProtocol, SwitchcastTables, SwitchcastVariant};
-use wormcast_core::{HcConfig, HcProtocol};
-use wormcast_sim::engine::HostId;
-use wormcast_sim::network::NetworkConfig;
-use wormcast_sim::switchcast::SwitchcastMode;
-use wormcast_sim::Network;
-use wormcast_stats::latency::{latencies, Kind};
+use wormcast_bench::{run_parallel, Scheme, SimSetup};
+use wormcast_core::switchcast::SwitchcastVariant;
+use wormcast_core::HcConfig;
 use wormcast_topo::torus::torus;
-use wormcast_topo::UpDown;
 use wormcast_traffic::rng::host_stream;
-use wormcast_traffic::workload::{install_paper_sources, PaperWorkload};
+use wormcast_traffic::workload::PaperWorkload;
 use wormcast_traffic::{GroupSet, LengthDist};
 
-struct Arm {
-    name: &'static str,
-    variant: Option<SwitchcastVariant>, // None = host-adapter HC reference
-}
-
-fn run(arm: &Arm, load: f64, measure: u64) -> (f64, f64, f64) {
-    let topo = torus(4, 1);
-    let ud = UpDown::compute(&topo, 0);
+fn setup(scheme: Scheme, load: f64, measure: u64) -> SimSetup {
     let mut grng = host_stream(0xAB6, 0x6071);
     let groups = GroupSet::random(16, 4, 6, &mut grng);
-    let membership = membership_of(&groups);
-    // V1 restricts everything to the spanning tree; V2/V3 leave unicast
-    // routing free (V3's multicast directives still follow the tree).
-    let (mode, restrict_net, restrict_mc) = match arm.variant {
-        Some(SwitchcastVariant::RestrictedIdle) => (SwitchcastMode::RestrictedIdle, true, true),
-        Some(SwitchcastVariant::RootedInterrupt) => {
-            (SwitchcastMode::RootedInterrupt, false, false)
-        }
-        Some(SwitchcastVariant::IdleFlush) => (SwitchcastMode::IdleFlush, false, true),
-        Some(SwitchcastVariant::Broadcast) | None => (SwitchcastMode::Off, false, false),
+    let workload = PaperWorkload {
+        offered_load: load,
+        multicast_prob: 0.10,
+        lengths: LengthDist::Geometric { mean: 400 },
+        stop_at: None,
     };
-    let routes = ud.route_table(&topo, restrict_net);
-    let cfg = NetworkConfig::builder()
+    SimSetup::builder(torus(4, 1), groups, scheme, workload)
         .seed(0xAB6)
-        .switchcast(mode)
+        .windows(40_000, measure, 150_000)
         .build()
-        .expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
-    match arm.variant {
-        Some(variant) => {
-            let mc_routes = ud.route_table(&topo, restrict_mc);
-            let tables = Arc::new(SwitchcastTables::build(
-                &topo,
-                &ud,
-                &mc_routes,
-                &membership,
-                restrict_mc,
-            ));
-            net.set_broadcast_ports(SwitchcastTables::broadcast_ports(&topo, &ud));
-            for h in 0..16u32 {
-                net.set_protocol(
-                    HostId(h),
-                    Box::new(SwitchcastProtocol::new(
-                        HostId(h),
-                        variant,
-                        Arc::clone(&membership),
-                        Arc::clone(&tables),
-                    )),
-                );
-            }
-        }
-        None => {
-            for h in 0..16u32 {
-                net.set_protocol(
-                    HostId(h),
-                    Box::new(HcProtocol::new(
-                        HostId(h),
-                        HcConfig::store_and_forward(),
-                        Arc::clone(&membership),
-                    )),
-                );
-            }
-        }
-    }
-    let warmup = 40_000;
-    let generate_until = warmup + measure;
-    let drain_until = generate_until + 150_000;
-    install_paper_sources(
-        &mut net,
-        PaperWorkload {
-            offered_load: load,
-            multicast_prob: 0.10,
-            lengths: LengthDist::Geometric { mean: 400 },
-            stop_at: Some(generate_until),
-        },
-        &Arc::new(groups),
-        0xAB6,
-    );
-    let out = net.run_until(drain_until);
-    assert!(out.deadlock.is_none(), "{}: deadlock {:?}", arm.name, out.deadlock);
-    net.audit().expect("conservation");
-    let mc = latencies(&net.msgs, Kind::Multicast, warmup, generate_until, None);
-    let uc = latencies(&net.msgs, Kind::Unicast, warmup, generate_until, None);
-    let flushes = net.stats.worms_flushed as f64;
-    (mc.per_delivery.mean, uc.per_delivery.mean, flushes)
+        .expect("valid setup")
 }
 
 fn main() {
     let quick = std::env::var_os("WORMCAST_QUICK").is_some();
     let measure = if quick { 150_000 } else { 400_000 };
     let arms = [
-        Arm {
-            name: "v1-restricted-idle",
-            variant: Some(SwitchcastVariant::RestrictedIdle),
-        },
-        Arm {
-            name: "v2-rooted-interrupt",
-            variant: Some(SwitchcastVariant::RootedInterrupt),
-        },
-        Arm {
-            name: "v3-idle-flush",
-            variant: Some(SwitchcastVariant::IdleFlush),
-        },
-        Arm {
-            name: "hc-adapter",
-            variant: None,
-        },
+        (
+            "v1-restricted-idle",
+            Scheme::Switch(SwitchcastVariant::RestrictedIdle),
+        ),
+        (
+            "v2-rooted-interrupt",
+            Scheme::Switch(SwitchcastVariant::RootedInterrupt),
+        ),
+        (
+            "v3-idle-flush",
+            Scheme::Switch(SwitchcastVariant::IdleFlush),
+        ),
+        ("hc-adapter", Scheme::Hc(HcConfig::store_and_forward())),
     ];
     println!("# Ablation A6: switch-level multicast variants, 4x4 torus,");
     println!("# 4 groups x 6 members, p(mcast)=0.10");
@@ -148,11 +67,21 @@ fn main() {
         "load", "scheme", "mcast-latency", "uni-latency", "flushes"
     );
     for load in [0.02, 0.04, 0.06] {
-        for arm in &arms {
-            let (mc, uc, fl) = run(arm, load, measure);
+        let setups = arms
+            .iter()
+            .map(|&(_, scheme)| setup(scheme, load, measure))
+            .collect();
+        for ((name, _), r) in arms.iter().zip(run_parallel(setups)) {
+            assert!(
+                r.outcome.deadlock.is_none(),
+                "{name}: deadlock {:?}",
+                r.outcome.deadlock
+            );
             println!(
-                "{load:>8.2} {:>20} {mc:>14.0} {uc:>14.0} {fl:>10.0}",
-                arm.name
+                "{load:>8.2} {name:>20} {:>14.0} {:>14.0} {:>10}",
+                r.multicast.per_delivery.mean,
+                r.unicast.per_delivery.mean,
+                r.stats().worms_flushed
             );
         }
     }

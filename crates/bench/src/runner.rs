@@ -22,7 +22,9 @@ use wormcast_traffic::GroupSet;
 pub struct SimSetup {
     pub topo: Topology,
     pub updown_root: usize,
-    /// Restrict all routes to the spanning tree (Section 3 ablation).
+    /// Restrict all routes to the spanning tree (Section 3 ablation). A
+    /// switch-level scheme may restrict more on its own
+    /// ([`Scheme::fabric`]); this only tightens it.
     pub restrict_to_tree: bool,
     pub groups: GroupSet,
     pub scheme: Scheme,
@@ -98,6 +100,7 @@ impl SimSetup {
             .trace(self.trace)
             .faults(self.faults)
             .lanes(self.lanes)
+            .switchcast(self.scheme.fabric(self.restrict_to_tree).mode)
             .build()
     }
 }
@@ -226,6 +229,11 @@ impl SimSetupBuilder {
                     feature: "fault injection",
                 });
             }
+            if matches!(s.scheme, Scheme::Switch(_)) {
+                return Err(ConfigError::Unshardable {
+                    feature: "switch-level multicast",
+                });
+            }
             let plan = resolve_plan(&s).map_err(|reason| ConfigError::Invalid {
                 field: "shards",
                 reason,
@@ -286,6 +294,25 @@ pub fn build_network(setup: &SimSetup) -> Network {
     build_network_owned(setup, |_| true)
 }
 
+/// Build the network for a setup without its traffic: routes, fabric and
+/// the scheme's protocols, no source on any host — for tests that script
+/// their own messages.
+pub fn build_unloaded(setup: &SimSetup) -> Network {
+    let ud = UpDown::compute(&setup.topo, setup.updown_root);
+    let restrict = setup.restrict_to_tree;
+    let routes = ud.route_table(&setup.topo, setup.scheme.fabric(restrict).restrict_routes);
+    let graph = HostGraph::from_routes(&routes);
+    let cfg = setup
+        .network_config()
+        .expect("SimSetup::builder validated this configuration");
+    let mut net = Network::build(&setup.topo.to_fabric_spec(), routes, cfg);
+    let membership = membership_of(&setup.groups);
+    setup
+        .scheme
+        .install(&mut net, &membership, &graph, &setup.topo, &ud, restrict);
+    net
+}
+
 /// Build the network with traffic sources only on hosts the caller `owns`.
 /// Everything else — fabric, routes, protocols, seeds — is identical to
 /// [`build_network`], including the per-host source start times (the
@@ -295,15 +322,7 @@ fn build_network_owned(
     setup: &SimSetup,
     owned: impl Fn(wormcast_sim::engine::HostId) -> bool,
 ) -> Network {
-    let ud = UpDown::compute(&setup.topo, setup.updown_root);
-    let routes = ud.route_table(&setup.topo, setup.restrict_to_tree);
-    let graph = HostGraph::from_routes(&routes);
-    let cfg = setup
-        .network_config()
-        .expect("SimSetup::builder validated this configuration");
-    let mut net = Network::build(&setup.topo.to_fabric_spec(), routes, cfg);
-    let membership = membership_of(&setup.groups);
-    setup.scheme.install(&mut net, &membership, &graph);
+    let mut net = build_unloaded(setup);
     let mut workload = setup.workload;
     workload.stop_at = Some(setup.generate_until);
     install_paper_sources_for(
@@ -465,10 +484,7 @@ mod tests {
     use wormcast_traffic::rng::host_stream;
     use wormcast_traffic::LengthDist;
 
-    /// Fault injection needs the global event order; asking for it on a
-    /// sharded run is a typed error, not a quiet sequential run.
-    #[test]
-    fn builder_rejects_sharded_fault_injection() {
+    fn sharded(scheme: Scheme) -> SimSetupBuilder {
         let groups = GroupSet::random(16, 2, 4, &mut host_stream(1, 0));
         let workload = PaperWorkload {
             offered_load: 0.05,
@@ -476,15 +492,33 @@ mod tests {
             lengths: LengthDist::Geometric { mean: 400 },
             stop_at: None,
         };
-        let scheme = crate::fig10::figure_tree_scheme();
-        let built = SimSetup::builder(torus(4, 1), groups, scheme, workload)
+        SimSetup::builder(torus(4, 1), groups, scheme, workload).shards(2)
+    }
+
+    /// Fault injection needs the global event order; asking for it on a
+    /// sharded run is a typed error, not a quiet sequential run.
+    #[test]
+    fn builder_rejects_sharded_fault_injection() {
+        let built = sharded(crate::fig10::figure_tree_scheme())
             .faults(FaultConfig { corrupt_prob: 0.01 })
-            .shards(2)
             .build();
         assert_eq!(
             built.err(),
             Some(ConfigError::Unshardable {
                 feature: "fault injection"
+            })
+        );
+    }
+
+    /// So does switch-level multicast: a typed error, not a panic when the
+    /// sharded engine is built.
+    #[test]
+    fn builder_rejects_sharded_switch_level_multicast() {
+        let variant = wormcast_core::switchcast::SwitchcastVariant::RestrictedIdle;
+        assert_eq!(
+            sharded(Scheme::Switch(variant)).build().err(),
+            Some(ConfigError::Unshardable {
+                feature: "switch-level multicast"
             })
         );
     }

@@ -3,14 +3,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use wormcast_core::credit::{CreditConfig, CreditProtocol};
+use wormcast_core::switchcast::{
+    SwitchcastFabric, SwitchcastProtocol, SwitchcastTables, SwitchcastVariant,
+};
 use wormcast_core::{
     HcConfig, HcProtocol, Membership, TreeConfig, TreeProtocol, UnicastRepeatConfig,
     UnicastRepeatProtocol,
 };
 use wormcast_sim::engine::HostId;
+use wormcast_sim::switchcast::SwitchcastMode;
 use wormcast_sim::Network;
 use wormcast_topo::hostgraph::HostGraph;
 use wormcast_topo::tree::{MulticastTree, TreeShape};
+use wormcast_topo::{Topology, UpDown};
 
 /// Which multicast scheme the hosts run.
 #[derive(Clone, Copy, Debug)]
@@ -28,6 +33,8 @@ pub enum Scheme {
         token_period: u64,
         shape: TreeShape,
     },
+    /// Switch-level multicast (Section 3): the crossbars replicate.
+    Switch(SwitchcastVariant),
 }
 
 impl Scheme {
@@ -47,6 +54,27 @@ impl Scheme {
             Scheme::Repeat(c) if c.broadcast_filter => "bcast-filter".into(),
             Scheme::Repeat(_) => "repeat-unicast".into(),
             Scheme::Credit { .. } => "credit".into(),
+            Scheme::Switch(v) => match v {
+                SwitchcastVariant::RestrictedIdle => "v1-restricted-idle",
+                SwitchcastVariant::RootedInterrupt => "v2-rooted-interrupt",
+                SwitchcastVariant::IdleFlush => "v3-idle-flush",
+                SwitchcastVariant::Broadcast => "switch-broadcast",
+            }
+            .into(),
+        }
+    }
+
+    /// The fabric this scheme runs on: its switch-level multicast mode
+    /// and which routes stay on the up/down spanning tree. Only a
+    /// [`Scheme::Switch`] variant asks for more than `restrict_to_tree`.
+    pub fn fabric(&self, restrict_to_tree: bool) -> SwitchcastFabric {
+        match *self {
+            Scheme::Switch(v) => v.fabric(restrict_to_tree),
+            _ => SwitchcastFabric {
+                mode: SwitchcastMode::Off,
+                restrict_routes: restrict_to_tree,
+                restrict_directives: restrict_to_tree,
+            },
         }
     }
 
@@ -71,8 +99,18 @@ impl Scheme {
         Arc::new(trees)
     }
 
-    /// Install one protocol instance per host.
-    pub fn install(&self, net: &mut Network, membership: &Arc<Membership>, graph: &HostGraph) {
+    /// Install one protocol instance per host (and, for [`Scheme::Switch`],
+    /// the fabric's broadcast ports). `topo`, `ud` and `restrict_to_tree`
+    /// are the ones the network's routes came from.
+    pub fn install(
+        &self,
+        net: &mut Network,
+        membership: &Arc<Membership>,
+        graph: &HostGraph,
+        topo: &Topology,
+        ud: &UpDown,
+        restrict_to_tree: bool,
+    ) {
         let n = net.num_hosts() as u32;
         match *self {
             Scheme::Hc(cfg) => {
@@ -111,6 +149,20 @@ impl Scheme {
                 for h in 0..n {
                     let p =
                         CreditProtocol::new(HostId(h), cfg, Arc::clone(membership), Arc::clone(&trees));
+                    net.set_protocol(HostId(h), Box::new(p));
+                }
+            }
+            Scheme::Switch(variant) => {
+                let restrict = variant.fabric(restrict_to_tree).restrict_directives;
+                let tables = Arc::new(SwitchcastTables::build(topo, ud, membership, restrict));
+                net.set_broadcast_ports(SwitchcastTables::broadcast_ports(topo, ud));
+                for h in 0..n {
+                    let p = SwitchcastProtocol::new(
+                        HostId(h),
+                        variant,
+                        Arc::clone(membership),
+                        Arc::clone(&tables),
+                    );
                     net.set_protocol(HostId(h), Box::new(p));
                 }
             }

@@ -26,17 +26,16 @@ use crate::group::Membership;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wormcast_sim::engine::HostId;
-use wormcast_sim::network::RouteTable;
 use wormcast_sim::protocol::{
     AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec,
 };
-use wormcast_sim::switchcast::merge_paths;
+use wormcast_sim::switchcast::{merge_paths, SwitchcastMode};
 use wormcast_sim::time::SimTime;
 use wormcast_sim::worm::{RouteSym, WormInstance, WormKind};
 use wormcast_topo::{Topology, UpDown};
 
-/// Which Section 3 scheme the hosts drive. Must match the fabric's
-/// `NetworkConfig::switchcast` mode.
+/// Which Section 3 scheme the hosts drive. [`SwitchcastVariant::fabric`]
+/// says what the fabric must run to match.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SwitchcastVariant {
     /// V1: origin-rooted directive over tree-restricted routes, IDLE fills.
@@ -47,6 +46,40 @@ pub enum SwitchcastVariant {
     IdleFlush,
     /// Root-serialized one-byte broadcast address; receivers filter.
     Broadcast,
+}
+
+/// What a [`SwitchcastVariant`] asks of the fabric it runs on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SwitchcastFabric {
+    /// The switches' mode (`NetworkConfig::switchcast`).
+    pub mode: SwitchcastMode,
+    /// Every route, unicast included, stays on the up/down spanning tree.
+    pub restrict_routes: bool,
+    /// The multicast directives (and the climb to the root) stay on it.
+    pub restrict_directives: bool,
+}
+
+impl SwitchcastVariant {
+    /// The fabric this variant needs. V1 puts every route on the spanning
+    /// tree; V3 only its directives (unicasts route freely, and one that
+    /// waits behind an IDLE-filling multicast is flushed instead); V2 and
+    /// broadcast neither, since they serialize through the root.
+    /// `restrict_to_tree` — the caller's own wish to confine every route to
+    /// the tree — can only tighten that.
+    pub fn fabric(self, restrict_to_tree: bool) -> SwitchcastFabric {
+        let (mode, routes, directives) = match self {
+            SwitchcastVariant::RestrictedIdle => (SwitchcastMode::RestrictedIdle, true, true),
+            SwitchcastVariant::RootedInterrupt | SwitchcastVariant::Broadcast => {
+                (SwitchcastMode::RootedInterrupt, false, false)
+            }
+            SwitchcastVariant::IdleFlush => (SwitchcastMode::IdleFlush, false, true),
+        };
+        SwitchcastFabric {
+            mode,
+            restrict_routes: routes || restrict_to_tree,
+            restrict_directives: directives || restrict_to_tree,
+        }
+    }
 }
 
 /// Precomputed routes for every group and origin.
@@ -65,16 +98,11 @@ pub struct SwitchcastTables {
 }
 
 impl SwitchcastTables {
-    /// Build all route tables for the given topology/orientation/groups.
-    /// `restrict` must match how `routes` was built (V1/V3 require
-    /// tree-restricted routing for deadlock freedom).
-    pub fn build(
-        topo: &Topology,
-        ud: &UpDown,
-        routes: &RouteTable,
-        membership: &Membership,
-        restrict: bool,
-    ) -> Self {
+    /// Build all route tables for the given topology/orientation/groups,
+    /// on the spanning tree alone when `restrict` (the variant's
+    /// [`SwitchcastFabric::restrict_directives`]).
+    pub fn build(topo: &Topology, ud: &UpDown, membership: &Membership, restrict: bool) -> Self {
+        let routes = ud.route_table(topo, restrict);
         let mut t = SwitchcastTables {
             num_hosts: topo.num_hosts() as u32,
             to_root: Vec::with_capacity(topo.num_hosts()),
@@ -313,7 +341,7 @@ mod tests {
     use super::*;
     use wormcast_topo::TopoBuilder;
 
-    fn small() -> (Topology, UpDown, RouteTable, Arc<Membership>) {
+    fn small() -> (Topology, UpDown, Arc<Membership>) {
         // 3 switches in a line, 2 hosts each.
         let mut b = TopoBuilder::new(3);
         b.link(0, 1, 1);
@@ -324,19 +352,18 @@ mod tests {
         }
         let topo = b.build();
         let ud = UpDown::compute(&topo, 0);
-        let routes = ud.route_table(&topo, true);
         let membership = Membership::from_groups([(0u8, vec![
             HostId(0),
             HostId(3),
             HostId(5),
         ])]);
-        (topo, ud, routes, membership)
+        (topo, ud, membership)
     }
 
     #[test]
     fn tables_cover_groups_and_origins() {
-        let (topo, ud, routes, membership) = small();
-        let t = SwitchcastTables::build(&topo, &ud, &routes, &membership, true);
+        let (topo, ud, membership) = small();
+        let t = SwitchcastTables::build(&topo, &ud, &membership, true);
         assert_eq!(t.to_root.len(), 6);
         assert!(t.to_root[0].is_empty(), "host 0 sits on the root switch");
         assert!(!t.to_root[5].is_empty());
@@ -377,8 +404,8 @@ mod tests {
     #[test]
     fn v1_injects_directive_route_with_leaf_sinks() {
         use wormcast_sim::protocol::Command;
-        let (topo, ud, routes, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &routes, &membership, true));
+        let (topo, ud, membership) = small();
+        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, true));
         let mut p = SwitchcastProtocol::new(
             HostId(3),
             SwitchcastVariant::RestrictedIdle,
@@ -401,8 +428,8 @@ mod tests {
     #[test]
     fn v2_prepends_the_to_root_path() {
         use wormcast_sim::protocol::Command;
-        let (topo, ud, routes, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &routes, &membership, false));
+        let (topo, ud, membership) = small();
+        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, false));
         let mut p = SwitchcastProtocol::new(
             HostId(5),
             SwitchcastVariant::RootedInterrupt,
@@ -427,8 +454,8 @@ mod tests {
     #[test]
     fn broadcast_route_ends_with_the_broadcast_byte() {
         use wormcast_sim::protocol::Command;
-        let (topo, ud, routes, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &routes, &membership, false));
+        let (topo, ud, membership) = small();
+        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, false));
         let mut p = SwitchcastProtocol::new(
             HostId(2),
             SwitchcastVariant::Broadcast,
@@ -448,8 +475,8 @@ mod tests {
 
     #[test]
     fn non_member_origin_sends_nothing_in_v1() {
-        let (topo, ud, routes, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &routes, &membership, true));
+        let (topo, ud, membership) = small();
+        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, true));
         let mut p = SwitchcastProtocol::new(
             HostId(1), // not in group 0
             SwitchcastVariant::RestrictedIdle,
@@ -462,7 +489,7 @@ mod tests {
 
     #[test]
     fn broadcast_ports_are_down_tree_plus_hosts() {
-        let (topo, ud, _, _) = small();
+        let (topo, ud, _) = small();
         let ports = SwitchcastTables::broadcast_ports(&topo, &ud);
         assert_eq!(ports.len(), 3);
         // Switch 0 (root): down link to switch 1 + two host ports = 3.

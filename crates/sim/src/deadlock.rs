@@ -153,15 +153,11 @@ impl fmt::Display for DeadlockReport {
 /// The worm currently occupying a wait-for node, if any.
 fn node_worm(net: &Network, node: WaitNode) -> Option<WormId> {
     match node {
-        WaitNode::SwitchIn(sw, p) => {
-            match &net.switches[sw.0 as usize].inputs[p as usize].state {
-                InState::Idle => None,
-                InState::Requesting { worm, .. }
-                | InState::Forwarding { worm, .. }
-                | InState::Draining { worm } => Some(*worm),
-                InState::Replicating(rep) => Some(rep.worm),
-            }
-        }
+        WaitNode::SwitchIn(sw, p) => match &net.switches[sw.0 as usize].inputs[p as usize].state {
+            InState::Idle => None,
+            InState::Requesting { worm, .. } | InState::Forwarding { worm, .. } => Some(*worm),
+            InState::Replicating(rep) => Some(rep.worm),
+        },
         WaitNode::HostTx(h) => net.adapters[h.0 as usize].tx_queue.front().map(|t| t.worm),
     }
 }
@@ -339,7 +335,7 @@ pub fn wait_edges_multi(
             for (pi, inp) in sw.inputs.iter().enumerate() {
                 let me = WaitNode::SwitchIn(sw.id, pi as u8);
                 match &inp.state {
-                    InState::Idle | InState::Draining { .. } => {}
+                    InState::Idle => {}
                     InState::Requesting { out, worm } => {
                         for slot in sw.slots_of(*out) {
                             if let Some(owner) = sw.outputs[slot].owner {

@@ -42,7 +42,8 @@ pub enum SimMode {
     /// indistinguishable from per-byte transmission, approaching
     /// O(worms·hops) events. Falls back to per-byte at tails, the first
     /// body byte at an adapter, watermark proximity, cut-through pacing,
-    /// replication branch points, and on STOP truncation.
+    /// and on STOP truncation; a switch-level multicast worm, and every
+    /// worm under [`SwitchcastMode::IdleFlush`], always crosses per-byte.
     SpanBatched,
 }
 
@@ -67,7 +68,8 @@ pub struct NetworkConfig {
     /// an unbounded in-memory log, or a bounded ring.
     pub trace: TraceConfig,
     /// Switch-level multicast mode (Section 3 of the paper). `Off` for all
-    /// host-adapter experiments.
+    /// host-adapter experiments. Either engine mode runs under any of
+    /// them; the span rules refuse what they cannot prove worm by worm.
     pub switchcast: SwitchcastMode,
     /// Link-transmission engine mode. `SpanBatched` (the default) is
     /// equivalence-tested against `PerByte` and only changes engine cost.

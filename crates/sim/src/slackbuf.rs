@@ -105,25 +105,9 @@ impl SlackBuf {
         take
     }
 
-    pub fn pop_back(&mut self) -> Option<WireByte> {
-        let (b, n) = self.runs.back_mut()?;
-        let b = *b;
-        *n -= 1;
-        if *n == 0 {
-            self.runs.pop_back();
-        }
-        self.len -= 1;
-        Some(b)
-    }
-
     #[inline]
     pub fn front(&self) -> Option<&WireByte> {
         self.runs.front().map(|(b, _)| b)
-    }
-
-    #[inline]
-    pub fn back(&self) -> Option<&WireByte> {
-        self.runs.back().map(|(b, _)| b)
     }
 
     /// The front byte and how many copies of it lead the buffer. For a
@@ -177,7 +161,6 @@ mod tests {
         assert_eq!(buf.len(), reference.len());
         assert_eq!(buf.is_empty(), reference.is_empty());
         assert_eq!(buf.front(), reference.front());
-        assert_eq!(buf.back(), reference.back());
         for i in 0..reference.len() {
             assert_eq!(buf.get(i), reference.get(i));
             assert_eq!(buf[i], reference[i]);
@@ -237,7 +220,6 @@ mod tests {
                         }
                     }
                     4 => assert_eq!(buf.pop_front(), reference.pop_front()),
-                    5 => assert_eq!(buf.pop_back(), reference.pop_back()),
                     6 => {
                         let max = next(30);
                         let front = reference.front().copied();

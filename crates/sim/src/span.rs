@@ -16,7 +16,7 @@ use crate::network::{Network, SimMode};
 use crate::switch::{InPort, InState};
 use crate::switchcast::SwitchcastMode;
 use crate::time::SimTime;
-use crate::worm::{ByteKind, RouteSym, WireByte, WormId};
+use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
 
 /// Minimum run length worth batching: a 1-byte span costs the same two
 /// events (arrival + next kick) as the per-byte path, so fall through.
@@ -43,14 +43,29 @@ impl InPort {
 }
 
 impl Network {
-    /// Whether the span rules are in force at all: span-batched mode, and
-    /// no switch-level multicast — replication branch points, IDLE fill and
-    /// Backward Reset flushes make byte-level interleaving observable, so
-    /// any mode other than `Off` forces per-byte transmission everywhere.
+    /// Whether the span rules are in force at all: span-batched mode. What
+    /// they cannot prove exact they refuse worm by worm
+    /// ([`Network::span_refused`]), on every fabric.
     #[inline]
     pub(crate) fn spans_enabled(&self) -> bool {
         self.cfg.mode == SimMode::SpanBatched
-            && matches!(self.cfg.switchcast, SwitchcastMode::Off)
+    }
+
+    /// Whether `worm` crosses every hop per-byte even with spans enabled
+    /// (DESIGN.md §3.1): a switch-level multicast worm — replication, IDLE
+    /// fill and fragment ends are clocked byte by byte — and, under
+    /// `IdleFlush`, every worm, because a Backward Reset observes where
+    /// each byte of a flushed unicast is and what lies behind it.
+    #[inline]
+    fn span_refused(&self, worm: WormId) -> bool {
+        match self.cfg.switchcast {
+            SwitchcastMode::Off => false,
+            SwitchcastMode::IdleFlush => true,
+            SwitchcastMode::RestrictedIdle | SwitchcastMode::RootedInterrupt => matches!(
+                self.worms[worm.0 as usize].meta.kind,
+                WormKind::SwitchMulticast { .. }
+            ),
+        }
     }
 
     /// The earliest time output `out` of `sw` may send the byte at the
@@ -98,22 +113,25 @@ impl Network {
 
     /// Whether the producer behind `src` holds a byte it could send in its
     /// next slot: the output's owner has a byte of the worm it forwards at
-    /// its buffer front; the adapter has a worm queued (its tail at
-    /// least). When it does not, a follow-up kick would find nothing: the
-    /// lane goes idle instead, and whatever refills the producer re-kicks
-    /// through `kick_channel`, paced by `next_tx_time` — same send slots,
-    /// no empty-handed wakeup.
+    /// its buffer front, or replicates (IDLE fill and fragment ends are
+    /// clocked by the chain kick, as in per-byte mode); the adapter has a
+    /// worm queued (its tail at least). When it does not, a follow-up kick
+    /// would find nothing: the lane goes idle instead, and whatever refills
+    /// the producer re-kicks through `kick_channel`, paced by
+    /// `next_tx_time` — same send slots, no empty-handed wakeup.
     pub(crate) fn producer_has_byte(&self, src: Endpoint) -> bool {
         match src.node {
             NodeRef::Switch(s) => {
                 let sw = &self.switches[s.0 as usize];
                 sw.outputs[src.port.index()].owner.is_some_and(|owner| {
                     let inp = &sw.inputs[owner as usize];
-                    matches!(
-                        inp.state,
-                        InState::Forwarding { worm, out } if out == src.port.0
-                            && inp.buf.front().is_some_and(|b| b.worm == worm)
-                    )
+                    match inp.state {
+                        InState::Forwarding { worm, out } => {
+                            out == src.port.0 && inp.buf.front().is_some_and(|b| b.worm == worm)
+                        }
+                        InState::Replicating(_) => true,
+                        _ => false,
+                    }
                 })
             }
             NodeRef::Host(h) => !self.adapters[h.0 as usize].tx_queue.is_empty(),
@@ -276,7 +294,7 @@ impl Network {
         }
         debug_assert!(
             self.flushed_count == 0,
-            "spans and flushes cannot coexist (switchcast gates the fast path)"
+            "spans and flushes cannot coexist (`span_refused` under IdleFlush)"
         );
         if span.route > 0 {
             // A head run: its route symbols go into the input's buffer as
@@ -377,7 +395,7 @@ impl Network {
             return None;
         };
         let worm = *worm;
-        if *o != out {
+        if *o != out || self.span_refused(worm) {
             return None;
         }
         // Upstream arrivals land during the drain window. Dequeues (batched
@@ -589,6 +607,9 @@ impl Network {
     pub(crate) fn adapter_span_ready(&self, host: HostId) -> Option<Ready> {
         let a = &self.adapters[host.0 as usize];
         let head = a.tx_queue.front()?;
+        if self.span_refused(head.worm) {
+            return None;
+        }
         let inst = &self.worms[head.worm.0 as usize];
         let unsent = &inst.route[head.route_sent..];
         // A shard engine keeps route symbols per-byte, as

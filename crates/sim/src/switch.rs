@@ -82,8 +82,6 @@ pub enum InState {
     Forwarding { worm: WormId, out: u8 },
     /// Switch-level multicast replication in progress (Section 3).
     Replicating(Box<crate::switchcast::ReplicaState>),
-    /// Discarding the rest of a worm that was flushed (Backward Reset).
-    Draining { worm: WormId },
 }
 
 /// An input port of a switch.
@@ -301,6 +299,18 @@ impl Network {
     /// and keeps the bytes only until their per-byte arrival slots come
     /// round; either way the input state machine advances once.
     pub(crate) fn switch_rx(&mut self, sw: SwitchId, port: u8, byte: WireByte, len: u64) {
+        // A replicating input regenerates its own IDLE fills; upstream fills
+        // are dropped on arrival, before they could count as body bytes or
+        // toward a watermark (a STOP raised by a byte that is not kept
+        // would never be sent).
+        if matches!(byte.kind, ByteKind::Idle)
+            && matches!(
+                self.switches[sw.0 as usize].inputs[port as usize].state,
+                InState::Replicating(_)
+            )
+        {
+            return;
+        }
         let now = self.scheduler.now();
         let (chan_in, crossed_stop, overflowed) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
@@ -332,21 +342,6 @@ impl Network {
             len == 1 || !crossed_stop,
             "span delivery crossed the STOP mark at {sw:?}:{port} — emission guard failed"
         );
-        // A replicating input regenerates its own IDLE fills; upstream
-        // fills are dropped so they never count as body bytes.
-        if matches!(byte.kind, ByteKind::Idle)
-            && matches!(
-                self.switches[sw.0 as usize].inputs[port as usize].state,
-                InState::Replicating(_)
-            )
-        {
-            let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            // The byte was just pushed; remove it again.
-            if matches!(inp.buf.back().map(|b| b.kind), Some(ByteKind::Idle)) {
-                inp.buf.pop_back();
-            }
-            return;
-        }
         if crossed_stop {
             if let Some(ch) = chan_in {
                 self.send_ctrl(ch, CtrlSym::Stop);
@@ -365,15 +360,32 @@ impl Network {
                     InState::Idle => match inp.buf.front() {
                         None => InputAction::None,
                         Some(front) => match front.kind {
-                            ByteKind::Route(RouteSym::Port(p)) => {
+                            ByteKind::Route(RouteSym::Port(out)) => {
                                 let worm = front.worm;
-                                if matches!(
+                                let unicast = InputAction::ParseUnicast { worm, out };
+                                if !matches!(
                                     self.worms[worm.0 as usize].meta.kind,
                                     WormKind::SwitchMulticast { .. }
                                 ) {
-                                    InputAction::BeginMulticastParse
+                                    unicast
                                 } else {
-                                    InputAction::ParseUnicast { worm, out: p }
+                                    // A switch-level multicast worm's port
+                                    // byte opens a directive when a pointer
+                                    // follows it (`Port Ptr …`), and is a
+                                    // plain transit hop otherwise.
+                                    match inp.buf.get(1) {
+                                        None => InputAction::None,
+                                        Some(next)
+                                            if next.worm == worm
+                                                && matches!(
+                                                    next.kind,
+                                                    ByteKind::Route(RouteSym::Ptr(_))
+                                                ) =>
+                                        {
+                                            InputAction::BeginMulticastParse
+                                        }
+                                        Some(_) => unicast,
+                                    }
                                 }
                             }
                             ByteKind::Route(RouteSym::Broadcast) => {
@@ -390,16 +402,6 @@ impl Network {
                     InState::Requesting { .. } => InputAction::None,
                     InState::Forwarding { out, .. } => InputAction::KickOut { out: *out },
                     InState::Replicating(_) => InputAction::AdvanceReplica,
-                    InState::Draining { worm } => match inp.buf.front() {
-                        Some(front) if front.worm == *worm => {
-                            if matches!(front.kind, ByteKind::Tail) {
-                                InputAction::FinishDrain
-                            } else {
-                                InputAction::DiscardFront
-                            }
-                        }
-                        _ => InputAction::None,
-                    },
                 }
             };
             match action {
@@ -443,16 +445,6 @@ impl Network {
                     }
                     self.after_slack_dequeue(sw, port);
                     // Loop: keep examining the front.
-                }
-                InputAction::FinishDrain => {
-                    {
-                        let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-                        inp.buf.pop_front(); // the tail byte
-                        inp.dropped_bytes += 1;
-                        inp.state = InState::Idle;
-                    }
-                    self.after_slack_dequeue(sw, port);
-                    // Loop: the next worm's head may already be buffered.
                 }
                 InputAction::KickOut { out } => {
                     let ch = self.switches[sw.0 as usize].outputs[out as usize].chan_out;
@@ -675,7 +667,6 @@ enum InputAction {
     BeginMulticastParse,
     AdvanceReplica,
     DiscardFront,
-    FinishDrain,
     KickOut { out: u8 },
 }
 

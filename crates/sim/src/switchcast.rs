@@ -268,6 +268,23 @@ pub struct BranchState {
     pub frag_base: u64,
 }
 
+impl BranchState {
+    /// A branch out of `out` that stamps `prefix` ahead of the body.
+    fn new(out: u8, prefix: Vec<RouteSym>) -> Self {
+        BranchState {
+            out,
+            prefix,
+            prefix_sent: 0,
+            granted: false,
+            requested: false,
+            body_sent: 0,
+            tail_sent: false,
+            interrupted: false,
+            frag_base: 0,
+        }
+    }
+}
+
 /// What a replicating input is doing.
 #[derive(Clone, Debug)]
 pub enum ReplicaPhase {
@@ -319,137 +336,78 @@ use crate::switch::InState;
 use crate::worm::{ByteKind, WireByte, WormKind};
 
 impl Network {
-    /// A `SwitchMulticast` worm's head reached the front of an idle input:
-    /// decide between a plain transit hop (single leading port byte) and a
-    /// replication directive, and set up the state machine.
-    ///
-    /// Returns without consuming anything when more symbols must arrive
-    /// before the decision can be made.
+    /// A `SwitchMulticast` worm's replication directive (or the broadcast
+    /// address) reached the front of an idle input: set up the state
+    /// machine. A plain transit hop never comes here — the switch's one
+    /// route decoder parses it like a unicast hop.
     pub(crate) fn switchcast_begin_parse(&mut self, sw: SwitchId, port: u8) {
-        enum Begin {
-            Wait,
-            PlainHop { worm: crate::worm::WormId, out: u8 },
-            Directive { worm: crate::worm::WormId },
-            Broadcast { worm: crate::worm::WormId },
+        let mode = self.cfg.switchcast;
+        assert!(
+            mode != SwitchcastMode::Off,
+            "switch-level multicast worm at {sw:?} with switchcast disabled"
+        );
+        let front = *self.switches[sw.0 as usize].inputs[port as usize]
+            .buf
+            .front()
+            .expect("a directive head is buffered");
+        let worm = front.worm;
+        if front.kind != ByteKind::Route(RouteSym::Broadcast) {
+            self.switches[sw.0 as usize].inputs[port as usize].state =
+                InState::Replicating(Box::new(ReplicaState {
+                    worm,
+                    mode,
+                    phase: ReplicaPhase::Parsing {
+                        collected: Vec::new(),
+                    },
+                    branches: Vec::new(),
+                    body_released: 0,
+                }));
+            self.switchcast_advance(sw, port);
+            return;
         }
-        let decision = {
-            let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-            match inp.buf.front().map(|b| (b.worm, b.kind)) {
-                Some((worm, ByteKind::Route(RouteSym::Broadcast))) => Begin::Broadcast { worm },
-                Some((worm, ByteKind::Route(RouteSym::Port(p)))) => {
-                    // Need the second symbol to disambiguate directive
-                    // (Port Ptr ...) from transit hop (Port <rest>).
-                    match inp.buf.get(1) {
-                        None => Begin::Wait,
-                        Some(second) if second.worm != worm => {
-                            // Worm of exactly one byte cannot happen (there
-                            // is always a body); treat as transit.
-                            Begin::PlainHop { worm, out: p }
-                        }
-                        Some(second) => match second.kind {
-                            ByteKind::Route(RouteSym::Ptr(_)) => Begin::Directive { worm },
-                            _ => Begin::PlainHop { worm, out: p },
-                        },
-                    }
-                }
-                Some((_, other)) => {
-                    unreachable!("switchcast parse saw non-route head {other:?}")
-                }
-                None => Begin::Wait,
-            }
-        };
-        match decision {
-            Begin::Wait => {}
-            Begin::PlainHop { worm, out } => {
-                {
-                    let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-                    inp.buf.pop_front();
-                    inp.state = InState::Requesting { worm, out };
-                }
-                self.after_slack_dequeue(sw, port);
-                self.switch_request_output(sw, out, port);
-            }
-            Begin::Directive { worm } => {
-                let mode = self.cfg.switchcast;
-                assert!(
-                    mode != SwitchcastMode::Off,
-                    "switch-level multicast worm at {sw:?} with switchcast disabled"
-                );
-                self.switches[sw.0 as usize].inputs[port as usize].state =
-                    InState::Replicating(Box::new(ReplicaState {
-                        worm,
-                        mode,
-                        phase: ReplicaPhase::Parsing {
-                            collected: Vec::new(),
-                        },
-                        branches: Vec::new(),
-                        body_released: 0,
-                    }));
-                self.switchcast_advance(sw, port);
-            }
-            Begin::Broadcast { worm } => {
-                let mode = self.cfg.switchcast;
-                assert!(
-                    mode != SwitchcastMode::Off,
-                    "broadcast worm at {sw:?} with switchcast disabled"
-                );
-                assert!(
-                    !self.broadcast_ports.is_empty(),
-                    "broadcast worm without set_broadcast_ports()"
-                );
-                // Consume the broadcast byte and replicate to every
-                // down-tree link and host port. The arrival port is NOT
-                // excluded: at the root it points back into the subtree the
-                // worm climbed out of (which must be flooded too), and on
-                // the way down it is the parent link, which is never in the
-                // broadcast port set. The originator therefore receives its
-                // own broadcast and filters it — uniform sink accounting.
-                {
-                    let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-                    inp.buf.pop_front();
-                }
-                self.after_slack_dequeue(sw, port);
-                let outs: Vec<u8> = self.broadcast_ports[sw.0 as usize].to_vec();
-                let branches: Vec<BranchState> = outs
-                    .iter()
-                    .map(|&o| {
-                        // Stamp the broadcast address again on branches that
-                        // lead to another switch; host branches get nothing.
-                        let to_switch = self.switches[sw.0 as usize].outputs[o as usize]
-                            .chan_out
-                            .map(|ch| {
-                                matches!(self.lanes[ch.0 as usize].dst().node, NodeRef::Switch(_))
-                            })
-                            .unwrap_or(false);
-                        BranchState {
-                            out: o,
-                            prefix: if to_switch {
-                                vec![RouteSym::Broadcast]
-                            } else {
-                                Vec::new()
-                            },
-                            prefix_sent: 0,
-                            granted: false,
-                            requested: false,
-                            body_sent: 0,
-                            tail_sent: false,
-                            interrupted: false,
-                            frag_base: 0,
-                        }
-                    })
-                    .collect();
-                self.switches[sw.0 as usize].inputs[port as usize].state =
-                    InState::Replicating(Box::new(ReplicaState {
-                        worm,
-                        mode,
-                        phase: ReplicaPhase::Active,
-                        branches,
-                        body_released: 0,
-                    }));
-                for o in outs {
-                    self.switchcast_request(sw, o, port);
-                }
-            }
+        assert!(
+            !self.broadcast_ports.is_empty(),
+            "broadcast worm without set_broadcast_ports()"
+        );
+        // Consume the broadcast byte and replicate to every down-tree link
+        // and host port. The arrival port is NOT excluded: at the root it
+        // points back into the subtree the worm climbed out of (which must
+        // be flooded too), and on the way down it is the parent link, which
+        // is never in the broadcast port set. The originator therefore
+        // receives its own broadcast and filters it — uniform sink
+        // accounting.
+        self.switches[sw.0 as usize].inputs[port as usize]
+            .buf
+            .pop_front();
+        self.after_slack_dequeue(sw, port);
+        let outs: Vec<u8> = self.broadcast_ports[sw.0 as usize].to_vec();
+        let branches: Vec<BranchState> = outs
+            .iter()
+            .map(|&o| {
+                // Stamp the broadcast address again on branches that lead
+                // to another switch; host branches get nothing.
+                let to_switch = self.switches[sw.0 as usize].outputs[o as usize]
+                    .chan_out
+                    .map(|ch| matches!(self.lanes[ch.0 as usize].dst().node, NodeRef::Switch(_)))
+                    .unwrap_or(false);
+                let prefix = if to_switch {
+                    vec![RouteSym::Broadcast]
+                } else {
+                    Vec::new()
+                };
+                BranchState::new(o, prefix)
+            })
+            .collect();
+        self.switches[sw.0 as usize].inputs[port as usize].state =
+            InState::Replicating(Box::new(ReplicaState {
+                worm,
+                mode,
+                phase: ReplicaPhase::Active,
+                branches,
+                body_released: 0,
+            }));
+        for o in outs {
+            self.switchcast_request(sw, o, port);
         }
     }
 
@@ -575,7 +533,7 @@ impl Network {
     /// The directive is fully collected: build the branch set and request
     /// every output port.
     fn switchcast_activate(&mut self, sw: SwitchId, port: u8) {
-        let outs: Vec<(u8, Vec<RouteSym>)> = {
+        let outs: Vec<u8> = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
             let InState::Replicating(rep) = &mut inp.state else {
                 unreachable!("activate on a non-replicating input")
@@ -585,7 +543,7 @@ impl Network {
             };
             let (directive, used) = decode(collected).expect("parser validated completeness");
             debug_assert_eq!(used, collected.len());
-            let outs: Vec<(u8, Vec<RouteSym>)> = directive
+            rep.branches = directive
                 .branches
                 .iter()
                 .map(|(p, sub)| {
@@ -593,27 +551,13 @@ impl Network {
                         Subroute::Host => Vec::new(),
                         Subroute::Next(d) => encode(d).expect("re-encode decoded subtree"),
                     };
-                    (*p, prefix)
-                })
-                .collect();
-            rep.branches = outs
-                .iter()
-                .map(|(o, prefix)| BranchState {
-                    out: *o,
-                    prefix: prefix.clone(),
-                    prefix_sent: 0,
-                    granted: false,
-                    requested: false,
-                    body_sent: 0,
-                    tail_sent: false,
-                    interrupted: false,
-                    frag_base: 0,
+                    BranchState::new(*p, prefix)
                 })
                 .collect();
             rep.phase = ReplicaPhase::Active;
-            outs
+            rep.branches.iter().map(|b| b.out).collect()
         };
-        for (o, _) in outs {
+        for o in outs {
             self.switchcast_request(sw, o, port);
         }
     }

@@ -213,7 +213,9 @@ fn nested_directive_stamps_subtree_prefix() {
 fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
     let spec = FabricSpec {
         switch_ports: vec![4],
-        hosts: (0..4u8).map(|p| HostAttach { switch: 0, port: p }).collect(),
+        hosts: (0..4u8)
+            .map(|p| HostAttach { switch: 0, port: p })
+            .collect(),
         links: vec![],
         host_link_delay: 1,
     };
@@ -260,7 +262,10 @@ fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
     };
     net.set_source(
         HostId(3),
-        Box::new(Scripted(vec![(0, unicast(2, 2_000)), (3_000, unicast(1, 100))])),
+        Box::new(Scripted(vec![
+            (0, unicast(2, 2_000)),
+            (3_000, unicast(1, 100)),
+        ])),
         0,
     );
     let out = net.run_until(100_000);

@@ -2,21 +2,19 @@
 //! origins, every multicast scheme delivers exactly-once to exactly the
 //! right hosts, with conservation intact.
 
+mod common;
+
+use common::scripted_net;
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
-use wormcast::core::switchcast::{SwitchcastProtocol, SwitchcastTables, SwitchcastVariant};
-use wormcast::core::{
-    HcConfig, HcProtocol, Membership, TreeConfig, TreeMode, TreeProtocol,
-};
+use wormcast::core::switchcast::SwitchcastVariant;
+use wormcast::core::{HcConfig, TreeConfig, TreeMode};
 use wormcast::sim::engine::HostId;
-use wormcast::sim::switchcast::SwitchcastMode;
 use wormcast::sim::protocol::{Destination, SourceMessage};
-use wormcast::sim::{Network, NetworkConfig};
+use wormcast::sim::trace::TraceConfig;
 use wormcast::topo::irregular::{irregular, IrregularSpec};
-use wormcast::topo::tree::{MulticastTree, TreeShape};
-use wormcast::topo::UpDown;
+use wormcast::topo::tree::TreeShape;
 use wormcast::traffic::script::install_one_shot;
+use wormcast_bench::Scheme;
 
 #[derive(Clone, Copy, Debug)]
 enum Proto {
@@ -27,6 +25,31 @@ enum Proto {
     TreeBroadcast,
     SwitchV1,
     SwitchV2,
+}
+
+impl Proto {
+    fn scheme(self) -> Scheme {
+        let tree = |mode| {
+            let cfg = TreeConfig {
+                mode,
+                cut_through_first: false,
+                reliability: wormcast::core::Reliability::None,
+            };
+            Scheme::Tree(cfg, TreeShape::BinaryHeap)
+        };
+        match self {
+            Proto::HcSnf => Scheme::Hc(HcConfig::store_and_forward()),
+            Proto::HcCut => Scheme::Hc(HcConfig::cut_through()),
+            Proto::HcSerialized => Scheme::Hc(HcConfig {
+                serialize: true,
+                ..HcConfig::store_and_forward()
+            }),
+            Proto::TreeRoot => tree(TreeMode::RootSerialized),
+            Proto::TreeBroadcast => tree(TreeMode::BroadcastFromOrigin),
+            Proto::SwitchV1 => Scheme::Switch(SwitchcastVariant::RestrictedIdle),
+            Proto::SwitchV2 => Scheme::Switch(SwitchcastVariant::RootedInterrupt),
+        }
+    }
 }
 
 fn run_one(
@@ -45,92 +68,13 @@ fn run_one(
         },
         topo_seed,
     );
-    let nh = topo.num_hosts();
-    let ud = UpDown::compute(&topo, 0);
-    let restrict = matches!(proto, Proto::SwitchV1);
-    let routes = ud.route_table(&topo, restrict);
-    let members: Vec<HostId> = (0..nh as u32)
+    let members: Vec<HostId> = (0..topo.num_hosts() as u32)
         .filter(|&h| member_bits & (1 << (h % 16)) != 0)
         .map(HostId)
         .collect();
     prop_assume!(members.len() >= 2);
     let origin = members[origin_pick % members.len()];
-    let membership = Membership::from_groups([(0u8, members.clone())]);
-    let mode = match proto {
-        Proto::SwitchV1 => SwitchcastMode::RestrictedIdle,
-        Proto::SwitchV2 => SwitchcastMode::RootedInterrupt,
-        _ => SwitchcastMode::Off,
-    };
-    let cfg = NetworkConfig::builder()
-        .switchcast(mode)
-        .build()
-        .expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes.clone(), cfg);
-    match proto {
-        Proto::HcSnf | Proto::HcCut | Proto::HcSerialized => {
-            let cfg = match proto {
-                Proto::HcCut => HcConfig::cut_through(),
-                Proto::HcSerialized => HcConfig {
-                    serialize: true,
-                    ..HcConfig::store_and_forward()
-                },
-                _ => HcConfig::store_and_forward(),
-            };
-            for h in 0..nh as u32 {
-                net.set_protocol(
-                    HostId(h),
-                    Box::new(HcProtocol::new(HostId(h), cfg, Arc::clone(&membership))),
-                );
-            }
-        }
-        Proto::TreeRoot | Proto::TreeBroadcast => {
-            let cfg = TreeConfig {
-                mode: if matches!(proto, Proto::TreeRoot) {
-                    TreeMode::RootSerialized
-                } else {
-                    TreeMode::BroadcastFromOrigin
-                },
-                cut_through_first: false,
-                reliability: wormcast::core::Reliability::None,
-            };
-            let tree = MulticastTree::build(&members, TreeShape::BinaryHeap, None);
-            let mut trees = HashMap::new();
-            trees.insert(0u8, tree);
-            let trees = Arc::new(trees);
-            for h in 0..nh as u32 {
-                net.set_protocol(
-                    HostId(h),
-                    Box::new(TreeProtocol::new(HostId(h), cfg, Arc::clone(&trees))),
-                );
-            }
-        }
-        Proto::SwitchV1 | Proto::SwitchV2 => {
-            let variant = if matches!(proto, Proto::SwitchV1) {
-                SwitchcastVariant::RestrictedIdle
-            } else {
-                SwitchcastVariant::RootedInterrupt
-            };
-            let tables = Arc::new(SwitchcastTables::build(
-                &topo,
-                &ud,
-                &routes,
-                &membership,
-                restrict,
-            ));
-            net.set_broadcast_ports(SwitchcastTables::broadcast_ports(&topo, &ud));
-            for h in 0..nh as u32 {
-                net.set_protocol(
-                    HostId(h),
-                    Box::new(SwitchcastProtocol::new(
-                        HostId(h),
-                        variant,
-                        Arc::clone(&membership),
-                        Arc::clone(&tables),
-                    )),
-                );
-            }
-        }
-    }
+    let mut net = scripted_net(topo, members.clone(), proto.scheme(), TraceConfig::Off);
     install_one_shot(&mut net, origin, 50, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 300,

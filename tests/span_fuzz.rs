@@ -7,7 +7,12 @@
 //! links and of each trunk from a seed and runs the same harness on each
 //! draw (sorted deliveries, `NetStats` minus the event counters, raw JSONL
 //! byte for byte, traced ≡ untraced) plus "no deadlock verdict, either
-//! mode" — every fabric here routes up/down.
+//! mode" — every fabric here routes up/down. One case in eight runs
+//! switch-level multicast instead (V1, V2, V3 or broadcast, on one lane),
+//! where the spans carry only the unicasts a §3 fabric lets them carry.
+//! V1 and V3 can wedge there as modelled (ROADMAP item 8, e.g. seed
+//! 65 657), so for those draws the two modes must reach the same verdict
+//! rather than none.
 //! Each case prints a one-line description before it runs; replay one
 //! with `FUZZ_SEED=<seed> FUZZ_CASES=1 cargo test --test span_fuzz`.
 //!
@@ -41,6 +46,7 @@ use wormcast::topo::Topology;
 use wormcast_bench::fig10::figure_tree_scheme;
 use wormcast_bench::runner::SimSetup;
 use wormcast_bench::Scheme;
+use wormcast_core::switchcast::SwitchcastVariant;
 use wormcast_core::HcConfig;
 use wormcast_traffic::rng::host_stream;
 use wormcast_traffic::workload::PaperWorkload;
@@ -69,6 +75,8 @@ struct Case {
     /// A tall tree: `spec` has 9–12 switches and no extra links, whatever
     /// was drawn for it.
     tall: bool,
+    /// Switch-level multicast instead of the drawn scheme, on one lane.
+    switch: Option<SwitchcastVariant>,
 }
 
 /// The generator every draw of a case comes from.
@@ -89,6 +97,13 @@ const TRUNK_DELAYS: [u64; 7] = [1, 2, 3, 7, 20, 100, 300];
 
 const SCHEMES: [&str; 3] = ["s&f", "cut-through", "tree"];
 
+const VARIANTS: [SwitchcastVariant; 4] = [
+    SwitchcastVariant::RestrictedIdle,
+    SwitchcastVariant::RootedInterrupt,
+    SwitchcastVariant::IdleFlush,
+    SwitchcastVariant::Broadcast,
+];
+
 impl std::fmt::Display for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -99,7 +114,7 @@ impl std::fmt::Display for Case {
             self.spec.extra_links,
             self.spec.hosts_per_switch,
             self.spec.link_delay,
-            SCHEMES[self.scheme],
+            self.scheme_label(),
             self.load,
             self.lanes,
             self.mean,
@@ -135,6 +150,7 @@ impl Case {
             // four, and seven in eight, keep the case they had.
             tiny: x.pick(4) == 0,
             tall: x.pick(8) == 0,
+            switch: None,
         };
         if case.tiny {
             case.mean = 4;
@@ -143,7 +159,31 @@ impl Case {
             case.spec.num_switches = 9 + x.pick(4) as usize;
             case.spec.extra_links = 0;
         }
+        // Drawn last, for the same reason. Replication is single-lane
+        // (more lanes are a `ConfigError`).
+        if x.pick(8) == 0 {
+            case.switch = Some(VARIANTS[x.pick(4) as usize]);
+            case.lanes = 1;
+        }
         case
+    }
+
+    fn scheme(&self) -> Scheme {
+        match self.switch {
+            Some(v) => Scheme::Switch(v),
+            None => [
+                Scheme::Hc(HcConfig::store_and_forward()),
+                Scheme::Hc(HcConfig::cut_through()),
+                figure_tree_scheme(),
+            ][self.scheme],
+        }
+    }
+
+    fn scheme_label(&self) -> String {
+        match self.switch {
+            Some(_) => self.scheme().label(),
+            None => SCHEMES[self.scheme].into(),
+        }
     }
 
     /// The drawn fabric: `irregular`'s switch graph, with the host links
@@ -164,11 +204,6 @@ impl Case {
         let hosts = self.spec.num_switches * self.spec.hosts_per_switch;
         let mut grng = host_stream(self.seed ^ 0xA5A5, 0x6131);
         let groups = GroupSet::random(hosts, 2, 3.min(hosts), &mut grng);
-        let scheme = [
-            Scheme::Hc(HcConfig::store_and_forward()),
-            Scheme::Hc(HcConfig::cut_through()),
-            figure_tree_scheme(),
-        ][self.scheme];
         let workload = PaperWorkload {
             offered_load: self.load,
             multicast_prob: 0.10,
@@ -179,7 +214,7 @@ impl Case {
         // in 12 000 byte-times; stretch the window until ~16 messages are
         // expected, so that no case passes vacuously.
         let measure = (16.0 * self.mean as f64 / (self.load * hosts as f64)) as u64;
-        SimSetup::builder(self.topology(), groups, scheme, workload)
+        SimSetup::builder(self.topology(), groups, self.scheme(), workload)
             .seed(self.seed)
             .lanes(self.lanes)
             .windows(2_000, measure.max(12_000), 10_000)

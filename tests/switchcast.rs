@@ -2,15 +2,17 @@
 //! crossbar under all three deadlock-handling variants, plus the broadcast
 //! special case.
 
-use std::sync::Arc;
-use wormcast::core::switchcast::{SwitchcastProtocol, SwitchcastTables, SwitchcastVariant};
-use wormcast::core::Membership;
+mod common;
+
+use common::scripted_net;
+use wormcast::core::switchcast::SwitchcastVariant;
 use wormcast::sim::engine::HostId;
-use wormcast::sim::switchcast::SwitchcastMode;
 use wormcast::sim::protocol::{Destination, SourceMessage};
-use wormcast::sim::{Network, NetworkConfig};
-use wormcast::topo::{TopoBuilder, Topology, UpDown};
+use wormcast::sim::trace::TraceConfig;
+use wormcast::sim::Network;
+use wormcast::topo::{TopoBuilder, Topology};
 use wormcast::traffic::script::{install_one_shot, install_script};
+use wormcast_bench::Scheme;
 
 /// 5 switches: a root (0) with two subtrees (1-2 and 3-4) plus a crosslink
 /// between 2 and 4; two hosts per switch.
@@ -28,46 +30,8 @@ fn topo() -> Topology {
     b.build()
 }
 
-struct Setup {
-    net: Network,
-    membership: Arc<Membership>,
-}
-
-fn setup(variant: SwitchcastVariant, members: Vec<HostId>) -> Setup {
-    let topo = topo();
-    let ud = UpDown::compute(&topo, 0);
-    // V1/V3 restrict all routing to the spanning tree; V2/broadcast do not.
-    let restrict = matches!(
-        variant,
-        SwitchcastVariant::RestrictedIdle | SwitchcastVariant::IdleFlush
-    );
-    let routes = ud.route_table(&topo, restrict);
-    let mode = match variant {
-        SwitchcastVariant::RestrictedIdle => SwitchcastMode::RestrictedIdle,
-        SwitchcastVariant::RootedInterrupt => SwitchcastMode::RootedInterrupt,
-        SwitchcastVariant::IdleFlush => SwitchcastMode::IdleFlush,
-        SwitchcastVariant::Broadcast => SwitchcastMode::RootedInterrupt,
-    };
-    let membership = Membership::from_groups([(0u8, members)]);
-    let tables = Arc::new(SwitchcastTables::build(
-        &topo, &ud, &routes, &membership, restrict,
-    ));
-    let cfg = NetworkConfig::builder()
-        .switchcast(mode)
-        .build()
-        .expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
-    net.set_broadcast_ports(SwitchcastTables::broadcast_ports(&topo, &ud));
-    for h in 0..net.num_hosts() as u32 {
-        let p = SwitchcastProtocol::new(
-            HostId(h),
-            variant,
-            Arc::clone(&membership),
-            Arc::clone(&tables),
-        );
-        net.set_protocol(HostId(h), Box::new(p));
-    }
-    Setup { net, membership }
+fn setup(variant: SwitchcastVariant, members: Vec<HostId>) -> Network {
+    scripted_net(topo(), members, Scheme::Switch(variant), TraceConfig::Off)
 }
 
 fn delivered_hosts(net: &Network) -> Vec<u32> {
@@ -80,48 +44,45 @@ fn delivered_hosts(net: &Network) -> Vec<u32> {
 #[test]
 fn v1_restricted_idle_replicates_in_the_fabric() {
     let members: Vec<HostId> = vec![1, 4, 7, 9].into_iter().map(HostId).collect();
-    let mut s = setup(SwitchcastVariant::RestrictedIdle, members.clone());
-    install_one_shot(&mut s.net, HostId(4), 100, SourceMessage {
+    let mut net = setup(SwitchcastVariant::RestrictedIdle, members.clone());
+    install_one_shot(&mut net, HostId(4), 100, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 600,
     });
-    let out = s.net.run_until(1_000_000);
+    let out = net.run_until(1_000_000);
     assert!(out.drained, "replication must drain");
     assert!(out.deadlock.is_none());
-    s.net.audit().expect("conservation");
-    assert_eq!(delivered_hosts(&s.net), vec![1, 7, 9], "members minus origin");
+    net.audit().expect("conservation");
+    assert_eq!(delivered_hosts(&net), vec![1, 7, 9], "members minus origin");
     // Exactly ONE worm was injected — the fabric did the copying.
-    assert_eq!(s.net.stats.worms_injected, 1);
-    assert_eq!(s.net.stats.sinks_injected, 3);
+    assert_eq!(net.stats.worms_injected, 1);
+    assert_eq!(net.stats.sinks_injected, 3);
 }
 
 #[test]
 fn v2_rooted_interrupt_serializes_and_delivers() {
     let members: Vec<HostId> = vec![0, 3, 5, 8].into_iter().map(HostId).collect();
-    let mut s = setup(SwitchcastVariant::RootedInterrupt, members.clone());
+    let mut net = setup(SwitchcastVariant::RootedInterrupt, members.clone());
     // Two concurrent multicasts from different origins.
-    install_one_shot(&mut s.net, HostId(3), 100, SourceMessage {
+    install_one_shot(&mut net, HostId(3), 100, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 700,
     });
-    install_one_shot(&mut s.net, HostId(8), 130, SourceMessage {
+    install_one_shot(&mut net, HostId(8), 130, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 700,
     });
-    let out = s.net.run_until(1_000_000);
+    let out = net.run_until(1_000_000);
     assert!(out.drained);
     assert!(out.deadlock.is_none());
-    s.net.audit().expect("conservation");
+    net.audit().expect("conservation");
     // Each origin's worm covers ALL members (its own copy is filtered at
     // delivery), so every member hears the other's message and the
     // non-origin members hear both.
-    let n = s.net.msgs.deliveries.len();
+    let n = net.msgs.deliveries.len();
     assert_eq!(n, 3 + 3, "3 deliveries per message");
-    assert_eq!(s.net.stats.worms_injected, 2);
-    assert_eq!(
-        s.net.stats.sinks_injected,
-        2 * s.membership.members(0).len() as u64
-    );
+    assert_eq!(net.stats.worms_injected, 2);
+    assert_eq!(net.stats.sinks_injected, 2 * members.len() as u64);
 }
 
 #[test]
@@ -129,8 +90,8 @@ fn v2_fragments_under_contention_and_reassembles() {
     // Saturate one subtree so a replica blocks: hosts 1..=9 all receive a
     // long multicast while unicast cross-traffic fights for the same links.
     let members: Vec<HostId> = (0..10).map(HostId).collect();
-    let mut s = setup(SwitchcastVariant::RootedInterrupt, members.clone());
-    install_one_shot(&mut s.net, HostId(2), 100, SourceMessage {
+    let mut net = setup(SwitchcastVariant::RootedInterrupt, members.clone());
+    install_one_shot(&mut net, HostId(2), 100, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 3_000,
     });
@@ -146,71 +107,71 @@ fn v2_fragments_under_contention_and_reassembles() {
             )
         })
         .collect();
-    install_script(&mut s.net, HostId(1), items);
-    let out = s.net.run_until(2_000_000);
+    install_script(&mut net, HostId(1), items);
+    let out = net.run_until(2_000_000);
     assert!(out.drained, "contended V2 run must still drain");
     assert!(out.deadlock.is_none());
-    s.net.audit().expect("conservation");
+    net.audit().expect("conservation");
     // 9 multicast deliveries (everyone but origin) + 6 unicasts.
-    assert_eq!(s.net.msgs.deliveries.len(), 9 + 6);
+    assert_eq!(net.msgs.deliveries.len(), 9 + 6);
 }
 
 #[test]
 fn v3_flushes_blocked_unicasts_and_they_retransmit() {
     let members: Vec<HostId> = vec![1, 4, 7, 9].into_iter().map(HostId).collect();
-    let mut s = setup(SwitchcastVariant::IdleFlush, members);
+    let mut net = setup(SwitchcastVariant::IdleFlush, members);
     // A long multicast that will hold tree links with IDLE fills whenever a
     // branch stalls...
-    install_one_shot(&mut s.net, HostId(4), 100, SourceMessage {
+    install_one_shot(&mut net, HostId(4), 100, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 6_000,
     });
     // ...while several unicasts try to cross the tree (tree-restricted
     // routing shares those links).
     for (src, at) in [(0u32, 140u64), (2, 180), (6, 220)] {
-        install_one_shot(&mut s.net, HostId(src), at, SourceMessage {
+        install_one_shot(&mut net, HostId(src), at, SourceMessage {
             dest: Destination::Unicast(HostId(9)),
             payload_len: 1_500,
         });
     }
-    let out = s.net.run_until(3_000_000);
+    let out = net.run_until(3_000_000);
     assert!(out.drained, "flush scheme must drain");
     assert!(out.deadlock.is_none());
-    s.net.audit().expect("conservation");
+    net.audit().expect("conservation");
     // Everything is eventually delivered: the multicast to 3 members and
     // all 3 unicasts (flushed ones come back by retransmission).
-    assert_eq!(s.net.msgs.deliveries.len(), 3 + 3);
+    assert_eq!(net.msgs.deliveries.len(), 3 + 3);
 }
 
 #[test]
 fn broadcast_address_floods_every_host_once() {
     let members: Vec<HostId> = (0..10).map(HostId).collect();
-    let mut s = setup(SwitchcastVariant::Broadcast, members);
-    install_one_shot(&mut s.net, HostId(7), 100, SourceMessage {
+    let mut net = setup(SwitchcastVariant::Broadcast, members);
+    install_one_shot(&mut net, HostId(7), 100, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 500,
     });
-    let out = s.net.run_until(1_000_000);
+    let out = net.run_until(1_000_000);
     assert!(out.drained);
     assert!(out.deadlock.is_none());
-    s.net.audit().expect("conservation");
+    net.audit().expect("conservation");
     // Every host except the origin delivers exactly once.
-    let mut hosts: Vec<u32> = s.net.msgs.deliveries.iter().map(|d| d.host.0).collect();
+    let mut hosts: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
     hosts.sort_unstable();
     assert_eq!(hosts, vec![0, 1, 2, 3, 4, 5, 6, 8, 9]);
-    assert_eq!(s.net.stats.sinks_injected, 10, "origin's echo counts as a sink");
+    assert_eq!(net.stats.sinks_injected, 10, "origin's echo counts as a sink");
 }
 
 #[test]
 fn broadcast_with_filtering_only_delivers_to_members() {
     let members: Vec<HostId> = vec![2, 5, 8].into_iter().map(HostId).collect();
-    let mut s = setup(SwitchcastVariant::Broadcast, members);
-    install_one_shot(&mut s.net, HostId(2), 100, SourceMessage {
+    let mut net = setup(SwitchcastVariant::Broadcast, members);
+    install_one_shot(&mut net, HostId(2), 100, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 500,
     });
-    let out = s.net.run_until(1_000_000);
+    let out = net.run_until(1_000_000);
     assert!(out.drained);
-    s.net.audit().expect("conservation");
-    assert_eq!(delivered_hosts(&s.net), vec![5, 8], "non-members filter");
+    net.audit().expect("conservation");
+    assert_eq!(delivered_hosts(&net), vec![5, 8], "non-members filter");
 }

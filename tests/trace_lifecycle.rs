@@ -4,16 +4,18 @@
 //! park/resume pair and the V3 Backward-Reset flush, which only show up
 //! under real crossbar contention.
 
-use std::sync::Arc;
-use wormcast::core::switchcast::{SwitchcastProtocol, SwitchcastTables, SwitchcastVariant};
-use wormcast::core::{HcConfig, HcProtocol, Membership};
+mod common;
+
+use common::scripted_net;
+use wormcast::core::switchcast::SwitchcastVariant;
+use wormcast::core::HcConfig;
 use wormcast::sim::engine::HostId;
 use wormcast::sim::protocol::{Destination, SourceMessage};
-use wormcast::sim::switchcast::SwitchcastMode;
 use wormcast::sim::trace::{BlockCause, TraceConfig, TraceEvent};
-use wormcast::sim::{Network, NetworkConfig};
-use wormcast::topo::{TopoBuilder, Topology, UpDown};
+use wormcast::sim::Network;
+use wormcast::topo::{TopoBuilder, Topology};
 use wormcast::traffic::script::{install_one_shot, install_script};
+use wormcast_bench::Scheme;
 
 /// 5 switches: a root (0) with two subtrees (1-2 and 3-4) plus a crosslink
 /// between 2 and 4; two hosts per switch (same fabric as tests/switchcast.rs).
@@ -32,58 +34,13 @@ fn topo() -> Topology {
 }
 
 fn switchcast_net(variant: SwitchcastVariant, members: Vec<HostId>, trace: TraceConfig) -> Network {
-    let topo = topo();
-    let ud = UpDown::compute(&topo, 0);
-    let restrict = matches!(
-        variant,
-        SwitchcastVariant::RestrictedIdle | SwitchcastVariant::IdleFlush
-    );
-    let routes = ud.route_table(&topo, restrict);
-    let mode = match variant {
-        SwitchcastVariant::RestrictedIdle => SwitchcastMode::RestrictedIdle,
-        SwitchcastVariant::RootedInterrupt => SwitchcastMode::RootedInterrupt,
-        SwitchcastVariant::IdleFlush => SwitchcastMode::IdleFlush,
-        SwitchcastVariant::Broadcast => SwitchcastMode::RootedInterrupt,
-    };
-    let membership = Membership::from_groups([(0u8, members)]);
-    let tables = Arc::new(SwitchcastTables::build(
-        &topo, &ud, &routes, &membership, restrict,
-    ));
-    let cfg = NetworkConfig::builder()
-        .switchcast(mode)
-        .trace(trace)
-        .build()
-        .expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
-    net.set_broadcast_ports(SwitchcastTables::broadcast_ports(&topo, &ud));
-    for h in 0..net.num_hosts() as u32 {
-        let p = SwitchcastProtocol::new(
-            HostId(h),
-            variant,
-            Arc::clone(&membership),
-            Arc::clone(&tables),
-        );
-        net.set_protocol(HostId(h), Box::new(p));
-    }
-    net
+    scripted_net(topo(), members, Scheme::Switch(variant), trace)
 }
 
 /// Plain HC unicast network over the same fabric, with tracing.
 fn hc_net(trace: TraceConfig) -> Network {
-    let topo = topo();
-    let ud = UpDown::compute(&topo, 0);
-    let routes = ud.route_table(&topo, false);
-    let cfg = NetworkConfig::builder()
-        .trace(trace)
-        .build()
-        .expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
-    let groups = Membership::from_groups([(0u8, vec![HostId(0)])]);
-    for h in 0..net.num_hosts() as u32 {
-        let p = HcProtocol::new(HostId(h), HcConfig::store_and_forward(), Arc::clone(&groups));
-        net.set_protocol(HostId(h), Box::new(p));
-    }
-    net
+    let scheme = Scheme::Hc(HcConfig::store_and_forward());
+    scripted_net(topo(), vec![HostId(0)], scheme, trace)
 }
 
 fn count(net: &Network, pred: impl Fn(&TraceEvent) -> bool) -> usize {
