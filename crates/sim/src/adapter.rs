@@ -237,12 +237,6 @@ impl Network {
                 RxState::Idle => {
                     if a.parked.contains(byte.worm) {
                         RxAction::ResumeFragment(byte.worm)
-                    } else if matches!(byte.kind, ByteKind::Tail) {
-                        // No worm starts with its tail: this one ends a
-                        // worm whose body a fragment already completed
-                        // (the interrupt/resume scheme cut it after the
-                        // last body byte), so there is nothing left to do.
-                        RxAction::LateTail
                     } else {
                         RxAction::NewWorm(byte.worm)
                     }
@@ -377,49 +371,24 @@ impl Network {
                         },
                     );
                 }
-                match byte.kind {
-                    ByteKind::Tail => {
-                        // Zero-data continuation carrying just the tail.
-                        let done = body_got >= self.worms[worm.0 as usize].body_len();
-                        let a = &mut self.adapters[host.0 as usize];
-                        a.rx = RxState::Receiving { worm, body_got };
-                        if done {
-                            // Re-dispatch as a completion.
-                            self.adapter_rx(host, byte, 1);
-                        } else {
-                            a.parked.insert(worm, body_got);
-                            a.rx = RxState::Idle;
-                            a.counters.bytes_received += 1;
-                            if self.trace.enabled() {
-                                let worm = self.worm_name(worm);
-                                self.trace.push(
-                                    self.scheduler.now(),
-                                    crate::trace::TraceEvent::FragmentParked {
-                                        worm,
-                                        host,
-                                        body_got,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    _ => {
-                        let a = &mut self.adapters[host.0 as usize];
-                        a.rx = RxState::Receiving {
-                            worm,
-                            body_got: body_got + 1,
-                        };
-                        if let Some(g) = a.rx_body_got.get_mut(worm) {
-                            // u64::MAX (fully received) stays sticky.
-                            *g = g.saturating_add(1);
-                        }
-                        a.counters.bytes_received += 1;
-                        self.adapter_kick_followers(host);
-                    }
+                // A switch resumes a branch only to send a body byte
+                // (`switchcast_resume_interrupted`).
+                debug_assert_ne!(
+                    byte.kind,
+                    ByteKind::Tail,
+                    "fragment of the tail alone at adapter {host:?}"
+                );
+                let a = &mut self.adapters[host.0 as usize];
+                a.rx = RxState::Receiving {
+                    worm,
+                    body_got: body_got + 1,
+                };
+                if let Some(g) = a.rx_body_got.get_mut(worm) {
+                    // u64::MAX (fully received) stays sticky.
+                    *g = g.saturating_add(1);
                 }
-            }
-            RxAction::LateTail => {
-                self.adapters[host.0 as usize].counters.bytes_received += 1;
+                a.counters.bytes_received += 1;
+                self.adapter_kick_followers(host);
             }
             RxAction::DropByte => {
                 self.adapters[host.0 as usize].counters.bytes_refused += len;
@@ -460,7 +429,6 @@ enum RxAction {
     Accumulate(WormId),
     Complete(WormId),
     FragmentBoundary,
-    LateTail,
     DropByte,
     DropComplete(WormId),
 }

@@ -496,7 +496,11 @@ impl Network {
     }
 
     /// Re-request output ports for interrupted (or not-yet-requested)
-    /// branches that have something to send again.
+    /// branches that have something to send again. An interrupted branch
+    /// whose next byte is the tail is done instead: the tail that ended
+    /// its fragment stands where this one would (the whole body, or the
+    /// fragment an upstream switch cut), so resuming would send a fragment
+    /// of the tail alone.
     fn switchcast_resume_interrupted(&mut self, sw: SwitchId, port: u8) {
         let resumes: Vec<u8> = {
             let inp = &self.switches[sw.0 as usize].inputs[port as usize];
@@ -515,18 +519,30 @@ impl Network {
                 .collect()
         };
         for out in resumes {
-            if let InState::Replicating(rep) =
-                &mut self.switches[sw.0 as usize].inputs[port as usize].state
-            {
-                if let Some(b) = rep.branches.iter_mut().find(|b| b.out == out) {
-                    if b.interrupted {
-                        b.interrupted = false;
-                        b.prefix_sent = 0;
-                        b.frag_base = b.body_sent;
-                    }
+            let (ended, all_done) = {
+                let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+                let InState::Replicating(rep) = &mut inp.state else {
+                    unreachable!("resuming a branch of a finished replica")
+                };
+                let released = rep.body_released;
+                let b = rep.branches.iter_mut().find(|b| b.out == out).expect("branch");
+                let ended = b.interrupted
+                    && inp.buf[(b.body_sent - released) as usize].kind == ByteKind::Tail;
+                if ended {
+                    b.tail_sent = true;
+                } else if b.interrupted {
+                    b.interrupted = false;
+                    b.prefix_sent = 0;
+                    b.frag_base = b.body_sent;
                 }
+                (ended, ended && rep.branches.iter().all(|b| b.tail_sent))
+            };
+            if !ended {
+                self.switchcast_request(sw, out, port);
+            } else if all_done {
+                self.switchcast_finish(sw, port);
+                return;
             }
-            self.switchcast_request(sw, out, port);
         }
     }
 
@@ -680,17 +696,7 @@ impl Network {
                 self.switch_release_output(sw, out);
                 self.switchcast_resume_interrupted(sw, owner);
                 if all_done {
-                    {
-                        let inp = &mut self.switches[sw.0 as usize].inputs[owner as usize];
-                        let tail = inp.buf.pop_front();
-                        debug_assert!(
-                            matches!(tail, Some(WireByte { kind: ByteKind::Tail, .. })),
-                            "replica completion must pop the tail"
-                        );
-                        inp.state = InState::Idle;
-                    }
-                    self.after_slack_dequeue(sw, owner);
-                    self.switch_advance_input(sw, owner);
+                    self.switchcast_finish(sw, owner);
                 }
                 Some(WireByte {
                     worm,
@@ -753,6 +759,21 @@ impl Network {
             }
             self.after_slack_dequeue(sw, in_port);
         }
+    }
+
+    /// Every branch is done: pop the tail and free the input.
+    fn switchcast_finish(&mut self, sw: SwitchId, port: u8) {
+        {
+            let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+            let tail = inp.buf.pop_front();
+            debug_assert!(
+                matches!(tail, Some(WireByte { kind: ByteKind::Tail, .. })),
+                "replica completion must pop the tail"
+            );
+            inp.state = InState::Idle;
+        }
+        self.after_slack_dequeue(sw, port);
+        self.switch_advance_input(sw, port);
     }
 
     /// Bookkeeping for a real (non-IDLE) byte leaving an output port.

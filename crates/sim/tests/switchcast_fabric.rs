@@ -198,17 +198,18 @@ fn nested_directive_stamps_subtree_prefix() {
 }
 
 /// V2 (RootedInterrupt): a replica branch that has sent every body byte
-/// but not yet received the tail ends its fragment there. Its receiver
-/// takes that fragment for the whole worm (the body is complete), and the
-/// resumed fragment — the tail alone — must not open a new reception that
-/// the next worm then interleaves with.
+/// but not yet received the tail ends its fragment there, and its
+/// receiver takes that fragment for the whole worm (the body is
+/// complete). When the tail arrives the branch is done: it must not
+/// resume with a fragment of the tail alone, which the receiver would
+/// take for a new worm that the next one then interleaves with.
 ///
 /// One switch, four hosts. Host 3 holds the output to host 2 with a long
 /// unicast; host 0's 10-byte multicast to hosts 1 and 2 then fills its
 /// input (the branch to host 2 is blocked, so nothing is released) until
 /// the STOP holds its tail back at host 0, while the branch to host 1 has
-/// sent the whole body. A later unicast from host 3 to host 1 must find
-/// host 1's receiver idle.
+/// sent the whole body. Host 1 then receives each byte of its two worms
+/// once, and a later unicast from host 3 finds its receiver idle.
 #[test]
 fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
     let spec = FabricSpec {
@@ -275,6 +276,16 @@ fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
     let mut hosts: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
     hosts.sort_unstable();
     assert_eq!(hosts, vec![1, 1, 2, 2], "both copies and both unicasts");
+    let to_host_1: u64 = net
+        .worms
+        .iter()
+        .filter(|w| w.meta.dest == HostId(1))
+        .map(|w| w.body_len() + 1)
+        .sum();
+    assert_eq!(
+        net.adapters[1].counters.bytes_received, to_host_1,
+        "host 1 received a tail twice"
+    );
     for a in &net.adapters {
         assert_eq!(a.rx, RxState::Idle, "host {:?} still receiving", a.id);
     }
