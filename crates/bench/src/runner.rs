@@ -11,7 +11,6 @@ use wormcast_sim::shard::ShardedNetwork;
 use wormcast_sim::trace::{Trace, TraceConfig};
 use wormcast_sim::Network;
 use wormcast_stats::latency::{latencies, Kind, LatencyReport};
-use wormcast_topo::hostgraph::HostGraph;
 use wormcast_topo::{ShardPlan, Topology, UpDown};
 use wormcast_traffic::workload::{install_paper_sources_for, PaperWorkload};
 use wormcast_traffic::GroupSet;
@@ -299,9 +298,8 @@ pub fn build_network(setup: &SimSetup) -> Network {
 /// their own messages.
 pub fn build_unloaded(setup: &SimSetup) -> Network {
     let ud = UpDown::compute(&setup.topo, setup.updown_root);
-    let restrict = setup.restrict_to_tree;
-    let routes = ud.route_table(&setup.topo, setup.scheme.fabric(restrict).restrict_routes);
-    let graph = HostGraph::from_routes(&routes);
+    let fabric = setup.scheme.fabric(setup.restrict_to_tree);
+    let routes = ud.route_table(&setup.topo, fabric.restrict_routes);
     let cfg = setup
         .network_config()
         .expect("SimSetup::builder validated this configuration");
@@ -309,7 +307,7 @@ pub fn build_unloaded(setup: &SimSetup) -> Network {
     let membership = membership_of(&setup.groups);
     setup
         .scheme
-        .install(&mut net, &membership, &graph, &setup.topo, &ud, restrict);
+        .install(&mut net, &membership, &setup.topo, &ud, fabric);
     net
 }
 

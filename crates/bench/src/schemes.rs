@@ -100,16 +100,15 @@ impl Scheme {
     }
 
     /// Install one protocol instance per host (and, for [`Scheme::Switch`],
-    /// the fabric's broadcast ports). `topo`, `ud` and `restrict_to_tree`
-    /// are the ones the network's routes came from.
+    /// the fabric's broadcast ports) on `net`, built over `topo` with
+    /// `ud`'s routes on `fabric` ([`Scheme::fabric`]).
     pub fn install(
         &self,
         net: &mut Network,
         membership: &Arc<Membership>,
-        graph: &HostGraph,
         topo: &Topology,
         ud: &UpDown,
-        restrict_to_tree: bool,
+        fabric: SwitchcastFabric,
     ) {
         let n = net.num_hosts() as u32;
         match *self {
@@ -120,7 +119,7 @@ impl Scheme {
                 }
             }
             Scheme::Tree(cfg, _) => {
-                let trees = self.build_trees(membership, graph);
+                let trees = self.build_trees(membership, &HostGraph::from_routes(net.routes()));
                 for h in 0..n {
                     let p = TreeProtocol::new(HostId(h), cfg, Arc::clone(&trees));
                     net.set_protocol(HostId(h), Box::new(p));
@@ -139,7 +138,7 @@ impl Scheme {
                 token_period,
                 shape: _,
             } => {
-                let trees = self.build_trees(membership, graph);
+                let trees = self.build_trees(membership, &HostGraph::from_routes(net.routes()));
                 let cfg = CreditConfig {
                     manager,
                     num_hosts: n,
@@ -153,8 +152,17 @@ impl Scheme {
                 }
             }
             Scheme::Switch(variant) => {
-                let restrict = variant.fabric(restrict_to_tree).restrict_directives;
-                let tables = Arc::new(SwitchcastTables::build(topo, ud, membership, restrict));
+                // The directives follow the network's routes unless only
+                // they are confined to the tree (V3).
+                let restrict = fabric.restrict_directives;
+                let tree_routes;
+                let routes = if restrict == fabric.restrict_routes {
+                    net.routes()
+                } else {
+                    tree_routes = ud.route_table(topo, restrict);
+                    &tree_routes
+                };
+                let tables = Arc::new(SwitchcastTables::build(topo, ud, routes, membership, restrict));
                 net.set_broadcast_ports(SwitchcastTables::broadcast_ports(topo, ud));
                 for h in 0..n {
                     let p = SwitchcastProtocol::new(

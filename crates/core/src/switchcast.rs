@@ -26,6 +26,7 @@ use crate::group::Membership;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wormcast_sim::engine::HostId;
+use wormcast_sim::fabric::RouteTable;
 use wormcast_sim::protocol::{
     AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec,
 };
@@ -100,9 +101,15 @@ pub struct SwitchcastTables {
 impl SwitchcastTables {
     /// Build all route tables for the given topology/orientation/groups,
     /// on the spanning tree alone when `restrict` (the variant's
-    /// [`SwitchcastFabric::restrict_directives`]).
-    pub fn build(topo: &Topology, ud: &UpDown, membership: &Membership, restrict: bool) -> Self {
-        let routes = ud.route_table(topo, restrict);
+    /// [`SwitchcastFabric::restrict_directives`]). `routes` is `ud`'s
+    /// route table under that same restriction.
+    pub fn build(
+        topo: &Topology,
+        ud: &UpDown,
+        routes: &RouteTable,
+        membership: &Membership,
+        restrict: bool,
+    ) -> Self {
         let mut t = SwitchcastTables {
             num_hosts: topo.num_hosts() as u32,
             to_root: Vec::with_capacity(topo.num_hosts()),
@@ -360,10 +367,21 @@ mod tests {
         (topo, ud, membership)
     }
 
+    /// The tables over `ud`'s routes, on the tree alone when `restrict`.
+    fn tables(
+        topo: &Topology,
+        ud: &UpDown,
+        membership: &Membership,
+        restrict: bool,
+    ) -> Arc<SwitchcastTables> {
+        let routes = ud.route_table(topo, restrict);
+        Arc::new(SwitchcastTables::build(topo, ud, &routes, membership, restrict))
+    }
+
     #[test]
     fn tables_cover_groups_and_origins() {
         let (topo, ud, membership) = small();
-        let t = SwitchcastTables::build(&topo, &ud, &membership, true);
+        let t = tables(&topo, &ud, &membership, true);
         assert_eq!(t.to_root.len(), 6);
         assert!(t.to_root[0].is_empty(), "host 0 sits on the root switch");
         assert!(!t.to_root[5].is_empty());
@@ -405,7 +423,7 @@ mod tests {
     fn v1_injects_directive_route_with_leaf_sinks() {
         use wormcast_sim::protocol::Command;
         let (topo, ud, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, true));
+        let tables = tables(&topo, &ud, &membership, true);
         let mut p = SwitchcastProtocol::new(
             HostId(3),
             SwitchcastVariant::RestrictedIdle,
@@ -429,7 +447,7 @@ mod tests {
     fn v2_prepends_the_to_root_path() {
         use wormcast_sim::protocol::Command;
         let (topo, ud, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, false));
+        let tables = tables(&topo, &ud, &membership, false);
         let mut p = SwitchcastProtocol::new(
             HostId(5),
             SwitchcastVariant::RootedInterrupt,
@@ -455,7 +473,7 @@ mod tests {
     fn broadcast_route_ends_with_the_broadcast_byte() {
         use wormcast_sim::protocol::Command;
         let (topo, ud, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, false));
+        let tables = tables(&topo, &ud, &membership, false);
         let mut p = SwitchcastProtocol::new(
             HostId(2),
             SwitchcastVariant::Broadcast,
@@ -476,7 +494,7 @@ mod tests {
     #[test]
     fn non_member_origin_sends_nothing_in_v1() {
         let (topo, ud, membership) = small();
-        let tables = Arc::new(SwitchcastTables::build(&topo, &ud, &membership, true));
+        let tables = tables(&topo, &ud, &membership, true);
         let mut p = SwitchcastProtocol::new(
             HostId(1), // not in group 0
             SwitchcastVariant::RestrictedIdle,

@@ -4,6 +4,7 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
+use wormcast::core::switchcast::SwitchcastVariant;
 use wormcast::sim::engine::HostId;
 use wormcast::sim::network::{NetStats, SimMode};
 use wormcast::sim::trace::TraceConfig;
@@ -63,13 +64,17 @@ fn observe(mut setup: SimSetup, mode: SimMode, trace: TraceConfig) -> Observed {
     let mut net = build_network(&setup);
     let out = net.run_until(setup.drain_until);
     // Every caller routes up/down: a deadlock verdict, in either mode, is
-    // a bug in the engine or in the wait-for analysis — except under
-    // switch-level multicast, whose V1 can wedge as modelled (ROADMAP
-    // item 8). There the verdict is one more observable both modes must
-    // agree on.
+    // a bug in the engine or in the wait-for analysis — except under the
+    // IDLE-filling switch-level variants V1 and V3, which can wedge as
+    // modelled (ROADMAP item 8). There the verdict is one more observable
+    // both modes must agree on.
     let wedged = out.deadlock.is_some();
     assert!(
-        !wedged || matches!(setup.scheme, Scheme::Switch(_)),
+        !wedged
+            || matches!(
+                setup.scheme,
+                Scheme::Switch(SwitchcastVariant::RestrictedIdle | SwitchcastVariant::IdleFlush)
+            ),
         "{mode:?}: deadlock {out:?}"
     );
     net.audit()

@@ -120,18 +120,23 @@ fn v2_fragments_under_contention_and_reassembles() {
 fn v3_flushes_blocked_unicasts_and_they_retransmit() {
     let members: Vec<HostId> = vec![1, 4, 7, 9].into_iter().map(HostId).collect();
     let mut net = setup(SwitchcastVariant::IdleFlush, members);
-    // A long multicast that will hold tree links with IDLE fills whenever a
-    // branch stalls...
+    // A long unicast on switch 4 holds the port to host 9...
+    install_one_shot(&mut net, HostId(8), 0, SourceMessage {
+        dest: Destination::Unicast(HostId(9)),
+        payload_len: 3_000,
+    });
+    // ...so a long multicast's branch to host 9 blocks, its replicas on
+    // switches 4, 3 and 0 fill up, and the branches to hosts 7 and 1 hold
+    // their ports with IDLE fill...
     install_one_shot(&mut net, HostId(4), 100, SourceMessage {
         dest: Destination::Multicast(0),
         payload_len: 6_000,
     });
-    // ...while several unicasts try to cross the tree (tree-restricted
-    // routing shares those links).
-    for (src, at) in [(0u32, 140u64), (2, 180), (6, 220)] {
-        install_one_shot(&mut net, HostId(src), at, SourceMessage {
-            dest: Destination::Unicast(HostId(9)),
-            payload_len: 1_500,
+    // ...while a unicast waits on each of those two ports.
+    for (src, dest) in [(6u32, 7u32), (0, 1)] {
+        install_one_shot(&mut net, HostId(src), 400, SourceMessage {
+            dest: Destination::Unicast(HostId(dest)),
+            payload_len: 500,
         });
     }
     let out = net.run_until(3_000_000);
@@ -139,8 +144,9 @@ fn v3_flushes_blocked_unicasts_and_they_retransmit() {
     assert!(out.deadlock.is_none());
     net.audit().expect("conservation");
     // Everything is eventually delivered: the multicast to 3 members and
-    // all 3 unicasts (flushed ones come back by retransmission).
+    // all 3 unicasts (the flushed ones come back by retransmission).
     assert_eq!(net.msgs.deliveries.len(), 3 + 3);
+    assert!(net.stats.worms_flushed >= 2, "both waiting unicasts are flushed");
 }
 
 #[test]
