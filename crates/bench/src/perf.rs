@@ -19,6 +19,7 @@ use crate::runner::run_traced;
 use crate::schemes::Scheme;
 use crate::trace_io::validate_jsonl;
 use serde::{Deserialize, Serialize};
+use wormcast_core::switchcast::SwitchcastVariant;
 use wormcast_sim::network::SimMode;
 use wormcast_sim::trace::TraceConfig;
 use wormcast_topo::ShardPlan;
@@ -39,6 +40,9 @@ const REF_LOAD: f64 = 0.08;
 const GATE_LOAD: f64 = 0.12;
 /// Loads of the lane- and shard-scaling curves.
 const SCALING_LOADS: [f64; 2] = [REF_LOAD, GATE_LOAD];
+/// The load of the traced §3 points: V1 and V3 wedge on this torus from
+/// 0.02 on (ROADMAP item 8), and the harness fails a run that deadlocks.
+const SWITCH_LOAD: f64 = 0.01;
 const MODES: [SimMode; 2] = [SimMode::PerByte, SimMode::SpanBatched];
 
 /// The named sub-grids `perf check` accepts.
@@ -69,7 +73,7 @@ impl Point {
             "sweep" => plain,
             "lanes" => scaling && self.shards == 1,
             "shard" => scaling && self.lanes == 1,
-            "trace" => self.load == REF_LOAD && self.lanes == 1 && self.shards == 1,
+            "trace" => (self.load == REF_LOAD || self.traced) && self.lanes == 1 && self.shards == 1,
             other => panic!("unknown grid {other:?}"),
         }
     }
@@ -92,7 +96,8 @@ impl std::fmt::Display for Point {
 
 /// Every run of the harness: the Fig 10 sweep in both engine modes, the
 /// lane- and shard-scaling points above one lane / one shard, and the
-/// traced points.
+/// traced points — the Fig 10 schemes', and switch-level multicast's
+/// (Section 3, each variant and the broadcast address) on the same torus.
 pub fn grid() -> Vec<Point> {
     let plain = |scheme, load, mode| Point {
         scheme,
@@ -113,11 +118,20 @@ pub fn grid() -> Vec<Point> {
         grid.extend([2, 4].map(|lanes| Point { lanes, ..base }));
         grid.extend([2, 4].map(|shards| Point { shards, ..base }));
     }
+    let traced = |scheme, load| MODES.map(|mode| Point {
+        traced: true,
+        ..plain(scheme, load, mode)
+    });
     for scheme in fig10::schemes() {
-        grid.extend(MODES.map(|mode| Point {
-            traced: true,
-            ..plain(scheme, REF_LOAD, mode)
-        }));
+        grid.extend(traced(scheme, REF_LOAD));
+    }
+    for variant in [
+        SwitchcastVariant::RestrictedIdle,
+        SwitchcastVariant::RootedInterrupt,
+        SwitchcastVariant::IdleFlush,
+        SwitchcastVariant::Broadcast,
+    ] {
+        grid.extend(traced(Scheme::Switch(variant), SWITCH_LOAD));
     }
     grid
 }
@@ -462,9 +476,9 @@ mod tests {
     }
 
     #[test]
-    fn grid_is_32_distinct_points() {
+    fn grid_points_are_distinct() {
         let grid = grid();
-        assert_eq!(grid.len(), 32);
+        assert_eq!(grid.len(), 40);
         let base = baseline();
         for p in &grid {
             assert_eq!(base.iter().filter(|r| r.is_at(p)).count(), 1, "{p}");
