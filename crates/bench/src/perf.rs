@@ -40,8 +40,8 @@ const REF_LOAD: f64 = 0.08;
 const GATE_LOAD: f64 = 0.12;
 /// Loads of the lane- and shard-scaling curves.
 const SCALING_LOADS: [f64; 2] = [REF_LOAD, GATE_LOAD];
-/// The load of the traced §3 points: V1 and V3 wedge on this torus from
-/// 0.02 on (ROADMAP item 8), and the harness fails a run that deadlocks.
+/// The load of the traced switch-level points: V1 and V3 wedge on this
+/// torus from 0.02 on, and the harness fails a run that deadlocks.
 const SWITCH_LOAD: f64 = 0.01;
 const MODES: [SimMode; 2] = [SimMode::PerByte, SimMode::SpanBatched];
 
@@ -73,7 +73,9 @@ impl Point {
             "sweep" => plain,
             "lanes" => scaling && self.shards == 1,
             "shard" => scaling && self.lanes == 1,
-            "trace" => (self.load == REF_LOAD || self.traced) && self.lanes == 1 && self.shards == 1,
+            "trace" => {
+                (self.load == REF_LOAD || self.traced) && self.lanes == 1 && self.shards == 1
+            }
             other => panic!("unknown grid {other:?}"),
         }
     }
@@ -118,10 +120,12 @@ pub fn grid() -> Vec<Point> {
         grid.extend([2, 4].map(|lanes| Point { lanes, ..base }));
         grid.extend([2, 4].map(|shards| Point { shards, ..base }));
     }
-    let traced = |scheme, load| MODES.map(|mode| Point {
-        traced: true,
-        ..plain(scheme, load, mode)
-    });
+    let traced = |scheme, load| {
+        MODES.map(|mode| Point {
+            traced: true,
+            ..plain(scheme, load, mode)
+        })
+    };
     for scheme in fig10::schemes() {
         grid.extend(traced(scheme, REF_LOAD));
     }

@@ -372,7 +372,7 @@ impl Network {
                     );
                 }
                 // A switch resumes a branch only to send a body byte
-                // (`switchcast_resume_interrupted`).
+                // (`replica_resume`).
                 debug_assert_ne!(
                     byte.kind,
                     ByteKind::Tail,

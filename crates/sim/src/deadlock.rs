@@ -4,10 +4,12 @@
 //! (Figure 3 of the paper). This module reconstructs the wait-for graph
 //! from a live network snapshot:
 //!
-//! * an input port whose worm is **requesting** an output waits on the
-//!   input that currently owns that output;
-//! * an input port **forwarding** into a STOPped channel waits on the
-//!   downstream input whose slack buffer filled up;
+//! * an input port whose worm is **requesting** an output — its head, or a
+//!   branch of a replicating worm — waits on the input that currently owns
+//!   that output;
+//! * an input port **forwarding** into a STOPped channel, or holding one
+//!   for a replica branch, waits on the downstream input whose slack
+//!   buffer filled up;
 //! * an input port whose worm has a **hole** (bytes not yet arrived) waits
 //!   on the upstream producer;
 //! * a host adapter whose outgoing channel is STOPped waits on the switch
@@ -33,6 +35,7 @@ use crate::engine::{HostId, SwitchId};
 use crate::link::{ChanId, Lane, NodeRef};
 use crate::network::Network;
 use crate::switch::InState;
+use crate::switchcast::BranchPhase;
 use crate::worm::WormId;
 use std::collections::HashMap;
 use std::fmt;
@@ -58,7 +61,8 @@ impl fmt::Display for WaitNode {
 /// Why one wait-for edge exists.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WaitCause {
-    /// The worm's head requested an output another input owns.
+    /// The worm's head, or a replica branch of it, requested an output
+    /// another input owns.
     OutputHeldBy { switch: SwitchId, out: u8 },
     /// The worm is forwarding into a channel with a STOP in force.
     StoppedDownstream { ch: ChanId },
@@ -334,42 +338,46 @@ pub fn wait_edges_multi(
             }
             for (pi, inp) in sw.inputs.iter().enumerate() {
                 let me = WaitNode::SwitchIn(sw.id, pi as u8);
+                let mut edge = |to: WaitNode, worm: WormId, cause: WaitCause| {
+                    raw.push(RawEdge {
+                        from: me,
+                        to,
+                        worm: Some((si, worm)),
+                        holds: node_worm_multi(to),
+                        cause,
+                    })
+                };
+                // A head (or replica branch) queued for physical port `out`
+                // waits on whichever inputs own the port's slots.
+                let held = |out: u8| {
+                    let cause = WaitCause::OutputHeldBy { switch: sw.id, out };
+                    sw.slots_of(out)
+                        .filter_map(|slot| sw.outputs[slot].owner)
+                        .map(move |owner| (WaitNode::SwitchIn(sw.id, owner), cause))
+                };
+                // A worm (or branch) granted output slot `out` waits on the
+                // downstream input while a STOP holds the slot's lane. The
+                // transmit-side STOP state is owned here (we are its src).
+                let stopped_by = |out: u8| {
+                    let ch = sw.outputs[out as usize].chan_out?;
+                    let dst = net.lane(ch).dst();
+                    match dst.node {
+                        NodeRef::Switch(down) if stop_holds(net.lane(ch), far_copy(si, ch)) => {
+                            Some((WaitNode::SwitchIn(down, dst.port.0), ch))
+                        }
+                        _ => None,
+                    }
+                };
                 match &inp.state {
                     InState::Idle => {}
                     InState::Requesting { out, worm } => {
-                        for slot in sw.slots_of(*out) {
-                            if let Some(owner) = sw.outputs[slot].owner {
-                                let to = WaitNode::SwitchIn(sw.id, owner);
-                                raw.push(RawEdge {
-                                    from: me,
-                                    to,
-                                    worm: Some((si, *worm)),
-                                    holds: node_worm_multi(to),
-                                    cause: WaitCause::OutputHeldBy {
-                                        switch: sw.id,
-                                        out: *out,
-                                    },
-                                });
-                            }
+                        for (to, cause) in held(*out) {
+                            edge(to, *worm, cause);
                         }
                     }
                     InState::Forwarding { out, worm } => {
-                        // The transmit-side STOP state of this input's
-                        // outgoing channel is owned here (we are its src).
-                        if let Some(ch) = sw.outputs[*out as usize].chan_out {
-                            if stop_holds(net.lane(ch), far_copy(si, ch)) {
-                                let dst = net.lane(ch).dst();
-                                if let NodeRef::Switch(down) = dst.node {
-                                    let to = WaitNode::SwitchIn(down, dst.port.0);
-                                    raw.push(RawEdge {
-                                        from: me,
-                                        to,
-                                        worm: Some((si, *worm)),
-                                        holds: node_worm_multi(to),
-                                        cause: WaitCause::StoppedDownstream { ch },
-                                    });
-                                }
-                            }
+                        if let Some((to, ch)) = stopped_by(*out) {
+                            edge(to, *worm, WaitCause::StoppedDownstream { ch });
                         }
                         let starved = match inp.buf.front() {
                             None => true,
@@ -383,33 +391,25 @@ pub fn wait_edges_multi(
                                 let on_wire = net.lane(ch).in_flight()
                                     + far_copy(si, ch).map_or(0, Lane::in_flight);
                                 if on_wire == 0 {
-                                    raw.push(RawEdge {
-                                        from: me,
-                                        to: up,
-                                        worm: Some((si, *worm)),
-                                        holds: node_worm_multi(up),
-                                        cause: WaitCause::StarvedUpstream { ch },
-                                    });
+                                    edge(up, *worm, WaitCause::StarvedUpstream { ch });
                                 }
                             }
                         }
                     }
                     InState::Replicating(rep) => {
                         for b in &rep.branches {
-                            if let Some(ch) = sw.outputs[b.out as usize].chan_out {
-                                if stop_holds(net.lane(ch), far_copy(si, ch)) {
-                                    let dst = net.lane(ch).dst();
-                                    if let NodeRef::Switch(down) = dst.node {
-                                        let to = WaitNode::SwitchIn(down, dst.port.0);
-                                        raw.push(RawEdge {
-                                            from: me,
-                                            to,
-                                            worm: Some((si, rep.worm)),
-                                            holds: node_worm_multi(to),
-                                            cause: WaitCause::BranchStopped { ch },
-                                        });
+                            match b.phase {
+                                BranchPhase::Requested => {
+                                    for (to, cause) in held(b.port) {
+                                        edge(to, rep.worm, cause);
                                     }
                                 }
+                                BranchPhase::Granted { slot } => {
+                                    if let Some((to, ch)) = stopped_by(slot) {
+                                        edge(to, rep.worm, WaitCause::BranchStopped { ch });
+                                    }
+                                }
+                                BranchPhase::Interrupted | BranchPhase::Done => {}
                             }
                         }
                     }

@@ -3,14 +3,19 @@
 //!
 //! A Myrinet switch is deliberately simple: per-input slack buffers with
 //! STOP/GO watermarks (Figure 1 of the paper), a crossbar, and head-byte
-//! route processing. All of that lives here. The switch-level *multicast*
-//! extensions of Section 3 (worm replication in the crossbar) plug in via
-//! [`crate::switchcast`].
+//! route processing. All of that lives here, as three stages: the route
+//! decoder at an idle input (`switch_advance_input`), input control
+//! (`switch_request_output` → `switch_grant` → `switch_release_output`)
+//! and output control (`switch_produce_byte`). Section 3's worm
+//! replication is a variant of each stage ([`crate::switchcast`]): a
+//! replicating input decodes a tree directive, its branches go through the
+//! same input control, and its outputs produce under a stall rule.
 
 use crate::engine::{CtrlSym, SwitchId};
 use crate::link::{ChanId, SeededRoundRobin};
 use crate::network::Network;
 use crate::slackbuf::SlackBuf;
+use crate::switchcast::{ReplicaState, SwitchcastMode};
 use crate::time::SimTime;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
 use serde::{Deserialize, Serialize};
@@ -81,7 +86,7 @@ pub enum InState {
     /// this input's slack buffer.
     Forwarding { worm: WormId, out: u8 },
     /// Switch-level multicast replication in progress (Section 3).
-    Replicating(Box<crate::switchcast::ReplicaState>),
+    Replicating(Box<ReplicaState>),
 }
 
 /// An input port of a switch.
@@ -350,110 +355,87 @@ impl Network {
         self.switch_advance_input(sw, port);
     }
 
-    /// Drive the input-port state machine: parse directives at the buffer
-    /// front, request outputs, and kick granted output channels.
+    /// Route decoder: drive the input-port state machine. An idle input
+    /// decodes the head at its buffer front and requests the output it
+    /// names, or becomes a replica; a forwarding input kicks its granted
+    /// output; a replicating one advances its replica.
     pub(crate) fn switch_advance_input(&mut self, sw: SwitchId, port: u8) {
         loop {
-            let action = {
-                let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-                match &inp.state {
-                    InState::Idle => match inp.buf.front() {
-                        None => InputAction::None,
-                        Some(front) => match front.kind {
-                            ByteKind::Route(RouteSym::Port(out)) => {
-                                let worm = front.worm;
-                                let unicast = InputAction::ParseUnicast { worm, out };
-                                if !matches!(
-                                    self.worms[worm.0 as usize].meta.kind,
-                                    WormKind::SwitchMulticast { .. }
-                                ) {
-                                    unicast
-                                } else {
-                                    // A switch-level multicast worm's port
-                                    // byte opens a directive when a pointer
-                                    // follows it (`Port Ptr …`), and is a
-                                    // plain transit hop otherwise.
-                                    match inp.buf.get(1) {
-                                        None => InputAction::None,
-                                        Some(next)
-                                            if next.worm == worm
-                                                && matches!(
-                                                    next.kind,
-                                                    ByteKind::Route(RouteSym::Ptr(_))
-                                                ) =>
-                                        {
-                                            InputAction::BeginMulticastParse
-                                        }
-                                        Some(_) => unicast,
-                                    }
-                                }
-                            }
-                            ByteKind::Route(RouteSym::Broadcast) => {
-                                InputAction::BeginMulticastParse
-                            }
-                            ByteKind::Idle => InputAction::DiscardFront,
-                            other => {
-                                unreachable!(
-                                    "idle input saw non-route byte {other:?} at {sw:?}:{port}"
-                                )
-                            }
-                        },
-                    },
-                    InState::Requesting { .. } => InputAction::None,
-                    InState::Forwarding { out, .. } => InputAction::KickOut { out: *out },
-                    InState::Replicating(_) => InputAction::AdvanceReplica,
-                }
-            };
-            match action {
-                InputAction::None => return,
-                InputAction::ParseUnicast { worm, out } => {
-                    {
-                        let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-                        inp.buf.pop_front();
-                        inp.state = InState::Requesting { worm, out };
-                    }
-                    if self.trace.enabled() {
-                        let worm = self.worm_name(worm);
-                        self.trace.push(
-                            self.scheduler.now(),
-                            crate::trace::TraceEvent::RouteConsumed {
-                                worm,
-                                switch: sw,
-                                out,
-                            },
-                        );
-                    }
-                    self.after_slack_dequeue(sw, port);
-                    self.switch_request_output(sw, out, port);
-                    // Whether granted or queued, nothing more to parse until
-                    // this worm completes.
-                    return;
-                }
-                InputAction::BeginMulticastParse => {
-                    self.switchcast_begin_parse(sw, port);
-                    return;
-                }
-                InputAction::AdvanceReplica => {
-                    self.switchcast_advance(sw, port);
-                    return;
-                }
-                InputAction::DiscardFront => {
-                    {
-                        let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-                        inp.buf.pop_front();
-                        inp.dropped_bytes += 1;
-                    }
-                    self.after_slack_dequeue(sw, port);
-                    // Loop: keep examining the front.
-                }
-                InputAction::KickOut { out } => {
-                    let ch = self.switches[sw.0 as usize].outputs[out as usize].chan_out;
-                    if let Some(ch) = ch {
+            let swm = &mut self.switches[sw.0 as usize];
+            let inp = &mut swm.inputs[port as usize];
+            match inp.state {
+                InState::Idle => {}
+                InState::Requesting { .. } => return,
+                InState::Forwarding { out, .. } => {
+                    if let Some(ch) = swm.outputs[out as usize].chan_out {
                         self.kick_channel(ch);
                     }
                     return;
                 }
+                InState::Replicating(_) => return self.replica_advance(sw, port),
             }
+            let Some(&front) = inp.buf.front() else {
+                return;
+            };
+            let worm = front.worm;
+            // The output port a plain hop requests, or `None` for a head a
+            // replica decodes: a directive or the broadcast address.
+            let hop = match front.kind {
+                // A switch-level multicast worm's port byte opens a
+                // directive when a pointer follows it (`Port Ptr …`), and is
+                // a plain transit hop otherwise.
+                ByteKind::Route(RouteSym::Port(out))
+                    if !matches!(
+                        self.worms[worm.0 as usize].meta.kind,
+                        WormKind::SwitchMulticast { .. }
+                    ) =>
+                {
+                    Some(out)
+                }
+                ByteKind::Route(RouteSym::Port(out)) => match inp.buf.get(1) {
+                    None => return,
+                    Some(next)
+                        if next.worm == worm
+                            && matches!(next.kind, ByteKind::Route(RouteSym::Ptr(_))) =>
+                    {
+                        None
+                    }
+                    Some(_) => Some(out),
+                },
+                ByteKind::Route(RouteSym::Broadcast) => None,
+                ByteKind::Idle => {
+                    inp.buf.pop_front();
+                    inp.dropped_bytes += 1;
+                    self.after_slack_dequeue(sw, port);
+                    continue;
+                }
+                other => unreachable!("idle input saw non-route byte {other:?} at {sw:?}:{port}"),
+            };
+            let Some(out) = hop else {
+                assert!(
+                    self.cfg.switchcast != SwitchcastMode::Off,
+                    "switch-level multicast worm at {sw:?} with switchcast disabled"
+                );
+                inp.state = InState::Replicating(Box::new(ReplicaState::new(worm)));
+                continue;
+            };
+            inp.buf.pop_front();
+            inp.state = InState::Requesting { worm, out };
+            if self.trace.enabled() {
+                let worm = self.worm_name(worm);
+                self.trace.push(
+                    self.scheduler.now(),
+                    crate::trace::TraceEvent::RouteConsumed {
+                        worm,
+                        switch: sw,
+                        out,
+                    },
+                );
+            }
+            self.after_slack_dequeue(sw, port);
+            // Whether granted or queued, nothing more to parse until this
+            // worm completes.
+            return self.switch_request_output(sw, out, port);
         }
     }
 
@@ -532,29 +514,29 @@ impl Network {
     }
 
     /// Complete a grant of output slot `out` to input slot `in_port`: flip
-    /// the input to Forwarding (or mark the replica branch granted) and
-    /// kick the output lane so it pulls bytes — under the span rules no
-    /// sooner than the front byte's arrival slot, and only if there is one.
+    /// the input to Forwarding (or the replica branch for the slot's port
+    /// to granted) and kick the output lane so it pulls bytes. A head's
+    /// kick comes, under the span rules, no sooner than the front byte's
+    /// arrival slot, and only if there is one; a replica's prefix and IDLE
+    /// fill need no buffered byte, so its kick is unconditional.
     fn switch_grant(&mut self, sw: SwitchId, out: u8, in_port: u8) {
-        let phys = self.switches[sw.0 as usize].port_of_slot(out);
-        let replicating = {
-            let inp = &mut self.switches[sw.0 as usize].inputs[in_port as usize];
-            match inp.state {
-                InState::Requesting { worm, out: o } => {
-                    debug_assert_eq!(o, phys, "granted slot belongs to the requested port");
-                    inp.state = InState::Forwarding { worm, out };
-                    false
-                }
-                InState::Replicating(_) => true,
-                ref other => unreachable!("grant to input in state {other:?}"),
+        let swm = &mut self.switches[sw.0 as usize];
+        let phys = swm.port_of_slot(out);
+        let inp = &mut swm.inputs[in_port as usize];
+        let paced = match inp.state {
+            InState::Requesting { worm, out: o } => {
+                debug_assert_eq!(o, phys, "granted slot belongs to the requested port");
+                inp.state = InState::Forwarding { worm, out };
+                true
             }
+            InState::Replicating(ref mut rep) => {
+                rep.grant(phys, out);
+                false
+            }
+            ref other => unreachable!("grant to input in state {other:?}"),
         };
-        if replicating {
-            self.switchcast_granted(sw, out, in_port);
-            return;
-        }
-        if let Some(ch) = self.switches[sw.0 as usize].outputs[out as usize].chan_out {
-            if !self.spans_enabled() {
+        if let Some(ch) = swm.outputs[out as usize].chan_out {
+            if !paced || !self.spans_enabled() {
                 self.kick_channel(ch);
             } else if let Some(slot) = self.front_byte_slot(sw, out) {
                 // Pacing (`front_byte_slot`): the head byte just consumed
@@ -606,15 +588,9 @@ impl Network {
     ///
     /// Called by the channel transmit logic. Also handles worm-tail
     /// bookkeeping: releasing the output and returning the input to Idle.
+    /// A replicating owner produces through its branch for this slot.
     pub(crate) fn switch_produce_byte(&mut self, sw: SwitchId, out: u8) -> Option<WireByte> {
         let owner = self.switches[sw.0 as usize].outputs[out as usize].owner?;
-        // Replication has its own production path.
-        if matches!(
-            self.switches[sw.0 as usize].inputs[owner as usize].state,
-            InState::Replicating(_)
-        ) {
-            return self.switchcast_produce_byte(sw, out, owner);
-        }
         let (byte, finished) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[owner as usize];
             match inp.state {
@@ -628,6 +604,7 @@ impl Network {
                     // have not arrived yet (the worm has a hole).
                     _ => (None, false),
                 },
+                InState::Replicating(_) => return self.replica_produce_byte(sw, out, owner),
                 _ => (None, false),
             }
         };
@@ -657,17 +634,6 @@ impl Network {
             }
         }
     }
-}
-
-/// Decision produced while inspecting an input port (split from the mutation
-/// to keep the borrow checker happy and the state machine legible).
-enum InputAction {
-    None,
-    ParseUnicast { worm: WormId, out: u8 },
-    BeginMulticastParse,
-    AdvanceReplica,
-    DiscardFront,
-    KickOut { out: u8 },
 }
 
 #[cfg(test)]

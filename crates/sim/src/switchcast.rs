@@ -19,11 +19,29 @@
 //!    ([`SwitchcastMode::IdleFlush`]).
 //! 3. **Deadlock avoidance** rules, which are the modes' reason to exist.
 //!
-//! The replication state machine lives in [`ReplicaState`]; the `Network`
-//! methods at the bottom are invoked from the generic switch input logic
-//! when it sees a [`crate::worm::WormKind::SwitchMulticast`] worm.
+//! Replication runs through the switch's own stages (`switch.rs`), with
+//! the state of one replicating input in [`ReplicaState`]:
+//!
+//! * **route decoder** — a directive is decoded once, when its last symbol
+//!   has been popped; each branch's prefix is sliced out of the symbols.
+//!   The broadcast address opens one branch per broadcast port instead.
+//! * **input control** — every branch requests its physical port, is
+//!   granted an output slot and releases it through the same
+//!   `switch_request_output` / `switch_grant` / `switch_release_output`
+//!   every worm head uses.
+//! * **output control** — a granted slot pulls its branch's prefix, then
+//!   the body in lockstep with its siblings (a byte leaves the slack buffer
+//!   once every branch has sent it). With nothing to send, the mode's stall
+//!   rule applies: IDLE fill (V1, V3, whose IDLE accounting flushes blocked
+//!   unicasts), or a fragment tail that interrupts the branch until the
+//!   body moves on (V2).
 
-use crate::worm::{RouteSym, WormId};
+use crate::engine::SwitchId;
+use crate::link::{ChanId, NodeRef};
+use crate::network::Network;
+use crate::slackbuf::SlackBuf;
+use crate::switch::InState;
+use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
 use serde::{Deserialize, Serialize};
 
 /// Which Section-3 scheme the switches run.
@@ -241,76 +259,150 @@ impl Directive {
 }
 
 // ---------------------------------------------------------------------------
-// Replication state (driven from the switch input logic).
+// Replication: the switch's stages, run for a replicating input.
 // ---------------------------------------------------------------------------
 
-/// Per-branch progress of a replicating multicast worm (one fragment's
-/// worth in the RootedInterrupt scheme — each resume restarts the prefix).
-#[derive(Clone, Debug)]
-pub struct BranchState {
-    /// Output port of this branch.
-    pub out: u8,
-    /// Route symbols to stamp at the head of this branch('s fragment).
-    pub prefix: Vec<RouteSym>,
-    pub prefix_sent: usize,
-    /// Crossbar grant obtained for `out`.
-    pub granted: bool,
-    /// A request for `out` is queued or granted.
-    pub requested: bool,
-    /// Absolute body-byte cursor (bytes of the worm body sent so far).
-    pub body_sent: u64,
-    pub tail_sent: bool,
-    /// RootedInterrupt: this branch released its path mid-worm and will
-    /// resume as a fresh fragment when data flows again.
-    pub interrupted: bool,
-    /// Body cursor at the start of the current fragment (guards against
-    /// zero-length fragments).
-    pub frag_base: u64,
+impl SwitchcastMode {
+    /// The stall rule: what a granted branch with no body byte to send puts
+    /// on the wire. `RestrictedIdle` and `IdleFlush` fill with IDLE and keep
+    /// the path; `RootedInterrupt` ends the fragment with a tail, which
+    /// releases the path, once the fragment carries a body byte (`has_body`)
+    /// and sends nothing (`None`) before that.
+    fn stall_byte(self, has_body: bool) -> Option<ByteKind> {
+        match self {
+            SwitchcastMode::RestrictedIdle | SwitchcastMode::IdleFlush => Some(ByteKind::Idle),
+            SwitchcastMode::RootedInterrupt => has_body.then_some(ByteKind::Tail),
+            SwitchcastMode::Off => unreachable!("replica in Off mode"),
+        }
+    }
+}
+
+/// Where a replica branch stands in the switch's one request → grant →
+/// release cycle (`switch_request_output`, `switch_grant`,
+/// `switch_release_output`), the cycle every worm head goes through.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum BranchPhase {
+    /// Queued at its physical port's arbiter.
+    Requested,
+    /// Holds output slot `slot`, which pulls the branch's bytes.
+    Granted { slot: u8 },
+    /// `RootedInterrupt`: ended a fragment and released its slot; requests
+    /// the port again, for a new fragment, once a body byte is there.
+    Interrupted,
+    /// Sent its tail.
+    Done,
+}
+
+/// One branch of a replicating worm (one fragment's worth under
+/// `RootedInterrupt`: each resume stamps the prefix again).
+#[derive(Debug)]
+pub(crate) struct BranchState {
+    /// The physical output port the directive names.
+    pub(crate) port: u8,
+    pub(crate) phase: BranchPhase,
+    /// Route symbols stamped ahead of the body: the subtree's directive, or
+    /// the broadcast address, for the switch behind `port`.
+    prefix: Vec<RouteSym>,
+    prefix_sent: usize,
+    /// Absolute body cursor: bytes of the worm body sent so far.
+    body_sent: u64,
+    /// `body_sent` when the current fragment began.
+    frag_base: u64,
 }
 
 impl BranchState {
-    /// A branch out of `out` that stamps `prefix` ahead of the body.
-    fn new(out: u8, prefix: Vec<RouteSym>) -> Self {
+    fn new(port: u8, prefix: Vec<RouteSym>) -> Self {
         BranchState {
-            out,
+            port,
+            phase: BranchPhase::Requested,
             prefix,
             prefix_sent: 0,
-            granted: false,
-            requested: false,
             body_sent: 0,
-            tail_sent: false,
-            interrupted: false,
             frag_base: 0,
         }
     }
 }
 
 /// What a replicating input is doing.
-#[derive(Clone, Debug)]
-pub enum ReplicaPhase {
-    /// Collecting the directive symbols from the buffer front.
-    Parsing { collected: Vec<RouteSym> },
-    /// Replicating body bytes to the branches.
+#[derive(Debug)]
+enum ReplicaPhase {
+    /// Decoding the head: the symbols popped so far, and how many more of
+    /// them the subtree being read owns (0 at the directive's top level).
+    Parsing { syms: Vec<RouteSym>, owed: usize },
+    /// Replicating the body to the branches.
     Active,
+}
+
+/// What the switch still owes once a replica branch has produced a byte.
+enum FollowUp {
+    /// Nothing: a route symbol or an IDLE fill.
+    Nothing,
+    /// A body byte: `dequeued` when every branch had sent it and the slack
+    /// buffer let go of it. A sibling may resume either way.
+    Body { dequeued: bool },
+    /// A fragment tail: release the slot.
+    Release,
+    /// The tail: release the slot, then resume siblings or finish the worm.
+    Tail,
 }
 
 /// Replication state attached to a switch input port while a
 /// `SwitchMulticast` worm passes through it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ReplicaState {
     pub worm: WormId,
-    pub mode: SwitchcastMode,
-    pub phase: ReplicaPhase,
-    pub branches: Vec<BranchState>,
+    phase: ReplicaPhase,
+    pub(crate) branches: Vec<BranchState>,
     /// Body bytes already popped from the slack buffer (consumed by every
     /// branch). `buf[i]` holds absolute body byte `body_released + i`.
-    pub body_released: u64,
+    body_released: u64,
 }
 
 impl ReplicaState {
+    pub(crate) fn new(worm: WormId) -> Self {
+        ReplicaState {
+            worm,
+            phase: ReplicaPhase::Parsing {
+                syms: Vec::new(),
+                owed: 0,
+            },
+            branches: Vec::new(),
+            body_released: 0,
+        }
+    }
+
+    /// Route decoder: take the next head symbol, and return the whole head
+    /// once it is complete — a directive at its top-level `End`, or the
+    /// broadcast address.
+    fn decode(&mut self, sym: RouteSym) -> Option<Vec<RouteSym>> {
+        let ReplicaPhase::Parsing { syms, owed } = &mut self.phase else {
+            unreachable!("decoding an active replica")
+        };
+        syms.push(sym);
+        match sym {
+            _ if *owed > 0 => *owed -= 1,
+            RouteSym::Ptr(n) => *owed = n.into(),
+            RouteSym::Port(_) => {}
+            RouteSym::End | RouteSym::Broadcast => return Some(std::mem::take(syms)),
+        }
+        None
+    }
+
+    /// Input control: the branch for physical port `port` holds output
+    /// slot `slot` now.
+    pub(crate) fn grant(&mut self, port: u8, slot: u8) {
+        let b = self
+            .branches
+            .iter_mut()
+            .find(|b| b.port == port)
+            .expect("a granted port has a branch");
+        debug_assert_eq!(b.phase, BranchPhase::Requested);
+        b.phase = BranchPhase::Granted { slot };
+    }
+
     /// Absolute index one past the last body/tail byte currently available
     /// in `buf` for this worm.
-    fn available(&self, buf: &crate::slackbuf::SlackBuf) -> u64 {
+    fn available(&self, buf: &SlackBuf) -> u64 {
         let n: u64 = buf
             .runs()
             .take_while(|(b, _)| b.worm == self.worm)
@@ -319,450 +411,262 @@ impl ReplicaState {
         self.body_released + n
     }
 
-    /// Smallest unsent body index across branches that still need bytes.
-    fn min_cursor(&self) -> u64 {
-        self.branches
-            .iter()
-            .map(|b| if b.tail_sent { u64::MAX } else { b.body_sent })
-            .min()
-            .unwrap_or(u64::MAX)
+    /// Output control: advance the branch holding output slot `out` by one
+    /// byte — a prefix symbol, the next body byte, or, with none there,
+    /// what `mode`'s stall rule sends.
+    fn produce(
+        &mut self,
+        out: u8,
+        buf: &mut SlackBuf,
+        mode: SwitchcastMode,
+    ) -> Option<(ByteKind, FollowUp)> {
+        let avail = self.available(buf);
+        let released = self.body_released;
+        let b = self
+            .branches
+            .iter_mut()
+            .find(|b| b.phase == BranchPhase::Granted { slot: out })?;
+        if let Some(&sym) = b.prefix.get(b.prefix_sent) {
+            b.prefix_sent += 1;
+            return Some((ByteKind::Route(sym), FollowUp::Nothing));
+        }
+        if b.body_sent < avail {
+            let byte = buf[(b.body_sent - released) as usize];
+            debug_assert_eq!(byte.worm, self.worm);
+            b.body_sent += 1;
+            if byte.kind == ByteKind::Tail {
+                b.phase = BranchPhase::Done;
+                return Some((byte.kind, FollowUp::Tail));
+            }
+            let dequeued = self.pop_consumed(buf);
+            return Some((byte.kind, FollowUp::Body { dequeued }));
+        }
+        let stall = mode.stall_byte(b.body_sent > b.frag_base)?;
+        if stall == ByteKind::Tail {
+            b.phase = BranchPhase::Interrupted;
+            return Some((stall, FollowUp::Release));
+        }
+        Some((stall, FollowUp::Nothing))
+    }
+
+    /// Pop the body bytes every unfinished branch has sent. Never the
+    /// tail: finishing pops it, so the state change is atomic.
+    fn pop_consumed(&mut self, buf: &mut SlackBuf) -> bool {
+        let sent = |b: &BranchState| match b.phase {
+            BranchPhase::Done => u64::MAX,
+            _ => b.body_sent,
+        };
+        let min = self.branches.iter().map(sent).min().unwrap_or(u64::MAX);
+        let mut popped = false;
+        while min > self.body_released && buf.front().is_some_and(|b| b.kind != ByteKind::Tail) {
+            buf.pop_front();
+            self.body_released += 1;
+            popped = true;
+        }
+        popped
     }
 }
 
-use crate::engine::SwitchId;
-use crate::link::NodeRef;
-use crate::network::Network;
-use crate::switch::InState;
-use crate::worm::{ByteKind, WireByte, WormKind};
-
 impl Network {
-    /// A `SwitchMulticast` worm's replication directive (or the broadcast
-    /// address) reached the front of an idle input: set up the state
-    /// machine. A plain transit hop never comes here — the switch's one
-    /// route decoder parses it like a unicast hop.
-    pub(crate) fn switchcast_begin_parse(&mut self, sw: SwitchId, port: u8) {
-        let mode = self.cfg.switchcast;
-        assert!(
-            mode != SwitchcastMode::Off,
-            "switch-level multicast worm at {sw:?} with switchcast disabled"
-        );
-        let front = *self.switches[sw.0 as usize].inputs[port as usize]
-            .buf
-            .front()
-            .expect("a directive head is buffered");
-        let worm = front.worm;
-        if front.kind != ByteKind::Route(RouteSym::Broadcast) {
-            self.switches[sw.0 as usize].inputs[port as usize].state =
-                InState::Replicating(Box::new(ReplicaState {
-                    worm,
-                    mode,
-                    phase: ReplicaPhase::Parsing {
-                        collected: Vec::new(),
-                    },
-                    branches: Vec::new(),
-                    body_released: 0,
-                }));
-            self.switchcast_advance(sw, port);
-            return;
-        }
-        assert!(
-            !self.broadcast_ports.is_empty(),
-            "broadcast worm without set_broadcast_ports()"
-        );
-        // Consume the broadcast byte and replicate to every down-tree link
-        // and host port. The arrival port is NOT excluded: at the root it
-        // points back into the subtree the worm climbed out of (which must
-        // be flooded too), and on the way down it is the parent link, which
-        // is never in the broadcast port set. The originator therefore
-        // receives its own broadcast and filters it — uniform sink
-        // accounting.
-        self.switches[sw.0 as usize].inputs[port as usize]
-            .buf
-            .pop_front();
-        self.after_slack_dequeue(sw, port);
-        let outs: Vec<u8> = self.broadcast_ports[sw.0 as usize].to_vec();
-        let branches: Vec<BranchState> = outs
-            .iter()
-            .map(|&o| {
-                // Stamp the broadcast address again on branches that lead
-                // to another switch; host branches get nothing.
-                let to_switch = self.switches[sw.0 as usize].outputs[o as usize]
-                    .chan_out
-                    .map(|ch| matches!(self.lanes[ch.0 as usize].dst().node, NodeRef::Switch(_)))
-                    .unwrap_or(false);
-                let prefix = if to_switch {
-                    vec![RouteSym::Broadcast]
-                } else {
-                    Vec::new()
-                };
-                BranchState::new(o, prefix)
-            })
-            .collect();
-        self.switches[sw.0 as usize].inputs[port as usize].state =
-            InState::Replicating(Box::new(ReplicaState {
-                worm,
-                mode,
-                phase: ReplicaPhase::Active,
-                branches,
-                body_released: 0,
-            }));
-        for o in outs {
-            self.switchcast_request(sw, o, port);
-        }
-    }
-
-    /// Queue a branch request for output `out` (marks it requested).
-    fn switchcast_request(&mut self, sw: SwitchId, out: u8, in_port: u8) {
-        if let InState::Replicating(rep) =
-            &mut self.switches[sw.0 as usize].inputs[in_port as usize].state
-        {
-            if let Some(b) = rep.branches.iter_mut().find(|b| b.out == out) {
-                b.requested = true;
-            }
-        }
-        self.switch_request_output(sw, out, in_port);
-    }
-
-    /// Drive a replicating input: finish directive parsing, kick granted
-    /// branches when new data arrives, and resume interrupted branches.
-    pub(crate) fn switchcast_advance(&mut self, sw: SwitchId, port: u8) {
-        // -- parsing phase ---------------------------------------------------
+    /// A replicating input on an arrival. Route decoder first: pop the
+    /// head's symbols as they reach the front, one at a time so that each
+    /// dequeue's GO leaves when it would per-byte; once the head is
+    /// complete open its branches, each requesting its port like any head.
+    /// Then every arrival kicks the granted branches and resumes the
+    /// interrupted ones.
+    pub(crate) fn replica_advance(&mut self, sw: SwitchId, port: u8) {
         loop {
-            let (consume, complete) = {
-                let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-                let InState::Replicating(rep) = &inp.state else {
-                    return;
-                };
-                let ReplicaPhase::Parsing { collected } = &rep.phase else {
-                    break;
-                };
-                match inp.buf.front() {
-                    Some(b) if b.worm == rep.worm => match b.kind {
-                        ByteKind::Route(sym) => {
-                            let mut c = collected.clone();
-                            c.push(sym);
-                            let complete = matches!(decode(&c), Ok((_, used)) if used == c.len());
-                            (Some(sym), complete)
-                        }
-                        other => unreachable!(
-                            "non-route byte {other:?} while parsing a directive at {sw:?}:{port}"
-                        ),
-                    },
-                    _ => return, // wait for more symbols
-                }
+            let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+            let InState::Replicating(rep) = &mut inp.state else {
+                unreachable!("advancing a non-replicating input")
             };
-            if let Some(sym) = consume {
-                {
-                    let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-                    inp.buf.pop_front();
-                    if let InState::Replicating(rep) = &mut inp.state {
-                        if let ReplicaPhase::Parsing { collected } = &mut rep.phase {
-                            collected.push(sym);
-                        }
-                    }
+            if matches!(rep.phase, ReplicaPhase::Active) {
+                break;
+            }
+            let sym = match inp.buf.front() {
+                Some(b) if b.worm == rep.worm => match b.kind {
+                    ByteKind::Route(sym) => sym,
+                    other => unreachable!(
+                        "non-route byte {other:?} while parsing a directive at {sw:?}:{port}"
+                    ),
+                },
+                _ => return, // wait for more symbols
+            };
+            inp.buf.pop_front();
+            let head = rep.decode(sym);
+            self.after_slack_dequeue(sw, port);
+            if let Some(head) = head {
+                let branches = self.replica_branches(sw, &head);
+                let ports: Vec<u8> = branches.iter().map(|b| b.port).collect();
+                let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+                let InState::Replicating(rep) = &mut inp.state else {
+                    unreachable!()
+                };
+                rep.branches = branches;
+                rep.phase = ReplicaPhase::Active;
+                for p in ports {
+                    self.switch_request_output(sw, p, port);
                 }
-                self.after_slack_dequeue(sw, port);
-                if complete {
-                    self.switchcast_activate(sw, port);
-                    break;
-                }
+                return;
             }
         }
-        // -- active phase ----------------------------------------------------
-        let kicks = {
-            let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-            let InState::Replicating(rep) = &inp.state else {
-                return;
+        let kicks: Vec<ChanId> = {
+            let swm = &self.switches[sw.0 as usize];
+            let InState::Replicating(rep) = &swm.inputs[port as usize].state else {
+                unreachable!()
             };
-            if !matches!(rep.phase, ReplicaPhase::Active) {
-                return;
-            }
-            let mut kicks = Vec::new();
-            for b in &rep.branches {
-                if !b.tail_sent && !b.interrupted && b.granted {
-                    if let Some(ch) =
-                        self.switches[sw.0 as usize].outputs[b.out as usize].chan_out
-                    {
-                        kicks.push(ch);
-                    }
-                }
-            }
-            kicks
+            rep.branches
+                .iter()
+                .filter_map(|b| match b.phase {
+                    BranchPhase::Granted { slot } => swm.outputs[slot as usize].chan_out,
+                    _ => None,
+                })
+                .collect()
         };
-        self.switchcast_resume_interrupted(sw, port);
+        self.replica_resume(sw, port);
         for ch in kicks {
             self.kick_channel(ch);
         }
     }
 
-    /// Re-request output ports for interrupted (or not-yet-requested)
-    /// branches that have something to send again. An interrupted branch
-    /// whose next byte is the tail is done instead: the tail that ended
-    /// its fragment stands where this one would (the whole body, or the
-    /// fragment an upstream switch cut), so resuming would send a fragment
-    /// of the tail alone.
-    fn switchcast_resume_interrupted(&mut self, sw: SwitchId, port: u8) {
-        let resumes: Vec<u8> = {
-            let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-            let InState::Replicating(rep) = &inp.state else {
-                return;
-            };
-            if !matches!(rep.phase, ReplicaPhase::Active) {
-                return;
+    /// Route decoder: the branches a complete head opens at `sw` — one per
+    /// `Port(p) Ptr(n) <n symbols>` entry of a directive, stamping those `n`
+    /// symbols (the subtree's own directive) ahead of the body; or, for the
+    /// broadcast address, one per broadcast port.
+    fn replica_branches(&self, sw: SwitchId, head: &[RouteSym]) -> Vec<BranchState> {
+        if head != [RouteSym::Broadcast] {
+            let mut branches = Vec::new();
+            let mut rest = head;
+            while let [RouteSym::Port(p), RouteSym::Ptr(n), tail @ ..] = rest {
+                let (prefix, after) = tail.split_at(usize::from(*n));
+                branches.push(BranchState::new(*p, prefix.to_vec()));
+                rest = after;
             }
-            let avail = rep.available(&inp.buf);
-            rep.branches
-                .iter()
-                .filter(|b| !b.tail_sent && !b.requested)
-                .filter(|b| !b.interrupted || b.body_sent < avail)
-                .map(|b| b.out)
-                .collect()
-        };
-        for out in resumes {
-            let (ended, all_done) = {
-                let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-                let InState::Replicating(rep) = &mut inp.state else {
-                    unreachable!("resuming a branch of a finished replica")
+            debug_assert_eq!(rest, [RouteSym::End], "malformed directive at {sw:?}");
+            return branches;
+        }
+        assert!(
+            !self.broadcast_ports.is_empty(),
+            "broadcast worm without set_broadcast_ports()"
+        );
+        // Replicate to every down-tree link and host port. The arrival port
+        // is NOT excluded: at the root it points back into the subtree the
+        // worm climbed out of (which must be flooded too), and on the way
+        // down it is the parent link, which is never in the broadcast port
+        // set. The originator therefore receives its own broadcast and
+        // filters it — uniform sink accounting. Branches that lead to
+        // another switch stamp the broadcast address again; host branches
+        // get nothing.
+        let swm = &self.switches[sw.0 as usize];
+        self.broadcast_ports[sw.0 as usize]
+            .iter()
+            .map(|&port| {
+                let to_switch = swm.outputs[swm.slot_of(port, 0) as usize]
+                    .chan_out
+                    .is_some_and(|ch| {
+                        matches!(self.lanes[ch.0 as usize].dst().node, NodeRef::Switch(_))
+                    });
+                let prefix = if to_switch {
+                    vec![RouteSym::Broadcast]
+                } else {
+                    Vec::new()
                 };
-                let released = rep.body_released;
-                let b = rep.branches.iter_mut().find(|b| b.out == out).expect("branch");
-                let ended = b.interrupted
-                    && inp.buf[(b.body_sent - released) as usize].kind == ByteKind::Tail;
-                if ended {
-                    b.tail_sent = true;
-                } else if b.interrupted {
-                    b.interrupted = false;
-                    b.prefix_sent = 0;
-                    b.frag_base = b.body_sent;
-                }
-                (ended, ended && rep.branches.iter().all(|b| b.tail_sent))
-            };
-            if !ended {
-                self.switchcast_request(sw, out, port);
-            } else if all_done {
-                self.switchcast_finish(sw, port);
-                return;
-            }
-        }
+                BranchState::new(port, prefix)
+            })
+            .collect()
     }
 
-    /// The directive is fully collected: build the branch set and request
-    /// every output port.
-    fn switchcast_activate(&mut self, sw: SwitchId, port: u8) {
-        let outs: Vec<u8> = {
-            let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            let InState::Replicating(rep) = &mut inp.state else {
-                unreachable!("activate on a non-replicating input")
-            };
-            let ReplicaPhase::Parsing { collected } = &rep.phase else {
-                unreachable!("activate outside the parsing phase")
-            };
-            let (directive, used) = decode(collected).expect("parser validated completeness");
-            debug_assert_eq!(used, collected.len());
-            rep.branches = directive
-                .branches
-                .iter()
-                .map(|(p, sub)| {
-                    let prefix = match sub {
-                        Subroute::Host => Vec::new(),
-                        Subroute::Next(d) => encode(d).expect("re-encode decoded subtree"),
-                    };
-                    BranchState::new(*p, prefix)
-                })
-                .collect();
-            rep.phase = ReplicaPhase::Active;
-            rep.branches.iter().map(|b| b.out).collect()
+    /// Resume the interrupted branches that have a body byte to send again
+    /// — each requests its port for a new fragment — or finish the worm
+    /// once every branch is done. A branch interrupted just before the tail
+    /// is done instead: the tail that ended its fragment stands where this
+    /// one would (the whole body, or the fragment an upstream switch cut),
+    /// so resuming would send a fragment of the tail alone.
+    fn replica_resume(&mut self, sw: SwitchId, port: u8) {
+        let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+        let InState::Replicating(rep) = &mut inp.state else {
+            unreachable!("resuming a branch of a finished replica")
         };
-        for o in outs {
-            self.switchcast_request(sw, o, port);
-        }
-    }
-
-    /// A grant arrived for a replicating input's branch.
-    pub(crate) fn switchcast_granted(&mut self, sw: SwitchId, out: u8, in_port: u8) {
-        if let InState::Replicating(rep) =
-            &mut self.switches[sw.0 as usize].inputs[in_port as usize].state
-        {
-            if let Some(b) = rep.branches.iter_mut().find(|b| b.out == out) {
-                b.granted = true;
+        let avail = rep.available(&inp.buf);
+        let released = rep.body_released;
+        let mut resumed = Vec::new();
+        for b in &mut rep.branches {
+            if b.phase != BranchPhase::Interrupted || b.body_sent >= avail {
+                continue;
+            }
+            if inp.buf[(b.body_sent - released) as usize].kind == ByteKind::Tail {
+                b.phase = BranchPhase::Done;
+            } else {
+                b.phase = BranchPhase::Requested;
+                b.prefix_sent = 0;
+                b.frag_base = b.body_sent;
+                resumed.push(b.port);
             }
         }
-        if let Some(ch) = self.switches[sw.0 as usize].outputs[out as usize].chan_out {
-            self.kick_channel(ch);
+        if rep.branches.iter().all(|b| b.phase == BranchPhase::Done) {
+            self.replica_finish(sw, port);
+        }
+        for p in resumed {
+            self.switch_request_output(sw, p, port);
         }
     }
 
-    /// Produce the next byte for one branch of a replicating input.
-    ///
-    /// Semantics per mode when the branch has nothing real to send:
-    /// * `RestrictedIdle` / `IdleFlush` — transmit IDLE fill bytes, keeping
-    ///   the path; `IdleFlush` additionally flags the port `multicast-IDLE`
-    ///   after a threshold and flushes unicast worms waiting behind it.
-    /// * `RootedInterrupt` — terminate the current fragment (emit an early
-    ///   tail), release the path, and resume later with a re-stamped prefix.
-    pub(crate) fn switchcast_produce_byte(
+    /// Output control for a replica: the next byte of the branch holding
+    /// output slot `out` of `sw`, whose owner is input `owner`, and what it
+    /// leaves to do. IDLE fill is counted on the slot: after
+    /// [`MULTICAST_IDLE_THRESHOLD`] byte-times of it the slot is flagged
+    /// multicast-IDLE, and under `IdleFlush` the unicasts waiting on its
+    /// port are flushed. A real byte clears both.
+    pub(crate) fn replica_produce_byte(
         &mut self,
         sw: SwitchId,
         out: u8,
         owner: u8,
     ) -> Option<WireByte> {
-        enum Prod {
-            Route(RouteSym),
-            Body(ByteKind),
-            Tail,
-            FragTail,
-            Idle,
-            Nothing,
-        }
-        let (worm, action) = {
-            let inp = &self.switches[sw.0 as usize].inputs[owner as usize];
-            let InState::Replicating(rep) = &inp.state else {
-                return None;
-            };
-            if !matches!(rep.phase, ReplicaPhase::Active) {
-                return None;
-            }
-            let avail = rep.available(&inp.buf);
-            let b = rep.branches.iter().find(|b| b.out == out)?;
-            if b.tail_sent || b.interrupted || !b.granted {
-                return None;
-            }
-            let act = if b.prefix_sent < b.prefix.len() {
-                Prod::Route(b.prefix[b.prefix_sent])
-            } else if b.body_sent < avail {
-                let offset = (b.body_sent - rep.body_released) as usize;
-                let byte = inp.buf[offset];
-                debug_assert_eq!(byte.worm, rep.worm);
-                match byte.kind {
-                    ByteKind::Tail => Prod::Tail,
-                    k => Prod::Body(k),
-                }
-            } else {
-                // Nothing real to send: mode-specific stall behaviour.
-                match rep.mode {
-                    SwitchcastMode::RestrictedIdle | SwitchcastMode::IdleFlush => Prod::Idle,
-                    SwitchcastMode::RootedInterrupt => {
-                        if b.body_sent > b.frag_base {
-                            Prod::FragTail
-                        } else {
-                            Prod::Nothing // nothing sent yet: just wait
-                        }
-                    }
-                    SwitchcastMode::Off => unreachable!("replica in Off mode"),
-                }
-            };
-            (rep.worm, act)
+        let mode = self.cfg.switchcast;
+        let now = self.scheduler.now();
+        let swm = &mut self.switches[sw.0 as usize];
+        let inp = &mut swm.inputs[owner as usize];
+        let InState::Replicating(rep) = &mut inp.state else {
+            unreachable!("replica output owned by a non-replicating input")
         };
-        match action {
-            Prod::Route(sym) => {
-                if let InState::Replicating(rep) =
-                    &mut self.switches[sw.0 as usize].inputs[owner as usize].state
-                {
-                    let b = rep.branches.iter_mut().find(|b| b.out == out).expect("branch");
-                    b.prefix_sent += 1;
-                }
-                self.note_real_byte(sw, out);
-                Some(WireByte {
-                    worm,
-                    kind: ByteKind::Route(sym),
-                })
-            }
-            Prod::Body(kind) => {
-                if let InState::Replicating(rep) =
-                    &mut self.switches[sw.0 as usize].inputs[owner as usize].state
-                {
-                    let b = rep.branches.iter_mut().find(|b| b.out == out).expect("branch");
-                    b.body_sent += 1;
-                }
-                self.switchcast_pop_released(sw, owner);
-                self.note_real_byte(sw, out);
-                // Progress may unblock an interrupted sibling even without
-                // new arrivals (e.g. the whole worm is already buffered).
-                self.switchcast_resume_interrupted(sw, owner);
-                Some(WireByte { worm, kind })
-            }
-            Prod::Tail => {
-                let all_done = {
-                    let inp = &mut self.switches[sw.0 as usize].inputs[owner as usize];
-                    let InState::Replicating(rep) = &mut inp.state else {
-                        unreachable!()
-                    };
-                    let b = rep.branches.iter_mut().find(|b| b.out == out).expect("branch");
-                    b.tail_sent = true;
-                    b.body_sent += 1;
-                    rep.branches.iter().all(|b| b.tail_sent)
-                };
-                self.note_real_byte(sw, out);
-                self.switch_release_output(sw, out);
-                self.switchcast_resume_interrupted(sw, owner);
-                if all_done {
-                    self.switchcast_finish(sw, owner);
-                }
-                Some(WireByte {
-                    worm,
-                    kind: ByteKind::Tail,
-                })
-            }
-            Prod::FragTail => {
-                // RootedInterrupt: end this fragment and give up the path.
-                if let InState::Replicating(rep) =
-                    &mut self.switches[sw.0 as usize].inputs[owner as usize].state
-                {
-                    let b = rep.branches.iter_mut().find(|b| b.out == out).expect("branch");
-                    b.interrupted = true;
-                    b.requested = false;
-                    b.granted = false;
-                }
-                self.note_real_byte(sw, out);
-                self.switch_release_output(sw, out);
-                Some(WireByte {
-                    worm,
-                    kind: ByteKind::Tail,
-                })
-            }
-            Prod::Idle => {
-                self.note_idle_byte(sw, out);
-                Some(WireByte {
-                    worm,
-                    kind: ByteKind::Idle,
-                })
-            }
-            Prod::Nothing => None,
+        let worm = rep.worm;
+        let (kind, follow_up) = rep.produce(out, &mut inp.buf, mode)?;
+        let o = &mut swm.outputs[out as usize];
+        let flush = if kind == ByteKind::Idle {
+            let since = *o.idle_since.get_or_insert(now);
+            let flagged = !o.multicast_idle && now - since >= MULTICAST_IDLE_THRESHOLD;
+            o.multicast_idle |= flagged;
+            flagged && mode == SwitchcastMode::IdleFlush
+        } else {
+            o.idle_since = None;
+            o.multicast_idle = false;
+            false
+        };
+        if flush {
+            self.switchcast_flush_waiters(sw, out);
         }
-    }
-
-    /// Pop buffer bytes every branch has consumed.
-    fn switchcast_pop_released(&mut self, sw: SwitchId, in_port: u8) {
-        loop {
-            let popped = {
-                let inp = &mut self.switches[sw.0 as usize].inputs[in_port as usize];
-                let InState::Replicating(rep) = &mut inp.state else {
-                    return;
-                };
-                let min = rep.min_cursor();
-                if min > rep.body_released && !inp.buf.is_empty() {
-                    // Never pop the tail here: completion handles it so the
-                    // state transition is atomic.
-                    if matches!(inp.buf.front().map(|b| b.kind), Some(ByteKind::Tail)) {
-                        false
-                    } else {
-                        inp.buf.pop_front();
-                        rep.body_released += 1;
-                        true
-                    }
-                } else {
-                    false
+        match follow_up {
+            FollowUp::Nothing => {}
+            FollowUp::Body { dequeued } => {
+                if dequeued {
+                    self.after_slack_dequeue(sw, owner);
                 }
-            };
-            if !popped {
-                return;
+                // Progress may let an interrupted sibling resume even
+                // without new arrivals (the whole worm may be buffered).
+                self.replica_resume(sw, owner);
             }
-            self.after_slack_dequeue(sw, in_port);
+            FollowUp::Release => self.switch_release_output(sw, out),
+            FollowUp::Tail => {
+                self.switch_release_output(sw, out);
+                self.replica_resume(sw, owner);
+            }
         }
+        Some(WireByte { worm, kind })
     }
 
     /// Every branch is done: pop the tail and free the input.
-    fn switchcast_finish(&mut self, sw: SwitchId, port: u8) {
+    fn replica_finish(&mut self, sw: SwitchId, port: u8) {
         {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
             let tail = inp.buf.pop_front();
@@ -776,68 +680,30 @@ impl Network {
         self.switch_advance_input(sw, port);
     }
 
-    /// Bookkeeping for a real (non-IDLE) byte leaving an output port.
-    fn note_real_byte(&mut self, sw: SwitchId, out: u8) {
-        let o = &mut self.switches[sw.0 as usize].outputs[out as usize];
-        o.idle_since = None;
-        o.multicast_idle = false;
-    }
-
-    /// Bookkeeping for an IDLE fill byte: after a threshold the port is
-    /// flagged multicast-IDLE and (IdleFlush mode) any unicast worm waiting
-    /// on it is flushed back to its source.
-    fn note_idle_byte(&mut self, sw: SwitchId, out: u8) {
-        let now = self.scheduler.now();
-        let flush_mode = self.cfg.switchcast == SwitchcastMode::IdleFlush;
-        let newly_flagged = {
-            let o = &mut self.switches[sw.0 as usize].outputs[out as usize];
-            match o.idle_since {
-                None => {
-                    o.idle_since = Some(now);
-                    false
-                }
-                Some(since) => {
-                    if !o.multicast_idle && now - since >= MULTICAST_IDLE_THRESHOLD {
-                        o.multicast_idle = true;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            }
-        };
-        if newly_flagged && flush_mode {
-            self.switchcast_flush_waiters(sw, out);
-        }
-    }
-
-    /// Flush every unicast worm waiting on a multicast-IDLE output port
-    /// (the Section 3 scheme 3): the worm is removed from the network hop
-    /// by hop (a Backward Reset) and its source is told to retransmit
-    /// after a random timeout.
-    pub(crate) fn switchcast_flush_waiters(&mut self, sw: SwitchId, out: u8) {
-        let waiting: Vec<u8> = self.switches[sw.0 as usize].arbs[out as usize]
+    /// Flush every unicast worm waiting on the port of multicast-IDLE output
+    /// slot `out` (the Section 3 scheme 3): the worm is removed from the
+    /// network hop by hop (a Backward Reset) and its source is told to
+    /// retransmit after a random timeout.
+    fn switchcast_flush_waiters(&mut self, sw: SwitchId, out: u8) {
+        let port = self.switches[sw.0 as usize].port_of_slot(out);
+        let waiting = self.switches[sw.0 as usize].arbs[port as usize]
             .waiting
             .clone();
         for in_port in waiting {
-            let flushable = {
-                let inp = &self.switches[sw.0 as usize].inputs[in_port as usize];
-                match &inp.state {
-                    InState::Requesting { worm, out: o } if *o == out => {
-                        let w = &self.worms[worm.0 as usize];
-                        if matches!(w.meta.kind, WormKind::Unicast) {
-                            Some(*worm)
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
+            let flushable = match self.switches[sw.0 as usize].inputs[in_port as usize].state {
+                InState::Requesting { worm, out: o }
+                    if o == port
+                        && matches!(self.worms[worm.0 as usize].meta.kind, WormKind::Unicast) =>
+                {
+                    Some(worm)
                 }
+                _ => None,
             };
             if let Some(worm) = flushable {
                 // Remove it from the arbitration queue first.
-                let o = &mut self.switches[sw.0 as usize].arbs[out as usize];
-                o.waiting.retain(|&w| w != in_port);
+                self.switches[sw.0 as usize].arbs[port as usize]
+                    .waiting
+                    .retain(|&w| w != in_port);
                 self.flush_worm(worm, sw, in_port);
             }
         }

@@ -3,7 +3,8 @@
 //! covered by the workspace integration tests).
 
 use wormcast_sim::adapter::RxState;
-use wormcast_sim::engine::HostId;
+use wormcast_sim::deadlock::{wait_edges, WaitCause, WaitEdge, WaitNode};
+use wormcast_sim::engine::{HostId, SwitchId};
 use wormcast_sim::link::PortId;
 use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable};
 use wormcast_sim::protocol::{
@@ -212,6 +213,72 @@ fn nested_directive_stamps_subtree_prefix() {
 /// once, and a later unicast from host 3 finds its receiver idle.
 #[test]
 fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
+    let mut net = contended_multicast(SwitchcastMode::RootedInterrupt);
+    let out = net.run_until(100_000);
+    assert!(out.drained);
+    assert!(out.deadlock.is_none());
+    net.audit().expect("conservation");
+    let mut hosts: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
+    hosts.sort_unstable();
+    assert_eq!(hosts, vec![1, 1, 2, 2], "both copies and both unicasts");
+    let to_host_1: u64 = net
+        .worms
+        .iter()
+        .filter(|w| w.meta.dest == HostId(1))
+        .map(|w| w.body_len() + 1)
+        .sum();
+    assert_eq!(
+        net.adapters[1].counters.bytes_received, to_host_1,
+        "host 1 received a tail twice"
+    );
+    for a in &net.adapters {
+        assert_eq!(a.rx, RxState::Idle, "host {:?} still receiving", a.id);
+    }
+}
+
+/// A replica branch queued for a port that another worm holds waits on
+/// that worm, as a queued head does: the wait-for graph has the
+/// `OutputHeldBy` edge from the replicating input to the port's owner.
+/// Under V1 host 0's branch to host 2 waits for host 3's long unicast.
+#[test]
+fn a_branch_waiting_for_its_port_waits_on_the_ports_owner() {
+    let mut net = contended_multicast(SwitchcastMode::RestrictedIdle);
+    net.run_until(1_000);
+    let first_of = |host: u32| {
+        let w = net.worms.iter().find(|w| w.meta.injector == HostId(host));
+        w.expect("injected").id
+    };
+    let edges = wait_edges(&net);
+    let waits = |e: &&WaitEdge| {
+        e.cause
+            == WaitCause::OutputHeldBy {
+                switch: SwitchId(0),
+                out: 2,
+            }
+    };
+    let edge = edges
+        .iter()
+        .find(waits)
+        .unwrap_or_else(|| panic!("no branch edge among {edges:?}"));
+    assert_eq!(
+        (edge.from, edge.to),
+        (
+            WaitNode::SwitchIn(SwitchId(0), 0),
+            WaitNode::SwitchIn(SwitchId(0), 3)
+        )
+    );
+    assert_eq!(
+        (edge.worm, edge.holds),
+        (Some(first_of(0)), Some(first_of(3)))
+    );
+    let out = net.run_until(100_000);
+    assert!(out.drained && out.deadlock.is_none());
+}
+
+/// One switch, four hosts, `mode` on. Host 3 holds the output to host 2
+/// with a 2 000-byte unicast from time 0 and sends host 1 a short one at
+/// 3 000; host 0 sends a 2-byte multicast to hosts 1 and 2 at 50.
+fn contended_multicast(mode: SwitchcastMode) -> Network {
     let spec = FabricSpec {
         switch_ports: vec![4],
         hosts: (0..4u8)
@@ -232,7 +299,7 @@ fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
         &spec,
         rt,
         NetworkConfig::builder()
-            .switchcast(SwitchcastMode::RootedInterrupt)
+            .switchcast(mode)
             .build()
             .expect("valid config"),
     );
@@ -269,26 +336,7 @@ fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
         ])),
         0,
     );
-    let out = net.run_until(100_000);
-    assert!(out.drained);
-    assert!(out.deadlock.is_none());
-    net.audit().expect("conservation");
-    let mut hosts: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
-    hosts.sort_unstable();
-    assert_eq!(hosts, vec![1, 1, 2, 2], "both copies and both unicasts");
-    let to_host_1: u64 = net
-        .worms
-        .iter()
-        .filter(|w| w.meta.dest == HostId(1))
-        .map(|w| w.body_len() + 1)
-        .sum();
-    assert_eq!(
-        net.adapters[1].counters.bytes_received, to_host_1,
-        "host 1 received a tail twice"
-    );
-    for a in &net.adapters {
-        assert_eq!(a.rx, RxState::Idle, "host {:?} still receiving", a.id);
-    }
+    net
 }
 
 /// A source that sends `(at, message)` pairs in order, the first at the
