@@ -6,7 +6,8 @@
 //!
 //! * an input port whose worm is **requesting** an output — its head, or a
 //!   branch of a replicating worm — waits on the input that currently owns
-//!   that output;
+//!   that output, unless the owner is a replica with its tail buffered:
+//!   that branch needs no sibling, so the wait is only on what STOPs it;
 //! * an input port **forwarding** into a STOPped channel, or holding one
 //!   for a replica branch, waits on the downstream input whose slack
 //!   buffer filled up;
@@ -347,14 +348,6 @@ pub fn wait_edges_multi(
                         cause,
                     })
                 };
-                // A head (or replica branch) queued for physical port `out`
-                // waits on whichever inputs own the port's slots.
-                let held = |out: u8| {
-                    let cause = WaitCause::OutputHeldBy { switch: sw.id, out };
-                    sw.slots_of(out)
-                        .filter_map(|slot| sw.outputs[slot].owner)
-                        .map(move |owner| (WaitNode::SwitchIn(sw.id, owner), cause))
-                };
                 // A worm (or branch) granted output slot `out` waits on the
                 // downstream input while a STOP holds the slot's lane. The
                 // transmit-side STOP state is owned here (we are its src).
@@ -367,6 +360,26 @@ pub fn wait_edges_multi(
                         }
                         _ => None,
                     }
+                };
+                // A head (or replica branch) queued for physical port `out`
+                // waits on whichever inputs own the port's slots — unless
+                // the owner is a replica with its tail buffered: the branch
+                // on the slot then needs only its own lane, not its
+                // siblings, so the wait is on whatever STOPs that lane.
+                let held = |out: u8| {
+                    let cause = WaitCause::OutputHeldBy { switch: sw.id, out };
+                    sw.slots_of(out).filter_map(move |slot| {
+                        let owner = sw.outputs[slot].owner?;
+                        let to = match &sw.inputs[owner as usize].state {
+                            InState::Replicating(rep)
+                                if rep.tail_buffered(&sw.inputs[owner as usize].buf) =>
+                            {
+                                stopped_by(slot as u8)?.0
+                            }
+                            _ => WaitNode::SwitchIn(sw.id, owner),
+                        };
+                        Some((to, cause))
+                    })
                 };
                 match &inp.state {
                     InState::Idle => {}

@@ -411,6 +411,14 @@ impl ReplicaState {
         self.body_released + n
     }
 
+    /// Whether the worm's tail is in `buf`. A granted branch then sends
+    /// through to it whatever its siblings do: it reads ahead of them.
+    pub(crate) fn tail_buffered(&self, buf: &SlackBuf) -> bool {
+        buf.runs()
+            .take_while(|(b, _)| b.worm == self.worm)
+            .any(|(b, _)| b.kind == ByteKind::Tail)
+    }
+
     /// Output control: advance the branch holding output slot `out` by one
     /// byte — a prefix symbol, the next body byte, or, with none there,
     /// what `mode`'s stall rule sends.
@@ -667,15 +675,13 @@ impl Network {
 
     /// Every branch is done: pop the tail and free the input.
     fn replica_finish(&mut self, sw: SwitchId, port: u8) {
-        {
-            let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            let tail = inp.buf.pop_front();
-            debug_assert!(
-                matches!(tail, Some(WireByte { kind: ByteKind::Tail, .. })),
-                "replica completion must pop the tail"
-            );
-            inp.state = InState::Idle;
-        }
+        let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+        let tail = inp.buf.pop_front();
+        debug_assert!(
+            matches!(tail, Some(WireByte { kind: ByteKind::Tail, .. })),
+            "replica completion must pop the tail"
+        );
+        inp.state = InState::Idle;
         self.after_slack_dequeue(sw, port);
         self.switch_advance_input(sw, port);
     }
@@ -727,7 +733,7 @@ impl Network {
         let injector = self.worms[worm.0 as usize].meta.injector;
         let mut cur = Some((sw, in_port));
         while let Some((s, p)) = cur {
-            let chan_in = {
+            let (release, chan_in) = {
                 let inp = &mut self.switches[s.0 as usize].inputs[p as usize];
                 // Drop this worm's bytes (they are contiguous at the front).
                 while matches!(inp.buf.front(), Some(b) if b.worm == worm) {
@@ -746,10 +752,8 @@ impl Network {
                 ) {
                     inp.state = InState::Idle;
                 }
-                let chan_in = inp.chan_in;
-                (release, chan_in)
+                (release, inp.chan_in)
             };
-            let (release, chan_in) = chan_in;
             if let Some(out) = release {
                 self.switch_release_output(s, out);
             }

@@ -10,8 +10,9 @@ use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable};
 use wormcast_sim::protocol::{
     AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec, SourceMessage,
 };
+use wormcast_sim::switch::{InState, SlackCfg};
 use wormcast_sim::switchcast::{encode, Directive, Subroute, SwitchcastMode};
-use wormcast_sim::worm::{RouteSym, WormInstance, WormKind};
+use wormcast_sim::worm::{ByteKind, RouteSym, WormInstance, WormKind};
 use wormcast_sim::{Network, NetworkConfig};
 
 /// Injects one pre-encoded switch-multicast worm on generate; delivers on
@@ -273,6 +274,55 @@ fn a_branch_waiting_for_its_port_waits_on_the_ports_owner() {
     );
     let out = net.run_until(100_000);
     assert!(out.drained && out.deadlock.is_none());
+}
+
+/// A replica whose tail is in its slack buffer sends each branch through
+/// to that tail whatever the other branches do. A head queued for a port
+/// such a branch holds therefore waits on that branch alone, not on the
+/// replicating input, whose other edges belong to the other branches.
+/// Under V1 host 0's multicast fits in input 0's enlarged slack buffer;
+/// its branch to host 2 waits for host 3's long unicast, then sends the
+/// buffered worm while host 1's unicast to host 2 queues behind it. A host
+/// port never STOPs, so that head waits on nothing.
+#[test]
+fn a_head_behind_a_buffered_replica_branch_waits_on_no_sibling() {
+    let mut net = contended_multicast(SwitchcastMode::RestrictedIdle);
+    net.switches[0].inputs[0].slack = SlackCfg {
+        capacity: 64,
+        stop_mark: 48,
+        go_mark: 4,
+    };
+    net.set_source(
+        HostId(1),
+        Box::new(wormcast_sim_test_oneshot(SourceMessage {
+            dest: Destination::Unicast(HostId(2)),
+            payload_len: 100,
+        })),
+        100,
+    );
+    let mut t = 1_000;
+    while net.switches[0].outputs[2].owner != Some(0) {
+        t += 1;
+        assert!(t < 10_000, "the branch to host 2 was never granted");
+        net.run_until(t);
+    }
+    let sw = &net.switches[0];
+    let buf = &sw.inputs[0].buf;
+    let buffered = buf.runs().any(|(b, _)| b.kind == ByteKind::Tail);
+    assert!(buffered, "the multicast's tail is not in the slack buffer");
+    assert!(matches!(
+        sw.inputs[1].state,
+        InState::Requesting { out: 2, .. }
+    ));
+    let edges = wait_edges(&net);
+    let queued = WaitNode::SwitchIn(SwitchId(0), 1);
+    assert!(
+        edges.iter().all(|e| e.from != queued),
+        "the queued head waits: {edges:?}"
+    );
+    let out = net.run_until(100_000);
+    assert!(out.drained && out.deadlock.is_none());
+    assert_eq!(net.msgs.deliveries.len(), 5, "two copies, three unicasts");
 }
 
 /// One switch, four hosts, `mode` on. Host 3 holds the output to host 2
