@@ -12,22 +12,19 @@
 //!
 //! Run with `cargo bench --bench ablation_buffer_classes`.
 
-use std::sync::Arc;
-use wormcast_bench::runner::membership_of;
+use wormcast_bench::{run_parallel, Scheme, SimSetup};
 use wormcast_core::buffers::PoolConfig;
 use wormcast_core::reliable::{AckNackConfig, Reliability};
-use wormcast_core::{HcConfig, HcProtocol};
-use wormcast_sim::engine::HostId;
-use wormcast_sim::network::NetworkConfig;
-use wormcast_sim::Network;
-use wormcast_topo::{TopoBuilder, UpDown};
+use wormcast_core::HcConfig;
+use wormcast_topo::TopoBuilder;
 use wormcast_traffic::rng::host_stream;
-use wormcast_traffic::workload::{install_paper_sources, PaperWorkload};
+use wormcast_traffic::workload::PaperWorkload;
 use wormcast_traffic::{GroupSet, LengthDist};
 
 const WORM_BYTES: u32 = 1000;
+const SEED: u64 = 0xAB1;
 
-fn run(single_class: bool, load: f64, seed: u64) -> (f64, u64, u64, f64) {
+fn setup(single_class: bool, load: f64) -> SimSetup {
     // A ring of 8 switches, one host each; one group of all 8 hosts, so
     // every multicast wraps the ID space (exercising the class reversal).
     let mut b = TopoBuilder::new(8);
@@ -37,14 +34,7 @@ fn run(single_class: bool, load: f64, seed: u64) -> (f64, u64, u64, f64) {
     for s in 0..8 {
         b.host(s);
     }
-    let topo = b.build();
-    let ud = UpDown::compute(&topo, 0);
-    let routes = ud.route_table(&topo, false);
-    let cfg = NetworkConfig::builder().seed(seed).build().expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
-    let mut grng = host_stream(seed, 1);
-    let groups = GroupSet::random(8, 1, 8, &mut grng);
-    let membership = membership_of(&groups);
+    let groups = GroupSet::random(8, 1, 8, &mut host_stream(SEED, 1));
     let reliability = Reliability::AckNack(AckNackConfig {
         pool: PoolConfig::tight(WORM_BYTES + 64),
         single_class,
@@ -52,51 +42,21 @@ fn run(single_class: bool, load: f64, seed: u64) -> (f64, u64, u64, f64) {
         retry_jitter: 10_000,
         max_retries: 40,
     });
-    let cfg = HcConfig {
+    let scheme = Scheme::Hc(HcConfig {
         reliability,
         ..HcConfig::store_and_forward()
+    });
+    let workload = PaperWorkload {
+        offered_load: load,
+        multicast_prob: 1.0, // all multicast: maximum buffer pressure
+        lengths: LengthDist::Fixed(WORM_BYTES),
+        stop_at: None,
     };
-    for h in 0..8u32 {
-        let p = HcProtocol::new(HostId(h), cfg, Arc::clone(&membership));
-        net.set_protocol(HostId(h), Box::new(p));
-    }
-    let warmup = 50_000;
-    let generate_until = 450_000;
-    let drain_until = 1_200_000;
-    install_paper_sources(
-        &mut net,
-        PaperWorkload {
-            offered_load: load,
-            multicast_prob: 1.0, // all multicast: maximum buffer pressure
-            lengths: LengthDist::Fixed(WORM_BYTES),
-            stop_at: Some(generate_until),
-        },
-        &Arc::new(groups),
-        seed,
-    );
-    net.run_until(drain_until);
-    net.audit().expect("conservation");
-    let lat = wormcast_stats::latency::latencies(
-        &net.msgs,
-        wormcast_stats::latency::Kind::Multicast,
-        warmup,
-        generate_until,
-        None,
-    );
-    let expected: usize = net
-        .msgs
-        .created
-        .iter()
-        .filter(|r| r.created >= warmup && r.created < generate_until)
-        .map(|_| 7)
-        .sum();
-    let ratio = lat.deliveries as f64 / expected.max(1) as f64;
-    (
-        lat.per_delivery.mean,
-        net.stats.worms_injected,
-        net.stats.worms_refused,
-        ratio,
-    )
+    SimSetup::builder(b.build(), groups, scheme, workload)
+        .seed(SEED)
+        .windows(50_000, 400_000, 750_000)
+        .build()
+        .expect("valid setup")
 }
 
 fn main() {
@@ -107,11 +67,17 @@ fn main() {
         "{:>8} {:>14} {:>12} {:>10} {:>10} {:>10}",
         "load", "classes", "latency", "injected", "refused", "ratio"
     );
+    let arms = [("two-class", false), ("single", true)];
     for load in [0.05, 0.10, 0.15] {
-        for (name, single) in [("two-class", false), ("single", true)] {
-            let (lat, injected, refused, ratio) = run(single, load, 0xAB1);
+        let setups = arms
+            .iter()
+            .map(|&(_, single)| setup(single, load))
+            .collect();
+        for ((name, _), r) in arms.iter().zip(run_parallel(setups)) {
+            let s = r.stats();
             println!(
-                "{load:>8.2} {name:>14} {lat:>12.0} {injected:>10} {refused:>10} {ratio:>10.3}"
+                "{load:>8.2} {name:>14} {:>12.0} {:>10} {:>10} {:>10.3}",
+                r.multicast.per_delivery.mean, s.worms_injected, s.worms_refused, r.delivery_ratio
             );
         }
     }

@@ -15,74 +15,34 @@
 //!
 //! Run with `cargo bench --bench ablation_buffer_contention`.
 
-use std::sync::Arc;
-use wormcast_bench::runner::membership_of;
+use wormcast_bench::{run_parallel, Scheme, SimSetup};
 use wormcast_core::buffers::PoolConfig;
 use wormcast_core::reliable::{AckNackConfig, Reliability};
-use wormcast_core::{HcConfig, HcProtocol};
-use wormcast_sim::engine::HostId;
-use wormcast_sim::network::NetworkConfig;
-use wormcast_sim::Network;
-use wormcast_stats::latency::{latencies, Kind};
+use wormcast_core::HcConfig;
 use wormcast_topo::torus::torus;
-use wormcast_topo::UpDown;
 use wormcast_traffic::rng::host_stream;
-use wormcast_traffic::workload::{install_paper_sources, PaperWorkload};
+use wormcast_traffic::workload::PaperWorkload;
 use wormcast_traffic::{GroupSet, LengthDist};
 
-fn run(mode: Reliability, load: f64, measure: u64) -> (f64, f64, u64, u64) {
-    let topo = torus(4, 1);
-    let ud = UpDown::compute(&topo, 0);
-    let routes = ud.route_table(&topo, false);
-    let mut grng = host_stream(0xAB7, 0x6071);
-    let groups = GroupSet::random(16, 4, 6, &mut grng);
-    let membership = membership_of(&groups);
-    let net_cfg = NetworkConfig::builder().seed(0xAB7).build().expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes, net_cfg);
-    let cfg = HcConfig {
+const SEED: u64 = 0xAB7;
+
+fn setup(mode: Reliability, load: f64, measure: u64) -> SimSetup {
+    let groups = GroupSet::random(16, 4, 6, &mut host_stream(SEED, 0x6071));
+    let scheme = Scheme::Hc(HcConfig {
         reliability: mode,
         ..HcConfig::store_and_forward()
+    });
+    let workload = PaperWorkload {
+        offered_load: load,
+        multicast_prob: 0.25,
+        lengths: LengthDist::Geometric { mean: 400 },
+        stop_at: None,
     };
-    for h in 0..16u32 {
-        net.set_protocol(
-            HostId(h),
-            Box::new(HcProtocol::new(HostId(h), cfg, Arc::clone(&membership))),
-        );
-    }
-    let warmup = 40_000;
-    let generate_until = warmup + measure;
-    let drain_until = generate_until + 400_000;
-    install_paper_sources(
-        &mut net,
-        PaperWorkload {
-            offered_load: load,
-            multicast_prob: 0.25,
-            lengths: LengthDist::Geometric { mean: 400 },
-            stop_at: Some(generate_until),
-        },
-        &Arc::new(groups),
-        0xAB7,
-    );
-    net.run_until(drain_until);
-    net.audit().expect("conservation");
-    let mc = latencies(&net.msgs, Kind::Multicast, warmup, generate_until, None);
-    // Expected deliveries for loss accounting.
-    let mut expected = 0usize;
-    for rec in &net.msgs.created {
-        if rec.created < warmup || rec.created >= generate_until {
-            continue;
-        }
-        if let wormcast_sim::protocol::Destination::Multicast(g) = rec.dest {
-            expected += membership.expected_deliveries(g, rec.origin);
-        }
-    }
-    let loss = 1.0 - mc.deliveries as f64 / expected.max(1) as f64;
-    (
-        mc.per_delivery.mean,
-        loss.max(0.0),
-        net.stats.worms_refused,
-        net.stats.worms_injected,
-    )
+    SimSetup::builder(torus(4, 1), groups, scheme, workload)
+        .seed(SEED)
+        .windows(40_000, measure, 400_000)
+        .build()
+        .expect("valid setup")
 }
 
 fn main() {
@@ -101,7 +61,7 @@ fn main() {
                 class2: pool_worms * 500,
                 dma_extension: 0,
             };
-            let arms: Vec<(&str, Reliability)> = vec![
+            let arms = [
                 ("infinite", Reliability::None),
                 (
                     "acknack-retry",
@@ -121,12 +81,20 @@ fn main() {
                     },
                 ),
             ];
-            for (name, mode) in arms {
-                let (lat, loss, refused, injected) = run(mode, load, measure);
+            let setups = arms
+                .iter()
+                .map(|&(_, mode)| setup(mode, load, measure))
+                .collect();
+            for ((name, _), r) in arms.iter().zip(run_parallel(setups)) {
+                let loss = (1.0 - r.delivery_ratio).max(0.0);
+                let s = r.stats();
                 println!(
-                    "{load:>8.2} {:>9}w {name:>16} {lat:>12.0} {:>9.2}% {refused:>10} {injected:>10}",
+                    "{load:>8.2} {:>9}w {name:>16} {:>12.0} {:>9.2}% {:>10} {:>10}",
                     2 * pool_worms,
-                    loss * 100.0
+                    r.multicast.per_delivery.mean,
+                    loss * 100.0,
+                    s.worms_refused,
+                    s.worms_injected
                 );
             }
         }

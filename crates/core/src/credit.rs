@@ -378,7 +378,6 @@ mod tests {
             },
             route: vec![],
             route_len: 0,
-            header_len: 8,
             payload_len: 4,
             created: 0,
             injected: 0,
@@ -425,7 +424,6 @@ mod tests {
             },
             route: vec![],
             route_len: 0,
-            header_len: 8,
             payload_len: 4,
             created: 0,
             injected: 0,
@@ -465,7 +463,6 @@ mod tests {
             },
             route: vec![],
             route_len: 0,
-            header_len: 8,
             payload_len: 4,
             created: 0,
             injected: 0,

@@ -403,7 +403,6 @@ mod tests {
             },
             route: vec![],
             route_len: 0,
-            header_len: 8,
             payload_len: 400,
             created: 5,
             injected: 6,

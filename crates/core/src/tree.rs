@@ -383,7 +383,6 @@ mod tests {
             },
             route: vec![],
             route_len: 0,
-            header_len: 8,
             payload_len: 400,
             created: 0,
             injected: 0,

@@ -150,7 +150,6 @@ mod tests {
             },
             route: vec![],
             route_len: 0,
-            header_len: 8,
             payload_len: 100,
             created: 0,
             injected: 0,

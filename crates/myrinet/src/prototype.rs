@@ -310,7 +310,6 @@ mod tests {
             },
             route: vec![],
             route_len: 0,
-            header_len: 8,
             payload_len: size,
             created: 0,
             injected: 0,

@@ -9,7 +9,6 @@ use crate::fault::FaultConfig;
 use crate::network::{NetworkConfig, SimMode};
 use crate::switch::SlackCfg;
 use crate::switchcast::SwitchcastMode;
-use crate::time::SimTime;
 use crate::trace::TraceConfig;
 use std::fmt;
 
@@ -85,21 +84,9 @@ impl NetworkConfigBuilder {
         self
     }
 
-    /// Logical worm header length in bytes (on-wire, after the route).
-    pub fn header_len(mut self, header_len: u32) -> Self {
-        self.cfg.header_len = header_len;
-        self
-    }
-
     /// Master seed for all per-host RNG streams.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Liveness watchdog period; 0 disables it.
-    pub fn watchdog_interval(mut self, interval: SimTime) -> Self {
-        self.cfg.watchdog_interval = interval;
         self
     }
 
@@ -160,26 +147,12 @@ impl NetworkConfig {
                 max: u8::MAX as f64,
             });
         }
-        if self.lanes > 1 && self.switchcast != SwitchcastMode::Off {
-            return Err(ConfigError::Invalid {
-                field: "lanes",
-                reason: "switch-level multicast requires single-lane links".into(),
-            });
-        }
         if !(0.0..=1.0).contains(&self.corrupt_prob) {
             return Err(ConfigError::OutOfRange {
                 field: "corrupt_prob",
                 value: self.corrupt_prob,
                 min: 0.0,
                 max: 1.0,
-            });
-        }
-        if self.header_len == 0 {
-            return Err(ConfigError::OutOfRange {
-                field: "header_len",
-                value: 0.0,
-                min: 1.0,
-                max: u32::MAX as f64,
             });
         }
         if let Some(slack) = &self.slack {
@@ -217,39 +190,33 @@ mod tests {
     fn builder_sets_every_knob() {
         let cfg = NetworkConfig::builder()
             .slack(SlackCfg::for_delay(3))
-            .header_len(4)
             .seed(42)
-            .watchdog_interval(5_000)
             .trace(TraceConfig::Ring { capacity: 16 })
             .switchcast(SwitchcastMode::IdleFlush)
             .mode(SimMode::PerByte)
             .faults(FaultConfig { corrupt_prob: 0.5 })
+            .lanes(2)
             .build()
             .expect("valid");
-        assert_eq!(cfg.header_len, 4);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.watchdog_interval, 5_000);
         assert_eq!(cfg.trace, TraceConfig::Ring { capacity: 16 });
         assert_eq!(cfg.switchcast, SwitchcastMode::IdleFlush);
         assert_eq!(cfg.mode, SimMode::PerByte);
         assert_eq!(cfg.corrupt_prob, 0.5);
+        assert_eq!(cfg.lanes, 2);
         assert!(cfg.slack.is_some());
     }
 
     #[test]
     fn rejects_bad_corrupt_prob() {
-        let err = NetworkConfig::builder()
-            .faults(FaultConfig { corrupt_prob: 1.5 })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::OutOfRange { field: "corrupt_prob", .. }));
-        assert!(err.to_string().contains("corrupt_prob"));
-    }
-
-    #[test]
-    fn rejects_zero_header() {
-        let err = NetworkConfig::builder().header_len(0).build().unwrap_err();
-        assert!(matches!(err, ConfigError::OutOfRange { field: "header_len", .. }));
+        for p in [1.5, -0.1, f64::NAN] {
+            let err = NetworkConfig::builder()
+                .faults(FaultConfig { corrupt_prob: p })
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, ConfigError::OutOfRange { field: "corrupt_prob", .. }));
+            assert!(err.to_string().contains("corrupt_prob"));
+        }
     }
 
     #[test]
@@ -278,16 +245,6 @@ mod tests {
     fn rejects_zero_lanes() {
         let err = NetworkConfig::builder().lanes(0).build().unwrap_err();
         assert!(matches!(err, ConfigError::OutOfRange { field: "lanes", .. }));
-    }
-
-    #[test]
-    fn rejects_lanes_with_switchcast() {
-        let err = NetworkConfig::builder()
-            .lanes(2)
-            .switchcast(SwitchcastMode::IdleFlush)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::Invalid { field: "lanes", .. }));
     }
 
     #[test]

@@ -117,14 +117,15 @@ impl fmt::Display for WaitEdge {
     }
 }
 
-/// A detected deadlock (or a watchdog forensics snapshot): one
-/// representative cycle, the full annotated wait-for graph at detection
-/// time, and how many worms were outstanding. Its `Display` renders the
-/// human-readable dump.
+/// A run's deadlock verdict ([`crate::network::RunOutcome::deadlock`],
+/// taken where `run_until` ends): one representative cycle, the full
+/// annotated wait-for graph at that moment, and how many worms were
+/// outstanding. Its `Display` renders the human-readable dump.
 #[derive(Clone, Debug)]
 pub struct DeadlockReport {
-    /// The wait cycle (empty when detection fired without a reconstructable
-    /// cycle — e.g. stuck protocol state rather than fabric state).
+    /// The wait cycle. Never empty at a deadline; empty when the event
+    /// queue drained with worms outstanding but no reconstructable cycle —
+    /// e.g. stuck protocol state rather than fabric state.
     pub cycle: Vec<WaitNode>,
     pub stuck_worms: u64,
     /// Every wait-for edge at detection time, annotated with the blocked
@@ -242,8 +243,9 @@ fn sole_owner(net: &Network) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Build the annotated wait-for edge list of the current network state —
-/// the forensics view the watchdog dumps when it trips. The one-engine
-/// case of [`wait_edges_multi`]; worm ids are the engine's own.
+/// the graph the deadlock verdict is read from, also callable between
+/// runs to inspect a live network. The one-engine case of
+/// [`wait_edges_multi`]; worm ids are the engine's own.
 pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
     let (switch_owner, host_owner) = sole_owner(net);
     wait_edges_multi(std::slice::from_ref(net), &switch_owner, &host_owner)
@@ -258,7 +260,8 @@ pub fn analyze(net: &Network) -> Option<DeadlockReport> {
 /// Unconditional forensics snapshot: the full annotated wait-for graph, a
 /// representative cycle when one exists (empty otherwise — e.g. worms stuck
 /// in protocol state rather than fabric state), and the outstanding-worm
-/// count. The watchdog and the drained-queue deadlock check dump this.
+/// count. A run whose event queue drains with worms outstanding reports
+/// this; at the deadline [`analyze`] keeps it only when it has a cycle.
 pub fn forensics(net: &Network) -> DeadlockReport {
     let (switch_owner, host_owner) = sole_owner(net);
     forensics_multi(std::slice::from_ref(net), &switch_owner, &host_owner)

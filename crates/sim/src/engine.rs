@@ -48,8 +48,6 @@ pub enum Event {
     HostTimer { host: HostId, token: u64 },
     /// Traffic source at `host` generates its next message.
     Inject { host: HostId },
-    /// Periodic liveness check (deadlock watchdog).
-    Watchdog,
     /// End of the measured run.
     Stop,
 }
@@ -64,7 +62,7 @@ impl Event {
     /// moment) replays exactly the schedule the sequential engine uses.
     ///
     /// Kind ranks: `Stop` first (a run deadline cuts off the deadline
-    /// tick, as it always has), then `Watchdog`, then control symbols
+    /// tick, as it always has), then control symbols
     /// (STOP/GO must precede the same-tick `TxKick` they gate — the span
     /// truncation rule relies on this), then arrivals (single bytes and
     /// spans alike, by lane), then transmit kicks, then host-side events.
@@ -75,7 +73,6 @@ impl Event {
         const ID: u64 = 1 << 32;
         match *self {
             Event::Stop => 0,
-            Event::Watchdog => ID - 1,
             // All control symbols for one channel are emitted by the single
             // entity at its receive side, so their same-tick relative order
             // is the emission order — preserved by the push-seq tie-break
@@ -161,8 +158,8 @@ impl Scheduler {
     }
 
     /// Timestamp of the next pending event, if any. O(1): backed by the
-    /// wheel's slot-occupancy bitmap, so deadline checks and watchdogs may
-    /// call this freely even when the schedule is sparse.
+    /// wheel's slot-occupancy bitmap, so deadline checks may call this
+    /// freely even when the schedule is sparse.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.wheel.peek_time()
@@ -176,7 +173,7 @@ mod tests {
     #[test]
     fn scheduler_orders_events() {
         let mut s = Scheduler::new();
-        s.after(10, Event::Watchdog);
+        s.after(10, Event::Inject { host: HostId(0) });
         s.after(1, Event::Stop);
         let (t1, e1) = s.pop().unwrap();
         assert_eq!(t1, 1);
@@ -184,7 +181,7 @@ mod tests {
         assert_eq!(s.now(), 1);
         let (t2, e2) = s.pop().unwrap();
         assert_eq!(t2, 10);
-        assert!(matches!(e2, Event::Watchdog));
+        assert!(matches!(e2, Event::Inject { .. }));
     }
 
     #[test]
@@ -209,7 +206,7 @@ mod tests {
         s.pop().unwrap();
         assert_eq!(s.now(), 10);
         // Absolute time in the past is clamped to now rather than panicking.
-        s.at(3, Event::Watchdog);
+        s.at(3, Event::Inject { host: HostId(0) });
         let (t, _) = s.pop().unwrap();
         assert_eq!(t, 10);
     }

@@ -10,41 +10,35 @@
 //! the destination adapter and is silently discarded — exactly how a link
 //! error manifests on a real Myrinet.
 
-use crate::config::ConfigError;
 use serde::{Deserialize, Serialize};
 
 /// Fault-injection knobs, in the spirit of smoltcp's `--corrupt-chance`
-/// example options.
+/// example options. Folded into a configuration with
+/// [`crate::config::NetworkConfigBuilder::faults`], whose `build` rejects
+/// a probability outside [0, 1].
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// Probability in [0, 1] that an injected worm is corrupted in transit.
     pub corrupt_prob: f64,
 }
 
-impl FaultConfig {
-    /// Validating constructor: rejects probabilities outside [0, 1].
-    pub fn try_new(corrupt_prob: f64) -> Result<Self, ConfigError> {
-        if !(0.0..=1.0).contains(&corrupt_prob) {
-            return Err(ConfigError::OutOfRange {
-                field: "corrupt_prob",
-                value: corrupt_prob,
-                min: 0.0,
-                max: 1.0,
-            });
-        }
-        Ok(FaultConfig { corrupt_prob })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::NetworkConfig;
 
     #[test]
     fn try_new_validates() {
-        assert_eq!(FaultConfig::try_new(0.25).unwrap().corrupt_prob, 0.25);
-        assert!(FaultConfig::try_new(1.5).is_err());
-        assert!(FaultConfig::try_new(-0.1).is_err());
-        assert!(FaultConfig::try_new(f64::NAN).is_err());
+        let build = |p| {
+            NetworkConfig::builder()
+                .faults(FaultConfig { corrupt_prob: p })
+                .build()
+        };
+        for p in [0.0, 0.25, 1.0] {
+            assert_eq!(build(p).expect("in range").corrupt_prob, p);
+        }
+        for p in [1.5, -0.1, f64::NAN] {
+            assert!(build(p).is_err());
+        }
     }
 }

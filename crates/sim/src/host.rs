@@ -227,7 +227,6 @@ impl Network {
             },
             route_len: route.len() as u32,
             route,
-            header_len: self.cfg.header_len,
             payload_len: spec.payload_len,
             created: spec.created,
             injected: now,

@@ -52,18 +52,12 @@ pub enum SimMode {
 pub struct NetworkConfig {
     /// Slack buffer configuration; `None` derives a safe one per link delay.
     pub slack: Option<SlackCfg>,
-    /// Logical worm header length in bytes (on-wire, after the route).
-    pub header_len: u32,
     /// Master seed for all per-host RNG streams.
     pub seed: u64,
     /// Probability that an injected worm is corrupted on the wire and fails
     /// its checksum at the destination (fault injection; 0.0 in the paper's
     /// experiments — wormhole LAN links are assumed reliable).
     pub corrupt_prob: f64,
-    /// Liveness watchdog period; 0 disables it. When two consecutive ticks
-    /// see no byte movement while worms are outstanding, the run is declared
-    /// deadlocked.
-    pub watchdog_interval: SimTime,
     /// Trace sink selection: [`TraceConfig::Off`] (the default, free),
     /// an unbounded in-memory log, or a bounded ring.
     pub trace: TraceConfig,
@@ -85,10 +79,8 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             slack: None,
-            header_len: 8,
             seed: 0xC0FFEE,
             corrupt_prob: 0.0,
-            watchdog_interval: 0,
             trace: TraceConfig::Off,
             switchcast: SwitchcastMode::Off,
             mode: SimMode::SpanBatched,
@@ -221,8 +213,6 @@ pub struct Network {
     /// mid-tick would make the trace depend on intra-tick event order,
     /// which the span engine deliberately changes.
     pending_ctrl_trace: Vec<(SimTime, ChanId, bool)>,
-    watchdog_last_bytes: u64,
-    deadlock_seen: Option<DeadlockReport>,
     /// Deadline of the current `run_until` call. Span deliveries credit
     /// `bytes_moved` only for bytes whose per-byte arrival slot falls
     /// *strictly* before it — the deadline `Stop` sorts first in its tick
@@ -292,8 +282,6 @@ impl Network {
             next_worm_seq: vec![0; num_hosts],
             cmd_scratch: Vec::new(),
             pending_ctrl_trace: Vec::new(),
-            watchdog_last_bytes: 0,
-            deadlock_seen: None,
             run_deadline: 0,
             deferred_moves: Vec::new(),
             shard: None,
@@ -372,8 +360,14 @@ impl Network {
 
     // -- event loop ---------------------------------------------------------
 
-    /// Run until `t_end` (or until the event queue drains, or a deadlock is
-    /// detected by the watchdog / drain check).
+    /// Run until `t_end`, or until the event queue drains.
+    ///
+    /// [`RunOutcome::deadlock`] is the run's one deadlock verdict, taken
+    /// from the wait-for graph where the run ends: a genuine wait cycle at
+    /// the deadline (outstanding worms alone are overload, not deadlock),
+    /// or — when the queue drains with worms outstanding — the forensics
+    /// of a network that can never move again. Progress counters play no
+    /// part: a wedged V1/V3 replica keeps its lanes busy with IDLE fill.
     pub fn run_until(&mut self, t_end: SimTime) -> RunOutcome {
         self.begin_run(t_end);
         loop {
@@ -387,7 +381,7 @@ impl Network {
     }
 
     /// Run prologue shared by the sequential loop and the shard workers:
-    /// credit deferred span tails, arm the deadline Stop, arm the watchdog.
+    /// credit deferred span tails and arm the deadline Stop.
     pub(crate) fn begin_run(&mut self, t_end: SimTime) {
         self.run_deadline = t_end;
         // Credit span-tail bytes a previous run left beyond its deadline:
@@ -415,14 +409,6 @@ impl Network {
             }
         }
         self.scheduler.at(t_end, Event::Stop);
-        // A shard engine skips the watchdog: its local view cannot tell a
-        // cross-shard stall from deadlock, so liveness analysis runs once
-        // on the merged state after the shards join.
-        if self.cfg.watchdog_interval > 0 && self.shard.is_none() {
-            self.scheduler
-                .after(self.cfg.watchdog_interval, Event::Watchdog);
-            self.watchdog_last_bytes = self.stats.bytes_moved;
-        }
     }
 
     /// Run epilogue for a drained event queue: with outstanding worms this
@@ -464,17 +450,12 @@ impl Network {
                     // Worms still outstanding at the deadline: check for
                     // a genuine wait cycle so callers can tell overload
                     // apart from deadlock. A shard engine leaves this to
-                    // the post-join merged analysis.
-                    let deadlock = if self.shard.is_some() {
+                    // the post-join merged analysis: its local view cannot
+                    // tell a cross-shard stall from a cycle.
+                    let deadlock = if self.shard.is_some() || self.is_quiescent() {
                         None
                     } else {
-                        self.deadlock_seen.clone().or_else(|| {
-                            if self.is_quiescent() {
-                                None
-                            } else {
-                                crate::deadlock::analyze(self)
-                            }
-                        })
+                        crate::deadlock::analyze(self)
                     };
                     return Some(RunOutcome {
                         end_time: t,
@@ -496,26 +477,8 @@ impl Network {
                 self.pending_timers -= 1;
                 self.notify_timer(host, token);
             }
-            Event::Watchdog => {
-                if self.stats.bytes_moved == self.watchdog_last_bytes
-                    && self.stats.active_worms > 0
-                    && self.deadlock_seen.is_none()
-                {
-                    self.deadlock_seen = Some(crate::deadlock::forensics(self));
-                }
-                self.watchdog_last_bytes = self.stats.bytes_moved;
-                if !self.is_quiescent() {
-                    self.scheduler
-                        .after(self.cfg.watchdog_interval, Event::Watchdog);
-                }
-            }
         }
         None
-    }
-
-    /// The most recent deadlock report, if any watchdog tick found one.
-    pub fn deadlock_seen(&self) -> Option<&DeadlockReport> {
-        self.deadlock_seen.as_ref()
     }
 
     /// A run ends at `horizon`: a span is credited to its lane's

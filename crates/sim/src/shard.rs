@@ -66,7 +66,6 @@ pub(crate) struct WormSnap {
     pub(crate) meta: WormMeta,
     pub(crate) sinks: u32,
     pub(crate) route_len: u32,
-    pub(crate) header_len: u32,
     pub(crate) payload_len: u32,
     pub(crate) created: SimTime,
     pub(crate) injected: SimTime,
@@ -78,7 +77,6 @@ impl WormSnap {
             meta: w.meta.clone(),
             sinks: w.sinks,
             route_len: w.route_len,
-            header_len: w.header_len,
             payload_len: w.payload_len,
             created: w.created,
             injected: w.injected,
@@ -93,7 +91,6 @@ impl WormSnap {
             sinks: self.sinks,
             route: Vec::new(),
             route_len: self.route_len,
-            header_len: self.header_len,
             payload_len: self.payload_len,
             created: self.created,
             injected: self.injected,

@@ -195,13 +195,7 @@ impl Network {
         } else {
             0
         };
-        let mut k = avail.min(room.max(certified));
-        // Keep the watchdog's progress sampling meaningful: a span credits
-        // all its bytes in one event, so cap the movement gap well below
-        // the sampling interval. (Any cap is semantics-preserving.)
-        if self.cfg.watchdog_interval > 0 {
-            k = k.min((self.cfg.watchdog_interval / 2).max(1));
-        }
+        let k = avail.min(room.max(certified));
         if k < MIN_SPAN {
             return false;
         }

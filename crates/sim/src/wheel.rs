@@ -3,9 +3,9 @@
 //! Almost every event in a byte-level wormhole simulation is scheduled a few
 //! byte-times into the future (the next byte on a link, a propagation delay).
 //! A binary heap pays `O(log n)` for each of those; a timing wheel pays
-//! `O(1)`. Events beyond the wheel horizon (protocol retry timers, watchdogs)
-//! go to a small overflow heap and are folded back into the wheel as time
-//! advances.
+//! `O(1)`. Events beyond the wheel horizon (protocol retry timers, the run
+//! deadline) go to a small overflow heap and are folded back into the wheel
+//! as time advances.
 //!
 //! Two facts about how the engine uses the queue shape its inside (see
 //! DESIGN.md §3.3):

@@ -100,9 +100,13 @@ impl WormKind {
     }
 }
 
+/// Logical header length in bytes: on the wire after the route, before
+/// the payload.
+pub const HEADER_LEN: u32 = 8;
+
 /// Logical header of a worm. On a real Myrinet these fields are the first
 /// few payload bytes; the simulator carries them out-of-band but *accounts*
-/// for them in the worm's wire length via `header_len`.
+/// for them in the worm's wire length via [`HEADER_LEN`].
 #[derive(Clone, Debug)]
 pub struct WormMeta {
     pub kind: WormKind,
@@ -151,8 +155,6 @@ pub struct WormInstance {
     /// Length of the route as injected, cached so wire-length accounting
     /// survives the route buffer's reclamation.
     pub route_len: u32,
-    /// Logical header length in bytes (accounted on the wire).
-    pub header_len: u32,
     /// Payload length in bytes.
     pub payload_len: u32,
     /// When the application message was created (for latency statistics).
@@ -165,12 +167,12 @@ impl WormInstance {
     /// Total number of bytes this worm occupies on the wire as injected:
     /// route + header + payload + trailing checksum byte.
     pub fn wire_len(&self) -> u64 {
-        self.route_len as u64 + self.header_len as u64 + self.payload_len as u64 + 1
+        self.route_len as u64 + self.body_len() + 1
     }
 
     /// Number of data bytes between the route and the tail.
     pub fn body_len(&self) -> u64 {
-        self.header_len as u64 + self.payload_len as u64
+        HEADER_LEN as u64 + self.payload_len as u64
     }
 }
 
@@ -203,7 +205,6 @@ mod tests {
             sinks: 1,
             route: vec![RouteSym::Port(1), RouteSym::Port(2), RouteSym::Port(0)],
             route_len: 3,
-            header_len: 8,
             payload_len: 100,
             created: 0,
             injected: 0,

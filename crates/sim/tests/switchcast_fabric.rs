@@ -6,7 +6,7 @@ use wormcast_sim::adapter::RxState;
 use wormcast_sim::deadlock::{wait_edges, WaitCause, WaitEdge, WaitNode};
 use wormcast_sim::engine::{HostId, SwitchId};
 use wormcast_sim::link::PortId;
-use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable};
+use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable, SimMode};
 use wormcast_sim::protocol::{
     AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec, SourceMessage,
 };
@@ -15,8 +15,8 @@ use wormcast_sim::switchcast::{encode, Directive, Subroute, SwitchcastMode};
 use wormcast_sim::worm::{ByteKind, RouteSym, WormInstance, WormKind};
 use wormcast_sim::{Network, NetworkConfig};
 
-/// Injects one pre-encoded switch-multicast worm on generate; delivers on
-/// receive.
+/// Injects a pre-encoded switch-multicast worm for each multicast message
+/// and a plain unicast for each unicast one; delivers on receive.
 struct Injector {
     route: Vec<RouteSym>,
     sinks: u32,
@@ -24,6 +24,9 @@ struct Injector {
 
 impl AdapterProtocol for Injector {
     fn on_generate(&mut self, ctx: &mut ProtocolCtx, msg: AppMessage) {
+        if let Destination::Unicast(d) = msg.dest {
+            return ctx.send(SendSpec::data(&msg, d, WormKind::Unicast));
+        }
         let mut spec = SendSpec::data(&msg, HostId(1), WormKind::SwitchMulticast { group: 0 });
         spec.route_override = Some(self.route.clone());
         spec.sinks = self.sinks;
@@ -323,6 +326,137 @@ fn a_head_behind_a_buffered_replica_branch_waits_on_no_sibling() {
     let out = net.run_until(100_000);
     assert!(out.drained && out.deadlock.is_none());
     assert_eq!(net.msgs.deliveries.len(), 5, "two copies, three unicasts");
+}
+
+/// Switch-level multicast on two-lane trunks. A replica branch requests its
+/// physical port and holds the output slot it is granted, so on switch 1,
+/// whose trunk takes slots 0–1, every host port's slot differs from its
+/// port number. V1, V2, V3 and broadcast each run per-byte and
+/// span-batched: both runs drain with no deadlock verdict and a clean
+/// audit, and agree on deliveries and statistics. Each variant has both
+/// lanes of the trunk out of switch 0 carry a worm at once.
+#[test]
+fn switch_level_multicast_runs_on_two_lane_trunks() {
+    let cases = [
+        ("v1", SwitchcastMode::RestrictedIdle, false),
+        ("v2", SwitchcastMode::RootedInterrupt, false),
+        ("v3", SwitchcastMode::IdleFlush, false),
+        ("broadcast", SwitchcastMode::RootedInterrupt, true),
+    ];
+    for (label, mode, broadcast) in cases {
+        let run = |sim: SimMode| {
+            let mut net = two_lane_pair(mode, sim, broadcast);
+            let out = net.run_until(200_000);
+            assert!(out.drained, "{label} {sim:?}: did not drain");
+            assert!(out.deadlock.is_none(), "{label} {sim:?}: {out:?}");
+            net.audit()
+                .unwrap_or_else(|e| panic!("{label} {sim:?}: conservation audit failed: {e}"));
+            let mut stats = out.stats;
+            assert_eq!(stats.worms_delivered, stats.sinks_injected, "{label} {sim:?}");
+            stats.events_scheduled = 0;
+            stats.events_fired = 0;
+            let mut deliveries: Vec<(u64, u32, u64)> = net
+                .msgs
+                .deliveries
+                .iter()
+                .map(|d| (d.msg.0, d.host.0, d.at))
+                .collect();
+            deliveries.sort_unstable();
+            let trunk = net.link_lanes(net.lanes()[0].link());
+            let both_lanes = trunk.iter().all(|l| l.stats().bytes_carried > 0);
+            assert!(both_lanes, "{label} {sim:?}: a trunk lane carried nothing");
+            (deliveries, format!("{stats:?}"))
+        };
+        let per_byte = run(SimMode::PerByte);
+        let spans = run(SimMode::SpanBatched);
+        assert_eq!(per_byte.0, spans.0, "{label}: deliveries");
+        assert_eq!(per_byte.1, spans.1, "{label}: NetStats");
+    }
+}
+
+/// Two switches joined by a two-lane trunk (switch 0 port 3 — switch 1
+/// port 0), hosts 0–2 on switch 0 ports 0–2 and hosts 3–5 on switch 1
+/// ports 1–3. Host 0 multicasts to every other host at 10 and again at
+/// 4 000, host 5 at 2 500 — by directive, or by the broadcast address with
+/// switch 0 as the root. Unicasts cross the trunk both ways, and host 4
+/// holds the port to host 5 from time 0.
+fn two_lane_pair(mode: SwitchcastMode, sim: SimMode, broadcast: bool) -> Network {
+    let port_of = |h: u32| if h < 3 { h as u8 } else { h as u8 - 2 };
+    let spec = FabricSpec {
+        switch_ports: vec![4, 4],
+        hosts: (0..6u32)
+            .map(|h| HostAttach {
+                switch: h / 3,
+                port: port_of(h),
+            })
+            .collect(),
+        links: vec![LinkSpec {
+            a: (0, PortId(3)),
+            b: (1, PortId(0)),
+            delay: 2,
+        }],
+        host_link_delay: 1,
+    };
+    let mut rt = RouteTable::new(6);
+    for s in 0..6u32 {
+        for d in (0..6u32).filter(|&d| d != s) {
+            let route = match (s / 3, d / 3) {
+                (0, 1) => vec![3, port_of(d)],
+                (1, 0) => vec![0, port_of(d)],
+                _ => vec![port_of(d)],
+            };
+            rt.set(HostId(s), HostId(d), route);
+        }
+    }
+    let cfg = NetworkConfig::builder()
+        .switchcast(mode)
+        .mode(sim)
+        .lanes(2)
+        .build()
+        .expect("valid config");
+    let mut net = Network::build(&spec, rt, cfg);
+    net.set_broadcast_ports(vec![vec![0, 1, 2, 3], vec![1, 2, 3]]);
+    let hosts = |ports: &[u8]| ports.iter().map(|&p| (p, Subroute::Host)).collect();
+    let directive = |near: &[u8], trunk: u8, far: &[u8]| {
+        let far = Directive { branches: hosts(far) };
+        let mut d = Directive { branches: hosts(near) };
+        d.branches.push((trunk, Subroute::Next(far)));
+        encode(&d).unwrap()
+    };
+    let (from_0, from_5, sinks) = if broadcast {
+        (vec![RouteSym::Broadcast], vec![RouteSym::Port(0), RouteSym::Broadcast], 6)
+    } else {
+        (directive(&[1, 2], 3, &[1, 2, 3]), directive(&[1, 2], 0, &[0, 1, 2]), 5)
+    };
+    for h in 0..6u32 {
+        let route = match h {
+            0 => from_0.clone(),
+            5 => from_5.clone(),
+            _ => Vec::new(),
+        };
+        net.set_protocol(HostId(h), Box::new(Injector { route, sinks }));
+    }
+    let multicast = |payload_len: u32| SourceMessage {
+        dest: Destination::Multicast(0),
+        payload_len,
+    };
+    let unicast = |to: u32, payload_len: u32| SourceMessage {
+        dest: Destination::Unicast(HostId(to)),
+        payload_len,
+    };
+    let scripts = [
+        (0, vec![(10, multicast(1_500)), (4_000, multicast(800))]),
+        (1, vec![(0, unicast(4, 2_000))]),
+        (2, vec![(20, unicast(3, 600))]),
+        (3, vec![(5, unicast(1, 1_500))]),
+        (4, vec![(0, unicast(5, 3_000))]),
+        (5, vec![(2_500, multicast(1_200))]),
+    ];
+    for (h, script) in scripts {
+        let first = script[0].0;
+        net.set_source(HostId(h), Box::new(Scripted(script)), first);
+    }
+    net
 }
 
 /// One switch, four hosts, `mode` on. Host 3 holds the output to host 2

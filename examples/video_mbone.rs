@@ -38,12 +38,12 @@ fn main() {
     let topo = torus(4, 1);
     let ud = UpDown::compute(&topo, 0);
     let routes = ud.route_table(&topo, false);
-    let faults = FaultConfig::try_new(corrupt_percent / 100.0)
-        .expect("corruption percentage must be 0-100");
     let cfg = NetworkConfig::builder()
-        .faults(faults)
+        .faults(FaultConfig {
+            corrupt_prob: corrupt_percent / 100.0,
+        })
         .build()
-        .expect("valid config");
+        .unwrap_or_else(|e| panic!("corruption percentage must be 0-100: {e}"));
     let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
 
     let members: Vec<HostId> = vec![1, 3, 6, 9, 12, 14].into_iter().map(HostId).collect();

@@ -1,5 +1,4 @@
-//! End-to-end behaviour of the two baselines the paper argues against,
-//! plus the liveness watchdog.
+//! End-to-end behaviour of the two baselines the paper argues against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -7,7 +6,6 @@ use wormcast::core::credit::{CreditConfig, CreditProtocol};
 use wormcast::core::ordering::check_total_order;
 use wormcast::core::{Membership, UnicastRepeatConfig, UnicastRepeatProtocol};
 use wormcast::sim::engine::HostId;
-use wormcast::sim::network::RouteTable;
 use wormcast::sim::protocol::{Destination, SourceMessage};
 use wormcast::sim::{Network, NetworkConfig};
 use wormcast::topo::tree::{MulticastTree, TreeShape};
@@ -122,53 +120,4 @@ fn broadcast_filter_baseline_wastes_receptions() {
     // The five non-member receptions were wasted work — the paper's
     // complaint about the stock broadcast facility.
     assert_eq!(net.stats.worms_delivered, 7, "all copies consumed adapters");
-}
-
-#[test]
-fn watchdog_detects_deadlock_mid_run() {
-    // The clockwise-ring deadlock from tests/deadlock.rs, but detected by
-    // the periodic watchdog rather than at the deadline.
-    let mut b = TopoBuilder::new(4);
-    b.link(0, 1, 1);
-    b.link(1, 2, 1);
-    b.link(2, 3, 1);
-    b.link(3, 0, 1);
-    for s in 0..4 {
-        b.host(s);
-    }
-    let topo = b.build();
-    let mut routes = RouteTable::new(4);
-    let cw_port = [0u8, 1, 1, 1];
-    for src in 0..4usize {
-        routes.set(
-            HostId(src as u32),
-            HostId(((src + 2) % 4) as u32),
-            vec![cw_port[src], cw_port[(src + 1) % 4], 2],
-        );
-    }
-    let cfg = NetworkConfig::builder()
-        .watchdog_interval(5_000)
-        .build()
-        .expect("valid config");
-    let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
-    let groups = Membership::from_groups([(0u8, vec![HostId(0)])]);
-    for h in 0..4u32 {
-        net.set_protocol(
-            HostId(h),
-            Box::new(wormcast::core::HcProtocol::new(
-                HostId(h),
-                wormcast::core::HcConfig::store_and_forward(),
-                Arc::clone(&groups),
-            )),
-        );
-    }
-    for src in 0..4u32 {
-        install_one_shot(&mut net, HostId(src), 100, SourceMessage {
-            dest: Destination::Unicast(HostId((src + 2) % 4)),
-            payload_len: 2_000,
-        });
-    }
-    net.run_until(100_000);
-    let report = net.deadlock_seen().expect("watchdog must flag the deadlock");
-    assert!(report.cycle.len() >= 2, "cycle reconstructed: {report:?}");
 }

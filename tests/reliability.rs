@@ -43,10 +43,10 @@ fn build(corrupt_prob: f64, seed: u64) -> Network {
     let ud = UpDown::compute(&topo, 0);
     let routes = ud.route_table(&topo, false);
     let cfg = NetworkConfig::builder()
-        .faults(FaultConfig::try_new(corrupt_prob).expect("probability in range"))
+        .faults(FaultConfig { corrupt_prob })
         .seed(seed)
         .build()
-        .expect("valid config");
+        .unwrap_or_else(|e| panic!("invalid config: {e}"));
     Network::build(&topo.to_fabric_spec(), routes, cfg)
 }
 

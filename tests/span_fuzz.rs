@@ -8,11 +8,11 @@
 //! draw (sorted deliveries, `NetStats` minus the event counters, raw JSONL
 //! byte for byte, traced ≡ untraced) plus "no deadlock verdict, either
 //! mode" — every fabric here routes up/down. One case in eight runs
-//! switch-level multicast instead (V1, V2, V3 or broadcast, on one lane),
-//! where the spans carry only the unicasts a §3 fabric lets them carry.
-//! V1 and V3 can wedge there as modelled (ROADMAP item 8, e.g. seed
-//! 65 657), so for those draws the two modes must reach the same verdict
-//! rather than none.
+//! switch-level multicast instead (V1, V2, V3 or broadcast, on one or two
+//! lanes), where the spans carry only the unicasts a §3 fabric lets them
+//! carry. V1 and V3 can wedge there as modelled (ROADMAP item 8, e.g.
+//! seeds 68 628 and 70 972, both on one lane), so for those draws the two
+//! modes must reach the same verdict rather than none.
 //! Each case prints a one-line description before it runs; replay one
 //! with `FUZZ_SEED=<seed> FUZZ_CASES=1 cargo test --test span_fuzz`.
 //!
@@ -75,7 +75,7 @@ struct Case {
     /// A tall tree: `spec` has 9–12 switches and no extra links, whatever
     /// was drawn for it.
     tall: bool,
-    /// Switch-level multicast instead of the drawn scheme, on one lane.
+    /// Switch-level multicast instead of the drawn scheme.
     switch: Option<SwitchcastVariant>,
 }
 
@@ -159,11 +159,9 @@ impl Case {
             case.spec.num_switches = 9 + x.pick(4) as usize;
             case.spec.extra_links = 0;
         }
-        // Drawn last, for the same reason. Replication is single-lane
-        // (more lanes are a `ConfigError`).
+        // Drawn last, for the same reason.
         if x.pick(8) == 0 {
             case.switch = Some(VARIANTS[x.pick(4) as usize]);
-            case.lanes = 1;
         }
         case
     }

@@ -6,13 +6,15 @@ mod common;
 
 use common::scripted_net;
 use wormcast::core::switchcast::SwitchcastVariant;
+use wormcast::sim::deadlock::graph_from_edges;
 use wormcast::sim::engine::HostId;
 use wormcast::sim::protocol::{Destination, SourceMessage};
 use wormcast::sim::trace::TraceConfig;
 use wormcast::sim::Network;
 use wormcast::topo::{TopoBuilder, Topology};
 use wormcast::traffic::script::{install_one_shot, install_script};
-use wormcast_bench::Scheme;
+use wormcast_bench::runner::build_network;
+use wormcast_bench::{fig10, perf, Scheme};
 
 /// 5 switches: a root (0) with two subtrees (1-2 and 3-4) plus a crosslink
 /// between 2 and 4; two hosts per switch.
@@ -166,6 +168,43 @@ fn broadcast_address_floods_every_host_once() {
     hosts.sort_unstable();
     assert_eq!(hosts, vec![0, 1, 2, 3, 4, 5, 6, 8, 9]);
     assert_eq!(net.stats.sinks_injected, 10, "origin's echo counts as a sink");
+}
+
+/// V1 on the paper's own 8×8 torus wedges from load 0.02, and the run's
+/// one deadlock verdict — the wait-for analysis where `run_until` ends —
+/// reports the cycle. Run on, the wedge stays put: every wait on that
+/// cycle still holds, while the lanes keep carrying IDLE fill. A count of
+/// moving bytes therefore never sees this deadlock; only the wait-for
+/// graph does.
+#[test]
+fn v1_wedge_on_the_fig10_torus_is_the_runs_deadlock_verdict() {
+    let v1 = Scheme::Switch(SwitchcastVariant::RestrictedIdle);
+    let setup = fig10::builder(v1, 0.02, &perf::CFG).build().expect("valid setup");
+    let mut net = build_network(&setup);
+    let idles = |net: &Network| -> u64 {
+        net.lanes().iter().map(|l| l.stats().idles_carried).sum()
+    };
+    let first = net.run_until(setup.drain_until);
+    let wedge = first.deadlock.expect("V1 at load 0.02 wedges");
+    assert!(!wedge.cycle.is_empty(), "a deadline verdict names its cycle: {wedge}");
+    let idles_at_verdict = idles(&net);
+    let later = net.run_until(setup.drain_until + 30_000);
+    let again = later.deadlock.expect("the wedge persists");
+    // Check the waits, not the cycle the report names: with several
+    // cycles in the wedge the analysis may name another one first.
+    let graph = graph_from_edges(&again.edges);
+    let n = wedge.cycle.len();
+    for (i, from) in wedge.cycle.iter().enumerate() {
+        let to = wedge.cycle[(i + 1) % n];
+        assert!(
+            graph.get(from).is_some_and(|succ| succ.contains(&to)),
+            "{from} -> {to} no longer waits: {again}"
+        );
+    }
+    assert!(
+        idles(&net) > idles_at_verdict,
+        "the wedged lanes keep carrying IDLE fill"
+    );
 }
 
 #[test]
