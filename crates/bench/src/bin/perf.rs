@@ -1,4 +1,4 @@
-//! `perf check [engine|sweep|lanes|shard|trace]…` measures the named
+//! `perf check [engine|sweep|lanes|shard|trace|longlink]…` measures the named
 //! sub-grids (all of them when none is named), diffs the counters against
 //! the checked-in `results/BENCH_perf.json`, applies the cross-row gates
 //! and exits non-zero on any failure. It writes the measured rows to
@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use wormcast_bench::perf::{self, BenchFile, Finding, Row, Run, Verdict};
 
 const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-const USAGE: &str = "usage: perf check [engine|sweep|lanes|shard|trace]... | perf pin";
+const USAGE: &str = "usage: perf check [engine|sweep|lanes|shard|trace|longlink]... | perf pin";
 
 fn measure(grids: &[String]) -> Vec<Run> {
     perf::grid()

@@ -11,7 +11,7 @@
 //! multicast worm is retransmitted several times, so raising the
 //! proportion raises the actual carried traffic).
 
-use crate::runner::{run_parallel, RunReport, SimSetup};
+use crate::runner::{run_parallel, RunReport, SimSetup, SimSetupBuilder};
 use crate::schemes::Scheme;
 use wormcast_core::HcConfig;
 use wormcast_stats::Series;
@@ -67,7 +67,10 @@ pub fn schemes() -> Vec<Scheme> {
     ]
 }
 
-fn setup(scheme: Scheme, load: f64, proportion: f64, cfg: &Fig11Config) -> SimSetup {
+/// The builder for one experiment point of the figure, as
+/// `fig10::builder`: callers that rerun the point under another engine
+/// mode or trace sink set those through the validating builder.
+pub fn builder(scheme: Scheme, load: f64, proportion: f64, cfg: &Fig11Config) -> SimSetupBuilder {
     let mut grng = host_stream(cfg.seed, 0x6111);
     let groups = GroupSet::random(24, 4, 6, &mut grng);
     let workload = PaperWorkload {
@@ -79,6 +82,10 @@ fn setup(scheme: Scheme, load: f64, proportion: f64, cfg: &Fig11Config) -> SimSe
     SimSetup::builder(shufflenet24(LINK_DELAY), groups, scheme, workload)
         .seed(cfg.seed)
         .windows(cfg.warmup, cfg.measure, cfg.drain)
+}
+
+fn setup(scheme: Scheme, load: f64, proportion: f64, cfg: &Fig11Config) -> SimSetup {
+    builder(scheme, load, proportion, cfg)
         .build()
         .expect("figure 11 parameters are valid")
 }

@@ -1,6 +1,6 @@
-//! The perf harness: one grid of Figure 10 operating points, one
-//! [`measure`], one [`Row`] schema, one checked-in baseline
-//! (`results/BENCH_perf.json`) and one [`diff`] against it. `bin/perf.rs`
+//! The perf harness: one grid of Figure 10 operating points and one
+//! Figure 11 point, one [`measure`], one [`Row`] schema, one checked-in
+//! baseline (`results/BENCH_perf.json`) and one [`diff`] against it. `bin/perf.rs`
 //! exposes it as `perf check [grid…]` and `perf pin`.
 //!
 //! The harness pins *what* each point simulates and what it costs the
@@ -15,11 +15,13 @@
 //! row of the lane- and shard-scaling curves.
 
 use crate::fig10::{self, figure_tree_scheme, Fig10Config};
+use crate::fig11::{self, Fig11Config};
 use crate::runner::run_traced;
 use crate::schemes::Scheme;
 use crate::trace_io::validate_jsonl;
 use serde::{Deserialize, Serialize};
 use wormcast_core::switchcast::SwitchcastVariant;
+use wormcast_core::HcConfig;
 use wormcast_sim::network::SimMode;
 use wormcast_sim::trace::TraceConfig;
 use wormcast_topo::ShardPlan;
@@ -43,14 +45,28 @@ const SCALING_LOADS: [f64; 2] = [REF_LOAD, GATE_LOAD];
 /// The load of the traced switch-level points: V1 and V3 wedge on this
 /// torus from 0.02 on, and the harness fails a run that deadlocks.
 const SWITCH_LOAD: f64 = 0.01;
+/// The Figure 11 point's load and multicast proportion (the quick sweep's
+/// highest), under the quick sweep's windows and seed.
+const LONGLINK_LOAD: f64 = 0.05;
+const LONGLINK_PROPORTION: f64 = 0.20;
 const MODES: [SimMode; 2] = [SimMode::PerByte, SimMode::SpanBatched];
 
 /// The named sub-grids `perf check` accepts.
-pub const GRIDS: [&str; 5] = ["engine", "sweep", "lanes", "shard", "trace"];
+pub const GRIDS: [&str; 6] = ["engine", "sweep", "lanes", "shard", "trace", "longlink"];
+
+/// The fabric a grid point runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fabric {
+    /// Figure 10's 8×8 torus, delay-1 links, under [`CFG`].
+    Torus,
+    /// Figure 11's shufflenet, 1000-byte-time links.
+    Shufflenet,
+}
 
 /// One run of the grid.
 #[derive(Clone, Copy, Debug)]
 pub struct Point {
+    pub fabric: Fabric,
     pub scheme: Scheme,
     pub load: f64,
     pub mode: SimMode,
@@ -60,6 +76,15 @@ pub struct Point {
 }
 
 impl Point {
+    /// The `scheme` of this point's [`Row`]: the scheme's label, prefixed
+    /// `shufflenet/` off the torus.
+    fn label(&self) -> String {
+        match self.fabric {
+            Fabric::Torus => self.scheme.label(),
+            Fabric::Shufflenet => format!("shufflenet/{}", self.scheme.label()),
+        }
+    }
+
     /// Whether the named sub-grid (one of [`GRIDS`]) needs this point,
     /// baselines of its scaling curves and ratios included.
     pub fn in_grid(&self, grid: &str) -> bool {
@@ -76,6 +101,7 @@ impl Point {
             "trace" => {
                 (self.load == REF_LOAD || self.traced) && self.lanes == 1 && self.shards == 1
             }
+            "longlink" => self.fabric == Fabric::Shufflenet,
             other => panic!("unknown grid {other:?}"),
         }
     }
@@ -86,7 +112,7 @@ impl std::fmt::Display for Point {
         write!(
             f,
             "{} load={} {:?} lanes={} shards={}{}",
-            self.scheme.label(),
+            self.label(),
             self.load,
             self.mode,
             self.lanes,
@@ -97,11 +123,14 @@ impl std::fmt::Display for Point {
 }
 
 /// Every run of the harness: the Fig 10 sweep in both engine modes, the
-/// lane- and shard-scaling points above one lane / one shard, and the
-/// traced points — the Fig 10 schemes', and switch-level multicast's
-/// (Section 3, each variant and the broadcast address) on the same torus.
+/// lane- and shard-scaling points above one lane / one shard, the traced
+/// points — the Fig 10 schemes', and switch-level multicast's (Section 3,
+/// each variant and the broadcast address) on the same torus — and last
+/// the traced Fig 11 point in both modes, the long-link fabric where drain
+/// windows and certain-drain room carry spans across the trunks.
 pub fn grid() -> Vec<Point> {
     let plain = |scheme, load, mode| Point {
+        fabric: Fabric::Torus,
         scheme,
         load,
         mode,
@@ -137,6 +166,11 @@ pub fn grid() -> Vec<Point> {
     ] {
         grid.extend(traced(Scheme::Switch(variant), SWITCH_LOAD));
     }
+    let hc = Scheme::Hc(HcConfig::store_and_forward());
+    grid.extend(traced(hc, LONGLINK_LOAD).map(|p| Point {
+        fabric: Fabric::Shufflenet,
+        ..p
+    }));
     grid
 }
 
@@ -163,7 +197,7 @@ pub struct Row {
 
 impl Row {
     fn is_at(&self, p: &Point) -> bool {
-        self.scheme == p.scheme.label()
+        self.scheme == p.label()
             && self.load == p.load
             && self.mode == p.mode
             && self.lanes == p.lanes
@@ -188,8 +222,11 @@ pub struct BenchFile {
     pub machine: String,
     pub cpus: usize,
     pub git_rev: String,
-    /// (warmup, measure, drain) byte-times.
+    /// (warmup, measure, drain) byte-times of the torus points; the
+    /// shufflenet point runs `Fig11Config::quick`'s.
     pub windows: (u64, u64, u64),
+    /// The torus points' seed; the shufflenet point runs
+    /// `Fig11Config::quick`'s.
     pub seed: u64,
     pub rows: Vec<Row>,
 }
@@ -244,7 +281,13 @@ pub struct Run {
 /// Run one grid point. Panics — failing the harness — on a conservation
 /// audit failure, a deadlock or a dropped trace event.
 pub fn measure(p: &Point) -> Run {
-    let mut builder = fig10::builder(p.scheme, p.load, &CFG)
+    let builder = match p.fabric {
+        Fabric::Torus => fig10::builder(p.scheme, p.load, &CFG),
+        Fabric::Shufflenet => {
+            fig11::builder(p.scheme, p.load, LONGLINK_PROPORTION, &Fig11Config::quick())
+        }
+    };
+    let mut builder = builder
         .mode(p.mode)
         .lanes(p.lanes)
         .trace(if p.traced {
@@ -267,7 +310,7 @@ pub fn measure(p: &Point) -> Run {
     let jsonl = p.traced.then(|| trace.to_jsonl());
     let stats = report.stats();
     let row = Row {
-        scheme: p.scheme.label(),
+        scheme: p.label(),
         load: p.load,
         mode: p.mode,
         lanes: p.lanes,
@@ -459,7 +502,7 @@ mod tests {
         grid()
             .iter()
             .map(|p| Row {
-                scheme: p.scheme.label(),
+                scheme: p.label(),
                 load: p.load,
                 mode: p.mode,
                 lanes: p.lanes,
@@ -482,7 +525,7 @@ mod tests {
     #[test]
     fn grid_points_are_distinct() {
         let grid = grid();
-        assert_eq!(grid.len(), 40);
+        assert_eq!(grid.len(), 42);
         let base = baseline();
         for p in &grid {
             assert_eq!(base.iter().filter(|r| r.is_at(p)).count(), 1, "{p}");

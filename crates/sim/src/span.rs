@@ -151,9 +151,9 @@ impl Network {
     /// cut by a shard boundary, whose receiver's state lives in another
     /// shard.
     pub(crate) fn try_emit_span(&mut self, ch: ChanId, gen: u32) -> bool {
-        let (src, dst, wire) = {
+        let (src, dst) = {
             let c = &self.lanes[ch.0 as usize];
-            (c.src(), c.dst(), c.in_flight() as u64)
+            (c.src(), c.dst())
         };
         let now = self.scheduler.now();
         let ready = match src.node {
@@ -178,18 +178,18 @@ impl Network {
         }
         let avail = route + data;
         let room = match dst.node {
-            // A refusal leaves no no-drain room, but the circuit may still
-            // be clear.
-            NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire).unwrap_or(0),
+            // No room still leaves the circuit a chance to be clear.
+            NodeRef::Switch(_) => self.switch_span_room(ch, worm),
             NodeRef::Host(h) => match self.adapter_span_room(h, worm) {
                 Some(room) => room,
                 None => return false,
             },
         };
         // Two admission rules, both counting bytes whatever their kind:
-        // the run fits below the receiver's STOP mark even if nothing
-        // drains (`room`), or the receiver is certain to keep draining for
-        // long enough (`drain_window`).
+        // the run fits below the receiver's STOP mark, whether or not the
+        // receiver drains what is on the wire ahead of it (`room`), or the
+        // receiver is certain to keep draining for long enough
+        // (`drain_window`).
         let certified = if avail > room {
             self.drain_window(ch, worm)
         } else {
@@ -381,6 +381,15 @@ impl Network {
     /// no byte-timed side effect (a GO emission or a STOP crossing) could
     /// occur while the run drains. Those must happen at exact per-byte
     /// dequeue and arrival times.
+    ///
+    /// A STOP crossing is ruled out in one of two ways (DESIGN.md §3.1).
+    /// *No drain*: `occupancy + wire < Ks` — dequeues only lower the
+    /// occupancy and at most one byte arrives per byte-time, so neither
+    /// mode reaches the mark whatever the run does. *Certain drain*:
+    /// `q + 3 < Ks`, `q` the per-byte twin's occupancy — during the run's
+    /// own send slots the twin dequeues a byte in every byte-time, so it
+    /// cannot rise, and a STOP landing mid-run truncates it, handing the
+    /// unsent bytes back. The second is refused on a shard engine.
     pub(crate) fn switch_span_ready(&self, sw: SwitchId, out: u8) -> Option<Ready> {
         let swr = &self.switches[sw.0 as usize];
         let owner = swr.outputs[out as usize].owner?;
@@ -392,16 +401,12 @@ impl Network {
         if *o != out || self.span_refused(worm) {
             return None;
         }
-        // Upstream arrivals land during the drain window. Dequeues (batched
-        // or per-byte) only lower occupancy, and at most one arrival per
-        // byte-time can land, so `occupancy + wire_bytes` bounds occupancy
-        // throughout the window in both modes; below the stop mark, neither
-        // mode can emit a STOP while the run drains. Under a drain
-        // certificate the per-byte occupancy is already proven to stay
-        // below the mark, and the local one (wholesale-delivered spans
-        // included) is not it; with our STOP already in force no second
-        // one can be raised at all.
-        if !inp.sent_stop && !inp.certified(worm, self.scheduler.now()) {
+        // Under a drain certificate the per-byte occupancy is already
+        // proven to stay below the mark, and the local one
+        // (wholesale-delivered spans included) is not it; with our STOP
+        // already in force no second one can be raised at all.
+        let now = self.scheduler.now();
+        if !inp.sent_stop && !inp.certified(worm, now) {
             let wire = match inp.chan_in {
                 // Fed across a shard boundary: neither copy of the lane
                 // counts its bytes, but they cross per-byte, one per send
@@ -410,7 +415,13 @@ impl Network {
                 Some(c) => self.lanes[c.0 as usize].in_flight() as u64,
                 None => 0,
             };
-            if inp.occupancy() as u64 + wire >= inp.slack.stop_mark as u64 {
+            let mark = inp.slack.stop_mark as u64;
+            if inp.occupancy() as u64 + wire >= mark
+                && (self.shard.is_some()
+                    || swr.outputs[out as usize]
+                        .chan_out
+                        .is_none_or(|next| self.twin_occupancy(inp, next, now) + 3 >= mark))
+            {
                 return None;
             }
         }
@@ -449,27 +460,73 @@ impl Network {
         (route + data > 0).then_some(Ready { worm, route, data })
     }
 
-    /// Span fast-path check for a receiving switch input: how many bytes can
-    /// land (in one event, plus everything already on the wire) while
-    /// provably staying below the STOP watermark for the whole per-byte
-    /// delivery window. `wire` is the byte count already in flight on the
-    /// incoming channel.
-    pub(crate) fn switch_span_room(&self, sw: SwitchId, port: u8, wire: u64) -> Option<u64> {
-        let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-        // With a STOP in force the per-byte GO/STOP interplay is exact;
-        // stay on the slow path until it clears.
+    /// Span fast-path check for the switch input that lane `ch` feeds: how
+    /// many bytes of `worm` can land in one event, behind everything already
+    /// on `ch`'s wire, while the input's per-byte twin provably stays below
+    /// its STOP mark for the whole delivery window (DESIGN.md §3.1). 0 while
+    /// the input's own STOP is in force: the per-byte GO/STOP interplay is
+    /// exact, so stay on the slow path until it clears. The larger of two
+    /// bounds:
+    ///
+    /// - *No drain*: `Ks − 1 − occupancy − wire`. Even if all `wire + k`
+    ///   bytes land and none leaves, the occupancy stays below the mark in
+    ///   either mode.
+    /// - *Certain drain*: `Ks − q − 3`, `q` the twin's occupancy, when the
+    ///   input forwards `worm` and its output lane is un-stopped, has no
+    ///   control symbol on its way to the transmitter and is no shorter than
+    ///   `ch`. The head is in, so every byte on `ch`'s wire is `worm`'s, and
+    ///   a STOP yet to be emitted lands on the output only after the whole
+    ///   wire has landed: until then the twin dequeues a byte for every byte
+    ///   that arrives, and the wire drops out of the bound. A shard engine
+    ///   refuses it, as every rule that reads past the receiving input.
+    pub(crate) fn switch_span_room(&self, ch: ChanId, worm: WormId) -> u64 {
+        let lane = &self.lanes[ch.0 as usize];
+        let dst = lane.dst();
+        let NodeRef::Switch(s) = dst.node else {
+            unreachable!("an adapter's room is `adapter_span_room`");
+        };
+        let sw = &self.switches[s.0 as usize];
+        let inp = &sw.inputs[dst.port.index()];
         if inp.sent_stop {
-            return None;
+            return 0;
         }
-        let used = inp.occupancy() as u64 + wire;
         let mark = inp.slack.stop_mark as u64;
-        // Strictly below the mark even after all `wire + k` bytes land with
-        // no dequeue: occupancy can never cross it in either mode.
-        if used + 1 >= mark {
-            None
-        } else {
-            Some(mark - used - 1)
+        let wire = lane.in_flight() as u64;
+        let no_drain = mark.saturating_sub(inp.occupancy() as u64 + wire + 1);
+        // `q ≥ occupancy − rx_future_bytes`, so the certain drain beats the
+        // no-drain bound only when the wire and the bytes landed ahead of
+        // their slots add up to more than 2: never at a delay-1 lane's kick.
+        let now = self.scheduler.now();
+        if wire + lane.rx_future_bytes(now) <= 2 {
+            return no_drain;
         }
+        let draining = match inp.state {
+            InState::Forwarding { worm: w, out } if w == worm && self.shard.is_none() => {
+                sw.outputs[out as usize].chan_out.filter(|&next| {
+                    let next = &self.lanes[next.0 as usize];
+                    !next.is_stopped() && next.ctrl_in_flight() == 0 && next.delay() >= lane.delay()
+                })
+            }
+            _ => None,
+        };
+        let drain = draining.map_or(0, |next| {
+            mark.saturating_sub(self.twin_occupancy(inp, next, now) + 3)
+        });
+        no_drain.max(drain)
+    }
+
+    /// The occupancy `q` of `inp`'s per-byte twin at `now`, `next` the lane
+    /// it forwards on: the local occupancy, minus the bytes of a
+    /// wholesale-delivered span whose arrival slots are still to come
+    /// (`Lane::rx_future_bytes` of the lane feeding it), plus the bytes a
+    /// span batch-dequeued for send slots still to come
+    /// (`Lane::drain_advance` of `next`).
+    fn twin_occupancy(&self, inp: &InPort, next: ChanId, now: SimTime) -> u64 {
+        let future = inp
+            .chan_in
+            .map_or(0, |c| self.lanes[c.0 as usize].rx_future_bytes(now));
+        (inp.occupancy() as u64 + self.lanes[next.0 as usize].drain_advance(now))
+            .saturating_sub(future)
     }
 
     /// The longest span of `worm` that lane `ch` may carry from now on the
@@ -481,11 +538,8 @@ impl Network {
     /// control symbol on its way to the transmitter (a STOP chased by a GO
     /// on a long wire shows in neither end's flags), and every switch input
     /// must be forwarding this worm, hold no STOP of its own, and have a
-    /// per-byte-equivalent occupancy `q` at least two below its STOP mark.
-    /// `q` is what the per-byte engine's buffer holds right now: the local
-    /// occupancy, minus the bytes of a wholesale-delivered span whose
-    /// arrival slots are still to come, plus the bytes a span batch-dequeued
-    /// for send slots still to come.
+    /// per-byte twin occupancy `q` ([`Network::twin_occupancy`]) at least
+    /// two below its STOP mark.
     ///
     /// Induction from wherever the walk stops. A STOP that is neither in
     /// force on a lane nor on its control wire has yet to be emitted, so it
@@ -552,13 +606,12 @@ impl Network {
             if w != worm || inp.sent_stop {
                 break false;
             }
-            let held = inp.occupancy() as u64 + self.lanes[next.0 as usize].drain_advance(now);
-            let future = lane.rx_future_bytes(now);
-            if held + 2 >= inp.slack.stop_mark as u64 + future {
+            let q = self.twin_occupancy(inp, next, now);
+            if q + 2 >= inp.slack.stop_mark as u64 {
                 break false;
             }
             if walked == 1 {
-                q_first = held.saturating_sub(future);
+                q_first = q;
             }
             c = next;
         };
@@ -651,7 +704,7 @@ mod tests {
     use super::*;
     use crate::engine::CtrlSym;
     use crate::link::PortId;
-    use crate::network::{FabricSpec, HostAttach, NetworkConfig, RouteTable};
+    use crate::network::{FabricSpec, HostAttach, LinkSpec, NetworkConfig, RouteTable};
     use crate::protocol::{AppMessage, Destination, SendSpec};
     use crate::worm::{MessageId, WormKind};
 
@@ -722,5 +775,161 @@ mod tests {
         assert_eq!((second.start, second.len, second.route), (4, 13, 3));
         let syms: Vec<RouteSym> = (0..5).map(|_| rx.take_route_sym()).collect();
         assert_eq!(syms, (1..=5).map(RouteSym::Port).collect::<Vec<_>>());
+    }
+
+    /// host0 — sw0 ═ sw1 ═ sw2 — host1 over trunks of `trunks` byte-times
+    /// and delay-1 host links, with two worms of `lens` payload bytes from
+    /// host0 to host1 queued back to back at time 0. Returns the network,
+    /// the two trunks' lanes toward host1 and the worms.
+    fn two_trunk_chain(
+        trunks: [SimTime; 2],
+        mode: SimMode,
+        lens: [u32; 2],
+    ) -> (Network, [ChanId; 2], [WormId; 2]) {
+        let spec = FabricSpec {
+            switch_ports: vec![2, 2, 2],
+            hosts: vec![
+                HostAttach { switch: 0, port: 1 },
+                HostAttach { switch: 2, port: 1 },
+            ],
+            links: vec![
+                LinkSpec {
+                    a: (0, PortId(0)),
+                    b: (1, PortId(0)),
+                    delay: trunks[0],
+                },
+                LinkSpec {
+                    a: (1, PortId(1)),
+                    b: (2, PortId(0)),
+                    delay: trunks[1],
+                },
+            ],
+            host_link_delay: 1,
+        };
+        let mut routes = RouteTable::new(2);
+        routes.set(HostId(0), HostId(1), vec![0, 1, 1]);
+        let cfg = NetworkConfig {
+            mode,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::build(&spec, routes, cfg);
+        let worms = [0, 1].map(|i| {
+            let msg = AppMessage {
+                msg: MessageId(i as u64 + 1),
+                origin: HostId(0),
+                dest: Destination::Unicast(HostId(1)),
+                payload_len: lens[i],
+                created: 0,
+            };
+            net.inject_worm(
+                HostId(0),
+                SendSpec::data(&msg, HostId(1), WormKind::Unicast),
+            )
+        });
+        let lane_out = |s: usize, port: usize| {
+            net.switches[s].outputs[port]
+                .chan_out
+                .expect("trunk ports are connected")
+        };
+        let lanes = [lane_out(0, 0), lane_out(1, 1)];
+        (net, lanes, worms)
+    }
+
+    /// Run `net` to `t_end` as `run_until` does, counting the arrival events
+    /// (single bytes and spans alike) on each of `lanes`. Also returns when
+    /// each worm was delivered.
+    fn arrivals_on(
+        net: &mut Network,
+        lanes: [ChanId; 2],
+        t_end: SimTime,
+    ) -> ([u64; 2], Vec<SimTime>) {
+        let mut arrivals = [0; 2];
+        let mut delivered = Vec::new();
+        net.begin_run(t_end);
+        loop {
+            let (t, ev) = net.scheduler.pop().expect("the deadline's Stop is queued");
+            if let Event::RxByte { ch, .. } | Event::RxSpan { ch } = ev {
+                if let Some(i) = lanes.iter().position(|&l| l == ch) {
+                    arrivals[i] += 1;
+                }
+            }
+            let before = net.stats.worms_delivered;
+            if net.dispatch(t, ev).is_some() {
+                return (arrivals, delivered);
+            }
+            delivered.extend((before..net.stats.worms_delivered).map(|_| t));
+        }
+    }
+
+    /// A worm three trunk delays long right behind another, over two
+    /// 1 000-byte-time trunks: whenever its producer kicks, the trunk wire
+    /// ahead holds a trunk-full of its own bytes, which the receiver is
+    /// certain to drain. Both certain-drain bounds (DESIGN.md §3.1) carry it
+    /// across each trunk in a handful of spans; the no-drain bounds alone
+    /// leave a few bytes of room per span. Everything the per-byte engine
+    /// observes stays the same.
+    #[test]
+    fn a_worm_behind_a_worm_crosses_each_long_trunk_in_few_spans() {
+        let run = |mode| {
+            let (mut net, trunks, _) = two_trunk_chain([1_000; 2], mode, [400, 3_000]);
+            let (arrivals, deliveries) = arrivals_on(&mut net, trunks, 8_000);
+            let mut stats = net.stats.clone();
+            (stats.events_scheduled, stats.events_fired) = (0, 0);
+            (arrivals, deliveries, format!("{stats:?}"))
+        };
+        let (per_byte_arrivals, deliveries, stats) = run(SimMode::PerByte);
+        assert_eq!(deliveries.len(), 2, "both worms arrive");
+        assert!(per_byte_arrivals.iter().all(|&n| n > 3_400));
+        let (arrivals, span_deliveries, span_stats) = run(SimMode::SpanBatched);
+        assert_eq!(span_deliveries, deliveries);
+        assert_eq!(span_stats, stats);
+        for (trunk, n) in arrivals.into_iter().enumerate() {
+            assert!(n <= 12, "trunk {trunk}: {n} arrival events");
+        }
+    }
+
+    /// The state where the test above needs the certain-drain room, in the
+    /// per-byte engine (whose buffers are the twin's): the second worm's
+    /// head is through sw1 and a trunk-full of it is on the first trunk
+    /// behind. `perturb` gets the second trunk's lane first. Returns the
+    /// room `switch_span_room` gives, then the certain-drain and the
+    /// no-drain bounds.
+    fn room_behind_a_full_trunk(
+        second_trunk: SimTime,
+        perturb: fn(&mut Network, ChanId),
+    ) -> (u64, u64, u64) {
+        let (mut net, [first, second], [_, worm]) =
+            two_trunk_chain([1_000, second_trunk], SimMode::PerByte, [400, 3_000]);
+        net.run_until(2_000);
+        perturb(&mut net, second);
+        let inp = &net.switches[1].inputs[0];
+        assert!(
+            matches!(inp.state, InState::Forwarding { worm: w, .. } if w == worm),
+            "sw1 forwards the second worm"
+        );
+        let wire = net.lane(first).in_flight() as u64;
+        assert!(wire >= 990, "a trunk-full on the wire: {wire}");
+        let (held, mark) = (inp.occupancy() as u64, inp.slack.stop_mark as u64);
+        (
+            net.switch_span_room(first, worm),
+            mark - held - 3,
+            mark.saturating_sub(held + wire + 1),
+        )
+    }
+
+    #[test]
+    fn the_wire_drops_out_of_the_room_only_behind_a_certain_drain() {
+        let (room, drain, _) = room_behind_a_full_trunk(1_000, |_, _| {});
+        assert_eq!(room, drain, "an un-stopped output as long as the wire");
+        // A STOP on its way to sw1's output may halt the drain before the
+        // wire has landed.
+        let (room, _, no_drain) = room_behind_a_full_trunk(1_000, |net, out| {
+            net.lanes[out.0 as usize].note_ctrl_sent();
+        });
+        assert_eq!(room, no_drain, "a control symbol on the output's wire");
+        // A STOP yet to be emitted lands on a shorter output before the
+        // last byte on the wire has arrived.
+        let (room, _, no_drain) = room_behind_a_full_trunk(999, |_, _| {});
+        assert_eq!(room, no_drain, "an output shorter than the wire");
     }
 }

@@ -90,28 +90,40 @@ fn torus_lanes2_traced_modes_agree() {
 #[test]
 fn shufflenet_modes_agree() {
     // The Figure 11 fabric: 1000 byte-time links make in-flight windows
-    // (and STOP truncation) far larger than the torus case.
-    let mk = || {
-        let mut grng = host_stream(0x5EED1, 0x6111);
-        let groups = GroupSet::random(24, 4, 6, &mut grng);
-        setup_on(
-            shufflenet24(1000),
-            groups,
-            Scheme::Hc(HcConfig::store_and_forward()),
-            0.05,
-            0x5EED1,
-        )
-        .windows(50_000, 150_000, 100_000)
-    };
-    let (e_ref, e_span) = assert_equivalent(mk, "shufflenet24");
-    // A mean worm is over before its head has crossed one trunk, so the
-    // clear-circuit case alone leaves the host links' 8-byte room in
-    // charge (7× fewer events than per-byte); the drain windows the trunks
-    // certify carry whole worms (46×; 60× with the route bytes in the spans).
-    assert!(
-        e_span * 25 < e_ref,
-        "drain windows should carry whole worms onto the trunks: {e_ref} vs {e_span}"
-    );
+    // (and STOP truncation) far larger than the torus case. Worms longer
+    // than a trunk's delay, and loads at which worms follow each other
+    // back to back, fill a trunk's wire with the worm its receiver is
+    // already forwarding. `gate` is the least factor by which spans must
+    // cut the per-byte engine's events.
+    for (mean, load, gate) in [(400, 0.05, 75), (1500, 0.05, 40), (400, 0.07, 60)] {
+        let mk = || {
+            let mut grng = host_stream(0x5EED1, 0x6111);
+            let groups = GroupSet::random(24, 4, 6, &mut grng);
+            let workload = PaperWorkload {
+                lengths: LengthDist::Geometric { mean },
+                ..paper_workload(load)
+            };
+            let scheme = Scheme::Hc(HcConfig::store_and_forward());
+            SimSetup::builder(shufflenet24(1000), groups, scheme, workload)
+                .seed(0x5EED1)
+                .windows(50_000, 150_000, 100_000)
+                .build()
+                .expect("valid setup")
+        };
+        let label = format!("shufflenet24 mean={mean} load={load}");
+        let (e_ref, e_span) = assert_equivalent(mk, &label);
+        // A mean worm is over before its head has crossed one trunk, so
+        // the clear-circuit case alone leaves the host links' 8-byte room
+        // in charge (7× fewer events than per-byte at mean 400 and load
+        // 0.05). The drain windows the trunks certify carry whole worms
+        // onto them (60×, 25× at mean 1500, 44× at load 0.07). Where a
+        // trunk's wire holds the worm its receiver forwards, the
+        // certain-drain room and bail-out carry it across (95×, 50×, 75×).
+        assert!(
+            e_span * gate < e_ref,
+            "{label}: spans should carry whole worms across the trunks: {e_ref} vs {e_span}"
+        );
+    }
 }
 
 #[test]

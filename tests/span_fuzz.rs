@@ -10,7 +10,7 @@
 //! mode" — every fabric here routes up/down. One case in eight runs
 //! switch-level multicast instead (V1, V2, V3 or broadcast, on one or two
 //! lanes), where the spans carry only the unicasts a §3 fabric lets them
-//! carry. V1 and V3 can wedge there as modelled (ROADMAP item 8, e.g.
+//! carry. V1 and V3 can wedge there as modelled (ROADMAP item 4, e.g.
 //! seeds 68 628 and 70 972, both on one lane), so for those draws the two
 //! modes must reach the same verdict rather than none.
 //! Each case prints a one-line description before it runs; replay one
@@ -23,8 +23,12 @@
 //! asks for a *time* instead: how long the receiver is certain to keep
 //! draining, given that no STOP is in force or on the wire anywhere it
 //! looked (DESIGN.md §3.1, "certified drain window"). That rule lives
-//! where a short lane feeds a long one, so half the cases draw every
-//! trunk's delay separately and a quarter lengthen the host links.
+//! where a short lane feeds a long one; its sibling, the *certain drain*,
+//! where a lane feeds an input that forwards the lane's worm onto one at
+//! least as long: the wire then holds only that worm, which the input
+//! drains as it lands, so the wire no longer counts against a span's room
+//! or a run's STOP-crossing test. So half the cases draw every trunk's
+//! delay separately and a quarter lengthen the host links.
 //!
 //! Since a worm's route bytes ride in its spans ("head runs", same
 //! section) two more draws aim at what a head run can get wrong. One case
