@@ -6,7 +6,6 @@
 //! and validate that a JSONL stream conforms to the event schema
 //! (DESIGN.md §3.2).
 
-use serde_json::Value;
 use std::io::Write;
 use std::path::Path;
 use wormcast_sim::trace::Trace;
@@ -21,15 +20,17 @@ pub fn write_jsonl(trace: &Trace, path: &Path) -> std::io::Result<()> {
     f.flush()
 }
 
-/// Drop every `span-*` line from a JSONL stream, keeping the rest in order.
+/// Drop every `span-*` line from a JSONL stream, keeping the rest in order
+/// (each line ends with `\n` on output).
 ///
 /// This is the identity on every trace this engine produces: the span
 /// engine records no events of its own, so a traced `SpanBatched` run
 /// (sequential or sharded) renders the same thirteen-event JSONL as the
-/// `PerByte` run and there is nothing to erase. The function survives,
-/// signature and behaviour unchanged, only because the `benchmark/`
-/// package imports it; nothing else may call it, and a later `benchmark`
-/// issue should drop both the call and this function.
+/// `PerByte` run and there is nothing to erase. Such a stream costs one
+/// scan for `span-` and a copy. The function survives, signature and
+/// behaviour unchanged, only because the `benchmark/` package imports it;
+/// nothing else may call it, and a later `benchmark` issue should drop
+/// both the call and this function.
 pub fn expand_spans(jsonl: &str) -> String {
     /// The renderer's field order is fixed (`t` then `ev`), so a cheap
     /// substring probe is exact — but fall back to a real parse for
@@ -41,10 +42,18 @@ pub fn expand_spans(jsonl: &str) -> String {
         if !line.contains("span-") {
             return false;
         }
-        matches!(
-            serde_json::parse_value(line),
-            Ok(v) if as_str(v.get("ev")).is_some_and(|e| e.starts_with("span-"))
-        )
+        match serde_json::parse_value(line) {
+            Ok(v) => {
+                matches!(v.get("ev"), Some(serde_json::Value::Str(e)) if e.starts_with("span-"))
+            }
+            Err(_) => false,
+        }
+    }
+    // Without a span line, and with every line already ending in a bare
+    // `\n`, the output is the input.
+    let newline_terminated = jsonl.is_empty() || jsonl.ends_with('\n');
+    if newline_terminated && !jsonl.contains("span-") && !jsonl.contains('\r') {
+        return jsonl.to_owned();
     }
     let mut out = String::with_capacity(jsonl.len());
     for line in jsonl.lines() {
@@ -93,25 +102,161 @@ fn cause_fields(cause: &str) -> Option<&'static [&'static str]> {
     })
 }
 
-fn as_u64(v: Option<&Value>) -> Option<u64> {
-    match v {
-        Some(&Value::U64(x)) => Some(x),
-        _ => None,
+/// A field value of a canonical trace line.
+#[derive(Clone, Copy)]
+enum Scalar<'a> {
+    U64(u64),
+    Str(&'a str),
+}
+
+/// Most fields a canonical line may carry; the widest event has six.
+const MAX_FIELDS: usize = 8;
+
+/// The fields of one canonical line, borrowed from it, in line order.
+struct Fields<'a> {
+    len: usize,
+    kv: [(&'a str, Scalar<'a>); MAX_FIELDS],
+}
+
+impl<'a> Fields<'a> {
+    /// The first field named `key`.
+    fn get(&self, key: &str) -> Option<Scalar<'a>> {
+        self.kv[..self.len]
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+    }
+
+    fn u64(&self, key: &str) -> Option<u64> {
+        match self.get(key) {
+            Some(Scalar::U64(x)) => Some(x),
+            _ => None,
+        }
+    }
+
+    fn str(&self, key: &str) -> Option<&'a str> {
+        match self.get(key) {
+            Some(Scalar::Str(s)) => Some(s),
+            _ => None,
+        }
     }
 }
 
-fn as_str(v: Option<&Value>) -> Option<&str> {
-    match v {
-        Some(Value::Str(s)) => Some(s.as_str()),
-        _ => None,
+/// Scan one line in the renderer's compact form: `{`, then
+/// comma-separated `"key":value` pairs whose values are unsigned decimal
+/// integers (no leading zero) or strings without escapes, then `}` and the
+/// end of the line. Anything else is an error naming the byte offset.
+fn scan(line: &str) -> Result<Fields<'_>, String> {
+    let b = line.as_bytes();
+    let mut fields = Fields {
+        len: 0,
+        kv: [("", Scalar::U64(0)); MAX_FIELDS],
+    };
+    if b.first() != Some(&b'{') {
+        return Err(format!("not a JSON object: {}", unexpected(line, 0, "`{`")));
+    }
+    let mut pos = 1;
+    if b.get(pos) == Some(&b'}') {
+        pos += 1;
+    } else {
+        loop {
+            let key = scan_str(line, &mut pos)?;
+            if b.get(pos) != Some(&b':') {
+                return Err(unexpected(line, pos, "`:`"));
+            }
+            pos += 1;
+            let value = match b.get(pos) {
+                Some(b'"') => Scalar::Str(scan_str(line, &mut pos)?),
+                Some(b'0'..=b'9') => Scalar::U64(scan_u64(b, &mut pos)?),
+                Some(b'-') => return Err(format!("negative number at byte {pos}")),
+                Some(b'{' | b'[') => return Err(format!("nested value at byte {pos}")),
+                _ => return Err(unexpected(line, pos, "an unsigned integer or a string")),
+            };
+            if fields.len == MAX_FIELDS {
+                return Err(format!("more than {MAX_FIELDS} fields at byte {pos}"));
+            }
+            fields.kv[fields.len] = (key, value);
+            fields.len += 1;
+            match b.get(pos) {
+                Some(b',') => pos += 1,
+                Some(b'}') => {
+                    pos += 1;
+                    break;
+                }
+                _ => return Err(unexpected(line, pos, "`,` or `}`")),
+            }
+        }
+    }
+    if pos != b.len() {
+        return Err(format!("trailing bytes at byte {pos}"));
+    }
+    Ok(fields)
+}
+
+/// A string starting at `*pos`, which must be its opening quote; leaves
+/// `*pos` after the closing quote.
+fn scan_str<'a>(line: &'a str, pos: &mut usize) -> Result<&'a str, String> {
+    let b = line.as_bytes();
+    if b.get(*pos) != Some(&b'"') {
+        return Err(unexpected(line, *pos, "a string"));
+    }
+    let start = *pos + 1;
+    let mut end = start;
+    loop {
+        match b.get(end) {
+            Some(b'"') => break,
+            Some(b'\\') => return Err(format!("escape at byte {end}")),
+            Some(&c) if c < 0x20 => return Err(format!("control character at byte {end}")),
+            Some(_) => end += 1,
+            None => return Err(format!("unterminated string at byte {}", *pos)),
+        }
+    }
+    *pos = end + 1;
+    Ok(&line[start..end])
+}
+
+/// An unsigned integer starting at `*pos`, which must be a digit; leaves
+/// `*pos` after it.
+fn scan_u64(b: &[u8], pos: &mut usize) -> Result<u64, String> {
+    let start = *pos;
+    let mut x: u64 = 0;
+    while let Some(&d @ b'0'..=b'9') = b.get(*pos) {
+        x = x
+            .checked_mul(10)
+            .and_then(|x| x.checked_add(u64::from(d - b'0')))
+            .ok_or_else(|| format!("integer overflows u64 at byte {start}"))?;
+        *pos += 1;
+    }
+    if b[start] == b'0' && *pos - start > 1 {
+        return Err(format!("leading zero at byte {start}"));
+    }
+    if matches!(b.get(*pos), Some(b'.' | b'e' | b'E')) {
+        return Err(format!("non-integer number at byte {start}"));
+    }
+    Ok(x)
+}
+
+/// Describe what stands at `pos` where `wanted` was expected.
+fn unexpected(line: &str, pos: usize, wanted: &str) -> String {
+    match line[pos..].chars().next() {
+        None => format!("line ends at byte {pos}, expected {wanted}"),
+        Some(c) if c.is_whitespace() => format!("whitespace at byte {pos}, expected {wanted}"),
+        Some(c) => format!("unexpected {c:?} at byte {pos}, expected {wanted}"),
     }
 }
 
-/// Check every line of a JSONL stream against the trace event schema:
-/// valid JSON object, numeric `t`, known `ev`, the event's required
-/// fields present as unsigned integers, non-decreasing `t`, and a valid
-/// `cause` on blocked/resumed lines. Returns all violations (empty =
-/// conformant).
+/// Check every line of a JSONL stream against the trace event schema
+/// (DESIGN.md §3.2) and return all violations (empty = conformant).
+///
+/// A line must be in the canonical form [`Trace::to_jsonl`] renders: a
+/// flat object, no whitespace, whose values are unsigned integers or
+/// strings without escapes, at most eight fields; a violation names the
+/// byte where a line departs from that form.
+/// On its fields: `t` is an unsigned integer and does not decrease from
+/// line to line, `ev` names a known event, that event's required fields
+/// are unsigned integers, and a `blocked`/`resumed` line has a known
+/// `cause` with its site fields. Each line is scanned in place: no
+/// allocation unless it is in violation.
 pub fn validate_jsonl(jsonl: &str) -> Vec<SchemaViolation> {
     let mut out = Vec::new();
     let mut last_t: Option<u64> = None;
@@ -123,18 +268,14 @@ pub fn validate_jsonl(jsonl: &str) -> Vec<SchemaViolation> {
                 reason,
             })
         };
-        let v: Value = match serde_json::parse_value(line) {
+        let v = match scan(line) {
             Ok(v) => v,
             Err(e) => {
-                bad(format!("not valid JSON: {e}"));
+                bad(format!("not canonical JSON: {e}"));
                 continue;
             }
         };
-        if !matches!(v, Value::Object(_)) {
-            bad("not a JSON object".into());
-            continue;
-        }
-        let Some(t) = as_u64(v.get("t")) else {
+        let Some(t) = v.u64("t") else {
             bad("missing unsigned integer field \"t\"".into());
             continue;
         };
@@ -144,7 +285,7 @@ pub fn validate_jsonl(jsonl: &str) -> Vec<SchemaViolation> {
             }
         }
         last_t = Some(t);
-        let Some(ev) = as_str(v.get("ev")) else {
+        let Some(ev) = v.str("ev") else {
             bad("missing string field \"ev\"".into());
             continue;
         };
@@ -153,16 +294,16 @@ pub fn validate_jsonl(jsonl: &str) -> Vec<SchemaViolation> {
             continue;
         };
         for field in required {
-            if as_u64(v.get(field)).is_none() {
+            if v.u64(field).is_none() {
                 bad(format!("{ev:?} missing unsigned integer field {field:?}"));
             }
         }
         if matches!(ev, "blocked" | "resumed") {
-            match as_str(v.get("cause")) {
+            match v.str("cause") {
                 Some(cause) => match cause_fields(cause) {
                     Some(extra) => {
                         for field in extra {
-                            if as_u64(v.get(field)).is_none() {
+                            if v.u64(field).is_none() {
                                 bad(format!(
                                     "cause {cause:?} missing unsigned integer field {field:?}"
                                 ));
@@ -181,8 +322,10 @@ pub fn validate_jsonl(jsonl: &str) -> Vec<SchemaViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormcast_sim::engine::HostId;
-    use wormcast_sim::trace::TraceEvent;
+    use wormcast_sim::engine::{HostId, SwitchId};
+    use wormcast_sim::link::ChanId;
+    use wormcast_sim::trace::{render_line, BlockCause, TraceEvent};
+    use wormcast_sim::worm::MessageId;
 
     #[test]
     fn real_trace_validates_clean() {
@@ -197,6 +340,88 @@ mod tests {
         });
         let jsonl = tr.to_jsonl();
         assert_eq!(validate_jsonl(&jsonl), vec![]);
+    }
+
+    #[test]
+    fn every_event_and_cause_renders_valid() {
+        let (worm, host, switch) = (7 << 40 | 3, HostId(4), SwitchId(2));
+        let mut events = vec![
+            TraceEvent::WormInjected { worm, host },
+            TraceEvent::RouteConsumed {
+                worm,
+                switch,
+                out: 5,
+            },
+            TraceEvent::WormReceived { worm, host },
+            TraceEvent::WormRefused { worm, host },
+            TraceEvent::WormCorrupt { worm, host },
+            TraceEvent::WormFlushed { worm, host },
+            TraceEvent::FragmentParked {
+                worm,
+                host,
+                body_got: 0,
+            },
+            TraceEvent::FragmentResumed {
+                worm,
+                host,
+                body_got: 512,
+            },
+            TraceEvent::Delivered {
+                msg: MessageId(11),
+                host,
+            },
+            TraceEvent::StopInForce {
+                ch: ChanId(9),
+                lane: 1,
+            },
+            TraceEvent::GoReceived {
+                ch: ChanId(9),
+                lane: 1,
+            },
+        ];
+        for cause in [
+            BlockCause::StopBackpressure { ch: ChanId(9) },
+            BlockCause::OutputBusy { switch, out: 5 },
+            BlockCause::BranchWait { switch, out: 6 },
+        ] {
+            events.push(TraceEvent::WormBlocked { worm, cause });
+            events.push(TraceEvent::WormResumed { worm, cause });
+        }
+        let mut jsonl = String::new();
+        for (t, ev) in events.iter().enumerate() {
+            render_line(&mut jsonl, t as u64, ev);
+            jsonl.push('\n');
+        }
+        assert_eq!(jsonl.lines().count(), 17);
+        assert_eq!(validate_jsonl(&jsonl), vec![]);
+    }
+
+    #[test]
+    fn rejects_each_departure_from_the_canonical_form() {
+        let cases = [
+            (r#"{"t":5,"ev":"stop","ch":{"a":1},"lane":0}"#, "nested value at byte 24"),
+            (r#"{"t":5.5,"ev":"stop","ch":1,"lane":0}"#, "non-integer number at byte 5"),
+            (r#"{"t":5,"ev":"stop","ch":-1,"lane":0}"#, "negative number at byte 24"),
+            (r#"{"t":5,"ev":"st\u006fp","ch":1,"lane":0}"#, "escape at byte 15"),
+            (r#"{"t": 5,"ev":"stop","ch":1,"lane":0}"#, "whitespace at byte 5"),
+            (r#"{"t":5,"ev":"stop","ch":1,"lane":0}x"#, "trailing bytes at byte 35"),
+            (r#"{"t":5,"ev":"stop","ch":"1","lane":0}"#, r#"missing unsigned integer field "ch""#),
+            (r#"{"t":5,"ev":"stop","ch":1}"#, r#"missing unsigned integer field "lane""#),
+            (r#"{"t":5,"ev":"stop-go","ch":1,"lane":0}"#, r#"unknown event "stop-go""#),
+            (r#"{"t":5,"ev":"blocked","worm":1,"cause":"bored"}"#, r#"unknown cause "bored""#),
+            (r#"{"t":4,"ev":"stop","ch":1,"lane":0}"#, "time went backwards: 4 after 5"),
+        ];
+        let mut jsonl = String::from("{\"t\":5,\"ev\":\"go\",\"ch\":1,\"lane\":0}\n");
+        for (line, _) in cases {
+            jsonl.push_str(line);
+            jsonl.push('\n');
+        }
+        let violations = validate_jsonl(&jsonl);
+        assert_eq!(violations.len(), cases.len(), "{violations:?}");
+        for (ix, (v, (_, fragment))) in violations.iter().zip(cases).enumerate() {
+            assert_eq!(v.line, ix + 2, "{v}");
+            assert!(v.reason.contains(fragment), "{v} lacks {fragment:?}");
+        }
     }
 
     #[test]
@@ -228,5 +453,15 @@ not json at all
         let expanded = expand_spans(jsonl);
         assert_eq!(expanded.lines().count(), 1);
         assert!(expanded.contains("worm-injected"));
+    }
+
+    #[test]
+    fn expander_without_spans_still_ends_every_line() {
+        let lines = "{\"t\":1,\"ev\":\"go\",\"ch\":0,\"lane\":0}\n{\"t\":2,\"ev\":\"go\",\"ch\":1,\"lane\":0}";
+        let canonical = format!("{lines}\n");
+        assert_eq!(expand_spans(&canonical), canonical);
+        assert_eq!(expand_spans(lines), canonical);
+        assert_eq!(expand_spans(&canonical.replace('\n', "\r\n")), canonical);
+        assert_eq!(expand_spans(""), "");
     }
 }

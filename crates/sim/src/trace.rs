@@ -132,7 +132,14 @@ impl TraceEvent {
 pub struct Trace {
     cfg: TraceConfig,
     enabled: bool,
+    /// The log. A ring sink keeps up to twice its capacity here, the
+    /// oldest `hidden` of them already overwritten.
     events: Vec<(SimTime, TraceEvent)>,
+    /// Leading entries of `events` a ring has dropped but not yet drained:
+    /// it drains them in one go when they number `capacity` (so `events`
+    /// holds twice the capacity), and an overflowing push costs O(1)
+    /// amortized.
+    hidden: usize,
     /// Events discarded by ring overflow.
     dropped: u64,
 }
@@ -151,6 +158,7 @@ impl Trace {
             cfg,
             enabled: !matches!(cfg, TraceConfig::Off),
             events: Vec::new(),
+            hidden: 0,
             dropped: 0,
         }
     }
@@ -177,40 +185,46 @@ impl Trace {
         if !self.enabled {
             return;
         }
+        self.events.push((at, ev));
         if let TraceConfig::Ring { capacity } = self.cfg {
-            if self.events.len() >= capacity {
-                self.events.remove(0);
+            if self.events.len() - self.hidden > capacity {
+                self.hidden += 1;
                 self.dropped += 1;
+                if self.hidden >= capacity {
+                    self.events.drain(..self.hidden);
+                    self.hidden = 0;
+                }
             }
         }
-        self.events.push((at, ev));
     }
 
+    /// The recorded events in push order (for a ring, the newest
+    /// `capacity`).
     pub fn events(&self) -> &[(SimTime, TraceEvent)] {
-        &self.events
+        &self.events[self.hidden..]
     }
 
-    /// Append another recorder's log verbatim (sharded-run merging):
+    /// Append another recorder's [`Trace::events`] (sharded-run merging):
     /// events concatenate — `to_jsonl`'s canonical sort orders them —
     /// and ring-drop counts sum. Ring capacity is deliberately NOT
     /// re-applied here; a ring budget is per engine, so a merged
     /// sharded trace may hold up to `shards × capacity` events.
     pub(crate) fn absorb(&mut self, other: &Trace) {
-        self.events.extend_from_slice(&other.events);
+        self.events.extend_from_slice(other.events());
         self.dropped += other.dropped;
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events().is_empty()
     }
 
     /// All events concerning a particular host, in time order.
     pub fn for_host(&self, host: HostId) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.events
+        self.events()
             .iter()
             .filter(move |(_, e)| e.host() == Some(host))
     }
@@ -218,7 +232,7 @@ impl Trace {
     /// The sequence of message deliveries observed at `host`, in time order.
     /// Used by total-ordering checks.
     pub fn delivery_order(&self, host: HostId) -> Vec<MessageId> {
-        self.events
+        self.events()
             .iter()
             .filter_map(|(_, e)| match e {
                 TraceEvent::Delivered { msg, host: h } if *h == host => Some(*msg),
@@ -227,38 +241,53 @@ impl Trace {
             .collect()
     }
 
-    /// Serialize the trace as JSON Lines, one event per line.
-    ///
-    /// Lines are sorted stably by `(time, line content)`: emission order
-    /// within one timestamp is the only thing that may differ between
-    /// [`crate::network::SimMode`]s, so the sorted output is byte-identical
-    /// for identical seed and configuration in both modes. Thin wrapper
-    /// over [`Trace::write_jsonl`].
+    /// Serialize the trace as JSON Lines, one event per line, in the
+    /// canonical order of [`Trace::write_jsonl`]. The output buffer is
+    /// sized to the rendered bytes before it is filled.
     pub fn to_jsonl(&self) -> String {
-        let mut out = Vec::new();
-        self.write_jsonl(&mut out)
-            .expect("writing to a Vec<u8> cannot fail");
+        let (arena, index) = self.render_sorted();
+        let mut out = Vec::with_capacity(arena.len() + index.len());
+        for &(_, start, end) in &index {
+            out.extend_from_slice(&arena.as_bytes()[start..end]);
+            out.push(b'\n');
+        }
         String::from_utf8(out).expect("JSONL lines are ASCII")
     }
 
-    /// Stream the sorted JSONL straight to `w`, rendering every event into
-    /// one shared arena (a single allocation amortized over the whole
-    /// trace) instead of one `String` per event. Same output as
-    /// [`Trace::to_jsonl`].
+    /// Stream the JSONL to `w`, one [`render_line`] per event, sorted by
+    /// `(time, line bytes)`. Emission order within one timestamp is the
+    /// only thing that may differ between [`crate::network::SimMode`]s and
+    /// shard counts, so the sorted output is byte-identical for identical
+    /// seed and configuration. Every line is rendered into one arena sized
+    /// for the whole trace, then an index of `(t, start, end)` is sorted;
+    /// the sort may be unstable because two entries with equal keys are
+    /// equal bytes.
     pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut arena = String::with_capacity(self.events.len() * 48);
-        let mut index: Vec<(SimTime, usize, usize)> = Vec::with_capacity(self.events.len());
-        for (t, e) in &self.events {
-            let start = arena.len();
-            render_line(&mut arena, *t, e);
-            index.push((*t, start, arena.len()));
-        }
-        index.sort_by(|a, b| (a.0, &arena[a.1..a.2]).cmp(&(b.0, &arena[b.1..b.2])));
-        for (_, start, end) in index {
+        let (arena, index) = self.render_sorted();
+        for &(_, start, end) in &index {
             w.write_all(&arena.as_bytes()[start..end])?;
             w.write_all(b"\n")?;
         }
         Ok(())
+    }
+
+    /// Every event's [`render_line`] in one arena, and the arena's line
+    /// spans sorted into the canonical `(t, line bytes)` order.
+    fn render_sorted(&self) -> (String, Vec<(SimTime, usize, usize)>) {
+        let events = self.events();
+        let mut arena = String::with_capacity(events.len() * MAX_LINE);
+        let mut index = Vec::with_capacity(events.len());
+        for (t, e) in events {
+            let start = arena.len();
+            render_line(&mut arena, *t, e);
+            index.push((*t, start, arena.len()));
+        }
+        let bytes = arena.as_bytes();
+        index.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| bytes[a.1..a.2].cmp(&bytes[b.1..b.2]))
+        });
+        (arena, index)
     }
 }
 
@@ -269,92 +298,134 @@ pub fn jsonl_line(t: SimTime, ev: &TraceEvent) -> String {
     s
 }
 
+/// The longest line [`render_line`] can produce: a `fragment-resumed` with
+/// every integer at its widest (58 bytes of text, 70 of digits).
+/// [`Trace::write_jsonl`] reserves this much per event so its arena never
+/// reallocates; pages it does not fill are never touched.
+const MAX_LINE: usize = 128;
+
 /// Append one event as a JSONL line onto `s` (no trailing newline). Field
 /// order is fixed (`t`, `ev`, then event-specific fields) so the output is
 /// reproducible; appending into a caller-owned buffer lets serialization
 /// reuse one allocation across events.
 pub fn render_line(s: &mut String, t: SimTime, ev: &TraceEvent) {
-    use std::fmt::Write;
-    let _ = write!(s, "{{\"t\":{t},\"ev\":");
-    match ev {
+    s.push_str("{\"t\":");
+    push_u64(s, t);
+    s.push_str(",\"ev\":\"");
+    match *ev {
         TraceEvent::WormInjected { worm, host } => {
-            let _ = write!(s, "\"worm-injected\",\"worm\":{},\"host\":{}", worm, host.0);
+            s.push_str("worm-injected\"");
+            field(s, "worm", worm);
+            field(s, "host", host.0);
         }
         TraceEvent::RouteConsumed { worm, switch, out } => {
-            let _ = write!(
-                s,
-                "\"route-consumed\",\"worm\":{},\"switch\":{},\"out\":{}",
-                worm, switch.0, out
-            );
+            s.push_str("route-consumed\"");
+            field(s, "worm", worm);
+            field(s, "switch", switch.0);
+            field(s, "out", out);
         }
         TraceEvent::WormBlocked { worm, cause } => {
-            let _ = write!(s, "\"blocked\",\"worm\":{},", worm);
+            s.push_str("blocked\"");
+            field(s, "worm", worm);
             write_cause(s, cause);
         }
         TraceEvent::WormResumed { worm, cause } => {
-            let _ = write!(s, "\"resumed\",\"worm\":{},", worm);
+            s.push_str("resumed\"");
+            field(s, "worm", worm);
             write_cause(s, cause);
         }
         TraceEvent::WormReceived { worm, host } => {
-            let _ = write!(s, "\"worm-received\",\"worm\":{},\"host\":{}", worm, host.0);
+            s.push_str("worm-received\"");
+            field(s, "worm", worm);
+            field(s, "host", host.0);
         }
         TraceEvent::WormRefused { worm, host } => {
-            let _ = write!(s, "\"worm-refused\",\"worm\":{},\"host\":{}", worm, host.0);
+            s.push_str("worm-refused\"");
+            field(s, "worm", worm);
+            field(s, "host", host.0);
         }
         TraceEvent::WormCorrupt { worm, host } => {
-            let _ = write!(s, "\"worm-corrupt\",\"worm\":{},\"host\":{}", worm, host.0);
+            s.push_str("worm-corrupt\"");
+            field(s, "worm", worm);
+            field(s, "host", host.0);
         }
         TraceEvent::WormFlushed { worm, host } => {
-            let _ = write!(s, "\"worm-flushed\",\"worm\":{},\"host\":{}", worm, host.0);
+            s.push_str("worm-flushed\"");
+            field(s, "worm", worm);
+            field(s, "host", host.0);
         }
         TraceEvent::FragmentParked { worm, host, body_got } => {
-            let _ = write!(
-                s,
-                "\"fragment-parked\",\"worm\":{},\"host\":{},\"body_got\":{}",
-                worm, host.0, body_got
-            );
+            s.push_str("fragment-parked\"");
+            field(s, "worm", worm);
+            field(s, "host", host.0);
+            field(s, "body_got", body_got);
         }
         TraceEvent::FragmentResumed { worm, host, body_got } => {
-            let _ = write!(
-                s,
-                "\"fragment-resumed\",\"worm\":{},\"host\":{},\"body_got\":{}",
-                worm, host.0, body_got
-            );
+            s.push_str("fragment-resumed\"");
+            field(s, "worm", worm);
+            field(s, "host", host.0);
+            field(s, "body_got", body_got);
         }
         TraceEvent::Delivered { msg, host } => {
-            let _ = write!(s, "\"delivered\",\"msg\":{},\"host\":{}", msg.0, host.0);
+            s.push_str("delivered\"");
+            field(s, "msg", msg.0);
+            field(s, "host", host.0);
         }
         TraceEvent::StopInForce { ch, lane } => {
-            let _ = write!(s, "\"stop\",\"ch\":{},\"lane\":{}", ch.0, lane);
+            s.push_str("stop\"");
+            field(s, "ch", ch.0);
+            field(s, "lane", lane);
         }
         TraceEvent::GoReceived { ch, lane } => {
-            let _ = write!(s, "\"go\",\"ch\":{},\"lane\":{}", ch.0, lane);
+            s.push_str("go\"");
+            field(s, "ch", ch.0);
+            field(s, "lane", lane);
         }
     }
     s.push('}');
 }
 
-fn write_cause(s: &mut String, cause: &BlockCause) {
-    use std::fmt::Write;
+fn write_cause(s: &mut String, cause: BlockCause) {
     match cause {
         BlockCause::StopBackpressure { ch } => {
-            let _ = write!(s, "\"cause\":\"stop\",\"ch\":{}", ch.0);
+            s.push_str(",\"cause\":\"stop\"");
+            field(s, "ch", ch.0);
         }
         BlockCause::OutputBusy { switch, out } => {
-            let _ = write!(
-                s,
-                "\"cause\":\"output-busy\",\"switch\":{},\"out\":{}",
-                switch.0, out
-            );
+            s.push_str(",\"cause\":\"output-busy\"");
+            field(s, "switch", switch.0);
+            field(s, "out", out);
         }
         BlockCause::BranchWait { switch, out } => {
-            let _ = write!(
-                s,
-                "\"cause\":\"branch-wait\",\"switch\":{},\"out\":{}",
-                switch.0, out
-            );
+            s.push_str(",\"cause\":\"branch-wait\"");
+            field(s, "switch", switch.0);
+            field(s, "out", out);
         }
     }
+}
+
+/// Append `,"key":value`.
+fn field(s: &mut String, key: &str, value: impl Into<u64>) {
+    s.push_str(",\"");
+    s.push_str(key);
+    s.push_str("\":");
+    push_u64(s, value.into());
+}
+
+/// Append `x` in decimal, as `write!` would but without the formatting
+/// machinery, which cost more than the rest of rendering a line.
+fn push_u64(s: &mut String, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 #[cfg(test)]
@@ -402,6 +473,65 @@ mod tests {
     }
 
     #[test]
+    fn widest_lines_fit_max_line() {
+        let (w, h, n) = (u64::MAX, u32::MAX, u8::MAX);
+        let causes = [
+            BlockCause::StopBackpressure { ch: ChanId(h) },
+            BlockCause::OutputBusy {
+                switch: SwitchId(h),
+                out: n,
+            },
+            BlockCause::BranchWait {
+                switch: SwitchId(h),
+                out: n,
+            },
+        ];
+        let mut events = vec![
+            TraceEvent::WormInjected { worm: w, host: HostId(h) },
+            TraceEvent::RouteConsumed {
+                worm: w,
+                switch: SwitchId(h),
+                out: n,
+            },
+            TraceEvent::WormReceived { worm: w, host: HostId(h) },
+            TraceEvent::WormRefused { worm: w, host: HostId(h) },
+            TraceEvent::WormCorrupt { worm: w, host: HostId(h) },
+            TraceEvent::WormFlushed { worm: w, host: HostId(h) },
+            TraceEvent::FragmentParked {
+                worm: w,
+                host: HostId(h),
+                body_got: w,
+            },
+            TraceEvent::FragmentResumed {
+                worm: w,
+                host: HostId(h),
+                body_got: w,
+            },
+            TraceEvent::Delivered {
+                msg: MessageId(w),
+                host: HostId(h),
+            },
+            TraceEvent::StopInForce { ch: ChanId(h), lane: n },
+            TraceEvent::GoReceived { ch: ChanId(h), lane: n },
+        ];
+        for cause in causes {
+            events.push(TraceEvent::WormBlocked { worm: w, cause });
+            events.push(TraceEvent::WormResumed { worm: w, cause });
+        }
+        let widest = events.iter().map(|e| jsonl_line(w, e).len()).max();
+        assert_eq!(widest, Some(MAX_LINE));
+    }
+
+    #[test]
+    fn digits_match_display() {
+        for x in [0, 1, 9, 10, 99, 100, 1 << 40, u64::MAX - 1, u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, x);
+            assert_eq!(s, x.to_string());
+        }
+    }
+
+    #[test]
     fn ring_sink_drops_oldest() {
         let mut t = Trace::new(TraceConfig::Ring { capacity: 2 });
         for i in 0..5u32 {
@@ -414,6 +544,35 @@ mod tests {
         assert_eq!(t.dropped(), 3);
         assert_eq!(t.events()[0].0, 3, "oldest surviving event");
         assert_eq!(t.events()[1].0, 4);
+    }
+
+    #[test]
+    fn ring_sink_keeps_the_tail_over_many_wraps() {
+        let capacity = 7;
+        let mut t = Trace::new(TraceConfig::Ring { capacity });
+        let total = 10 * capacity;
+        for i in 0..total {
+            t.push(i as SimTime, TraceEvent::Delivered {
+                msg: MessageId(i as u64),
+                host: HostId(i as u32 % 2),
+            });
+            assert_eq!(t.len(), (i + 1).min(capacity));
+            assert_eq!(t.dropped(), (i + 1).saturating_sub(capacity) as u64);
+        }
+        let times: Vec<SimTime> = t.events().iter().map(|&(at, _)| at).collect();
+        let tail: Vec<SimTime> = ((total - capacity) as SimTime..total as SimTime).collect();
+        assert_eq!(times, tail);
+        assert_eq!(t.for_host(HostId(1)).count(), 4);
+        assert_eq!(t.delivery_order(HostId(0)), vec![
+            MessageId(64),
+            MessageId(66),
+            MessageId(68)
+        ]);
+        assert_eq!(t.to_jsonl().lines().count(), capacity);
+        let mut merged = Trace::new(TraceConfig::Ring { capacity });
+        merged.absorb(&t);
+        assert_eq!(merged.events(), t.events());
+        assert_eq!(merged.dropped(), t.dropped());
     }
 
     #[test]
