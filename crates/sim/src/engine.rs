@@ -169,6 +169,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worm::{ByteKind, WormId};
 
     #[test]
     fn scheduler_orders_events() {
@@ -197,6 +198,72 @@ mod tests {
             Event::Inject { host } => assert_eq!(host, HostId(2)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// One tick holding every kind, pushed in reverse canonical order,
+    /// fires in canonical order; a `TxKick` pushed while the arrivals fire
+    /// takes its lane's place among the tick's other kicks.
+    #[test]
+    fn one_tick_fires_in_canonical_order() {
+        let byte = WireByte {
+            worm: WormId(0),
+            kind: ByteKind::Data,
+        };
+        let mut s = Scheduler::new();
+        for ev in [
+            Event::Inject { host: HostId(1) },
+            Event::Inject { host: HostId(0) },
+            Event::HostTimer {
+                host: HostId(0),
+                token: 9,
+            },
+            Event::TxKick {
+                ch: ChanId(3),
+                gen: 0,
+            },
+            Event::TxKick {
+                ch: ChanId(1),
+                gen: 0,
+            },
+            Event::RxSpan { ch: ChanId(5) },
+            Event::RxByte {
+                ch: ChanId(2),
+                byte,
+            },
+            Event::CtrlRx {
+                ch: ChanId(4),
+                sym: CtrlSym::Go,
+            },
+            Event::CtrlRx {
+                ch: ChanId(0),
+                sym: CtrlSym::Stop,
+            },
+            Event::Stop,
+        ] {
+            s.after(3, ev);
+        }
+        let mut fired = Vec::new();
+        while let Some((t, ev)) = s.pop() {
+            assert_eq!(t, 3);
+            if let Event::RxByte { ch, .. } = ev {
+                s.after(0, Event::TxKick { ch, gen: 1 });
+            }
+            fired.push(format!("{ev:?}"));
+        }
+        let expected = [
+            "Stop".to_string(),
+            "CtrlRx { ch: ChanId(0), sym: Stop }".into(),
+            "CtrlRx { ch: ChanId(4), sym: Go }".into(),
+            format!("RxByte {{ ch: ChanId(2), byte: {byte:?} }}"),
+            "RxSpan { ch: ChanId(5) }".into(),
+            "TxKick { ch: ChanId(1), gen: 0 }".into(),
+            "TxKick { ch: ChanId(2), gen: 1 }".into(),
+            "TxKick { ch: ChanId(3), gen: 0 }".into(),
+            "HostTimer { host: HostId(0), token: 9 }".into(),
+            "Inject { host: HostId(0) }".into(),
+            "Inject { host: HostId(1) }".into(),
+        ];
+        assert_eq!(fired, expected);
     }
 
     #[test]

@@ -11,18 +11,25 @@
 //! DESIGN.md §3.3):
 //!
 //! - **Tick drain.** A byte-time on a busy fabric holds tens of events, and
-//!   they must fire in `(key, seq)` order. When the clock advances to an
-//!   occupied slot the whole slot is moved into one `current` run and sorted
-//!   once; `pop` then takes the front. A push at `time == now` is an ordered
-//!   insert into what is left of that run, so `pop` always returns the
-//!   pending entry with the least `(time, key, seq)`, whatever the
-//!   interleaving of pushes and pops.
+//!   they must fire in `(key, seq)` order. A slot's list is in push order
+//!   (newest first), and push order is `seq` order. When the clock reaches
+//!   an occupied slot, one walk relinks its cells into four tick chains by
+//!   a monotone group of the key, oldest first; `pop` takes the head of
+//!   the lowest non-empty chain. The engine fires each kind of event in
+//!   ascending rank and so pushes the next tick's in ascending rank too: a
+//!   chain is already in key order unless the walk sees a key fall, and
+//!   only then is it stable-sorted by key. A slot holding one entry skips
+//!   the chains: `pop` takes it straight from the slot. A push at
+//!   `time == now` goes into its chain after every equal key, an O(1)
+//!   append unless its key is below the chain's tail. So `pop` always
+//!   returns the pending entry with the least `(time, key, seq)`, whatever
+//!   the interleaving of pushes and pops, without copying an entry.
 //! - **Pooled slots.** Entries waiting in the wheel live in one node pool,
-//!   chained per slot through `u32` links. Order inside a slot is
-//!   irrelevant (the drain sorts) and the slot index implies the due time,
-//!   so a node stores neither. Wheel memory scales with the number of
-//!   *pending* events, and a freed node is the next one reused, so push and
-//!   pop keep touching the same few kilobytes.
+//!   chained per slot and per tick chain through `u32` links. The slot
+//!   index implies the due time and the chain order implies `seq`, so a
+//!   node stores neither. Wheel memory scales with the number of *pending*
+//!   events, and a freed node is the next one reused, so push and pop keep
+//!   touching the same few kilobytes.
 //!
 //! Sparse schedules (the span-batched engine's normal regime) are as cheap
 //! as dense ones: a 4096-bit slot-occupancy bitmap (64 `u64` words) mirrors
@@ -35,9 +42,9 @@
 //! Determinism: events that share a timestamp are delivered in ascending
 //! order of an *ordering key* computed at push time (see
 //! [`TimingWheel::with_order`]); entries with equal keys fire in the order
-//! they were scheduled (a monotonic sequence number breaks the tie),
-//! regardless of which internal structure they travelled through. The
-//! default key is constant, which degenerates to plain schedule-order FIFO.
+//! they were scheduled, regardless of which internal structure they
+//! travelled through. The default key is constant, which degenerates to
+//! plain schedule-order FIFO.
 //!
 //! The simulator's key (`Event::canon_key`) is a canonical same-timestamp
 //! order that depends only on the event itself, not on push order. Three
@@ -49,7 +56,7 @@
 //! sequential engine's schedule exactly.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Number of slots in the wheel. Must be a power of two. Events scheduled
 /// less than `WHEEL_SLOTS` byte-times ahead take the O(1) path.
@@ -58,8 +65,26 @@ const WHEEL_SLOTS: usize = 4096;
 /// Words of the slot-occupancy bitmap (64 slots per `u64`).
 const OCC_WORDS: usize = WHEEL_SLOTS / 64;
 
-/// End of a slot chain or of the free list.
+/// End of a slot chain, a tick chain or the free list.
 const NIL: u32 = u32::MAX;
+
+/// Number of tick chains.
+const GROUPS: usize = 4;
+
+/// The tick chain an entry fires from: a monotone function of its key, so
+/// every key in one chain is below every key in the next and the chains
+/// fire in order. The groups follow the kind rank `Event::canon_key` keeps
+/// in the high 32 bits — {`Stop`, `CtrlRx`}, arrivals, `TxKick`,
+/// {`HostTimer`, `Inject`} — because the engine pushes each kind in
+/// ascending rank. Any other key is still ordered exactly; a key that
+/// does not follow that layout only makes its chain sort more often.
+#[inline]
+fn group(key: u64) -> usize {
+    // Ranks 0–1 `Stop` and `CtrlRx`, 4 arrivals, 6 `TxKick`, 7 and up
+    // `HostTimer` and `Inject`.
+    const OF_RANK: [u8; 8] = [0, 0, 1, 1, 1, 1, 2, 3];
+    OF_RANK[(key >> 32).min(7) as usize] as usize
+}
 
 /// An entry waiting in the overflow heap, ordered by `(time, key, seq)`.
 struct Overflow<T> {
@@ -86,14 +111,26 @@ impl<T> Ord for Overflow<T> {
     }
 }
 
-/// One pool cell: an entry chained into its slot's list (`item` is `Some`)
-/// or a free cell chained into the free list (`item` is `None`).
+/// One pool cell: an entry chained into a slot's list or a tick chain
+/// (`item` is `Some`) or a free cell chained into the free list (`item` is
+/// `None`).
 struct Node<T> {
     key: u64,
-    seq: u64,
     next: u32,
     item: Option<T>,
 }
+
+/// A tick chain: pool cells in firing order, `NIL` ends when empty.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Chain = Chain {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A monotonic-time priority queue specialised for near-future scheduling.
 ///
@@ -114,27 +151,34 @@ struct Node<T> {
 /// assert_eq!(w.pop(), Some((1_000_000, "overflow-horizon")));
 /// ```
 pub struct TimingWheel<T> {
-    /// `(key, seq, item)` of every pending entry due at `now`, ascending;
-    /// `key` is the ordering key computed at push time by `order`.
-    current: VecDeque<(u64, u64, T)>,
-    /// Pool behind the slot lists and the free list.
+    /// Every unfired entry due at `now` but a lone one `pop` took straight
+    /// from its slot: chain `g` holds the keys of [`group`] `g` in
+    /// ascending key order, equal keys in push order. `key` is the
+    /// ordering key computed at push time by `order`.
+    tick: [Chain; GROUPS],
+    /// Bit `g` is set iff tick chain `g` is not empty.
+    live: u32,
+    /// Pool behind the slot lists, the tick chains and the free list.
     nodes: Vec<Node<T>>,
     /// First free cell of `nodes`, or `NIL`.
     free: u32,
-    /// First node of each slot's list, or `NIL`. The slot of `now` is
-    /// always empty: its entries are in `current`.
+    /// Newest node of each slot's list, or `NIL`; each node links to the
+    /// one pushed before it. The slot of `now` is always empty: its
+    /// entries are in `tick`.
     heads: [u32; WHEEL_SLOTS],
     /// Slot-occupancy bitmap: bit `s` of word `s / 64` is set iff
     /// `heads[s]` is not `NIL`. Kept exactly in sync by push/pop/fold.
     occupied: [u64; OCC_WORDS],
     /// The earliest time `pop` may still return. Everything below has fired.
     now: u64,
-    /// Monotonic tie-breaker so equal-key same-time events fire in schedule
-    /// order.
+    /// Monotonic tie-breaker so equal-key same-time entries leave the
+    /// overflow heap in schedule order.
     seq: u64,
     /// Same-timestamp ordering key (see [`Self::with_order`]).
     order: fn(&T) -> u64,
     overflow: BinaryHeap<Reverse<Overflow<T>>>,
+    /// `(key, cell)` of a tick chain being sorted; kept for its capacity.
+    sort_buf: Vec<(u64, u32)>,
     len: usize,
     /// Lifetime counter of `push` calls (engine cost metric).
     pushed: u64,
@@ -160,7 +204,8 @@ impl<T> TimingWheel<T> {
     /// evaluated once, at push time.
     pub fn with_order(order: fn(&T) -> u64) -> Self {
         TimingWheel {
-            current: VecDeque::new(),
+            tick: [EMPTY; GROUPS],
+            live: 0,
             nodes: Vec::new(),
             free: NIL,
             heads: [NIL; WHEEL_SLOTS],
@@ -169,6 +214,7 @@ impl<T> TimingWheel<T> {
             seq: 0,
             order,
             overflow: BinaryHeap::new(),
+            sort_buf: Vec::new(),
             len: 0,
             pushed: 0,
             popped: 0,
@@ -215,12 +261,10 @@ impl<T> TimingWheel<T> {
         self.len += 1;
         self.pushed += 1;
         if time == self.now {
-            // Into the unfired rest of this tick, after every equal key:
-            // this entry's `seq` is the largest there is.
-            let at = self.current.partition_point(|e| e.0 <= key);
-            self.current.insert(at, (key, seq, item));
+            let idx = self.alloc(key, NIL, item);
+            self.insert_in_tick(idx, key);
         } else if time - self.now < WHEEL_SLOTS as u64 {
-            self.link(time, key, seq, item);
+            self.link(time, key, item);
         } else {
             self.overflow.push(Reverse(Overflow {
                 time,
@@ -231,17 +275,14 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Chain an entry due at `time` (inside the horizon, after `now`) into
-    /// its slot, in a recycled pool cell when there is one.
-    fn link(&mut self, time: u64, key: u64, seq: u64, item: T) {
-        let slot = (time as usize) & (WHEEL_SLOTS - 1);
+    /// Put `item` in a pool cell, a recycled one when there is one.
+    fn alloc(&mut self, key: u64, next: u32, item: T) -> u32 {
         let node = Node {
             key,
-            seq,
-            next: self.heads[slot],
+            next,
             item: Some(item),
         };
-        let idx = if self.free != NIL {
+        if self.free != NIL {
             let idx = self.free;
             let cell = &mut self.nodes[idx as usize];
             self.free = cell.next;
@@ -254,43 +295,122 @@ impl<T> TimingWheel<T> {
                 .expect("node pool outgrew its u32 links");
             self.nodes.push(node);
             idx
-        };
-        self.heads[slot] = idx;
+        }
+    }
+
+    /// Chain an entry due at `time` (inside the horizon, after `now`) at
+    /// the head of its slot's list.
+    fn link(&mut self, time: u64, key: u64, item: T) {
+        let slot = (time as usize) & (WHEEL_SLOTS - 1);
+        self.heads[slot] = self.alloc(key, self.heads[slot], item);
         self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Insert cell `idx`, pushed at `time == now`, into its tick chain
+    /// after every equal key: it was pushed after all of them.
+    fn insert_in_tick(&mut self, idx: u32, key: u64) {
+        let g = group(key);
+        let Chain { head, tail } = self.tick[g];
+        if self.live & (1 << g) == 0 {
+            self.tick[g] = Chain {
+                head: idx,
+                tail: idx,
+            };
+            self.live |= 1 << g;
+        } else if self.nodes[tail as usize].key <= key {
+            self.nodes[tail as usize].next = idx;
+            self.tick[g].tail = idx;
+        } else {
+            // The tail's key is above `key`, so the walk stops before it.
+            let (mut prev, mut cur) = (NIL, head);
+            while self.nodes[cur as usize].key <= key {
+                prev = cur;
+                cur = self.nodes[cur as usize].next;
+            }
+            self.nodes[idx as usize].next = cur;
+            if prev == NIL {
+                self.tick[g].head = idx;
+            } else {
+                self.nodes[prev as usize].next = idx;
+            }
+        }
     }
 
     /// Move every overflow item that has entered the horizon into the wheel.
     /// Restores the horizon invariant after `now` advances.
+    ///
+    /// Entries sharing a slot fold in `(key, seq)` order, at the advance
+    /// that brings the slot into the horizon. No direct push can reach the
+    /// slot before that advance, so every folded entry precedes every
+    /// direct push in the slot's push order, as it does in `seq`.
     fn fold_overflow(&mut self) {
         while let Some(Reverse(top)) = self.overflow.peek() {
             if top.time - self.now >= WHEEL_SLOTS as u64 {
                 break;
             }
             let Reverse(o) = self.overflow.pop().expect("peeked");
-            self.link(o.time, o.key, o.seq, o.item);
+            self.link(o.time, o.key, o.item);
         }
     }
 
-    /// Empty the slot of `now` into `current` and sort it into firing
-    /// order, returning its cells to the pool. `current` must be empty.
-    fn drain_tick(&mut self) {
-        let slot = (self.now as usize) & (WHEEL_SLOTS - 1);
-        let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
+    /// Relink the list starting at `idx`, the slot of `now`, into the tick
+    /// chains, which must be empty.
+    ///
+    /// The slot's list runs newest first, so prepending each cell to its
+    /// chain leaves every chain in push order, which is `seq` order. A
+    /// chain whose keys then ascend is in firing order; one where the walk
+    /// saw a key fall is stable-sorted by key, which keeps `seq` order
+    /// among equal keys.
+    fn drain_tick(&mut self, mut idx: u32) {
+        debug_assert_eq!(self.live, 0, "drained a tick over unfired entries");
+        let mut tick = [EMPTY; GROUPS];
+        let mut live = 0u32;
+        // Key of each chain's head: the least pushed so far, when in order.
+        let mut first = [0u64; GROUPS];
+        let mut unsorted = 0u32;
         while idx != NIL {
             let cell = &mut self.nodes[idx as usize];
-            let item = cell.item.take().expect("a chained cell holds an item");
-            self.current.push_back((cell.key, cell.seq, item));
-            let next = cell.next;
-            cell.next = self.free;
-            self.free = idx;
+            let (key, next) = (cell.key, cell.next);
+            let g = group(key);
+            if live & (1 << g) == 0 {
+                tick[g].tail = idx;
+                live |= 1 << g;
+            } else if key > first[g] {
+                unsorted |= 1 << g;
+            }
+            cell.next = tick[g].head;
+            tick[g].head = idx;
+            first[g] = key;
             idx = next;
         }
-        if self.current.len() > 1 {
-            self.current
-                .make_contiguous()
-                .sort_unstable_by_key(|e| (e.0, e.1));
+        self.tick = tick;
+        self.live = live;
+        while unsorted != 0 {
+            self.sort_chain(unsorted.trailing_zeros() as usize);
+            unsorted &= unsorted - 1;
         }
+    }
+
+    /// Stable-sort tick chain `g` by key.
+    #[cold]
+    #[inline(never)]
+    fn sort_chain(&mut self, g: usize) {
+        let mut buf = std::mem::take(&mut self.sort_buf);
+        let mut idx = self.tick[g].head;
+        while idx != NIL {
+            let cell = &self.nodes[idx as usize];
+            buf.push((cell.key, idx));
+            idx = cell.next;
+        }
+        buf.sort_by_key(|&(key, _)| key);
+        for pair in buf.windows(2) {
+            self.nodes[pair[0].1 as usize].next = pair[1].1;
+        }
+        let (head, tail) = (buf[0].1, buf[buf.len() - 1].1);
+        self.nodes[tail as usize].next = NIL;
+        self.tick[g] = Chain { head, tail };
+        buf.clear();
+        self.sort_buf = buf;
     }
 
     /// Distance in byte-times from `now` to the nearest occupied slot, or
@@ -329,16 +449,19 @@ impl<T> TimingWheel<T> {
     /// Remove and return the earliest `(time, item)` pair, advancing the
     /// wheel's clock to that time. Returns `None` when empty.
     ///
-    /// Horizon invariant: every chained entry is due at exactly its slot's
-    /// time — slot `s` holds only entries with `time ≡ s (mod WHEEL_SLOTS)`
-    /// and `now < time < now + WHEEL_SLOTS`, so the slot index alone
-    /// determines the due time; entries due at `now` itself are in
-    /// `current`. Pushes enforce the window, and `fold_overflow` runs after
-    /// every advance of `now`, so outside this method every overflow entry
-    /// satisfies `time >= now + WHEEL_SLOTS`: the overflow heap only needs
-    /// consulting when the occupancy bitmap is all zeroes.
+    /// Horizon invariant: every entry chained in a slot is due at exactly
+    /// its slot's time — slot `s` holds only entries with `time ≡ s (mod
+    /// WHEEL_SLOTS)` and `now < time < now + WHEEL_SLOTS`, so the slot
+    /// index alone determines the due time; entries due at `now` itself
+    /// are in the tick chains. Pushes enforce the window, and
+    /// `fold_overflow` runs after every advance of `now`, so outside this
+    /// method every overflow entry satisfies `time >= now + WHEEL_SLOTS`:
+    /// the overflow heap only needs consulting when the occupancy bitmap
+    /// is all zeroes.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        if self.current.is_empty() {
+        let idx = if self.live != 0 {
+            self.unlink_tick_head()
+        } else {
             if self.len == 0 {
                 return None;
             }
@@ -346,19 +469,44 @@ impl<T> TimingWheel<T> {
             // horizon invariant for the moved window, then take the tick.
             self.now = self.next_tick();
             self.fold_overflow();
-            self.drain_tick();
-        }
-        let (_key, _seq, item) = self.current.pop_front().expect("advanced to an empty slot");
+            let slot = (self.now as usize) & (WHEEL_SLOTS - 1);
+            let head = std::mem::replace(&mut self.heads[slot], NIL);
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            if self.nodes[head as usize].next == NIL {
+                // A lone entry fires straight from its slot.
+                head
+            } else {
+                self.drain_tick(head);
+                self.unlink_tick_head()
+            }
+        };
+        let cell = &mut self.nodes[idx as usize];
+        let item = cell.item.take().expect("a chained cell holds an item");
+        cell.next = self.free;
+        self.free = idx;
         self.len -= 1;
         self.popped += 1;
         Some((self.now, item))
+    }
+
+    /// Unlink the head of the lowest non-empty tick chain.
+    fn unlink_tick_head(&mut self) -> u32 {
+        let g = self.live.trailing_zeros() as usize;
+        let idx = self.tick[g].head;
+        let next = self.nodes[idx as usize].next;
+        self.tick[g].head = next;
+        if next == NIL {
+            self.tick[g].tail = NIL;
+            self.live &= !(1 << g);
+        }
+        idx
     }
 
     /// Peek at the earliest pending timestamp without popping. O(1): a
     /// bitmap scan, falling back to the overflow head only when the wheel
     /// part is empty (valid by the horizon invariant — see [`Self::pop`]).
     pub fn peek_time(&self) -> Option<u64> {
-        if !self.current.is_empty() {
+        if self.live != 0 {
             return Some(self.now);
         }
         if self.len == 0 {
@@ -369,7 +517,7 @@ impl<T> TimingWheel<T> {
 
     /// Due time of the earliest entry after `now`: the next occupied slot
     /// or, with the wheel part empty, the overflow head (valid by the
-    /// horizon invariant). `current` must be empty and the wheel not.
+    /// horizon invariant). The tick chains must be empty and the wheel not.
     #[inline]
     fn next_tick(&self) -> u64 {
         match self.next_occupied_dist() {
@@ -535,8 +683,8 @@ mod tests {
     fn overflow_fold_interleaving_at_equal_times() {
         let mut w = TimingWheel::new();
         let t = 10_000u64; // far beyond the horizon from now=0
-        // Alternate overflow pushes (t is out of horizon) with near pushes
-        // that drag `now` forward between them.
+                           // Alternate overflow pushes (t is out of horizon) with near pushes
+                           // that drag `now` forward between them.
         w.push(t, 100); // overflow, seq 0
         w.push(5, 0); // wheel, seq 1
         assert_eq!(w.pop(), Some((5, 0)));
@@ -547,7 +695,7 @@ mod tests {
         // now share a slot with folded overflow entries.
         w.push(t, 102); // wheel, seq 4
         w.push(t, 103); // wheel, seq 5
-        // Delivery order at time t must be seq order: 100, 101, 102, 103.
+                        // Delivery order at time t must be seq order: 100, 101, 102, 103.
         assert_eq!(w.pop(), Some((t, 100)));
         assert_eq!(w.pop(), Some((t, 101)));
         assert_eq!(w.pop(), Some((t, 102)));
@@ -692,6 +840,107 @@ mod tests {
                     1 => fired,
                     2 => rng.gen_range(10..60),
                     3 => u64::MAX,
+                    _ => continue,
+                };
+                c.push(now, key);
+            }
+        }
+        while !c.heap.is_empty() {
+            c.pop();
+        }
+    }
+
+    /// The kind ranks of `Event::canon_key`, gaps included; a key is a rank
+    /// in the high 32 bits over a lane or host id.
+    const RANKS: [u64; 6] = [0, 1, 4, 6, 7, 8];
+
+    /// A key of a random rank over `id`, now and then one above every rank.
+    fn event_key(rng: &mut rand::rngs::SmallRng, id: u64) -> u64 {
+        use rand::Rng;
+        match rng.gen_range(0..40) {
+            0 => u64::MAX,
+            1 => (9 << 32) | id,
+            2 => (u64::from(u32::MAX) << 32) | id,
+            _ => (RANKS[rng.gen_range(0..RANKS.len())] << 32) | id,
+        }
+    }
+
+    /// One tick's worth of keys at `t`, interleaved across ranks, ids with
+    /// ties and gaps. Mostly ascending within a rank, as the engine pushes
+    /// them; else reversed or shuffled, which the drain must sort.
+    fn push_event_tick(c: &mut Checked, rng: &mut rand::rngs::SmallRng, t: u64) {
+        use rand::Rng;
+        let n = rng.gen_range(1..100);
+        let mut ids: Vec<u64> = (0..n).map(|_| rng.gen_range(0..48)).collect();
+        match rng.gen_range(0..4) {
+            0 | 1 => ids.sort_unstable(),
+            2 => ids.sort_unstable_by(|a, b| b.cmp(a)),
+            _ => {}
+        }
+        for id in ids {
+            let key = event_key(rng, id);
+            c.push(t, key);
+        }
+    }
+
+    /// `Event::canon_key`-shaped keys, which the tick drain groups by rank:
+    /// ticks in and beyond the horizon, overflow entries at the tick the
+    /// clock jumps to and overflow entries sharing a slot with direct
+    /// pushes behind them, and, while a tick fires, pushes into it below,
+    /// at and above the rank firing and into the next few ticks.
+    #[test]
+    fn event_shaped_keys_match_reference_heap() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xCA_11);
+        let mut c = Checked::new();
+        let horizon = WHEEL_SLOTS as u64;
+        for _ in 0..300 * SCALE {
+            let now = c.wheel.now();
+            let t = if rng.gen_bool(0.3) {
+                let t = now + rng.gen_range(horizon..3 * horizon);
+                if rng.gen_bool(0.5) {
+                    // Empty the wheel part: the clock jumps to `t`.
+                    while !c.heap.is_empty() {
+                        c.pop();
+                    }
+                    push_event_tick(&mut c, &mut rng, t);
+                } else {
+                    // Fold `t`'s overflow entries into its slot, then push
+                    // behind them directly.
+                    push_event_tick(&mut c, &mut rng, t);
+                    let step = t - rng.gen_range(1..horizon);
+                    c.push(step, 0);
+                    while c.heap.peek().is_some_and(|e| e.0 .0 <= step) {
+                        c.pop();
+                    }
+                    push_event_tick(&mut c, &mut rng, t);
+                }
+                t
+            } else {
+                let t = now + rng.gen_range(1..8u64);
+                push_event_tick(&mut c, &mut rng, t);
+                t
+            };
+            while c.heap.peek().is_some_and(|e| e.0 .0 <= t) {
+                let (now, fired) = c.pop();
+                let rank = fired >> 32;
+                let id = rng.gen_range(0..48);
+                let below = RANKS.iter().filter(|&&r| r < rank).count();
+                let above = RANKS.iter().filter(|&&r| r <= rank).count();
+                let key = match rng.gen_range(0..12) {
+                    0 if below > 0 => (RANKS[rng.gen_range(0..below)] << 32) | id,
+                    1 => fired.saturating_sub(rng.gen_range(0..3)),
+                    2 => (rank << 32) | id,
+                    3 => fired.saturating_add(rng.gen_range(0..3)),
+                    4 if above < RANKS.len() => {
+                        (RANKS[rng.gen_range(above..RANKS.len())] << 32) | id
+                    }
+                    5 => event_key(&mut rng, id),
+                    6 | 7 => {
+                        let key = event_key(&mut rng, id);
+                        c.push(now + rng.gen_range(1..4u64), key);
+                        continue;
+                    }
                     _ => continue,
                 };
                 c.push(now, key);
