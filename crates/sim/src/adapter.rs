@@ -18,7 +18,7 @@ use crate::protocol::Admission;
 
 use crate::slab::FollowMap;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// A worm queued for transmission at an adapter.
 #[derive(Debug)]
@@ -84,10 +84,20 @@ pub struct Adapter {
     /// Serialised transmit queue; only the front worm transmits.
     pub tx_queue: VecDeque<TxWorm>,
     pub rx: RxState,
-    /// Body bytes received so far for worms that cut-through followers are
-    /// tracking. `u64::MAX` marks a fully-received worm. A linear-scan map:
-    /// at most a handful of worms are ever live here (see [`FollowMap`]).
+    /// Body bytes received so far of each worm whose progress something
+    /// can still read; `u64::MAX` marks a fully-received worm. An entry
+    /// lives from admission until the reception completes (parked
+    /// fragments included), and past completion only while `rx_followers`
+    /// counts a queued cut-through follower of it: the last follower's
+    /// tail, or its flush, takes it out. So this holds the reception in
+    /// progress, parked fragments and the sources of queued followers,
+    /// never the host's history, and the linear scan of [`FollowMap`]
+    /// stays short.
     pub rx_body_got: FollowMap,
+    /// Queued cut-through followers (`TxWorm::follow`) per source worm, so
+    /// that a completion or a follower's departure knows without a scan of
+    /// `tx_queue` whether the source's `rx_body_got` entry is still read.
+    pub rx_followers: FollowMap,
     /// Fragmented receptions (switch-level interrupt/resume) parked between
     /// fragments; other worms may complete in the gap.
     pub parked: FollowMap,
@@ -103,6 +113,7 @@ impl Adapter {
             tx_queue: VecDeque::new(),
             rx: RxState::Idle,
             rx_body_got: FollowMap::new(),
+            rx_followers: FollowMap::new(),
             parked: FollowMap::new(),
             counters: AdapterCounters::default(),
         }
@@ -114,14 +125,65 @@ impl Adapter {
     }
 
     /// Enqueue for transmission. `priority` worms jump the queue but never
-    /// preempt the worm already on the wire.
+    /// preempt the worm already on the wire. A cut-through follower is
+    /// counted against its source until it leaves (`drop_follower`).
     pub fn enqueue_tx(&mut self, tx: TxWorm, priority: bool) {
+        if let Some(src) = tx.follow {
+            let n = self.rx_followers.get(src).unwrap_or(0);
+            self.rx_followers.insert(src, n + 1);
+        }
         if priority {
             let insert_at = usize::from(self.tx_queue.front().is_some_and(|f| f.started()));
             self.tx_queue.insert(insert_at, tx);
         } else {
             self.tx_queue.push_back(tx);
         }
+    }
+
+    /// A follower of `src` left the queue: its tail went out, or a flush
+    /// evicted it. The last one takes a completed source's progress entry
+    /// with it; a source still arriving keeps its entry until completion.
+    pub(crate) fn drop_follower(&mut self, src: WormId) {
+        let n = self
+            .rx_followers
+            .get_mut(src)
+            .expect("a queued follower is counted");
+        *n -= 1;
+        if *n == 0 {
+            self.rx_followers.remove(src);
+            if self.rx_body_got.get(src) == Some(u64::MAX) {
+                self.rx_body_got.remove(src);
+            }
+        }
+    }
+
+    /// The reception-state half of [`Network::audit`]: `rx_followers`
+    /// counts exactly the queued followers, and every `rx_body_got` entry
+    /// is the reception in progress, a parked fragment or the source of a
+    /// queued follower. A leaked entry would make every later arrival at
+    /// this host scan it.
+    pub(crate) fn audit(&self) -> Result<(), String> {
+        let id = self.id;
+        let mut queued: HashMap<WormId, u64> = HashMap::new();
+        for src in self.tx_queue.iter().filter_map(|t| t.follow) {
+            *queued.entry(src).or_default() += 1;
+        }
+        let counted: HashMap<WormId, u64> = self.rx_followers.iter().collect();
+        if counted != queued {
+            return Err(format!(
+                "adapter {id:?}: followers counted per source {counted:?}, queued {queued:?}"
+            ));
+        }
+        for (worm, got) in self.rx_body_got.iter() {
+            let receiving = matches!(self.rx, RxState::Receiving { worm: w, .. } if w == worm);
+            if !(receiving || self.parked.contains(worm) || self.rx_followers.contains(worm)) {
+                return Err(format!(
+                    "adapter {id:?} keeps reception progress {got} of {worm:?}, \
+                     which no reception, parked fragment or follower reads"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -187,15 +249,12 @@ impl Network {
                     let a = &mut self.adapters[host.0 as usize];
                     a.counters.bytes_sent += 1;
                     a.counters.worms_sent += 1;
-                    a.tx_queue.pop_front().expect("head exists")
-                };
-                // Drop the cut-through bookkeeping if no one else follows it.
-                if let Some(src) = finished.follow {
-                    let a = &mut self.adapters[host.0 as usize];
-                    if !a.tx_queue.iter().any(|t| t.follow == Some(src)) {
-                        a.rx_body_got.remove(src);
+                    let finished = a.tx_queue.pop_front().expect("head exists");
+                    if let Some(src) = finished.follow {
+                        a.drop_follower(src);
                     }
-                }
+                    finished
+                };
                 // The route left the wire byte by byte; recycle its buffer
                 // (wire-length accounting uses the cached `route_len`).
                 let route = std::mem::take(&mut self.worms[finished.worm.0 as usize].route);
@@ -312,8 +371,12 @@ impl Network {
                         a.rx_body_got.remove(worm);
                     } else {
                         a.counters.worms_received += 1;
-                        if let Some(g) = a.rx_body_got.get_mut(worm) {
-                            *g = u64::MAX;
+                        // Past completion only a queued follower reads the
+                        // progress, and it reads "fully received".
+                        if a.rx_followers.contains(worm) {
+                            a.rx_body_got.insert(worm, u64::MAX);
+                        } else {
+                            a.rx_body_got.remove(worm);
                         }
                     }
                 }

@@ -611,6 +611,8 @@ fn a_head_inside_a_span_keeps_its_place_among_single_bytes() {
     };
     let (a, b) = (worm_name(0, 0), worm_name(1, 0));
     let (quiet, _) = assert_same_run(mk(None), 5_000, "no A");
+    // B's tail has left h1, and X's progress entry with it.
+    assert!(quiet.adapters[1].rx_body_got.is_empty(), "X outlived its follower");
     let b_at = route_consumed_at(&quiet, b, 1).expect("B's head reaches sw1");
     let mut hit = 0;
     for a_at in b_at - 6..=b_at {
@@ -624,6 +626,67 @@ fn a_head_inside_a_span_keeps_its_place_among_single_bytes() {
         }
     }
     assert_eq!(hit, 1, "one start time brings both heads to sw1 in one tick");
+}
+
+/// The cut-through follower's source keeps its reception progress exactly
+/// as long as the follower is queued: past the source's completion it reads
+/// "fully received", and once the follower's tail has left the entry is
+/// gone, so the relay holds no reception state at all.
+#[test]
+fn a_followed_source_leaves_the_relay_with_its_followers_tail() {
+    for mode in [SimMode::PerByte, SimMode::SpanBatched] {
+        let mut net = line_fabric(3, 1, &[0, 1, 1, 2], mode, TraceConfig::Off);
+        net.set_protocol(HostId(1), Box::new(Relay { to: HostId(2), copy: None }));
+        let mut net = fire(net, &[Shot { from: 3, to: 1, at: 10, len: 200 }]);
+        let (mut followed, mut held_past_completion) = (false, false);
+        for t in 1..=2_000 {
+            net.run_until(t);
+            net.audit().expect("reception state is bounded");
+            let relay = &net.adapters[1];
+            if let Some(src) = relay.tx_queue.front().and_then(|tx| tx.follow) {
+                followed = true;
+                let got = relay.rx_body_got.get(src).expect("a followed source is tracked");
+                held_past_completion |= got == u64::MAX;
+            } else if relay.counters.worms_sent == 1 {
+                assert!(
+                    relay.rx_body_got.is_empty(),
+                    "{mode:?} t={t}: the source outlived its follower"
+                );
+            }
+        }
+        let relay = &net.adapters[1];
+        assert!(followed, "{mode:?}: the relay's copy kept its follow");
+        assert!(held_past_completion, "{mode:?}: the follower outlasted its source's reception");
+        assert_eq!((relay.counters.worms_received, relay.counters.worms_sent), (1, 1), "{mode:?}");
+        assert!(relay.rx_body_got.is_empty() && relay.rx_followers.is_empty(), "{mode:?}");
+    }
+}
+
+/// A host's reception state does not grow with the worms it has received:
+/// with no cut-through followers, `rx_body_got` holds at most the reception
+/// in progress at every step of a thousand-worm run into one adapter.
+#[test]
+fn an_adapter_keeps_no_reception_history() {
+    let senders: Vec<(u32, u64)> = (0..500u64)
+        .flat_map(|i| [(0, 10 + 30 * i), (1, 25 + 30 * i)])
+        .collect();
+    for mode in [SimMode::PerByte, SimMode::SpanBatched] {
+        let mut net = line_net(1, mode, 20, TraceConfig::Off, &senders);
+        let mut t = 0;
+        let drained = loop {
+            t += 7;
+            let out = net.run_until(t);
+            net.audit().expect("reception state is bounded");
+            let sink = &net.adapters[2];
+            let held = sink.rx_body_got.len();
+            assert!(held <= 1, "{mode:?} t={t}: {held} entries");
+            if out.drained {
+                break sink;
+            }
+        };
+        assert_eq!(drained.counters.worms_received, 1_000, "{mode:?}");
+        assert!(drained.rx_body_got.is_empty(), "{mode:?}");
+    }
 }
 
 /// (c) A route longer than the first input's 8-byte room: the head run is
