@@ -127,7 +127,8 @@ impl std::fmt::Display for Point {
 /// points — the Fig 10 schemes', and switch-level multicast's (Section 3,
 /// each variant and the broadcast address) on the same torus — and last
 /// the traced Fig 11 point in both modes, the long-link fabric where drain
-/// windows and certain-drain room carry spans across the trunks.
+/// windows and the crossing test's certain drain carry spans across the
+/// trunks.
 pub fn grid() -> Vec<Point> {
     let plain = |scheme, load, mode| Point {
         fabric: Fabric::Torus,
@@ -180,7 +181,8 @@ pub fn grid() -> Vec<Point> {
 pub struct Row {
     pub scheme: String,
     pub load: f64,
-    pub mode: SimMode,
+    /// The engine mode's name, as `SimMode` prints it with `{:?}`.
+    pub mode: String,
     pub lanes: u8,
     pub shards: u32,
     pub traced: bool,
@@ -199,7 +201,7 @@ impl Row {
     fn is_at(&self, p: &Point) -> bool {
         self.scheme == p.label()
             && self.load == p.load
-            && self.mode == p.mode
+            && self.mode == format!("{:?}", p.mode)
             && self.lanes == p.lanes
             && self.shards == p.shards
             && self.traced == p.traced
@@ -312,7 +314,7 @@ pub fn measure(p: &Point) -> Run {
     let row = Row {
         scheme: p.label(),
         load: p.load,
-        mode: p.mode,
+        mode: format!("{:?}", p.mode),
         lanes: p.lanes,
         shards: p.shards,
         traced: p.traced,
@@ -504,7 +506,7 @@ mod tests {
             .map(|p| Row {
                 scheme: p.label(),
                 load: p.load,
-                mode: p.mode,
+                mode: format!("{:?}", p.mode),
                 lanes: p.lanes,
                 shards: p.shards,
                 traced: p.traced,
@@ -627,7 +629,7 @@ mod tests {
     #[test]
     fn traced_row_with_an_extra_event_fails_trace_fast_path() {
         let base = baseline();
-        let traced = index_of(&base, |r| r.traced && r.mode == SimMode::SpanBatched);
+        let traced = index_of(&base, |r| r.traced && r.mode == "SpanBatched");
         let untraced = index_of(&base, |r| {
             let mut twin = base[traced].clone();
             twin.traced = false;

@@ -14,12 +14,10 @@
 //! overflow into the **host DMA buffer extension** when the on-card SRAM
 //! class pool is full.
 
-use serde::{Deserialize, Serialize};
-
 /// Pool sizing. The Myrinet LANai has 128 KB SRAM of which ~25 KB is
 /// usable worm buffering; the default splits it across the two classes and
 /// allows a generous host-DMA extension.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
     /// Class-1 (pre-reversal) capacity in bytes.
     pub class1: u32,

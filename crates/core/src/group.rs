@@ -5,8 +5,6 @@
 //! the triple *(group, next hop, hop count)*; for the tree scheme the
 //! successor list. [`Membership`] is the shared, read-only table the
 //! protocol instances hold an `Arc` of.
-
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wormcast_sim::engine::HostId;
@@ -16,7 +14,7 @@ use wormcast_sim::engine::HostId;
 pub const BROADCAST_GROUP: u8 = 255;
 
 /// Sorted member lists per group.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Membership {
     groups: BTreeMap<u8, Vec<HostId>>,
 }

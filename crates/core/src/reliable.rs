@@ -15,7 +15,6 @@
 
 use crate::buffers::{BufferPool, PoolConfig, Reservation};
 use crate::tags;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wormcast_sim::engine::HostId;
 use wormcast_sim::protocol::{Admission, ProtocolCtx, SendSpec};
@@ -43,7 +42,7 @@ pub enum Reliability {
 }
 
 /// Parameters of the ACK/NACK mode.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AckNackConfig {
     pub pool: PoolConfig,
     /// Run the pool with the two-class rule disabled (deadlock ablation).
@@ -71,7 +70,7 @@ impl AckNackConfig {
 }
 
 /// Counters for the ablation studies.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FwdStats {
     pub forwards: u64,
     pub acks: u64,

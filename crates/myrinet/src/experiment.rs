@@ -12,7 +12,6 @@
 
 use crate::lanai::LanaiModel;
 use crate::prototype::{pump_kick, PrototypeProtocol};
-use serde::{Deserialize, Serialize};
 use wormcast_sim::engine::HostId;
 use wormcast_sim::network::NetworkConfig;
 use wormcast_sim::time::{utilization_to_mbps, SimTime};
@@ -23,7 +22,7 @@ use wormcast_topo::{TopoBuilder, Topology, UpDown};
 pub const NUM_HOSTS: usize = 8;
 
 /// One prototype run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PrototypeConfig {
     /// Application payload per packet, bytes (the paper sweeps 1–8 KB).
     pub packet_size: u32,
@@ -49,7 +48,7 @@ impl PrototypeConfig {
 }
 
 /// Measured outcomes of one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PrototypeResult {
     /// Payload goodput delivered to each host, Mb/s.
     pub per_host_rx_mbps: Vec<f64>,

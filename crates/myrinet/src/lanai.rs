@@ -9,12 +9,10 @@
 //! the link's, which matches the hardware: the SPARCstation-5's SBus DMA
 //! moves data at roughly 15–20 MB/s while the link moves 80 MB/s, and the
 //! application/driver path costs on the order of 100 µs per packet.
-
-use serde::{Deserialize, Serialize};
 use wormcast_sim::time::SimTime;
 
 /// Adapter and host timing/capacity parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LanaiModel {
     /// Fixed host-side cost per originated packet (system-call-free
     /// application-space interface, but still driver queue manipulation and

@@ -7,7 +7,6 @@
 
 use crate::fault::FaultConfig;
 use crate::network::{NetworkConfig, SimMode};
-use crate::switch::SlackCfg;
 use crate::switchcast::SwitchcastMode;
 use crate::trace::TraceConfig;
 use std::fmt;
@@ -22,7 +21,8 @@ pub enum ConfigError {
         min: f64,
         max: f64,
     },
-    /// A structural invariant failed (e.g. inverted slack watermarks).
+    /// A structural invariant failed (e.g. a switch with too many port
+    /// slots).
     Invalid {
         field: &'static str,
         reason: String,
@@ -77,13 +77,6 @@ pub struct NetworkConfigBuilder {
 }
 
 impl NetworkConfigBuilder {
-    /// Slack buffer configuration; the default derives a safe one per link
-    /// delay.
-    pub fn slack(mut self, slack: SlackCfg) -> Self {
-        self.cfg.slack = Some(slack);
-        self
-    }
-
     /// Master seed for all per-host RNG streams.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -155,12 +148,6 @@ impl NetworkConfig {
                 max: 1.0,
             });
         }
-        if let Some(slack) = &self.slack {
-            slack.validate().map_err(|reason| ConfigError::Invalid {
-                field: "slack",
-                reason,
-            })?;
-        }
         if let TraceConfig::Ring { capacity } = self.trace {
             if capacity == 0 {
                 return Err(ConfigError::OutOfRange {
@@ -189,7 +176,6 @@ mod tests {
     #[test]
     fn builder_sets_every_knob() {
         let cfg = NetworkConfig::builder()
-            .slack(SlackCfg::for_delay(3))
             .seed(42)
             .trace(TraceConfig::Ring { capacity: 16 })
             .switchcast(SwitchcastMode::IdleFlush)
@@ -204,7 +190,6 @@ mod tests {
         assert_eq!(cfg.mode, SimMode::PerByte);
         assert_eq!(cfg.corrupt_prob, 0.5);
         assert_eq!(cfg.lanes, 2);
-        assert!(cfg.slack.is_some());
     }
 
     #[test]
@@ -217,19 +202,6 @@ mod tests {
             assert!(matches!(err, ConfigError::OutOfRange { field: "corrupt_prob", .. }));
             assert!(err.to_string().contains("corrupt_prob"));
         }
-    }
-
-    #[test]
-    fn rejects_inverted_slack() {
-        let err = NetworkConfig::builder()
-            .slack(SlackCfg {
-                capacity: 100,
-                stop_mark: 10,
-                go_mark: 20,
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::Invalid { field: "slack", .. }));
     }
 
     #[test]

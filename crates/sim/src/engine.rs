@@ -4,14 +4,13 @@ use crate::link::ChanId;
 use crate::time::SimTime;
 use crate::wheel::TimingWheel;
 use crate::worm::WireByte;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a host (adapter + attached host machine).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct HostId(pub u32);
 
 /// Identifier of a crossbar switch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SwitchId(pub u32);
 
 /// A control symbol travelling on the reverse channel of a link.

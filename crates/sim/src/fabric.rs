@@ -9,17 +9,16 @@ use crate::link::{ChanId, Endpoint, Lane, Link, LinkId, NodeRef, PortId};
 use crate::network::{Network, NetworkConfig};
 use crate::switch::{SlackCfg, Switch};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Where a host attaches to the fabric.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HostAttach {
     pub switch: u32,
     pub port: u8,
 }
 
 /// A switch-to-switch link ([`NetworkConfig::lanes`] lanes per direction).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LinkSpec {
     pub a: (u32, PortId),
     pub b: (u32, PortId),
@@ -27,7 +26,7 @@ pub struct LinkSpec {
 }
 
 /// A complete fabric description, produced by `wormcast-topo`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FabricSpec {
     /// Ports per switch.
     pub switch_ports: Vec<u8>,
@@ -39,7 +38,7 @@ pub struct FabricSpec {
 }
 
 /// Unicast source routes for every ordered host pair.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RouteTable {
     table: Vec<Vec<Vec<u8>>>,
 }
@@ -130,14 +129,7 @@ impl Network {
         let mut switches: Vec<Switch> = port_lanes
             .iter()
             .enumerate()
-            .map(|(i, pl)| {
-                Switch::new(
-                    SwitchId(i as u32),
-                    pl,
-                    cfg.slack.unwrap_or_else(|| SlackCfg::for_delay(1)),
-                    cfg.seed,
-                )
-            })
+            .map(|(i, pl)| Switch::new(SwitchId(i as u32), pl, SlackCfg::for_delay(1), cfg.seed))
             .collect();
         let mut adapters: Vec<Adapter> = (0..spec.hosts.len())
             .map(|i| Adapter::new(HostId(i as u32)))
@@ -189,9 +181,8 @@ impl Network {
                         NodeRef::Switch(s) => {
                             let inp = &mut switches[s.0 as usize].inputs[rx.port.index()];
                             inp.chan_in = Some(ch);
-                            // Unless the configuration pinned one, size the
-                            // slack buffer for its actual upstream delay.
-                            inp.slack = cfg.slack.unwrap_or_else(|| SlackCfg::for_delay(delay));
+                            // Size the slack buffer for its upstream delay.
+                            inp.slack = SlackCfg::for_delay(delay);
                         }
                         NodeRef::Host(h) => adapters[h.0 as usize].chan_in = Some(ch),
                     }

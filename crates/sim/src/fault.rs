@@ -10,13 +10,11 @@
 //! the destination adapter and is silently discarded — exactly how a link
 //! error manifests on a real Myrinet.
 
-use serde::{Deserialize, Serialize};
-
 /// Fault-injection knobs, in the spirit of smoltcp's `--corrupt-chance`
 /// example options. Folded into a configuration with
 /// [`crate::config::NetworkConfigBuilder::faults`], whose `build` rejects
 /// a probability outside [0, 1].
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FaultConfig {
     /// Probability in [0, 1] that an injected worm is corrupted in transit.
     pub corrupt_prob: f64,

@@ -41,7 +41,6 @@
 use crate::engine::{HostId, SwitchId};
 use crate::time::SimTime;
 use crate::worm::{RouteSym, WormId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Index of a directed lane in the network (dense across all links).
@@ -56,9 +55,7 @@ pub struct LinkId(pub u32);
 ///
 /// Serializes transparently as the underlying `u8`, so fabric-spec JSON is
 /// unchanged from the raw-`u8` era.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PortId(pub u8);
 
 impl PortId {
@@ -76,7 +73,7 @@ impl std::fmt::Display for PortId {
 }
 
 /// A node reference: either a crossbar switch or a host adapter.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum NodeRef {
     Switch(SwitchId),
     Host(HostId),
@@ -87,7 +84,7 @@ pub enum NodeRef {
 /// lane)` pairs in port-major order — with single-lane links the slot index
 /// *is* the physical port number. The physical ports of the underlying
 /// link are reported by [`Link`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Endpoint {
     pub node: NodeRef,
     pub port: PortId,
@@ -125,7 +122,7 @@ pub(crate) struct Revoked {
 
 /// Read-only counter snapshot of one lane, for statistics consumers.
 /// Obtain with [`Lane::stats`].
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LinkStats {
     /// Total data bytes carried.
     pub bytes_carried: u64,

@@ -14,14 +14,13 @@ use crate::engine::{CtrlSym, Event, HostId, Scheduler};
 use crate::link::{ChanId, Endpoint, Lane, Link, LinkId, NodeRef, RxPort, TxPayload, TxPort};
 use crate::protocol::{AdapterProtocol, Command, Destination, TrafficSource};
 use crate::slab;
-use crate::switch::{SlackCfg, Switch};
+use crate::switch::Switch;
 use crate::switchcast::SwitchcastMode;
 use crate::time::SimTime;
 use crate::trace::{BlockCause, Trace, TraceConfig, TraceEvent};
 use crate::worm::{ByteKind, MessageId, WireByte, WormId, WormInstance};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 pub use crate::fabric::{FabricSpec, HostAttach, LinkSpec, RouteTable};
 
@@ -32,7 +31,7 @@ pub use crate::fabric::{FabricSpec, HostAttach, LinkSpec, RouteTable};
 /// logs and network statistics (everything except the event counters, which
 /// measure engine cost). The differential tests in `tests/span_equivalence.rs`
 /// and `crates/bench/tests/` enforce this.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SimMode {
     /// One scheduler event per byte per hop — the reference semantics,
     /// O(bytes·hops) events.
@@ -48,10 +47,8 @@ pub enum SimMode {
 }
 
 /// Tunables of the simulated fabric.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetworkConfig {
-    /// Slack buffer configuration; `None` derives a safe one per link delay.
-    pub slack: Option<SlackCfg>,
     /// Master seed for all per-host RNG streams.
     pub seed: u64,
     /// Probability that an injected worm is corrupted on the wire and fails
@@ -78,7 +75,6 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            slack: None,
             seed: 0xC0FFEE,
             corrupt_prob: 0.0,
             trace: TraceConfig::Off,
@@ -94,7 +90,7 @@ impl Default for NetworkConfig {
 /// conservation invariant checked by [`Network::audit`] is at **sink**
 /// granularity:
 /// `sinks_injected == worms_delivered + worms_refused + worms_corrupt + worms_flushed + active_worms`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct NetStats {
     pub worms_injected: u64,
     /// Total terminal hosts across injected worms (= `worms_injected`
@@ -118,7 +114,7 @@ pub struct NetStats {
 }
 
 /// A recorded message creation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MessageRecord {
     pub msg: MessageId,
     pub origin: HostId,
@@ -128,7 +124,7 @@ pub struct MessageRecord {
 }
 
 /// A recorded local delivery.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Delivery {
     pub msg: MessageId,
     pub host: HostId,
@@ -136,7 +132,7 @@ pub struct Delivery {
 }
 
 /// The journal experiments read after a run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct MessageLog {
     pub created: Vec<MessageRecord>,
     pub deliveries: Vec<Delivery>,

@@ -12,10 +12,9 @@ use crate::engine::HostId;
 use crate::time::SimTime;
 use crate::worm::{MessageId, WormId, WormInstance, WormKind};
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 /// Where an application message wants to go.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Destination {
     Unicast(HostId),
     /// A multicast group id (the paper's 8-bit group space; 255 = broadcast).

@@ -179,17 +179,16 @@ impl Network {
         let avail = route + data;
         let room = match dst.node {
             // No room still leaves the circuit a chance to be clear.
-            NodeRef::Switch(_) => self.switch_span_room(ch, worm),
+            NodeRef::Switch(_) => self.switch_span_room(ch),
             NodeRef::Host(h) => match self.adapter_span_room(h, worm) {
                 Some(room) => room,
                 None => return false,
             },
         };
         // Two admission rules, both counting bytes whatever their kind:
-        // the run fits below the receiver's STOP mark, whether or not the
-        // receiver drains what is on the wire ahead of it (`room`), or the
-        // receiver is certain to keep draining for long enough
-        // (`drain_window`).
+        // the run fits below the receiver's STOP mark even if the receiver
+        // drains nothing (`room`), or the receiver is certain to keep
+        // draining for long enough (`drain_window`).
         let certified = if avail > room {
             self.drain_window(ch, worm)
         } else {
@@ -461,58 +460,25 @@ impl Network {
     }
 
     /// Span fast-path check for the switch input that lane `ch` feeds: how
-    /// many bytes of `worm` can land in one event, behind everything already
-    /// on `ch`'s wire, while the input's per-byte twin provably stays below
-    /// its STOP mark for the whole delivery window (DESIGN.md §3.1). 0 while
-    /// the input's own STOP is in force: the per-byte GO/STOP interplay is
-    /// exact, so stay on the slow path until it clears. The larger of two
-    /// bounds:
-    ///
-    /// - *No drain*: `Ks − 1 − occupancy − wire`. Even if all `wire + k`
-    ///   bytes land and none leaves, the occupancy stays below the mark in
-    ///   either mode.
-    /// - *Certain drain*: `Ks − q − 3`, `q` the twin's occupancy, when the
-    ///   input forwards `worm` and its output lane is un-stopped, has no
-    ///   control symbol on its way to the transmitter and is no shorter than
-    ///   `ch`. The head is in, so every byte on `ch`'s wire is `worm`'s, and
-    ///   a STOP yet to be emitted lands on the output only after the whole
-    ///   wire has landed: until then the twin dequeues a byte for every byte
-    ///   that arrives, and the wire drops out of the bound. A shard engine
-    ///   refuses it, as every rule that reads past the receiving input.
-    pub(crate) fn switch_span_room(&self, ch: ChanId, worm: WormId) -> u64 {
+    /// many bytes can land in one event, behind everything already on
+    /// `ch`'s wire, while the input's per-byte twin provably stays below its
+    /// STOP mark for the whole delivery window (DESIGN.md §3.1): the
+    /// *no-drain* bound `Ks − 1 − occupancy − wire`. Even if all `wire + k`
+    /// bytes land and none leaves, the occupancy stays below the mark in
+    /// either mode. 0 while the input's own STOP is in force: the per-byte
+    /// GO/STOP interplay is exact, so stay on the slow path until it clears.
+    pub(crate) fn switch_span_room(&self, ch: ChanId) -> u64 {
         let lane = &self.lanes[ch.0 as usize];
         let dst = lane.dst();
         let NodeRef::Switch(s) = dst.node else {
             unreachable!("an adapter's room is `adapter_span_room`");
         };
-        let sw = &self.switches[s.0 as usize];
-        let inp = &sw.inputs[dst.port.index()];
+        let inp = &self.switches[s.0 as usize].inputs[dst.port.index()];
         if inp.sent_stop {
             return 0;
         }
-        let mark = inp.slack.stop_mark as u64;
         let wire = lane.in_flight() as u64;
-        let no_drain = mark.saturating_sub(inp.occupancy() as u64 + wire + 1);
-        // `q ≥ occupancy − rx_future_bytes`, so the certain drain beats the
-        // no-drain bound only when the wire and the bytes landed ahead of
-        // their slots add up to more than 2: never at a delay-1 lane's kick.
-        let now = self.scheduler.now();
-        if wire + lane.rx_future_bytes(now) <= 2 {
-            return no_drain;
-        }
-        let draining = match inp.state {
-            InState::Forwarding { worm: w, out } if w == worm && self.shard.is_none() => {
-                sw.outputs[out as usize].chan_out.filter(|&next| {
-                    let next = &self.lanes[next.0 as usize];
-                    !next.is_stopped() && next.ctrl_in_flight() == 0 && next.delay() >= lane.delay()
-                })
-            }
-            _ => None,
-        };
-        let drain = draining.map_or(0, |next| {
-            mark.saturating_sub(self.twin_occupancy(inp, next, now) + 3)
-        });
-        no_drain.max(drain)
+        (inp.slack.stop_mark as u64).saturating_sub(inp.occupancy() as u64 + wire + 1)
     }
 
     /// The occupancy `q` of `inp`'s per-byte twin at `now`, `next` the lane
@@ -864,10 +830,11 @@ mod tests {
     /// A worm three trunk delays long right behind another, over two
     /// 1 000-byte-time trunks: whenever its producer kicks, the trunk wire
     /// ahead holds a trunk-full of its own bytes, which the receiver is
-    /// certain to drain. Both certain-drain bounds (DESIGN.md §3.1) carry it
-    /// across each trunk in a handful of spans; the no-drain bounds alone
-    /// leave a few bytes of room per span. Everything the per-byte engine
-    /// observes stays the same.
+    /// certain to drain. The crossing test's certain drain (DESIGN.md §3.1)
+    /// lets each run leave its input behind that wire, and the drain window
+    /// carries it across each trunk in a handful of spans; the no-drain
+    /// bounds alone leave a few bytes of room per span. Everything the
+    /// per-byte engine observes stays the same.
     #[test]
     fn a_worm_behind_a_worm_crosses_each_long_trunk_in_few_spans() {
         let run = |mode| {
@@ -886,50 +853,5 @@ mod tests {
         for (trunk, n) in arrivals.into_iter().enumerate() {
             assert!(n <= 12, "trunk {trunk}: {n} arrival events");
         }
-    }
-
-    /// The state where the test above needs the certain-drain room, in the
-    /// per-byte engine (whose buffers are the twin's): the second worm's
-    /// head is through sw1 and a trunk-full of it is on the first trunk
-    /// behind. `perturb` gets the second trunk's lane first. Returns the
-    /// room `switch_span_room` gives, then the certain-drain and the
-    /// no-drain bounds.
-    fn room_behind_a_full_trunk(
-        second_trunk: SimTime,
-        perturb: fn(&mut Network, ChanId),
-    ) -> (u64, u64, u64) {
-        let (mut net, [first, second], [_, worm]) =
-            two_trunk_chain([1_000, second_trunk], SimMode::PerByte, [400, 3_000]);
-        net.run_until(2_000);
-        perturb(&mut net, second);
-        let inp = &net.switches[1].inputs[0];
-        assert!(
-            matches!(inp.state, InState::Forwarding { worm: w, .. } if w == worm),
-            "sw1 forwards the second worm"
-        );
-        let wire = net.lane(first).in_flight() as u64;
-        assert!(wire >= 990, "a trunk-full on the wire: {wire}");
-        let (held, mark) = (inp.occupancy() as u64, inp.slack.stop_mark as u64);
-        (
-            net.switch_span_room(first, worm),
-            mark - held - 3,
-            mark.saturating_sub(held + wire + 1),
-        )
-    }
-
-    #[test]
-    fn the_wire_drops_out_of_the_room_only_behind_a_certain_drain() {
-        let (room, drain, _) = room_behind_a_full_trunk(1_000, |_, _| {});
-        assert_eq!(room, drain, "an un-stopped output as long as the wire");
-        // A STOP on its way to sw1's output may halt the drain before the
-        // wire has landed.
-        let (room, _, no_drain) = room_behind_a_full_trunk(1_000, |net, out| {
-            net.lanes[out.0 as usize].note_ctrl_sent();
-        });
-        assert_eq!(room, no_drain, "a control symbol on the output's wire");
-        // A STOP yet to be emitted lands on a shorter output before the
-        // last byte on the wire has arrived.
-        let (room, _, no_drain) = room_behind_a_full_trunk(999, |_, _| {});
-        assert_eq!(room, no_drain, "an output shorter than the wire");
     }
 }

@@ -18,7 +18,6 @@ use crate::slackbuf::SlackBuf;
 use crate::switchcast::{ReplicaState, SwitchcastMode};
 use crate::time::SimTime;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
-use serde::{Deserialize, Serialize};
 
 /// Slack-buffer configuration (Figure 1): capacity and the two watermarks.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// round-trip always fit: `capacity >= stop_mark + 2 * link_delay + slop`.
 /// [`SlackCfg::for_delay`] computes a safe configuration for a given link
 /// delay.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SlackCfg {
     /// Total buffer capacity in bytes.
     pub capacity: u32,
@@ -47,23 +46,6 @@ impl SlackCfg {
             go_mark: 4,
             capacity: 8 + rtt / 2 + rtt + 8,
         }
-    }
-
-    /// Validate the invariants between the marks.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.go_mark >= self.stop_mark {
-            return Err(format!(
-                "go_mark ({}) must be below stop_mark ({})",
-                self.go_mark, self.stop_mark
-            ));
-        }
-        if self.stop_mark >= self.capacity {
-            return Err(format!(
-                "stop_mark ({}) must be below capacity ({})",
-                self.stop_mark, self.capacity
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -105,9 +87,6 @@ pub struct InPort {
     /// so a certificate left behind by a finished worm matches nothing.
     pub(crate) drain_cert: Option<(WormId, SimTime)>,
     pub state: InState,
-    /// Bytes dropped at this input (only possible with fault injection or a
-    /// flush; plain backpressure never overflows a validated slack buffer).
-    pub dropped_bytes: u64,
 }
 
 impl InPort {
@@ -119,7 +98,6 @@ impl InPort {
             sent_stop: false,
             drain_cert: None,
             state: InState::Idle,
-            dropped_bytes: 0,
         }
     }
 
@@ -317,29 +295,25 @@ impl Network {
             return;
         }
         let now = self.scheduler.now();
-        let (chan_in, crossed_stop, overflowed) = {
+        let (chan_in, crossed_stop) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
             // Under a drain certificate the per-byte twin raises no STOP
             // here, and the two watermark tests below would read an
             // occupancy the twin does not have.
             let certified = inp.certified(byte.worm, now);
-            if inp.occupancy() as u64 + len > inp.slack.capacity as u64 && !certified {
-                // A validated slack buffer never overflows under plain
-                // backpressure; this can only happen with fault injection or
-                // a misconfiguration. Count and drop.
-                inp.dropped_bytes += len;
-                (inp.chan_in, false, true)
-            } else {
-                inp.buf.push_back_run(byte, len);
-                let crossed =
-                    inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop && !certified;
-                if crossed {
-                    inp.sent_stop = true;
-                }
-                (inp.chan_in, crossed, false)
+            // `SlackCfg::for_delay` leaves room for a full STOP round-trip
+            // above the mark, so backpressure alone never overflows it.
+            assert!(
+                certified || inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
+                "slack buffer overflow at {sw:?}:{port}"
+            );
+            inp.buf.push_back_run(byte, len);
+            let crossed = inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop && !certified;
+            if crossed {
+                inp.sent_stop = true;
             }
+            (inp.chan_in, crossed)
         };
-        debug_assert!(!overflowed, "slack buffer overflow at {sw:?}:{port}");
         // A span's emission guard makes a crossing impossible; the STOP
         // still goes out, so a guard bug degrades to legal (if no longer
         // byte-exact) backpressure rather than buffer overflow.
@@ -405,7 +379,6 @@ impl Network {
                 ByteKind::Route(RouteSym::Broadcast) => None,
                 ByteKind::Idle => {
                     inp.buf.pop_front();
-                    inp.dropped_bytes += 1;
                     self.after_slack_dequeue(sw, port);
                     continue;
                 }
@@ -645,26 +618,11 @@ mod tests {
     fn slack_cfg_for_delay_validates() {
         for d in [1, 2, 5, 50, 1000] {
             let cfg = SlackCfg::for_delay(d);
-            cfg.validate().expect("valid");
+            assert!(cfg.go_mark < cfg.stop_mark, "{cfg:?}");
+            assert!(cfg.stop_mark < cfg.capacity, "{cfg:?}");
             // Room for a full STOP round-trip above the stop mark.
             assert!(cfg.capacity - cfg.stop_mark >= 2 * d as u32);
         }
-    }
-
-    #[test]
-    fn slack_cfg_rejects_inverted_marks() {
-        let bad = SlackCfg {
-            capacity: 100,
-            stop_mark: 10,
-            go_mark: 20,
-        };
-        assert!(bad.validate().is_err());
-        let bad2 = SlackCfg {
-            capacity: 10,
-            stop_mark: 10,
-            go_mark: 2,
-        };
-        assert!(bad2.validate().is_err());
     }
 
     fn arb() -> PortArb {
@@ -942,6 +900,62 @@ mod tests {
             crossing(0),
             "expired: the byte that reaches the mark sends STOP"
         );
+    }
+
+    /// host0 and host1 each send a 2 000-byte worm to host2 across one
+    /// switch over 100-byte-time host links, and both inputs' slack
+    /// buffers are hand-shrunk to the one `SlackCfg::for_delay` sizes for a
+    /// 1-byte-time link. The input whose head loses the output fills, and
+    /// its STOP lands 100 byte-times after the bytes behind it set out: the
+    /// overflow is a panic, not a silent drop.
+    fn overflow_a_shrunk_slack(mode: crate::network::SimMode) {
+        use crate::engine::HostId;
+        use crate::network::{FabricSpec, HostAttach, NetworkConfig, RouteTable};
+        use crate::protocol::{AppMessage, Destination, SendSpec};
+        use crate::worm::MessageId;
+
+        let spec = FabricSpec {
+            switch_ports: vec![3],
+            hosts: (0..3).map(|port| HostAttach { switch: 0, port }).collect(),
+            links: vec![],
+            host_link_delay: 100,
+        };
+        let mut routes = RouteTable::new(3);
+        for h in 0..2 {
+            routes.set(HostId(h), HostId(2), vec![2]);
+        }
+        let cfg = NetworkConfig {
+            mode,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::build(&spec, routes, cfg);
+        for inp in &mut net.switches[0].inputs[..2] {
+            assert!(inp.slack.capacity > 100, "sized for the host link");
+            inp.slack = SlackCfg::for_delay(1);
+        }
+        for h in 0..2 {
+            let msg = AppMessage {
+                msg: MessageId(u64::from(h) + 1),
+                origin: HostId(h),
+                dest: Destination::Unicast(HostId(2)),
+                payload_len: 2_000,
+                created: 0,
+            };
+            net.inject_worm(HostId(h), SendSpec::data(&msg, HostId(2), WormKind::Unicast));
+        }
+        net.run_until(10_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "slack buffer overflow")]
+    fn a_slack_overflow_panics_per_byte() {
+        overflow_a_shrunk_slack(crate::network::SimMode::PerByte);
+    }
+
+    #[test]
+    #[should_panic(expected = "slack buffer overflow")]
+    fn a_slack_overflow_panics_span_batched() {
+        overflow_a_shrunk_slack(crate::network::SimMode::SpanBatched);
     }
 
     #[test]

@@ -42,10 +42,9 @@ use crate::network::Network;
 use crate::slackbuf::SlackBuf;
 use crate::switch::InState;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
-use serde::{Deserialize, Serialize};
 
 /// Which Section-3 scheme the switches run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SwitchcastMode {
     /// No switch-level multicast: `SwitchMulticast` worms are illegal.
     Off,
@@ -738,7 +737,6 @@ impl Network {
                 // Drop this worm's bytes (they are contiguous at the front).
                 while matches!(inp.buf.front(), Some(b) if b.worm == worm) {
                     inp.buf.pop_front();
-                    inp.dropped_bytes += 1;
                 }
                 // Fix the state machine.
                 let release = match &inp.state {

@@ -40,10 +40,9 @@ use crate::engine::{HostId, SwitchId};
 use crate::link::ChanId;
 use crate::time::SimTime;
 use crate::worm::MessageId;
-use serde::{Deserialize, Serialize};
 
 /// Trace sink selection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceConfig {
     /// No tracing; emission sites compile to a single branch.
     #[default]

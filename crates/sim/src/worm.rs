@@ -15,7 +15,6 @@
 
 use crate::engine::HostId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Index into the network's worm arena. Each *transmission* (an original
 /// injection, a forwarded multicast copy, a retransmission, a fragment) is
@@ -26,7 +25,7 @@ pub struct WormId(pub u32);
 /// Application-level message identity. All worm instances that carry (a copy
 /// of) the same application message share one `MessageId`; latency and
 /// ordering statistics are keyed by it.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MessageId(pub u64);
 
 /// One symbol of an encoded source route.
@@ -35,7 +34,7 @@ pub struct MessageId(pub u64);
 /// the paper's Figure 2 encoding: after a `Port` byte an optional `Ptr`
 /// gives the length of the subtree route to stamp out of that port, and
 /// `End` terminates the directive at a switch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteSym {
     /// Take this output port.
     Port(u8),
@@ -72,7 +71,7 @@ pub struct WireByte {
 }
 
 /// Classification of a worm for adapters and statistics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WormKind {
     /// Ordinary point-to-point data worm.
     Unicast,

@@ -7,8 +7,6 @@
 //! used by the streaming example for jitter analysis and by tests that
 //! assert tail behaviour.
 
-use serde::{Deserialize, Serialize};
-
 /// Power-of-two-bucketed histogram of byte-time samples.
 ///
 /// ```
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(h.quantile(0.5) <= 256);
 /// assert!(h.quantile(1.0) >= 95_000);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LogHistogram {
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))`; bucket 0 also takes
     /// the value 0.

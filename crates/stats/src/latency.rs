@@ -6,8 +6,6 @@
 //! message creation to local delivery at that member, and average across
 //! deliveries. (Per-message "time until the last member" is also available,
 //! as `completion`, for the tree-vs-circuit parallelism analysis.)
-
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wormcast_sim::network::MessageLog;
 use wormcast_sim::protocol::Destination;
@@ -25,7 +23,7 @@ pub enum Kind {
 }
 
 /// Latency statistics extracted from a run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LatencyReport {
     /// One sample per delivery: delivery time − creation time.
     pub per_delivery: Summary,

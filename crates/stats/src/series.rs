@@ -1,11 +1,9 @@
 //! (x, y) series with confidence intervals, formatted like the paper's
 //! figures.
-
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One point of a series.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Point {
     pub x: f64,
     pub y: f64,
@@ -14,7 +12,7 @@ pub struct Point {
 }
 
 /// A labelled data series (one curve of a figure).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     pub label: String,
     pub points: Vec<Point>,
@@ -112,15 +110,5 @@ mod tests {
         assert!(t.contains("0.0500"));
         assert!(t.contains("0.1000"));
         assert!(t.contains('-'), "missing point must render as a gap");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut s = Series::new("x");
-        s.push(1.0, 2.0, 0.5);
-        let j = serde_json::to_string(&s).unwrap();
-        let back: Series = serde_json::from_str(&j).unwrap();
-        assert_eq!(back.label, "x");
-        assert_eq!(back.points.len(), 1);
     }
 }

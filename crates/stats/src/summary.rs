@@ -1,9 +1,7 @@
 //! Basic sample statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean / spread summary of a sample.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Summary {
     pub n: usize,
     pub mean: f64,

@@ -1,13 +1,11 @@
 //! Fabric descriptions: switches, ports, links, and attached hosts.
-
-use serde::{Deserialize, Serialize};
 use wormcast_sim::engine::HostId;
 use wormcast_sim::link::PortId;
 use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec};
 use wormcast_sim::time::SimTime;
 
 /// A bidirectional switch-to-switch link with allocated port numbers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwLink {
     pub a: usize,
     pub a_port: u8,
@@ -17,7 +15,7 @@ pub struct SwLink {
 }
 
 /// A host attachment with its allocated switch port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HostPort {
     pub switch: usize,
     pub port: u8,
@@ -25,7 +23,7 @@ pub struct HostPort {
 
 /// A complete fabric topology: switches with consecutively allocated ports,
 /// inter-switch links, and host attachments.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     pub ports_per_switch: Vec<u8>,
     pub links: Vec<SwLink>,

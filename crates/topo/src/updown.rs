@@ -19,7 +19,6 @@
 //! switch-level multicast cannot deadlock; crosslinks go unused.
 
 use crate::graph::Topology;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use wormcast_sim::engine::HostId;
 use wormcast_sim::network::RouteTable;
@@ -37,7 +36,7 @@ use wormcast_sim::network::RouteTable;
 /// let path = ud.route_switches(&topo, 2, 3, false).unwrap();
 /// assert!(ud.is_legal(&path));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UpDown {
     pub root: usize,
     /// BFS level of each switch (root = 0).

@@ -8,10 +8,9 @@
 
 use crate::rng::exponential;
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 /// Exponential interarrival generator for a target offered load.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PoissonArrivals {
     /// Mean interarrival time in byte-times.
     pub mean_interarrival: f64,

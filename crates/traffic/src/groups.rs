@@ -2,11 +2,10 @@
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 use wormcast_sim::engine::HostId;
 
 /// A set of multicast groups over a population of hosts.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GroupSet {
     /// `members[g]` = sorted member list of group `g`.
     members: Vec<Vec<HostId>>,

@@ -2,13 +2,12 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Myrinet's maximum worm size (a LANai control-program limit).
 pub const MAX_WORM_BYTES: u32 = 9 * 1024;
 
 /// Payload length distribution for generated worms.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum LengthDist {
     /// Every worm has exactly this many payload bytes.
     Fixed(u32),

@@ -6,7 +6,6 @@ use crate::lengths::LengthDist;
 use crate::rng::host_stream;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use wormcast_sim::engine::HostId;
 use wormcast_sim::protocol::{Destination, SourceMessage, TrafficSource};
@@ -14,7 +13,7 @@ use wormcast_sim::time::SimTime;
 use wormcast_sim::Network;
 
 /// Parameters of the Section 7 workload.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PaperWorkload {
     /// Output-link utilization per host, in (0, 1].
     pub offered_load: f64,

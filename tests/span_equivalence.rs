@@ -117,8 +117,8 @@ fn shufflenet_modes_agree() {
         // in charge (7× fewer events than per-byte at mean 400 and load
         // 0.05). The drain windows the trunks certify carry whole worms
         // onto them (60×, 25× at mean 1500, 44× at load 0.07). Where a
-        // trunk's wire holds the worm its receiver forwards, the
-        // certain-drain room and bail-out carry it across (95×, 50×, 75×).
+        // trunk's wire holds the worm its receiver forwards, the crossing
+        // test's certain drain lets each run leave the receiver behind it.
         assert!(
             e_span * gate < e_ref,
             "{label}: spans should carry whole worms across the trunks: {e_ref} vs {e_span}"

@@ -24,11 +24,10 @@
 //! draining, given that no STOP is in force or on the wire anywhere it
 //! looked (DESIGN.md §3.1, "certified drain window"). That rule lives
 //! where a short lane feeds a long one; its sibling, the *certain drain*,
-//! where a lane feeds an input that forwards the lane's worm onto one at
-//! least as long: the wire then holds only that worm, which the input
-//! drains as it lands, so the wire no longer counts against a span's room
-//! or a run's STOP-crossing test. So half the cases draw every trunk's
-//! delay separately and a quarter lengthen the host links.
+//! where a run leaves an input whose twin is certain to drain as it
+//! sends, so the wire feeding that input no longer counts against the
+//! run's STOP-crossing test. So half the cases draw every trunk's delay
+//! separately and a quarter lengthen the host links.
 //!
 //! Since a worm's route bytes ride in its spans ("head runs", same
 //! section) two more draws aim at what a head run can get wrong. One case
