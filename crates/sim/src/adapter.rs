@@ -18,14 +18,15 @@ use crate::protocol::Admission;
 
 use crate::slab::FollowMap;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A worm queued for transmission at an adapter.
 #[derive(Debug)]
 pub struct TxWorm {
     pub worm: WormId,
     /// Cut-through: body byte `i` may only be sent once body byte `i` of
-    /// this (currently arriving) worm has been received.
+    /// this worm has been received, and the tail once all of it has
+    /// (`Adapter::arriving`).
     pub follow: Option<WormId>,
     /// Progress: route symbols already sent.
     pub route_sent: usize,
@@ -84,22 +85,9 @@ pub struct Adapter {
     /// Serialised transmit queue; only the front worm transmits.
     pub tx_queue: VecDeque<TxWorm>,
     pub rx: RxState,
-    /// Body bytes received so far of each worm whose progress something
-    /// can still read; `u64::MAX` marks a fully-received worm. An entry
-    /// lives from admission until the reception completes (parked
-    /// fragments included), and past completion only while `rx_followers`
-    /// counts a queued cut-through follower of it: the last follower's
-    /// tail, or its flush, takes it out. So this holds the reception in
-    /// progress, parked fragments and the sources of queued followers,
-    /// never the host's history, and the linear scan of [`FollowMap`]
-    /// stays short.
-    pub rx_body_got: FollowMap,
-    /// Queued cut-through followers (`TxWorm::follow`) per source worm, so
-    /// that a completion or a follower's departure knows without a scan of
-    /// `tx_queue` whether the source's `rx_body_got` entry is still read.
-    pub rx_followers: FollowMap,
     /// Fragmented receptions (switch-level interrupt/resume) parked between
-    /// fragments; other worms may complete in the gap.
+    /// fragments, with their body bytes so far; other worms may complete
+    /// in the gap.
     pub parked: FollowMap,
     pub counters: AdapterCounters,
 }
@@ -112,8 +100,6 @@ impl Adapter {
             chan_in: None,
             tx_queue: VecDeque::new(),
             rx: RxState::Idle,
-            rx_body_got: FollowMap::new(),
-            rx_followers: FollowMap::new(),
             parked: FollowMap::new(),
             counters: AdapterCounters::default(),
         }
@@ -125,13 +111,8 @@ impl Adapter {
     }
 
     /// Enqueue for transmission. `priority` worms jump the queue but never
-    /// preempt the worm already on the wire. A cut-through follower is
-    /// counted against its source until it leaves (`drop_follower`).
+    /// preempt the worm already on the wire.
     pub fn enqueue_tx(&mut self, tx: TxWorm, priority: bool) {
-        if let Some(src) = tx.follow {
-            let n = self.rx_followers.get(src).unwrap_or(0);
-            self.rx_followers.insert(src, n + 1);
-        }
         if priority {
             let insert_at = usize::from(self.tx_queue.front().is_some_and(|f| f.started()));
             self.tx_queue.insert(insert_at, tx);
@@ -140,50 +121,16 @@ impl Adapter {
         }
     }
 
-    /// A follower of `src` left the queue: its tail went out, or a flush
-    /// evicted it. The last one takes a completed source's progress entry
-    /// with it; a source still arriving keeps its entry until completion.
-    pub(crate) fn drop_follower(&mut self, src: WormId) {
-        let n = self
-            .rx_followers
-            .get_mut(src)
-            .expect("a queued follower is counted");
-        *n -= 1;
-        if *n == 0 {
-            self.rx_followers.remove(src);
-            if self.rx_body_got.get(src) == Some(u64::MAX) {
-                self.rx_body_got.remove(src);
-            }
+    /// Body bytes received so far of `src` while it is still arriving —
+    /// the reception in progress or a parked fragment — and `None` once it
+    /// is not: complete, or never received here. This is all a cut-through
+    /// follower (`TxWorm::follow`) reads, since a protocol names the
+    /// reception in progress as a follower's source (`on_header`).
+    pub(crate) fn arriving(&self, src: WormId) -> Option<u64> {
+        match self.rx {
+            RxState::Receiving { worm, body_got } if worm == src => Some(body_got),
+            _ => self.parked.get(src),
         }
-    }
-
-    /// The reception-state half of [`Network::audit`]: `rx_followers`
-    /// counts exactly the queued followers, and every `rx_body_got` entry
-    /// is the reception in progress, a parked fragment or the source of a
-    /// queued follower. A leaked entry would make every later arrival at
-    /// this host scan it.
-    pub(crate) fn audit(&self) -> Result<(), String> {
-        let id = self.id;
-        let mut queued: HashMap<WormId, u64> = HashMap::new();
-        for src in self.tx_queue.iter().filter_map(|t| t.follow) {
-            *queued.entry(src).or_default() += 1;
-        }
-        let counted: HashMap<WormId, u64> = self.rx_followers.iter().collect();
-        if counted != queued {
-            return Err(format!(
-                "adapter {id:?}: followers counted per source {counted:?}, queued {queued:?}"
-            ));
-        }
-        for (worm, got) in self.rx_body_got.iter() {
-            let receiving = matches!(self.rx, RxState::Receiving { worm: w, .. } if w == worm);
-            if !(receiving || self.parked.contains(worm) || self.rx_followers.contains(worm)) {
-                return Err(format!(
-                    "adapter {id:?} keeps reception progress {got} of {worm:?}, \
-                     which no reception, parked fragment or follower reads"
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -202,7 +149,9 @@ impl Network {
         }
         let produced = {
             let a = &mut self.adapters[host.0 as usize];
-            let head = a.tx_queue.front_mut()?;
+            // A cut-through follower's source, while it is still arriving.
+            let src_got = a.tx_queue.front()?.follow.and_then(|src| a.arriving(src));
+            let head = a.tx_queue.front_mut().expect("the queue has a head");
             let inst = &self.worms[head.worm.0 as usize];
             if head.route_sent < inst.route.len() {
                 let sym = inst.route[head.route_sent];
@@ -213,11 +162,8 @@ impl Network {
                 })
             } else if head.body_sent < inst.body_len() {
                 // Cut-through constraint: don't run ahead of the source worm.
-                if let Some(src) = head.follow {
-                    let got = a.rx_body_got.get(src).unwrap_or(0);
-                    if got != u64::MAX && head.body_sent >= got {
-                        return None;
-                    }
+                if src_got.is_some_and(|got| head.body_sent >= got) {
+                    return None;
                 }
                 head.body_sent += 1;
                 Produced::Byte(WireByte {
@@ -227,11 +173,8 @@ impl Network {
             } else {
                 // Tail: the source worm must be fully received first (the
                 // checksum cannot be emitted before the data exists).
-                if let Some(src) = head.follow {
-                    let got = a.rx_body_got.get(src).unwrap_or(0);
-                    if got != u64::MAX {
-                        return None;
-                    }
+                if src_got.is_some() {
+                    return None;
                 }
                 Produced::TailAndPop(WireByte {
                     worm: head.worm,
@@ -249,11 +192,7 @@ impl Network {
                     let a = &mut self.adapters[host.0 as usize];
                     a.counters.bytes_sent += 1;
                     a.counters.worms_sent += 1;
-                    let finished = a.tx_queue.pop_front().expect("head exists");
-                    if let Some(src) = finished.follow {
-                        a.drop_follower(src);
-                    }
-                    finished
+                    a.tx_queue.pop_front().expect("head exists")
                 };
                 // The route left the wire byte by byte; recycle its buffer
                 // (wire-length accounting uses the cached `route_len`).
@@ -316,7 +255,7 @@ impl Network {
                                 RxAction::Complete(*worm)
                             }
                         }
-                        _ => RxAction::Accumulate(*worm),
+                        _ => RxAction::Accumulate,
                     }
                 }
                 RxState::Dropping { worm } => {
@@ -338,7 +277,6 @@ impl Network {
                 match admission {
                     Admission::Accept => {
                         a.rx = RxState::Receiving { worm, body_got: 1 };
-                        a.rx_body_got.insert(worm, 1);
                         a.counters.bytes_received += 1;
                         self.adapter_kick_followers(host);
                     }
@@ -348,14 +286,10 @@ impl Network {
                     }
                 }
             }
-            RxAction::Accumulate(worm) => {
+            RxAction::Accumulate => {
                 let a = &mut self.adapters[host.0 as usize];
                 if let RxState::Receiving { body_got, .. } = &mut a.rx {
                     *body_got += len;
-                }
-                if let Some(g) = a.rx_body_got.get_mut(worm) {
-                    // u64::MAX marks "fully received" and must stay sticky.
-                    *g = g.saturating_add(len);
                 }
                 a.counters.bytes_received += len;
                 self.adapter_kick_followers(host);
@@ -368,20 +302,14 @@ impl Network {
                     a.counters.bytes_received += 1;
                     if corrupt {
                         a.counters.worms_corrupt += 1;
-                        a.rx_body_got.remove(worm);
                     } else {
                         a.counters.worms_received += 1;
-                        // Past completion only a queued follower reads the
-                        // progress, and it reads "fully received".
-                        if a.rx_followers.contains(worm) {
-                            a.rx_body_got.insert(worm, u64::MAX);
-                        } else {
-                            a.rx_body_got.remove(worm);
-                        }
                     }
                 }
                 self.resolve_sink(worm);
                 self.stats.active_worms -= 1;
+                // A follower of the worm may now send its tail.
+                self.adapter_kick_followers(host);
                 if corrupt {
                     self.stats.worms_corrupt += 1;
                     if self.trace.enabled() {
@@ -392,7 +320,6 @@ impl Network {
                         );
                     }
                 } else {
-                    self.adapter_kick_followers(host);
                     self.notify_worm_received(host, worm);
                 }
             }
@@ -446,10 +373,6 @@ impl Network {
                     worm,
                     body_got: body_got + 1,
                 };
-                if let Some(g) = a.rx_body_got.get_mut(worm) {
-                    // u64::MAX (fully received) stays sticky.
-                    *g = g.saturating_add(1);
-                }
                 a.counters.bytes_received += 1;
                 self.adapter_kick_followers(host);
             }
@@ -489,7 +412,7 @@ impl Network {
 enum RxAction {
     NewWorm(WormId),
     ResumeFragment(WormId),
-    Accumulate(WormId),
+    Accumulate,
     Complete(WormId),
     FragmentBoundary,
     DropByte,

@@ -200,14 +200,6 @@ impl Network {
         };
         let id = WormId(self.worms.len() as u32);
         let now = self.scheduler.now();
-        // Cut-through sanity: following a worm that is not currently being
-        // received would stall forever; treat it as fully available.
-        let follow = spec.follow.filter(|w| {
-            self.adapters[host.0 as usize]
-                .rx_body_got
-                .get(*w)
-                .is_some_and(|g| g != u64::MAX)
-        });
         let inst = WormInstance {
             id,
             sinks: spec.sinks.max(1),
@@ -257,7 +249,7 @@ impl Network {
                 .push(now, TraceEvent::WormInjected { worm: tag, host });
         }
         let a = &mut self.adapters[host.0 as usize];
-        a.enqueue_tx(TxWorm::new(id, follow), spec.priority);
+        a.enqueue_tx(TxWorm::new(id, spec.follow), spec.priority);
         if let Some(ch) = a.chan_out {
             self.kick_channel(ch);
         }

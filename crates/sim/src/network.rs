@@ -743,12 +743,11 @@ impl Network {
 
     // -- auditing ------------------------------------------------------------
 
-    /// Check the conservation invariant, and that no adapter keeps
-    /// reception state nothing reads (`Adapter::audit`). Call at any
-    /// quiescent point; cheap enough to call after every test run.
+    /// Check the conservation invariant, and at quiescence that the
+    /// fabric holds no byte. Call at any quiescent point; cheap enough to
+    /// call after every test run.
     pub fn audit(&self) -> Result<(), String> {
         Self::audit_counters(&self.stats)?;
-        self.audit_adapters()?;
         if self.stats.active_worms == 0 {
             self.audit_fabric_empty()?;
         }
@@ -773,11 +772,6 @@ impl Network {
             ));
         }
         Ok(())
-    }
-
-    /// Every adapter's reception state is bounded (`Adapter::audit`).
-    pub(crate) fn audit_adapters(&self) -> Result<(), String> {
-        self.adapters.iter().try_for_each(Adapter::audit)
     }
 
     /// The structural half, for a fabric with no active worms: nothing on

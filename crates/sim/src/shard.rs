@@ -610,14 +610,11 @@ impl ShardedNetwork {
     /// Merged conservation audit. Per-shard conservation does not hold
     /// (injection and delivery may land on different shards), so the
     /// counter invariant is checked on the merged statistics while the
-    /// structural checks (bounded adapter reception state; no bytes in
-    /// flight or buffered at quiescence) run per shard.
+    /// structural check (no bytes in flight or buffered at quiescence)
+    /// runs per shard.
     pub fn audit(&self) -> Result<(), String> {
         let s = self.stats();
         Network::audit_counters(&s)?;
-        for (i, n) in self.nets.iter().enumerate() {
-            n.audit_adapters().map_err(|e| format!("shard {i}: {e}"))?;
-        }
         if s.active_worms == 0 {
             if !self.all_parked() {
                 return Err("boundary mailbox holds messages with no active worms".into());

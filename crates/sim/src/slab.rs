@@ -8,13 +8,11 @@
 //! degenerate (and fastest) case of a generational slab. Every delivery-path
 //! lookup that used to hash a `WormId` goes through [`PerWorm`] instead.
 //!
-//! [`FollowMap`] covers the adapter-local maps (cut-through reception
-//! progress and followers, parked fragments) that are keyed by worm but
-//! hold only a handful of *live* entries at a time: a linear-scan
-//! association list beats both a hash map and a dense vector there, as long
-//! as the adapter removes an entry once nothing reads it (see
-//! `Adapter::rx_body_got` for the lifetimes; `Network::audit` rejects a
-//! leaked one).
+//! [`FollowMap`] backs an adapter's parked fragments (`Adapter::parked`):
+//! keyed by worm, but holding only a handful of *live* entries at a time,
+//! since a fragment leaves the map when its reception resumes. A
+//! linear-scan association list beats both a hash map and a dense vector
+//! there.
 //!
 //! [`RoutePool`] recycles encoded-route buffers — the one real per-worm
 //! heap allocation in this content-light simulator — so steady-state
@@ -64,13 +62,11 @@ impl<T: Copy> PerWorm<T> {
     }
 }
 
-/// A worm-keyed association list for adapter-local reception state.
+/// A worm-keyed association list for adapter-local reception state: the
+/// body bytes so far of each parked fragment.
 ///
 /// Every operation scans the whole list, so it is only as cheap as its
-/// owner keeps it short: an adapter holds the reception in progress, parked
-/// fragments and the sources of queued cut-through followers, and removes
-/// each entry when the last of those ends. A map that only grows would
-/// make each lookup cost one entry per worm the host ever received.
+/// owner keeps it short: a fragment is removed when its reception resumes.
 /// Insertion order is irrelevant — keys are unique.
 #[derive(Debug, Default)]
 pub struct FollowMap {
@@ -95,20 +91,6 @@ impl FollowMap {
     #[inline]
     pub fn contains(&self, id: WormId) -> bool {
         self.entries.iter().any(|e| e.0 == id)
-    }
-
-    /// Number of entries: the length of every scan.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (WormId, u64)> + '_ {
-        self.entries.iter().copied()
     }
 
     /// Insert or overwrite the value for `id`.
@@ -181,13 +163,12 @@ mod tests {
         assert_eq!(m.get(WormId(1)), Some(11));
         assert!(m.contains(WormId(2)));
         *m.get_mut(WormId(2)).unwrap() += 1;
-        assert_eq!(m.len(), 2);
         assert_eq!(m.remove(WormId(2)), Some(21));
         assert_eq!(m.remove(WormId(2)), None);
         assert!(!m.contains(WormId(2)));
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(WormId(1), 11)]);
+        assert_eq!(m.get(WormId(1)), Some(11));
         m.remove(WormId(1));
-        assert!(m.is_empty());
+        assert!(!m.contains(WormId(1)));
     }
 
     #[test]

@@ -226,6 +226,13 @@ impl Network {
             }
             NodeRef::Host(h) => {
                 let a = &mut self.adapters[h.0 as usize];
+                debug_assert!(
+                    a.tx_queue.front().is_some_and(|t| t
+                        .follow
+                        .and_then(|src| a.arriving(src))
+                        .is_none_or(|got| t.body_sent + data <= got)),
+                    "follower span at adapter {h:?} outruns its source: emission guard failed"
+                );
                 let head = a.tx_queue.front_mut().expect("span-ready head worm");
                 let unsent = &self.worms[head.worm.0 as usize].route[head.route_sent..];
                 for &sym in &unsent[..route as usize] {
@@ -614,9 +621,12 @@ impl Network {
 
     /// Span fast-path probe for an adapter's outgoing channel: the unsent
     /// route symbols of the head worm, then its unsent body. The tail stays
-    /// per-byte (it drives completion), and a cut-through follower of a
-    /// still-arriving worm is paced by the per-byte arrival stream, so only
-    /// a fully-available body batches — its route does regardless.
+    /// per-byte (it drives completion). A cut-through follower of a
+    /// still-arriving worm batches only the body bytes its source has been
+    /// credited (`got − body_sent`): exact by the argument of `adapter_rx`,
+    /// since the follower, like every reader of that credit, moves at one
+    /// byte per byte-time and so cannot overtake the arrival slots behind
+    /// it.
     pub(crate) fn adapter_span_ready(&self, host: HostId) -> Option<Ready> {
         let a = &self.adapters[host.0 as usize];
         let head = a.tx_queue.front()?;
@@ -635,12 +645,12 @@ impl Network {
                 .take_while(|sym| matches!(sym, RouteSym::Port(_)))
                 .count()
         };
-        let body_ready = route == unsent.len()
-            && head
-                .follow
-                .is_none_or(|src| a.rx_body_got.get(src) == Some(u64::MAX));
-        let data = if body_ready {
-            inst.body_len().saturating_sub(head.body_sent)
+        let data = if route == unsent.len() {
+            let left = inst.body_len().saturating_sub(head.body_sent);
+            match head.follow.and_then(|src| a.arriving(src)) {
+                Some(got) => left.min(got.saturating_sub(head.body_sent)),
+                None => left,
+            }
         } else {
             0
         };

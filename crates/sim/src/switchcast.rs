@@ -784,10 +784,7 @@ impl Network {
                         // The source adapter: abort the transmission.
                         let a = &mut self.adapters[h.0 as usize];
                         if let Some(pos) = a.tx_queue.iter().position(|t| t.worm == worm) {
-                            let tx = a.tx_queue.remove(pos).expect("position is in the queue");
-                            if let Some(src) = tx.follow {
-                                a.drop_follower(src);
-                            }
+                            a.tx_queue.remove(pos);
                         }
                         debug_assert_eq!(h, injector, "flush walked to a foreign adapter");
                         None

@@ -22,6 +22,7 @@
 
 #![allow(clippy::needless_range_loop)] // index math mirrors ports
 
+use wormcast_sim::adapter::RxState;
 use wormcast_sim::engine::HostId;
 use wormcast_sim::link::PortId;
 use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable, SimMode};
@@ -564,27 +565,20 @@ fn go_landing_in_the_tick_of_a_head_runs_grant() {
 }
 
 /// Cut-through relay: forwards a worm addressed to this host to `to`,
-/// behind it byte for byte. The copy is sent from a zero-delay timer, not
-/// from `on_header` itself: the adapter registers a reception only once
-/// that callback has returned, and a send that names a worm it is not yet
-/// receiving loses its `follow` (`Network::inject_worm`).
+/// behind it byte for byte, sent from `on_header` as the HC and tree
+/// protocols send theirs.
 struct Relay {
     to: HostId,
-    copy: Option<SendSpec>,
 }
 
 impl AdapterProtocol for Relay {
     fn on_generate(&mut self, _ctx: &mut ProtocolCtx, _msg: AppMessage) {}
     fn on_header(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) -> Admission {
-        self.copy = Some(SendSpec {
+        ctx.send(SendSpec {
             follow: Some(worm.id),
             ..SendSpec::forward(worm, self.to)
         });
-        ctx.set_timer(0, 0);
         Admission::Accept
-    }
-    fn on_timer(&mut self, ctx: &mut ProtocolCtx, _token: u64) {
-        ctx.send(self.copy.take().expect("armed by on_header"));
     }
     fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
         ctx.deliver_local(worm.meta.msg);
@@ -603,7 +597,7 @@ fn a_head_inside_a_span_keeps_its_place_among_single_bytes() {
         move |mode| {
             // h1 relays X to h2, its neighbour on sw1; A heads there too.
             let mut net = line_fabric(3, 1, &[0, 1, 1, 2], mode, TraceConfig::Memory);
-            net.set_protocol(HostId(1), Box::new(Relay { to: HostId(2), copy: None }));
+            net.set_protocol(HostId(1), Box::new(Relay { to: HostId(2) }));
             let mut shots = vec![Shot { from: 3, to: 1, at: 10, len: 200 }]; // X
             shots.extend(a_at.map(|at| Shot { from: 0, to: 2, at, len: 200 }));
             fire(net, &shots)
@@ -611,8 +605,6 @@ fn a_head_inside_a_span_keeps_its_place_among_single_bytes() {
     };
     let (a, b) = (worm_name(0, 0), worm_name(1, 0));
     let (quiet, _) = assert_same_run(mk(None), 5_000, "no A");
-    // B's tail has left h1, and X's progress entry with it.
-    assert!(quiet.adapters[1].rx_body_got.is_empty(), "X outlived its follower");
     let b_at = route_consumed_at(&quiet, b, 1).expect("B's head reaches sw1");
     let mut hit = 0;
     for a_at in b_at - 6..=b_at {
@@ -628,64 +620,55 @@ fn a_head_inside_a_span_keeps_its_place_among_single_bytes() {
     assert_eq!(hit, 1, "one start time brings both heads to sw1 in one tick");
 }
 
-/// The cut-through follower's source keeps its reception progress exactly
-/// as long as the follower is queued: past the source's completion it reads
-/// "fully received", and once the follower's tail has left the entry is
-/// gone, so the relay holds no reception state at all.
+/// A cut-through copy never outruns its source. X's head blocks at sw1
+/// behind B, so X piles up in sw1's slack buffer behind a STOP on the
+/// delay-20 trunk. Once B's tail has passed, that buffer drains below its
+/// GO mark long before the GO's refill comes back, so X reaches the relay
+/// with a gap. At every step the relay's copy keeps its `follow`, has sent
+/// no more body than X has delivered, and sends its tail only once X's has
+/// arrived; both engine modes agree on the whole run.
 #[test]
-fn a_followed_source_leaves_the_relay_with_its_followers_tail() {
+fn a_relayed_copy_waits_out_its_sources_gap() {
+    // h0 on sw0 sends X to the relay h2; h1 on sw1 sends B past sw1 first.
+    // The relay forwards X to h3, and B goes to h4, both beside it on sw2.
+    let mk = |mode| {
+        let mut net = line_fabric(3, 20, &[0, 1, 2, 2, 2], mode, TraceConfig::Memory);
+        net.set_protocol(HostId(2), Box::new(Relay { to: HostId(3) }));
+        let shots = [
+            Shot { from: 1, to: 4, at: 10, len: 300 }, // B
+            Shot { from: 0, to: 2, at: 10, len: 200 }, // X
+        ];
+        fire(net, &shots)
+    };
+    assert_same_run(mk, 5_000, "relay behind a gap");
     for mode in [SimMode::PerByte, SimMode::SpanBatched] {
-        let mut net = line_fabric(3, 1, &[0, 1, 1, 2], mode, TraceConfig::Off);
-        net.set_protocol(HostId(1), Box::new(Relay { to: HostId(2), copy: None }));
-        let mut net = fire(net, &[Shot { from: 3, to: 1, at: 10, len: 200 }]);
-        let (mut followed, mut held_past_completion) = (false, false);
+        let mut net = mk(mode);
+        let (mut last_got, mut stalled, mut held) = (0, false, false);
         for t in 1..=2_000 {
             net.run_until(t);
-            net.audit().expect("reception state is bounded");
-            let relay = &net.adapters[1];
-            if let Some(src) = relay.tx_queue.front().and_then(|tx| tx.follow) {
-                followed = true;
-                let got = relay.rx_body_got.get(src).expect("a followed source is tracked");
-                held_past_completion |= got == u64::MAX;
-            } else if relay.counters.worms_sent == 1 {
-                assert!(
-                    relay.rx_body_got.is_empty(),
-                    "{mode:?} t={t}: the source outlived its follower"
-                );
-            }
+            let relay = &net.adapters[2];
+            let RxState::Receiving { worm: x, body_got } = relay.rx else {
+                if relay.counters.worms_sent == 1 {
+                    assert_eq!(relay.counters.worms_received, 1, "{mode:?} t={t}: tail before X's");
+                }
+                continue;
+            };
+            stalled |= body_got == last_got;
+            last_got = body_got;
+            let copy = relay.tx_queue.front().expect("the copy leaves after X's tail");
+            assert!(
+                copy.body_sent <= body_got,
+                "{mode:?} t={t}: copy sent {} body bytes of X's {body_got}",
+                copy.body_sent
+            );
+            assert_eq!(copy.follow, Some(x), "{mode:?} t={t}: the copy lost its follow");
+            held |= copy.body_sent == body_got;
         }
-        let relay = &net.adapters[1];
-        assert!(followed, "{mode:?}: the relay's copy kept its follow");
-        assert!(held_past_completion, "{mode:?}: the follower outlasted its source's reception");
+        let relay = &net.adapters[2];
         assert_eq!((relay.counters.worms_received, relay.counters.worms_sent), (1, 1), "{mode:?}");
-        assert!(relay.rx_body_got.is_empty() && relay.rx_followers.is_empty(), "{mode:?}");
-    }
-}
-
-/// A host's reception state does not grow with the worms it has received:
-/// with no cut-through followers, `rx_body_got` holds at most the reception
-/// in progress at every step of a thousand-worm run into one adapter.
-#[test]
-fn an_adapter_keeps_no_reception_history() {
-    let senders: Vec<(u32, u64)> = (0..500u64)
-        .flat_map(|i| [(0, 10 + 30 * i), (1, 25 + 30 * i)])
-        .collect();
-    for mode in [SimMode::PerByte, SimMode::SpanBatched] {
-        let mut net = line_net(1, mode, 20, TraceConfig::Off, &senders);
-        let mut t = 0;
-        let drained = loop {
-            t += 7;
-            let out = net.run_until(t);
-            net.audit().expect("reception state is bounded");
-            let sink = &net.adapters[2];
-            let held = sink.rx_body_got.len();
-            assert!(held <= 1, "{mode:?} t={t}: {held} entries");
-            if out.drained {
-                break sink;
-            }
-        };
-        assert_eq!(drained.counters.worms_received, 1_000, "{mode:?}");
-        assert!(drained.rx_body_got.is_empty(), "{mode:?}");
+        // A span credits its bytes at once, so only per-byte sees the gap.
+        assert!(stalled || mode == SimMode::SpanBatched, "X arrived without a gap");
+        assert!(held, "{mode:?}: the copy never caught up with X");
     }
 }
 

@@ -66,8 +66,8 @@ fn observe(mut setup: SimSetup, mode: SimMode, trace: TraceConfig) -> Observed {
     // Every caller routes up/down: a deadlock verdict, in either mode, is
     // a bug in the engine or in the wait-for analysis — except under the
     // IDLE-filling switch-level variants V1 and V3, which can wedge as
-    // modelled (ROADMAP item 4). There the verdict is one more observable
-    // both modes must agree on.
+    // modelled (ROADMAP, "V1 and V3 wedge on the paper's own torus").
+    // There the verdict is one more observable both modes must agree on.
     let wedged = out.deadlock.is_some();
     assert!(
         !wedged

@@ -10,9 +10,11 @@
 //! mode" — every fabric here routes up/down. One case in eight runs
 //! switch-level multicast instead (V1, V2, V3 or broadcast, on one or two
 //! lanes), where the spans carry only the unicasts a §3 fabric lets them
-//! carry. V1 and V3 can wedge there as modelled (ROADMAP item 4, e.g.
-//! seeds 68 628 and 70 972, both on one lane), so for those draws the two
-//! modes must reach the same verdict rather than none.
+//! carry. V1 and V3 can wedge there as modelled (ROADMAP, "V1 and V3
+//! wedge on the paper's own torus", e.g. seeds 68 628 and 70 972, both on
+//! one lane), so for those draws the two modes must reach the same verdict
+//! rather than none. HC cut-through draws run paced followers: each copy
+//! leaves behind its source, in spans no longer than the source's credit.
 //! Each case prints a one-line description before it runs; replay one
 //! with `FUZZ_SEED=<seed> FUZZ_CASES=1 cargo test --test span_fuzz`.
 //!
