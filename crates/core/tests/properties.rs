@@ -1,6 +1,10 @@
-//! Property-based invariants of the protocol building blocks.
+//! Randomised invariants of the protocol building blocks. Each property
+//! runs 128 seeded draws; a failure names its case, and
+//! `SmallRng::seed_from_u64(case)` replays it.
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use wormcast_core::buffers::{BufferPool, PoolConfig, Reservation};
 use wormcast_core::ipmap::{ClassD, IpMulticastMap};
 use wormcast_core::ordering::check_total_order;
@@ -10,118 +14,128 @@ use wormcast_sim::network::{Delivery, MessageLog, MessageRecord};
 use wormcast_sim::protocol::Destination;
 use wormcast_sim::worm::MessageId;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: u64 = 128;
 
-    /// Buffer pools never over-commit, and a full release sequence always
-    /// returns the pool to empty — under arbitrary reserve/release
-    /// interleavings across both classes.
-    #[test]
-    fn buffer_pool_never_overcommits(
-        c1 in 0u32..5_000,
-        c2 in 0u32..5_000,
-        dma in 0u32..5_000,
-        single in any::<bool>(),
-        ops in proptest::collection::vec((1u8..=2, 1u32..3_000, any::<bool>()), 1..60),
-    ) {
-        let cfg = PoolConfig { class1: c1, class2: c2, dma_extension: dma };
-        let mut pool = if single {
+/// Buffer pools never over-commit, and a full release sequence always
+/// returns the pool to empty — under arbitrary reserve/release
+/// interleavings across both classes.
+#[test]
+fn buffer_pool_never_overcommits() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let c1 = rng.gen_range(0..5_000u32);
+        let c2 = rng.gen_range(0..5_000u32);
+        let dma = rng.gen_range(0..5_000u32);
+        let cfg = PoolConfig {
+            class1: c1,
+            class2: c2,
+            dma_extension: dma,
+        };
+        let mut pool = if rng.gen() {
             BufferPool::new_single_class(cfg)
         } else {
             BufferPool::new(cfg)
         };
         let cap_total = c1 + c2 + dma;
         let mut held: Vec<Reservation> = Vec::new();
-        for (class, bytes, release_one) in ops {
-            if release_one && !held.is_empty() {
+        for _ in 0..rng.gen_range(1..60usize) {
+            let (class, bytes) = (rng.gen_range(1..=2u8), rng.gen_range(1..3_000u32));
+            if rng.gen() && !held.is_empty() {
                 pool.release(held.pop().unwrap());
             } else if let Some(r) = pool.reserve(class, bytes) {
-                prop_assert_eq!(r.bytes(), bytes, "all-or-nothing");
+                assert_eq!(r.bytes(), bytes, "case {case}: all-or-nothing");
                 held.push(r);
             }
-            prop_assert!(pool.total_used() <= cap_total, "over-committed");
+            assert!(
+                pool.total_used() <= cap_total,
+                "case {case}: over-committed"
+            );
             let held_total: u32 = held.iter().map(|r| r.bytes()).sum();
-            prop_assert_eq!(pool.total_used(), held_total, "accounting drift");
+            assert_eq!(
+                pool.total_used(),
+                held_total,
+                "case {case}: accounting drift"
+            );
         }
         for r in held.drain(..) {
             pool.release(r);
         }
-        prop_assert_eq!(pool.total_used(), 0);
+        assert_eq!(pool.total_used(), 0, "case {case}");
     }
+}
 
-    /// The two-class guarantee: while class 2 is untouched, a worm-sized
-    /// class-2 request always succeeds no matter how loaded class 1 is.
-    #[test]
-    fn class2_always_has_room(
-        worm in 1u32..2_000,
-        class1_load in proptest::collection::vec(1u32..2_000, 0..10),
-    ) {
+/// The two-class guarantee: while class 2 is untouched, a worm-sized
+/// class-2 request always succeeds no matter how loaded class 1 is.
+#[test]
+fn class2_always_has_room() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let worm = rng.gen_range(1..2_000u32);
         let mut pool = BufferPool::new(PoolConfig {
             class1: 4_000,
             class2: worm,
             dma_extension: 0,
         });
-        for b in class1_load {
-            let _ = pool.reserve(1, b);
+        for _ in 0..rng.gen_range(0..10usize) {
+            let _ = pool.reserve(1, rng.gen_range(1..2_000u32));
         }
-        prop_assert!(pool.reserve(2, worm).is_some());
+        assert!(pool.reserve(2, worm).is_some(), "case {case}");
     }
+}
 
-    /// IP map: after arbitrary join/leave sequences, the union Myrinet
-    /// membership equals the union of the per-address memberships, and
-    /// `host_accepts` matches exact membership.
-    #[test]
-    fn ipmap_union_is_exact(
-        ops in proptest::collection::vec(
-            (0u8..4, 0u32..8, any::<bool>()), 1..60),
-    ) {
-        // Four class D addresses, two of which collide in the low byte.
-        let addrs = [
-            ClassD::new(224, 0, 0, 9),
-            ClassD::new(239, 1, 0, 9),
-            ClassD::new(224, 0, 0, 10),
-            ClassD::new(224, 5, 5, 11),
-        ];
+/// IP map: after arbitrary join/leave sequences, the union Myrinet
+/// membership equals the union of the per-address memberships, and
+/// `host_accepts` matches exact membership.
+#[test]
+fn ipmap_union_is_exact() {
+    // Four class D addresses, two of which collide in the low byte.
+    let addrs = [
+        ClassD::new(224, 0, 0, 9),
+        ClassD::new(239, 1, 0, 9),
+        ClassD::new(224, 0, 0, 10),
+        ClassD::new(224, 5, 5, 11),
+    ];
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
         let mut map = IpMulticastMap::new();
-        let mut model: Vec<std::collections::BTreeSet<u32>> =
-            vec![Default::default(); addrs.len()];
-        for (a, h, join) in ops {
-            let addr = addrs[a as usize];
-            if join {
-                map.join(addr, HostId(h));
-                model[a as usize].insert(h);
+        let mut model: Vec<BTreeSet<u32>> = vec![Default::default(); addrs.len()];
+        for _ in 0..rng.gen_range(1..60usize) {
+            let (a, h) = (rng.gen_range(0..4usize), rng.gen_range(0..8u32));
+            if rng.gen() {
+                map.join(addrs[a], HostId(h));
+                model[a].insert(h);
             } else {
-                map.leave(addr, HostId(h));
-                model[a as usize].remove(&h);
+                map.leave(addrs[a], HostId(h));
+                model[a].remove(&h);
             }
         }
         for (i, addr) in addrs.iter().enumerate() {
             let got: Vec<u32> = map.ip_members(*addr).iter().map(|h| h.0).collect();
             let want: Vec<u32> = model[i].iter().copied().collect();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want, "case {case}");
             for h in 0..8u32 {
-                prop_assert_eq!(
-                    map.host_accepts(*addr, HostId(h)),
-                    model[i].contains(&h)
-                );
+                let accepts = map.host_accepts(*addr, HostId(h));
+                assert_eq!(accepts, model[i].contains(&h), "case {case}");
             }
         }
         // Group 9 is the union of addrs[0] and addrs[1].
         let union: Vec<u32> = map.myrinet_members(9).iter().map(|h| h.0).collect();
         let want: Vec<u32> = model[0].union(&model[1]).copied().collect();
-        prop_assert_eq!(union, want);
+        assert_eq!(union, want, "case {case}");
     }
+}
 
-    /// A single global delivery order projected onto members always passes
-    /// the total-order check; swapping two distinct messages at one member
-    /// always fails it.
-    #[test]
-    fn total_order_checker_is_sound(
-        msgs in 2usize..10,
-        members in 2usize..6,
-        skip in proptest::collection::vec(any::<bool>(), 0..40),
-        swap_at in (0usize..6, 0usize..8),
-    ) {
+/// A single global delivery order projected onto members always passes
+/// the total-order check; swapping two distinct messages at one member
+/// always fails it.
+#[test]
+fn total_order_checker_is_sound() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let msgs = rng.gen_range(2..10usize);
+        let members = rng.gen_range(2..6usize);
+        let skip: Vec<bool> = (0..rng.gen_range(0..40usize)).map(|_| rng.gen()).collect();
+        let (h, ix) = (rng.gen_range(0..6usize), rng.gen_range(0..8usize));
         let mut log = MessageLog::default();
         for m in 0..msgs {
             log.created.push(MessageRecord {
@@ -149,12 +163,14 @@ proptest! {
             }
         }
         let member_ids: Vec<HostId> = (0..members as u32).map(HostId).collect();
-        prop_assert!(check_total_order(&log, 0, &member_ids).is_none());
+        assert!(
+            check_total_order(&log, 0, &member_ids).is_none(),
+            "case {case}"
+        );
 
         // Swap two adjacent deliveries of one member (if it has two).
-        let (h, ix) = swap_at;
         let h = HostId((h % members) as u32);
-        let mut mine: Vec<usize> = log
+        let mine: Vec<usize> = log
             .deliveries
             .iter()
             .enumerate()
@@ -164,37 +180,48 @@ proptest! {
         if mine.len() >= 2 {
             let k = ix % (mine.len() - 1);
             let (a, b) = (mine[k], mine[k + 1]);
-            mine.clear();
             let (ta, tb) = (log.deliveries[a].at, log.deliveries[b].at);
             log.deliveries[a].at = tb;
             log.deliveries[b].at = ta;
             // Another member must share both messages for the check to see
             // the inversion; with >= 2 members and no skips this holds, so
             // only assert when nothing was skipped at other members.
-            let complete_elsewhere = (0..members as u32)
-                .filter(|&o| HostId(o) != h)
-                .any(|o| {
-                    log.deliveries.iter().filter(|d| d.host == HostId(o)).count() == msgs
-                });
+            let complete_elsewhere = (0..members as u32).filter(|&o| HostId(o) != h).any(|o| {
+                log.deliveries
+                    .iter()
+                    .filter(|d| d.host == HostId(o))
+                    .count()
+                    == msgs
+            });
             if complete_elsewhere {
-                prop_assert!(
+                assert!(
                     check_total_order(&log, 0, &member_ids).is_some(),
-                    "swapped order must be detected"
+                    "case {case}: swapped order must be detected"
                 );
             }
         }
     }
+}
 
-    /// Membership: expected_deliveries is members-1 for member origins and
-    /// members for outsiders, for arbitrary groups.
-    #[test]
-    fn membership_expected_deliveries(
-        ids in proptest::collection::btree_set(0u32..32, 1..10),
-        origin in 0u32..32,
-    ) {
+/// Membership: expected_deliveries is members-1 for member origins and
+/// members for outsiders, for arbitrary groups.
+#[test]
+fn membership_expected_deliveries() {
+    for case in 0..CASES {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let size = rng.gen_range(1..10usize);
+        let mut ids = BTreeSet::new();
+        while ids.len() < size {
+            ids.insert(rng.gen_range(0..32u32));
+        }
+        let origin = rng.gen_range(0..32u32);
         let members: Vec<HostId> = ids.iter().copied().map(HostId).collect();
         let m = Membership::from_groups([(0u8, members.clone())]);
         let expect = members.len() - usize::from(ids.contains(&origin));
-        prop_assert_eq!(m.expected_deliveries(0, HostId(origin)), expect);
+        assert_eq!(
+            m.expected_deliveries(0, HostId(origin)),
+            expect,
+            "case {case}"
+        );
     }
 }

@@ -812,6 +812,8 @@ pub const MULTICAST_IDLE_THRESHOLD: crate::time::SimTime = 512;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn host(p: u8) -> (u8, Subroute) {
         (p, Subroute::Host)
@@ -917,40 +919,46 @@ mod tests {
         assert!(merge_paths(&[empty]).is_err());
     }
 
-    proptest::proptest! {
-        /// encode/decode round-trips arbitrary small trees.
-        #[test]
-        fn prop_roundtrip(seed in 0u64..10_000) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            fn gen_tree(rng: &mut rand::rngs::SmallRng, depth: u8) -> Directive {
-                let n = rng.gen_range(1..=3usize);
-                let branches = (0..n)
-                    .map(|_| {
-                        let port = rng.gen_range(0..16u8);
-                        let sub = if depth == 0 || rng.gen_bool(0.5) {
-                            Subroute::Host
-                        } else {
-                            Subroute::Next(gen_tree(rng, depth - 1))
-                        };
-                        (port, sub)
-                    })
-                    .collect();
-                Directive { branches }
-            }
-            let d = gen_tree(&mut rng, 3);
+    /// A random tree of depth ≤ `depth`, up to three branches a level.
+    fn gen_tree(rng: &mut SmallRng, depth: u8) -> Directive {
+        let n = rng.gen_range(1..=3usize);
+        let branches = (0..n)
+            .map(|_| {
+                let port = rng.gen_range(0..16u8);
+                let sub = if depth == 0 || rng.gen_bool(0.5) {
+                    Subroute::Host
+                } else {
+                    Subroute::Next(gen_tree(rng, depth - 1))
+                };
+                (port, sub)
+            })
+            .collect();
+        Directive { branches }
+    }
+
+    /// encode/decode round-trips arbitrary small trees. 256 seeded draws.
+    #[test]
+    fn prop_roundtrip() {
+        for case in 0..256 {
+            let seed = SmallRng::seed_from_u64(case).gen_range(0..10_000u64);
+            let d = gen_tree(&mut SmallRng::seed_from_u64(seed), 3);
             let e = encode(&d).unwrap();
             let (back, used) = decode(&e).unwrap();
-            proptest::prop_assert_eq!(back, d);
-            proptest::prop_assert_eq!(used, e.len());
+            assert_eq!(back, d, "case {case}");
+            assert_eq!(used, e.len(), "case {case}");
         }
+    }
 
-        /// Merging random path sets yields a tree whose leaf count equals
-        /// the number of distinct paths, and whose encoding round-trips.
-        #[test]
-        fn prop_merge_paths(paths in proptest::collection::vec(
-            proptest::collection::vec(0u8..8, 1..5), 1..6))
-        {
+    /// Merging random path sets yields a tree whose leaf count equals the
+    /// number of distinct paths, and whose encoding round-trips. 256
+    /// seeded draws.
+    #[test]
+    fn prop_merge_paths() {
+        for case in 0..256 {
+            let rng = &mut SmallRng::seed_from_u64(case);
+            let paths: Vec<Vec<u8>> = (0..rng.gen_range(1..6usize))
+                .map(|_| (0..rng.gen_range(1..5usize)).map(|_| rng.gen_range(0..8u8)).collect())
+                .collect();
             // Deduplicate and drop prefix-contained paths: a path that is a
             // prefix of another would mean a host in the middle of a route.
             let mut uniq: Vec<Vec<u8>> = Vec::new();
@@ -966,13 +974,11 @@ mod tests {
             }
             let refs: Vec<&[u8]> = uniq.iter().map(|v| v.as_slice()).collect();
             let d = merge_paths(&refs).unwrap();
-            // Distinct paths (post-dedup) = leaves only if no two paths are
-            // equal, which dedup guarantees... but two paths may still merge
-            // entirely if equal — removed. So:
-            proptest::prop_assert_eq!(d.num_leaves(), uniq.len());
+            // Deduplicated, every path is a distinct leaf.
+            assert_eq!(d.num_leaves(), uniq.len(), "case {case}");
             let e = encode(&d).unwrap();
             let (back, _) = decode(&e).unwrap();
-            proptest::prop_assert_eq!(back, d);
+            assert_eq!(back, d, "case {case}");
         }
     }
 }

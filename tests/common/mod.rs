@@ -1,20 +1,78 @@
-//! Shared test assembly: the per-byte ≡ span-batched differential harness
-//! of `span_equivalence.rs` and `span_fuzz.rs`, and the traffic-free
-//! networks the scripted tests drive.
+//! Shared test kit: the one per-byte ≡ span-batched differential harness
+//! ([`assert_modes_agree`], and [`assert_equivalent`] over a `SimSetup`),
+//! the minimal unicast protocol [`Echoless`], and the traffic-free
+//! networks the scripted tests drive ([`line_fabric`], [`ring4`],
+//! [`scripted_net`]).
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use wormcast::core::switchcast::SwitchcastVariant;
+use wormcast::sim::deadlock::DeadlockReport;
 use wormcast::sim::engine::HostId;
 use wormcast::sim::network::{NetStats, SimMode};
+use wormcast::sim::protocol::{AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec};
 use wormcast::sim::trace::TraceConfig;
-use wormcast::sim::Network;
-use wormcast::topo::Topology;
+use wormcast::sim::worm::{WormInstance, WormKind};
+use wormcast::sim::{Network, NetworkConfig};
+use wormcast::topo::{TopoBuilder, Topology, UpDown};
 use wormcast::traffic::workload::PaperWorkload;
 use wormcast::traffic::{GroupSet, LengthDist};
 use wormcast_bench::runner::{build_network, build_unloaded, SimSetup};
 use wormcast_bench::trace_io::validate_jsonl;
 use wormcast_bench::Scheme;
+
+/// Minimal unicast protocol: send on generate, deliver on receive (the
+/// paper's protocols live in `wormcast::core`).
+pub struct Echoless;
+
+impl AdapterProtocol for Echoless {
+    fn on_generate(&mut self, ctx: &mut ProtocolCtx, msg: AppMessage) {
+        if let Destination::Unicast(d) = msg.dest {
+            ctx.send(SendSpec::data(&msg, d, WormKind::Unicast));
+        }
+    }
+    fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
+        ctx.deliver_local(worm.meta.msg);
+    }
+}
+
+/// A line of `n` switches joined by `delay`-byte-time trunks, host `h` on
+/// switch `hosts_on[h]` behind a 1-byte-time link, routed up/down (on a
+/// line, the only routes there are), [`Echoless`] on every host. A
+/// switch's first port is its trunk to the left (to the right on switch
+/// 0), its next the trunk to the right. Trunk `s`–`s+1` is lanes `2s`
+/// (rightward) and `2s + 1`; host `h`'s uplink is lane `2(n − 1) + 2h`,
+/// its downlink the next.
+pub fn line_fabric(n: usize, delay: u64, hosts_on: &[usize], cfg: NetworkConfig) -> Network {
+    let mut b = TopoBuilder::new(n);
+    for s in 1..n {
+        b.link(s - 1, s, delay);
+    }
+    for &s in hosts_on {
+        b.host(s);
+    }
+    let topo = b.build();
+    let routes = UpDown::compute(&topo, 0).route_table(&topo, false);
+    let mut net = Network::build(&topo.to_fabric_spec(), routes, cfg);
+    for h in 0..hosts_on.len() as u32 {
+        net.set_protocol(HostId(h), Box::new(Echoless));
+    }
+    net
+}
+
+/// A ring of 4 switches, one host each on port 2. Link `i` joins switch
+/// `i` (port 0 on switch 0, else port 1) to switch `i + 1` (port 0, or
+/// port 1 on switch 0).
+pub fn ring4() -> Topology {
+    let mut b = TopoBuilder::new(4);
+    for s in 0..4 {
+        b.link(s, (s + 1) % 4, 1);
+    }
+    for s in 0..4 {
+        b.host(s);
+    }
+    b.build()
+}
 
 /// `scheme` over `topo`, assembled as every experiment is, with one group
 /// (`members`) and no traffic source: the caller scripts its messages.
@@ -38,105 +96,67 @@ pub fn scripted_net(
     build_unloaded(&setup)
 }
 
-/// Everything a run observably produces: sorted `(msg, host, time)`
-/// delivery triples, the statistics block, the rendered JSONL lifecycle
-/// trace, the number of events the sink holds, and the send-side byte
-/// counters (every lane's `bytes_carried`, every adapter's `bytes_sent`:
-/// a deadline that falls inside a span must count only the bytes whose
-/// send slots have passed). Deliveries are sorted
-/// because batching k simultaneous byte arrivals into one event
-/// legitimately permutes the processing order *within* a tick — the
-/// timestamps themselves must still match bit-for-bit. The JSONL needs no
-/// such help: `to_jsonl` renders in the canonical `(t, line)` order by
-/// contract.
-type Observed = (
-    Vec<(u64, u32, u64)>,
-    NetStats,
-    String,
-    usize,
-    (u64, u64),
-    bool,
-);
+/// Horizon stride of the harness's lockstep pair: prime, so off-phase
+/// with spans and link delays.
+const STRIDE: u64 = 13;
 
-fn observe(mut setup: SimSetup, mode: SimMode, trace: TraceConfig) -> Observed {
-    setup.mode = mode;
-    setup.trace = trace;
-    let mut net = build_network(&setup);
-    let out = net.run_until(setup.drain_until);
-    // Every caller routes up/down: a deadlock verdict, in either mode, is
-    // a bug in the engine or in the wait-for analysis — except under the
-    // IDLE-filling switch-level variants V1 and V3, which can wedge as
-    // modelled (ROADMAP, "V1 and V3 wedge on the paper's own torus").
-    // There the verdict is one more observable both modes must agree on.
-    let wedged = out.deadlock.is_some();
-    assert!(
-        !wedged
-            || matches!(
-                setup.scheme,
-                Scheme::Switch(SwitchcastVariant::RestrictedIdle | SwitchcastVariant::IdleFlush)
-            ),
-        "{mode:?}: deadlock {out:?}"
-    );
-    net.audit()
-        .unwrap_or_else(|e| panic!("{mode:?}: conservation audit failed: {e}"));
-    let mut deliveries: Vec<(u64, u32, u64)> = net
-        .msgs
-        .deliveries
-        .iter()
-        .map(|d| (d.msg.0, d.host.0, d.at))
-        .collect();
-    deliveries.sort_unstable();
-    (
-        deliveries,
-        net.stats.clone(),
-        net.trace.to_jsonl(),
-        net.trace.len(),
-        (
-            net.lanes().iter().map(|l| l.stats().bytes_carried).sum(),
-            net.adapters.iter().map(|a| a.counters.bytes_sent).sum(),
-        ),
-        wedged,
-    )
+/// One scenario as [`assert_modes_agree`] found it: both engine modes'
+/// traced networks at the deadline, and what the modes agreed on.
+pub struct Twin {
+    pub per_byte: Network,
+    pub spans: Network,
+    /// The runs drained by the deadline.
+    pub drained: bool,
+    /// The per-byte run's deadlock verdict (the span run reached one too).
+    pub deadlock: Option<DeadlockReport>,
+    /// Scheduled events of the per-byte and the span-batched run, traced
+    /// or not (the two agree).
+    pub events: (u64, u64),
 }
 
-/// Statistics equality with the engine-cost counters (the one
-/// legitimately mode-dependent pair) masked out.
-fn assert_stats_eq(mut a: NetStats, mut b: NetStats, label: &str, what: &str) {
-    a.events_scheduled = 0;
-    a.events_fired = 0;
-    b.events_scheduled = 0;
-    b.events_fired = 0;
+/// The per-byte ≡ span-batched differential harness. Run `mk`'s scenario
+/// to `deadline` under both engine modes, traced and untraced, and
+/// require bit-identical observables:
+/// - the raw JSONL (the span engine records nothing of its own), the
+///   number of events the sink holds, and a schema-valid trace;
+/// - sorted `(msg, host, time)` deliveries — sorted because batching k
+///   simultaneous byte arrivals into one event legitimately permutes the
+///   processing order *within* a tick, while the timestamps must match;
+/// - `NetStats` with the engine-cost counters masked, and every lane's
+///   `bytes_carried` and every adapter's `bytes_sent`;
+/// - whether the runs drained, and whether they reached a deadlock
+///   verdict; a clean conservation audit of every run.
+///
+/// Tracing must be a pure observer: the traced and untraced runs agree
+/// too, down to the scheduled-event count (the fast path stays live with
+/// a sink attached). Last, an untraced pair steps through the run in
+/// lockstep, every [`STRIDE`] byte-times, and at every horizon agrees on
+/// `bytes_moved` and on each lane's and adapter's byte counters: a
+/// deadline that falls inside a span counts only the bytes whose slots
+/// have passed, and bytes that leave early show even when a later event
+/// sets the delivery time. Event counts come from the unstepped runs:
+/// each step schedules a `Stop` of its own.
+pub fn assert_modes_agree(
+    mk: impl Fn(SimMode, TraceConfig) -> Network,
+    deadline: u64,
+    label: &str,
+) -> Twin {
+    let run = |mode, trace| {
+        let mut net = mk(mode, trace);
+        let out = net.run_until(deadline);
+        net.audit()
+            .unwrap_or_else(|e| panic!("{label} {mode:?}: conservation audit failed: {e}"));
+        (net, out)
+    };
+    let (per_byte, out) = run(SimMode::PerByte, TraceConfig::Memory);
+    let (spans, out_span) = run(SimMode::SpanBatched, TraceConfig::Memory);
     assert_eq!(
-        format!("{a:?}"),
-        format!("{b:?}"),
-        "{label}: {what} NetStats diverged between engine modes"
+        (out.drained, out.deadlock.is_some()),
+        (out_span.drained, out_span.deadlock.is_some()),
+        "{label}: the engine modes disagree on (drained, deadlock verdict)"
     );
-}
-
-/// Run `setup` under both modes, traced and untraced, and require
-/// bit-identical observables — the raw JSONL included: the span engine
-/// records nothing of its own, so the sink holds the same events in both
-/// modes. Tracing itself must be a pure observer: the traced and untraced
-/// runs must agree too, down to the scheduled-event count (the fast path
-/// stays live with a sink attached). Returns the per-byte and
-/// span-batched scheduled-event counts for callers that assert on cost.
-pub fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
-    let (d_ref, s_ref, j_ref, n_ref, sent_ref, wedged_ref) =
-        observe(mk(), SimMode::PerByte, TraceConfig::Memory);
-    let (d_span, s_span, j_span, n_span, sent_span, wedged_span) =
-        observe(mk(), SimMode::SpanBatched, TraceConfig::Memory);
-    assert_eq!(
-        wedged_ref, wedged_span,
-        "{label}: one engine mode reached a deadlock verdict, the other did not"
-    );
-    assert_eq!(
-        sent_ref, sent_span,
-        "{label}: (bytes_carried, bytes_sent) diverged between engine modes"
-    );
-    assert_eq!(
-        d_ref, d_span,
-        "{label}: traced delivery records diverged between engine modes"
-    );
+    assert_same_end(&per_byte, &spans, label, "traced");
+    let (j_ref, j_span) = (per_byte.trace.to_jsonl(), spans.trace.to_jsonl());
     assert!(
         j_ref == j_span,
         "{label}: span-batched trace diverged from the per-byte trace\n{}",
@@ -145,7 +165,8 @@ pub fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
     assert!(!j_ref.is_empty(), "{label}: trace captured nothing");
     // The sink scales with lifecycle events, not engine events.
     assert_eq!(
-        n_ref, n_span,
+        per_byte.trace.len(),
+        spans.trace.len(),
         "{label}: the trace sink holds a different number of events per engine mode"
     );
     let violations = validate_jsonl(&j_span);
@@ -153,27 +174,157 @@ pub fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
         violations.is_empty(),
         "{label}: trace violates the schema: {violations:?}"
     );
-    let (e_traced_ref, e_traced_span) = (s_ref.events_scheduled, s_span.events_scheduled);
-    assert_stats_eq(s_ref, s_span, label, "traced");
 
-    let (d_off_ref, s_off_ref, ..) = observe(mk(), SimMode::PerByte, TraceConfig::Off);
-    let (d_off_span, s_off_span, ..) = observe(mk(), SimMode::SpanBatched, TraceConfig::Off);
+    let (off_ref, _) = run(SimMode::PerByte, TraceConfig::Off);
+    let (off_span, _) = run(SimMode::SpanBatched, TraceConfig::Off);
+    assert_same_end(&off_ref, &off_span, label, "untraced");
     assert_eq!(
-        d_off_ref, d_off_span,
-        "{label}: delivery records diverged between engine modes"
-    );
-    assert_eq!(
-        d_ref, d_off_ref,
+        deliveries(&per_byte),
+        deliveries(&off_ref),
         "{label}: attaching a trace sink changed the delivery records"
     );
-    let (e_ref, e_span) = (s_off_ref.events_scheduled, s_off_span.events_scheduled);
+    let events = (
+        off_ref.stats.events_scheduled,
+        off_span.stats.events_scheduled,
+    );
     assert_eq!(
-        (e_traced_ref, e_traced_span),
-        (e_ref, e_span),
+        (
+            per_byte.stats.events_scheduled,
+            spans.stats.events_scheduled
+        ),
+        events,
         "{label}: attaching a trace sink changed the engine's event counts"
     );
-    assert_stats_eq(s_off_ref, s_off_span, label, "untraced");
-    (e_ref, e_span)
+
+    let (mut a, mut b) = (
+        mk(SimMode::PerByte, TraceConfig::Off),
+        mk(SimMode::SpanBatched, TraceConfig::Off),
+    );
+    let mut t = 0;
+    while t < deadline {
+        t = (t + STRIDE).min(deadline);
+        a.run_until(t);
+        b.run_until(t);
+        assert_eq!(
+            (a.stats.bytes_moved, sent(&a)),
+            (b.stats.bytes_moved, sent(&b)),
+            "{label}: (bytes_moved, (bytes_carried per lane, bytes_sent per adapter)) diverged at t={t}"
+        );
+    }
+    for (net, mode) in [(&a, SimMode::PerByte), (&b, SimMode::SpanBatched)] {
+        net.audit().unwrap_or_else(|e| {
+            panic!("{label} {mode:?}: conservation audit failed after stepping: {e}")
+        });
+        assert_eq!(
+            deliveries(net),
+            deliveries(&off_ref),
+            "{label} {mode:?}: stepping the run changed the delivery records"
+        );
+    }
+    Twin {
+        per_byte,
+        spans,
+        drained: out.drained,
+        deadlock: out.deadlock,
+        events,
+    }
+}
+
+/// [`assert_modes_agree`] over `mk`'s experiment, run as every experiment
+/// is to its `drain_until`. Every caller routes up/down: a deadlock
+/// verdict, in either mode, is a bug in the engine or in the wait-for
+/// analysis — except under the IDLE-filling switch-level variants V1 and
+/// V3, which can wedge as modelled (ROADMAP, "V1 and V3 wedge on the
+/// paper's own torus"). There the verdict is one more observable both
+/// modes must agree on. Returns the per-byte and span-batched
+/// scheduled-event counts for callers that assert on cost.
+pub fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
+    let setup = mk();
+    let build = |mode, trace| {
+        let mut s = mk();
+        s.mode = mode;
+        s.trace = trace;
+        build_network(&s)
+    };
+    let twin = assert_modes_agree(build, setup.drain_until, label);
+    let may_wedge = matches!(
+        setup.scheme,
+        Scheme::Switch(SwitchcastVariant::RestrictedIdle | SwitchcastVariant::IdleFlush)
+    );
+    if let Some(report) = twin.deadlock.filter(|_| !may_wedge) {
+        panic!("{label}: deadlock {report}");
+    }
+    twin.events
+}
+
+/// [`assert_modes_agree`] over scripted worms, which must drain by
+/// `deadline` with no deadlock verdict.
+pub fn assert_drains_alike(
+    mk: impl Fn(SimMode, TraceConfig) -> Network,
+    deadline: u64,
+    label: &str,
+) -> Twin {
+    let twin = assert_modes_agree(mk, deadline, label);
+    assert!(
+        twin.drained,
+        "{label}: the scripted worms drain by {deadline}"
+    );
+    if let Some(report) = &twin.deadlock {
+        panic!("{label}: deadlock {report}");
+    }
+    twin
+}
+
+/// Sorted `(msg, host, time)` delivery triples.
+pub fn deliveries(net: &Network) -> Vec<(u64, u32, u64)> {
+    let mut out: Vec<(u64, u32, u64)> = net
+        .msgs
+        .deliveries
+        .iter()
+        .map(|d| (d.msg.0, d.host.0, d.at))
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// Data bytes each lane has carried and each adapter has sent, as the
+/// statistics readers see them.
+fn sent(net: &Network) -> (Vec<u64>, Vec<u64>) {
+    (
+        net.lanes()
+            .iter()
+            .map(|l| l.stats().bytes_carried)
+            .collect(),
+        net.adapters.iter().map(|a| a.counters.bytes_sent).collect(),
+    )
+}
+
+/// Two modes' runs end alike: deliveries, byte counters, and `NetStats`
+/// with the engine-cost counters (the one legitimately mode-dependent
+/// pair) masked out.
+fn assert_same_end(a: &Network, b: &Network, label: &str, what: &str) {
+    assert_eq!(
+        deliveries(a),
+        deliveries(b),
+        "{label}: {what} delivery records diverged between engine modes"
+    );
+    assert_eq!(
+        sent(a),
+        sent(b),
+        "{label}: {what} (bytes_carried per lane, bytes_sent per adapter) diverged between engine modes"
+    );
+    assert_eq!(
+        masked(&a.stats),
+        masked(&b.stats),
+        "{label}: {what} NetStats diverged between engine modes"
+    );
+}
+
+fn masked(stats: &NetStats) -> String {
+    let mut s = stats.clone();
+    s.events_scheduled = 0;
+    s.events_fired = 0;
+    format!("{s:?}")
 }
 
 /// The first differing line of two JSONL streams, for a readable failure.

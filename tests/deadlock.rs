@@ -7,31 +7,29 @@
 //!    other (Figure 6); the two-buffer-class rule (Figure 7) fixes it.
 //! 4. Bytes and control symbols still on a long wire are latency, not a
 //!    wait: a busy up/down fabric cut off mid-flight shows no cycle.
+//! 5. Forensics: the cyclic ring under a bare unicast protocol wedges four
+//!    worms, and the *sharded* engine reconstructs the same wait-for story
+//!    even though the cycle's edges cross the shard boundary — each edge
+//!    still names the blocked channel, the holding worm, and the cause.
+//!    One walk (`deadlock::wait_edges_multi`) serves both engines, so the
+//!    two reports are compared edge for edge, and a one-engine report is
+//!    pinned.
 
+mod common;
+
+use common::{ring4, Echoless};
 use std::sync::Arc;
 use wormcast::core::buffers::PoolConfig;
 use wormcast::core::reliable::{AckNackConfig, Reliability};
 use wormcast::core::{HcConfig, HcProtocol, Membership};
+use wormcast::sim::deadlock::{DeadlockReport, WaitNode};
 use wormcast::sim::engine::HostId;
 use wormcast::sim::network::RouteTable;
 use wormcast::sim::protocol::{Destination, SourceMessage};
+use wormcast::sim::shard::ShardedNetwork;
 use wormcast::sim::{Network, NetworkConfig};
-use wormcast::topo::{TopoBuilder, Topology, UpDown};
+use wormcast::topo::{TopoBuilder, UpDown};
 use wormcast::traffic::script::install_one_shot;
-
-/// Ring of 4 switches, one host each. Ports: link i connects switch i
-/// (port allocated in order) to switch i+1.
-fn ring4() -> Topology {
-    let mut b = TopoBuilder::new(4);
-    b.link(0, 1, 1); // sw0 port0 <-> sw1 port0
-    b.link(1, 2, 1); // sw1 port1 <-> sw2 port0
-    b.link(2, 3, 1); // sw2 port1 <-> sw3 port0
-    b.link(3, 0, 1); // sw3 port1 <-> sw0 port1
-    for s in 0..4 {
-        b.host(s); // host port = 2 on each switch
-    }
-    b.build()
-}
 
 /// Hand-built CLOCKWISE routes for host i -> host (i+2) % 4: two switch
 /// hops always in the ring direction. This deliberately violates up/down —
@@ -62,9 +60,10 @@ fn install_plain_hc(net: &mut Network) {
     }
 }
 
-/// All four hosts simultaneously send a long worm two hops clockwise.
-fn inject_cycle_traffic(net: &mut Network) {
-    for src in 0..4u32 {
+/// All four hosts (those of `owned`, if given) simultaneously send a long
+/// worm two hops clockwise.
+fn inject_cycle_traffic(net: &mut Network, owned: Option<&[u32]>) {
+    for src in (0..4u32).filter(|h| owned.is_none_or(|o| o.contains(h))) {
         install_one_shot(net, HostId(src), 100, SourceMessage {
             dest: Destination::Unicast(HostId((src + 2) % 4)),
             payload_len: 2000, // far larger than the total ring slack
@@ -81,7 +80,7 @@ fn cyclic_routes_deadlock_and_the_cycle_is_reconstructed() {
         NetworkConfig::builder().build().expect("valid config"),
     );
     install_plain_hc(&mut net);
-    inject_cycle_traffic(&mut net);
+    inject_cycle_traffic(&mut net, None);
     let out = net.run_until(1_000_000);
     let report = out.deadlock.expect("clockwise ring routing must deadlock");
     assert!(
@@ -126,7 +125,7 @@ fn updown_routes_complete_the_same_traffic() {
     let routes = ud.route_table(&topo, false);
     let mut net = Network::build(&topo.to_fabric_spec(), routes, NetworkConfig::builder().build().expect("valid config"));
     install_plain_hc(&mut net);
-    inject_cycle_traffic(&mut net);
+    inject_cycle_traffic(&mut net, None);
     let out = net.run_until(1_000_000);
     assert!(out.drained, "up/down traffic must drain");
     assert!(out.deadlock.is_none(), "up/down routing is deadlock-free");
@@ -276,4 +275,143 @@ fn bytes_and_symbols_on_a_long_wire_are_not_a_wait_cycle() {
         assert!(!out.drained, "{mode:?}: the deadline must cut the run off mid-flight");
         assert!(out.deadlock.is_none(), "{mode:?}: {}", out.deadlock.unwrap());
     }
+}
+
+/// The clockwise ring under [`Echoless`], its cycle traffic sent from the
+/// `owned` hosts (`None` = all of them), so the same builder serves the
+/// sequential run and each shard of the sharded run.
+fn echoless_ring(owned: Option<&[u32]>) -> Network {
+    let cfg = NetworkConfig::default();
+    let mut net = Network::build(&ring4().to_fabric_spec(), clockwise_routes(), cfg);
+    for h in 0..4u32 {
+        net.set_protocol(HostId(h), Box::new(Echoless));
+    }
+    inject_cycle_traffic(&mut net, owned);
+    net
+}
+
+/// Two shards of the ring: shard 0 owns switches {0,1}, shard 1 owns
+/// {2,3}, so two of the four ring links (and two of the four wait-cycle
+/// hops) cross the cut.
+const SWITCH_OWNER: [u32; 4] = [0, 0, 1, 1];
+
+fn sharded_ring() -> ShardedNetwork {
+    let nets = vec![echoless_ring(Some(&[0, 1])), echoless_ring(Some(&[2, 3]))];
+    ShardedNetwork::new(nets, SWITCH_OWNER.to_vec()).expect("shardable")
+}
+
+#[test]
+fn sharded_engine_reconstructs_the_cycle_across_the_boundary() {
+    let out = sharded_ring().run_until(50_000);
+    assert!(!out.drained, "a wedged ring cannot drain");
+    let report = out.deadlock.expect("merged deadlock must be detected");
+    assert_eq!(report.stuck_worms, 4);
+    assert!(report.cycle.len() >= 2, "cycle: {:?}", report.cycle);
+
+    // The merged wait-for graph must contain edges whose endpoints live
+    // in different shards, and those edges must still carry the full
+    // forensics story: the waiting worm, the holding worm, and a cause
+    // that names the blocked resource.
+    let shard_of = |node: &WaitNode| match node {
+        WaitNode::SwitchIn(sw, _) => SWITCH_OWNER[sw.0 as usize],
+        WaitNode::HostTx(h) => SWITCH_OWNER[h.0 as usize],
+    };
+    let cross: Vec<_> = report
+        .edges
+        .iter()
+        .filter(|e| shard_of(&e.from) != shard_of(&e.to))
+        .collect();
+    assert!(!cross.is_empty(), "no cross-shard wait edges in:\n{report}");
+    for e in &cross {
+        assert!(e.worm.is_some(), "cross-shard edge lost its worm: {e}");
+        assert!(e.holds.is_some(), "cross-shard edge lost its holder: {e}");
+        let line = e.to_string();
+        assert!(
+            line.contains("ch") || line.contains("output"),
+            "cause does not name the blocked resource: {line}"
+        );
+    }
+
+    // Same-tick worm naming is canonical across shards: a worm named in
+    // two different shards' edges resolves to one id, so the four stuck
+    // worms appear as exactly four distinct ids in the merged graph.
+    let mut ids: Vec<u32> = report
+        .edges
+        .iter()
+        .filter_map(|e| e.worm.map(|w| w.0))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 4, "expected 4 canonical worms in:\n{report}");
+}
+
+/// What a report says of the wait-for graph, minus the worm names (which a
+/// sharded run re-numbers): the `(from, to, cause)` edges, sorted. Equal
+/// edge sets have equal cycles; `report.cycle` is one of them, found by
+/// walking a `HashMap`, and is not compared.
+fn edge_set(report: &DeadlockReport) -> Vec<String> {
+    let mut edges: Vec<String> = report
+        .edges
+        .iter()
+        .map(|e| format!("{} -> {}: {}", e.from, e.to, e.cause))
+        .collect();
+    edges.sort();
+    edges
+}
+
+/// One walk serves both engines, so both must read the same graph off the
+/// same wedged ring — every edge, not just some edge across the cut.
+#[test]
+fn sequential_and_sharded_reports_hold_the_same_edges() {
+    let sequential = echoless_ring(None)
+        .run_until(50_000)
+        .deadlock
+        .expect("deadlock must be detected");
+    let merged = sharded_ring()
+        .run_until(50_000)
+        .deadlock
+        .expect("merged deadlock must be detected");
+    assert_eq!(edge_set(&sequential).len(), 12);
+    assert_eq!(edge_set(&sequential), edge_set(&merged));
+}
+
+/// The one-engine report of `examples/deadlock_demo`'s clockwise ring
+/// (`TopoBuilder`'s port numbering, the demo's routes and timing), as the
+/// dedicated one-engine walk printed it before the two walks merged: same
+/// edges in the same order, the engine's own worm ids, same text.
+#[test]
+fn one_engine_report_reads_as_before_the_walks_merged() {
+    let out = echoless_ring(None).run_until(500_000);
+    assert!(!out.drained, "a wedged ring cannot drain");
+    let report = out.deadlock.expect("clockwise ring routing must deadlock");
+
+    let dump = report.to_string();
+    let (edges, cycle) = dump.rsplit_once("\n  cycle: ").expect("a cycle line");
+    assert_eq!(
+        edges,
+        "deadlock forensics: 4 stuck worm(s), 12 wait-for edge(s)
+  sw0:in1 [worm 3] -> sw0:in2 [holds worm 0]: output sw0:out0 held
+  sw0:in2 [worm 0] -> sw1:in0 [holds worm 0]: STOP in force on ch0
+  sw1:in0 [worm 0] -> sw1:in2 [holds worm 1]: output sw1:out1 held
+  sw1:in2 [worm 1] -> sw2:in0 [holds worm 1]: STOP in force on ch2
+  sw2:in0 [worm 1] -> sw2:in2 [holds worm 2]: output sw2:out1 held
+  sw2:in2 [worm 2] -> sw3:in0 [holds worm 2]: STOP in force on ch4
+  sw3:in0 [worm 2] -> sw3:in2 [holds worm 3]: output sw3:out1 held
+  sw3:in2 [worm 3] -> sw0:in1 [holds worm 3]: STOP in force on ch6
+  host0:tx [worm 0] -> sw0:in2 [holds worm 0]: host link ch8 STOPped
+  host1:tx [worm 1] -> sw1:in2 [holds worm 1]: host link ch10 STOPped
+  host2:tx [worm 2] -> sw2:in2 [holds worm 2]: host link ch12 STOPped
+  host3:tx [worm 3] -> sw3:in2 [holds worm 3]: host link ch14 STOPped"
+    );
+    // The ring's one cycle, from whichever node the search entered it.
+    let ring = [
+        "sw0:in1", "sw0:in2", "sw1:in0", "sw1:in2", "sw2:in0", "sw2:in2", "sw3:in0", "sw3:in2",
+    ];
+    let hops: Vec<&str> = cycle.split(" -> ").collect();
+    let entry = ring
+        .iter()
+        .position(|n| *n == hops[0])
+        .expect("on the ring");
+    let expected: Vec<&str> = (0..=8).map(|i| ring[(entry + i) % 8]).collect();
+    assert_eq!(hops, expected);
 }

@@ -1,5 +1,8 @@
 //! End-to-end integration: topology -> up/down routes -> fabric -> protocols.
 
+mod common;
+
+use common::ring4;
 use std::sync::Arc;
 use wormcast::core::{HcConfig, HcProtocol, Membership, TreeConfig, TreeProtocol};
 use wormcast::sim::engine::HostId;
@@ -7,21 +10,8 @@ use wormcast::sim::protocol::{Destination, SourceMessage};
 use wormcast::sim::trace::TraceConfig;
 use wormcast::sim::{Network, NetworkConfig};
 use wormcast::topo::tree::{MulticastTree, TreeShape};
-use wormcast::topo::{TopoBuilder, Topology, UpDown};
+use wormcast::topo::{Topology, UpDown};
 use wormcast::traffic::script::{install_one_shot, install_script};
-
-/// A 4-switch ring, one host per switch.
-fn ring4() -> Topology {
-    let mut b = TopoBuilder::new(4);
-    b.link(0, 1, 1);
-    b.link(1, 2, 1);
-    b.link(2, 3, 1);
-    b.link(3, 0, 1);
-    for s in 0..4 {
-        b.host(s);
-    }
-    b.build()
-}
 
 fn build_net(topo: &Topology, trace: TraceConfig) -> Network {
     let ud = UpDown::compute(topo, 0);

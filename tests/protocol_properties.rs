@@ -1,11 +1,14 @@
 //! End-to-end property tests: for random topologies, group memberships and
 //! origins, every multicast scheme delivers exactly-once to exactly the
-//! right hosts, with conservation intact.
+//! right hosts, with conservation intact. Each scheme runs the same 24
+//! seeded draws; a failure names its case, and
+//! `SmallRng::seed_from_u64(case)` replays it.
 
 mod common;
 
 use common::scripted_net;
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use wormcast::core::switchcast::SwitchcastVariant;
 use wormcast::core::{HcConfig, TreeConfig, TreeMode};
 use wormcast::sim::engine::HostId;
@@ -52,13 +55,15 @@ impl Proto {
     }
 }
 
-fn run_one(
-    proto: Proto,
-    topo_seed: u64,
-    n_switches: usize,
-    member_bits: u16,
-    origin_pick: usize,
-) -> Result<(), TestCaseError> {
+/// Draw `case`'s fabric, group and origin, multicast once under `proto`,
+/// and check exactly-once delivery. A draw whose group has fewer than two
+/// members checks nothing.
+fn run_one(proto: Proto, case: u64) {
+    let rng = &mut SmallRng::seed_from_u64(case);
+    let topo_seed = rng.gen_range(0..300u64);
+    let n_switches = rng.gen_range(2..7usize);
+    let member_bits = rng.gen_range(1..=u16::MAX);
+    let origin_pick = rng.gen_range(0..16usize);
     let topo = irregular(
         IrregularSpec {
             num_switches: n_switches,
@@ -72,7 +77,9 @@ fn run_one(
         .filter(|&h| member_bits & (1 << (h % 16)) != 0)
         .map(HostId)
         .collect();
-    prop_assume!(members.len() >= 2);
+    if members.len() < 2 {
+        return;
+    }
     let origin = members[origin_pick % members.len()];
     let mut net = scripted_net(topo, members.clone(), proto.scheme(), TraceConfig::Off);
     install_one_shot(&mut net, origin, 50, SourceMessage {
@@ -80,9 +87,10 @@ fn run_one(
         payload_len: 300,
     });
     let out = net.run_until(5_000_000);
-    prop_assert!(out.drained, "{proto:?} failed to drain");
-    prop_assert!(out.deadlock.is_none(), "{proto:?} deadlocked");
-    net.audit().map_err(TestCaseError::fail)?;
+    assert!(out.drained, "case {case}: {proto:?} failed to drain");
+    assert!(out.deadlock.is_none(), "case {case}: {proto:?} deadlocked");
+    net.audit()
+        .unwrap_or_else(|e| panic!("case {case}: {proto:?}: conservation audit failed: {e}"));
     // Exactly-once delivery to every member except the origin.
     let mut got: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
     got.sort_unstable();
@@ -92,59 +100,47 @@ fn run_one(
         .map(|m| m.0)
         .collect();
     want.sort_unstable();
-    prop_assert_eq!(got, want, "{:?}: wrong delivery set", proto);
-    Ok(())
+    assert_eq!(got, want, "case {case}: {proto:?}: wrong delivery set");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn hc_store_and_forward_delivers_exactly_once(
-        seed in 0u64..300, n in 2usize..7, bits in 1u16.., pick in 0usize..16,
-    ) {
-        run_one(Proto::HcSnf, seed, n, bits, pick)?;
+/// The 24 draws under `proto`.
+fn delivers_exactly_once(proto: Proto) {
+    for case in 0..24 {
+        run_one(proto, case);
     }
+}
 
-    #[test]
-    fn hc_cut_through_delivers_exactly_once(
-        seed in 0u64..300, n in 2usize..7, bits in 1u16.., pick in 0usize..16,
-    ) {
-        run_one(Proto::HcCut, seed, n, bits, pick)?;
-    }
+#[test]
+fn hc_store_and_forward_delivers_exactly_once() {
+    delivers_exactly_once(Proto::HcSnf);
+}
 
-    #[test]
-    fn hc_serialized_delivers_exactly_once(
-        seed in 0u64..300, n in 2usize..7, bits in 1u16.., pick in 0usize..16,
-    ) {
-        run_one(Proto::HcSerialized, seed, n, bits, pick)?;
-    }
+#[test]
+fn hc_cut_through_delivers_exactly_once() {
+    delivers_exactly_once(Proto::HcCut);
+}
 
-    #[test]
-    fn tree_root_serialized_delivers_exactly_once(
-        seed in 0u64..300, n in 2usize..7, bits in 1u16.., pick in 0usize..16,
-    ) {
-        run_one(Proto::TreeRoot, seed, n, bits, pick)?;
-    }
+#[test]
+fn hc_serialized_delivers_exactly_once() {
+    delivers_exactly_once(Proto::HcSerialized);
+}
 
-    #[test]
-    fn tree_broadcast_delivers_exactly_once(
-        seed in 0u64..300, n in 2usize..7, bits in 1u16.., pick in 0usize..16,
-    ) {
-        run_one(Proto::TreeBroadcast, seed, n, bits, pick)?;
-    }
+#[test]
+fn tree_root_serialized_delivers_exactly_once() {
+    delivers_exactly_once(Proto::TreeRoot);
+}
 
-    #[test]
-    fn switchcast_v1_delivers_exactly_once(
-        seed in 0u64..300, n in 2usize..7, bits in 1u16.., pick in 0usize..16,
-    ) {
-        run_one(Proto::SwitchV1, seed, n, bits, pick)?;
-    }
+#[test]
+fn tree_broadcast_delivers_exactly_once() {
+    delivers_exactly_once(Proto::TreeBroadcast);
+}
 
-    #[test]
-    fn switchcast_v2_delivers_exactly_once(
-        seed in 0u64..300, n in 2usize..7, bits in 1u16.., pick in 0usize..16,
-    ) {
-        run_one(Proto::SwitchV2, seed, n, bits, pick)?;
-    }
+#[test]
+fn switchcast_v1_delivers_exactly_once() {
+    delivers_exactly_once(Proto::SwitchV1);
+}
+
+#[test]
+fn switchcast_v2_delivers_exactly_once() {
+    delivers_exactly_once(Proto::SwitchV2);
 }

@@ -15,7 +15,8 @@
 mod common;
 
 use common::assert_equivalent;
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use wormcast::topo::irregular::{irregular, IrregularSpec};
 use wormcast::topo::shufflenet::shufflenet24;
 use wormcast::topo::torus::torus;
@@ -155,38 +156,29 @@ fn myrinet_testbed_modes_agree() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Random small irregular fabrics (the shape real Myrinet installs
-    /// have): whatever the topology, both engine modes must agree.
-    #[test]
-    fn irregular_topologies_modes_agree(
-        topo_seed in 0u64..1000,
-        n_switches in 3usize..7,
-        extra in 0usize..4,
-        delay in 1u64..4,
-        load_pct in 4u32..10,
-    ) {
+/// Random small irregular fabrics (the shape real Myrinet installs have):
+/// whatever the topology, both engine modes must agree. Six seeded draws.
+#[test]
+fn irregular_topologies_modes_agree() {
+    for case in 0..6 {
+        let rng = &mut SmallRng::seed_from_u64(case);
+        let topo_seed = rng.gen_range(0..1000u64);
+        let n_switches = rng.gen_range(3..7usize);
         let spec = IrregularSpec {
             num_switches: n_switches,
-            extra_links: extra,
+            extra_links: rng.gen_range(0..4usize),
             hosts_per_switch: 2,
-            link_delay: delay,
+            link_delay: rng.gen_range(1..4u64),
         };
+        let load = rng.gen_range(4..10u32) as f64 / 100.0;
         let nh = n_switches * 2;
         let mk = || {
             let mut grng = host_stream(topo_seed ^ 0xA5A5, 0x6131);
             let groups = GroupSet::random(nh, 2, 3.min(nh), &mut grng);
-            setup_on(
-                irregular(spec, topo_seed),
-                groups,
-                Scheme::Hc(HcConfig::store_and_forward()),
-                load_pct as f64 / 100.0,
-                topo_seed,
-            )
-            .windows(2_000, 12_000, 10_000)
+            let scheme = Scheme::Hc(HcConfig::store_and_forward());
+            setup_on(irregular(spec, topo_seed), groups, scheme, load, topo_seed)
+                .windows(2_000, 12_000, 10_000)
         };
-        assert_equivalent(mk, "irregular");
+        assert_equivalent(mk, &format!("irregular, case {case}: {spec:?} load {load}"));
     }
 }

@@ -6,8 +6,9 @@
 //! the lane count, the worm-length distribution and the delay of the host
 //! links and of each trunk from a seed and runs the same harness on each
 //! draw (sorted deliveries, `NetStats` minus the event counters, raw JSONL
-//! byte for byte, traced ≡ untraced) plus "no deadlock verdict, either
-//! mode" — every fabric here routes up/down. One case in eight runs
+//! byte for byte, traced ≡ untraced, and a lockstep pair agreeing on every
+//! lane's and adapter's byte count at every horizon) plus "no deadlock
+//! verdict, either mode" — every fabric here routes up/down. One case in eight runs
 //! switch-level multicast instead (V1, V2, V3 or broadcast, on one or two
 //! lanes), where the spans carry only the unicasts a §3 fabric lets them
 //! carry. V1 and V3 can wedge there as modelled (ROADMAP, "V1 and V3

@@ -1,19 +1,24 @@
 //! Fabric-level switch-multicast tests with hand-built routes, checking
 //! the replication machinery at the byte level (the protocol-level view is
-//! covered by the workspace integration tests).
+//! covered by `switchcast.rs`).
 
-use wormcast_sim::adapter::RxState;
-use wormcast_sim::deadlock::{wait_edges, WaitCause, WaitEdge, WaitNode};
-use wormcast_sim::engine::{HostId, SwitchId};
-use wormcast_sim::link::PortId;
-use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable, SimMode};
-use wormcast_sim::protocol::{
+mod common;
+
+use common::{assert_drains_alike, Echoless};
+use wormcast::sim::adapter::RxState;
+use wormcast::sim::deadlock::{wait_edges, WaitCause, WaitEdge, WaitNode};
+use wormcast::sim::engine::{HostId, SwitchId};
+use wormcast::sim::link::PortId;
+use wormcast::sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable, SimMode};
+use wormcast::sim::protocol::{
     AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec, SourceMessage,
 };
-use wormcast_sim::switch::{InState, SlackCfg};
-use wormcast_sim::switchcast::{encode, Directive, Subroute, SwitchcastMode};
-use wormcast_sim::worm::{ByteKind, RouteSym, WormInstance, WormKind};
-use wormcast_sim::{Network, NetworkConfig};
+use wormcast::sim::switch::{InState, SlackCfg};
+use wormcast::sim::switchcast::{encode, Directive, Subroute, SwitchcastMode};
+use wormcast::sim::trace::TraceConfig;
+use wormcast::sim::worm::{ByteKind, RouteSym, WormInstance, WormKind};
+use wormcast::sim::{Network, NetworkConfig};
+use wormcast::traffic::script::{install_one_shot, install_script};
 
 /// Injects a pre-encoded switch-multicast worm for each multicast message
 /// and a plain unicast for each unicast one; delivers on receive.
@@ -31,19 +36,6 @@ impl AdapterProtocol for Injector {
         spec.route_override = Some(self.route.clone());
         spec.sinks = self.sinks;
         ctx.send(spec);
-    }
-    fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
-        ctx.deliver_local(worm.meta.msg);
-    }
-}
-
-/// Sends its unicasts; delivers on receive.
-struct Sink;
-impl AdapterProtocol for Sink {
-    fn on_generate(&mut self, ctx: &mut ProtocolCtx, msg: AppMessage) {
-        if let Destination::Unicast(d) = msg.dest {
-            ctx.send(SendSpec::data(&msg, d, WormKind::Unicast));
-        }
     }
     fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
         ctx.deliver_local(worm.meta.msg);
@@ -94,16 +86,12 @@ fn single_switch_replicates_to_both_host_ports() {
             sinks: 2,
         }),
     );
-    net.set_protocol(HostId(1), Box::new(Sink));
-    net.set_protocol(HostId(2), Box::new(Sink));
-    net.set_source(
-        HostId(0),
-        Box::new(wormcast_sim_test_oneshot(SourceMessage {
-            dest: Destination::Multicast(0),
-            payload_len: 500,
-        })),
-        10,
-    );
+    net.set_protocol(HostId(1), Box::new(Echoless));
+    net.set_protocol(HostId(2), Box::new(Echoless));
+    install_one_shot(&mut net, HostId(0), 10, SourceMessage {
+        dest: Destination::Multicast(0),
+        payload_len: 500,
+    });
     let out = net.run_until(100_000);
     assert!(out.drained);
     assert!(out.deadlock.is_none());
@@ -181,16 +169,12 @@ fn nested_directive_stamps_subtree_prefix() {
         }),
     );
     for h in 1..4u32 {
-        net.set_protocol(HostId(h), Box::new(Sink));
+        net.set_protocol(HostId(h), Box::new(Echoless));
     }
-    net.set_source(
-        HostId(0),
-        Box::new(wormcast_sim_test_oneshot(SourceMessage {
-            dest: Destination::Multicast(0),
-            payload_len: 1_000,
-        })),
-        10,
-    );
+    install_one_shot(&mut net, HostId(0), 10, SourceMessage {
+        dest: Destination::Multicast(0),
+        payload_len: 1_000,
+    });
     let out = net.run_until(200_000);
     assert!(out.drained);
     assert!(out.deadlock.is_none());
@@ -295,14 +279,10 @@ fn a_head_behind_a_buffered_replica_branch_waits_on_no_sibling() {
         stop_mark: 48,
         go_mark: 4,
     };
-    net.set_source(
-        HostId(1),
-        Box::new(wormcast_sim_test_oneshot(SourceMessage {
-            dest: Destination::Unicast(HostId(2)),
-            payload_len: 100,
-        })),
-        100,
-    );
+    install_one_shot(&mut net, HostId(1), 100, SourceMessage {
+        dest: Destination::Unicast(HostId(2)),
+        payload_len: 100,
+    });
     let mut t = 1_000;
     while net.switches[0].outputs[2].owner != Some(0) {
         t += 1;
@@ -331,10 +311,10 @@ fn a_head_behind_a_buffered_replica_branch_waits_on_no_sibling() {
 /// Switch-level multicast on two-lane trunks. A replica branch requests its
 /// physical port and holds the output slot it is granted, so on switch 1,
 /// whose trunk takes slots 0–1, every host port's slot differs from its
-/// port number. V1, V2, V3 and broadcast each run per-byte and
-/// span-batched: both runs drain with no deadlock verdict and a clean
-/// audit, and agree on deliveries and statistics. Each variant has both
-/// lanes of the trunk out of switch 0 carry a worm at once.
+/// port number. V1, V2, V3 and broadcast each pass the per-byte ≡
+/// span-batched harness, scripted worms drained with no deadlock verdict.
+/// Each variant has both lanes of the trunk out of switch 0 carry a worm at
+/// once.
 #[test]
 fn switch_level_multicast_runs_on_two_lane_trunks() {
     let cases = [
@@ -344,33 +324,13 @@ fn switch_level_multicast_runs_on_two_lane_trunks() {
         ("broadcast", SwitchcastMode::RootedInterrupt, true),
     ];
     for (label, mode, broadcast) in cases {
-        let run = |sim: SimMode| {
-            let mut net = two_lane_pair(mode, sim, broadcast);
-            let out = net.run_until(200_000);
-            assert!(out.drained, "{label} {sim:?}: did not drain");
-            assert!(out.deadlock.is_none(), "{label} {sim:?}: {out:?}");
-            net.audit()
-                .unwrap_or_else(|e| panic!("{label} {sim:?}: conservation audit failed: {e}"));
-            let mut stats = out.stats;
-            assert_eq!(stats.worms_delivered, stats.sinks_injected, "{label} {sim:?}");
-            stats.events_scheduled = 0;
-            stats.events_fired = 0;
-            let mut deliveries: Vec<(u64, u32, u64)> = net
-                .msgs
-                .deliveries
-                .iter()
-                .map(|d| (d.msg.0, d.host.0, d.at))
-                .collect();
-            deliveries.sort_unstable();
-            let trunk = net.link_lanes(net.lanes()[0].link());
-            let both_lanes = trunk.iter().all(|l| l.stats().bytes_carried > 0);
-            assert!(both_lanes, "{label} {sim:?}: a trunk lane carried nothing");
-            (deliveries, format!("{stats:?}"))
-        };
-        let per_byte = run(SimMode::PerByte);
-        let spans = run(SimMode::SpanBatched);
-        assert_eq!(per_byte.0, spans.0, "{label}: deliveries");
-        assert_eq!(per_byte.1, spans.1, "{label}: NetStats");
+        let mk = |sim, trace| two_lane_pair(mode, broadcast, sim, trace);
+        // The modes agree on every lane's byte count and on `NetStats`.
+        let net = assert_drains_alike(mk, 200_000, label).spans;
+        assert_eq!(net.stats.worms_delivered, net.stats.sinks_injected, "{label}");
+        let trunk = net.link_lanes(net.lanes()[0].link());
+        let both_lanes = trunk.iter().all(|l| l.stats().bytes_carried > 0);
+        assert!(both_lanes, "{label}: a trunk lane carried nothing");
     }
 }
 
@@ -380,7 +340,12 @@ fn switch_level_multicast_runs_on_two_lane_trunks() {
 /// 4 000, host 5 at 2 500 — by directive, or by the broadcast address with
 /// switch 0 as the root. Unicasts cross the trunk both ways, and host 4
 /// holds the port to host 5 from time 0.
-fn two_lane_pair(mode: SwitchcastMode, sim: SimMode, broadcast: bool) -> Network {
+fn two_lane_pair(
+    mode: SwitchcastMode,
+    broadcast: bool,
+    sim: SimMode,
+    trace: TraceConfig,
+) -> Network {
     let port_of = |h: u32| if h < 3 { h as u8 } else { h as u8 - 2 };
     let spec = FabricSpec {
         switch_ports: vec![4, 4],
@@ -411,6 +376,7 @@ fn two_lane_pair(mode: SwitchcastMode, sim: SimMode, broadcast: bool) -> Network
     let cfg = NetworkConfig::builder()
         .switchcast(mode)
         .mode(sim)
+        .trace(trace)
         .lanes(2)
         .build()
         .expect("valid config");
@@ -453,8 +419,7 @@ fn two_lane_pair(mode: SwitchcastMode, sim: SimMode, broadcast: bool) -> Network
         (5, vec![(2_500, multicast(1_200))]),
     ];
     for (h, script) in scripts {
-        let first = script[0].0;
-        net.set_source(HostId(h), Box::new(Scripted(script)), first);
+        install_script(&mut net, HostId(h), script);
     }
     net
 }
@@ -498,50 +463,16 @@ fn contended_multicast(mode: SwitchcastMode) -> Network {
         }),
     );
     for h in 1..4u32 {
-        net.set_protocol(HostId(h), Box::new(Sink));
+        net.set_protocol(HostId(h), Box::new(Echoless));
     }
-    net.set_source(
-        HostId(0),
-        Box::new(wormcast_sim_test_oneshot(SourceMessage {
-            dest: Destination::Multicast(0),
-            payload_len: 2,
-        })),
-        50,
-    );
+    install_one_shot(&mut net, HostId(0), 50, SourceMessage {
+        dest: Destination::Multicast(0),
+        payload_len: 2,
+    });
     let unicast = |to: u32, payload_len: u32| SourceMessage {
         dest: Destination::Unicast(HostId(to)),
         payload_len,
     };
-    net.set_source(
-        HostId(3),
-        Box::new(Scripted(vec![
-            (0, unicast(2, 2_000)),
-            (3_000, unicast(1, 100)),
-        ])),
-        0,
-    );
+    install_script(&mut net, HostId(3), vec![(0, unicast(2, 2_000)), (3_000, unicast(1, 100))]);
     net
-}
-
-/// A source that sends `(at, message)` pairs in order, the first at the
-/// time it is installed for.
-struct Scripted(Vec<(u64, SourceMessage)>);
-
-impl wormcast_sim::protocol::TrafficSource for Scripted {
-    fn next(&mut self, now: u64, _host: HostId) -> (Option<SourceMessage>, Option<u64>) {
-        let (_, msg) = self.0.remove(0);
-        (Some(msg), self.0.first().map(|&(at, _)| at - now))
-    }
-}
-
-/// Minimal one-shot source (the traffic crate depends on this crate and
-/// cannot be used here).
-fn wormcast_sim_test_oneshot(msg: SourceMessage) -> impl wormcast_sim::protocol::TrafficSource {
-    struct OneShot(Option<SourceMessage>);
-    impl wormcast_sim::protocol::TrafficSource for OneShot {
-        fn next(&mut self, _now: u64, _host: HostId) -> (Option<SourceMessage>, Option<u64>) {
-            (self.0.take(), None)
-        }
-    }
-    OneShot(Some(msg))
 }
