@@ -45,8 +45,7 @@ fn report(findings: &[Finding]) -> bool {
 fn write(name: &str, rows: &[Row]) {
     let file = BenchFile::describe(rows.to_vec());
     let path = format!("{RESULTS}/{name}");
-    let json = serde_json::to_string_pretty(&file).expect("serialize rows");
-    std::fs::write(&path, json + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(&path, file.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("perf: wrote {path}");
 }
 
@@ -83,8 +82,7 @@ fn main() -> ExitCode {
         write("perf_check.json", &rows);
         let path = format!("{RESULTS}/BENCH_perf.json");
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let baseline: BenchFile =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+        let baseline = BenchFile::from_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
         let drift = perf::diff(&rows, &baseline.rows);
         for d in &drift {
             eprintln!("perf pins: FAIL — {d}");

@@ -14,9 +14,12 @@
 //! * [`runner`] and [`schemes`] — shared simulation assembly.
 //! * [`perf`] — the perf harness behind `bin/perf.rs`: one grid of pinned
 //!   operating points, one row schema, one baseline diff.
+//! * [`json`] — typed field reads from a parsed JSON value, for the files
+//!   read by hand (perf's baseline, `examples/run_config`'s config).
 
 pub mod fig10;
 pub mod fig11;
+pub mod json;
 pub mod perf;
 pub mod runner;
 pub mod schemes;

@@ -16,10 +16,11 @@
 
 use crate::fig10::{self, figure_tree_scheme, Fig10Config};
 use crate::fig11::{self, Fig11Config};
+use crate::json::{self, array, boolean, field, float, string, uint};
 use crate::runner::run_traced;
 use crate::schemes::Scheme;
 use crate::trace_io::validate_jsonl;
-use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use wormcast_core::switchcast::SwitchcastVariant;
 use wormcast_core::HcConfig;
 use wormcast_sim::network::SimMode;
@@ -177,7 +178,7 @@ pub fn grid() -> Vec<Point> {
 
 /// One measured (or pinned) grid point: its key and the counters the
 /// baseline pins.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Row {
     pub scheme: String,
     pub load: f64,
@@ -215,11 +216,53 @@ impl Row {
             self.multicast_deliveries,
         )
     }
+
+    /// The pinned counters, by field name, in the file's order.
+    fn counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("events_scheduled", self.events_scheduled),
+            ("events_fired", self.events_fired),
+            ("bytes_moved", self.bytes_moved),
+            ("worms_delivered", self.worms_delivered),
+            ("multicast_deliveries", self.multicast_deliveries),
+            ("trace_lines", self.trace_lines),
+        ]
+    }
+
+    fn to_value(&self) -> Value {
+        let key = [
+            ("scheme", Value::Str(self.scheme.clone())),
+            ("load", Value::F64(self.load)),
+            ("mode", Value::Str(self.mode.clone())),
+            ("lanes", Value::U64(self.lanes.into())),
+            ("shards", Value::U64(self.shards.into())),
+            ("traced", Value::Bool(self.traced)),
+        ];
+        let counters = self.counters().map(|(name, n)| (name, Value::U64(n)));
+        json::object(key.into_iter().chain(counters))
+    }
+
+    fn from_value(v: &Value) -> Result<Self, String> {
+        Ok(Row {
+            scheme: field(v, "scheme", string)?,
+            load: field(v, "load", float)?,
+            mode: field(v, "mode", string)?,
+            lanes: field(v, "lanes", uint)?,
+            shards: field(v, "shards", uint)?,
+            traced: field(v, "traced", boolean)?,
+            events_scheduled: field(v, "events_scheduled", uint)?,
+            events_fired: field(v, "events_fired", uint)?,
+            bytes_moved: field(v, "bytes_moved", uint)?,
+            worms_delivered: field(v, "worms_delivered", uint)?,
+            multicast_deliveries: field(v, "multicast_deliveries", uint)?,
+            trace_lines: field(v, "trace_lines", uint)?,
+        })
+    }
 }
 
 /// The baseline file: where and when it was measured, then one [`Row`]
 /// per grid point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BenchFile {
     pub machine: String,
     pub cpus: usize,
@@ -244,6 +287,44 @@ impl BenchFile {
             seed: CFG.seed,
             rows,
         }
+    }
+
+    /// The file's text: pretty-printed JSON, newline-terminated.
+    pub fn to_json(&self) -> String {
+        let (warmup, measure, drain) = self.windows;
+        let file = json::object([
+            ("machine", Value::Str(self.machine.clone())),
+            ("cpus", Value::U64(self.cpus as u64)),
+            ("git_rev", Value::Str(self.git_rev.clone())),
+            ("windows", Value::Array([warmup, measure, drain].map(Value::U64).into())),
+            ("seed", Value::U64(self.seed)),
+            ("rows", Value::Array(self.rows.iter().map(Row::to_value).collect())),
+        ]);
+        serde_json::to_string_pretty(&file).expect("a Value always prints") + "\n"
+    }
+
+    /// Read [`BenchFile::to_json`]'s text back; an error names the field.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let v = serde_json::parse_value(text).map_err(|e| e.to_string())?;
+        let windows = |w: &Value| match array(w)? {
+            [a, b, c] => Ok((uint(a)?, uint(b)?, uint(c)?)),
+            items => Err(format!("expected 3 items, got {}", items.len())),
+        };
+        let rows = |rows: &Value| {
+            array(rows)?
+                .iter()
+                .enumerate()
+                .map(|(i, row)| Row::from_value(row).map_err(|e| format!("row {i}: {e}")))
+                .collect()
+        };
+        Ok(BenchFile {
+            machine: field(&v, "machine", string)?,
+            cpus: field(&v, "cpus", uint)?,
+            git_rev: field(&v, "git_rev", string)?,
+            windows: field(&v, "windows", windows)?,
+            seed: field(&v, "seed", uint)?,
+            rows: field(&v, "rows", rows)?,
+        })
     }
 }
 
@@ -355,22 +436,7 @@ pub fn diff(rows: &[Row], baseline: &[Row]) -> Vec<String> {
         let Some(pin) = baseline.iter().find(|b| b.is_at(p)) else {
             continue; // reported as missing above
         };
-        for (name, got, want) in [
-            (
-                "events_scheduled",
-                row.events_scheduled,
-                pin.events_scheduled,
-            ),
-            ("events_fired", row.events_fired, pin.events_fired),
-            ("bytes_moved", row.bytes_moved, pin.bytes_moved),
-            ("worms_delivered", row.worms_delivered, pin.worms_delivered),
-            (
-                "multicast_deliveries",
-                row.multicast_deliveries,
-                pin.multicast_deliveries,
-            ),
-            ("trace_lines", row.trace_lines, pin.trace_lines),
-        ] {
+        for ((name, got), (_, want)) in row.counters().into_iter().zip(pin.counters()) {
             if got != want {
                 problems.push(format!("{p}: {name} got {got}, pinned {want}"));
             }
@@ -651,15 +717,30 @@ mod tests {
         assert_eq!(verdicts([extra, base[untraced].clone()]), [Verdict::Fail]);
     }
 
-    /// A hand-edited baseline fails here, not only in the CI perf job.
+    fn checked_in_baseline() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_perf.json");
+        std::fs::read_to_string(path).expect("read results/BENCH_perf.json")
+    }
+
+    /// A hand-edited baseline fails here, not only in the CI perf job; and
+    /// the hand-written reader and writer give back the file's bytes.
     #[test]
     fn checked_in_baseline_holds_one_row_per_grid_point() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_perf.json");
-        let text = std::fs::read_to_string(path).expect("read results/BENCH_perf.json");
-        let file: BenchFile = serde_json::from_str(&text).expect("parse results/BENCH_perf.json");
+        let text = checked_in_baseline();
+        let file = BenchFile::from_json(&text).expect("parse results/BENCH_perf.json");
         assert_eq!(file.rows.len(), grid().len());
         assert_eq!(diff(&[], &file.rows), Vec::<String>::new());
         assert_eq!(file.windows, (CFG.warmup, CFG.measure, CFG.drain));
         assert_eq!(file.seed, CFG.seed);
+        assert!(file.to_json() == text, "rendering the parsed baseline changed its bytes");
+    }
+
+    #[test]
+    fn a_row_without_a_counter_is_rejected() {
+        let text = checked_in_baseline().replacen("\"events_fired\"", "\"events_fire\"", 1);
+        assert_eq!(
+            BenchFile::from_json(&text).map(|_| ()),
+            Err("field `rows`: row 0: missing field `events_fired`".into())
+        );
     }
 }
