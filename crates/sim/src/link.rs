@@ -22,8 +22,8 @@
 //!
 //! - [`TxPort::try_send`] / [`TxPort::ready_at`] — put a byte (or a span)
 //!   on the wire, respecting pacing and STOP;
-//! - [`RxPort::deliver`] / [`RxPort::deliver_span`] — take an arrival off
-//!   the wire;
+//! - [`RxPort::deliver`] / [`RxPort::deliver_span`] /
+//!   [`RxPort::deliver_span_prefix`] — take an arrival off the wire;
 //! - [`Lane::stop`] / [`Lane::go`] — flow-control state changes (with
 //!   stall-interval accounting built in).
 //!
@@ -94,7 +94,8 @@ pub struct Endpoint {
 /// (span-batched mode): `route` route symbols — a *head run* — followed by
 /// data bytes. Byte `j` of the span conceptually occupies the wire slot at
 /// `start + j`; the whole run is delivered by a single `RxSpan` event at
-/// `start + delay`.
+/// `start + delay` — or, for a receiver-paced span, in pieces, each by an
+/// `RxSpan` event at its own first byte's arrival slot.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanInFlight {
     pub worm: WormId,
@@ -108,6 +109,10 @@ pub struct SpanInFlight {
     /// Their values travel beside the record, in the lane's symbol FIFO
     /// ([`TxPort::stage_route_sym`] / [`RxPort::take_route_sym`]).
     pub route: u64,
+    /// Receiver-paced: the receiver decides at each arrival how much of
+    /// the span lands ([`RxPort::deliver_span_prefix`]); what it leaves
+    /// stays at the front of the wire, `start` advanced past the piece.
+    pub paced: bool,
 }
 
 /// What [`Lane::truncate_newest_span`] took back from the span still
@@ -180,9 +185,9 @@ pub struct Lane {
     /// happen on different shards' copies, so only the sum over both
     /// copies is the in-flight count (hence signed).
     ctrl_in_flight: i32,
-    /// One past the last send slot of the newest span taken off the wire
-    /// (delivered wholesale at its first byte's arrival, so possibly still
-    /// in the future).
+    /// One past the last send slot of the newest span (or piece of a
+    /// receiver-paced span) taken off the wire — delivered wholesale at its
+    /// first byte's arrival, so possibly still in the future.
     delivered_end: SimTime,
     /// When the current STOP interval began, if one is in force.
     stalled_since: Option<SimTime>,
@@ -310,9 +315,17 @@ impl Lane {
         self.next_tx_time.saturating_sub(now + 1)
     }
 
-    /// Receive side: bytes of the newest delivered span whose per-byte
-    /// arrival slots are still in the future. A span lands wholesale at
-    /// its first byte's arrival, so until its last slot passes the
+    /// [`Lane::drain_advance`] as an arrival of the tick `now` sees it: the
+    /// send slot `now` counts too, because the transmit kick of a tick
+    /// sorts after every arrival of it ([`crate::engine::Event::canon_key`]).
+    #[inline]
+    pub(crate) fn drain_advance_at_arrival(&self, now: SimTime) -> u64 {
+        self.next_tx_time.saturating_sub(now)
+    }
+
+    /// Receive side: bytes of the newest delivered span (or piece) whose
+    /// per-byte arrival slots are still in the future. A span lands
+    /// wholesale at its first byte's arrival, so until its last slot passes the
     /// receiver's buffer holds this many bytes its per-byte twin does not
     /// hold yet. (Only the newest delivered span can reach past `now`:
     /// spans on a lane occupy disjoint, ordered send slots.)
@@ -321,15 +334,23 @@ impl Lane {
         (self.delivered_end + self.delay).saturating_sub(now + 1)
     }
 
+    /// The oldest in-flight span, if it is receiver-paced: one flag test
+    /// on the landing of every other span.
+    #[inline]
+    pub(crate) fn paced_front(&self) -> Option<SpanInFlight> {
+        self.spans.front().filter(|s| s.paced).copied()
+    }
+
     /// One past the last send slot of the newest delivered span.
     #[inline]
     pub(crate) fn delivered_end(&self) -> SimTime {
         self.delivered_end
     }
 
-    /// `span`, just taken off the wire, lands in the receiver's buffer
-    /// wholesale: until its last arrival slot has passed the buffer is
-    /// ahead of its per-byte twin ([`Lane::rx_future_bytes`]).
+    /// `span` (a whole span or a piece of a receiver-paced one), just taken
+    /// off the wire, lands in the receiver's buffer wholesale: until its
+    /// last arrival slot has passed the buffer is ahead of its per-byte
+    /// twin ([`Lane::rx_future_bytes`]).
     #[inline]
     pub(crate) fn note_span_landed(&mut self, span: &SpanInFlight) {
         self.delivered_end = span.start + span.len;
@@ -482,6 +503,12 @@ impl Lane {
         if span.start + span.len <= now {
             return None;
         }
+        debug_assert!(
+            !span.paced,
+            "a STOP lands on {:?} while a receiver-paced span is still sending: \
+             pacing admitted it with a STOP on the way",
+            self.id
+        );
         let sent = (now - span.start).max(1).min(span.len);
         let revoked = span.len - sent;
         if revoked == 0 {
@@ -536,7 +563,13 @@ pub enum TxPayload {
     /// A contiguous run of `len` bytes of `worm`, moved as one span
     /// (span-batched mode): the `route` route symbols staged with
     /// [`TxPort::stage_route_sym`] since the last span, then data.
-    Span { worm: WormId, len: u64, route: u64 },
+    /// `paced`: [`SpanInFlight::paced`].
+    Span {
+        worm: WormId,
+        len: u64,
+        route: u64,
+        paced: bool,
+    },
 }
 
 /// Transmit-side handle on a lane: the only way to put bytes on the wire.
@@ -603,7 +636,12 @@ impl<'a> TxPort<'a> {
                 l.idles_carried += 1;
                 l.next_tx_time = now + 1;
             }
-            TxPayload::Span { worm, len, route } => {
+            TxPayload::Span {
+                worm,
+                len,
+                route,
+                paced,
+            } => {
                 l.in_flight += len as u32;
                 l.bytes_carried += len;
                 l.next_tx_time = now + len;
@@ -612,6 +650,7 @@ impl<'a> TxPort<'a> {
                     start: now,
                     len,
                     route,
+                    paced,
                 });
                 debug_assert_eq!(
                     l.route_syms.len() as u64,
@@ -653,8 +692,9 @@ impl<'a> RxPort<'a> {
     /// The oldest in-flight span arrived: dequeue it (spans and single
     /// bytes share FIFO wire order) and return it together with the
     /// landing endpoint. The caller takes its `route` symbols with
-    /// [`RxPort::take_route_sym`] and, if it buffers the span wholesale,
-    /// records that with `Lane::note_span_landed`.
+    /// [`RxPort::take_route_sym`] and records with `Lane::note_span_landed`
+    /// that the span is in the receiver's buffer, every byte of it, ahead
+    /// of the arrival slots of all but the first.
     #[inline]
     pub fn deliver_span(&mut self) -> (Endpoint, SpanInFlight) {
         let span = self
@@ -664,6 +704,33 @@ impl<'a> RxPort<'a> {
             .expect("RxSpan without queued span");
         self.lane.in_flight -= span.len as u32;
         (self.lane.dst, span)
+    }
+
+    /// The first `m` bytes of the oldest in-flight span arrived (`1 ≤ m ≤
+    /// len`): return them as a span of their own — its route symbols
+    /// first — with the landing endpoint, and leave the rest at the front
+    /// of the wire, starting `m` slots later. Taking the whole span is
+    /// [`RxPort::deliver_span`].
+    pub fn deliver_span_prefix(&mut self, m: u64) -> (Endpoint, SpanInFlight) {
+        let front = self
+            .lane
+            .spans
+            .front_mut()
+            .expect("RxSpan without queued span");
+        debug_assert!((1..=front.len).contains(&m), "a piece of 1..=len bytes");
+        if m == front.len {
+            return self.deliver_span();
+        }
+        let piece = SpanInFlight {
+            len: m,
+            route: front.route.min(m),
+            ..*front
+        };
+        front.start += m;
+        front.len -= m;
+        front.route -= piece.route;
+        self.lane.in_flight -= m as u32;
+        (self.lane.dst, piece)
     }
 
     /// The next route symbol of the head run just delivered.
@@ -894,7 +961,7 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 3, ChanId(1), LinkId(0), 0);
         let worm = WormId(7);
         let t = TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 5, route: 0 }, true)
+            .try_send(10, TxPayload::Span { worm, len: 5, route: 0, paced: false }, true)
             .expect("lane free");
         assert_eq!(t.deliver_at, 13);
         assert_eq!(l.in_flight(), 5);
@@ -910,7 +977,7 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
         let worm = WormId(3);
         TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 8, route: 0 }, true)
+            .try_send(10, TxPayload::Span { worm, len: 8, route: 0, paced: false }, true)
             .expect("lane free");
         // STOP lands at t=13: bytes at slots 10..13 (3 of them) are out.
         let revoked = l.truncate_newest_span(13).expect("still sending");
@@ -936,7 +1003,7 @@ mod tests {
             tx.stage_route_sym(RouteSym::Port(port));
         }
         let ticket = tx
-            .try_send(10, TxPayload::Span { worm, len: 8, route: 5 }, true)
+            .try_send(10, TxPayload::Span { worm, len: 8, route: 5, paced: false }, true)
             .expect("lane free");
         assert_eq!(ticket.deliver_at, 18);
         // STOP lands at t=12: the symbols at slots 10 and 11 are out.
@@ -961,7 +1028,7 @@ mod tests {
         // The next head run starts from an empty symbol FIFO.
         let mut tx = TxPort::new(&mut l);
         tx.stage_route_sym(RouteSym::Port(3));
-        tx.try_send(20, TxPayload::Span { worm, len: 1, route: 1 }, true)
+        tx.try_send(20, TxPayload::Span { worm, len: 1, route: 1, paced: false }, true)
             .expect("lane free");
         assert_eq!(RxPort::new(&mut l).take_route_sym(), RouteSym::Port(3));
     }
@@ -974,7 +1041,7 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
         let worm = WormId(3);
         TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 6, route: 0 }, true)
+            .try_send(10, TxPayload::Span { worm, len: 6, route: 0, paced: false }, true)
             .expect("lane free");
         let (_, got) = RxPort::new(&mut l).deliver_span();
         assert_eq!(got.len, 6);

@@ -221,6 +221,11 @@ pub struct Network {
     /// current deadline: `(first_slot, remaining)`, credited by whichever
     /// later run covers their slots.
     pub(crate) deferred_moves: Vec<(SimTime, u64)>,
+    /// The lanes whose counters the last run's end parked
+    /// ([`Lane::settle`]): the next run's prologue resumes these only, so
+    /// a run stepped one byte-time at a time does not walk every lane
+    /// twice per step.
+    parked_lanes: Vec<ChanId>,
     /// Present when this network instance executes one shard of a
     /// [`crate::shard::ShardedNetwork`]: channel-endpoint ownership,
     /// outbound mailboxes and the worm tag registry. `None` (the
@@ -280,6 +285,7 @@ impl Network {
             pending_ctrl_trace: Vec::new(),
             run_deadline: 0,
             deferred_moves: Vec::new(),
+            parked_lanes: Vec::new(),
             shard: None,
             pending_injects: 0,
             pending_timers: 0,
@@ -356,7 +362,9 @@ impl Network {
 
     // -- event loop ---------------------------------------------------------
 
-    /// Run until `t_end`, or until the event queue drains.
+    /// Run until `t_end`, or until the event queue drains, and take the
+    /// run's verdict: [`Network::advance_to`], then the deadlock analysis
+    /// and a snapshot of the counters.
     ///
     /// [`RunOutcome::deadlock`] is the run's one deadlock verdict, taken
     /// from the wait-for graph where the run ends: a genuine wait cycle at
@@ -365,15 +373,40 @@ impl Network {
     /// of a network that can never move again. Progress counters play no
     /// part: a wedged V1/V3 replica keeps its lanes busy with IDLE fill.
     pub fn run_until(&mut self, t_end: SimTime) -> RunOutcome {
+        let drained = self.advance_to(t_end);
+        let deadlock = if drained {
+            (self.stats.active_worms > 0).then(|| crate::deadlock::forensics(self))
+        } else if self.shard.is_some() || self.is_quiescent() {
+            // A shard engine leaves this to the post-join merged analysis:
+            // its local view cannot tell a cross-shard stall from a cycle.
+            None
+        } else {
+            crate::deadlock::analyze(self)
+        };
+        RunOutcome {
+            end_time: self.scheduler.now(),
+            drained: drained || self.is_quiescent(),
+            deadlock,
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// Run until `t_end`, or until the event queue drains (returns true
+    /// then), and settle the counters there: every statistic reads what
+    /// the per-byte engine reads at that horizon. No verdict, no snapshot —
+    /// stepping a run costs the events it fires.
+    pub fn advance_to(&mut self, t_end: SimTime) -> bool {
         self.begin_run(t_end);
-        loop {
-            let Some((t, ev)) = self.scheduler.pop() else {
-                return self.finish_drained();
-            };
-            if let Some(outcome) = self.dispatch(t, ev) {
-                return outcome;
+        while let Some((t, ev)) = self.scheduler.pop() {
+            if self.dispatch(t, ev) {
+                self.end_run(t);
+                return false;
             }
         }
+        // The per-byte engine drains only once every span's last byte is
+        // out: nothing counts as unsent.
+        self.end_run(SimTime::MAX);
+        true
     }
 
     /// Run prologue shared by the sequential loop and the shard workers:
@@ -398,69 +431,35 @@ impl Network {
         self.stats.bytes_moved += moved;
         // Likewise the send-side counters `settle_run` cut back to the
         // previous deadline.
-        for lane in &mut self.lanes {
+        for ch in self.parked_lanes.drain(..) {
+            let lane = &mut self.lanes[ch.0 as usize];
             let back = lane.resume();
-            if let (1.., NodeRef::Host(h)) = (back, lane.src().node) {
+            if let NodeRef::Host(h) = lane.src().node {
                 self.adapters[h.0 as usize].counters.bytes_sent += back;
             }
         }
         self.scheduler.at(t_end, Event::Stop);
     }
 
-    /// Run epilogue for a drained event queue: with outstanding worms this
-    /// is a deadlock (nothing can ever move again). A shard engine never
-    /// reaches this — its deadline Stop keeps the wheel non-empty.
-    pub(crate) fn finish_drained(&mut self) -> RunOutcome {
+    /// Run epilogue, the run stopped at `horizon`: resolve the tick's
+    /// deferred trace attributions, mirror the event counters and settle
+    /// the send-side counters.
+    pub(crate) fn end_run(&mut self, horizon: SimTime) {
         self.flush_ctrl_trace();
         self.sync_event_stats();
-        // The per-byte engine drains only once every span's last byte is
-        // out: nothing counts as unsent.
-        self.settle_run(SimTime::MAX);
-        let deadlock = if self.stats.active_worms > 0 {
-            Some(crate::deadlock::forensics(self))
-        } else {
-            None
-        };
-        RunOutcome {
-            end_time: self.scheduler.now(),
-            drained: true,
-            deadlock,
-            stats: self.stats.clone(),
-        }
+        self.settle_run(horizon);
     }
 
-    /// Execute one popped event. Returns `Some` when the run is over (the
-    /// deadline Stop fired).
-    pub(crate) fn dispatch(&mut self, t: SimTime, ev: Event) -> Option<RunOutcome> {
+    /// Execute one popped event. Returns true when the run is over: the
+    /// deadline Stop fired.
+    pub(crate) fn dispatch(&mut self, t: SimTime, ev: Event) -> bool {
         if let Some(&(t0, _, _)) = self.pending_ctrl_trace.first() {
             if t > t0 {
                 self.flush_ctrl_trace();
             }
         }
         match ev {
-            Event::Stop => {
-                if t >= self.run_deadline {
-                    self.flush_ctrl_trace();
-                    self.sync_event_stats();
-                    self.settle_run(t);
-                    // Worms still outstanding at the deadline: check for
-                    // a genuine wait cycle so callers can tell overload
-                    // apart from deadlock. A shard engine leaves this to
-                    // the post-join merged analysis: its local view cannot
-                    // tell a cross-shard stall from a cycle.
-                    let deadlock = if self.shard.is_some() || self.is_quiescent() {
-                        None
-                    } else {
-                        crate::deadlock::analyze(self)
-                    };
-                    return Some(RunOutcome {
-                        end_time: t,
-                        drained: self.is_quiescent(),
-                        deadlock,
-                        stats: self.stats.clone(),
-                    });
-                }
-            }
+            Event::Stop => return t >= self.run_deadline,
             Event::TxKick { ch, gen } => self.handle_tx_kick(ch, gen),
             Event::RxByte { ch, byte } => self.handle_rx_byte(ch, byte),
             Event::RxSpan { ch } => self.handle_rx_span(ch),
@@ -474,7 +473,7 @@ impl Network {
                 self.notify_timer(host, token);
             }
         }
-        None
+        false
     }
 
     /// A run ends at `horizon`: a span is credited to its lane's
@@ -484,8 +483,11 @@ impl Network {
     fn settle_run(&mut self, horizon: SimTime) {
         for lane in &mut self.lanes {
             let unsent = lane.settle(horizon);
-            if let (1.., NodeRef::Host(h)) = (unsent, lane.src().node) {
-                self.adapters[h.0 as usize].counters.bytes_sent -= unsent;
+            if unsent > 0 {
+                self.parked_lanes.push(lane.id());
+                if let NodeRef::Host(h) = lane.src().node {
+                    self.adapters[h.0 as usize].counters.bytes_sent -= unsent;
+                }
             }
         }
     }

@@ -492,7 +492,7 @@ impl ShardedNetwork {
         }
         let neighbors = &self.neighbors;
         let inboxes = &self.inboxes;
-        let outcomes: Vec<RunOutcome> = std::thread::scope(|s| {
+        let ends: Vec<SimTime> = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .nets
                 .iter_mut()
@@ -506,7 +506,7 @@ impl ShardedNetwork {
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
         });
-        let end_time = outcomes.iter().map(|o| o.end_time).max().unwrap_or(t_end);
+        let end_time = ends.into_iter().max().unwrap_or(t_end);
         let stats = self.stats();
         // A sequential run reports "drained" when its queue empties; the
         // merged equivalent is global quiescence (a shard's queue alone
@@ -660,7 +660,8 @@ impl ShardedNetwork {
 
 /// One shard's conservative event loop: load neighbor clocks, drain
 /// inbound mailboxes, execute everything strictly below the safe bound,
-/// publish the new horizon, back off briefly when nothing moved.
+/// publish the new horizon, back off briefly when nothing moved. Returns
+/// the time it stopped at, the deadline.
 fn shard_loop(
     net: &mut Network,
     me: usize,
@@ -668,7 +669,7 @@ fn shard_loop(
     neighbors: &[(usize, SimTime)],
     inboxes: &[(usize, Mailbox)],
     t_end: SimTime,
-) -> RunOutcome {
+) -> SimTime {
     net.begin_run(t_end);
     let mut scratch: VecDeque<BoundaryMsg> = VecDeque::new();
     // Spinning only helps if the neighbor whose clock we're watching can
@@ -707,12 +708,13 @@ fn shard_loop(
         while net.scheduler.peek_time().is_some_and(|pt| pt < safe) {
             let Some((t, ev)) = net.scheduler.pop() else { break };
             progress = true;
-            if let Some(out) = net.dispatch(t, ev) {
+            if net.dispatch(t, ev) {
                 // Done (Stop at the deadline). Unblock everyone for good;
                 // messages still arriving are beyond t_end and wait in
                 // the mailbox for a later run.
+                net.end_run(t);
                 clocks[me].0.store(u64::MAX, Ordering::Release);
-                return out;
+                return t;
             }
         }
         // Publish `min(peek, safe)`: monotone (standard CMB null-message

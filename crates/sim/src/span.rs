@@ -11,7 +11,7 @@
 
 use crate::adapter::RxState;
 use crate::engine::{Event, HostId, SwitchId};
-use crate::link::{ChanId, Endpoint, NodeRef, RxPort, TxPayload, TxPort};
+use crate::link::{ChanId, Endpoint, NodeRef, RxPort, SpanInFlight, TxPayload, TxPort};
 use crate::network::{Network, SimMode};
 use crate::switch::{InPort, InState};
 use crate::switchcast::SwitchcastMode;
@@ -195,6 +195,17 @@ impl Network {
             0
         };
         let k = avail.min(room.max(certified));
+        // When they admit less than a wire's worth, the receiver decides
+        // instead, piece by piece as the span lands (`handle_rx_span`),
+        // provided no STOP can cut the span short: none is in force or on
+        // its way, and one emitted from now on lands no sooner than `now +
+        // delay`, when a span no longer than the wire has left.
+        let paced_len = avail.min(self.lanes[ch.0 as usize].delay());
+        let paced = k < paced_len
+            && matches!(dst.node, NodeRef::Switch(s)
+                if !self.switches[s.0 as usize].inputs[dst.port.index()].sent_stop)
+            && self.lanes[ch.0 as usize].ctrl_in_flight() == 0;
+        let k = if paced { paced_len } else { k };
         if k < MIN_SPAN {
             return false;
         }
@@ -244,11 +255,17 @@ impl Network {
             }
         }
         // ...and move it as one span.
+        let payload = TxPayload::Span {
+            worm,
+            len: k,
+            route,
+            paced,
+        };
         let ticket = tx
-            .try_send(now, TxPayload::Span { worm, len: k, route }, true)
+            .try_send(now, payload, true)
             .expect("span probe ran at the lane's ready time");
         self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
-        if k > room && certified != u64::MAX {
+        if k > room && !paced && certified != u64::MAX {
             // Sent on a finite drain window: the receiving input holds the
             // certificate until the span's last arrival slot has passed.
             let NodeRef::Switch(s) = dst.node else {
@@ -274,11 +291,17 @@ impl Network {
         true
     }
 
-    /// Deliver the oldest in-flight span on `ch`. Spans and single bytes on
-    /// one channel share FIFO wire order, so the queue front is always the
-    /// arriving span. It lands wholesale.
+    /// Deliver the oldest in-flight span on `ch`, or the next piece of it.
+    /// Spans and single bytes on one channel share FIFO wire order, so the
+    /// queue front is always the arriving span. A span lands wholesale at
+    /// its first byte's arrival slot; a receiver-paced one lands as much as
+    /// [`Network::paced_piece`] admits, and the rest arrives again at its
+    /// own first byte's slot.
     pub(crate) fn handle_rx_span(&mut self, ch: ChanId) {
-        let (dst, span) = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
+        let (dst, span) = match self.lanes[ch.0 as usize].paced_front() {
+            None => RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span(),
+            Some(front) => self.paced_piece(ch, front),
+        };
         self.lanes[ch.0 as usize].note_span_landed(&span);
         // Credit `bytes_moved` per-byte-exactly: byte `j` of the span
         // conceptually arrives at `now + j`, and only arrivals strictly
@@ -308,6 +331,16 @@ impl Network {
                 unreachable!("route symbols are consumed by switches, never sent to a host");
             };
             let mut rx = RxPort::new(&mut self.lanes[ch.0 as usize]);
+            if span.len == 1 {
+                // One symbol alone is a one-byte arrival, which may be the
+                // one that reaches the STOP mark.
+                let kind = ByteKind::Route(rx.take_route_sym());
+                let byte = WireByte {
+                    worm: span.worm,
+                    kind,
+                };
+                return self.switch_rx(s, dst.port.0, byte, 1);
+            }
             let inp = &mut self.switches[s.0 as usize].inputs[dst.port.index()];
             for _ in 0..span.route {
                 inp.buf.push_back(WireByte {
@@ -321,6 +354,68 @@ impl Network {
             kind: ByteKind::Data,
         };
         self.deliver_run(dst, byte, span.len - span.route);
+        debug_assert!(
+            !span.paced
+                || span.len == 1
+                || matches!(dst.node, NodeRef::Switch(s)
+                    if !self.switches[s.0 as usize].inputs[dst.port.index()].sent_stop),
+            "a paced piece of {} bytes crossed the STOP mark at {dst:?}: only a lone byte may",
+            span.len
+        );
+    }
+
+    /// How much of the receiver-paced span `front` at the head of `ch`
+    /// lands now, at its first byte's arrival slot (DESIGN.md §3.1,
+    /// *Receiver-paced spans*): all of it under the worm's drain
+    /// certificate; one byte while the input's STOP is in force, so that
+    /// the GO goes out at its per-byte dequeue; otherwise as many as keep
+    /// the per-byte twin below the STOP mark while they arrive, `Ks − 1 −
+    /// q`, and at least one — the byte that raises the STOP then lands
+    /// alone, at its own slot. Lands the piece, and arms the rest's arrival
+    /// at its first byte's slot.
+    fn paced_piece(&mut self, ch: ChanId, front: SpanInFlight) -> (Endpoint, SpanInFlight) {
+        let now = self.scheduler.now();
+        let lane = &self.lanes[ch.0 as usize];
+        let dst = lane.dst();
+        let NodeRef::Switch(s) = dst.node else {
+            unreachable!("only a switch input paces a span");
+        };
+        let sw = &self.switches[s.0 as usize];
+        let inp = &sw.inputs[dst.port.index()];
+        let m = if inp.certified(front.worm, now) {
+            front.len
+        } else if inp.sent_stop {
+            1
+        } else {
+            // Every byte that came in before this one has reached its
+            // arrival slot: the wire is FIFO, and pieces land in turn.
+            debug_assert_eq!(lane.rx_future_bytes(now), 0, "{ch:?} lands ahead of a byte");
+            // The twin's occupancy at this arrival's rank: what the output
+            // has batch-dequeued for send slots from `now` on is still
+            // there, since the output's kick of this tick comes after.
+            let sending = match inp.state {
+                InState::Forwarding { out, .. } => sw.outputs[out as usize]
+                    .chan_out
+                    .map_or(0, |c| self.lanes[c.0 as usize].drain_advance_at_arrival(now)),
+                _ => 0,
+            };
+            let q = inp.occupancy() as u64 + sending;
+            let mark = inp.slack.stop_mark as u64;
+            // Where the twin can reach the mark, the local buffer must read
+            // its occupancy: the crossing test keeps a run from leaving an
+            // input whose twin could (`switch_span_ready`).
+            debug_assert!(
+                q + 1 < mark || sending == 0,
+                "a paced byte may reach the STOP mark at {s:?}:{} while the output \
+                 is still sending: the local buffer would miss it",
+                dst.port
+            );
+            (mark - 1).saturating_sub(q).max(1).min(front.len)
+        };
+        if m < front.len {
+            self.scheduler.after(m, Event::RxSpan { ch });
+        }
+        RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span_prefix(m)
     }
 
     /// A STOP just took effect on `ch` at time `now`. In per-byte mode the
@@ -814,12 +909,12 @@ mod tests {
     /// Run `net` to `t_end` as `run_until` does, counting the arrival events
     /// (single bytes and spans alike) on each of `lanes`. Also returns when
     /// each worm was delivered.
-    fn arrivals_on(
+    fn arrivals_on<const N: usize>(
         net: &mut Network,
-        lanes: [ChanId; 2],
+        lanes: [ChanId; N],
         t_end: SimTime,
-    ) -> ([u64; 2], Vec<SimTime>) {
-        let mut arrivals = [0; 2];
+    ) -> ([u64; N], Vec<SimTime>) {
+        let mut arrivals = [0; N];
         let mut delivered = Vec::new();
         net.begin_run(t_end);
         loop {
@@ -830,7 +925,8 @@ mod tests {
                 }
             }
             let before = net.stats.worms_delivered;
-            if net.dispatch(t, ev).is_some() {
+            if net.dispatch(t, ev) {
+                net.end_run(t);
                 return (arrivals, delivered);
             }
             delivered.extend((before..net.stats.worms_delivered).map(|_| t));
@@ -863,5 +959,154 @@ mod tests {
         for (trunk, n) in arrivals.into_iter().enumerate() {
             assert!(n <= 12, "trunk {trunk}: {n} arrival events");
         }
+    }
+
+    /// host0 — sw0 ═ sw1 — host1, a `trunk`-byte-time trunk between the
+    /// switches, and host2 on sw1 too. host2's worm of `lens[0]` payload
+    /// bytes takes sw1's output to host1 at once; host0's worm of
+    /// `lens[1]` crosses the trunk behind it, and its head waits at sw1 for
+    /// that output while its body crosses the trunk. Returns the trunk's
+    /// lane toward sw1 with the network.
+    fn held_head_net(trunk: SimTime, mode: SimMode, lens: [u32; 2]) -> (Network, ChanId) {
+        let mut net = held_head_fabric(trunk, mode);
+        for (i, (host, len)) in [(2, lens[0]), (0, lens[1])].into_iter().enumerate() {
+            let msg = AppMessage {
+                msg: MessageId(i as u64 + 1),
+                origin: HostId(host),
+                dest: Destination::Unicast(HostId(1)),
+                payload_len: len,
+                created: 0,
+            };
+            net.inject_worm(
+                HostId(host),
+                SendSpec::data(&msg, HostId(1), WormKind::Unicast),
+            );
+        }
+        let trunk_lane = net.switches[0].outputs[0]
+            .chan_out
+            .expect("the trunk port is connected");
+        (net, trunk_lane)
+    }
+
+    /// [`held_head_net`]'s fabric, with no worm under way.
+    fn held_head_fabric(trunk: SimTime, mode: SimMode) -> Network {
+        let spec = FabricSpec {
+            switch_ports: vec![2, 3],
+            hosts: vec![
+                HostAttach { switch: 0, port: 1 },
+                HostAttach { switch: 1, port: 1 },
+                HostAttach { switch: 1, port: 2 },
+            ],
+            links: vec![LinkSpec {
+                a: (0, PortId(0)),
+                b: (1, PortId(0)),
+                delay: trunk,
+            }],
+            host_link_delay: 1,
+        };
+        let mut routes = RouteTable::new(3);
+        routes.set(HostId(0), HostId(1), vec![0, 1]);
+        routes.set(HostId(2), HostId(1), vec![1]);
+        let cfg = NetworkConfig {
+            mode,
+            ..NetworkConfig::default()
+        };
+        Network::build(&spec, routes, cfg)
+    }
+
+    /// A worm's head waits at the far end of a 1 000-byte-time trunk for
+    /// an output another worm holds, while its body crosses the trunk.
+    /// Nothing is certain to drain there, and the wire fills the input's
+    /// room below its STOP mark, so the sender's rules alone admit one
+    /// byte at a time; the receiver knows better as the bytes land
+    /// (DESIGN.md §3.1, *Receiver-paced spans*). With the output freed
+    /// before the input fills, the trunk's arrival events drop from 508 to
+    /// 5. Held longer, the input reaches its mark, and while its STOP is
+    /// in force the bytes land one per event as per-byte ones do: 1 005
+    /// before and after. Either way the per-byte engine's deliveries and
+    /// `NetStats` stay the same, and so does `bytes_moved` at every
+    /// byte-time.
+    #[test]
+    fn a_body_crossing_a_long_trunk_to_a_held_head_lands_in_pieces() {
+        for (blocker, pinned) in [(1_500, 5), (3_000, 1_005)] {
+            let lens = [blocker, 2_000];
+            let run = |mode| {
+                let (mut net, trunk) = held_head_net(1_000, mode, lens);
+                let (arrivals, deliveries) = arrivals_on(&mut net, [trunk], 8_000);
+                let mut stats = net.stats.clone();
+                (stats.events_scheduled, stats.events_fired) = (0, 0);
+                (arrivals[0], deliveries, format!("{stats:?}"))
+            };
+            let (per_byte_arrivals, deliveries, stats) = run(SimMode::PerByte);
+            assert_eq!(deliveries.len(), 2, "both worms arrive");
+            assert_eq!(per_byte_arrivals, 2_010, "one per byte of the worm");
+            let (arrivals, span_deliveries, span_stats) = run(SimMode::SpanBatched);
+            assert_eq!(span_deliveries, deliveries, "blocker {blocker}");
+            assert_eq!(span_stats, stats, "blocker {blocker}");
+            assert_eq!(arrivals, pinned, "blocker {blocker}: trunk arrival events");
+            let (mut a, _) = held_head_net(1_000, SimMode::PerByte, lens);
+            let (mut b, _) = held_head_net(1_000, SimMode::SpanBatched, lens);
+            for t in 1..=8_000 {
+                a.advance_to(t);
+                b.advance_to(t);
+                assert_eq!(
+                    a.stats.bytes_moved, b.stats.bytes_moved,
+                    "blocker {blocker}, t = {t}"
+                );
+            }
+        }
+    }
+
+    /// A receiver-paced head run reaches an input whose twin sits one byte
+    /// below its STOP mark, behind a worm whose head waits for an output.
+    /// Its first route symbol lands alone, as a one-byte arrival, and
+    /// raises the STOP at its own slot; the rest, the second symbol
+    /// included, lands a byte per event while the STOP is in force.
+    #[test]
+    fn a_lone_route_symbol_lands_at_the_stop_mark() {
+        let mut net = held_head_fabric(20, SimMode::SpanBatched);
+        let trunk = net.switches[0].outputs[0]
+            .chan_out
+            .expect("the trunk port is connected");
+        let (held, next) = (WormId(0), WormId(1));
+        let mark = {
+            let sw1 = &mut net.switches[1];
+            sw1.outputs[1].owner = Some(2);
+            let inp = &mut sw1.inputs[0];
+            inp.state = InState::Requesting { worm: held, out: 1 };
+            let body = WireByte {
+                worm: held,
+                kind: ByteKind::Data,
+            };
+            inp.buf.push_back_run(body, u64::from(inp.slack.stop_mark - 1));
+            inp.slack.stop_mark as usize
+        };
+        // Two symbols and three data bytes, sent paced at 0.
+        let mut tx = TxPort::new(&mut net.lanes[trunk.0 as usize]);
+        for port in [1, 7] {
+            tx.stage_route_sym(RouteSym::Port(port));
+        }
+        let span = TxPayload::Span {
+            worm: next,
+            len: 5,
+            route: 2,
+            paced: true,
+        };
+        let ticket = tx.try_send(0, span, true).expect("the lane is free");
+        net.scheduler.at(ticket.deliver_at, Event::RxSpan { ch: trunk });
+        net.run_until(21);
+        let inp = &net.switches[1].inputs[0];
+        assert_eq!(inp.occupancy() as usize, mark);
+        assert!(inp.sent_stop, "the symbol raised the STOP");
+        let last = inp.buf.get(mark - 1).map(|b| (b.worm, b.kind));
+        assert_eq!(last, Some((next, ByteKind::Route(RouteSym::Port(1)))));
+        let lane = net.lane(trunk);
+        assert_eq!((lane.in_flight(), lane.ctrl_in_flight()), (4, 1));
+        let (arrivals, _) = arrivals_on(&mut net, [trunk], 30);
+        assert_eq!(arrivals, [4], "one arrival per byte under the STOP");
+        let inp = &net.switches[1].inputs[0];
+        assert_eq!(inp.occupancy() as usize, mark + 4);
+        let second = inp.buf.get(mark).map(|b| b.kind);
+        assert_eq!(second, Some(ByteKind::Route(RouteSym::Port(7))));
     }
 }

@@ -276,11 +276,13 @@ impl Switch {
 
 impl Network {
     /// `len` copies of `byte` arrived at input `port` of switch `sw`: one
-    /// byte, or the data run of a span (span-batched mode), buffered in one
-    /// go. A span's emission guards guarantee that the run fits below the
-    /// STOP watermark, or that the input holds the worm's drain certificate
-    /// and keeps the bytes only until their per-byte arrival slots come
-    /// round; either way the input state machine advances once.
+    /// byte, or the data run of a span or of a receiver-paced span's piece
+    /// (span-batched mode), buffered in one go. A span's emission guards
+    /// guarantee that the run fits below the STOP watermark, or that the
+    /// input holds the worm's drain certificate and keeps the bytes only
+    /// until their per-byte arrival slots come round; a piece is sized on
+    /// landing to fit below the mark, or lands alone. Either way the input
+    /// state machine advances once.
     pub(crate) fn switch_rx(&mut self, sw: SwitchId, port: u8, byte: WireByte, len: u64) {
         // A replicating input regenerates its own IDLE fills; upstream fills
         // are dropped on arrival, before they could count as body bytes or

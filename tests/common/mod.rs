@@ -96,10 +96,6 @@ pub fn scripted_net(
     build_unloaded(&setup)
 }
 
-/// Horizon stride of the harness's lockstep pair: prime, so off-phase
-/// with spans and link delays.
-const STRIDE: u64 = 13;
-
 /// One scenario as [`assert_modes_agree`] found it: both engine modes'
 /// traced networks at the deadline, and what the modes agreed on.
 pub struct Twin {
@@ -130,12 +126,13 @@ pub struct Twin {
 /// Tracing must be a pure observer: the traced and untraced runs agree
 /// too, down to the scheduled-event count (the fast path stays live with
 /// a sink attached). Last, an untraced pair steps through the run in
-/// lockstep, every [`STRIDE`] byte-times, and at every horizon agrees on
-/// `bytes_moved` and on each lane's and adapter's byte counters: a
-/// deadline that falls inside a span counts only the bytes whose slots
-/// have passed, and bytes that leave early show even when a later event
-/// sets the delivery time. Event counts come from the unstepped runs:
-/// each step schedules a `Stop` of its own.
+/// lockstep, one byte-time at a time (`Network::advance_to`), and at
+/// every horizon agrees on `bytes_moved` and on each lane's and adapter's
+/// byte counters: a deadline that falls inside a span counts only the
+/// bytes whose slots have passed, and a byte that leaves or lands a
+/// byte-time early shows even when a later event sets the delivery time.
+/// Event counts come from the unstepped runs: each step schedules a
+/// `Stop` of its own.
 pub fn assert_modes_agree(
     mk: impl Fn(SimMode, TraceConfig) -> Network,
     deadline: u64,
@@ -200,16 +197,16 @@ pub fn assert_modes_agree(
         mk(SimMode::PerByte, TraceConfig::Off),
         mk(SimMode::SpanBatched, TraceConfig::Off),
     );
-    let mut t = 0;
-    while t < deadline {
-        t = (t + STRIDE).min(deadline);
-        a.run_until(t);
-        b.run_until(t);
-        assert_eq!(
-            (a.stats.bytes_moved, sent(&a)),
-            (b.stats.bytes_moved, sent(&b)),
-            "{label}: (bytes_moved, (bytes_carried per lane, bytes_sent per adapter)) diverged at t={t}"
-        );
+    for t in 1..=deadline {
+        a.advance_to(t);
+        b.advance_to(t);
+        if a.stats.bytes_moved != b.stats.bytes_moved || !same_sent(&a, &b) {
+            assert_eq!(
+                (a.stats.bytes_moved, sent(&a)),
+                (b.stats.bytes_moved, sent(&b)),
+                "{label}: (bytes_moved, (bytes_carried per lane, bytes_sent per adapter)) diverged at t={t}"
+            );
+        }
     }
     for (net, mode) in [(&a, SimMode::PerByte), (&b, SimMode::SpanBatched)] {
         net.audit().unwrap_or_else(|e| {
@@ -297,6 +294,15 @@ fn sent(net: &Network) -> (Vec<u64>, Vec<u64>) {
             .collect(),
         net.adapters.iter().map(|a| a.counters.bytes_sent).collect(),
     )
+}
+
+/// [`sent`] of both networks agrees, compared without collecting: the
+/// lockstep pair asks at every byte-time.
+fn same_sent(a: &Network, b: &Network) -> bool {
+    let (la, lb) = (a.lanes(), b.lanes());
+    let (aa, ab) = (&a.adapters, &b.adapters);
+    (0..la.len()).all(|i| la[i].stats().bytes_carried == lb[i].stats().bytes_carried)
+        && (0..aa.len()).all(|i| aa[i].counters.bytes_sent == ab[i].counters.bytes_sent)
 }
 
 /// Two modes' runs end alike: deliveries, byte counters, and `NetStats`
