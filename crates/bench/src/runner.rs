@@ -262,7 +262,7 @@ fn resolve_plan(setup: &SimSetup) -> Result<ShardPlan, String> {
 /// [`RunOutcome`] plus the derived latency and delivery figures.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// How the run ended (end time, drained flag, deadlock forensics,
+    /// How the run ended (end time, drained flag, deadlock verdict,
     /// final network counters).
     pub outcome: RunOutcome,
     pub multicast: LatencyReport,

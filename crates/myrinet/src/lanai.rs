@@ -57,13 +57,6 @@ impl LanaiModel {
         self.send_overhead + (payload as f64 * self.dma_byte_times_per_byte) as SimTime
     }
 
-    /// Closed-form single-sender goodput prediction in Mb/s (wire time +
-    /// pump gap per packet), for calibration tests.
-    pub fn predicted_single_sender_mbps(&self, payload: u32) -> f64 {
-        let per_packet = payload as f64 + self.pump_gap(payload) as f64;
-        (payload as f64 / per_packet) * 640.0
-    }
-
     /// Delivery (adapter→host) cost for one worm, in byte-times: fixed
     /// per-packet host work plus the bus transfer.
     pub fn delivery_cost(&self, payload: u32) -> SimTime {
@@ -77,10 +70,14 @@ mod tests {
 
     #[test]
     fn prediction_shape_matches_figure12() {
+        // Closed-form single-sender goodput in Mb/s: wire time plus pump
+        // gap per packet.
         let m = LanaiModel::default();
-        let at_1k = m.predicted_single_sender_mbps(1024);
-        let at_4k = m.predicted_single_sender_mbps(4096);
-        let at_8k = m.predicted_single_sender_mbps(8192);
+        let mbps = |payload: u32| {
+            let per_packet = payload as f64 + m.pump_gap(payload) as f64;
+            payload as f64 / per_packet * 640.0
+        };
+        let (at_1k, at_4k, at_8k) = (mbps(1024), mbps(4096), mbps(8192));
         assert!(at_1k < at_4k && at_4k < at_8k, "monotone rise");
         // Paper ballpark: tens of Mb/s at 1 KB, low hundreds at 8 KB.
         assert!((20.0..=80.0).contains(&at_1k), "1KB: {at_1k}");

@@ -17,7 +17,7 @@ use crate::network::Network;
 use crate::protocol::Admission;
 
 use crate::slab::FollowMap;
-use crate::worm::{ByteKind, RouteSym, WireByte, WormId};
+use crate::worm::{ByteKind, WireByte, WormId};
 use std::collections::VecDeque;
 
 /// A worm queued for transmission at an adapter.
@@ -419,11 +419,6 @@ enum RxAction {
     DropComplete(WormId),
 }
 
-/// Expand a plain port-list route into route symbols.
-pub fn ports_to_route(ports: &[u8]) -> Vec<RouteSym> {
-    ports.iter().map(|&p| RouteSym::Port(p)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,14 +451,5 @@ mod tests {
         a.enqueue_tx(TxWorm::new(WormId(1), None), false);
         let order: Vec<u32> = a.tx_queue.iter().map(|t| t.worm.0).collect();
         assert_eq!(order, vec![0, 1]);
-    }
-
-    #[test]
-    fn ports_to_route_maps_ports() {
-        let r = ports_to_route(&[3, 1, 4]);
-        assert_eq!(
-            r,
-            vec![RouteSym::Port(3), RouteSym::Port(1), RouteSym::Port(4)]
-        );
     }
 }

@@ -123,9 +123,7 @@ impl fmt::Display for WaitEdge {
 /// outstanding. Its `Display` renders the human-readable dump.
 #[derive(Clone, Debug)]
 pub struct DeadlockReport {
-    /// The wait cycle. Never empty at a deadline; empty when the event
-    /// queue drained with worms outstanding but no reconstructable cycle —
-    /// e.g. stuck protocol state rather than fabric state.
+    /// The wait cycle, never empty.
     pub cycle: Vec<WaitNode>,
     pub stuck_worms: u64,
     /// Every wait-for edge at detection time, annotated with the blocked
@@ -144,15 +142,11 @@ impl fmt::Display for DeadlockReport {
         for e in &self.edges {
             writeln!(f, "  {e}")?;
         }
-        if self.cycle.is_empty() {
-            write!(f, "  no wait cycle reconstructed")
-        } else {
-            write!(f, "  cycle:")?;
-            for n in &self.cycle {
-                write!(f, " {n} ->")?;
-            }
-            write!(f, " {}", self.cycle[0])
+        write!(f, "  cycle:")?;
+        for n in &self.cycle {
+            write!(f, " {n} ->")?;
         }
+        write!(f, " {}", self.cycle[0])
     }
 }
 
@@ -252,19 +246,11 @@ pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
 }
 
 /// Analyze a network snapshot for a deadlock cycle. `Some` only when a
-/// genuine wait cycle exists (overload alone is not deadlock).
+/// genuine wait cycle exists (overload alone is not deadlock): the cycle,
+/// the full annotated wait-for graph and the outstanding-worm count.
 pub fn analyze(net: &Network) -> Option<DeadlockReport> {
-    Some(forensics(net)).filter(|report| !report.cycle.is_empty())
-}
-
-/// Unconditional forensics snapshot: the full annotated wait-for graph, a
-/// representative cycle when one exists (empty otherwise — e.g. worms stuck
-/// in protocol state rather than fabric state), and the outstanding-worm
-/// count. A run whose event queue drains with worms outstanding reports
-/// this; at the deadline [`analyze`] keeps it only when it has a cycle.
-pub fn forensics(net: &Network) -> DeadlockReport {
     let (switch_owner, host_owner) = sole_owner(net);
-    forensics_multi(std::slice::from_ref(net), &switch_owner, &host_owner)
+    analyze_multi(std::slice::from_ref(net), &switch_owner, &host_owner)
 }
 
 // ---------------------------------------------------------------------------
@@ -491,30 +477,20 @@ pub fn wait_edges_multi(
         .collect()
 }
 
-/// [`forensics`] over the engines of one run.
-pub fn forensics_multi(
-    nets: &[Network],
-    switch_owner: &[u32],
-    host_owner: &[u32],
-) -> DeadlockReport {
-    let edges = wait_edges_multi(nets, switch_owner, host_owner);
-    let cycle = find_cycle(&graph_from_edges(&edges)).unwrap_or_default();
-    let stuck: i64 = nets.iter().map(|n| n.stats.active_worms).sum();
-    DeadlockReport {
-        cycle,
-        stuck_worms: stuck.max(0) as u64,
-        edges,
-    }
-}
-
-/// Analyze a sharded run's merged state for a deadlock cycle. `Some` only
-/// when a genuine wait cycle exists, exactly like [`analyze`].
+/// [`analyze`] over the engines of one run.
 pub fn analyze_multi(
     nets: &[Network],
     switch_owner: &[u32],
     host_owner: &[u32],
 ) -> Option<DeadlockReport> {
-    Some(forensics_multi(nets, switch_owner, host_owner)).filter(|report| !report.cycle.is_empty())
+    let edges = wait_edges_multi(nets, switch_owner, host_owner);
+    let cycle = find_cycle(&graph_from_edges(&edges))?;
+    let stuck: i64 = nets.iter().map(|n| n.stats.active_worms).sum();
+    Some(DeadlockReport {
+        cycle,
+        stuck_worms: stuck.max(0) as u64,
+        edges,
+    })
 }
 
 #[cfg(test)]
@@ -597,16 +573,6 @@ mod tests {
         assert!(dump.contains("sw3:in2 [worm 17] -> sw4:in0 [holds worm 9]"));
         assert!(dump.contains("STOP in force on ch12"));
         assert!(dump.contains("cycle: sw3:in2 -> sw4:in0 -> sw3:in2"));
-    }
-
-    #[test]
-    fn report_display_without_cycle() {
-        let report = DeadlockReport {
-            cycle: Vec::new(),
-            stuck_worms: 1,
-            edges: Vec::new(),
-        };
-        assert!(report.to_string().contains("no wait cycle reconstructed"));
     }
 
     #[test]

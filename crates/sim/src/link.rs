@@ -174,10 +174,10 @@ pub struct Lane {
     /// credited whole at emission; between runs the part the deadline cut
     /// off waits in `parked` (see [`Lane::settle`]).
     bytes_carried: u64,
-    /// Bytes of the span still sending whose send slots lie at or beyond
-    /// the deadline the last run stopped at; back in `bytes_carried` while
-    /// a run is under way.
-    parked: u64,
+    /// What [`Lane::settle`] parked at the deadline the last run stopped
+    /// at, `(unsent, unarrived)`; back in the counters while a run is
+    /// under way.
+    parked: (u64, u64),
     /// Total IDLE fill bytes carried (wasted bandwidth, Section 3).
     idles_carried: u64,
     /// Control symbols on the wire toward this lane's transmitter: `+1`
@@ -233,7 +233,7 @@ impl Lane {
             next_tx_time: 0,
             in_flight: 0,
             bytes_carried: 0,
-            parked: 0,
+            parked: (0, 0),
             idles_carried: 0,
             ctrl_in_flight: 0,
             delivered_end: 0,
@@ -375,25 +375,33 @@ impl Lane {
         self.ctrl_in_flight -= 1;
     }
 
-    /// A run stopped at `horizon` (its deadline; `SimTime::MAX` when the
-    /// event queue drained): take the part of the span still sending that
-    /// lies at send slots `>= horizon` out of `bytes_carried` until the
-    /// next run starts, so that [`Lane::stats`] and [`Lane::utilization`]
-    /// read what the per-byte engine has carried by then, not a span's
-    /// worth more. Returns the bytes parked.
-    pub(crate) fn settle(&mut self, horizon: SimTime) -> u64 {
-        debug_assert_eq!(self.parked, 0, "settled twice without a run between");
-        self.parked = self.next_tx_time.saturating_sub(horizon);
-        self.bytes_carried -= self.parked;
+    /// A run stopped at `horizon`, its deadline. A span is credited whole,
+    /// to `bytes_carried` at emission and to the network's `bytes_moved`
+    /// at landing, so park its bytes whose slots lie at or past `horizon`
+    /// until the next run starts: the unsent tail of the span still sending
+    /// (taken out of `bytes_carried` here) and the un-arrived tail of the
+    /// newest landed span (the caller takes it out of `bytes_moved`). The
+    /// counters then read what the per-byte engine reads there. Returns
+    /// `(unsent, unarrived)`.
+    pub(crate) fn settle(&mut self, horizon: SimTime) -> (u64, u64) {
+        debug_assert_eq!(self.parked, (0, 0), "settled twice without a run between");
+        let unsent = self.next_tx_time.saturating_sub(horizon);
+        // `delivered_end` reads 0 until a span lands: nothing is arriving.
+        let unarrived = match self.delivered_end {
+            0 => 0,
+            end => (end + self.delay).saturating_sub(horizon),
+        };
+        self.bytes_carried -= unsent;
+        self.parked = (unsent, unarrived);
         self.parked
     }
 
     /// The next run starts: credit what [`Lane::settle`] parked again (the
     /// engine's own arithmetic — truncation above all — works on the full
-    /// credit). Returns the bytes restored.
-    pub(crate) fn resume(&mut self) -> u64 {
+    /// credit). Returns the bytes restored, `(unsent, unarrived)`.
+    pub(crate) fn resume(&mut self) -> (u64, u64) {
         let parked = std::mem::take(&mut self.parked);
-        self.bytes_carried += parked;
+        self.bytes_carried += parked.0;
         parked
     }
 

@@ -144,7 +144,8 @@ pub struct MessageLog {
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     pub end_time: SimTime,
-    /// The event queue drained before the deadline (finite workload done).
+    /// Nothing was left to happen at the deadline
+    /// ([`Network::is_quiescent`]): a finite workload is done.
     pub drained: bool,
     pub deadlock: Option<DeadlockReport>,
     /// Snapshot of the network counters when the run ended.
@@ -209,18 +210,6 @@ pub struct Network {
     /// mid-tick would make the trace depend on intra-tick event order,
     /// which the span engine deliberately changes.
     pending_ctrl_trace: Vec<(SimTime, ChanId, bool)>,
-    /// Deadline of the current `run_until` call. Span deliveries credit
-    /// `bytes_moved` only for bytes whose per-byte arrival slot falls
-    /// *strictly* before it — the deadline `Stop` sorts first in its tick
-    /// ([`Event::canon_key`]), so a per-byte twin landing exactly on the
-    /// deadline fires (and counts) in the next run. Keeps the counter
-    /// bit-identical across [`SimMode`]s even when a run ends with span
-    /// tails conceptually still arriving.
-    pub(crate) run_deadline: SimTime,
-    /// Span-tail bytes whose per-byte arrival slots lie at or beyond the
-    /// current deadline: `(first_slot, remaining)`, credited by whichever
-    /// later run covers their slots.
-    pub(crate) deferred_moves: Vec<(SimTime, u64)>,
     /// The lanes whose counters the last run's end parked
     /// ([`Lane::settle`]): the next run's prologue resumes these only, so
     /// a run stepped one byte-time at a time does not walk every lane
@@ -283,8 +272,6 @@ impl Network {
             next_worm_seq: vec![0; num_hosts],
             cmd_scratch: Vec::new(),
             pending_ctrl_trace: Vec::new(),
-            run_deadline: 0,
-            deferred_moves: Vec::new(),
             parked_lanes: Vec::new(),
             shard: None,
             pending_injects: 0,
@@ -362,80 +349,58 @@ impl Network {
 
     // -- event loop ---------------------------------------------------------
 
-    /// Run until `t_end`, or until the event queue drains, and take the
-    /// run's verdict: [`Network::advance_to`], then the deadlock analysis
-    /// and a snapshot of the counters.
+    /// Run until `t_end` and take the run's verdict:
+    /// [`Network::advance_to`], then the deadlock analysis and a snapshot
+    /// of the counters.
     ///
     /// [`RunOutcome::deadlock`] is the run's one deadlock verdict, taken
-    /// from the wait-for graph where the run ends: a genuine wait cycle at
-    /// the deadline (outstanding worms alone are overload, not deadlock),
-    /// or — when the queue drains with worms outstanding — the forensics
-    /// of a network that can never move again. Progress counters play no
-    /// part: a wedged V1/V3 replica keeps its lanes busy with IDLE fill.
+    /// from the wait-for graph at the deadline: a genuine wait cycle
+    /// (outstanding worms alone are overload, not deadlock). Progress
+    /// counters play no part: a wedged V1/V3 replica keeps its lanes busy
+    /// with IDLE fill.
     pub fn run_until(&mut self, t_end: SimTime) -> RunOutcome {
-        let drained = self.advance_to(t_end);
-        let deadlock = if drained {
-            (self.stats.active_worms > 0).then(|| crate::deadlock::forensics(self))
-        } else if self.shard.is_some() || self.is_quiescent() {
-            // A shard engine leaves this to the post-join merged analysis:
-            // its local view cannot tell a cross-shard stall from a cycle.
+        self.advance_to(t_end);
+        // A shard engine leaves the verdict to the post-join merged
+        // analysis: its local view cannot tell a cross-shard stall from a
+        // cycle.
+        let deadlock = if self.shard.is_some() || self.is_quiescent() {
             None
         } else {
             crate::deadlock::analyze(self)
         };
         RunOutcome {
             end_time: self.scheduler.now(),
-            drained: drained || self.is_quiescent(),
+            drained: self.is_quiescent(),
             deadlock,
             stats: self.stats.clone(),
         }
     }
 
-    /// Run until `t_end`, or until the event queue drains (returns true
-    /// then), and settle the counters there: every statistic reads what
-    /// the per-byte engine reads at that horizon. No verdict, no snapshot —
-    /// stepping a run costs the events it fires.
-    pub fn advance_to(&mut self, t_end: SimTime) -> bool {
+    /// Run until `t_end`, where the run's `Stop` fires, and settle the
+    /// counters there: every statistic reads what the per-byte engine
+    /// reads at that horizon. No verdict, no snapshot — stepping a run
+    /// costs the events it fires.
+    pub fn advance_to(&mut self, t_end: SimTime) {
         self.begin_run(t_end);
-        while let Some((t, ev)) = self.scheduler.pop() {
+        loop {
+            let (t, ev) = self.scheduler.pop().expect("the deadline's Stop is queued");
             if self.dispatch(t, ev) {
                 self.end_run(t);
-                return false;
+                return;
             }
         }
-        // The per-byte engine drains only once every span's last byte is
-        // out: nothing counts as unsent.
-        self.end_run(SimTime::MAX);
-        true
     }
 
     /// Run prologue shared by the sequential loop and the shard workers:
-    /// credit deferred span tails and arm the deadline Stop.
+    /// restore the counters the last run's end parked and arm the deadline
+    /// Stop.
     pub(crate) fn begin_run(&mut self, t_end: SimTime) {
-        self.run_deadline = t_end;
-        // Credit span-tail bytes a previous run left beyond its deadline:
-        // slots strictly before `t_end` (the slot at exactly `t_end` waits
-        // for a later run, like its per-byte twin behind the Stop event).
-        let mut moved = 0;
-        self.deferred_moves.retain_mut(|(start, rem)| {
-            let due = if *start > t_end {
-                0
-            } else {
-                (t_end - *start).min(*rem)
-            };
-            moved += due;
-            *start += due;
-            *rem -= due;
-            *rem > 0
-        });
-        self.stats.bytes_moved += moved;
-        // Likewise the send-side counters `settle_run` cut back to the
-        // previous deadline.
         for ch in self.parked_lanes.drain(..) {
             let lane = &mut self.lanes[ch.0 as usize];
-            let back = lane.resume();
+            let (unsent, unarrived) = lane.resume();
+            self.stats.bytes_moved += unarrived;
             if let NodeRef::Host(h) = lane.src().node {
-                self.adapters[h.0 as usize].counters.bytes_sent += back;
+                self.adapters[h.0 as usize].counters.bytes_sent += unsent;
             }
         }
         self.scheduler.at(t_end, Event::Stop);
@@ -443,15 +408,15 @@ impl Network {
 
     /// Run epilogue, the run stopped at `horizon`: resolve the tick's
     /// deferred trace attributions, mirror the event counters and settle
-    /// the send-side counters.
+    /// the span counters.
     pub(crate) fn end_run(&mut self, horizon: SimTime) {
         self.flush_ctrl_trace();
         self.sync_event_stats();
         self.settle_run(horizon);
     }
 
-    /// Execute one popped event. Returns true when the run is over: the
-    /// deadline Stop fired.
+    /// Execute one popped event. Returns true when it was the run's
+    /// deadline Stop.
     pub(crate) fn dispatch(&mut self, t: SimTime, ev: Event) -> bool {
         if let Some(&(t0, _, _)) = self.pending_ctrl_trace.first() {
             if t > t0 {
@@ -459,7 +424,7 @@ impl Network {
             }
         }
         match ev {
-            Event::Stop => return t >= self.run_deadline,
+            Event::Stop => return true,
             Event::TxKick { ch, gen } => self.handle_tx_kick(ch, gen),
             Event::RxByte { ch, byte } => self.handle_rx_byte(ch, byte),
             Event::RxSpan { ch } => self.handle_rx_span(ch),
@@ -476,15 +441,15 @@ impl Network {
         false
     }
 
-    /// A run ends at `horizon`: a span is credited to its lane's
-    /// `bytes_carried` (and its adapter's `bytes_sent`) whole at emission,
-    /// so cut both back to the bytes whose send slots have passed — what
-    /// the per-byte engine reads there. `begin_run` restores the rest.
+    /// A run ends at `horizon`: park every lane's span bytes whose slots
+    /// lie at or past it ([`Lane::settle`]), out of `bytes_moved` and the
+    /// adapters' `bytes_sent` as well. `begin_run` restores them.
     fn settle_run(&mut self, horizon: SimTime) {
         for lane in &mut self.lanes {
-            let unsent = lane.settle(horizon);
-            if unsent > 0 {
+            let (unsent, unarrived) = lane.settle(horizon);
+            if unsent + unarrived > 0 {
                 self.parked_lanes.push(lane.id());
+                self.stats.bytes_moved -= unarrived;
                 if let NodeRef::Host(h) = lane.src().node {
                     self.adapters[h.0 as usize].counters.bytes_sent -= unsent;
                 }

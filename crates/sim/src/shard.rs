@@ -37,7 +37,7 @@
 
 use crate::config::ConfigError;
 use crate::deadlock;
-use crate::engine::{CtrlSym, Event, HostId, SwitchId};
+use crate::engine::{CtrlSym, Event};
 use crate::link::{ChanId, NodeRef};
 use crate::network::{Delivery, MessageLog, MessageRecord, NetStats, Network, RunOutcome};
 use crate::slab::PerWorm;
@@ -508,10 +508,6 @@ impl ShardedNetwork {
         });
         let end_time = ends.into_iter().max().unwrap_or(t_end);
         let stats = self.stats();
-        // A sequential run reports "drained" when its queue empties; the
-        // merged equivalent is global quiescence (a shard's queue alone
-        // says nothing — its work may be parked in a peer's mailbox).
-        let drained = self.is_quiescent();
         let deadlock = if stats.active_worms > 0 {
             deadlock::analyze_multi(&self.nets, &self.switch_owner, &self.host_owner)
         } else {
@@ -519,7 +515,7 @@ impl ShardedNetwork {
         };
         RunOutcome {
             end_time,
-            drained,
+            drained: self.is_quiescent(),
             deadlock,
             stats,
         }
@@ -643,18 +639,6 @@ impl ShardedNetwork {
     /// install sources on the right shard).
     pub fn host_owner(&self) -> &[u32] {
         &self.host_owner
-    }
-
-    /// Resolve a host's owning shard engine mutably (e.g. to install a
-    /// protocol or source after construction).
-    pub fn net_of_host_mut(&mut self, host: HostId) -> &mut Network {
-        let s = self.host_owner[host.0 as usize] as usize;
-        &mut self.nets[s]
-    }
-
-    /// Owning shard of each switch.
-    pub fn switch_owner_of(&self, sw: SwitchId) -> u32 {
-        self.switch_owner[sw.0 as usize]
     }
 }
 

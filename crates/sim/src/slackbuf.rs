@@ -110,14 +110,6 @@ impl SlackBuf {
         self.runs.front().map(|(b, _)| b)
     }
 
-    /// The front byte and how many copies of it lead the buffer. For a
-    /// `Data` byte that is the whole contiguous run of the worm's data at
-    /// the front: every way in merges adjacent data bytes.
-    #[inline]
-    pub fn front_run(&self) -> Option<(WireByte, u64)> {
-        self.runs.front().copied()
-    }
-
     /// The byte at offset `i` from the front.
     pub fn get(&self, i: usize) -> Option<&WireByte> {
         let mut i = i as u64;
@@ -170,7 +162,7 @@ mod tests {
             buf.runs().map(|(_, n)| n).sum::<u64>(),
             reference.len() as u64
         );
-        if let Some((b, n)) = buf.front_run() {
+        if let Some((b, n)) = buf.runs().next() {
             assert_eq!(Some(&b), reference.front());
             assert!(reference.iter().take(n as usize).all(|r| *r == b));
             // ...and the run is maximal: what follows it does not merge.
@@ -266,7 +258,7 @@ mod tests {
         buf.push_back_run(byte(4, ByteKind::Data), 5);
         assert_eq!(buf.pop_front_run(3), 3);
         buf.push_front_run(byte(4, ByteKind::Data), 3);
-        assert_eq!(buf.front_run(), Some((byte(4, ByteKind::Data), 5)));
+        assert_eq!(buf.runs().next(), Some((byte(4, ByteKind::Data), 5)));
         assert_eq!(buf.runs().count(), 1);
     }
 }

@@ -303,18 +303,9 @@ impl Network {
             Some(front) => self.paced_piece(ch, front),
         };
         self.lanes[ch.0 as usize].note_span_landed(&span);
-        // Credit `bytes_moved` per-byte-exactly: byte `j` of the span
-        // conceptually arrives at `now + j`, and only arrivals strictly
-        // before the run deadline count — its per-byte twin would sort
-        // behind the deadline's Stop event ([`Event::canon_key`]) and fire
-        // next run. The tail is credited by whichever later run covers it.
-        let now = self.scheduler.now();
-        let counted = span.len.min(self.run_deadline.saturating_sub(now));
-        self.stats.bytes_moved += counted;
-        if counted < span.len {
-            self.deferred_moves
-                .push((now + counted, span.len - counted));
-        }
+        // Credited whole: the end of the run parks the bytes still
+        // arriving ([`Lane::settle`]).
+        self.stats.bytes_moved += span.len;
         debug_assert!(
             self.flushed_count == 0,
             "spans and flushes cannot coexist (`span_refused` under IdleFlush)"
@@ -1108,5 +1099,46 @@ mod tests {
         assert_eq!(inp.occupancy() as usize, mark + 4);
         let second = inp.buf.get(mark).map(|b| b.kind);
         assert_eq!(second, Some(ByteKind::Route(RouteSym::Port(7))));
+    }
+
+    /// Receiver pacing needs a quiet control wire as well as an input
+    /// below its STOP mark: a STOP already on its way would land on a span
+    /// sent a wire's worth long (DESIGN.md §3.1, *Receiver-paced spans*).
+    /// On [`held_head_net`]'s trunk the sender's rules admit less than the
+    /// wire at 1 005, with the input far below its mark, and a paced span
+    /// goes out then. Put a STOP and its GO on the trunk's control wire at
+    /// 1 000, landing at 1 100 and 1 110, and no span sent before the GO
+    /// lands is paced.
+    #[test]
+    fn no_span_is_paced_while_a_stop_is_on_the_control_wire() {
+        let armed = [(1_100, CtrlSym::Stop), (1_110, CtrlSym::Go)];
+        let window = 1_000..1_110;
+        for arm in [false, true] {
+            let (mut net, trunk) = held_head_net(1_000, SimMode::SpanBatched, [3_000, 2_000]);
+            net.advance_to(window.start);
+            if arm {
+                for (at, sym) in armed {
+                    net.lanes[trunk.0 as usize].note_ctrl_sent();
+                    net.scheduler.at(at, Event::CtrlRx { ch: trunk, sym });
+                }
+            }
+            assert!(!net.switches[1].inputs[0].sent_stop);
+            // The first paced span (or piece) sent in the window, looked
+            // for at the front of the trunk after every event: every span
+            // reaches it before it lands.
+            let mut first = None;
+            net.begin_run(8_000);
+            loop {
+                let (t, ev) = net.scheduler.pop().expect("the deadline's Stop is queued");
+                if net.dispatch(t, ev) {
+                    net.end_run(t);
+                    break;
+                }
+                let front = net.lane(trunk).paced_front().map(|span| span.start);
+                first = first.or(front.filter(|start| window.contains(start)));
+            }
+            assert_eq!(net.stats.worms_delivered, 2, "armed: {arm}");
+            assert_eq!(first, (!arm).then_some(1_005), "armed: {arm}");
+        }
     }
 }

@@ -237,11 +237,6 @@ impl Switch {
         }
     }
 
-    /// Number of physical ports.
-    pub fn num_ports(&self) -> u8 {
-        self.port_lanes.len() as u8
-    }
-
     /// Number of port slots (sum of lanes over physical ports).
     pub fn num_slots(&self) -> u8 {
         self.slot_port.len() as u8
@@ -419,37 +414,22 @@ impl Network {
     /// otherwise queues the request for round-robin arbitration.
     pub(crate) fn switch_request_output(&mut self, sw: SwitchId, out: u8, in_port: u8) {
         let granted = {
-            let n = self.switches[sw.0 as usize].lanes_of(out);
-            if n == 1 {
-                // Single-lane fast path: the historical grant-or-queue,
-                // no lane choice to make.
-                let swm = &mut self.switches[sw.0 as usize];
-                let slot = swm.slot_of(out, 0);
-                let outp = &mut swm.outputs[slot as usize];
-                if outp.owner.is_none() {
-                    outp.owner = Some(in_port);
-                    Some(slot)
-                } else {
+            let swm = &mut self.switches[sw.0 as usize];
+            let n = swm.lanes_of(out);
+            let base = swm.slot_of(out, 0);
+            let outputs = &swm.outputs;
+            let picked = swm.arbs[out as usize].lane_rr.pick(n, |lane| {
+                let o = &outputs[(base + lane) as usize];
+                o.owner.is_none() && o.chan_out.is_some()
+            });
+            match picked {
+                Some(lane) => {
+                    swm.outputs[(base + lane) as usize].owner = Some(in_port);
+                    Some(base + lane)
+                }
+                None => {
                     swm.arbs[out as usize].waiting.push(in_port);
                     None
-                }
-            } else {
-                let swm = &mut self.switches[sw.0 as usize];
-                let base = swm.slot_of(out, 0);
-                let outputs = &swm.outputs;
-                let picked = swm.arbs[out as usize].lane_rr.pick(n, |lane| {
-                    let o = &outputs[(base + lane) as usize];
-                    o.owner.is_none() && o.chan_out.is_some()
-                });
-                match picked {
-                    Some(lane) => {
-                        swm.outputs[(base + lane) as usize].owner = Some(in_port);
-                        Some(base + lane)
-                    }
-                    None => {
-                        swm.arbs[out as usize].waiting.push(in_port);
-                        None
-                    }
                 }
             }
         };
@@ -963,7 +943,6 @@ mod tests {
     #[test]
     fn slot_layout_is_contiguous_per_port() {
         let sw = Switch::new(SwitchId(0), &[1, 2, 1], SlackCfg::for_delay(1), 0);
-        assert_eq!(sw.num_ports(), 3);
         assert_eq!(sw.num_slots(), 4);
         assert_eq!(sw.slot_of(0, 0), 0);
         assert_eq!(sw.slot_of(1, 0), 1);

@@ -108,23 +108,6 @@ pub enum TraceEvent {
     GoReceived { ch: ChanId, lane: u8 },
 }
 
-impl TraceEvent {
-    /// The host this event concerns, if it is host-scoped.
-    fn host(&self) -> Option<HostId> {
-        match self {
-            TraceEvent::WormInjected { host, .. }
-            | TraceEvent::WormReceived { host, .. }
-            | TraceEvent::WormRefused { host, .. }
-            | TraceEvent::WormCorrupt { host, .. }
-            | TraceEvent::WormFlushed { host, .. }
-            | TraceEvent::FragmentParked { host, .. }
-            | TraceEvent::FragmentResumed { host, .. }
-            | TraceEvent::Delivered { host, .. } => Some(*host),
-            _ => None,
-        }
-    }
-}
-
 /// The trace recorder: a no-op when disabled, an in-memory log or a
 /// bounded ring otherwise.
 #[derive(Clone, Debug)]
@@ -221,25 +204,6 @@ impl Trace {
         self.events().is_empty()
     }
 
-    /// All events concerning a particular host, in time order.
-    pub fn for_host(&self, host: HostId) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.events()
-            .iter()
-            .filter(move |(_, e)| e.host() == Some(host))
-    }
-
-    /// The sequence of message deliveries observed at `host`, in time order.
-    /// Used by total-ordering checks.
-    pub fn delivery_order(&self, host: HostId) -> Vec<MessageId> {
-        self.events()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                TraceEvent::Delivered { msg, host: h } if *h == host => Some(*msg),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Serialize the trace as JSON Lines, one event per line, in the
     /// canonical order of [`Trace::write_jsonl`]. The output buffer is
     /// sized to the rendered bytes before it is filled.
@@ -288,13 +252,6 @@ impl Trace {
         });
         (arena, index)
     }
-}
-
-/// Format one event as a JSONL line. Thin wrapper over [`render_line`].
-pub fn jsonl_line(t: SimTime, ev: &TraceEvent) -> String {
-    let mut s = String::with_capacity(64);
-    render_line(&mut s, t, ev);
-    s
 }
 
 /// The longest line [`render_line`] can produce: a `fragment-resumed` with
@@ -431,36 +388,10 @@ fn push_u64(s: &mut String, mut x: u64) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn delivery_order_filters_by_host() {
-        let mut t = Trace::default();
-        t.push(1, TraceEvent::Delivered {
-            msg: MessageId(10),
-            host: HostId(0),
-        });
-        t.push(2, TraceEvent::Delivered {
-            msg: MessageId(11),
-            host: HostId(1),
-        });
-        t.push(3, TraceEvent::Delivered {
-            msg: MessageId(12),
-            host: HostId(0),
-        });
-        assert_eq!(t.delivery_order(HostId(0)), vec![MessageId(10), MessageId(12)]);
-        assert_eq!(t.delivery_order(HostId(1)), vec![MessageId(11)]);
-    }
-
-    #[test]
-    fn for_host_ignores_channel_events() {
-        let mut t = Trace::default();
-        t.push(1, TraceEvent::StopInForce { ch: ChanId(0), lane: 0 });
-        t.push(2, TraceEvent::WormInjected {
-            worm: 0,
-            host: HostId(3),
-        });
-        assert_eq!(t.for_host(HostId(3)).count(), 1);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+    fn line(t: SimTime, ev: &TraceEvent) -> String {
+        let mut s = String::new();
+        render_line(&mut s, t, ev);
+        s
     }
 
     #[test]
@@ -517,7 +448,7 @@ mod tests {
             events.push(TraceEvent::WormBlocked { worm: w, cause });
             events.push(TraceEvent::WormResumed { worm: w, cause });
         }
-        let widest = events.iter().map(|e| jsonl_line(w, e).len()).max();
+        let widest = events.iter().map(|e| line(w, e).len()).max();
         assert_eq!(widest, Some(MAX_LINE));
     }
 
@@ -561,12 +492,6 @@ mod tests {
         let times: Vec<SimTime> = t.events().iter().map(|&(at, _)| at).collect();
         let tail: Vec<SimTime> = ((total - capacity) as SimTime..total as SimTime).collect();
         assert_eq!(times, tail);
-        assert_eq!(t.for_host(HostId(1)).count(), 4);
-        assert_eq!(t.delivery_order(HostId(0)), vec![
-            MessageId(64),
-            MessageId(66),
-            MessageId(68)
-        ]);
         assert_eq!(t.to_jsonl().lines().count(), capacity);
         let mut merged = Trace::new(TraceConfig::Ring { capacity });
         merged.absorb(&t);
@@ -592,7 +517,7 @@ mod tests {
 
     #[test]
     fn jsonl_line_shapes() {
-        let line = jsonl_line(3, &TraceEvent::WormBlocked {
+        let blocked = line(3, &TraceEvent::WormBlocked {
             worm: 4,
             cause: BlockCause::OutputBusy {
                 switch: SwitchId(2),
@@ -600,15 +525,15 @@ mod tests {
             },
         });
         assert_eq!(
-            line,
+            blocked,
             "{\"t\":3,\"ev\":\"blocked\",\"worm\":4,\"cause\":\"output-busy\",\"switch\":2,\"out\":5}"
         );
-        let line = jsonl_line(9, &TraceEvent::WormResumed {
+        let resumed = line(9, &TraceEvent::WormResumed {
             worm: 4,
             cause: BlockCause::StopBackpressure { ch: ChanId(1) },
         });
         assert_eq!(
-            line,
+            resumed,
             "{\"t\":9,\"ev\":\"resumed\",\"worm\":4,\"cause\":\"stop\",\"ch\":1}"
         );
     }

@@ -29,19 +29,6 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64, ci: f64) {
         self.points.push(Point { x, y, ci });
     }
-
-    /// The y value at the x closest to `x` (for crossover checks in tests).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .min_by(|a, b| {
-                (a.x - x)
-                    .abs()
-                    .partial_cmp(&(b.x - x).abs())
-                    .expect("no NaN")
-            })
-            .map(|p| p.y)
-    }
 }
 
 /// Render a figure (several series over a shared x axis) as an aligned
@@ -86,16 +73,6 @@ pub fn format_table(title: &str, x_label: &str, y_label: &str, series: &[Series]
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn y_at_picks_nearest() {
-        let mut s = Series::new("a");
-        s.push(0.05, 100.0, 0.0);
-        s.push(0.10, 200.0, 0.0);
-        assert_eq!(s.y_at(0.06), Some(100.0));
-        assert_eq!(s.y_at(0.09), Some(200.0));
-        assert_eq!(Series::new("empty").y_at(1.0), None);
-    }
 
     #[test]
     fn table_includes_all_series_and_gaps() {

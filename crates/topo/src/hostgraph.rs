@@ -57,11 +57,6 @@ impl HostGraph {
         }
         total + self.hops(*order.last().unwrap(), order[0])
     }
-
-    /// Total hop weight of a set of tree edges `(parent, child)`.
-    pub fn tree_weight(&self, edges: &[(HostId, HostId)]) -> u32 {
-        edges.iter().map(|&(p, c)| self.hops(p, c)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -103,12 +98,5 @@ mod tests {
         // 0->1 (2) + 1->2 (2) + 2->0 (3).
         assert_eq!(g.circuit_length(&order), 7);
         assert_eq!(g.circuit_length(&order[..1]), 0);
-    }
-
-    #[test]
-    fn tree_weight_sums_edges() {
-        let g = line3();
-        let edges = [(HostId(0), HostId(1)), (HostId(0), HostId(2))];
-        assert_eq!(g.tree_weight(&edges), 2 + 3);
     }
 }

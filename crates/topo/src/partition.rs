@@ -19,7 +19,6 @@
 //!   cut, useful only as an adversarial stress plan for determinism tests.
 
 use crate::graph::Topology;
-use wormcast_sim::time::SimTime;
 
 /// A mapping of switches (and, derived, hosts) onto `num_shards` shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -171,15 +170,6 @@ impl ShardPlan {
             .collect()
     }
 
-    /// The conservative lookahead this plan supports: the minimum delay
-    /// over all cut links. `None` when no link is cut (single shard).
-    pub fn cut_lookahead(&self, topo: &Topology) -> Option<SimTime> {
-        self.cut_links(topo)
-            .into_iter()
-            .map(|i| topo.links[i].delay)
-            .min()
-    }
-
     /// Check the plan against a topology: length matches, and no cut link
     /// has zero delay (zero-delay cuts give zero lookahead — the parallel
     /// engine cannot make conservative progress across them).
@@ -229,7 +219,6 @@ mod tests {
         // Cut = 2 rows + 2 columns of torus links (wraparound makes the
         // grid boundaries cross twice per axis): 4*8 = 32 links.
         assert_eq!(p.cut_links(&t).len(), 32);
-        assert_eq!(p.cut_lookahead(&t), Some(1));
     }
 
     #[test]
@@ -240,7 +229,6 @@ mod tests {
         for s in 0..2 {
             assert_eq!(p.switch_shard().iter().filter(|&&x| x == s).count(), 8);
         }
-        assert_eq!(p.cut_lookahead(&t), Some(2));
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl MulticastTree {
         }
         go(self, self.root)
     }
-
-    /// Maximum fan-out of any node.
-    pub fn max_fanout(&self) -> usize {
-        self.children.values().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Heap layout: sorted node `i`'s children are `d*i + 1 ..= d*i + d`.
@@ -257,7 +252,7 @@ mod tests {
         let m = ids(&[3, 1, 8]);
         let t = MulticastTree::build(&m, TreeShape::Star, None);
         assert_eq!(t.depth(), 1);
-        assert_eq!(t.max_fanout(), 2);
+        assert_eq!(t.children(HostId(1)).len(), 2);
         assert_eq!(t.parent(HostId(8)), Some(HostId(1)));
     }
 
@@ -295,7 +290,7 @@ mod tests {
     fn dary_heap_fanout_bounded() {
         let m: Vec<HostId> = (0..20).map(HostId).collect();
         let t = MulticastTree::build(&m, TreeShape::DAryHeap(4), None);
-        assert!(t.max_fanout() <= 4);
+        assert!(m.iter().all(|&h| t.children(h).len() <= 4));
         assert!(t.respects_id_order());
     }
 }

@@ -9,6 +9,7 @@
 use wormcast::core::switchcast::SwitchcastVariant;
 use wormcast::sim::deadlock::DeadlockReport;
 use wormcast::sim::engine::HostId;
+use wormcast::sim::link::Lane;
 use wormcast::sim::network::{NetStats, SimMode};
 use wormcast::sim::protocol::{AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec};
 use wormcast::sim::trace::TraceConfig;
@@ -119,7 +120,7 @@ pub struct Twin {
 ///   simultaneous byte arrivals into one event legitimately permutes the
 ///   processing order *within* a tick, while the timestamps must match;
 /// - `NetStats` with the engine-cost counters masked, and every lane's
-///   `bytes_carried` and every adapter's `bytes_sent`;
+///   statistics but `in_flight` and every adapter's `bytes_sent`;
 /// - whether the runs drained, and whether they reached a deadlock
 ///   verdict; a clean conservation audit of every run.
 ///
@@ -127,8 +128,8 @@ pub struct Twin {
 /// too, down to the scheduled-event count (the fast path stays live with
 /// a sink attached). Last, an untraced pair steps through the run in
 /// lockstep, one byte-time at a time (`Network::advance_to`), and at
-/// every horizon agrees on `bytes_moved` and on each lane's and adapter's
-/// byte counters: a deadline that falls inside a span counts only the
+/// every horizon agrees on `bytes_moved` and on the same lane and adapter
+/// counters: a deadline that falls inside a span counts only the
 /// bytes whose slots have passed, and a byte that leaves or lands a
 /// byte-time early shows even when a later event sets the delivery time.
 /// Event counts come from the unstepped runs: each step schedules a
@@ -200,11 +201,11 @@ pub fn assert_modes_agree(
     for t in 1..=deadline {
         a.advance_to(t);
         b.advance_to(t);
-        if a.stats.bytes_moved != b.stats.bytes_moved || !same_sent(&a, &b) {
+        if a.stats.bytes_moved != b.stats.bytes_moved || !same_counters(&a, &b) {
             assert_eq!(
-                (a.stats.bytes_moved, sent(&a)),
-                (b.stats.bytes_moved, sent(&b)),
-                "{label}: (bytes_moved, (bytes_carried per lane, bytes_sent per adapter)) diverged at t={t}"
+                (a.stats.bytes_moved, counters(&a)),
+                (b.stats.bytes_moved, counters(&b)),
+                "{label}: (bytes_moved, {COUNTERS}) diverged at t={t}"
             );
         }
     }
@@ -284,24 +285,41 @@ pub fn deliveries(net: &Network) -> Vec<(u64, u32, u64)> {
     out
 }
 
-/// Data bytes each lane has carried and each adapter has sent, as the
-/// statistics readers see them.
-fn sent(net: &Network) -> (Vec<u64>, Vec<u64>) {
+/// What [`counters`] holds, for failure messages.
+const COUNTERS: &str =
+    "((bytes_carried, idles_carried, stalls, stall_total, stopped) per lane, bytes_sent per adapter)";
+
+/// A lane's [`Lane::stats`] but `in_flight`, which counts a span's bytes
+/// from its emission on.
+type LaneCounters = (u64, u64, u64, u64, bool);
+
+/// `lane`'s [`LaneCounters`].
+fn lane_counters(lane: &Lane) -> LaneCounters {
+    let s = lane.stats();
     (
-        net.lanes()
-            .iter()
-            .map(|l| l.stats().bytes_carried)
-            .collect(),
+        s.bytes_carried,
+        s.idles_carried,
+        s.stalls,
+        s.stall_total,
+        s.stopped,
+    )
+}
+
+/// Every lane's [`lane_counters`] and every adapter's `bytes_sent`, as the
+/// statistics readers see them.
+fn counters(net: &Network) -> (Vec<LaneCounters>, Vec<u64>) {
+    (
+        net.lanes().iter().map(lane_counters).collect(),
         net.adapters.iter().map(|a| a.counters.bytes_sent).collect(),
     )
 }
 
-/// [`sent`] of both networks agrees, compared without collecting: the
+/// [`counters`] of both networks agree, compared without collecting: the
 /// lockstep pair asks at every byte-time.
-fn same_sent(a: &Network, b: &Network) -> bool {
+fn same_counters(a: &Network, b: &Network) -> bool {
     let (la, lb) = (a.lanes(), b.lanes());
     let (aa, ab) = (&a.adapters, &b.adapters);
-    (0..la.len()).all(|i| la[i].stats().bytes_carried == lb[i].stats().bytes_carried)
+    (0..la.len()).all(|i| lane_counters(&la[i]) == lane_counters(&lb[i]))
         && (0..aa.len()).all(|i| aa[i].counters.bytes_sent == ab[i].counters.bytes_sent)
 }
 
@@ -315,9 +333,9 @@ fn assert_same_end(a: &Network, b: &Network, label: &str, what: &str) {
         "{label}: {what} delivery records diverged between engine modes"
     );
     assert_eq!(
-        sent(a),
-        sent(b),
-        "{label}: {what} (bytes_carried per lane, bytes_sent per adapter) diverged between engine modes"
+        counters(a),
+        counters(b),
+        "{label}: {what} {COUNTERS} diverged between engine modes"
     );
     assert_eq!(
         masked(&a.stats),
