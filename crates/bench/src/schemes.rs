@@ -155,12 +155,12 @@ impl Scheme {
                 // The directives follow the network's routes unless only
                 // they are confined to the tree (V3).
                 let restrict = fabric.restrict_directives;
-                let tree_routes;
+                let mut tree_routes;
                 let routes = if restrict == fabric.restrict_routes {
-                    net.routes()
+                    net.routes_mut()
                 } else {
                     tree_routes = ud.route_table(topo, restrict);
-                    &tree_routes
+                    &mut tree_routes
                 };
                 let tables = Arc::new(SwitchcastTables::build(topo, ud, routes, membership, restrict));
                 net.set_broadcast_ports(SwitchcastTables::broadcast_ports(topo, ud));

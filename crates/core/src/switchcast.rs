@@ -106,7 +106,7 @@ impl SwitchcastTables {
     pub fn build(
         topo: &Topology,
         ud: &UpDown,
-        routes: &RouteTable,
+        routes: &mut RouteTable,
         membership: &Membership,
         restrict: bool,
     ) -> Self {
@@ -141,11 +141,12 @@ impl SwitchcastTables {
             t.from_root.insert(g, (enc, d.num_leaves() as u32));
             // Directive from each member origin over the others (V1/V3).
             for &origin in members {
-                let paths: Vec<&[u8]> = members
+                let paths: Vec<Vec<u8>> = members
                     .iter()
                     .filter(|&&m| m != origin)
-                    .map(|&m| routes.get(origin, m))
+                    .map(|&m| routes.get(origin, m).to_vec())
                     .collect();
+                let paths: Vec<&[u8]> = paths.iter().map(Vec::as_slice).collect();
                 if paths.is_empty() {
                     continue; // singleton group
                 }
@@ -374,8 +375,8 @@ mod tests {
         membership: &Membership,
         restrict: bool,
     ) -> Arc<SwitchcastTables> {
-        let routes = ud.route_table(topo, restrict);
-        Arc::new(SwitchcastTables::build(topo, ud, &routes, membership, restrict))
+        let mut routes = ud.route_table(topo, restrict);
+        Arc::new(SwitchcastTables::build(topo, ud, &mut routes, membership, restrict))
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::link::{ChanId, Endpoint, Lane, Link, LinkId, NodeRef, PortId};
 use crate::network::{Network, NetworkConfig};
 use crate::switch::{SlackCfg, Switch};
 use crate::time::SimTime;
+use std::fmt;
 
 /// Where a host attaches to the fabric.
 #[derive(Clone, Copy, Debug)]
@@ -37,35 +38,104 @@ pub struct FabricSpec {
     pub host_link_delay: SimTime,
 }
 
-/// Unicast source routes for every ordered host pair.
-#[derive(Clone, Debug, Default)]
+/// Where a [`RouteTable`] takes the routes it was not given by hand: a
+/// route's length without walking it, and the route itself, walked once
+/// per pair on the table's first [`RouteTable::get`] of it.
+pub trait RouteSource: fmt::Debug + Send {
+    /// Ports on the route from `src` to `dst` (0 when `src == dst`).
+    fn hops(&self, src: HostId, dst: HostId) -> usize;
+    /// Append the route from `src` to `dst` (`src != dst`) to `out`.
+    fn walk(&self, src: HostId, dst: HostId, out: &mut Vec<u8>);
+}
+
+/// Unicast source routes for every ordered host pair, as data: the routes
+/// taken so far lie back to back in one byte arena, and a per-pair index
+/// says where. [`RouteTable::set`] fills it by hand; a table with a
+/// [`RouteSource`] walks a pair's route into the arena the first time
+/// [`RouteTable::get`] asks for it, so a run pays only for the pairs its
+/// traffic uses, and answers [`RouteTable::hops`] without walking.
+#[derive(Debug, Default)]
 pub struct RouteTable {
-    table: Vec<Vec<Vec<u8>>>,
+    num_hosts: usize,
+    arena: Vec<u8>,
+    /// Per ordered pair `src * num_hosts + dst`: its route's `start <<
+    /// LEN_BITS | len` in `arena`, 0 until it is set or walked. All zeros
+    /// at first, so the pages of pairs never asked for stay untouched.
+    index: Vec<u64>,
+    source: Option<Box<dyn RouteSource>>,
+}
+
+/// Bits of an index entry that hold the route's length.
+const LEN_BITS: u32 = 16;
+
+/// The index entry of a route at `arena[start..end]`.
+fn entry(start: usize, end: usize) -> u64 {
+    let len = end - start;
+    assert!(len < 1 << LEN_BITS, "a route of {len} ports");
+    (start as u64) << LEN_BITS | len as u64
+}
+
+/// The arena range of an index entry.
+fn range(entry: u64) -> std::ops::Range<usize> {
+    let start = (entry >> LEN_BITS) as usize;
+    start..start + (entry & ((1 << LEN_BITS) - 1)) as usize
 }
 
 impl RouteTable {
+    /// An empty table, to be filled by [`RouteTable::set`].
     pub fn new(num_hosts: usize) -> Self {
         RouteTable {
-            table: vec![vec![Vec::new(); num_hosts]; num_hosts],
+            num_hosts,
+            index: vec![0; num_hosts * num_hosts],
+            ..Default::default()
+        }
+    }
+
+    /// A table whose routes `source` walks on first use.
+    pub fn with_source(num_hosts: usize, source: Box<dyn RouteSource>) -> Self {
+        RouteTable {
+            source: Some(source),
+            ..Self::new(num_hosts)
         }
     }
 
     pub fn num_hosts(&self) -> usize {
-        self.table.len()
+        self.num_hosts
+    }
+
+    fn pair(&self, src: HostId, dst: HostId) -> usize {
+        src.0 as usize * self.num_hosts + dst.0 as usize
     }
 
     pub fn set(&mut self, src: HostId, dst: HostId, ports: Vec<u8>) {
-        self.table[src.0 as usize][dst.0 as usize] = ports;
+        let (pair, start) = (self.pair(src, dst), self.arena.len());
+        self.arena.extend_from_slice(&ports);
+        self.index[pair] = entry(start, self.arena.len());
     }
 
-    /// The output-port sequence from `src`'s switch to `dst`'s host port.
-    pub fn get(&self, src: HostId, dst: HostId) -> &[u8] {
-        &self.table[src.0 as usize][dst.0 as usize]
+    /// The output-port sequence from `src`'s switch to `dst`'s host port,
+    /// walked into the arena on the pair's first use: the arena's amortised
+    /// growth is the only allocation a route costs.
+    pub fn get(&mut self, src: HostId, dst: HostId) -> &[u8] {
+        let pair = self.pair(src, dst);
+        if let Some(source) = &self.source {
+            if self.index[pair] == 0 && src != dst {
+                let start = self.arena.len();
+                source.walk(src, dst, &mut self.arena);
+                self.index[pair] = entry(start, self.arena.len());
+            }
+        }
+        &self.arena[range(self.index[pair])]
     }
 
-    /// Hop count (number of switches traversed) between two hosts.
+    /// Ports on the route from `src` to `dst` (switches traversed), read
+    /// from the index or the source: never a walk.
     pub fn hops(&self, src: HostId, dst: HostId) -> usize {
-        self.get(src, dst).len()
+        let entry = self.index[self.pair(src, dst)];
+        match &self.source {
+            Some(source) if entry == 0 => source.hops(src, dst),
+            _ => range(entry).len(),
+        }
     }
 }
 

@@ -191,8 +191,9 @@ impl Network {
                     "no route from {host:?} to {:?}",
                     spec.dest
                 );
-                // Reuse a recycled route buffer: steady-state injection
-                // performs no allocator calls.
+                // Reuse a recycled route buffer: once a pair's route is
+                // in the table, injecting on it performs no allocator
+                // calls.
                 let mut buf = self.route_pool.take();
                 buf.extend(ports.iter().map(|&p| RouteSym::Port(p)));
                 buf

@@ -71,8 +71,8 @@ pub mod prelude {
         SpanInFlight, TxPort,
     };
     pub use crate::network::{
-        FabricSpec, HostAttach, LinkSpec, NetStats, Network, NetworkConfig, RouteTable,
-        RunOutcome, SimMode,
+        FabricSpec, HostAttach, LinkSpec, NetStats, Network, NetworkConfig, RouteSource,
+        RouteTable, RunOutcome, SimMode,
     };
     pub use crate::protocol::{
         AdapterProtocol, Admission, Command, Destination, ProtocolCtx, SendSpec, SourceMessage,

@@ -178,6 +178,9 @@ pub struct Lane {
     /// at, `(unsent, unarrived)`; back in the counters while a run is
     /// under way.
     parked: (u64, u64),
+    /// True while the network lists this lane for a run's end to settle
+    /// ([`Lane::enlist`]).
+    listed: bool,
     /// Total IDLE fill bytes carried (wasted bandwidth, Section 3).
     idles_carried: u64,
     /// Control symbols on the wire toward this lane's transmitter: `+1`
@@ -234,6 +237,7 @@ impl Lane {
             in_flight: 0,
             bytes_carried: 0,
             parked: (0, 0),
+            listed: false,
             idles_carried: 0,
             ctrl_in_flight: 0,
             delivered_end: 0,
@@ -383,6 +387,10 @@ impl Lane {
     /// newest landed span (the caller takes it out of `bytes_moved`). The
     /// counters then read what the per-byte engine reads there. Returns
     /// `(unsent, unarrived)`.
+    ///
+    /// The lane stays listed ([`Lane::is_listed`]) while a later deadline
+    /// may still cut something off without another span emitted or landed:
+    /// while it parked bytes, or a span is still on the wire.
     pub(crate) fn settle(&mut self, horizon: SimTime) -> (u64, u64) {
         debug_assert_eq!(self.parked, (0, 0), "settled twice without a run between");
         let unsent = self.next_tx_time.saturating_sub(horizon);
@@ -393,7 +401,23 @@ impl Lane {
         };
         self.bytes_carried -= unsent;
         self.parked = (unsent, unarrived);
+        self.listed = self.parked != (0, 0) || !self.spans.is_empty();
         self.parked
+    }
+
+    /// A span left or landed on this lane, so a run's end may have span
+    /// bytes to park here: list it. Returns true if it was not listed yet.
+    /// Only a span's whole credit runs ahead of the clock; a single byte
+    /// sent before the deadline has left and landed by it.
+    #[inline]
+    pub(crate) fn enlist(&mut self) -> bool {
+        !std::mem::replace(&mut self.listed, true)
+    }
+
+    /// Whether the network lists this lane for a run's end to settle.
+    #[inline]
+    pub(crate) fn is_listed(&self) -> bool {
+        self.listed
     }
 
     /// The next run starts: credit what [`Lane::settle`] parked again (the

@@ -22,7 +22,7 @@ use crate::worm::{ByteKind, MessageId, WireByte, WormId, WormInstance};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-pub use crate::fabric::{FabricSpec, HostAttach, LinkSpec, RouteTable};
+pub use crate::fabric::{FabricSpec, HostAttach, LinkSpec, RouteSource, RouteTable};
 
 /// Link-transmission engine mode.
 ///
@@ -210,11 +210,12 @@ pub struct Network {
     /// mid-tick would make the trace depend on intra-tick event order,
     /// which the span engine deliberately changes.
     pending_ctrl_trace: Vec<(SimTime, ChanId, bool)>,
-    /// The lanes whose counters the last run's end parked
-    /// ([`Lane::settle`]): the next run's prologue resumes these only, so
-    /// a run stepped one byte-time at a time does not walk every lane
-    /// twice per step.
-    parked_lanes: Vec<ChanId>,
+    /// The lanes a run's end settles ([`Lane::enlist`]): each that emitted
+    /// or landed a span since it was last settled, parked bytes there, or
+    /// still has a span on the wire. The next run's prologue resumes the
+    /// same lanes, so a run stepped one byte-time at a time walks only the
+    /// lanes spans are crossing, not every lane twice per step.
+    span_lanes: Vec<ChanId>,
     /// Present when this network instance executes one shard of a
     /// [`crate::shard::ShardedNetwork`]: channel-endpoint ownership,
     /// outbound mailboxes and the worm tag registry. `None` (the
@@ -272,7 +273,7 @@ impl Network {
             next_worm_seq: vec![0; num_hosts],
             cmd_scratch: Vec::new(),
             pending_ctrl_trace: Vec::new(),
-            parked_lanes: Vec::new(),
+            span_lanes: Vec::new(),
             shard: None,
             pending_injects: 0,
             pending_timers: 0,
@@ -314,6 +315,12 @@ impl Network {
 
     pub fn routes(&self) -> &RouteTable {
         &self.routes
+    }
+
+    /// The route table, for reads that walk a pair on first use
+    /// ([`RouteTable::get`]).
+    pub fn routes_mut(&mut self) -> &mut RouteTable {
+        &mut self.routes
     }
 
     /// Configure, per switch, the output ports a broadcast worm replicates
@@ -395,7 +402,7 @@ impl Network {
     /// restore the counters the last run's end parked and arm the deadline
     /// Stop.
     pub(crate) fn begin_run(&mut self, t_end: SimTime) {
-        for ch in self.parked_lanes.drain(..) {
+        for &ch in &self.span_lanes {
             let lane = &mut self.lanes[ch.0 as usize];
             let (unsent, unarrived) = lane.resume();
             self.stats.bytes_moved += unarrived;
@@ -441,19 +448,29 @@ impl Network {
         false
     }
 
-    /// A run ends at `horizon`: park every lane's span bytes whose slots
-    /// lie at or past it ([`Lane::settle`]), out of `bytes_moved` and the
-    /// adapters' `bytes_sent` as well. `begin_run` restores them.
+    /// A run ends at `horizon`: park the listed lanes' span bytes whose
+    /// slots lie at or past it ([`Lane::settle`]), out of `bytes_moved` and
+    /// the adapters' `bytes_sent` as well, and unlist the lanes nothing
+    /// can be cut off from any more. `begin_run` restores the bytes.
     fn settle_run(&mut self, horizon: SimTime) {
-        for lane in &mut self.lanes {
+        let (lanes, adapters, stats) = (&mut self.lanes, &mut self.adapters, &mut self.stats);
+        self.span_lanes.retain(|&ch| {
+            let lane = &mut lanes[ch.0 as usize];
             let (unsent, unarrived) = lane.settle(horizon);
-            if unsent + unarrived > 0 {
-                self.parked_lanes.push(lane.id());
-                self.stats.bytes_moved -= unarrived;
-                if let NodeRef::Host(h) = lane.src().node {
-                    self.adapters[h.0 as usize].counters.bytes_sent -= unsent;
-                }
+            stats.bytes_moved -= unarrived;
+            if let NodeRef::Host(h) = lane.src().node {
+                adapters[h.0 as usize].counters.bytes_sent -= unsent;
             }
+            lane.is_listed()
+        });
+    }
+
+    /// A span left or landed on `ch`: list the lane for the run's end to
+    /// settle.
+    #[inline]
+    pub(crate) fn list_for_settle(&mut self, ch: ChanId) {
+        if self.lanes[ch.0 as usize].enlist() {
+            self.span_lanes.push(ch);
         }
     }
 

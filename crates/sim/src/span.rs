@@ -265,6 +265,7 @@ impl Network {
             .try_send(now, payload, true)
             .expect("span probe ran at the lane's ready time");
         self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
+        self.list_for_settle(ch);
         if k > room && !paced && certified != u64::MAX {
             // Sent on a finite drain window: the receiving input holds the
             // certificate until the span's last arrival slot has passed.
@@ -303,6 +304,7 @@ impl Network {
             Some(front) => self.paced_piece(ch, front),
         };
         self.lanes[ch.0 as usize].note_span_landed(&span);
+        self.list_for_settle(ch);
         // Credited whole: the end of the run parks the bytes still
         // arriving ([`Lane::settle`]).
         self.stats.bytes_moved += span.len;

@@ -43,20 +43,6 @@ impl HostGraph {
     pub fn hops(&self, a: HostId, b: HostId) -> u32 {
         self.hops[a.0 as usize][b.0 as usize]
     }
-
-    /// Total hop length of a circuit visiting `order` and returning to the
-    /// start (the paper's Figure 8 reports "the hop length for this
-    /// circuit").
-    pub fn circuit_length(&self, order: &[HostId]) -> u32 {
-        if order.len() < 2 {
-            return 0;
-        }
-        let mut total = 0;
-        for w in order.windows(2) {
-            total += self.hops(w[0], w[1]);
-        }
-        total + self.hops(*order.last().unwrap(), order[0])
-    }
 }
 
 #[cfg(test)]
@@ -89,14 +75,5 @@ mod tests {
         assert_eq!(h(1, 0), 2);
         assert_eq!(h(0, 2), 3);
         assert_eq!(h(0, 0), 0);
-    }
-
-    #[test]
-    fn circuit_length_closes_the_loop() {
-        let g = line3();
-        let order = [HostId(0), HostId(1), HostId(2)];
-        // 0->1 (2) + 1->2 (2) + 2->0 (3).
-        assert_eq!(g.circuit_length(&order), 7);
-        assert_eq!(g.circuit_length(&order[..1]), 0);
     }
 }

@@ -18,10 +18,10 @@
 //! Section 3 variant where **all** worms are confined to tree links so that
 //! switch-level multicast cannot deadlock; crosslinks go unused.
 
-use crate::graph::Topology;
+use crate::graph::{HostPort, Topology};
 use std::collections::VecDeque;
 use wormcast_sim::engine::HostId;
-use wormcast_sim::network::RouteTable;
+use wormcast_sim::network::{RouteSource, RouteTable};
 
 /// The computed up/down orientation for a topology.
 ///
@@ -138,9 +138,8 @@ impl UpDown {
         restrict_to_tree: bool,
         tiebreak: u64,
     ) -> Option<Vec<u8>> {
-        let mut search = RouteSearch::new(self, topo, restrict_to_tree);
-        search.toward(to);
-        let ports = search.walk(from, tiebreak)?.map(|(port, _)| port);
+        let (search, row) = RouteSearch::one_row(self, topo, to, restrict_to_tree);
+        let ports = walk(&search.moves, &row, from, tiebreak)?.map(|(port, _)| port);
         Some(ports.collect())
     }
 
@@ -153,39 +152,36 @@ impl UpDown {
         to: usize,
         restrict_to_tree: bool,
     ) -> Option<Vec<usize>> {
-        let mut search = RouteSearch::new(self, topo, restrict_to_tree);
-        search.toward(to);
-        let hops = search.walk(from, 0)?.map(|(_, next)| next);
+        let (search, row) = RouteSearch::one_row(self, topo, to, restrict_to_tree);
+        let hops = walk(&search.moves, &row, from, 0)?.map(|(_, next)| next);
         Some(std::iter::once(from).chain(hops).collect())
     }
 
-    /// Build the unicast route table for every ordered host pair.
+    /// The unicast route table for every ordered host pair.
     ///
     /// A route is the switch-path ports followed by the destination host's
     /// port on its final switch. Hosts on the same switch route in one hop.
+    /// Set-up builds the state graph and one distance row per destination
+    /// switch, Θ(S·(S+E)) for S switches and E links, and walks nothing:
+    /// the table walks a pair's route on its first use, with the tie-break
+    /// `(source switch << 32) | destination switch | 1`.
     pub fn route_table(&self, topo: &Topology, restrict_to_tree: bool) -> RouteTable {
-        let mut rt = RouteTable::new(topo.num_hosts());
+        let states = 2 * topo.num_switches();
+        assert!(
+            states < FAR as usize,
+            "{states} states overflow the u16 distance rows"
+        );
         let mut search = RouteSearch::new(self, topo, restrict_to_tree);
-        for to in 0..topo.num_switches() {
-            let dsts = topo.hosts_at(to);
-            if dsts.is_empty() {
-                continue;
-            }
-            search.toward(to);
-            for (si, s) in topo.hosts.iter().enumerate() {
-                let tiebreak = (s.switch as u64) << 32 | to as u64 | 1;
-                for &d in dsts.iter().filter(|d| d.0 as usize != si) {
-                    let hops = search
-                        .walk(s.switch, tiebreak)
-                        .expect("spanning tree keeps everything reachable");
-                    let mut route = Vec::with_capacity(hops.len() + 1);
-                    route.extend(hops.map(|(port, _)| port));
-                    route.push(topo.hosts[d.0 as usize].port);
-                    rt.set(HostId(si as u32), d, route);
-                }
-            }
+        let mut dist = vec![FAR; states * topo.num_switches()];
+        for (to, row) in dist.chunks_exact_mut(states).enumerate() {
+            search.toward(to, row);
         }
-        rt
+        let rows = UpDownRows {
+            moves: search.moves,
+            dist,
+            hosts: topo.hosts.clone(),
+        };
+        RouteTable::with_source(topo.num_hosts(), Box::new(rows))
     }
 
     /// Mean switch-path hop count over all ordered host pairs (the metric
@@ -201,16 +197,55 @@ impl UpDown {
         }
         let mut total = 0usize;
         let mut search = RouteSearch::new(self, topo, restrict_to_tree);
+        let mut row = vec![FAR; 2 * topo.num_switches()];
         for to in 0..topo.num_switches() {
             let dsts = topo.hosts_at(to).len();
             if dsts > 0 {
-                search.toward(to);
+                search.toward(to, &mut row);
                 for s in &topo.hosts {
-                    total += dsts * search.walk(s.switch, 0).expect("reachable").len();
+                    total += dsts * row[2 * s.switch] as usize;
                 }
             }
         }
         total as f64 / (nh * (nh - 1)) as f64
+    }
+}
+
+/// A route table's up/down routes as data: the state graph of
+/// [`RouteSearch`] and its distance row toward every switch.
+#[derive(Debug)]
+struct UpDownRows {
+    moves: Vec<Vec<(u8, [usize; 2])>>,
+    /// Row `to` (`2 × switches` entries, one per state): the hops from
+    /// each state to switch `to`.
+    dist: Vec<u16>,
+    hosts: Vec<HostPort>,
+}
+
+impl UpDownRows {
+    fn row(&self, to: usize) -> &[u16] {
+        let states = self.moves.len() * 2;
+        &self.dist[to * states..(to + 1) * states]
+    }
+}
+
+impl RouteSource for UpDownRows {
+    fn hops(&self, src: HostId, dst: HostId) -> usize {
+        let (s, d) = (self.hosts[src.0 as usize], self.hosts[dst.0 as usize]);
+        if src == dst {
+            0
+        } else {
+            self.row(d.switch)[2 * s.switch] as usize + 1
+        }
+    }
+
+    fn walk(&self, src: HostId, dst: HostId, out: &mut Vec<u8>) {
+        let (s, d) = (self.hosts[src.0 as usize], self.hosts[dst.0 as usize]);
+        let tiebreak = (s.switch as u64) << 32 | d.switch as u64 | 1;
+        let hops = walk(&self.moves, self.row(d.switch), s.switch, tiebreak)
+            .expect("spanning tree keeps everything reachable");
+        out.extend(hops.map(|(port, _)| port));
+        out.push(d.port);
     }
 }
 
@@ -220,8 +255,8 @@ impl UpDown {
 /// climb, phase 1 is descending) to either state of the destination. A
 /// forward BFS exploring each switch's neighbours in the pair's permuted
 /// order would return the lexicographically first shortest path in that
-/// order; [`Self::walk`] finds the same path by taking, at each switch, the
-/// first neighbour one step nearer on [`Self::toward`]'s distances.
+/// order; [`walk`] finds the same path by taking, at each switch, the first
+/// neighbour one step nearer on [`Self::toward`]'s distances.
 struct RouteSearch {
     /// Per switch, per neighbour in link-insertion order (as
     /// [`Topology::neighbors`] gives them): the output port and the state
@@ -230,13 +265,13 @@ struct RouteSearch {
     moves: Vec<Vec<(u8, [usize; 2])>>,
     /// Per state, the states with a move into it.
     preds: Vec<Vec<usize>>,
-    /// Per state, the hops to the last [`Self::toward`] destination
-    /// (`NONE` if unreachable).
-    dist: Vec<usize>,
     queue: VecDeque<usize>,
 }
 
 const NONE: usize = usize::MAX;
+
+/// The distance of a state that cannot reach the destination.
+const FAR: u16 = u16::MAX;
 
 impl RouteSearch {
     fn new(ud: &UpDown, topo: &Topology, restrict_to_tree: bool) -> Self {
@@ -258,62 +293,76 @@ impl RouteSearch {
             moves.push(out);
         }
         RouteSearch {
-            dist: vec![NONE; preds.len()],
             moves,
             preds,
             queue: VecDeque::new(),
         }
     }
 
-    /// Distances-to-go towards switch `to`: a BFS back from both its states.
-    fn toward(&mut self, to: usize) {
-        self.dist.fill(NONE);
-        self.dist[2 * to..2 * to + 2].fill(0);
+    /// The search and its one row toward `to`, for a single route.
+    fn one_row(
+        ud: &UpDown,
+        topo: &Topology,
+        to: usize,
+        restrict_to_tree: bool,
+    ) -> (Self, Vec<u16>) {
+        let mut search = Self::new(ud, topo, restrict_to_tree);
+        let mut row = vec![FAR; search.preds.len()];
+        search.toward(to, &mut row);
+        (search, row)
+    }
+
+    /// Fill `row` (one entry per state) with the distances-to-go toward
+    /// switch `to`: a BFS back from both its states.
+    fn toward(&mut self, to: usize, row: &mut [u16]) {
+        row.fill(FAR);
+        row[2 * to..2 * to + 2].fill(0);
         self.queue.extend([2 * to, 2 * to + 1]);
         while let Some(t) = self.queue.pop_front() {
             for &s in &self.preds[t] {
-                if self.dist[s] == NONE {
-                    self.dist[s] = self.dist[t] + 1;
+                if row[s] == FAR {
+                    row[s] = row[t] + 1;
                     self.queue.push_back(s);
                 }
             }
         }
     }
+}
 
-    /// The hops `(out_port, next_switch)` of `from`'s route to the last
-    /// [`Self::toward`] destination, `None` if it cannot be reached. Its
-    /// `len()` is the hop count, read without walking.
-    ///
-    /// Switch `u`'s neighbour order is rotated, and reversed on one bit, by
-    /// a key hashed from `(tiebreak, u)`, so equal-length paths vary per
-    /// source-destination pair; `tiebreak == 0` keeps link-insertion order.
-    fn walk(
-        &self,
-        from: usize,
-        tiebreak: u64,
-    ) -> Option<impl ExactSizeIterator<Item = (u8, usize)> + '_> {
-        let mut state = 2 * from;
-        let len = self.dist[state];
-        (len != NONE).then(|| {
-            (0..len).rev().map(move |left| {
-                let (u, phase) = (state / 2, state % 2);
-                let moves = &self.moves[u];
-                let m = moves.len();
-                let key = match tiebreak {
-                    0 => 0,
-                    t => t.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(u as u64),
-                };
-                let (rotate, reverse) = ((key as usize) % m, (key >> 32) & 1 == 1);
-                let (port, next) = (0..m)
-                    .map(|i| moves[(if reverse { m - 1 - i } else { i } + rotate) % m])
-                    .map(|(port, next)| (port, next[phase]))
-                    .find(|&(_, next)| next != NONE && self.dist[next] == left)
-                    .expect("every state short of the goal has a move one step nearer");
-                state = next;
-                (port, next / 2)
-            })
+/// The hops `(out_port, next_switch)` of `from`'s route to the switch
+/// whose distance `row` ([`RouteSearch::toward`]) is given, `None` if it
+/// cannot be reached. Its `len()` is the hop count, read without walking.
+///
+/// Switch `u`'s neighbour order is rotated, and reversed on one bit, by a
+/// key hashed from `(tiebreak, u)`, so equal-length paths vary per
+/// source-destination pair; `tiebreak == 0` keeps link-insertion order.
+fn walk<'a>(
+    moves: &'a [Vec<(u8, [usize; 2])>],
+    row: &'a [u16],
+    from: usize,
+    tiebreak: u64,
+) -> Option<impl ExactSizeIterator<Item = (u8, usize)> + 'a> {
+    let mut state = 2 * from;
+    let len = row[state];
+    (len != FAR).then(|| {
+        (0..len).rev().map(move |left| {
+            let (u, phase) = (state / 2, state % 2);
+            let moves = &moves[u];
+            let m = moves.len();
+            let key = match tiebreak {
+                0 => 0,
+                t => t.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(u as u64),
+            };
+            let (rotate, reverse) = ((key as usize) % m, (key >> 32) & 1 == 1);
+            let (port, next) = (0..m)
+                .map(|i| moves[(if reverse { m - 1 - i } else { i } + rotate) % m])
+                .map(|(port, next)| (port, next[phase]))
+                .find(|&(_, next)| next != NONE && row[next] == left)
+                .expect("every state short of the goal has a move one step nearer");
+            state = next;
+            (port, next / 2)
         })
-    }
+    })
 }
 
 #[cfg(test)]
@@ -397,7 +446,7 @@ mod tests {
     fn route_table_has_every_pair() {
         let t = ring4();
         let ud = UpDown::compute(&t, 0);
-        let rt = ud.route_table(&t, false);
+        let mut rt = ud.route_table(&t, false);
         for s in 0..4u32 {
             for d in 0..4u32 {
                 if s == d {
@@ -420,7 +469,7 @@ mod tests {
         let _h1 = b.host(0);
         let t = b.build();
         let ud = UpDown::compute(&t, 0);
-        let rt = ud.route_table(&t, false);
+        let mut rt = ud.route_table(&t, false);
         let r = rt.get(HostId(0), HostId(1));
         assert_eq!(r, &[1]); // host 1 sits on port 1
     }
@@ -567,52 +616,129 @@ mod tests {
         }
     }
 
+    /// The oracle's route table: per host pair, the reference search's
+    /// ports with the table's tie-break, then the destination host's port
+    /// (empty for a host to itself).
+    fn oracle_routes(
+        topo: &Topology,
+        ud: &UpDown,
+        neighbors: &Neighbors,
+        restrict: bool,
+    ) -> Vec<Vec<Vec<u8>>> {
+        let ns = topo.num_switches();
+        let switch_routes: Vec<Vec<Vec<u8>>> = (0..ns)
+            .map(|a| {
+                (0..ns)
+                    .map(|b| {
+                        let tiebreak = (a as u64) << 32 | b as u64 | 1;
+                        reference_route_ports(ud, neighbors, a, b, restrict, tiebreak)
+                    })
+                    .collect()
+            })
+            .collect();
+        let hosts = || topo.hosts.iter().enumerate();
+        hosts()
+            .map(|(si, s)| {
+                hosts()
+                    .map(|(di, d)| {
+                        let ports = &switch_routes[s.switch][d.switch];
+                        let host_port = (si != di).then_some(d.port);
+                        ports.iter().copied().chain(host_port).collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every ordered pair of distinct hosts.
+    fn host_pairs(topo: &Topology) -> Vec<(HostId, HostId)> {
+        let ids = || (0..topo.num_hosts() as u32).map(HostId);
+        ids()
+            .flat_map(|s| ids().filter(move |&d| d != s).map(move |d| (s, d)))
+            .collect()
+    }
+
     /// Which of several equal-length legal paths a pair gets decides which
     /// links congest, so every simulated statistic depends on it: the
-    /// table must equal the reference search's, pair for pair. `mean_hops`
-    /// must equal the mean of the reference routes' lengths, bit for bit.
+    /// table must equal the reference search's, pair for pair. Its hop
+    /// counts, read before any route is walked, must equal the reference
+    /// routes' lengths, and `mean_hops` their mean, bit for bit; the routes
+    /// are then walked in a shuffled order.
     #[test]
     fn route_table_matches_per_state_neighbor_scan() {
+        use rand::{rngs::SmallRng, seq::SliceRandom, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x0DE5);
         for topo in oracle_topologies() {
             let neighbors = neighbor_scan(&topo);
-            let ns = topo.num_switches();
+            let mut pairs = host_pairs(&topo);
             for ud in rooted(&topo) {
                 for restrict in [false, true] {
-                    let rt = ud.route_table(&topo, restrict);
-                    let want: Vec<Vec<Vec<u8>>> = (0..ns)
-                        .map(|a| {
-                            (0..ns)
-                                .map(|b| {
-                                    let tiebreak = (a as u64) << 32 | b as u64 | 1;
-                                    reference_route_ports(&ud, &neighbors, a, b, restrict, tiebreak)
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    let (mut total, mut pairs) = (0usize, 0usize);
-                    for (si, s) in topo.hosts.iter().enumerate() {
-                        for (di, d) in topo.hosts.iter().enumerate() {
-                            if si == di {
-                                continue;
-                            }
-                            let mut route = want[s.switch][d.switch].clone();
-                            total += route.len();
-                            pairs += 1;
-                            route.push(d.port);
-                            assert_eq!(
-                                rt.get(HostId(si as u32), HostId(di as u32)),
-                                route,
-                                "{si}->{di} root={} restrict={restrict}",
-                                ud.root
-                            );
-                        }
+                    let want = oracle_routes(&topo, &ud, &neighbors, restrict);
+                    let mut rt = ud.route_table(&topo, restrict);
+                    let case = |(s, d): (HostId, HostId)| {
+                        format!("{}->{} root={} restrict={restrict}", s.0, d.0, ud.root)
+                    };
+                    let mut total = 0;
+                    for &(s, d) in &pairs {
+                        let want = &want[s.0 as usize][d.0 as usize];
+                        assert_eq!(rt.hops(s, d), want.len(), "{}", case((s, d)));
+                        total += want.len() - 1;
                     }
                     assert_eq!(
                         ud.mean_hops(&topo, restrict).to_bits(),
-                        (total as f64 / pairs as f64).to_bits()
+                        (total as f64 / pairs.len() as f64).to_bits()
                     );
+                    pairs.shuffle(&mut rng);
+                    for &(s, d) in &pairs {
+                        let want = &want[s.0 as usize][d.0 as usize];
+                        assert_eq!(rt.get(s, d), want, "{}", case((s, d)));
+                    }
                 }
             }
+        }
+    }
+
+    /// The arena keeps each route where it was walked: with one pair
+    /// routed first, every other pair still gets the oracle's route, and
+    /// the first pair keeps its own. A route `set` over a walked table
+    /// replaces that pair's route and hop count only.
+    #[test]
+    fn a_walked_route_overwrites_no_other() {
+        use crate::irregular::{irregular, IrregularSpec};
+        let spec = IrregularSpec {
+            num_switches: 12,
+            extra_links: 6,
+            hosts_per_switch: 2,
+            link_delay: 1,
+        };
+        let topo = irregular(spec, 11);
+        let neighbors = neighbor_scan(&topo);
+        let ud = UpDown::compute(&topo, 0);
+        let want = oracle_routes(&topo, &ud, &neighbors, false);
+        let route = |(s, d): (HostId, HostId)| &want[s.0 as usize][d.0 as usize];
+        let pairs = host_pairs(&topo);
+        let last = *pairs.last().unwrap();
+        for first in [pairs[0], pairs[pairs.len() / 2], last] {
+            let mut rt = ud.route_table(&topo, false);
+            assert_eq!(rt.get(first.0, first.1), route(first));
+            for &(s, d) in &pairs {
+                assert_eq!(
+                    rt.get(s, d),
+                    route((s, d)),
+                    "{}->{} after {first:?}",
+                    s.0,
+                    d.0
+                );
+            }
+            assert_eq!(rt.get(first.0, first.1), route(first));
+        }
+        let mut rt = ud.route_table(&topo, false);
+        rt.set(last.0, last.1, vec![9, 9]);
+        assert_eq!(rt.hops(last.0, last.1), 2);
+        assert_eq!(rt.get(last.0, last.1), [9, 9]);
+        for &(s, d) in &pairs[..pairs.len() - 1] {
+            assert_eq!(rt.hops(s, d), route((s, d)).len());
+            assert_eq!(rt.get(s, d), route((s, d)));
         }
     }
 
@@ -660,7 +786,7 @@ mod tests {
         let topo = crate::torus::torus(16, 1);
         let neighbors = neighbor_scan(&topo);
         let ud = UpDown::compute(&topo, 0);
-        let rt = ud.route_table(&topo, false);
+        let mut rt = ud.route_table(&topo, false);
         let nh = topo.num_hosts();
         let mut sampled = 0;
         for (si, s) in topo.hosts.iter().enumerate() {

@@ -90,7 +90,7 @@ fn route_table_is_complete() {
             link_delay: 1,
         };
         let topo = irregular(spec, seed);
-        let rt = UpDown::compute(&topo, 0).route_table(&topo, false);
+        let mut rt = UpDown::compute(&topo, 0).route_table(&topo, false);
         let nh = topo.num_hosts() as u32;
         for s in 0..nh {
             for d in (0..nh).filter(|&d| d != s) {
