@@ -6,6 +6,7 @@
 //! and validate that a JSONL stream conforms to the event schema
 //! (DESIGN.md §3.2).
 
+use std::borrow::Cow;
 use std::io::Write;
 use std::path::Path;
 use wormcast_sim::trace::Trace;
@@ -27,11 +28,13 @@ pub fn write_jsonl(trace: &Trace, path: &Path) -> std::io::Result<()> {
 /// engine records no events of its own, so a traced `SpanBatched` run
 /// (sequential or sharded) renders the same thirteen-event JSONL as the
 /// `PerByte` run and there is nothing to erase. Such a stream costs one
-/// scan for `span-` and a copy. The function survives, signature and
-/// behaviour unchanged, only because the `benchmark/` package imports it;
+/// scan for `span-` and `\r` and is borrowed back, not copied; only a
+/// foreign stream with a line to drop or a line ending to fix is
+/// rebuilt. The function survives only because the `benchmark/` package
+/// imports it, and its call there compiles against either return type;
 /// nothing else may call it, and a later `benchmark` issue should drop
 /// both the call and this function.
-pub fn expand_spans(jsonl: &str) -> String {
+pub fn expand_spans(jsonl: &str) -> Cow<'_, str> {
     /// The renderer's field order is fixed (`t` then `ev`), so a cheap
     /// substring probe is exact — but fall back to a real parse for
     /// foreign-produced lines that may order fields differently.
@@ -53,7 +56,7 @@ pub fn expand_spans(jsonl: &str) -> String {
     // `\n`, the output is the input.
     let newline_terminated = jsonl.is_empty() || jsonl.ends_with('\n');
     if newline_terminated && !jsonl.contains("span-") && !jsonl.contains('\r') {
-        return jsonl.to_owned();
+        return Cow::Borrowed(jsonl);
     }
     let mut out = String::with_capacity(jsonl.len());
     for line in jsonl.lines() {
@@ -62,7 +65,7 @@ pub fn expand_spans(jsonl: &str) -> String {
             out.push('\n');
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// A schema violation found by [`validate_jsonl`]: line number (1-based)
@@ -459,8 +462,8 @@ not json at all
     fn expander_without_spans_still_ends_every_line() {
         let lines = "{\"t\":1,\"ev\":\"go\",\"ch\":0,\"lane\":0}\n{\"t\":2,\"ev\":\"go\",\"ch\":1,\"lane\":0}";
         let canonical = format!("{lines}\n");
-        assert_eq!(expand_spans(&canonical), canonical);
-        assert_eq!(expand_spans(lines), canonical);
+        assert!(matches!(expand_spans(&canonical), Cow::Borrowed(s) if s == canonical));
+        assert!(matches!(expand_spans(lines), Cow::Owned(s) if s == canonical));
         assert_eq!(expand_spans(&canonical.replace('\n', "\r\n")), canonical);
         assert_eq!(expand_spans(""), "");
     }

@@ -41,8 +41,10 @@ use crate::worm::WormId;
 use std::collections::HashMap;
 use std::fmt;
 
-/// A vertex of the wait-for graph.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// A vertex of the wait-for graph. Ordered (switch inputs by switch and
+/// port, then host adapters) so that [`find_cycle`]'s verdict does not
+/// depend on hash order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum WaitNode {
     /// An input port of a switch holding (part of) a blocked worm.
     SwitchIn(SwitchId, u8),
@@ -178,7 +180,11 @@ pub fn graph_from_edges(edges: &[WaitEdge]) -> HashMap<WaitNode, Vec<WaitNode>> 
     g
 }
 
-/// Find one cycle in the wait-for graph, if any.
+/// Find one cycle in the wait-for graph, if any: the first one a
+/// depth-first search meets, starting from each node in [`WaitNode`] order
+/// and following each node's edges in list order, rotated to begin at its
+/// smallest node. The same graph yields the same cycle however its map
+/// happens to hash.
 pub fn find_cycle(g: &HashMap<WaitNode, Vec<WaitNode>>) -> Option<Vec<WaitNode>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
@@ -218,11 +224,14 @@ pub fn find_cycle(g: &HashMap<WaitNode, Vec<WaitNode>>) -> Option<Vec<WaitNode>>
         None
     }
 
-    let nodes: Vec<WaitNode> = g.keys().copied().collect();
+    let mut nodes: Vec<WaitNode> = g.keys().copied().collect();
+    nodes.sort_unstable();
     for n in nodes {
         if marks.get(&n) == Some(&Mark::White) {
             let mut stack = Vec::new();
-            if let Some(c) = dfs(n, g, &mut marks, &mut stack) {
+            if let Some(mut c) = dfs(n, g, &mut marks, &mut stack) {
+                let first = (0..c.len()).min_by_key(|&i| c[i]).expect("a cycle is never empty");
+                c.rotate_left(first);
                 return Some(c);
             }
         }
@@ -590,6 +599,32 @@ mod tests {
         let g = graph_from_edges(&[mk(n(0), n(1)), mk(n(0), n(2)), mk(n(1), n(2))]);
         assert_eq!(g[&n(0)].len(), 2);
         assert_eq!(g[&n(1)], vec![n(2)]);
+    }
+
+    /// Two cycles reachable from many start nodes, in maps built afresh
+    /// (each with its own hash seed): the verdict is always the cycle met
+    /// from the smallest node, read from its smallest node.
+    #[test]
+    fn the_reported_cycle_does_not_depend_on_hash_order() {
+        let h = WaitNode::HostTx(HostId(0));
+        let edges = [
+            (n(9), n(7)),
+            (n(7), n(8)),
+            (n(8), n(9)),
+            (n(5), n(4)),
+            (n(4), n(6)),
+            (n(6), n(5)),
+            (h, n(8)),
+            (n(1), n(9)),
+            (n(2), h),
+        ];
+        for _ in 0..20 {
+            let mut g: HashMap<WaitNode, Vec<WaitNode>> = HashMap::new();
+            for (from, to) in edges {
+                g.entry(from).or_default().push(to);
+            }
+            assert_eq!(find_cycle(&g), Some(vec![n(7), n(8), n(9)]));
+        }
     }
 
     #[test]

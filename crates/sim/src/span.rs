@@ -1103,6 +1103,67 @@ mod tests {
         assert_eq!(second, Some(ByteKind::Route(RouteSym::Port(7))));
     }
 
+    /// A receiver-paced piece lands as many bytes as keep the input's
+    /// per-byte twin below its STOP mark. The twin still holds what the
+    /// input's output has batch-dequeued for send slots from the piece's
+    /// own tick on: a tick's transmit kick sorts after its arrivals, so the
+    /// slot of the arrival counts too
+    /// ([`Lane::drain_advance_at_arrival`]). Here sw1's input forwards to
+    /// host1 with `held` bytes in its buffer and `sending` more on their
+    /// way out in a span whose slots start at the arrival, and a paced span
+    /// lands from the trunk: the piece brings the twin to one byte below
+    /// the mark. Counting only the later slots lands one byte more, the
+    /// one at which the twin raises its STOP while the span engine raises
+    /// none.
+    #[test]
+    fn a_paced_piece_counts_the_send_slot_of_its_own_arrival() {
+        let mut net = held_head_fabric(20, SimMode::SpanBatched);
+        let trunk = net.switches[0].outputs[0]
+            .chan_out
+            .expect("the trunk port is connected");
+        let worm = WormId(0);
+        let paced = TxPayload::Span {
+            worm,
+            len: 200,
+            route: 0,
+            paced: true,
+        };
+        let mut tx = TxPort::new(&mut net.lanes[trunk.0 as usize]);
+        tx.try_send(0, paced, true).expect("the lane is free");
+        net.run_until(20);
+        let now = net.scheduler.now();
+        assert_eq!(now, 20, "the paced span's first byte arrives now");
+        let (held, sending) = (3, 4);
+        let mark = {
+            let sw1 = &mut net.switches[1];
+            sw1.outputs[1].owner = Some(0);
+            let inp = &mut sw1.inputs[0];
+            inp.state = InState::Forwarding { worm, out: 1 };
+            let body = WireByte {
+                worm,
+                kind: ByteKind::Data,
+            };
+            inp.buf.push_back_run(body, held);
+            u64::from(inp.slack.stop_mark)
+        };
+        let out = net.switches[1].outputs[1]
+            .chan_out
+            .expect("host1 is attached");
+        let span = TxPayload::Span {
+            worm,
+            len: sending,
+            route: 0,
+            paced: false,
+        };
+        let mut tx = TxPort::new(&mut net.lanes[out.0 as usize]);
+        tx.try_send(now, span, true).expect("the lane is free");
+        let front = net.lane(trunk).paced_front().expect("the paced span is on the trunk");
+        let (_, piece) = net.paced_piece(trunk, front);
+        assert_eq!(piece.len, mark - 1 - (held + sending));
+        let rest = net.lane(trunk).paced_front().map(|s| (s.start, s.len));
+        assert_eq!(rest, Some((piece.len, 200 - piece.len)));
+    }
+
     /// Receiver pacing needs a quiet control wire as well as an input
     /// below its STOP mark: a STOP already on its way would land on a span
     /// sent a wire's worth long (DESIGN.md §3.1, *Receiver-paced spans*).

@@ -187,10 +187,11 @@ impl Trace {
     }
 
     /// Append another recorder's [`Trace::events`] (sharded-run merging):
-    /// events concatenate — `to_jsonl`'s canonical sort orders them —
-    /// and ring-drop counts sum. Ring capacity is deliberately NOT
-    /// re-applied here; a ring budget is per engine, so a merged
-    /// sharded trace may hold up to `shards × capacity` events.
+    /// events concatenate, out of time order — [`Trace::write_jsonl`]
+    /// walks them through a time-sorted index — and ring-drop counts sum.
+    /// Ring capacity is deliberately NOT re-applied here; a ring budget is
+    /// per engine, so a merged sharded trace may hold up to
+    /// `shards × capacity` events.
     pub(crate) fn absorb(&mut self, other: &Trace) {
         self.events.extend_from_slice(other.events());
         self.dropped += other.dropped;
@@ -205,15 +206,11 @@ impl Trace {
     }
 
     /// Serialize the trace as JSON Lines, one event per line, in the
-    /// canonical order of [`Trace::write_jsonl`]. The output buffer is
-    /// sized to the rendered bytes before it is filled.
+    /// canonical order of [`Trace::write_jsonl`], into a buffer that grows
+    /// as it is written.
     pub fn to_jsonl(&self) -> String {
-        let (arena, index) = self.render_sorted();
-        let mut out = Vec::with_capacity(arena.len() + index.len());
-        for &(_, start, end) in &index {
-            out.extend_from_slice(&arena.as_bytes()[start..end]);
-            out.push(b'\n');
-        }
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out).expect("writing to a Vec cannot fail");
         String::from_utf8(out).expect("JSONL lines are ASCII")
     }
 
@@ -221,44 +218,55 @@ impl Trace {
     /// `(time, line bytes)`. Emission order within one timestamp is the
     /// only thing that may differ between [`crate::network::SimMode`]s and
     /// shard counts, so the sorted output is byte-identical for identical
-    /// seed and configuration. Every line is rendered into one arena sized
-    /// for the whole trace, then an index of `(t, start, end)` is sorted;
-    /// the sort may be unstable because two entries with equal keys are
-    /// equal bytes.
+    /// seed and configuration.
+    ///
+    /// The engine pushes events in time order, so the walk visits them as
+    /// they lie; only a merged trace (a shard merge) is out of order, and
+    /// is visited through an index stable-sorted by time. Each
+    /// timestamp's lines are rendered into one reused buffer, sorted there
+    /// and written: beyond the events themselves (and, for a merged trace,
+    /// its index) the writer holds one timestamp's lines. The sort may be
+    /// unstable because two lines with equal bytes are interchangeable.
     pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let (arena, index) = self.render_sorted();
-        for &(_, start, end) in &index {
-            w.write_all(&arena.as_bytes()[start..end])?;
-            w.write_all(b"\n")?;
-        }
-        Ok(())
-    }
-
-    /// Every event's [`render_line`] in one arena, and the arena's line
-    /// spans sorted into the canonical `(t, line bytes)` order.
-    fn render_sorted(&self) -> (String, Vec<(SimTime, usize, usize)>) {
         let events = self.events();
-        let mut arena = String::with_capacity(events.len() * MAX_LINE);
-        let mut index = Vec::with_capacity(events.len());
-        for (t, e) in events {
-            let start = arena.len();
-            render_line(&mut arena, *t, e);
-            index.push((*t, start, arena.len()));
+        if events.windows(2).all(|p| p[0].0 <= p[1].0) {
+            return write_by_timestamp(events.iter(), w);
         }
-        let bytes = arena.as_bytes();
-        index.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| bytes[a.1..a.2].cmp(&bytes[b.1..b.2]))
-        });
-        (arena, index)
+        let n = u32::try_from(events.len()).expect("a trace holds fewer than 2^32 events");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by_key(|&i| events[i as usize].0);
+        write_by_timestamp(order.iter().map(|&i| &events[i as usize]), w)
     }
 }
 
-/// The longest line [`render_line`] can produce: a `fragment-resumed` with
-/// every integer at its widest (58 bytes of text, 70 of digits).
-/// [`Trace::write_jsonl`] reserves this much per event so its arena never
-/// reallocates; pages it does not fill are never touched.
-const MAX_LINE: usize = 128;
+/// Write `events`, which come in time order, one timestamp at a time: the
+/// group's lines, each with its `\n`, go into one buffer and are written
+/// sorted by their bytes. A line holds no byte below `\n`, so the newline
+/// leaves the order of the lines as it is.
+fn write_by_timestamp<'a, W: std::io::Write>(
+    events: impl Iterator<Item = &'a (SimTime, TraceEvent)>,
+    w: &mut W,
+) -> std::io::Result<()> {
+    let mut events = events.peekable();
+    let mut group = String::new();
+    let mut lines: Vec<std::ops::Range<usize>> = Vec::new();
+    while let Some(&&(t, _)) = events.peek() {
+        group.clear();
+        lines.clear();
+        while let Some((_, e)) = events.next_if(|&&(u, _)| u == t) {
+            let start = group.len();
+            render_line(&mut group, t, e);
+            group.push('\n');
+            lines.push(start..group.len());
+        }
+        let bytes = group.as_bytes();
+        lines.sort_unstable_by(|a, b| bytes[a.clone()].cmp(&bytes[b.clone()]));
+        for line in &lines {
+            w.write_all(&bytes[line.clone()])?;
+        }
+    }
+    Ok(())
+}
 
 /// Append one event as a JSONL line onto `s` (no trailing newline). Field
 /// order is fixed (`t`, `ev`, then event-specific fields) so the output is
@@ -403,56 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn widest_lines_fit_max_line() {
-        let (w, h, n) = (u64::MAX, u32::MAX, u8::MAX);
-        let causes = [
-            BlockCause::StopBackpressure { ch: ChanId(h) },
-            BlockCause::OutputBusy {
-                switch: SwitchId(h),
-                out: n,
-            },
-            BlockCause::BranchWait {
-                switch: SwitchId(h),
-                out: n,
-            },
-        ];
-        let mut events = vec![
-            TraceEvent::WormInjected { worm: w, host: HostId(h) },
-            TraceEvent::RouteConsumed {
-                worm: w,
-                switch: SwitchId(h),
-                out: n,
-            },
-            TraceEvent::WormReceived { worm: w, host: HostId(h) },
-            TraceEvent::WormRefused { worm: w, host: HostId(h) },
-            TraceEvent::WormCorrupt { worm: w, host: HostId(h) },
-            TraceEvent::WormFlushed { worm: w, host: HostId(h) },
-            TraceEvent::FragmentParked {
-                worm: w,
-                host: HostId(h),
-                body_got: w,
-            },
-            TraceEvent::FragmentResumed {
-                worm: w,
-                host: HostId(h),
-                body_got: w,
-            },
-            TraceEvent::Delivered {
-                msg: MessageId(w),
-                host: HostId(h),
-            },
-            TraceEvent::StopInForce { ch: ChanId(h), lane: n },
-            TraceEvent::GoReceived { ch: ChanId(h), lane: n },
-        ];
-        for cause in causes {
-            events.push(TraceEvent::WormBlocked { worm: w, cause });
-            events.push(TraceEvent::WormResumed { worm: w, cause });
-        }
-        let widest = events.iter().map(|e| line(w, e).len()).max();
-        assert_eq!(widest, Some(MAX_LINE));
-    }
-
-    #[test]
     fn digits_match_display() {
         for x in [0, 1, 9, 10, 99, 100, 1 << 40, u64::MAX - 1, u64::MAX] {
             let mut s = String::new();
@@ -536,6 +494,140 @@ mod tests {
             resumed,
             "{\"t\":9,\"ev\":\"resumed\",\"worm\":4,\"cause\":\"stop\",\"ch\":1}"
         );
+    }
+
+    /// The renderer before [`Trace::write_jsonl`] streamed, kept as the
+    /// oracle of its differential test: every line rendered into one
+    /// arena, an index of `(t, start, end)` sorted by `(t, line bytes)`.
+    fn arena_jsonl(trace: &Trace) -> String {
+        let mut arena = String::new();
+        let mut index = Vec::new();
+        for (t, e) in trace.events() {
+            let start = arena.len();
+            render_line(&mut arena, *t, e);
+            index.push((*t, start, arena.len()));
+        }
+        let bytes = arena.as_bytes();
+        index.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| bytes[a.1..a.2].cmp(&bytes[b.1..b.2]))
+        });
+        let mut out = String::new();
+        for &(_, start, end) in &index {
+            out.push_str(&arena[start..end]);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// One event of any kind, its fields drawn from a few small values so
+    /// that lines at one timestamp often share long prefixes or repeat.
+    fn any_event(rng: &mut rand::rngs::SmallRng) -> TraceEvent {
+        use rand::Rng;
+        let (worm, host, sw, port) = (
+            rng.gen_range(0..4u64),
+            HostId(rng.gen_range(0..3)),
+            SwitchId(rng.gen_range(0..3)),
+            rng.gen_range(0..12u8),
+        );
+        let cause = match rng.gen_range(0..3) {
+            0 => BlockCause::StopBackpressure { ch: ChanId(sw.0) },
+            1 => BlockCause::OutputBusy { switch: sw, out: port },
+            _ => BlockCause::BranchWait { switch: sw, out: port },
+        };
+        match rng.gen_range(0..13) {
+            0 => TraceEvent::WormInjected { worm, host },
+            1 => TraceEvent::RouteConsumed { worm, switch: sw, out: port },
+            2 => TraceEvent::WormBlocked { worm, cause },
+            3 => TraceEvent::WormResumed { worm, cause },
+            4 => TraceEvent::WormReceived { worm, host },
+            5 => TraceEvent::WormRefused { worm, host },
+            6 => TraceEvent::WormCorrupt { worm, host },
+            7 => TraceEvent::WormFlushed { worm, host },
+            8 => TraceEvent::FragmentParked { worm, host, body_got: worm * 10 },
+            9 => TraceEvent::FragmentResumed { worm, host, body_got: worm * 100 },
+            10 => TraceEvent::Delivered { msg: MessageId(worm), host },
+            11 => TraceEvent::StopInForce { ch: ChanId(sw.0), lane: port % 2 },
+            _ => TraceEvent::GoReceived { ch: ChanId(sw.0), lane: port % 2 },
+        }
+    }
+
+    /// Two shards' traces concatenate out of time order when merged; the
+    /// merged trace renders the bytes of the same events pushed in order.
+    #[test]
+    fn absorbed_traces_render_as_if_pushed_in_time_order() {
+        let stop = |ch| TraceEvent::StopInForce { ch: ChanId(ch), lane: 0 };
+        let a = [(2, stop(5)), (9, stop(3)), (9, stop(1)), (14, stop(0))];
+        let b = [(1, stop(8)), (9, stop(2)), (9, stop(1)), (12, stop(7))];
+        let mut merged = Trace::default();
+        let mut shard = Trace::default();
+        for (t, e) in a {
+            merged.push(t, e);
+        }
+        for (t, e) in b {
+            shard.push(t, e);
+        }
+        merged.absorb(&shard);
+        let mut in_order: Vec<_> = a.into_iter().chain(b).collect();
+        in_order.sort_by_key(|&(t, _)| t);
+        let mut pushed = Trace::default();
+        for (t, e) in in_order {
+            pushed.push(t, e);
+        }
+        let jsonl = merged.to_jsonl();
+        assert_eq!(jsonl, pushed.to_jsonl());
+        let times: Vec<&str> = jsonl
+            .lines()
+            .map(|l| &l[5..l.find(',').unwrap()])
+            .collect();
+        assert_eq!(times, ["1", "2", "9", "9", "9", "9", "12", "14"]);
+    }
+
+    /// The streaming writer against [`arena_jsonl`] on drawn traces: a few
+    /// distinct timestamps with many events at each, pushed in time order
+    /// or not, into unbounded and ring sinks (the latter with overwritten
+    /// entries still hidden at the front of the log), some merged.
+    #[test]
+    fn streamed_jsonl_matches_the_arena_renderer() {
+        use rand::{Rng, SeedableRng};
+        let (mut hidden, mut unordered, mut repeats) = (0, 0, 0);
+        for case in 0..400u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(case);
+            let draw = |rng: &mut rand::rngs::SmallRng| {
+                let cfg = match rng.gen_range(0..2) {
+                    0 => TraceConfig::Memory,
+                    _ => TraceConfig::Ring {
+                        capacity: rng.gen_range(1..40),
+                    },
+                };
+                let mut trace = Trace::new(cfg);
+                let in_order = rng.gen_bool(0.7);
+                let mut t = 0;
+                for _ in 0..rng.gen_range(0..120) {
+                    t = if in_order {
+                        t + rng.gen_range(0..6u64) / 4
+                    } else {
+                        rng.gen_range(0..8u64)
+                    };
+                    trace.push(t, any_event(rng));
+                }
+                trace
+            };
+            let mut trace = draw(&mut rng);
+            if rng.gen_bool(0.25) {
+                trace.absorb(&draw(&mut rng));
+            }
+            hidden += usize::from(trace.hidden > 0);
+            let ev = trace.events();
+            unordered += usize::from(ev.windows(2).any(|p| p[0].0 > p[1].0));
+            repeats += usize::from(ev.iter().enumerate().any(|(i, e)| ev[..i].contains(e)));
+            let oracle = arena_jsonl(&trace);
+            assert_eq!(trace.to_jsonl(), oracle, "case {case}");
+            let mut streamed = Vec::new();
+            trace.write_jsonl(&mut streamed).unwrap();
+            assert_eq!(streamed, oracle.as_bytes(), "case {case}");
+        }
+        assert!(hidden > 20 && unordered > 20 && repeats > 20, "{hidden} {unordered} {repeats}");
     }
 
     #[test]
