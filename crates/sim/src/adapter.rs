@@ -152,7 +152,7 @@ impl Network {
             // A cut-through follower's source, while it is still arriving.
             let src_got = a.tx_queue.front()?.follow.and_then(|src| a.arriving(src));
             let head = a.tx_queue.front_mut().expect("the queue has a head");
-            let inst = &self.worms[head.worm.0 as usize];
+            let inst = &self.worms[head.worm];
             if head.route_sent < inst.route.len() {
                 let sym = inst.route[head.route_sent];
                 head.route_sent += 1;
@@ -196,7 +196,7 @@ impl Network {
                 };
                 // The route left the wire byte by byte; recycle its buffer
                 // (wire-length accounting uses the cached `route_len`).
-                let route = std::mem::take(&mut self.worms[finished.worm.0 as usize].route);
+                let route = std::mem::take(&mut self.worms[finished.worm].route);
                 self.route_pool.give(route);
                 self.notify_tx_complete(host, finished.worm);
                 Some(b)
@@ -249,7 +249,7 @@ impl Network {
                             // A Tail before the full body is a fragment
                             // boundary (the switch-level interrupt/resume
                             // scheme); reassembly continues.
-                            if *body_got < self.worms[worm.0 as usize].body_len() {
+                            if *body_got < self.worms[*worm].body_len() {
                                 RxAction::FragmentBoundary
                             } else {
                                 RxAction::Complete(*worm)
@@ -295,7 +295,7 @@ impl Network {
                 self.adapter_kick_followers(host);
             }
             RxAction::Complete(worm) => {
-                let corrupt = self.worm_flags.get(worm) & crate::slab::FLAG_CORRUPT != 0;
+                let corrupt = self.worms.slot(worm).flags & crate::arena::FLAG_CORRUPT != 0;
                 {
                     let a = &mut self.adapters[host.0 as usize];
                     a.rx = RxState::Idle;
@@ -306,7 +306,7 @@ impl Network {
                         a.counters.worms_received += 1;
                     }
                 }
-                self.resolve_sink(worm);
+                let last_sink = self.resolve_sink(worm);
                 self.stats.active_worms -= 1;
                 // A follower of the worm may now send its tail.
                 self.adapter_kick_followers(host);
@@ -321,6 +321,9 @@ impl Network {
                     }
                 } else {
                     self.notify_worm_received(host, worm);
+                }
+                if last_sink {
+                    self.release_worm(worm);
                 }
             }
             RxAction::FragmentBoundary => {
@@ -386,7 +389,9 @@ impl Network {
                     a.counters.bytes_refused += 1;
                     a.counters.worms_refused += 1;
                 }
-                self.resolve_sink(worm);
+                if self.resolve_sink(worm) {
+                    self.release_worm(worm);
+                }
                 self.stats.active_worms -= 1;
                 self.stats.worms_refused += 1;
             }

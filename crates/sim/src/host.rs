@@ -7,7 +7,7 @@ use crate::network::{Delivery, MessageRecord, Network};
 use crate::protocol::{
     AdapterProtocol, Admission, AppMessage, Command, ProtocolCtx, SendSpec, TrafficSource,
 };
-use crate::slab;
+use crate::arena::{self, WormArena};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 use crate::worm::{MessageId, RouteSym, WormId, WormInstance, WormMeta};
@@ -89,7 +89,7 @@ impl Network {
     fn with_protocol<R: Default>(
         &mut self,
         host: HostId,
-        call: impl FnOnce(&mut dyn AdapterProtocol, &mut ProtocolCtx, &[WormInstance], &mut Trace) -> R,
+        call: impl FnOnce(&mut dyn AdapterProtocol, &mut ProtocolCtx, &WormArena, &mut Trace) -> R,
     ) -> R {
         let Some(mut proto) = self.protocols[host.0 as usize].take() else {
             return R::default();
@@ -114,7 +114,7 @@ impl Network {
     pub(crate) fn protocol_admission(&mut self, host: HostId, worm: WormId) -> Admission {
         let name = self.worm_name(worm);
         self.with_protocol(host, |proto, ctx, worms, trace| {
-            let admission = proto.on_header(ctx, &worms[worm.0 as usize]);
+            let admission = proto.on_header(ctx, &worms[worm]);
             if admission == Admission::Refuse && trace.enabled() {
                 trace.push(ctx.now, TraceEvent::WormRefused { worm: name, host });
             }
@@ -132,19 +132,19 @@ impl Network {
             );
         }
         self.with_protocol(host, |proto, ctx, worms, _| {
-            proto.on_worm_received(ctx, &worms[worm.0 as usize])
+            proto.on_worm_received(ctx, &worms[worm])
         });
     }
 
     pub(crate) fn notify_tx_complete(&mut self, host: HostId, worm: WormId) {
         self.with_protocol(host, |proto, ctx, worms, _| {
-            proto.on_tx_complete(ctx, &worms[worm.0 as usize])
+            proto.on_tx_complete(ctx, &worms[worm])
         });
     }
 
     pub(crate) fn notify_flushed(&mut self, host: HostId, worm: WormId) {
         self.with_protocol(host, |proto, ctx, worms, _| {
-            proto.on_worm_flushed(ctx, &worms[worm.0 as usize])
+            proto.on_worm_flushed(ctx, &worms[worm])
         });
     }
 
@@ -199,7 +199,7 @@ impl Network {
                 buf
             }
         };
-        let id = WormId(self.worms.len() as u32);
+        let id = self.worms.next_id();
         let now = self.scheduler.now();
         let inst = WormInstance {
             id,
@@ -225,17 +225,15 @@ impl Network {
             injected: now,
         };
         let sinks = inst.sinks.max(1) as u64;
-        self.worms.push(inst);
-        // Name the worm with its globally unique identity (`worm_names`):
-        // boundary bytes use it to name the worm in other shards, and the
-        // trace records it so sharded and sequential runs agree line for
-        // line. Allocation order follows the injecting host's own event
-        // order, which the canonical schedule makes identical to the
-        // sequential engine's.
+        // Name the worm with its globally unique identity: boundary bytes
+        // use it to name the worm in other shards, and the trace records it
+        // so sharded and sequential runs agree line for line. Allocation
+        // order follows the injecting host's own event order, which the
+        // canonical schedule makes identical to the sequential engine's.
         let seq = &mut self.next_worm_seq[host.0 as usize];
         let tag = ((host.0 as u64) << 40) | *seq;
         *seq += 1;
-        *self.worm_names.get_mut(id) = tag;
+        self.worms.push(inst, tag);
         if let Some(s) = self.shard.as_mut() {
             s.tag_to_worm.insert(tag, id);
         }
@@ -243,7 +241,7 @@ impl Network {
         self.stats.sinks_injected += sinks;
         self.stats.active_worms += sinks as i64;
         if self.cfg.corrupt_prob > 0.0 && self.fault_rng.gen_bool(self.cfg.corrupt_prob) {
-            *self.worm_flags.get_mut(id) |= slab::FLAG_CORRUPT;
+            self.worms.slot_mut(id).flags |= arena::FLAG_CORRUPT;
         }
         if self.trace.enabled() {
             self.trace

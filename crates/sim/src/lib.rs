@@ -30,6 +30,7 @@
 //! configuration replay the same event sequence byte for byte.
 
 pub mod adapter;
+pub mod arena;
 pub mod config;
 pub mod deadlock;
 pub mod engine;

@@ -9,6 +9,7 @@
 //! [`crate::switchcast`] are the nodes themselves.
 
 use crate::adapter::Adapter;
+use crate::arena::{self, WormArena};
 use crate::deadlock::DeadlockReport;
 use crate::engine::{CtrlSym, Event, HostId, Scheduler};
 use crate::link::{ChanId, Endpoint, Lane, Link, LinkId, NodeRef, RxPort, TxPayload, TxPort};
@@ -165,20 +166,20 @@ pub struct Network {
     /// Directed-link metadata; each entry's lanes are a contiguous
     /// [`ChanId`] range in `lanes`.
     pub(crate) links: Vec<Link>,
-    pub worms: Vec<WormInstance>,
+    /// The worm window ([`crate::arena`]): every worm from the oldest one
+    /// still unreleased to the newest, with its engine-private side state.
+    /// External reads go through [`Network::worm`] and
+    /// [`Network::live_worms`].
+    pub(crate) worms: WormArena,
+    /// Flushed worms not yet released, each with the last time a byte of it
+    /// can still arrive somewhere ([`Network::flush_worm`]). Empty in the
+    /// normal no-flush regime, which lets the per-byte receive path skip
+    /// the flush check entirely.
+    pub(crate) flush_pending: Vec<(SimTime, WormId)>,
     pub stats: NetStats,
     pub msgs: MessageLog,
     pub trace: Trace,
     pub(crate) routes: RouteTable,
-    /// Per-worm status bits ([`slab::FLAG_CORRUPT`], [`slab::FLAG_FLUSHED`])
-    /// in a dense slab — the delivery path never hashes a [`WormId`].
-    pub(crate) worm_flags: slab::PerWorm<u8>,
-    /// Number of worms carrying [`slab::FLAG_FLUSHED`]; lets the per-byte
-    /// hot path skip the flush check entirely when no flush ever happened.
-    pub(crate) flushed_count: u32,
-    /// Outstanding sink count for multi-sink (switch-multicast) worms.
-    /// 0 means "not yet decremented" (lazily initialised from `sinks`).
-    pub(crate) sink_remaining: slab::PerWorm<u32>,
     /// Recycled encoded-route buffers (see [`slab::RoutePool`]).
     pub(crate) route_pool: slab::RoutePool,
     /// Down-tree + host ports per switch, for the broadcast address
@@ -193,14 +194,8 @@ pub struct Network {
     /// injection history — a sharded run (which never sees other shards'
     /// injections) allocates exactly the ids the sequential engine does.
     pub(crate) next_msg_seq: Vec<u64>,
-    /// Canonical per-worm names, `(injecting host << 40) | seq` like
-    /// [`MessageId`]s (`u64::MAX` = unnamed). Dense [`WormId`]s are
-    /// per-engine — each shard of a sharded run allocates its own — so the
-    /// trace and the cross-shard boundary protocol name worms by this tag
-    /// instead; assignment depends only on the injecting host's own
-    /// history, making the names identical however the run is partitioned.
-    pub(crate) worm_names: slab::PerWorm<u64>,
-    /// Per-host worm sequence counters backing `worm_names`.
+    /// Per-host worm sequence counters backing the worms' canonical names
+    /// ([`Network::worm_name`]).
     pub(crate) next_worm_seq: Vec<u64>,
     pub(crate) cmd_scratch: Vec<Command>,
     /// STOP/GO arrivals whose worm attribution is deferred to the end of
@@ -255,13 +250,11 @@ impl Network {
             adapters,
             lanes,
             links,
-            worms: Vec::new(),
+            worms: WormArena::default(),
+            flush_pending: Vec::new(),
             stats: NetStats::default(),
             msgs: MessageLog::default(),
             routes,
-            worm_flags: slab::PerWorm::new(0),
-            flushed_count: 0,
-            sink_remaining: slab::PerWorm::new(0),
             route_pool: slab::RoutePool::new(),
             broadcast_ports: Vec::new(),
             protocols: (0..num_hosts).map(|_| None).collect(),
@@ -269,7 +262,6 @@ impl Network {
             rngs,
             fault_rng,
             next_msg_seq: vec![0; num_hosts],
-            worm_names: slab::PerWorm::new(u64::MAX),
             next_worm_seq: vec![0; num_hosts],
             cmd_scratch: Vec::new(),
             pending_ctrl_trace: Vec::new(),
@@ -335,16 +327,53 @@ impl Network {
     /// corrupt). Returns true when this was the worm's last sink — the
     /// moment the worm stops being "active".
     pub(crate) fn resolve_sink(&mut self, worm: WormId) -> bool {
-        let sinks = self.worms[worm.0 as usize].sinks;
-        if sinks <= 1 {
-            return true;
-        }
-        let left = self.sink_remaining.get_mut(worm);
-        if *left == 0 {
-            *left = sinks;
-        }
+        let left = &mut self.worms.slot_mut(worm).sinks_left;
         *left -= 1;
         *left == 0
+    }
+
+    /// `worm`'s last byte has left the fabric: free its slot in the worm
+    /// window. A shard keeps every worm, since its mirrors of a worm are
+    /// resolved in several shards and named across them by dense id
+    /// (`ShardCtx::tag_to_worm`).
+    pub(crate) fn release_worm(&mut self, worm: WormId) {
+        if self.shard.is_none() {
+            self.worms.release(worm);
+        }
+    }
+
+    /// Release every flushed worm none of whose bytes can still arrive at
+    /// `now`: its last possible arrival lies in an earlier tick.
+    fn release_flushed(&mut self, now: SimTime) {
+        let mut i = 0;
+        while i < self.flush_pending.len() {
+            let (last_arrival, worm) = self.flush_pending[i];
+            if last_arrival < now {
+                self.flush_pending.swap_remove(i);
+                self.release_worm(worm);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Live worm `id`, or `None` once its last byte has left the fabric
+    /// (or if it was never injected).
+    pub fn worm(&self, id: WormId) -> Option<&WormInstance> {
+        self.worms.get(id)
+    }
+
+    /// The live worms, oldest first: injected, and some byte of each still
+    /// queued, on a wire or in a buffer.
+    pub fn live_worms(&self) -> impl Iterator<Item = &WormInstance> {
+        self.worms.live()
+    }
+
+    /// Slots in the worm window, from the oldest unreleased worm to the
+    /// newest: what the run's worm storage holds, released slots between
+    /// live ones included.
+    pub fn worm_window(&self) -> usize {
+        self.worms.window_len()
     }
 
     /// True when nothing can happen any more without outside input: no worm
@@ -418,6 +447,7 @@ impl Network {
     /// the span counters.
     pub(crate) fn end_run(&mut self, horizon: SimTime) {
         self.flush_ctrl_trace();
+        self.release_flushed(horizon);
         self.sync_event_stats();
         self.settle_run(horizon);
     }
@@ -508,24 +538,24 @@ impl Network {
         }
     }
 
-    /// The canonical name of a local worm, for trace emission: every worm
-    /// is named at injection ([`Network::inject_worm`]) or first boundary
-    /// contact (`worm_for_tag`), so an unnamed worm here is a logic error.
+    /// The canonical name of a live worm, for trace emission: every worm
+    /// is named when its slot is pushed, at injection
+    /// ([`Network::inject_worm`]) or first boundary contact
+    /// (`worm_for_tag`); naming a released worm panics.
     #[inline]
     pub(crate) fn worm_name(&self, worm: WormId) -> u64 {
-        let tag = self.worm_names.get(worm);
-        debug_assert_ne!(tag, u64::MAX, "traced worm {worm:?} was never named");
-        tag
+        self.worms.slot(worm).name
     }
 
     /// Resolve a canonical worm name (the `worm` field of
-    /// [`TraceEvent`]s) back to the local worm
-    /// instance. Linear scan — meant for diagnostics and trace
-    /// post-processing, not the simulation hot path.
+    /// [`TraceEvent`]s) back to the live worm instance; `None` once the
+    /// worm has left the fabric. Linear scan of the worm window — meant for
+    /// diagnostics, not the simulation hot path.
     pub fn worm_by_name(&self, name: u64) -> Option<&WormInstance> {
-        (0..self.worms.len() as u32)
-            .find(|&i| self.worm_names.get(WormId(i)) == name)
-            .map(|i| &self.worms[i as usize])
+        self.worms
+            .live_slots()
+            .find(|s| s.name == name)
+            .map(|s| &s.inst)
     }
 
     /// Sum of output-link utilization over the host adapters this engine
@@ -617,8 +647,11 @@ impl Network {
         let dst = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver(!src_foreign);
         self.stats.bytes_moved += 1;
         // Bytes of a flushed (Backward Reset) worm evaporate on arrival.
-        if self.flushed_count > 0 && self.worm_flags.get(byte.worm) & slab::FLAG_FLUSHED != 0 {
-            return;
+        if !self.flush_pending.is_empty() {
+            self.release_flushed(self.scheduler.now());
+            if self.worms.slot(byte.worm).flags & arena::FLAG_FLUSHED != 0 {
+                return;
+            }
         }
         self.deliver_run(dst, byte, 1);
     }
@@ -727,11 +760,15 @@ impl Network {
 
     // -- auditing ------------------------------------------------------------
 
-    /// Check the conservation invariant, and at quiescence that the
-    /// fabric holds no byte. Call at any quiescent point; cheap enough to
-    /// call after every test run.
+    /// Check the conservation invariant, that the worm window holds
+    /// exactly the worms still in the fabric, and at quiescence that the
+    /// fabric holds no byte and the window no worm. Call at any quiescent
+    /// point; cheap enough to call after every test run.
     pub fn audit(&self) -> Result<(), String> {
         Self::audit_counters(&self.stats)?;
+        if self.shard.is_none() {
+            self.audit_window()?;
+        }
         if self.stats.active_worms == 0 {
             self.audit_fabric_empty()?;
         }
@@ -753,6 +790,43 @@ impl Network {
                 s.worms_corrupt,
                 s.worms_flushed,
                 s.active_worms
+            ));
+        }
+        Ok(())
+    }
+
+    /// The worm window's half (outside shards, which release nothing): every
+    /// unreleased worm has a sink still to resolve or is a flushed worm
+    /// whose bytes may still arrive, the unresolved sinks are the active
+    /// count, and a quiescent network holds an empty window.
+    fn audit_window(&self) -> Result<(), String> {
+        let (mut unresolved, mut flushed, mut sinks) = (0, 0, 0);
+        for slot in self.worms.live_slots() {
+            if slot.flags & arena::FLAG_FLUSHED != 0 {
+                flushed += 1;
+            } else if slot.sinks_left > 0 {
+                unresolved += 1;
+                sinks += slot.sinks_left as i64;
+            }
+        }
+        let live = self.worms.live_len();
+        if live != unresolved + self.flush_pending.len() || flushed != self.flush_pending.len() {
+            return Err(format!(
+                "worm window holds {live} worms: {unresolved} with a sink to resolve, \
+                 {flushed} flushed, {} flushed awaiting release",
+                self.flush_pending.len()
+            ));
+        }
+        if sinks != self.stats.active_worms {
+            return Err(format!(
+                "worm window holds {sinks} unresolved sinks, active_worms={}",
+                self.stats.active_worms
+            ));
+        }
+        if self.is_quiescent() && self.worms.window_len() != 0 {
+            return Err(format!(
+                "quiescent network holds {} worm slots ({live} live)",
+                self.worms.window_len()
             ));
         }
         Ok(())

@@ -147,7 +147,7 @@ pub(crate) struct ShardCtx {
     /// (bit = destination shard index; shard count is capped at 64).
     pub(crate) snap_sent: PerWorm<u64>,
     /// Canonical worm name → local dense [`WormId`]. The names themselves
-    /// live in `Network::worm_names` (sequential runs assign them too, so
+    /// live in the worm window's slots (sequential runs assign them too, so
     /// the trace names worms identically however the run is partitioned);
     /// only this reverse index is shard-specific.
     pub(crate) tag_to_worm: HashMap<u64, WormId>,
@@ -223,7 +223,7 @@ impl Network {
         let mask = s.snap_sent.get_mut(b.worm);
         let need_snap = *mask & (1 << to) == 0;
         *mask |= 1 << to;
-        let snap = need_snap.then(|| Box::new(WormSnap::of(&self.worms[b.worm.0 as usize])));
+        let snap = need_snap.then(|| Box::new(WormSnap::of(&self.worms[b.worm])));
         self.push_boundary(
             to,
             BoundaryMsg::Rx {
@@ -279,11 +279,9 @@ impl Network {
             return w;
         }
         let snap = snap.expect("first boundary byte of a worm carries its snapshot");
-        let id = WormId(self.worms.len() as u32);
+        let id = self.worms.next_id();
         s.tag_to_worm.insert(tag, id);
-        *self.worm_names.get_mut(id) = tag;
-        self.worms.push(snap.instantiate(id));
-        id
+        self.worms.push(snap.instantiate(id), tag)
     }
 
     /// The canonical name of a local worm, or `None` if it was never
@@ -291,8 +289,7 @@ impl Network {
     /// to name one worm consistently across the shards that each hold a
     /// mirror of it under different dense ids.
     pub(crate) fn worm_tag(&self, worm: WormId) -> Option<u64> {
-        let tag = self.worm_names.get(worm);
-        (tag != u64::MAX).then_some(tag)
+        self.worms.slot_opt(worm).map(|s| s.name)
     }
 }
 

@@ -1,12 +1,12 @@
-//! Dense per-worm state: hash-free slab stores and allocation pools for
-//! the simulation hot path.
+//! Dense per-worm side state for the sharded engine, adapter-local
+//! reception lists and allocation pools for the simulation hot path.
 //!
-//! [`WormId`] is an index into the network's append-only worm arena and is
-//! never reused, so per-worm side state needs no hashing and no generation
-//! tags: a dense vector indexed by worm slot, grown on demand, gives
-//! `HashMap`-entry semantics with a bounds check in place of a hash — the
-//! degenerate (and fastest) case of a generational slab. Every delivery-path
-//! lookup that used to hash a `WormId` goes through [`PerWorm`] instead.
+//! A worm's own state (its instance, name, flags and sink countdown) lives
+//! in its slot of the worm window ([`crate::arena`]). [`PerWorm`] is what is
+//! left of the dense per-worm side tables it replaced: a shard's record of
+//! which other shards it has sent a worm's snapshot to. A sharded run
+//! releases no worm, so the vector, indexed by [`WormId`] and grown on
+//! demand, stays aligned with the arena.
 //!
 //! [`FollowMap`] backs an adapter's parked fragments (`Adapter::parked`):
 //! keyed by worm, but holding only a handful of *live* entries at a time,
@@ -19,12 +19,6 @@
 //! injection performs no allocator calls.
 
 use crate::worm::{RouteSym, WormId};
-
-/// Worm-flag bit: the fault model corrupted this worm in flight.
-pub(crate) const FLAG_CORRUPT: u8 = 1 << 0;
-/// Worm-flag bit: a Backward Reset flush evicted this worm; its in-flight
-/// bytes are discarded on arrival.
-pub(crate) const FLAG_FLUSHED: u8 = 1 << 1;
 
 /// A dense per-worm store: `HashMap<WormId, T>` semantics (with a default
 /// standing in for "absent") at vector-index cost.

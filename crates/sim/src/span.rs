@@ -62,7 +62,7 @@ impl Network {
             SwitchcastMode::Off => false,
             SwitchcastMode::IdleFlush => true,
             SwitchcastMode::RestrictedIdle | SwitchcastMode::RootedInterrupt => matches!(
-                self.worms[worm.0 as usize].meta.kind,
+                self.worms[worm].meta.kind,
                 WormKind::SwitchMulticast { .. }
             ),
         }
@@ -245,7 +245,7 @@ impl Network {
                     "follower span at adapter {h:?} outruns its source: emission guard failed"
                 );
                 let head = a.tx_queue.front_mut().expect("span-ready head worm");
-                let unsent = &self.worms[head.worm.0 as usize].route[head.route_sent..];
+                let unsent = &self.worms[head.worm].route[head.route_sent..];
                 for &sym in &unsent[..route as usize] {
                     tx.stage_route_sym(sym);
                 }
@@ -309,7 +309,7 @@ impl Network {
         // arriving ([`Lane::settle`]).
         self.stats.bytes_moved += span.len;
         debug_assert!(
-            self.flushed_count == 0,
+            self.flush_pending.is_empty(),
             "spans and flushes cannot coexist (`span_refused` under IdleFlush)"
         );
         if span.route > 0 {
@@ -721,7 +721,7 @@ impl Network {
         if self.span_refused(head.worm) {
             return None;
         }
-        let inst = &self.worms[head.worm.0 as usize];
+        let inst = &self.worms[head.worm];
         let unsent = &inst.route[head.route_sent..];
         // A shard engine keeps route symbols per-byte, as
         // `switch_span_ready` does.
@@ -897,6 +897,21 @@ mod tests {
         };
         let lanes = [lane_out(0, 0), lane_out(1, 1)];
         (net, lanes, worms)
+    }
+
+    /// A worm leaves the worm window with its last byte: once both worms
+    /// of the chain are delivered the window is empty, `Network::worm`
+    /// says so, and an engine read of either panics in every build.
+    #[test]
+    #[should_panic(expected = "read after its release")]
+    fn a_delivered_worm_cannot_be_read() {
+        let (mut net, _, worms) = two_trunk_chain([10; 2], SimMode::SpanBatched, [40, 40]);
+        assert!(net.worm(worms[0]).is_some());
+        net.run_until(2_000);
+        assert_eq!(net.stats.worms_delivered, 2);
+        assert_eq!(net.worm_window(), 0);
+        assert!(net.worm(worms[0]).is_none());
+        let _ = &net.worms[worms[0]];
     }
 
     /// Run `net` to `t_end` as `run_until` does, counting the arrival events

@@ -357,7 +357,7 @@ impl Network {
                 // a plain transit hop otherwise.
                 ByteKind::Route(RouteSym::Port(out))
                     if !matches!(
-                        self.worms[worm.0 as usize].meta.kind,
+                        self.worms[worm].meta.kind,
                         WormKind::SwitchMulticast { .. }
                     ) =>
                 {

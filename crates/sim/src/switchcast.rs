@@ -698,7 +698,7 @@ impl Network {
             let flushable = match self.switches[sw.0 as usize].inputs[in_port as usize].state {
                 InState::Requesting { worm, out: o }
                     if o == port
-                        && matches!(self.worms[worm.0 as usize].meta.kind, WormKind::Unicast) =>
+                        && matches!(self.worms[worm].meta.kind, WormKind::Unicast) =>
                 {
                     Some(worm)
                 }
@@ -723,13 +723,20 @@ impl Network {
     /// creeping hop by hop; the simulator performs the walk atomically
     /// (the propagation-delay difference is a few byte-times and no other
     /// event can interleave meaningfully).
+    ///
+    /// The worm stays in the worm window until no byte of it can still
+    /// arrive: every byte left on a wire is on the input lane of an input
+    /// the walk visits (nothing downstream of the blocked head, nothing
+    /// upstream of the first input no longer forwarding it), so each
+    /// arrives within that lane's delay of now. `release_flushed` frees the
+    /// slot in the first tick past the longest of those delays.
     pub(crate) fn flush_worm(&mut self, worm: crate::worm::WormId, sw: SwitchId, in_port: u8) {
-        let flags = self.worm_flags.get_mut(worm);
-        if *flags & crate::slab::FLAG_FLUSHED == 0 {
-            *flags |= crate::slab::FLAG_FLUSHED;
-            self.flushed_count += 1;
-        }
-        let injector = self.worms[worm.0 as usize].meta.injector;
+        let flags = &mut self.worms.slot_mut(worm).flags;
+        debug_assert_eq!(*flags & crate::arena::FLAG_FLUSHED, 0, "{worm:?} flushed twice");
+        *flags |= crate::arena::FLAG_FLUSHED;
+        let injector = self.worms[worm].meta.injector;
+        let now = self.scheduler.now();
+        let mut last_arrival = now;
         let mut cur = Some((sw, in_port));
         while let Some((s, p)) = cur {
             let (release, chan_in) = {
@@ -754,6 +761,9 @@ impl Network {
             };
             if let Some(out) = release {
                 self.switch_release_output(s, out);
+            }
+            if let Some(ch) = chan_in {
+                last_arrival = last_arrival.max(now + self.lanes[ch.0 as usize].delay());
             }
             self.after_slack_dequeue(s, p);
             self.switch_advance_input(s, p);
@@ -802,6 +812,7 @@ impl Network {
                 .push(at, crate::trace::TraceEvent::WormFlushed { worm, host: injector });
         }
         self.notify_flushed(injector, worm);
+        self.flush_pending.push((last_arrival, worm));
     }
 }
 

@@ -16,9 +16,13 @@
 use crate::engine::HostId;
 use crate::time::SimTime;
 
-/// Index into the network's worm arena. Each *transmission* (an original
-/// injection, a forwarded multicast copy, a retransmission, a fragment) is
-/// its own instance.
+/// A worm's id in the network's worm window ([`crate::arena`]). Each
+/// *transmission* (an original injection, a forwarded multicast copy, a
+/// retransmission, a fragment) is its own instance. Ids are dense in
+/// injection order and never reused, so a protocol's set of ids, a trace
+/// or a deadlock report keeps its meaning after the worm has left the
+/// fabric and its slot is released; the instance itself can then no
+/// longer be read. A run fails loudly rather than wrap past 2³² ids.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct WormId(pub u32);
 

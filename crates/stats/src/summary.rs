@@ -13,18 +13,28 @@ pub struct Summary {
 impl Summary {
     /// Summarise a sample (unbiased variance). Empty samples yield zeros.
     pub fn of(xs: &[f64]) -> Self {
-        let n = xs.len();
+        Self::over(xs.len(), || xs.iter().copied())
+    }
+
+    /// Summarise integer byte-time samples, converting each as it is read
+    /// (the same sums, in the same order, as [`Summary::of`] on a copy).
+    pub fn of_u64(xs: &[u64]) -> Self {
+        Self::over(xs.len(), || xs.iter().map(|&x| x as f64))
+    }
+
+    /// The summary of the `n` samples each call of `xs` yields, in order.
+    fn over<I: Iterator<Item = f64>>(n: usize, xs: impl Fn() -> I) -> Self {
         if n == 0 {
             return Summary::default();
         }
-        let mean = xs.iter().sum::<f64>() / n as f64;
+        let mean = xs().sum::<f64>() / n as f64;
         let var = if n > 1 {
-            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64
+            xs().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64
         } else {
             0.0
         };
-        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let min = xs().fold(f64::INFINITY, f64::min);
+        let max = xs().fold(f64::NEG_INFINITY, f64::max);
         Summary {
             n,
             mean,
@@ -32,12 +42,6 @@ impl Summary {
             min,
             max,
         }
-    }
-
-    /// Summarise integer byte-time samples.
-    pub fn of_u64(xs: &[u64]) -> Self {
-        let v: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
-        Self::of(&v)
     }
 
     pub fn stddev(&self) -> f64 {
@@ -116,5 +120,25 @@ mod tests {
     fn of_u64_converts() {
         let s = Summary::of_u64(&[10, 20, 30]);
         assert!((s.mean - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn of_u64_sums_as_a_copied_f64_sample_does() {
+        // Values past 2^53 round on conversion, so any change of order or
+        // of conversion point would show in the last bits.
+        let xs: Vec<u64> = (0..1000u64)
+            .map(|i| (i * 7919 + 13) % 65_537 + (1 << 53) * (i % 3))
+            .collect();
+        let s = Summary::of_u64(&xs);
+        let v: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
+        let n = v.len() as f64;
+        let mean = v.iter().sum::<f64>() / n;
+        let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+        let min = v.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(s.n, v.len());
+        for (got, want) in [(s.mean, mean), (s.var, var), (s.min, min), (s.max, max)] {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 }

@@ -3,11 +3,13 @@
 //!
 //!     cargo run --example quickstart
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use wormcast::core::{HcConfig, HcProtocol, Membership};
 use wormcast::sim::engine::HostId;
 use wormcast::sim::protocol::{Destination, SourceMessage};
 use wormcast::sim::trace::{TraceConfig, TraceEvent};
+use wormcast::sim::worm::HEADER_LEN;
 use wormcast::sim::{Network, NetworkConfig};
 use wormcast::topo::{TopoBuilder, UpDown};
 use wormcast::traffic::script::install_one_shot;
@@ -50,26 +52,44 @@ fn main() {
         payload_len: 400,
     });
 
-    // 5. Run and report.
+    // 5. Run and report. A worm leaves the network's worm window with its
+    //    last byte, so the timeline names each worm from the trace alone:
+    //    its injector is the top bits of its name, its receiver the host
+    //    that took it, and its wire length its route plus header, payload
+    //    and tail.
     let outcome = net.run_until(100_000);
     println!("run ended at t={} (drained: {})", outcome.end_time, outcome.drained);
+    let injector = |worm: u64| HostId((worm >> 40) as u32);
+    let received: Vec<(u64, HostId)> = net
+        .trace
+        .events()
+        .iter()
+        .filter_map(|(_, ev)| match ev {
+            TraceEvent::WormReceived { worm, host } => Some((*worm, *host)),
+            _ => None,
+        })
+        .collect();
+    let payload = net.msgs.created[0].payload_len as u64;
+    let mut wire_to = HashMap::new();
+    for (worm, to) in received {
+        let route = net.routes_mut().get(injector(worm), to).len() as u64;
+        wire_to.insert(worm, (to, route + HEADER_LEN as u64 + payload + 1));
+    }
     println!("\nper-event timeline (byte-times):");
     for (t, ev) in net.trace.events() {
         match ev {
             TraceEvent::WormInjected { worm, host } => {
-                let w = net.worm_by_name(*worm).expect("traced worm exists");
+                let (to, wire) = wire_to[worm];
                 println!(
-                    "  t={t:>6}  host {} -> host {}: worm injected ({} bytes on the wire)",
-                    host.0,
-                    w.meta.dest.0,
-                    w.wire_len()
+                    "  t={t:>6}  host {} -> host {}: worm injected ({wire} bytes on the wire)",
+                    host.0, to.0
                 );
             }
             TraceEvent::WormReceived { worm, host } => {
-                let w = net.worm_by_name(*worm).expect("traced worm exists");
                 println!(
                     "  t={t:>6}  host {}: worm from host {} fully received",
-                    host.0, w.meta.injector.0
+                    host.0,
+                    injector(*worm).0
                 );
             }
             TraceEvent::Delivered { host, .. } => {

@@ -10,6 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wormcast::sim::engine::HostId;
 use wormcast::sim::protocol::{Destination, SourceMessage};
+use wormcast::sim::worm::HEADER_LEN;
 use wormcast::sim::{Network, NetworkConfig};
 use wormcast::traffic::script::install_script;
 
@@ -107,11 +108,13 @@ fn latency_respects_wire_time() {
         let delay = rng.gen_range(1..50u64);
         let len = rng.gen_range(1..5_000u32);
         let sends = [(0u8, (n - 1) as u8, len, 100u64)];
-        let (log, net) = run_line(n, delay, 0, &sends);
+        let (log, mut net) = run_line(n, delay, 0, &sends);
         assert_eq!(log.len(), 1, "case {case}");
         let (_, _, at) = log[0];
         let hops = n; // n-1 switch links + host link, roughly
-        let wire = net.worms[0].wire_len();
+        // Route, header, payload and tail, as the worm was injected.
+        let route = net.routes_mut().get(HostId(0), HostId(n as u32 - 1)).len() as u64;
+        let wire = route + HEADER_LEN as u64 + len as u64 + 1;
         let min_latency = wire + hops as u64 * delay;
         assert!(
             at - 100 >= min_latency - delay, // head start pipelining slack

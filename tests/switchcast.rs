@@ -9,7 +9,7 @@ use wormcast::core::switchcast::SwitchcastVariant;
 use wormcast::sim::deadlock::graph_from_edges;
 use wormcast::sim::engine::HostId;
 use wormcast::sim::protocol::{Destination, SourceMessage};
-use wormcast::sim::trace::TraceConfig;
+use wormcast::sim::trace::{TraceConfig, TraceEvent};
 use wormcast::sim::Network;
 use wormcast::topo::{TopoBuilder, Topology};
 use wormcast::traffic::script::{install_one_shot, install_script};
@@ -118,10 +118,11 @@ fn v2_fragments_under_contention_and_reassembles() {
     assert_eq!(net.msgs.deliveries.len(), 9 + 6);
 }
 
-#[test]
-fn v3_flushes_blocked_unicasts_and_they_retransmit() {
+/// V3 with two unicasts that wait on ports a long multicast holds with
+/// IDLE fill, so both are flushed and retransmitted.
+fn v3_flush_scenario(trace: TraceConfig) -> Network {
     let members: Vec<HostId> = vec![1, 4, 7, 9].into_iter().map(HostId).collect();
-    let mut net = setup(SwitchcastVariant::IdleFlush, members);
+    let mut net = scripted_net(topo(), members, Scheme::Switch(SwitchcastVariant::IdleFlush), trace);
     // A long unicast on switch 4 holds the port to host 9...
     install_one_shot(&mut net, HostId(8), 0, SourceMessage {
         dest: Destination::Unicast(HostId(9)),
@@ -141,6 +142,12 @@ fn v3_flushes_blocked_unicasts_and_they_retransmit() {
             payload_len: 500,
         });
     }
+    net
+}
+
+#[test]
+fn v3_flushes_blocked_unicasts_and_they_retransmit() {
+    let mut net = v3_flush_scenario(TraceConfig::Off);
     let out = net.run_until(3_000_000);
     assert!(out.drained, "flush scheme must drain");
     assert!(out.deadlock.is_none());
@@ -149,6 +156,34 @@ fn v3_flushes_blocked_unicasts_and_they_retransmit() {
     // all 3 unicasts (the flushed ones come back by retransmission).
     assert_eq!(net.msgs.deliveries.len(), 3 + 3);
     assert!(net.stats.worms_flushed >= 2, "both waiting unicasts are flushed");
+}
+
+/// A flushed worm stays in the worm window while its bytes may still be on
+/// a wire, and leaves it after. Stepped a byte-time at a time up to its
+/// second flush, the window still holds each flushed worm at the step of
+/// its flush; once the run drains, the window is empty.
+#[test]
+fn a_v3_run_that_flushes_ends_with_an_empty_window() {
+    let mut net = v3_flush_scenario(TraceConfig::Memory);
+    let (mut t, mut seen, mut flushed) = (0, 0, Vec::new());
+    while flushed.len() < 2 {
+        assert!(t < 100_000, "the scenario flushes both waiting unicasts");
+        t += 1;
+        net.advance_to(t);
+        for (_, ev) in &net.trace.events()[seen..] {
+            if let TraceEvent::WormFlushed { worm, .. } = ev {
+                assert!(net.worm_by_name(*worm).is_some(), "t={t}: flushed worm left at once");
+                flushed.push(*worm);
+            }
+        }
+        seen = net.trace.events().len();
+        net.audit().unwrap_or_else(|e| panic!("t={t}: {e}"));
+    }
+    let out = net.run_until(3_000_000);
+    assert!(out.drained);
+    net.audit().expect("an empty window at quiescence");
+    assert!(flushed.iter().all(|&w| net.worm_by_name(w).is_none()));
+    assert_eq!((net.worm_window(), net.live_worms().count()), (0, 0));
 }
 
 #[test]

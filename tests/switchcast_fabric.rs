@@ -16,7 +16,7 @@ use wormcast::sim::protocol::{
 use wormcast::sim::switch::{InState, SlackCfg};
 use wormcast::sim::switchcast::{encode, Directive, Subroute, SwitchcastMode};
 use wormcast::sim::trace::TraceConfig;
-use wormcast::sim::worm::{ByteKind, RouteSym, WormInstance, WormKind};
+use wormcast::sim::worm::{ByteKind, RouteSym, WormInstance, WormKind, HEADER_LEN};
 use wormcast::sim::{Network, NetworkConfig};
 use wormcast::traffic::script::{install_one_shot, install_script};
 
@@ -209,12 +209,9 @@ fn v2_fragment_cut_after_the_whole_body_ends_the_worm() {
     let mut hosts: Vec<u32> = net.msgs.deliveries.iter().map(|d| d.host.0).collect();
     hosts.sort_unstable();
     assert_eq!(hosts, vec![1, 1, 2, 2], "both copies and both unicasts");
-    let to_host_1: u64 = net
-        .worms
-        .iter()
-        .filter(|w| w.meta.dest == HostId(1))
-        .map(|w| w.body_len() + 1)
-        .sum();
+    // Host 1 receives the multicast's 2-byte payload and host 3's 100-byte
+    // unicast (`contended_multicast`): header, payload and tail of each.
+    let to_host_1: u64 = [2, 100].iter().map(|p| HEADER_LEN as u64 + p + 1).sum();
     assert_eq!(
         net.adapters[1].counters.bytes_received, to_host_1,
         "host 1 received a tail twice"
@@ -233,7 +230,7 @@ fn a_branch_waiting_for_its_port_waits_on_the_ports_owner() {
     let mut net = contended_multicast(SwitchcastMode::RestrictedIdle);
     net.run_until(1_000);
     let first_of = |host: u32| {
-        let w = net.worms.iter().find(|w| w.meta.injector == HostId(host));
+        let w = net.live_worms().find(|w| w.meta.injector == HostId(host));
         w.expect("injected").id
     };
     let edges = wait_edges(&net);
