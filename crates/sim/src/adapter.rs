@@ -295,7 +295,7 @@ impl Network {
                 self.adapter_kick_followers(host);
             }
             RxAction::Complete(worm) => {
-                let corrupt = self.worms.slot(worm).flags & crate::arena::FLAG_CORRUPT != 0;
+                let corrupt = self.worms.slot(worm).corrupt;
                 {
                     let a = &mut self.adapters[host.0 as usize];
                     a.rx = RxState::Idle;
@@ -306,7 +306,7 @@ impl Network {
                         a.counters.worms_received += 1;
                     }
                 }
-                let last_sink = self.resolve_sink(worm);
+                self.resolve_sink(worm);
                 self.stats.active_worms -= 1;
                 // A follower of the worm may now send its tail.
                 self.adapter_kick_followers(host);
@@ -322,9 +322,7 @@ impl Network {
                 } else {
                     self.notify_worm_received(host, worm);
                 }
-                if last_sink {
-                    self.release_worm(worm);
-                }
+                self.end_stream(worm);
             }
             RxAction::FragmentBoundary => {
                 // Park the reassembly; other worms may complete in between
@@ -347,6 +345,7 @@ impl Network {
                 let a = &mut self.adapters[host.0 as usize];
                 a.rx = RxState::Idle;
                 a.counters.bytes_received += 1;
+                self.end_stream(byte.worm);
             }
             RxAction::ResumeFragment(worm) => {
                 let body_got = {
@@ -389,9 +388,8 @@ impl Network {
                     a.counters.bytes_refused += 1;
                     a.counters.worms_refused += 1;
                 }
-                if self.resolve_sink(worm) {
-                    self.release_worm(worm);
-                }
+                self.resolve_sink(worm);
+                self.end_stream(worm);
                 self.stats.active_worms -= 1;
                 self.stats.worms_refused += 1;
             }

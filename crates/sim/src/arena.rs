@@ -3,27 +3,26 @@
 //!
 //! [`WormId`]s are dense and never reused, so a worm's slot is found by
 //! subtracting the window's `base` id — no hashing, no generation tags.
-//! A worm is *released* when its last byte has left the fabric (its last
-//! sink resolved, or, for a Backward Reset flush, once no byte of it can
-//! still be on a wire); its slot is emptied, and empty slots at the front
-//! of the window are popped. Memory is therefore bounded by the worms
-//! alive between the oldest unreleased one and the newest, not by how long
-//! the run has been going. A released worm cannot be read: `WormArena`'s
+//! A worm is *released* when its last byte has left the fabric: the last
+//! of its byte streams ended at its consumer, or, for a Backward Reset
+//! flush, no byte of it can still be on a wire. A *stream* runs from the
+//! injecting adapter, or from one fragment of a replica branch, to the
+//! adapter or replicating input that takes its tail; a switch-multicast
+//! worm may still have a tail on a wire after every sink has resolved (a
+//! `RootedInterrupt` branch cuts its fragment after the whole body while
+//! the real tail lags upstream). Its slot is emptied, and empty slots at
+//! the front of the window are popped. Memory is therefore bounded by the
+//! worms alive between the oldest unreleased one and the newest, not by
+//! how long the run has been going. A released worm cannot be read: `WormArena`'s
 //! index panics on it in every build, and `WormArena::get` says `None`.
 //!
 //! Each slot also carries the engine-private side state of its worm (its
-//! canonical name, the corrupt/flushed flags and the countdown of
-//! unresolved sinks), so a worm's state lives and dies in one place.
+//! canonical name, the corrupt flag and the countdowns of unresolved sinks
+//! and open streams), so a worm's state lives and dies in one place.
 
 use crate::worm::{WormId, WormInstance};
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
-
-/// Worm-flag bit: the fault model corrupted this worm in flight.
-pub(crate) const FLAG_CORRUPT: u8 = 1 << 0;
-/// Worm-flag bit: a Backward Reset flush evicted this worm; its in-flight
-/// bytes are discarded on arrival.
-pub(crate) const FLAG_FLUSHED: u8 = 1 << 1;
 
 /// A live worm and the engine's side state for it.
 #[derive(Debug)]
@@ -32,10 +31,13 @@ pub(crate) struct Slot {
     /// Canonical name, `(injecting host << 40) | seq` (see
     /// `Network::worm_name`).
     pub(crate) name: u64,
-    /// [`FLAG_CORRUPT`] | [`FLAG_FLUSHED`].
-    pub(crate) flags: u8,
-    /// Sinks not yet resolved (delivered, refused or corrupt).
+    /// The fault model corrupted this worm in flight.
+    pub(crate) corrupt: bool,
+    /// Sinks not yet resolved (delivered, refused, corrupt or flushed).
     pub(crate) sinks_left: u32,
+    /// Byte streams whose tail no consumer has taken yet; the worm is
+    /// released when the last one ends (`Network::end_stream`).
+    pub(crate) streams: u32,
 }
 
 /// The window of worm slots; see the module doc.
@@ -46,8 +48,6 @@ pub(crate) struct WormArena {
     /// Id of `slots[0]`. A `u64` so releasing the last of 2³² ids cannot
     /// overflow it.
     base: u64,
-    /// Number of `Some` slots.
-    live: usize,
 }
 
 impl WormArena {
@@ -62,7 +62,8 @@ impl WormArena {
     }
 
     /// Append `inst` (whose `id` must be [`WormArena::next_id`]) under its
-    /// canonical `name`, with every sink unresolved.
+    /// canonical `name`, with every sink unresolved and one stream open:
+    /// the injecting adapter's.
     pub(crate) fn push(&mut self, inst: WormInstance, name: u64) -> WormId {
         let id = self.next_id();
         assert_eq!(inst.id, id, "a worm is pushed under the next id");
@@ -76,10 +77,10 @@ impl WormArena {
         self.slots.push_back(Some(Slot {
             inst,
             name,
-            flags: 0,
+            corrupt: false,
             sinks_left,
+            streams: 1,
         }));
-        self.live += 1;
         id
     }
 
@@ -129,9 +130,8 @@ impl WormArena {
     /// Free `id`'s slot and pop the released slots at the window's front.
     pub(crate) fn release(&mut self, id: WormId) {
         let i = self.index(id);
-        match self.slots.get_mut(i).and_then(Option::take) {
-            Some(_) => self.live -= 1,
-            None => panic!("worm {id:?} released twice or never injected"),
+        if self.slots.get_mut(i).and_then(Option::take).is_none() {
+            panic!("worm {id:?} released twice or never injected");
         }
         while matches!(self.slots.front(), Some(None)) {
             self.slots.pop_front();
@@ -147,11 +147,6 @@ impl WormArena {
     /// The live worms, oldest first.
     pub(crate) fn live(&self) -> impl Iterator<Item = &WormInstance> {
         self.live_slots().map(|s| &s.inst)
-    }
-
-    /// Number of live (unreleased) worms.
-    pub(crate) fn live_len(&self) -> usize {
-        self.live
     }
 
     /// Slots in the window, released ones between live ones included: the
@@ -230,10 +225,10 @@ mod tests {
         let ids: Vec<WormId> = (0..4).map(|_| push(&mut a, 1)).collect();
         assert_eq!(ids, (0..4).map(WormId).collect::<Vec<_>>());
         a.release(ids[1]);
-        assert_eq!((a.window_len(), a.live_len()), (4, 3), "a hole stays");
+        assert_eq!((a.window_len(), a.live().count()), (4, 3), "a hole stays");
         assert!(a.get(ids[1]).is_none());
         a.release(ids[0]);
-        assert_eq!((a.window_len(), a.live_len()), (2, 2), "the front pops");
+        assert_eq!((a.window_len(), a.live().count()), (2, 2), "the front pops");
         assert_eq!(a[ids[2]].id, ids[2]);
         assert_eq!(a.slot(ids[3]).name, 103);
         assert_eq!(push(&mut a, 3), WormId(4), "ids are never reused");
@@ -243,7 +238,7 @@ mod tests {
         for id in [2, 3, 4] {
             a.release(WormId(id));
         }
-        assert_eq!((a.window_len(), a.live_len()), (0, 0));
+        assert_eq!((a.window_len(), a.live().count()), (0, 0));
         assert_eq!(a.next_id(), WormId(5));
     }
 

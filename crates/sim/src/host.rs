@@ -7,7 +7,7 @@ use crate::network::{Delivery, MessageRecord, Network};
 use crate::protocol::{
     AdapterProtocol, Admission, AppMessage, Command, ProtocolCtx, SendSpec, TrafficSource,
 };
-use crate::arena::{self, WormArena};
+use crate::arena::WormArena;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 use crate::worm::{MessageId, RouteSym, WormId, WormInstance, WormMeta};
@@ -241,7 +241,7 @@ impl Network {
         self.stats.sinks_injected += sinks;
         self.stats.active_worms += sinks as i64;
         if self.cfg.corrupt_prob > 0.0 && self.fault_rng.gen_bool(self.cfg.corrupt_prob) {
-            self.worms.slot_mut(id).flags |= arena::FLAG_CORRUPT;
+            self.worms.slot_mut(id).corrupt = true;
         }
         if self.trace.enabled() {
             self.trace

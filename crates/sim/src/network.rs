@@ -9,7 +9,7 @@
 //! [`crate::switchcast`] are the nodes themselves.
 
 use crate::adapter::Adapter;
-use crate::arena::{self, WormArena};
+use crate::arena::WormArena;
 use crate::deadlock::DeadlockReport;
 use crate::engine::{CtrlSym, Event, HostId, Scheduler};
 use crate::link::{ChanId, Endpoint, Lane, Link, LinkId, NodeRef, RxPort, TxPayload, TxPort};
@@ -323,19 +323,40 @@ impl Network {
         self.broadcast_ports = ports;
     }
 
-    /// A sink (terminal host) of `worm` resolved (delivered, refused or
-    /// corrupt). Returns true when this was the worm's last sink — the
-    /// moment the worm stops being "active".
-    pub(crate) fn resolve_sink(&mut self, worm: WormId) -> bool {
-        let left = &mut self.worms.slot_mut(worm).sinks_left;
-        *left -= 1;
-        *left == 0
+    /// A sink (terminal host) of `worm` resolved: delivered, refused,
+    /// corrupt or flushed.
+    pub(crate) fn resolve_sink(&mut self, worm: WormId) {
+        self.worms.slot_mut(worm).sinks_left -= 1;
+    }
+
+    /// A replica branch put a tail on the wire: one more stream of `worm`
+    /// is open until its consumer takes that tail.
+    pub(crate) fn open_stream(&mut self, worm: WormId) {
+        if self.shard.is_none() {
+            self.worms.slot_mut(worm).streams += 1;
+        }
+    }
+
+    /// A consumer took the tail of one of `worm`'s streams: an adapter (a
+    /// whole worm, a refused one or a fragment) or a replicating input.
+    /// With its last stream the worm's last byte has left the fabric, and
+    /// it is released — which may be after every sink has resolved, while
+    /// the real tail still crosses the fabric to the replicating switch.
+    pub(crate) fn end_stream(&mut self, worm: WormId) {
+        if self.shard.is_none() {
+            let open = &mut self.worms.slot_mut(worm).streams;
+            *open -= 1;
+            if *open == 0 {
+                self.worms.release(worm);
+            }
+        }
     }
 
     /// `worm`'s last byte has left the fabric: free its slot in the worm
     /// window. A shard keeps every worm, since its mirrors of a worm are
     /// resolved in several shards and named across them by dense id
-    /// (`ShardCtx::tag_to_worm`).
+    /// (`ShardCtx::tag_to_worm`); nor does it count streams, whose tails
+    /// may be emitted in one shard and taken in another.
     pub(crate) fn release_worm(&mut self, worm: WormId) {
         if self.shard.is_none() {
             self.worms.release(worm);
@@ -649,7 +670,7 @@ impl Network {
         // Bytes of a flushed (Backward Reset) worm evaporate on arrival.
         if !self.flush_pending.is_empty() {
             self.release_flushed(self.scheduler.now());
-            if self.worms.slot(byte.worm).flags & arena::FLAG_FLUSHED != 0 {
+            if self.flush_pending.iter().any(|&(_, w)| w == byte.worm) {
                 return;
             }
         }
@@ -796,26 +817,22 @@ impl Network {
     }
 
     /// The worm window's half (outside shards, which release nothing): every
-    /// unreleased worm has a sink still to resolve or is a flushed worm
-    /// whose bytes may still arrive, the unresolved sinks are the active
-    /// count, and a quiescent network holds an empty window.
+    /// unreleased worm has a stream still open (a tail not yet taken) and
+    /// every flushed worm awaiting release is still in the window, the
+    /// unresolved sinks are the active count (no worm left the window with
+    /// a sink to resolve), and a quiescent network holds an empty window.
     fn audit_window(&self) -> Result<(), String> {
-        let (mut unresolved, mut flushed, mut sinks) = (0, 0, 0);
+        let (mut live, mut sinks) = (0, 0);
         for slot in self.worms.live_slots() {
-            if slot.flags & arena::FLAG_FLUSHED != 0 {
-                flushed += 1;
-            } else if slot.sinks_left > 0 {
-                unresolved += 1;
-                sinks += slot.sinks_left as i64;
+            live += 1;
+            sinks += slot.sinks_left as i64;
+            if slot.streams == 0 {
+                return Err(format!("live worm {:?} has no open stream", slot.inst.id));
             }
         }
-        let live = self.worms.live_len();
-        if live != unresolved + self.flush_pending.len() || flushed != self.flush_pending.len() {
-            return Err(format!(
-                "worm window holds {live} worms: {unresolved} with a sink to resolve, \
-                 {flushed} flushed, {} flushed awaiting release",
-                self.flush_pending.len()
-            ));
+        let gone = |&&(_, w): &&(SimTime, WormId)| self.worms.get(w).is_none();
+        if let Some((_, w)) = self.flush_pending.iter().find(gone) {
+            return Err(format!("flushed worm {w:?} left the window before its bytes"));
         }
         if sinks != self.stats.active_worms {
             return Err(format!(

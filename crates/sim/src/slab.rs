@@ -1,12 +1,13 @@
 //! Dense per-worm side state for the sharded engine, adapter-local
 //! reception lists and allocation pools for the simulation hot path.
 //!
-//! A worm's own state (its instance, name, flags and sink countdown) lives
-//! in its slot of the worm window ([`crate::arena`]). [`PerWorm`] is what is
-//! left of the dense per-worm side tables it replaced: a shard's record of
-//! which other shards it has sent a worm's snapshot to. A sharded run
-//! releases no worm, so the vector, indexed by [`WormId`] and grown on
-//! demand, stays aligned with the arena.
+//! A worm's own state (its instance, name, corrupt flag and its countdowns
+//! of sinks and streams) lives in its slot of the worm window
+//! ([`crate::arena`]). [`PerWorm`] is what is left of the dense per-worm
+//! side tables it replaced: a shard's record of which other shards it has
+//! sent a worm's snapshot to. A sharded run releases no worm, so the
+//! vector, indexed by [`WormId`] and grown on demand, stays aligned with
+//! the arena.
 //!
 //! [`FollowMap`] backs an adapter's parked fragments (`Adapter::parked`):
 //! keyed by worm, but holding only a handful of *live* entries at a time,

@@ -309,7 +309,7 @@ impl Network {
         // arriving ([`Lane::settle`]).
         self.stats.bytes_moved += span.len;
         debug_assert!(
-            self.flush_pending.is_empty(),
+            self.cfg.switchcast != SwitchcastMode::IdleFlush,
             "spans and flushes cannot coexist (`span_refused` under IdleFlush)"
         );
         if span.route > 0 {

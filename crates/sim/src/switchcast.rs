@@ -653,6 +653,9 @@ impl Network {
         if flush {
             self.switchcast_flush_waiters(sw, out);
         }
+        if kind == ByteKind::Tail {
+            self.open_stream(worm);
+        }
         match follow_up {
             FollowUp::Nothing => {}
             FollowUp::Body { dequeued } => {
@@ -672,15 +675,14 @@ impl Network {
         Some(WireByte { worm, kind })
     }
 
-    /// Every branch is done: pop the tail and free the input.
+    /// Every branch is done: pop the tail, which ends the stream the input
+    /// took in, and free the input.
     fn replica_finish(&mut self, sw: SwitchId, port: u8) {
         let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-        let tail = inp.buf.pop_front();
-        debug_assert!(
-            matches!(tail, Some(WireByte { kind: ByteKind::Tail, .. })),
-            "replica completion must pop the tail"
-        );
+        let tail = inp.buf.pop_front().expect("replica completion pops the tail");
+        debug_assert_eq!(tail.kind, ByteKind::Tail, "replica completion must pop the tail");
         inp.state = InState::Idle;
+        self.end_stream(tail.worm);
         self.after_slack_dequeue(sw, port);
         self.switch_advance_input(sw, port);
     }
@@ -731,9 +733,10 @@ impl Network {
     /// arrives within that lane's delay of now. `release_flushed` frees the
     /// slot in the first tick past the longest of those delays.
     pub(crate) fn flush_worm(&mut self, worm: crate::worm::WormId, sw: SwitchId, in_port: u8) {
-        let flags = &mut self.worms.slot_mut(worm).flags;
-        debug_assert_eq!(*flags & crate::arena::FLAG_FLUSHED, 0, "{worm:?} flushed twice");
-        *flags |= crate::arena::FLAG_FLUSHED;
+        debug_assert!(
+            self.flush_pending.iter().all(|&(_, w)| w != worm),
+            "{worm:?} flushed twice"
+        );
         let injector = self.worms[worm].meta.injector;
         let now = self.scheduler.now();
         let mut last_arrival = now;
@@ -803,6 +806,7 @@ impl Network {
                 None => None,
             };
         }
+        self.resolve_sink(worm);
         self.stats.worms_flushed += 1;
         self.stats.active_worms -= 1;
         if self.trace.enabled() {

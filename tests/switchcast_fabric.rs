@@ -15,7 +15,7 @@ use wormcast::sim::protocol::{
 };
 use wormcast::sim::switch::{InState, SlackCfg};
 use wormcast::sim::switchcast::{encode, Directive, Subroute, SwitchcastMode};
-use wormcast::sim::trace::TraceConfig;
+use wormcast::sim::trace::{TraceConfig, TraceEvent};
 use wormcast::sim::worm::{ByteKind, RouteSym, WormInstance, WormKind, HEADER_LEN};
 use wormcast::sim::{Network, NetworkConfig};
 use wormcast::traffic::script::{install_one_shot, install_script};
@@ -472,4 +472,145 @@ fn contended_multicast(mode: SwitchcastMode) -> Network {
     };
     install_script(&mut net, HostId(3), vec![(0, unicast(2, 2_000)), (3_000, unicast(1, 100))]);
     net
+}
+
+/// Two switches joined by a trunk of delay 20, so a STOP holds bytes back
+/// for a round trip of 40 byte-times and `go_mark: 4` lets a drained
+/// buffer run dry. Host 0 sits on switch 0; hosts 1–4 on switch 1 (ports
+/// 1–4), whose port 0 is the trunk. Hosts 3 and 4 hold the outputs to
+/// hosts 1 and 2 with `block`-byte unicasts from time 0, and host 0 sends
+/// a `payload`-byte multicast to hosts 1 and 2 at 10: replicated at switch
+/// 1 after a transit hop at switch 0, or (`nested`) by a one-branch
+/// directive at switch 0 whose subtree replicates at switch 1.
+fn lagging_tail(
+    sim: SimMode,
+    trace: TraceConfig,
+    payload: u32,
+    block: u32,
+    nested: bool,
+) -> Network {
+    let spec = FabricSpec {
+        switch_ports: vec![3, 5],
+        hosts: vec![
+            HostAttach { switch: 0, port: 0 },
+            HostAttach { switch: 1, port: 1 },
+            HostAttach { switch: 1, port: 2 },
+            HostAttach { switch: 1, port: 3 },
+            HostAttach { switch: 1, port: 4 },
+        ],
+        links: vec![LinkSpec {
+            a: (0, PortId(2)),
+            b: (1, PortId(0)),
+            delay: 20,
+        }],
+        host_link_delay: 1,
+    };
+    let mut rt = RouteTable::new(5);
+    for s in 0..5u32 {
+        for d in (0..5u32).filter(|&d| d != s) {
+            let route = match (s, d) {
+                (0, d) => vec![2, d as u8],
+                (_, 0) => vec![0, 0],
+                (_, d) => vec![d as u8],
+            };
+            rt.set(HostId(s), HostId(d), route);
+        }
+    }
+    let cfg = NetworkConfig::builder()
+        .switchcast(SwitchcastMode::RootedInterrupt)
+        .mode(sim)
+        .trace(trace)
+        .build()
+        .expect("valid config");
+    let mut net = Network::build(&spec, rt, cfg);
+    let at_switch_1 = Directive {
+        branches: vec![(1, Subroute::Host), (2, Subroute::Host)],
+    };
+    let route = if nested {
+        encode(&Directive {
+            branches: vec![(2, Subroute::Next(at_switch_1))],
+        })
+        .unwrap()
+    } else {
+        let mut r = vec![RouteSym::Port(2)];
+        r.extend(encode(&at_switch_1).unwrap());
+        r
+    };
+    net.set_protocol(HostId(0), Box::new(Injector { route, sinks: 2 }));
+    for h in 1..5u32 {
+        net.set_protocol(HostId(h), Box::new(Echoless));
+    }
+    install_one_shot(&mut net, HostId(0), 10, SourceMessage {
+        dest: Destination::Multicast(0),
+        payload_len: payload,
+    });
+    for (from, to) in [(3, 1), (4, 2)] {
+        install_one_shot(&mut net, HostId(from), 0, SourceMessage {
+            dest: Destination::Unicast(HostId(to)),
+            payload_len: block,
+        });
+    }
+    net
+}
+
+/// V2 (RootedInterrupt): when both branches run dry after the whole
+/// body, each cuts its fragment there and its receiver takes it for the
+/// whole worm, so every sink resolves while the real tail is still held
+/// upstream. The worm must stay in the worm window until that tail has
+/// been taken at the replicating switch: switch 0 still forwards it, and
+/// (traced) the STOP/GO attributions there name it. With a 59-byte payload
+/// the blocked replica at switch 1 fills its input until the STOP holds
+/// exactly the tail back at switch 0; the GO reaches switch 0 only 20
+/// byte-times after the branches have drained the buffer.
+#[test]
+fn v2_worm_outlives_its_sinks_until_its_real_tail_is_taken() {
+    for nested in [false, true] {
+        let label = if nested {
+            "one-branch directive at switch 0"
+        } else {
+            "transit at switch 0"
+        };
+        let mk = |sim, trace| lagging_tail(sim, trace, 59, 300, nested);
+        assert_drains_alike(mk, 5_000, label);
+        let mut net = mk(SimMode::SpanBatched, TraceConfig::Memory);
+        let multicast_live = |net: &Network| {
+            net.live_worms()
+                .any(|w| matches!(w.meta.kind, WormKind::SwitchMulticast { .. }))
+        };
+        let mut sinks_resolved_at = None;
+        let mut released_at = None;
+        for t in 1..5_000 {
+            net.advance_to(t);
+            let copies = net.msgs.deliveries.iter().filter(|d| d.msg.0 >> 40 == 0).count();
+            if copies == 2 && sinks_resolved_at.is_none() {
+                assert!(multicast_live(&net), "{label}: released with its tail upstream");
+                assert!(
+                    !matches!(net.switches[0].inputs[0].state, InState::Idle),
+                    "{label}: switch 0 holds the tail"
+                );
+                sinks_resolved_at = Some(t);
+            }
+            if sinks_resolved_at.is_some() && !multicast_live(&net) {
+                released_at = Some(t);
+                break;
+            }
+        }
+        let resolved = sinks_resolved_at.expect("both copies delivered");
+        let released = released_at.expect("the worm leaves the window");
+        assert!(released > resolved + 20, "{label}: the tail lagged a trunk's delay");
+        assert_eq!(net.worm_window(), 0, "{label}: the tail taken, the window is empty");
+        let parked = net
+            .trace
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, TraceEvent::FragmentParked { .. }))
+            .count();
+        assert_eq!(parked, 0, "{label}: each branch was cut after the whole body");
+        // Header, payload and tail of the multicast copy and of the blocking
+        // unicast: the fragment tail counts once, the real one never arrives.
+        let to_each: u64 = [59, 300].iter().map(|p| HEADER_LEN as u64 + p + 1).sum();
+        for h in [1, 2] {
+            assert_eq!(net.adapters[h].counters.bytes_received, to_each, "{label}: host {h}");
+        }
+    }
 }
