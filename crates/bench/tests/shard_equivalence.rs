@@ -45,9 +45,8 @@ fn setup_on(topo: Topology, scheme: Scheme, mode: SimMode) -> SimSetup {
 /// plus the message log with deliveries in canonical order (same-tick
 /// deliveries at different hosts are concurrent; the logs are compared as
 /// sets ordered by `(at, msg, host)`).
-fn canonical(mut stats: NetStats, mut msgs: MessageLog) -> (String, String, String) {
-    stats.events_scheduled = 0;
-    stats.events_fired = 0;
+fn canonical(stats: NetStats, mut msgs: MessageLog) -> (String, String, String) {
+    let stats = stats.simulated();
     msgs.created
         .sort_by_key(|r| (r.created, r.msg.0));
     msgs.deliveries

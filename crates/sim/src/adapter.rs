@@ -182,26 +182,29 @@ impl Network {
                 })
             }
         };
+        self.adapters[host.0 as usize].counters.bytes_sent += 1;
         match produced {
-            Produced::Byte(b) => {
-                self.adapters[host.0 as usize].counters.bytes_sent += 1;
-                Some(b)
-            }
+            Produced::Byte(b) => Some(b),
             Produced::TailAndPop(b) => {
-                let finished = {
-                    let a = &mut self.adapters[host.0 as usize];
-                    a.counters.bytes_sent += 1;
-                    a.counters.worms_sent += 1;
-                    a.tx_queue.pop_front().expect("head exists")
-                };
-                // The route left the wire byte by byte; recycle its buffer
-                // (wire-length accounting uses the cached `route_len`).
-                let route = std::mem::take(&mut self.worms[finished.worm].route);
-                self.route_pool.give(route);
-                self.notify_tx_complete(host, finished.worm);
+                self.adapter_finish_worm(host);
                 Some(b)
             }
         }
+    }
+
+    /// The head worm's tail went out, in this slot: pop it from the queue,
+    /// recycle its route and tell the protocol.
+    pub(crate) fn adapter_finish_worm(&mut self, host: HostId) {
+        let finished = {
+            let a = &mut self.adapters[host.0 as usize];
+            a.counters.worms_sent += 1;
+            a.tx_queue.pop_front().expect("head exists")
+        };
+        // The route left the wire; recycle its buffer (wire-length
+        // accounting uses the cached `route_len`).
+        let route = std::mem::take(&mut self.worms[finished.worm].route);
+        self.route_pool.give(route);
+        self.notify_tx_complete(host, finished.worm);
     }
 
     /// `len` copies of `byte` arrived at the adapter from its switch: one
@@ -209,15 +212,20 @@ impl Network {
     /// event. That is byte-exact because every reader of the reception
     /// progress (the cut-through transmit pacing) moves at one byte per
     /// byte-time itself and so can never overtake the per-byte arrival
-    /// slots the credit stands for.
+    /// slots the credit stands for. A run that starts a worm lands at its
+    /// first byte's arrival slot, where the admission decision is taken
+    /// once for all of it.
     pub(crate) fn adapter_rx(&mut self, host: HostId, byte: WireByte, len: u64) {
         debug_assert!(
             len == 1
-                || matches!(
-                    self.adapters[host.0 as usize].rx,
-                    RxState::Receiving { worm, .. } | RxState::Dropping { worm } if worm == byte.worm
-                ),
-            "span delivered to adapter {host:?} outside its worm: emission guard failed"
+                || match self.adapters[host.0 as usize].rx {
+                    RxState::Receiving { worm, .. } | RxState::Dropping { worm } => {
+                        worm == byte.worm
+                    }
+                    RxState::Idle => !self.adapters[host.0 as usize].parked.contains(byte.worm),
+                },
+            "span delivered to adapter {host:?} neither mid-worm nor as the first bytes \
+             of a worm into an idle adapter: emission guard failed"
         );
         // IDLE fill bytes are holes in a stalled multicast worm; the
         // interface discards them.
@@ -269,20 +277,23 @@ impl Network {
         };
         match state_action {
             RxAction::NewWorm(worm) => {
-                // First byte of a new worm: ask the protocol whether there is
-                // buffer space (the implicit-reservation admission check of
-                // Figure 5). A refused worm is dropped in its entirety.
+                // First bytes of a new worm: ask the protocol whether there
+                // is buffer space (the implicit-reservation admission check
+                // of Figure 5). A refused worm is dropped in its entirety.
                 let admission = self.protocol_admission(host, worm);
                 let a = &mut self.adapters[host.0 as usize];
                 match admission {
                     Admission::Accept => {
-                        a.rx = RxState::Receiving { worm, body_got: 1 };
-                        a.counters.bytes_received += 1;
+                        a.rx = RxState::Receiving {
+                            worm,
+                            body_got: len,
+                        };
+                        a.counters.bytes_received += len;
                         self.adapter_kick_followers(host);
                     }
                     Admission::Refuse => {
                         a.rx = RxState::Dropping { worm };
-                        a.counters.bytes_refused += 1;
+                        a.counters.bytes_refused += len;
                     }
                 }
             }

@@ -390,10 +390,17 @@ pub fn wait_edges_multi(
                         if let Some((to, ch)) = stopped_by(*out) {
                             edge(to, *worm, WaitCause::StoppedDownstream { ch });
                         }
-                        let starved = match inp.buf.front() {
-                            None => true,
-                            Some(front) => front.worm != *worm,
-                        };
+                        // Bytes of the worm a span took out of the buffer
+                        // for send slots from now on — its tail, perhaps —
+                        // are still here in the per-byte engine.
+                        let sending = sw.outputs[*out as usize].chan_out.is_some_and(|c| {
+                            net.lane(c).drain_advance_at_arrival(net.scheduler.now()) > 0
+                        });
+                        let starved = !sending
+                            && match inp.buf.front() {
+                                None => true,
+                                Some(front) => front.worm != *worm,
+                            };
                         if starved {
                             // Bytes either copy of the lane still counts on
                             // the wire arrive without anyone yielding: no

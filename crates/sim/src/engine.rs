@@ -95,6 +95,60 @@ impl Event {
     }
 }
 
+/// Events dispatched over a run, one counter per [`Event`] kind: where an
+/// engine's events go. An engine-cost metric like
+/// `NetStats::events_fired`, whose sum it is once every popped event has
+/// been dispatched.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    pub tx_kick: u64,
+    pub rx_byte: u64,
+    pub rx_span: u64,
+    pub ctrl_rx: u64,
+    pub host_timer: u64,
+    pub inject: u64,
+    pub stop: u64,
+}
+
+impl EventCounts {
+    /// Count one dispatched `ev`.
+    #[inline]
+    pub(crate) fn count(&mut self, ev: &Event) {
+        let n = match ev {
+            Event::TxKick { .. } => &mut self.tx_kick,
+            Event::RxByte { .. } => &mut self.rx_byte,
+            Event::RxSpan { .. } => &mut self.rx_span,
+            Event::CtrlRx { .. } => &mut self.ctrl_rx,
+            Event::HostTimer { .. } => &mut self.host_timer,
+            Event::Inject { .. } => &mut self.inject,
+            Event::Stop => &mut self.stop,
+        };
+        *n += 1;
+    }
+
+    /// Every kind together.
+    pub fn total(&self) -> u64 {
+        self.tx_kick
+            + self.rx_byte
+            + self.rx_span
+            + self.ctrl_rx
+            + self.host_timer
+            + self.inject
+            + self.stop
+    }
+
+    /// Add `other`'s counts kind by kind.
+    pub(crate) fn add(&mut self, other: &EventCounts) {
+        self.tx_kick += other.tx_kick;
+        self.rx_byte += other.rx_byte;
+        self.rx_span += other.rx_span;
+        self.ctrl_rx += other.ctrl_rx;
+        self.host_timer += other.host_timer;
+        self.inject += other.inject;
+        self.stop += other.stop;
+    }
+}
+
 /// Event queue with deterministic same-time ordering.
 pub struct Scheduler {
     wheel: TimingWheel<Event>,

@@ -92,7 +92,8 @@ pub struct Endpoint {
 
 /// A batched run of contiguous bytes of one worm in flight on a lane
 /// (span-batched mode): `route` route symbols — a *head run* — followed by
-/// data bytes. Byte `j` of the span conceptually occupies the wire slot at
+/// data bytes, and the worm's tail last when `tail` is set. Byte `j` of
+/// the span conceptually occupies the wire slot at
 /// `start + j`; the whole run is delivered by a single `RxSpan` event at
 /// `start + delay` — or, for a receiver-paced span, in pieces, each by an
 /// `RxSpan` event at its own first byte's arrival slot.
@@ -109,6 +110,9 @@ pub struct SpanInFlight {
     /// Their values travel beside the record, in the lane's symbol FIFO
     /// ([`TxPort::stage_route_sym`] / [`RxPort::take_route_sym`]).
     pub route: u64,
+    /// The last of the `len` bytes is the worm's tail (counted in `len`).
+    /// Only a span into a switch carries one, and never a paced one.
+    pub tail: bool,
     /// Receiver-paced: the receiver decides at each arrival how much of
     /// the span lands ([`RxPort::deliver_span_prefix`]); what it leaves
     /// stays at the front of the wire, `start` advanced past the piece.
@@ -117,12 +121,14 @@ pub struct SpanInFlight {
 
 /// What [`Lane::truncate_newest_span`] took back from the span still
 /// sending: its unsent suffix, `route` route symbols followed by `data`
-/// data bytes.
+/// data bytes, and the worm's tail if the span carried it (the tail is its
+/// last byte, so any cut revokes it).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Revoked {
     pub(crate) worm: WormId,
     pub(crate) route: u64,
     pub(crate) data: u64,
+    pub(crate) tail: bool,
 }
 
 /// Read-only counter snapshot of one lane, for statistics consumers.
@@ -208,6 +214,10 @@ pub struct Lane {
     /// Kick generation: bumped when a STOP truncates an in-flight span so
     /// the span chain's already-scheduled end-of-span `TxKick` is ignored.
     kick_gen: u32,
+    /// A span carrying its worm's tail is in its send window: the pending
+    /// end-of-span kick, at the tail's own send slot, finishes the worm at
+    /// the producer instead of sending ([`Lane::take_tail_release`]).
+    tail_release: bool,
 }
 
 impl Lane {
@@ -251,6 +261,7 @@ impl Lane {
             spans: VecDeque::with_capacity(8),
             route_syms: VecDeque::new(),
             kick_gen: 0,
+            tail_release: false,
         }
     }
 
@@ -520,6 +531,14 @@ impl Lane {
         self.tx_active = false;
     }
 
+    /// Whether the current kick is the end-of-span kick of a span that
+    /// carried its worm's tail, firing at the tail's send slot; clears the
+    /// mark. A STOP that cuts the span clears it too, with the kick.
+    #[inline]
+    pub(crate) fn take_tail_release(&mut self) -> bool {
+        std::mem::take(&mut self.tail_release)
+    }
+
     /// Cut the newest in-flight span back to its already-sent prefix (a
     /// STOP took effect at `now`). Returns what was revoked — the caller
     /// hands it back to the producer, taking the revoked route symbols off
@@ -549,10 +568,12 @@ impl Lane {
         // The span is its route symbols, then its data: the sent prefix
         // keeps the first `sent` of that sequence.
         let route_kept = span.route.min(sent);
+        let tail = std::mem::take(&mut span.tail);
         let out = Revoked {
             worm: span.worm,
             route: span.route - route_kept,
-            data: revoked - (span.route - route_kept),
+            data: revoked - (span.route - route_kept) - u64::from(tail),
+            tail,
         };
         span.len = sent;
         span.route = route_kept;
@@ -563,6 +584,7 @@ impl Lane {
         // STOP will start a fresh chain at `next_tx_time`.
         self.kick_gen = self.kick_gen.wrapping_add(1);
         self.tx_active = false;
+        self.tail_release = false;
         Some(out)
     }
 
@@ -594,12 +616,13 @@ pub enum TxPayload {
     Idle,
     /// A contiguous run of `len` bytes of `worm`, moved as one span
     /// (span-batched mode): the `route` route symbols staged with
-    /// [`TxPort::stage_route_sym`] since the last span, then data.
-    /// `paced`: [`SpanInFlight::paced`].
+    /// [`TxPort::stage_route_sym`] since the last span, then data, then
+    /// the worm's tail if `tail` is set. `paced`: [`SpanInFlight::paced`].
     Span {
         worm: WormId,
         len: u64,
         route: u64,
+        tail: bool,
         paced: bool,
     },
 }
@@ -672,16 +695,20 @@ impl<'a> TxPort<'a> {
                 worm,
                 len,
                 route,
+                tail,
                 paced,
             } => {
+                debug_assert!(!(tail && paced), "a paced span carries no tail");
                 l.in_flight += len as u32;
                 l.bytes_carried += len;
                 l.next_tx_time = now + len;
+                l.tail_release = tail;
                 l.spans.push_back(SpanInFlight {
                     worm,
                     start: now,
                     len,
                     route,
+                    tail,
                     paced,
                 });
                 debug_assert_eq!(
@@ -993,7 +1020,7 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 3, ChanId(1), LinkId(0), 0);
         let worm = WormId(7);
         let t = TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 5, route: 0, paced: false }, true)
+            .try_send(10, TxPayload::Span { worm, len: 5, route: 0, tail: false, paced: false }, true)
             .expect("lane free");
         assert_eq!(t.deliver_at, 13);
         assert_eq!(l.in_flight(), 5);
@@ -1009,11 +1036,11 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
         let worm = WormId(3);
         TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 8, route: 0, paced: false }, true)
+            .try_send(10, TxPayload::Span { worm, len: 8, route: 0, tail: false, paced: false }, true)
             .expect("lane free");
         // STOP lands at t=13: bytes at slots 10..13 (3 of them) are out.
         let revoked = l.truncate_newest_span(13).expect("still sending");
-        assert_eq!(revoked, Revoked { worm, route: 0, data: 5 });
+        assert_eq!(revoked, Revoked { worm, route: 0, data: 5, tail: false });
         assert_eq!(l.in_flight(), 3);
         assert_eq!(l.stats().bytes_carried, 3);
         // The old span chain's kick is cancelled.
@@ -1035,12 +1062,12 @@ mod tests {
             tx.stage_route_sym(RouteSym::Port(port));
         }
         let ticket = tx
-            .try_send(10, TxPayload::Span { worm, len: 8, route: 5, paced: false }, true)
+            .try_send(10, TxPayload::Span { worm, len: 8, route: 5, tail: false, paced: false }, true)
             .expect("lane free");
         assert_eq!(ticket.deliver_at, 18);
         // STOP lands at t=12: the symbols at slots 10 and 11 are out.
         let revoked = l.truncate_newest_span(12).expect("still sending");
-        assert_eq!(revoked, Revoked { worm, route: 3, data: 3 });
+        assert_eq!(revoked, Revoked { worm, route: 3, data: 3, tail: false });
         // Last first, as the producer pushes them back onto its front.
         let back: Vec<RouteSym> = (0..revoked.route).map(|_| l.unstage_route_sym()).collect();
         assert_eq!(
@@ -1060,7 +1087,7 @@ mod tests {
         // The next head run starts from an empty symbol FIFO.
         let mut tx = TxPort::new(&mut l);
         tx.stage_route_sym(RouteSym::Port(3));
-        tx.try_send(20, TxPayload::Span { worm, len: 1, route: 1, paced: false }, true)
+        tx.try_send(20, TxPayload::Span { worm, len: 1, route: 1, tail: false, paced: false }, true)
             .expect("lane free");
         assert_eq!(RxPort::new(&mut l).take_route_sym(), RouteSym::Port(3));
     }
@@ -1073,7 +1100,7 @@ mod tests {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
         let worm = WormId(3);
         TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 6, route: 0, paced: false }, true)
+            .try_send(10, TxPayload::Span { worm, len: 6, route: 0, tail: false, paced: false }, true)
             .expect("lane free");
         let (_, got) = RxPort::new(&mut l).deliver_span();
         assert_eq!(got.len, 6);

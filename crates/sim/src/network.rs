@@ -11,7 +11,7 @@
 use crate::adapter::Adapter;
 use crate::arena::WormArena;
 use crate::deadlock::DeadlockReport;
-use crate::engine::{CtrlSym, Event, HostId, Scheduler};
+use crate::engine::{CtrlSym, Event, EventCounts, HostId, Scheduler};
 use crate::link::{ChanId, Endpoint, Lane, Link, LinkId, NodeRef, RxPort, TxPayload, TxPort};
 use crate::protocol::{AdapterProtocol, Command, Destination, TrafficSource};
 use crate::slab;
@@ -38,12 +38,14 @@ pub enum SimMode {
     /// O(bytes·hops) events.
     PerByte,
     /// Contiguous runs of a worm's ready bytes — its route symbols, then
-    /// data — move as a single `RxSpan` event whenever that is provably
-    /// indistinguishable from per-byte transmission, approaching
-    /// O(worms·hops) events. Falls back to per-byte at tails, the first
-    /// body byte at an adapter, watermark proximity, cut-through pacing,
-    /// and on STOP truncation; a switch-level multicast worm, and every
-    /// worm under [`SwitchcastMode::IdleFlush`], always crosses per-byte.
+    /// data, then its tail into a switch — move as a single `RxSpan` event
+    /// whenever that is provably indistinguishable from per-byte
+    /// transmission, approaching O(worms·hops) events. Falls back to
+    /// per-byte at a tail into an adapter, at first bytes into an adapter
+    /// that is busy or has bytes on its inbound wire, at watermark
+    /// proximity, cut-through pacing, and on STOP truncation; a
+    /// switch-level multicast worm, and every worm under
+    /// [`SwitchcastMode::IdleFlush`], always crosses per-byte.
     SpanBatched,
 }
 
@@ -112,6 +114,23 @@ pub struct NetStats {
     pub events_scheduled: u64,
     /// Scheduler events dispatched over the run (see `events_scheduled`).
     pub events_fired: u64,
+    /// `events_fired` by event kind, counted as each event is dispatched
+    /// (engine cost too: mask it with the other two).
+    pub events_by_kind: EventCounts,
+}
+
+impl NetStats {
+    /// These counters with the engine-cost ones (`events_scheduled`,
+    /// `events_fired`, `events_by_kind`) zeroed: what every engine mode,
+    /// sink and shard count must reproduce.
+    pub fn simulated(&self) -> NetStats {
+        NetStats {
+            events_scheduled: 0,
+            events_fired: 0,
+            events_by_kind: EventCounts::default(),
+            ..self.clone()
+        }
+    }
 }
 
 /// A recorded message creation.
@@ -398,10 +417,16 @@ impl Network {
     }
 
     /// True when nothing can happen any more without outside input: no worm
-    /// is outstanding, no injection is scheduled, and no protocol timer is
-    /// pending.
+    /// is outstanding, no injection is scheduled, no protocol timer is
+    /// pending, and — outside a shard, which releases nothing — the worm
+    /// window is empty, so no byte is left on a wire or in a buffer. (A
+    /// switch-level multicast worm's real tail may still cross the fabric
+    /// after its last sink has resolved.)
     pub fn is_quiescent(&self) -> bool {
-        self.stats.active_worms == 0 && self.pending_injects == 0 && self.pending_timers == 0
+        self.stats.active_worms == 0
+            && self.pending_injects == 0
+            && self.pending_timers == 0
+            && (self.shard.is_some() || self.worms.window_len() == 0)
     }
 
     // -- event loop ---------------------------------------------------------
@@ -481,6 +506,7 @@ impl Network {
                 self.flush_ctrl_trace();
             }
         }
+        self.stats.events_by_kind.count(&ev);
         match ev {
             Event::Stop => return true,
             Event::TxKick { ch, gen } => self.handle_tx_kick(ch, gen),
@@ -609,6 +635,12 @@ impl Network {
             }
             (c.src(), c.is_stopped())
         };
+        if self.lanes[ch.0 as usize].take_tail_release() {
+            // A STOP that landed by now would have cut the span, tail and
+            // all, and cancelled this kick with it.
+            debug_assert!(!stopped, "{ch:?} stopped before its tail's slot");
+            return self.release_tail(ch, gen);
+        }
         if stopped {
             self.lanes[ch.0 as usize].set_tx_idle();
             return;
@@ -674,15 +706,20 @@ impl Network {
                 return;
             }
         }
-        self.deliver_run(dst, byte, 1);
+        self.deliver_run(dst, byte, 1, false);
     }
 
     /// Hand `len` copies of `byte` that came off the wire together — one
-    /// byte, or the data run of a span — to the node at `dst`.
-    pub(crate) fn deliver_run(&mut self, dst: Endpoint, byte: WireByte, len: u64) {
+    /// byte, or the data run of a span — to the node at `dst`, and the
+    /// worm's tail behind them when `tail` is set (only ever into a
+    /// switch).
+    pub(crate) fn deliver_run(&mut self, dst: Endpoint, byte: WireByte, len: u64, tail: bool) {
         match dst.node {
-            NodeRef::Switch(s) => self.switch_rx(s, dst.port.0, byte, len),
-            NodeRef::Host(h) => self.adapter_rx(h, byte, len),
+            NodeRef::Switch(s) => self.switch_rx(s, dst.port.0, byte, len, tail),
+            NodeRef::Host(h) => {
+                debug_assert!(!tail, "a tail into adapter {h:?} travels alone");
+                self.adapter_rx(h, byte, len)
+            }
         }
     }
 
@@ -782,15 +819,20 @@ impl Network {
     // -- auditing ------------------------------------------------------------
 
     /// Check the conservation invariant, that the worm window holds
-    /// exactly the worms still in the fabric, and at quiescence that the
-    /// fabric holds no byte and the window no worm. Call at any quiescent
-    /// point; cheap enough to call after every test run.
+    /// exactly the worms still in the fabric, and that the fabric holds no
+    /// byte once no worm is left in it: the window is empty (a shard, which
+    /// releases nothing, asks that no sink is active). Call at any
+    /// quiescent point; cheap enough to call after every test run.
     pub fn audit(&self) -> Result<(), String> {
         Self::audit_counters(&self.stats)?;
-        if self.shard.is_none() {
-            self.audit_window()?;
-        }
-        if self.stats.active_worms == 0 {
+        let gone = match self.shard {
+            None => {
+                self.audit_window()?;
+                self.worms.window_len() == 0
+            }
+            Some(_) => self.stats.active_worms == 0,
+        };
+        if gone {
             self.audit_fabric_empty()?;
         }
         Ok(())
@@ -818,13 +860,12 @@ impl Network {
 
     /// The worm window's half (outside shards, which release nothing): every
     /// unreleased worm has a stream still open (a tail not yet taken) and
-    /// every flushed worm awaiting release is still in the window, the
+    /// every flushed worm awaiting release is still in the window, and the
     /// unresolved sinks are the active count (no worm left the window with
-    /// a sink to resolve), and a quiescent network holds an empty window.
+    /// a sink to resolve).
     fn audit_window(&self) -> Result<(), String> {
-        let (mut live, mut sinks) = (0, 0);
+        let mut sinks = 0;
         for slot in self.worms.live_slots() {
-            live += 1;
             sinks += slot.sinks_left as i64;
             if slot.streams == 0 {
                 return Err(format!("live worm {:?} has no open stream", slot.inst.id));
@@ -840,22 +881,16 @@ impl Network {
                 self.stats.active_worms
             ));
         }
-        if self.is_quiescent() && self.worms.window_len() != 0 {
-            return Err(format!(
-                "quiescent network holds {} worm slots ({live} live)",
-                self.worms.window_len()
-            ));
-        }
         Ok(())
     }
 
-    /// The structural half, for a fabric with no active worms: nothing on
-    /// a wire, nothing in a slack buffer.
+    /// The structural half, for a fabric no worm is left in: nothing on a
+    /// wire, nothing in a slack buffer.
     pub(crate) fn audit_fabric_empty(&self) -> Result<(), String> {
         for c in &self.lanes {
             if c.in_flight() != 0 {
                 return Err(format!(
-                    "lane {:?} has {} bytes in flight with no active worms",
+                    "lane {:?} has {} bytes in flight with no worm left",
                     c.id(),
                     c.in_flight()
                 ));
@@ -865,7 +900,7 @@ impl Network {
             for (i, inp) in sw.inputs.iter().enumerate() {
                 if !inp.buf.is_empty() {
                     return Err(format!(
-                        "switch {:?} input {} holds {} bytes with no active worms",
+                        "switch {:?} input {} holds {} bytes with no worm left",
                         sw.id,
                         i,
                         inp.buf.len()

@@ -557,6 +557,7 @@ impl ShardedNetwork {
             m.messages_generated += s.messages_generated;
             m.events_scheduled += s.events_scheduled;
             m.events_fired += s.events_fired;
+            m.events_by_kind.add(&s.events_by_kind);
         }
         m
     }

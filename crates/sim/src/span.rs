@@ -23,12 +23,14 @@ use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
 const MIN_SPAN: u64 = 2;
 
 /// What a span producer holds ready at its front: `route` route symbols
-/// followed by `data` data bytes, all of `worm`.
+/// followed by `data` data bytes, all of `worm`, and its tail right behind
+/// them when `tail` is set.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Ready {
     worm: WormId,
     route: u64,
     data: u64,
+    tail: bool,
 }
 
 impl InPort {
@@ -141,11 +143,12 @@ impl Network {
     /// Span-batched fast path (see DESIGN.md §3.1), entered by every kick
     /// of lane `ch` while [`Network::spans_enabled`]: when the producer
     /// holds a run of contiguous ready bytes of one worm — its leading
-    /// route symbols, then data — and moving them in a single event is
-    /// provably indistinguishable from per-byte transmission, put the whole
-    /// run on the wire at once. Returns true when the kick is dealt with
-    /// here: a span went out (the end-of-span kick is scheduled, or the
-    /// lane went idle behind a producer left empty-handed), or the kick
+    /// route symbols, then data, then perhaps its tail — and moving them in
+    /// a single event is provably indistinguishable from per-byte
+    /// transmission, put the whole run on the wire at once. Returns true
+    /// when the kick is dealt with here: a span went out (the end-of-span
+    /// kick is scheduled — at the tail's own slot if it carries the tail —
+    /// or the lane went idle behind a producer left empty-handed), or the kick
     /// came before its byte's arrival slot and was re-armed for it. False
     /// means the caller must produce per-byte, now — always so on a lane
     /// cut by a shard boundary, whose receiver's state lives in another
@@ -170,13 +173,22 @@ impl Network {
             }
             NodeRef::Host(h) => self.adapter_span_ready(h),
         };
-        let Some(Ready { worm, route, data }) = ready else {
+        let Some(Ready {
+            worm,
+            route,
+            data,
+            tail,
+        }) = ready
+        else {
             return false;
         };
         if self.chan_dst_foreign(ch) {
             return false;
         }
-        let avail = route + data;
+        // A tail into an adapter stays per-byte: it completes the worm
+        // there, at its own slot.
+        let tail = tail && matches!(dst.node, NodeRef::Switch(_));
+        let avail = route + data + u64::from(tail);
         let room = match dst.node {
             // No room still leaves the circuit a chance to be clear.
             NodeRef::Switch(_) => self.switch_span_room(ch),
@@ -199,8 +211,9 @@ impl Network {
         // instead, piece by piece as the span lands (`handle_rx_span`),
         // provided no STOP can cut the span short: none is in force or on
         // its way, and one emitted from now on lands no sooner than `now +
-        // delay`, when a span no longer than the wire has left.
-        let paced_len = avail.min(self.lanes[ch.0 as usize].delay());
+        // delay`, when a span no longer than the wire has left. A paced
+        // span carries no tail.
+        let paced_len = (route + data).min(self.lanes[ch.0 as usize].delay());
         let paced = k < paced_len
             && matches!(dst.node, NodeRef::Switch(s)
                 if !self.switches[s.0 as usize].inputs[dst.port.index()].sent_stop)
@@ -209,9 +222,11 @@ impl Network {
         if k < MIN_SPAN {
             return false;
         }
-        // The span is the first `k` of the run: symbols first.
+        // The span is the first `k` of the run: symbols first, the tail
+        // only with everything ahead of it.
+        let tail = tail && k == avail;
         let route = route.min(k);
-        let data = k - route;
+        let data = k - route - u64::from(tail);
         if let NodeRef::Switch(s) = src.node {
             self.debug_assert_paced(s, src.port.0);
         }
@@ -232,6 +247,10 @@ impl Network {
                 }
                 let popped = inp.buf.pop_front_run(data);
                 debug_assert_eq!(popped, data, "span-ready data follows as one run");
+                if tail {
+                    let last = inp.buf.pop_front().map(|b| b.kind);
+                    debug_assert_eq!(last, Some(ByteKind::Tail), "span-ready tail follows");
+                }
                 // No per-dequeue GO check: `switch_span_ready` stops a run
                 // short of the dequeue that reaches the GO mark.
             }
@@ -259,6 +278,7 @@ impl Network {
             worm,
             len: k,
             route,
+            tail,
             paced,
         };
         let ticket = tx
@@ -275,7 +295,18 @@ impl Network {
             self.switches[s.0 as usize].inputs[dst.port.index()].drain_cert =
                 Some((worm, ticket.deliver_at + k));
         }
-        if self.producer_has_byte(src) {
+        if tail {
+            // The tail's own send slot: the end-of-span kick finishes the
+            // worm there (`release_tail`), as producing the tail per-byte
+            // does, with that kick's rank.
+            self.scheduler.after(
+                k - 1,
+                Event::TxKick {
+                    ch,
+                    gen: ticket.gen,
+                },
+            );
+        } else if self.producer_has_byte(src) {
             self.scheduler.after(
                 k,
                 Event::TxKick {
@@ -290,6 +321,25 @@ impl Network {
             self.lanes[ch.0 as usize].set_tx_idle();
         }
         true
+    }
+
+    /// The end-of-span kick of a span that carried its worm's tail, at the
+    /// tail's own send slot with that slot's kick rank: do what producing
+    /// the tail per-byte does there — finish the worm at the producer (a
+    /// switch's input goes idle and its output is released and
+    /// re-arbitrated; an adapter pops its queue and tells its protocol) —
+    /// and chain the next kick, or let the lane go idle.
+    pub(crate) fn release_tail(&mut self, ch: ChanId, gen: u32) {
+        let src = self.lanes[ch.0 as usize].src();
+        match src.node {
+            NodeRef::Switch(s) => self.switch_finish_worm(s, src.port.0),
+            NodeRef::Host(h) => self.adapter_finish_worm(h),
+        }
+        if self.producer_has_byte(src) {
+            self.scheduler.after(1, Event::TxKick { ch, gen });
+        } else {
+            self.lanes[ch.0 as usize].set_tx_idle();
+        }
     }
 
     /// Deliver the oldest in-flight span on `ch`, or the next piece of it.
@@ -332,7 +382,7 @@ impl Network {
                     worm: span.worm,
                     kind,
                 };
-                return self.switch_rx(s, dst.port.0, byte, 1);
+                return self.switch_rx(s, dst.port.0, byte, 1, false);
             }
             let inp = &mut self.switches[s.0 as usize].inputs[dst.port.index()];
             for _ in 0..span.route {
@@ -346,7 +396,8 @@ impl Network {
             worm: span.worm,
             kind: ByteKind::Data,
         };
-        self.deliver_run(dst, byte, span.len - span.route);
+        let data = span.len - span.route - u64::from(span.tail);
+        self.deliver_run(dst, byte, data, span.tail);
         debug_assert!(
             !span.paced
                 || span.len == 1
@@ -437,8 +488,13 @@ impl Network {
                     inp.state,
                     InState::Forwarding { worm: w, .. } if w == worm
                 ));
-                // Back to the buffer front in wire order: the data run
-                // first, then the symbols ahead of it, last one first.
+                // Back to the buffer front in wire order: the tail first,
+                // then the data run, then the symbols ahead of it, last one
+                // first.
+                if revoked.tail {
+                    let kind = ByteKind::Tail;
+                    inp.buf.push_front_run(WireByte { worm, kind }, 1);
+                }
                 let byte = WireByte {
                     worm,
                     kind: ByteKind::Data,
@@ -450,7 +506,9 @@ impl Network {
                 }
             }
             NodeRef::Host(h) => {
-                // The adapter re-reads the symbols from the worm's route.
+                // The adapter re-reads the symbols from the worm's route;
+                // a worm still queued with its whole body sent owes its
+                // tail, so a revoked tail needs no rewind.
                 for _ in 0..revoked.route {
                     lane.unstage_route_sym();
                 }
@@ -462,7 +520,7 @@ impl Network {
                 debug_assert_eq!(head.worm, worm);
                 head.route_sent -= revoked.route as usize;
                 head.body_sent -= revoked.data;
-                a.counters.bytes_sent -= revoked.route + revoked.data;
+                a.counters.bytes_sent -= revoked.route + revoked.data + u64::from(revoked.tail);
             }
         }
     }
@@ -471,10 +529,13 @@ impl Network {
     /// output `out`: the run of the forwarded worm at the front of the
     /// owning input's buffer — its leading `Route(Port)` symbols (payload
     /// to this switch: only the next one acts on them), then its
-    /// contiguous data; it stops at the tail or another worm — as far as
-    /// no byte-timed side effect (a GO emission or a STOP crossing) could
-    /// occur while the run drains. Those must happen at exact per-byte
-    /// dequeue and arrival times.
+    /// contiguous data, then its tail if that is buffered right behind
+    /// them; it stops at another worm — as far as no byte-timed side
+    /// effect (a GO emission or a STOP crossing) could occur while the run
+    /// drains. Those must happen at exact per-byte dequeue and arrival
+    /// times. The tail's own side effects (the input goes idle, the output
+    /// is released and re-arbitrated) wait for its send slot
+    /// ([`Network::release_tail`]).
     ///
     /// A STOP crossing is ruled out in one of two ways (DESIGN.md §3.1).
     /// *No drain*: `occupancy + wire < Ks` — dequeues only lower the
@@ -535,15 +596,16 @@ impl Network {
         };
         // A shard engine keeps route symbols per-byte: no head runs.
         let heads = self.shard.is_none();
-        let (mut route, mut data) = (0, 0);
+        let (mut route, mut data, mut tail) = (0, 0, false);
         for (b, n) in inp.buf.runs() {
             if b.worm != worm {
                 break;
             }
             match b.kind {
-                ByteKind::Route(RouteSym::Port(_)) if heads => route += n,
-                ByteKind::Data => {
-                    data = n;
+                ByteKind::Route(RouteSym::Port(_)) if heads && data == 0 => route += n,
+                ByteKind::Data if data == 0 => data = n,
+                ByteKind::Tail => {
+                    tail = data > 0;
                     break;
                 }
                 _ => break,
@@ -551,7 +613,13 @@ impl Network {
         }
         let route = route.min(limit);
         let data = data.min(limit - route);
-        (route + data > 0).then_some(Ready { worm, route, data })
+        let tail = tail && route + data < limit;
+        (route + data > 0).then_some(Ready {
+            worm,
+            route,
+            data,
+            tail,
+        })
     }
 
     /// Span fast-path check for the switch input that lane `ch` feeds: how
@@ -612,10 +680,10 @@ impl Network {
     /// lane one hop up un-stopped for *its* delay more, and so on up to
     /// `ch`: no STOP lands on the first input's output before `now + W`,
     /// `W` the summed delay of the lanes after `ch` that passed. A walk
-    /// that reaches an adapter which has decided the worm's admission has
-    /// `W = ∞` (adapters never STOP): the circuit is clear for good. The
-    /// crossbar connections are held until the tail, which stays a per-byte
-    /// event.
+    /// that reaches an adapter has `W = ∞` (adapters never STOP): the
+    /// circuit is clear for good. The crossbar connections are held until
+    /// the tail's send slot at each hop, whether it goes alone or at the
+    /// end of a span ([`Network::release_tail`]).
     ///
     /// Inside a finite window a span is exact when the first input's twin
     /// has received *and forwarded* every byte of it before the window
@@ -650,7 +718,8 @@ impl Network {
             walked += 1;
             let dst = lane.dst();
             let s = match dst.node {
-                NodeRef::Host(h) => break self.adapter_span_room(h, worm).is_some(),
+                // Adapters never backpressure.
+                NodeRef::Host(_) => break true,
                 NodeRef::Switch(s) => s,
             };
             let sw = &self.switches[s.0 as usize];
@@ -708,13 +777,14 @@ impl Network {
     }
 
     /// Span fast-path probe for an adapter's outgoing channel: the unsent
-    /// route symbols of the head worm, then its unsent body. The tail stays
-    /// per-byte (it drives completion). A cut-through follower of a
-    /// still-arriving worm batches only the body bytes its source has been
-    /// credited (`got − body_sent`): exact by the argument of `adapter_rx`,
-    /// since the follower, like every reader of that credit, moves at one
-    /// byte per byte-time and so cannot overtake the arrival slots behind
-    /// it.
+    /// route symbols of the head worm, then its unsent body, then its tail.
+    /// The tail's completion (the queue pops, `notify_tx_complete`) waits
+    /// for its send slot ([`Network::release_tail`]). A cut-through
+    /// follower of a still-arriving worm batches only the body bytes its
+    /// source has been credited (`got − body_sent`), and never its tail:
+    /// exact by the argument of `adapter_rx`, since the follower, like
+    /// every reader of that credit, moves at one byte per byte-time and so
+    /// cannot overtake the arrival slots behind it.
     pub(crate) fn adapter_span_ready(&self, host: HostId) -> Option<Ready> {
         let a = &self.adapters[host.0 as usize];
         let head = a.tx_queue.front()?;
@@ -733,31 +803,43 @@ impl Network {
                 .take_while(|sym| matches!(sym, RouteSym::Port(_)))
                 .count()
         };
-        let data = if route == unsent.len() {
+        let (data, tail) = if route == unsent.len() {
             let left = inst.body_len().saturating_sub(head.body_sent);
             match head.follow.and_then(|src| a.arriving(src)) {
-                Some(got) => left.min(got.saturating_sub(head.body_sent)),
-                None => left,
+                Some(got) => (left.min(got.saturating_sub(head.body_sent)), false),
+                None => (left, true),
             }
         } else {
-            0
+            (0, false)
         };
         let route = route as u64;
         (route + data > 0).then_some(Ready {
             worm: head.worm,
             route,
             data,
+            tail,
         })
     }
 
     /// Span fast-path check for a receiving adapter: the adapter never
-    /// backpressures, so any amount fits — but only mid-worm, once the
-    /// admission decision (taken on the first body byte) is behind us.
+    /// backpressures, so any amount fits — mid-worm, or as the worm's first
+    /// bytes into an idle adapter with nothing else on its inbound wire.
+    /// Such a run lands as the first byte would, at that byte's arrival
+    /// slot, and `adapter_rx` takes the admission decision there, once, for
+    /// the whole run. The wire must be empty because an idle adapter only
+    /// stays idle until whatever is on it lands.
     pub(crate) fn adapter_span_room(&self, host: HostId, worm: WormId) -> Option<u64> {
         let a = &self.adapters[host.0 as usize];
         match a.rx {
             RxState::Receiving { worm: w, .. } if w == worm => Some(u64::MAX),
             RxState::Dropping { worm: w } if w == worm => Some(u64::MAX),
+            RxState::Idle
+                if a.chan_in
+                    .is_some_and(|c| self.lanes[c.0 as usize].in_flight() == 0)
+                    && !a.parked.contains(worm) =>
+            {
+                Some(u64::MAX)
+            }
             _ => None,
         }
     }
@@ -839,6 +921,79 @@ mod tests {
         assert_eq!((second.start, second.len, second.route), (4, 13, 3));
         let syms: Vec<RouteSym> = (0..5).map(|_| rx.take_route_sym()).collect();
         assert_eq!(syms, (1..=5).map(RouteSym::Port).collect::<Vec<_>>());
+    }
+
+    /// A 2-byte worm's whole wire image — its route symbol, ten body bytes
+    /// and its tail — leaves host0 as one span over a delay-16 host link,
+    /// and a STOP lands inside it before it lands: at the tail's own slot
+    /// (11), or six body bytes before it (5). The cut hands the tail back with the rest (the worm
+    /// stays queued with its body sent up to the cut), the release kick at
+    /// the tail's slot is cancelled, and the GO three byte-times later sends
+    /// the rest, tail included. At every byte-time the adapter's progress
+    /// and the lane's counters read what the per-byte engine reads.
+    #[test]
+    fn a_stop_inside_a_tail_carrying_span_hands_the_tail_back() {
+        let spec = FabricSpec {
+            switch_ports: vec![2],
+            hosts: vec![
+                HostAttach { switch: 0, port: 0 },
+                HostAttach { switch: 0, port: 1 },
+            ],
+            links: vec![],
+            host_link_delay: 16,
+        };
+        for stop_at in [5, 11] {
+            let trail = |mode| {
+                let mut routes = RouteTable::new(2);
+                routes.set(HostId(0), HostId(1), vec![1]);
+                let cfg = NetworkConfig {
+                    mode,
+                    ..NetworkConfig::default()
+                };
+                let mut net = Network::build(&spec, routes, cfg);
+                let msg = AppMessage {
+                    msg: MessageId(1),
+                    origin: HostId(0),
+                    dest: Destination::Unicast(HostId(1)),
+                    payload_len: 2,
+                    created: 0,
+                };
+                net.inject_worm(
+                    HostId(0),
+                    SendSpec::data(&msg, HostId(1), WormKind::Unicast),
+                );
+                let ch = net.adapters[0].chan_out.expect("host0 is attached");
+                for (at, sym) in [(stop_at, CtrlSym::Stop), (stop_at + 3, CtrlSym::Go)] {
+                    net.lanes[ch.0 as usize].note_ctrl_sent();
+                    net.scheduler.at(at, Event::CtrlRx { ch, sym });
+                }
+                let mut trail = Vec::new();
+                for t in 1..=60 {
+                    net.advance_to(t);
+                    let a = &net.adapters[0];
+                    let head = a.tx_queue.front().map(|h| (h.route_sent, h.body_sent));
+                    let lane = net.lane(ch);
+                    if mode == SimMode::SpanBatched && t == 1 {
+                        assert_eq!(lane.in_flight(), 12, "one span, tail included");
+                    }
+                    let counters = (a.counters.bytes_sent, a.counters.worms_sent);
+                    // A span's producer is ahead of the per-byte one while
+                    // it sends; between the cut and the GO the two agree.
+                    let head = head.filter(|_| (stop_at + 1..=stop_at + 3).contains(&t));
+                    trail.push((head, counters, lane.stats().bytes_carried));
+                }
+                assert_eq!(net.adapters[1].counters.worms_received, 1);
+                trail
+            };
+            let spans = trail(SimMode::SpanBatched);
+            assert_eq!(spans, trail(SimMode::PerByte), "STOP at {stop_at}");
+            // Right after the cut the worm is queued with its route and
+            // `stop_at − 1` body bytes sent: the tail is owed again.
+            let cut = spans[stop_at as usize];
+            assert_eq!(cut.0, Some((1, stop_at - 1)), "STOP at {stop_at}");
+            assert_eq!(cut.1, (stop_at, 0), "STOP at {stop_at}");
+            assert_eq!(spans.last().expect("stepped").1, (12, 1));
+        }
     }
 
     /// host0 — sw0 ═ sw1 ═ sw2 — host1 over trunks of `trunks` byte-times
@@ -954,9 +1109,7 @@ mod tests {
         let run = |mode| {
             let (mut net, trunks, _) = two_trunk_chain([1_000; 2], mode, [400, 3_000]);
             let (arrivals, deliveries) = arrivals_on(&mut net, trunks, 8_000);
-            let mut stats = net.stats.clone();
-            (stats.events_scheduled, stats.events_fired) = (0, 0);
-            (arrivals, deliveries, format!("{stats:?}"))
+            (arrivals, deliveries, format!("{:?}", net.stats.simulated()))
         };
         let (per_byte_arrivals, deliveries, stats) = run(SimMode::PerByte);
         assert_eq!(deliveries.len(), 2, "both worms arrive");
@@ -1029,21 +1182,23 @@ mod tests {
     /// byte at a time; the receiver knows better as the bytes land
     /// (DESIGN.md §3.1, *Receiver-paced spans*). With the output freed
     /// before the input fills, the trunk's arrival events drop from 508 to
-    /// 5. Held longer, the input reaches its mark, and while its STOP is
+    /// 4, the worm's tail riding the last piece's span. Held longer, the input reaches its mark, and while its STOP is
     /// in force the bytes land one per event as per-byte ones do: 1 005
     /// before and after. Either way the per-byte engine's deliveries and
     /// `NetStats` stay the same, and so does `bytes_moved` at every
     /// byte-time.
     #[test]
     fn a_body_crossing_a_long_trunk_to_a_held_head_lands_in_pieces() {
-        for (blocker, pinned) in [(1_500, 5), (3_000, 1_005)] {
+        for (blocker, pinned) in [(1_500, 4), (3_000, 1_005)] {
             let lens = [blocker, 2_000];
             let run = |mode| {
                 let (mut net, trunk) = held_head_net(1_000, mode, lens);
                 let (arrivals, deliveries) = arrivals_on(&mut net, [trunk], 8_000);
-                let mut stats = net.stats.clone();
-                (stats.events_scheduled, stats.events_fired) = (0, 0);
-                (arrivals[0], deliveries, format!("{stats:?}"))
+                (
+                    arrivals[0],
+                    deliveries,
+                    format!("{:?}", net.stats.simulated()),
+                )
             };
             let (per_byte_arrivals, deliveries, stats) = run(SimMode::PerByte);
             assert_eq!(deliveries.len(), 2, "both worms arrive");
@@ -1098,6 +1253,7 @@ mod tests {
             worm: next,
             len: 5,
             route: 2,
+            tail: false,
             paced: true,
         };
         let ticket = tx.try_send(0, span, true).expect("the lane is free");
@@ -1141,6 +1297,7 @@ mod tests {
             worm,
             len: 200,
             route: 0,
+            tail: false,
             paced: true,
         };
         let mut tx = TxPort::new(&mut net.lanes[trunk.0 as usize]);
@@ -1168,6 +1325,7 @@ mod tests {
             worm,
             len: sending,
             route: 0,
+            tail: false,
             paced: false,
         };
         let mut tx = TxPort::new(&mut net.lanes[out.0 as usize]);

@@ -270,15 +270,24 @@ impl Switch {
 // ---------------------------------------------------------------------------
 
 impl Network {
-    /// `len` copies of `byte` arrived at input `port` of switch `sw`: one
-    /// byte, or the data run of a span or of a receiver-paced span's piece
-    /// (span-batched mode), buffered in one go. A span's emission guards
+    /// `len` copies of `byte` arrived at input `port` of switch `sw`, and
+    /// the worm's tail behind them when `tail` is set: one byte, or the
+    /// data run of a span (its tail too, if it carries one) or of a
+    /// receiver-paced span's piece (span-batched mode), buffered in one go.
+    /// A span's emission guards
     /// guarantee that the run fits below the STOP watermark, or that the
     /// input holds the worm's drain certificate and keeps the bytes only
     /// until their per-byte arrival slots come round; a piece is sized on
     /// landing to fit below the mark, or lands alone. Either way the input
     /// state machine advances once.
-    pub(crate) fn switch_rx(&mut self, sw: SwitchId, port: u8, byte: WireByte, len: u64) {
+    pub(crate) fn switch_rx(
+        &mut self,
+        sw: SwitchId,
+        port: u8,
+        byte: WireByte,
+        len: u64,
+        tail: bool,
+    ) {
         // A replicating input regenerates its own IDLE fills; upstream fills
         // are dropped on arrival, before they could count as body bytes or
         // toward a watermark (a STOP raised by a byte that is not kept
@@ -300,11 +309,16 @@ impl Network {
             let certified = inp.certified(byte.worm, now);
             // `SlackCfg::for_delay` leaves room for a full STOP round-trip
             // above the mark, so backpressure alone never overflows it.
+            let n = len + u64::from(tail);
             assert!(
-                certified || inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
+                certified || inp.occupancy() as u64 + n <= inp.slack.capacity as u64,
                 "slack buffer overflow at {sw:?}:{port}"
             );
             inp.buf.push_back_run(byte, len);
+            if tail {
+                let kind = ByteKind::Tail;
+                inp.buf.push_back(WireByte { kind, ..byte });
+            }
             let crossed = inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop && !certified;
             if crossed {
                 inp.sent_stop = true;
@@ -315,7 +329,7 @@ impl Network {
         // still goes out, so a guard bug degrades to legal (if no longer
         // byte-exact) backpressure rather than buffer overflow.
         debug_assert!(
-            len == 1 || !crossed_stop,
+            len + u64::from(tail) == 1 || !crossed_stop,
             "span delivery crossed the STOP mark at {sw:?}:{port} — emission guard failed"
         );
         if crossed_stop {
@@ -567,15 +581,26 @@ impl Network {
             self.after_slack_dequeue(sw, owner);
         }
         if finished {
-            {
-                let inp = &mut self.switches[sw.0 as usize].inputs[owner as usize];
-                inp.state = InState::Idle;
-            }
-            self.switch_release_output(sw, out);
-            // The freed input may already hold the next worm's head.
-            self.switch_advance_input(sw, owner);
+            self.switch_finish_worm(sw, out);
         }
         byte
+    }
+
+    /// The tail of the worm output `out` of `sw` forwards went out, in this
+    /// slot: the owning input goes idle, the output is released and
+    /// re-arbitrated, and the input decodes whatever head it holds next.
+    pub(crate) fn switch_finish_worm(&mut self, sw: SwitchId, out: u8) {
+        let owner = self.switches[sw.0 as usize].outputs[out as usize]
+            .owner
+            .expect("a finishing output has an owner");
+        {
+            let inp = &mut self.switches[sw.0 as usize].inputs[owner as usize];
+            debug_assert!(matches!(inp.state, InState::Forwarding { out: o, .. } if o == out));
+            inp.state = InState::Idle;
+        }
+        self.switch_release_output(sw, out);
+        // The freed input may already hold the next worm's head.
+        self.switch_advance_input(sw, owner);
     }
 
     /// Common post-dequeue bookkeeping for a switch input: send GO when the
@@ -874,7 +899,7 @@ mod tests {
                 worm,
                 kind: ByteKind::Data,
             };
-            net.switch_rx(s, p as u8, byte, 1);
+            net.switch_rx(s, p as u8, byte, 1, false);
             net.switches[s.0 as usize].inputs[p].sent_stop
         };
         assert!(!crossing(1), "in force: the watermark test stands aside");

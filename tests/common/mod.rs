@@ -345,10 +345,7 @@ fn assert_same_end(a: &Network, b: &Network, label: &str, what: &str) {
 }
 
 fn masked(stats: &NetStats) -> String {
-    let mut s = stats.clone();
-    s.events_scheduled = 0;
-    s.events_fired = 0;
-    format!("{s:?}")
+    format!("{:?}", stats.simulated())
 }
 
 /// The first differing line of two JSONL streams, for a readable failure.

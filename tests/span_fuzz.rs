@@ -43,6 +43,14 @@
 //! is *tall*: 9–12 switches and no extra links, a random tree whose
 //! up/down routes are longer than the 8-byte room of a delay-1 input, so
 //! a head run is split across spans and truncated mid-route.
+//!
+//! A worm's first bytes may land in an idle sink as one span, which the
+//! sink admits or refuses as a whole at the first byte's slot (same
+//! section, "Spans at a worm's two ends"). The paper's schemes run with
+//! unbounded buffers and never refuse, so one host-adapter case in eight
+//! is *refusing*: its protocol runs ACK/NACK reliability over buffer pools
+//! about one mean worm deep, which fill (and which a long worm never fits),
+//! so that worms are refused, NACKed and retried.
 
 mod common;
 
@@ -53,7 +61,7 @@ use wormcast_bench::fig10::figure_tree_scheme;
 use wormcast_bench::runner::SimSetup;
 use wormcast_bench::Scheme;
 use wormcast_core::switchcast::SwitchcastVariant;
-use wormcast_core::HcConfig;
+use wormcast_core::{AckNackConfig, HcConfig, PoolConfig, Reliability};
 use wormcast_traffic::rng::host_stream;
 use wormcast_traffic::workload::PaperWorkload;
 use wormcast_traffic::{GroupSet, LengthDist};
@@ -83,6 +91,9 @@ struct Case {
     tall: bool,
     /// Switch-level multicast instead of the drawn scheme.
     switch: Option<SwitchcastVariant>,
+    /// The drawn host-adapter scheme runs ACK/NACK reliability over pools
+    /// small enough to fill, so that sinks refuse worms.
+    refusing: bool,
 }
 
 /// The generator every draw of a case comes from.
@@ -114,7 +125,7 @@ impl std::fmt::Display for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "seed={} sw={} extra={} hps={} delay={} {} load={:.2} lanes={} mean={} host-delay={} trunks={}{}{}",
+            "seed={} sw={} extra={} hps={} delay={} {} load={:.2} lanes={} mean={} host-delay={} trunks={}{}{}{}",
             self.seed,
             self.spec.num_switches,
             self.spec.extra_links,
@@ -127,7 +138,8 @@ impl std::fmt::Display for Case {
             self.host_delay,
             if self.trunks.is_some() { "mixed" } else { "uniform" },
             if self.tiny { " tiny" } else { "" },
-            if self.tall { " tall" } else { "" }
+            if self.tall { " tall" } else { "" },
+            if self.refusing { " refusing" } else { "" }
         )
     }
 }
@@ -157,6 +169,7 @@ impl Case {
             tiny: x.pick(4) == 0,
             tall: x.pick(8) == 0,
             switch: None,
+            refusing: false,
         };
         if case.tiny {
             case.mean = 4;
@@ -169,18 +182,46 @@ impl Case {
         if x.pick(8) == 0 {
             case.switch = Some(VARIANTS[x.pick(4) as usize]);
         }
+        // Drawn last again: only the cases that now refuse change.
+        case.refusing = x.pick(8) == 1 && case.switch.is_none();
         case
     }
 
     fn scheme(&self) -> Scheme {
-        match self.switch {
+        let mut scheme = match self.switch {
             Some(v) => Scheme::Switch(v),
             None => [
                 Scheme::Hc(HcConfig::store_and_forward()),
                 Scheme::Hc(HcConfig::cut_through()),
                 figure_tree_scheme(),
             ][self.scheme],
+        };
+        if self.refusing {
+            let reliability = self.tight_reliability();
+            match &mut scheme {
+                Scheme::Hc(cfg) => cfg.reliability = reliability,
+                Scheme::Tree(cfg, _) => cfg.reliability = reliability,
+                _ => unreachable!("only host-adapter schemes refuse"),
+            }
         }
+        scheme
+    }
+
+    /// ACK/NACK over two class pools about one mean worm deep each, with
+    /// retries soon enough to come round inside the run.
+    fn tight_reliability(&self) -> Reliability {
+        let class = self.mean + 16;
+        Reliability::AckNack(AckNackConfig {
+            pool: PoolConfig {
+                class1: class,
+                class2: class,
+                dma_extension: 0,
+            },
+            single_class: false,
+            retry_timeout: 2_000,
+            retry_jitter: 1_000,
+            max_retries: 20,
+        })
     }
 
     fn scheme_label(&self) -> String {

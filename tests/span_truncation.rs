@@ -205,7 +205,7 @@ fn stop_heavy_run_keeps_stats_identical() {
 /// `(switches, events before head runs, events now)` of one 400-byte worm
 /// down a line of delay-1 switches.
 const LONE_WORM_EVENTS: [(usize, u64, u64); 5] =
-    [(3, 53, 28), (4, 71, 44), (5, 91, 52), (6, 113, 60), (7, 137, 70)];
+    [(3, 53, 23), (4, 71, 28), (5, 91, 45), (6, 113, 52), (7, 137, 59)];
 
 /// The fill phase of a worm — everything before its head is in the sink —
 /// costs one span per hop, not one event pair per route byte per hop: the
@@ -457,7 +457,7 @@ fn a_head_run_behind_a_tail_goes_out_at_its_own_slots() {
             if resumed - blocked == 1 {
                 // Armed for the slot of the byte it sends, the grant's kick
                 // fires once: no early kick to re-arm.
-                assert_eq!(twin.events.1, 92, "W at {w_at}");
+                assert_eq!(twin.events.1, 67, "W at {w_at}");
             }
         }
     }

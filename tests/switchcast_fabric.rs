@@ -581,6 +581,16 @@ fn v2_worm_outlives_its_sinks_until_its_real_tail_is_taken() {
         let mut released_at = None;
         for t in 1..5_000 {
             net.advance_to(t);
+            // Quiescent means no byte is left anywhere: not while the real
+            // tail still crosses the trunk after both sinks resolved.
+            assert!(
+                !net.is_quiescent() || net.lanes().iter().all(|l| l.in_flight() == 0),
+                "{label}: quiescent at {t} with a byte on a wire"
+            );
+            assert!(
+                !(multicast_live(&net) && net.is_quiescent()),
+                "{label}: quiescent at {t} with the multicast still in the window"
+            );
             let copies = net.msgs.deliveries.iter().filter(|d| d.msg.0 >> 40 == 0).count();
             if copies == 2 && sinks_resolved_at.is_none() {
                 assert!(multicast_live(&net), "{label}: released with its tail upstream");
