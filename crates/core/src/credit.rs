@@ -377,7 +377,6 @@ mod tests {
                 stage: 0,
             },
             route: vec![],
-            route_len: 0,
             payload_len: 4,
             created: 0,
             injected: 0,
@@ -423,7 +422,6 @@ mod tests {
                 stage: 0,
             },
             route: vec![],
-            route_len: 0,
             payload_len: 4,
             created: 0,
             injected: 0,
@@ -462,7 +460,6 @@ mod tests {
                 stage: 0,
             },
             route: vec![],
-            route_len: 0,
             payload_len: 4,
             created: 0,
             injected: 0,

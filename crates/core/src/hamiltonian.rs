@@ -402,7 +402,6 @@ mod tests {
                 stage,
             },
             route: vec![],
-            route_len: 0,
             payload_len: 400,
             created: 5,
             injected: 6,

@@ -310,7 +310,6 @@ mod tests {
                 stage: 4,
             },
             route: vec![],
-            route_len: 0,
             payload_len: 4,
             created: 0,
             injected: 0,

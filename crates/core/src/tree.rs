@@ -382,7 +382,6 @@ mod tests {
                 stage,
             },
             route: vec![],
-            route_len: 0,
             payload_len: 400,
             created: 0,
             injected: 0,

@@ -149,7 +149,6 @@ mod tests {
                 stage: 0,
             },
             route: vec![],
-            route_len: 0,
             payload_len: 100,
             created: 0,
             injected: 0,

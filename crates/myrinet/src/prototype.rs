@@ -309,7 +309,6 @@ mod tests {
                 stage: 0,
             },
             route: vec![],
-            route_len: 0,
             payload_len: size,
             created: 0,
             injected: 0,

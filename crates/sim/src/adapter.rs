@@ -63,7 +63,7 @@ pub enum RxState {
 
 /// Per-adapter drop/delivery counters (Figure 13's "reception loss" comes
 /// from `worms_refused` in the all-senders experiment).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct AdapterCounters {
     pub worms_received: u64,
     pub bytes_received: u64,
@@ -108,6 +108,17 @@ impl Adapter {
     /// Queue depth including the worm currently transmitting.
     pub fn tx_backlog(&self) -> usize {
         self.tx_queue.len()
+    }
+
+    /// The counter the reception in progress credits its bytes to:
+    /// `bytes_refused` while a refused worm drains in, else `bytes_received`.
+    /// A span into an adapter never carries the tail, so this is also where
+    /// a run's end parks the span bytes still arriving.
+    pub(crate) fn rx_bytes(&mut self) -> &mut u64 {
+        match self.rx {
+            RxState::Dropping { .. } => &mut self.counters.bytes_refused,
+            _ => &mut self.counters.bytes_received,
+        }
     }
 
     /// Enqueue for transmission. `priority` worms jump the queue but never
@@ -200,8 +211,7 @@ impl Network {
             a.counters.worms_sent += 1;
             a.tx_queue.pop_front().expect("head exists")
         };
-        // The route left the wire; recycle its buffer (wire-length
-        // accounting uses the cached `route_len`).
+        // The route left the wire; recycle its buffer.
         let route = std::mem::take(&mut self.worms[finished.worm].route);
         self.route_pool.give(route);
         self.notify_tx_complete(host, finished.worm);
@@ -282,19 +292,16 @@ impl Network {
                 // of Figure 5). A refused worm is dropped in its entirety.
                 let admission = self.protocol_admission(host, worm);
                 let a = &mut self.adapters[host.0 as usize];
-                match admission {
-                    Admission::Accept => {
-                        a.rx = RxState::Receiving {
-                            worm,
-                            body_got: len,
-                        };
-                        a.counters.bytes_received += len;
-                        self.adapter_kick_followers(host);
-                    }
-                    Admission::Refuse => {
-                        a.rx = RxState::Dropping { worm };
-                        a.counters.bytes_refused += len;
-                    }
+                a.rx = match admission {
+                    Admission::Accept => RxState::Receiving {
+                        worm,
+                        body_got: len,
+                    },
+                    Admission::Refuse => RxState::Dropping { worm },
+                };
+                *a.rx_bytes() += len;
+                if matches!(admission, Admission::Accept) {
+                    self.adapter_kick_followers(host);
                 }
             }
             RxAction::Accumulate => {

@@ -207,7 +207,6 @@ mod tests {
             },
             sinks,
             route: Vec::new(),
-            route_len: 0,
             payload_len: 0,
             created: 0,
             injected: 0,

@@ -218,7 +218,6 @@ impl Network {
                 advertised_size: spec.advertised_size,
                 stage: spec.stage,
             },
-            route_len: route.len() as u32,
             route,
             payload_len: spec.payload_len,
             created: spec.created,

@@ -484,6 +484,9 @@ impl Network {
             if let NodeRef::Host(h) = lane.src().node {
                 self.adapters[h.0 as usize].counters.bytes_sent += unsent;
             }
+            if let NodeRef::Host(h) = lane.dst().node {
+                *self.adapters[h.0 as usize].rx_bytes() += unarrived;
+            }
         }
         self.scheduler.at(t_end, Event::Stop);
     }
@@ -527,7 +530,7 @@ impl Network {
 
     /// A run ends at `horizon`: park the listed lanes' span bytes whose
     /// slots lie at or past it ([`Lane::settle`]), out of `bytes_moved` and
-    /// the adapters' `bytes_sent` as well, and unlist the lanes nothing
+    /// the adapters' byte counters as well, and unlist the lanes nothing
     /// can be cut off from any more. `begin_run` restores the bytes.
     fn settle_run(&mut self, horizon: SimTime) {
         let (lanes, adapters, stats) = (&mut self.lanes, &mut self.adapters, &mut self.stats);
@@ -537,6 +540,9 @@ impl Network {
             stats.bytes_moved -= unarrived;
             if let NodeRef::Host(h) = lane.src().node {
                 adapters[h.0 as usize].counters.bytes_sent -= unsent;
+            }
+            if let NodeRef::Host(h) = lane.dst().node {
+                *adapters[h.0 as usize].rx_bytes() -= unarrived;
             }
             lane.is_listed()
         });

@@ -65,7 +65,6 @@ pub(crate) type Mailbox = Arc<Mutex<VecDeque<BoundaryMsg>>>;
 pub(crate) struct WormSnap {
     pub(crate) meta: WormMeta,
     pub(crate) sinks: u32,
-    pub(crate) route_len: u32,
     pub(crate) payload_len: u32,
     pub(crate) created: SimTime,
     pub(crate) injected: SimTime,
@@ -76,7 +75,6 @@ impl WormSnap {
         WormSnap {
             meta: w.meta.clone(),
             sinks: w.sinks,
-            route_len: w.route_len,
             payload_len: w.payload_len,
             created: w.created,
             injected: w.injected,
@@ -90,7 +88,6 @@ impl WormSnap {
             meta: self.meta.clone(),
             sinks: self.sinks,
             route: Vec::new(),
-            route_len: self.route_len,
             payload_len: self.payload_len,
             created: self.created,
             injected: self.injected,

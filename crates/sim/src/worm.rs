@@ -153,11 +153,8 @@ pub struct WormInstance {
     pub sinks: u32,
     /// Encoded source route as injected. Switches consume from the front.
     /// Reclaimed into the network's route pool once the worm has fully
-    /// left its source adapter — use [`Self::route_len`] for accounting.
+    /// left its source adapter.
     pub route: Vec<RouteSym>,
-    /// Length of the route as injected, cached so wire-length accounting
-    /// survives the route buffer's reclamation.
-    pub route_len: u32,
     /// Payload length in bytes.
     pub payload_len: u32,
     /// When the application message was created (for latency statistics).
@@ -167,12 +164,6 @@ pub struct WormInstance {
 }
 
 impl WormInstance {
-    /// Total number of bytes this worm occupies on the wire as injected:
-    /// route + header + payload + trailing checksum byte.
-    pub fn wire_len(&self) -> u64 {
-        self.route_len as u64 + self.body_len() + 1
-    }
-
     /// Number of data bytes between the route and the tail.
     pub fn body_len(&self) -> u64 {
         HEADER_LEN as u64 + self.payload_len as u64
@@ -201,19 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn wire_len_accounts_route_header_payload_tail() {
+    fn body_len_counts_header_and_payload() {
         let w = WormInstance {
             id: WormId(0),
             meta: meta(),
             sinks: 1,
             route: vec![RouteSym::Port(1), RouteSym::Port(2), RouteSym::Port(0)],
-            route_len: 3,
             payload_len: 100,
             created: 0,
             injected: 0,
         };
-        assert_eq!(w.wire_len(), 3 + 8 + 100 + 1);
-        assert_eq!(w.body_len(), 108);
+        assert_eq!(w.body_len(), 8 + 100);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use wormcast::core::switchcast::SwitchcastVariant;
+use wormcast::sim::adapter::AdapterCounters;
 use wormcast::sim::deadlock::DeadlockReport;
 use wormcast::sim::engine::HostId;
 use wormcast::sim::link::Lane;
@@ -120,7 +121,7 @@ pub struct Twin {
 ///   simultaneous byte arrivals into one event legitimately permutes the
 ///   processing order *within* a tick, while the timestamps must match;
 /// - `NetStats` with the engine-cost counters masked, and every lane's
-///   statistics but `in_flight` and every adapter's `bytes_sent`;
+///   statistics but `in_flight` and every adapter's counters;
 /// - whether the runs drained, and whether they reached a deadlock
 ///   verdict; a clean conservation audit of every run.
 ///
@@ -287,7 +288,7 @@ pub fn deliveries(net: &Network) -> Vec<(u64, u32, u64)> {
 
 /// What [`counters`] holds, for failure messages.
 const COUNTERS: &str =
-    "((bytes_carried, idles_carried, stalls, stall_total, stopped) per lane, bytes_sent per adapter)";
+    "((bytes_carried, idles_carried, stalls, stall_total, stopped) per lane, AdapterCounters per adapter)";
 
 /// A lane's [`Lane::stats`] but `in_flight`, which counts a span's bytes
 /// from its emission on.
@@ -305,12 +306,12 @@ fn lane_counters(lane: &Lane) -> LaneCounters {
     )
 }
 
-/// Every lane's [`lane_counters`] and every adapter's `bytes_sent`, as the
-/// statistics readers see them.
-fn counters(net: &Network) -> (Vec<LaneCounters>, Vec<u64>) {
+/// Every lane's [`lane_counters`] and every adapter's [`AdapterCounters`],
+/// as the statistics readers see them.
+fn counters(net: &Network) -> (Vec<LaneCounters>, Vec<AdapterCounters>) {
     (
         net.lanes().iter().map(lane_counters).collect(),
-        net.adapters.iter().map(|a| a.counters.bytes_sent).collect(),
+        net.adapters.iter().map(|a| a.counters.clone()).collect(),
     )
 }
 
@@ -320,7 +321,7 @@ fn same_counters(a: &Network, b: &Network) -> bool {
     let (la, lb) = (a.lanes(), b.lanes());
     let (aa, ab) = (&a.adapters, &b.adapters);
     (0..la.len()).all(|i| lane_counters(&la[i]) == lane_counters(&lb[i]))
-        && (0..aa.len()).all(|i| aa[i].counters.bytes_sent == ab[i].counters.bytes_sent)
+        && (0..aa.len()).all(|i| aa[i].counters == ab[i].counters)
 }
 
 /// Two modes' runs end alike: deliveries, byte counters, and `NetStats`

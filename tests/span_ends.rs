@@ -73,33 +73,26 @@ fn refused(mode: SimMode, trace: TraceConfig) -> Network {
 }
 
 /// The worm's first bytes reach the idle sink as one span, which is
-/// refused as a whole: `bytes_refused` is credited with its length at the
-/// first byte's slot, which is what the per-byte engine has credited by the
-/// span's last arrival slot. The tail is refused alone, and both engines
-/// end with the whole worm refused.
+/// refused as a whole at the first byte's slot. Every byte but the tail
+/// into host1 travels in spans: the span run's one `RxByte` is that tail,
+/// so the first bytes into host1 landed in an `RxSpan`. Both engines end
+/// with the whole worm refused, and the lockstep pair has already held
+/// `bytes_refused` to the per-byte count at every byte-time.
 #[test]
-fn a_refused_first_span_credits_bytes_refused_with_its_whole_length() {
+fn a_refused_first_span_lands_whole_in_the_idle_sink() {
     let twin = assert_drains_alike(refused, 2_000, "refused");
     for net in [&twin.per_byte, &twin.spans] {
         let host = &net.adapters[1].counters;
         let wire = u64::from(HEADER_LEN) + 100 + 1;
         assert_eq!((host.worms_refused, host.bytes_refused), (1, wire));
     }
-    let refused_by = |mode, t| {
-        let mut net = refused(mode, TraceConfig::Off);
-        net.advance_to(t);
-        net.adapters[1].counters.bytes_refused
-    };
-    let (landed, first) = (1..2_000)
-        .map(|t| (t, refused_by(SimMode::SpanBatched, t)))
-        .find(|&(_, n)| n > 0)
-        .expect("the worm reaches host1");
-    assert!(
-        first > 1,
-        "the first bytes into the idle sink came one at a time"
+    let (per_byte, spans) = (
+        twin.per_byte.stats.events_by_kind,
+        twin.spans.stats.events_by_kind,
     );
-    assert_eq!(refused_by(SimMode::PerByte, landed), 1);
-    assert_eq!(refused_by(SimMode::PerByte, landed + first - 1), first);
+    assert!(spans.rx_byte < per_byte.rx_byte, "{spans:?} vs {per_byte:?}");
+    assert_eq!(spans.rx_byte, 1, "{spans:?}");
+    assert!(spans.rx_span > 0, "{spans:?}");
 }
 
 /// A line of three switches joined by 20-byte-time trunks, a host on
