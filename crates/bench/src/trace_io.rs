@@ -27,13 +27,13 @@ pub fn write_jsonl(trace: &Trace, path: &Path) -> std::io::Result<()> {
 /// This is the identity on every trace this engine produces: the span
 /// engine records no events of its own, so a traced `SpanBatched` run
 /// (sequential or sharded) renders the same thirteen-event JSONL as the
-/// `PerByte` run and there is nothing to erase. Such a stream costs one
-/// scan for `span-` and `\r` and is borrowed back, not copied; only a
-/// foreign stream with a line to drop or a line ending to fix is
-/// rebuilt. The function survives only because the `benchmark/` package
-/// imports it, and its call there compiles against either return type;
-/// nothing else may call it, and a later `benchmark` issue should drop
-/// both the call and this function.
+/// `PerByte` run and there is nothing to erase. Such a stream costs two
+/// scans, one for `span-` and one for `\r`, and is borrowed back, not
+/// copied; only a foreign stream with a line to drop or a line ending to
+/// fix is rebuilt. The function survives only because the `benchmark/`
+/// package imports it, and its call there compiles against either return
+/// type; nothing else may call it, and a later `benchmark` issue should
+/// drop both the call and this function.
 pub fn expand_spans(jsonl: &str) -> Cow<'_, str> {
     /// The renderer's field order is fixed (`t` then `ev`), so a cheap
     /// substring probe is exact — but fall back to a real parse for
@@ -191,7 +191,10 @@ fn scan(line: &str) -> Result<Fields<'_>, String> {
         }
     }
     if pos != b.len() {
-        return Err(format!("trailing bytes at byte {pos}"));
+        return Err(match line[pos..].starts_with(char::is_whitespace) {
+            true => format!("trailing whitespace at byte {pos}"),
+            false => format!("trailing bytes at byte {pos}"),
+        });
     }
     Ok(fields)
 }
@@ -248,78 +251,174 @@ fn unexpected(line: &str, pos: usize, wanted: &str) -> String {
     }
 }
 
+/// A walk over one line of a JSONL stream that matches the renderer's
+/// exact output and gives up at the first byte that departs from it.
+struct Exact<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl<'a> Exact<'a> {
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        let end = self.pos + lit.len();
+        (self.s.as_bytes().get(self.pos..end)? == lit.as_bytes()).then(|| self.pos = end)
+    }
+
+    /// Unsigned decimal digits, no leading zero, that fit a `u64`.
+    fn u64(&mut self) -> Option<u64> {
+        let b = self.s.as_bytes();
+        let start = self.pos;
+        let mut x: u64 = 0;
+        while let Some(&d @ b'0'..=b'9') = b.get(self.pos) {
+            x = x.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+            self.pos += 1;
+        }
+        let len = self.pos - start;
+        (len == 1 || len > 1 && b[start] != b'0').then_some(x)
+    }
+
+    /// A string without escapes whose closing `"` comes within the longest
+    /// name (`fragment-resumed`, 16 bytes); `pos` is past its opening `"`.
+    fn name(&mut self) -> Option<&'a str> {
+        let rest = &self.s[self.pos..];
+        let len = rest.bytes().take(17).position(|c| c == b'"')?;
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+
+    /// `,"key":` and its value, for each key.
+    fn fields(&mut self, keys: &[&str]) -> Option<()> {
+        for key in keys {
+            self.lit(",\"")?;
+            self.lit(key)?;
+            self.lit("\":")?;
+            self.u64()?;
+        }
+        Some(())
+    }
+}
+
+/// The line starting at `start` if it is byte for byte a line the renderer
+/// writes: its `t` and the index of its end (its `\n`, or the stream's
+/// end). `None` says nothing about whether the line is valid.
+fn exact_line(s: &str, start: usize) -> Option<(u64, usize)> {
+    let mut p = Exact { s, pos: start };
+    p.lit("{\"t\":")?;
+    let t = p.u64()?;
+    p.lit(",\"ev\":\"")?;
+    let ev = p.name()?;
+    p.fields(required_fields(ev)?)?;
+    if matches!(ev, "blocked" | "resumed") {
+        p.lit(",\"cause\":\"")?;
+        let cause = p.name()?;
+        p.fields(cause_fields(cause)?)?;
+    }
+    p.lit("}")?;
+    matches!(s.as_bytes().get(p.pos), None | Some(b'\n')).then_some((t, p.pos))
+}
+
 /// Check every line of a JSONL stream against the trace event schema
 /// (DESIGN.md §3.2) and return all violations (empty = conformant).
 ///
 /// A line must be in the canonical form [`Trace::to_jsonl`] renders: a
 /// flat object, no whitespace, whose values are unsigned integers or
 /// strings without escapes, at most eight fields; a violation names the
-/// byte where a line departs from that form.
+/// byte where a line departs from that form. Lines end at `\n` alone.
 /// On its fields: `t` is an unsigned integer and does not decrease from
 /// line to line, `ev` names a known event, that event's required fields
 /// are unsigned integers, and a `blocked`/`resumed` line has a known
-/// `cause` with its site fields. Each line is scanned in place: no
-/// allocation unless it is in violation.
+/// `cause` with its site fields.
+///
+/// A line byte for byte as the renderer writes it, whose `t` does not
+/// fall, is accepted in the pass that finds its end; every other line is
+/// scanned in place field by field, and only that scan reports. Nothing
+/// is allocated unless a line is in violation.
 pub fn validate_jsonl(jsonl: &str) -> Vec<SchemaViolation> {
+    validate(jsonl, true)
+}
+
+/// [`validate_jsonl`], trying each line's exact shape first if `exact`.
+fn validate(jsonl: &str, exact: bool) -> Vec<SchemaViolation> {
+    let b = jsonl.as_bytes();
     let mut out = Vec::new();
     let mut last_t: Option<u64> = None;
-    for (ix, line) in jsonl.lines().enumerate() {
-        let lineno = ix + 1;
-        let mut bad = |reason: String| {
-            out.push(SchemaViolation {
-                line: lineno,
-                reason,
-            })
-        };
-        let v = match scan(line) {
-            Ok(v) => v,
-            Err(e) => {
-                bad(format!("not canonical JSON: {e}"));
-                continue;
-            }
-        };
-        let Some(t) = v.u64("t") else {
-            bad("missing unsigned integer field \"t\"".into());
-            continue;
-        };
-        if let Some(prev) = last_t {
-            if t < prev {
-                bad(format!("time went backwards: {t} after {prev}"));
+    let (mut start, mut lineno) = (0, 0);
+    while start < b.len() {
+        lineno += 1;
+        if exact {
+            if let Some((t, end)) = exact_line(jsonl, start) {
+                if last_t.is_none_or(|prev| t >= prev) {
+                    last_t = Some(t);
+                    start = end + 1;
+                    continue;
+                }
             }
         }
-        last_t = Some(t);
-        let Some(ev) = v.str("ev") else {
-            bad("missing string field \"ev\"".into());
-            continue;
-        };
-        let Some(required) = required_fields(ev) else {
-            bad(format!("unknown event {ev:?}"));
-            continue;
-        };
-        for field in required {
-            if v.u64(field).is_none() {
-                bad(format!("{ev:?} missing unsigned integer field {field:?}"));
-            }
-        }
-        if matches!(ev, "blocked" | "resumed") {
-            match v.str("cause") {
-                Some(cause) => match cause_fields(cause) {
-                    Some(extra) => {
-                        for field in extra {
-                            if v.u64(field).is_none() {
-                                bad(format!(
-                                    "cause {cause:?} missing unsigned integer field {field:?}"
-                                ));
-                            }
-                        }
-                    }
-                    None => bad(format!("unknown cause {cause:?}")),
-                },
-                None => bad(format!("{ev:?} missing string field \"cause\"")),
-            }
-        }
+        let end = b[start..]
+            .iter()
+            .position(|&c| c == b'\n')
+            .map_or(b.len(), |n| start + n);
+        check_line(&jsonl[start..end], lineno, &mut last_t, &mut out);
+        start = end + 1;
     }
     out
+}
+
+/// The general scanner: check one line (without its `\n`) field by field,
+/// pushing each violation onto `out`.
+fn check_line(
+    line: &str,
+    lineno: usize,
+    last_t: &mut Option<u64>,
+    out: &mut Vec<SchemaViolation>,
+) {
+    let mut bad = |reason: String| {
+        out.push(SchemaViolation {
+            line: lineno,
+            reason,
+        })
+    };
+    let v = match scan(line) {
+        Ok(v) => v,
+        Err(e) => return bad(format!("not canonical JSON: {e}")),
+    };
+    let Some(t) = v.u64("t") else {
+        return bad("missing unsigned integer field \"t\"".into());
+    };
+    if let Some(prev) = *last_t {
+        if t < prev {
+            bad(format!("time went backwards: {t} after {prev}"));
+        }
+    }
+    *last_t = Some(t);
+    let Some(ev) = v.str("ev") else {
+        return bad("missing string field \"ev\"".into());
+    };
+    let Some(required) = required_fields(ev) else {
+        return bad(format!("unknown event {ev:?}"));
+    };
+    for field in required {
+        if v.u64(field).is_none() {
+            bad(format!("{ev:?} missing unsigned integer field {field:?}"));
+        }
+    }
+    if matches!(ev, "blocked" | "resumed") {
+        match v.str("cause") {
+            Some(cause) => match cause_fields(cause) {
+                Some(extra) => {
+                    for field in extra {
+                        if v.u64(field).is_none() {
+                            bad(format!(
+                                "cause {cause:?} missing unsigned integer field {field:?}"
+                            ));
+                        }
+                    }
+                }
+                None => bad(format!("unknown cause {cause:?}")),
+            },
+            None => bad(format!("{ev:?} missing string field \"cause\"")),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -345,15 +444,16 @@ mod tests {
         assert_eq!(validate_jsonl(&jsonl), vec![]);
     }
 
-    #[test]
-    fn every_event_and_cause_renders_valid() {
-        let (worm, host, switch) = (7 << 40 | 3, HostId(4), SwitchId(2));
+    /// One event of each of the 17 line shapes: 13 events, `blocked` and
+    /// `resumed` under each of 3 causes.
+    fn every_shape() -> Vec<TraceEvent> {
+        let (worm, host, switch) = (7 << 40 | 3, HostId(41), SwitchId(23));
         let mut events = vec![
             TraceEvent::WormInjected { worm, host },
             TraceEvent::RouteConsumed {
                 worm,
                 switch,
-                out: 5,
+                out: 15,
             },
             TraceEvent::WormReceived { worm, host },
             TraceEvent::WormRefused { worm, host },
@@ -374,28 +474,129 @@ mod tests {
                 host,
             },
             TraceEvent::StopInForce {
-                ch: ChanId(9),
+                ch: ChanId(97),
                 lane: 1,
             },
             TraceEvent::GoReceived {
-                ch: ChanId(9),
+                ch: ChanId(97),
                 lane: 1,
             },
         ];
         for cause in [
-            BlockCause::StopBackpressure { ch: ChanId(9) },
+            BlockCause::StopBackpressure { ch: ChanId(97) },
             BlockCause::OutputBusy { switch, out: 5 },
-            BlockCause::BranchWait { switch, out: 6 },
+            BlockCause::BranchWait { switch, out: 16 },
         ] {
             events.push(TraceEvent::WormBlocked { worm, cause });
             events.push(TraceEvent::WormResumed { worm, cause });
         }
+        events
+    }
+
+    #[test]
+    fn every_event_and_cause_renders_valid() {
         let mut jsonl = String::new();
-        for (t, ev) in events.iter().enumerate() {
+        for (t, ev) in every_shape().iter().enumerate() {
             render_line(&mut jsonl, t as u64, ev);
             jsonl.push('\n');
         }
         assert_eq!(jsonl.lines().count(), 17);
+        assert_eq!(validate_jsonl(&jsonl), vec![]);
+    }
+
+    /// Lines one edit away from each shape's rendering, and a few wider
+    /// departures, each between two canonical lines at its `t`: the exact
+    /// path may only pass a line on to the general scanner, never change
+    /// what it reports.
+    #[test]
+    fn the_exact_path_never_changes_a_verdict() {
+        let t = 1234;
+        let mut mutants: Vec<String> = Vec::new();
+        for ev in every_shape() {
+            let mut line = String::new();
+            render_line(&mut line, t, &ev);
+            assert!(exact_line(&line, 0).is_some(), "{line}");
+            let b = line.as_bytes();
+            for i in 0..b.len() {
+                let mut cut = b.to_vec();
+                cut.remove(i);
+                mutants.push(String::from_utf8(cut).unwrap());
+                for &c in b"09\",:{}-.e\\ \r" {
+                    let mut sub = b.to_vec();
+                    sub[i] = c;
+                    mutants.push(String::from_utf8(sub).unwrap());
+                }
+            }
+            let fields: Vec<&str> = line[1..line.len() - 1].split(',').collect();
+            let object = |fields: &[&str]| format!("{{{}}}", fields.join(","));
+            let n = fields.len();
+            for (i, j) in [(0, 1), (1, 2), (n - 2, n - 1)] {
+                let mut swapped = fields.clone();
+                swapped.swap(i, j);
+                mutants.push(object(&swapped));
+            }
+            let mut repeated = fields.clone();
+            repeated.push(fields[n - 1]);
+            mutants.push(object(&repeated));
+            // One unknown field, and as many as make nine fields.
+            let unknown = ["\"u\":1", "\"v\":2", "\"w\":3", "\"x\":4", "\"y\":5"];
+            for extra in [1, 9 - n] {
+                mutants.push(object(&[&fields[..], &unknown[..extra]].concat()));
+            }
+            let (last_key, last_value) = fields[n - 1].split_once(':').unwrap();
+            for value in [
+                "0",
+                "00",
+                &format!("0{last_value}"),
+                "18446744073709551615",
+                "18446744073709551616",
+            ] {
+                let mut edited = fields.clone();
+                let field = format!("{last_key}:{value}");
+                edited[n - 1] = &field;
+                mutants.push(object(&edited));
+            }
+            mutants.push(line.replacen(&format!(":{t},"), &format!(":0{t},"), 1));
+            mutants.push(line.replacen(&format!(":{t},"), ":18446744073709551616,", 1));
+        }
+        let around = format!("{{\"t\":{t},\"ev\":\"go\",\"ch\":1,\"lane\":0}}");
+        let (mut accepted, mut rejected) = (0, 0);
+        for m in &mutants {
+            for stream in [
+                format!("{around}\n{m}\n{around}\n"),
+                format!("{around}\n{m}"),
+            ] {
+                let general = validate(&stream, false);
+                assert_eq!(validate(&stream, true), general, "{m:?}");
+                match general.is_empty() {
+                    true => accepted += 1,
+                    false => rejected += 1,
+                }
+            }
+        }
+        assert!(
+            mutants.len() > 15_000 && accepted > 1_000 && rejected > 10_000,
+            "{accepted} {rejected}"
+        );
+    }
+
+    /// Every line of the committed traced Fig 10 point takes the exact
+    /// path: a renderer change that sent lines to the general scanner
+    /// would cost time and fail nothing else.
+    #[test]
+    fn the_exact_path_takes_every_line_of_the_committed_trace() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/traced_fig10.jsonl");
+        let jsonl =
+            std::fs::read_to_string(&path).expect("results/traced_fig10.jsonl is committed");
+        let (mut start, mut lines) = (0, 0);
+        while start < jsonl.len() {
+            lines += 1;
+            let (_, end) =
+                exact_line(&jsonl, start).unwrap_or_else(|| panic!("line {lines} is not exact"));
+            start = end + 1;
+        }
+        assert_eq!(lines, jsonl.lines().count());
+        assert!(lines > 10_000, "{lines}");
         assert_eq!(validate_jsonl(&jsonl), vec![]);
     }
 
@@ -408,6 +609,7 @@ mod tests {
             (r#"{"t":5,"ev":"st\u006fp","ch":1,"lane":0}"#, "escape at byte 15"),
             (r#"{"t": 5,"ev":"stop","ch":1,"lane":0}"#, "whitespace at byte 5"),
             (r#"{"t":5,"ev":"stop","ch":1,"lane":0}x"#, "trailing bytes at byte 35"),
+            ("{\"t\":5,\"ev\":\"stop\",\"ch\":1,\"lane\":0}\r", "trailing whitespace at byte 35"),
             (r#"{"t":5,"ev":"stop","ch":"1","lane":0}"#, r#"missing unsigned integer field "ch""#),
             (r#"{"t":5,"ev":"stop","ch":1}"#, r#"missing unsigned integer field "lane""#),
             (r#"{"t":5,"ev":"stop-go","ch":1,"lane":0}"#, r#"unknown event "stop-go""#),

@@ -206,64 +206,95 @@ impl Trace {
     }
 
     /// Serialize the trace as JSON Lines, one event per line, in the
-    /// canonical order of [`Trace::write_jsonl`], into a buffer that grows
+    /// canonical order of [`Trace::write_jsonl`], into a `String` that grows
     /// as it is written.
     pub fn to_jsonl(&self) -> String {
-        let mut out = Vec::new();
-        self.write_jsonl(&mut out).expect("writing to a Vec cannot fail");
-        String::from_utf8(out).expect("JSONL lines are ASCII")
+        let mut out = String::new();
+        self.render_sorted(&mut out, |_| Ok(()))
+            .expect("rendering into a String cannot fail");
+        out
     }
 
     /// Stream the JSONL to `w`, one [`render_line`] per event, sorted by
     /// `(time, line bytes)`. Emission order within one timestamp is the
     /// only thing that may differ between [`crate::network::SimMode`]s and
     /// shard counts, so the sorted output is byte-identical for identical
-    /// seed and configuration.
+    /// seed and configuration. Lines reach `w` in chunks of about 64 KiB.
+    pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
+        let mut buf = String::new();
+        self.render_sorted(&mut buf, |buf| {
+            if buf.len() >= WRITE_CHUNK {
+                w.write_all(buf.as_bytes())?;
+                buf.clear();
+            }
+            Ok(())
+        })?;
+        w.write_all(buf.as_bytes())
+    }
+
+    /// Append every line to `out` in canonical order, handing `out` to
+    /// `spill` after each timestamp.
     ///
     /// The engine pushes events in time order, so the walk visits them as
     /// they lie; only a merged trace (a shard merge) is out of order, and
-    /// is visited through an index stable-sorted by time. Each
-    /// timestamp's lines are rendered into one reused buffer, sorted there
-    /// and written: beyond the events themselves (and, for a merged trace,
-    /// its index) the writer holds one timestamp's lines. The sort may be
-    /// unstable because two lines with equal bytes are interchangeable.
-    pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
+    /// is visited through an index stable-sorted by time.
+    fn render_sorted(
+        &self,
+        out: &mut String,
+        spill: impl FnMut(&mut String) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         let events = self.events();
         if events.windows(2).all(|p| p[0].0 <= p[1].0) {
-            return write_by_timestamp(events.iter(), w);
+            return write_by_timestamp(events.iter(), out, spill);
         }
         let n = u32::try_from(events.len()).expect("a trace holds fewer than 2^32 events");
         let mut order: Vec<u32> = (0..n).collect();
         order.sort_by_key(|&i| events[i as usize].0);
-        write_by_timestamp(order.iter().map(|&i| &events[i as usize]), w)
+        write_by_timestamp(order.iter().map(|&i| &events[i as usize]), out, spill)
     }
 }
 
-/// Write `events`, which come in time order, one timestamp at a time: the
-/// group's lines, each with its `\n`, go into one buffer and are written
-/// sorted by their bytes. A line holds no byte below `\n`, so the newline
-/// leaves the order of the lines as it is.
-fn write_by_timestamp<'a, W: std::io::Write>(
+/// Bytes [`Trace::write_jsonl`] gathers before each write.
+const WRITE_CHUNK: usize = 1 << 16;
+
+/// Append `events`, which come in time order, to `out` one timestamp at a
+/// time, and hand `out` to `spill` after each. Each line goes straight
+/// into `out` with its `\n`; a timestamp whose lines came out of byte
+/// order is copied aside and written back sorted. A line holds no byte
+/// below `\n`, so the newline leaves the order of the lines as it is, and
+/// two lines with equal bytes are interchangeable, so the sort may be
+/// unstable. Beyond `out`, the writer holds one timestamp's lines.
+fn write_by_timestamp<'a>(
     events: impl Iterator<Item = &'a (SimTime, TraceEvent)>,
-    w: &mut W,
+    out: &mut String,
+    mut spill: impl FnMut(&mut String) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let mut events = events.peekable();
     let mut group = String::new();
     let mut lines: Vec<std::ops::Range<usize>> = Vec::new();
     while let Some(&&(t, _)) = events.peek() {
-        group.clear();
+        let start = out.len();
         lines.clear();
         while let Some((_, e)) = events.next_if(|&&(u, _)| u == t) {
-            let start = group.len();
-            render_line(&mut group, t, e);
-            group.push('\n');
-            lines.push(start..group.len());
+            let from = out.len();
+            render_line(out, t, e);
+            out.push('\n');
+            lines.push(from..out.len());
         }
-        let bytes = group.as_bytes();
-        lines.sort_unstable_by(|a, b| bytes[a.clone()].cmp(&bytes[b.clone()]));
-        for line in &lines {
-            w.write_all(&bytes[line.clone()])?;
+        let bytes = out.as_bytes();
+        if !lines
+            .windows(2)
+            .all(|p| bytes[p[0].clone()] <= bytes[p[1].clone()])
+        {
+            lines.sort_unstable_by(|a, b| bytes[a.clone()].cmp(&bytes[b.clone()]));
+            group.clear();
+            for line in &lines {
+                group.push_str(&out[line.clone()]);
+            }
+            out.truncate(start);
+            out.push_str(&group);
         }
+        spill(out)?;
     }
     Ok(())
 }
@@ -273,77 +304,70 @@ fn write_by_timestamp<'a, W: std::io::Write>(
 /// reproducible; appending into a caller-owned buffer lets serialization
 /// reuse one allocation across events.
 pub fn render_line(s: &mut String, t: SimTime, ev: &TraceEvent) {
-    s.push_str("{\"t\":");
-    push_u64(s, t);
-    s.push_str(",\"ev\":\"");
+    field(s, "{\"t\":", t);
     match *ev {
         TraceEvent::WormInjected { worm, host } => {
-            s.push_str("worm-injected\"");
-            field(s, "worm", worm);
-            field(s, "host", host.0);
+            field(s, ",\"ev\":\"worm-injected\",\"worm\":", worm);
+            field(s, ",\"host\":", host.0);
         }
         TraceEvent::RouteConsumed { worm, switch, out } => {
-            s.push_str("route-consumed\"");
-            field(s, "worm", worm);
-            field(s, "switch", switch.0);
-            field(s, "out", out);
+            field(s, ",\"ev\":\"route-consumed\",\"worm\":", worm);
+            field(s, ",\"switch\":", switch.0);
+            field(s, ",\"out\":", out);
         }
         TraceEvent::WormBlocked { worm, cause } => {
-            s.push_str("blocked\"");
-            field(s, "worm", worm);
+            field(s, ",\"ev\":\"blocked\",\"worm\":", worm);
             write_cause(s, cause);
         }
         TraceEvent::WormResumed { worm, cause } => {
-            s.push_str("resumed\"");
-            field(s, "worm", worm);
+            field(s, ",\"ev\":\"resumed\",\"worm\":", worm);
             write_cause(s, cause);
         }
         TraceEvent::WormReceived { worm, host } => {
-            s.push_str("worm-received\"");
-            field(s, "worm", worm);
-            field(s, "host", host.0);
+            field(s, ",\"ev\":\"worm-received\",\"worm\":", worm);
+            field(s, ",\"host\":", host.0);
         }
         TraceEvent::WormRefused { worm, host } => {
-            s.push_str("worm-refused\"");
-            field(s, "worm", worm);
-            field(s, "host", host.0);
+            field(s, ",\"ev\":\"worm-refused\",\"worm\":", worm);
+            field(s, ",\"host\":", host.0);
         }
         TraceEvent::WormCorrupt { worm, host } => {
-            s.push_str("worm-corrupt\"");
-            field(s, "worm", worm);
-            field(s, "host", host.0);
+            field(s, ",\"ev\":\"worm-corrupt\",\"worm\":", worm);
+            field(s, ",\"host\":", host.0);
         }
         TraceEvent::WormFlushed { worm, host } => {
-            s.push_str("worm-flushed\"");
-            field(s, "worm", worm);
-            field(s, "host", host.0);
+            field(s, ",\"ev\":\"worm-flushed\",\"worm\":", worm);
+            field(s, ",\"host\":", host.0);
         }
-        TraceEvent::FragmentParked { worm, host, body_got } => {
-            s.push_str("fragment-parked\"");
-            field(s, "worm", worm);
-            field(s, "host", host.0);
-            field(s, "body_got", body_got);
+        TraceEvent::FragmentParked {
+            worm,
+            host,
+            body_got,
+        } => {
+            field(s, ",\"ev\":\"fragment-parked\",\"worm\":", worm);
+            field(s, ",\"host\":", host.0);
+            field(s, ",\"body_got\":", body_got);
         }
-        TraceEvent::FragmentResumed { worm, host, body_got } => {
-            s.push_str("fragment-resumed\"");
-            field(s, "worm", worm);
-            field(s, "host", host.0);
-            field(s, "body_got", body_got);
+        TraceEvent::FragmentResumed {
+            worm,
+            host,
+            body_got,
+        } => {
+            field(s, ",\"ev\":\"fragment-resumed\",\"worm\":", worm);
+            field(s, ",\"host\":", host.0);
+            field(s, ",\"body_got\":", body_got);
         }
         TraceEvent::Delivered { msg, host } => {
-            s.push_str("delivered\"");
-            field(s, "msg", msg.0);
-            field(s, "host", host.0);
+            field(s, ",\"ev\":\"delivered\",\"msg\":", msg.0);
+            field(s, ",\"host\":", host.0);
         }
         TraceEvent::StopInForce { ch, lane } => {
-            s.push_str("stop\"");
-            field(s, "ch", ch.0);
-            field(s, "lane", lane);
+            field(s, ",\"ev\":\"stop\",\"ch\":", ch.0);
+            field(s, ",\"lane\":", lane);
         }
         TraceEvent::GoReceived { ch, lane } => {
-            s.push_str("go\"");
-            field(s, "ch", ch.0);
-            field(s, "lane", lane);
+            field(s, ",\"ev\":\"go\",\"ch\":", ch.0);
+            field(s, ",\"lane\":", lane);
         }
     }
     s.push('}');
@@ -351,45 +375,50 @@ pub fn render_line(s: &mut String, t: SimTime, ev: &TraceEvent) {
 
 fn write_cause(s: &mut String, cause: BlockCause) {
     match cause {
-        BlockCause::StopBackpressure { ch } => {
-            s.push_str(",\"cause\":\"stop\"");
-            field(s, "ch", ch.0);
-        }
+        BlockCause::StopBackpressure { ch } => field(s, ",\"cause\":\"stop\",\"ch\":", ch.0),
         BlockCause::OutputBusy { switch, out } => {
-            s.push_str(",\"cause\":\"output-busy\"");
-            field(s, "switch", switch.0);
-            field(s, "out", out);
+            field(s, ",\"cause\":\"output-busy\",\"switch\":", switch.0);
+            field(s, ",\"out\":", out);
         }
         BlockCause::BranchWait { switch, out } => {
-            s.push_str(",\"cause\":\"branch-wait\"");
-            field(s, "switch", switch.0);
-            field(s, "out", out);
+            field(s, ",\"cause\":\"branch-wait\",\"switch\":", switch.0);
+            field(s, ",\"out\":", out);
         }
     }
 }
 
-/// Append `,"key":value`.
-fn field(s: &mut String, key: &str, value: impl Into<u64>) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
+/// Append `prefix`, the field's whole text up to its value (`,"worm":`),
+/// then the value.
+fn field(s: &mut String, prefix: &str, value: impl Into<u64>) {
+    s.push_str(prefix);
     push_u64(s, value.into());
 }
 
+/// `00`, `01`, …, `99`: the two digits of `n` at `2 * n`.
+const DIGIT_PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
 /// Append `x` in decimal, as `write!` would but without the formatting
-/// machinery, which cost more than the rest of rendering a line.
+/// machinery, two digits at a time from [`DIGIT_PAIRS`].
 fn push_u64(s: &mut String, mut x: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (x % 10) as u8;
-        x /= 10;
-        if x == 0 {
-            break;
-        }
+    // Pair indices, least significant first; a u64 has at most ten pairs.
+    let mut pairs = [0usize; 10];
+    let mut n = 0;
+    while x >= 100 {
+        pairs[n] = 2 * (x % 100) as usize;
+        x /= 100;
+        n += 1;
     }
-    s.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+    // The leading pair loses its zero when `x` has one digit.
+    let lead = 2 * x as usize;
+    s.push_str(&DIGIT_PAIRS[lead + usize::from(x < 10)..lead + 2]);
+    for &p in pairs[..n].iter().rev() {
+        s.push_str(&DIGIT_PAIRS[p..p + 2]);
+    }
 }
 
 #[cfg(test)]
@@ -412,7 +441,12 @@ mod tests {
 
     #[test]
     fn digits_match_display() {
-        for x in [0, 1, 9, 10, 99, 100, 1 << 40, u64::MAX - 1, u64::MAX] {
+        let mut xs = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            xs.extend([p - 1, p, p + 1]);
+        }
+        for x in xs {
             let mut s = String::new();
             push_u64(&mut s, x);
             assert_eq!(s, x.to_string());
@@ -496,15 +530,82 @@ mod tests {
         );
     }
 
+    /// An oracle independent of [`render_line`]: each event's line spelled
+    /// out in one `format!`.
+    fn oracle_line(t: SimTime, ev: &TraceEvent) -> String {
+        let cause = |c: BlockCause| match c {
+            BlockCause::StopBackpressure { ch } => format!(r#""cause":"stop","ch":{}"#, ch.0),
+            BlockCause::OutputBusy { switch, out } => {
+                format!(r#""cause":"output-busy","switch":{},"out":{out}"#, switch.0)
+            }
+            BlockCause::BranchWait { switch, out } => {
+                format!(r#""cause":"branch-wait","switch":{},"out":{out}"#, switch.0)
+            }
+        };
+        let rest = match *ev {
+            TraceEvent::WormInjected { worm, host } => {
+                format!(r#""worm-injected","worm":{worm},"host":{}"#, host.0)
+            }
+            TraceEvent::RouteConsumed { worm, switch, out } => {
+                format!(
+                    r#""route-consumed","worm":{worm},"switch":{},"out":{out}"#,
+                    switch.0
+                )
+            }
+            TraceEvent::WormBlocked { worm, cause: c } => {
+                format!(r#""blocked","worm":{worm},{}"#, cause(c))
+            }
+            TraceEvent::WormResumed { worm, cause: c } => {
+                format!(r#""resumed","worm":{worm},{}"#, cause(c))
+            }
+            TraceEvent::WormReceived { worm, host } => {
+                format!(r#""worm-received","worm":{worm},"host":{}"#, host.0)
+            }
+            TraceEvent::WormRefused { worm, host } => {
+                format!(r#""worm-refused","worm":{worm},"host":{}"#, host.0)
+            }
+            TraceEvent::WormCorrupt { worm, host } => {
+                format!(r#""worm-corrupt","worm":{worm},"host":{}"#, host.0)
+            }
+            TraceEvent::WormFlushed { worm, host } => {
+                format!(r#""worm-flushed","worm":{worm},"host":{}"#, host.0)
+            }
+            TraceEvent::FragmentParked {
+                worm,
+                host,
+                body_got,
+            } => format!(
+                r#""fragment-parked","worm":{worm},"host":{},"body_got":{body_got}"#,
+                host.0
+            ),
+            TraceEvent::FragmentResumed {
+                worm,
+                host,
+                body_got,
+            } => format!(
+                r#""fragment-resumed","worm":{worm},"host":{},"body_got":{body_got}"#,
+                host.0
+            ),
+            TraceEvent::Delivered { msg, host } => {
+                format!(r#""delivered","msg":{},"host":{}"#, msg.0, host.0)
+            }
+            TraceEvent::StopInForce { ch, lane } => {
+                format!(r#""stop","ch":{},"lane":{lane}"#, ch.0)
+            }
+            TraceEvent::GoReceived { ch, lane } => format!(r#""go","ch":{},"lane":{lane}"#, ch.0),
+        };
+        format!(r#"{{"t":{t},"ev":{rest}}}"#)
+    }
+
     /// The renderer before [`Trace::write_jsonl`] streamed, kept as the
-    /// oracle of its differential test: every line rendered into one
+    /// oracle of its differential test: every [`oracle_line`] in one
     /// arena, an index of `(t, start, end)` sorted by `(t, line bytes)`.
     fn arena_jsonl(trace: &Trace) -> String {
         let mut arena = String::new();
         let mut index = Vec::new();
         for (t, e) in trace.events() {
             let start = arena.len();
-            render_line(&mut arena, *t, e);
+            arena.push_str(&oracle_line(*t, e));
             index.push((*t, start, arena.len()));
         }
         let bytes = arena.as_bytes();
@@ -520,36 +621,123 @@ mod tests {
         out
     }
 
-    /// One event of any kind, its fields drawn from a few small values so
-    /// that lines at one timestamp often share long prefixes or repeat.
+    /// 0, both ends of every decimal width up to `max` (9, 10, 99, 100,
+    /// …), and `max`.
+    fn widths(max: u64) -> Vec<u64> {
+        let mut v = vec![0];
+        let mut p = 10u64;
+        while p - 1 <= max {
+            v.push(p - 1);
+            if p > max {
+                break;
+            }
+            v.push(p);
+            match p.checked_mul(10) {
+                Some(q) => p = q,
+                None => break,
+            }
+        }
+        v.push(max);
+        v
+    }
+
+    /// A value up to `max`: half the time one of a few small ones, so that
+    /// lines at one timestamp often share long prefixes or repeat, and
+    /// otherwise one of [`widths`].
+    fn any_value(rng: &mut rand::rngs::SmallRng, max: u64) -> u64 {
+        use rand::Rng;
+        if rng.gen_bool(0.5) {
+            rng.gen_range(0..3)
+        } else {
+            let w = widths(max);
+            w[rng.gen_range(0..w.len())]
+        }
+    }
+
+    /// One event of any kind and cause, its fields drawn by [`any_value`]
+    /// up to their types' maxima.
     fn any_event(rng: &mut rand::rngs::SmallRng) -> TraceEvent {
         use rand::Rng;
-        let (worm, host, sw, port) = (
-            rng.gen_range(0..4u64),
-            HostId(rng.gen_range(0..3)),
-            SwitchId(rng.gen_range(0..3)),
-            rng.gen_range(0..12u8),
-        );
+        let big = |rng: &mut rand::rngs::SmallRng| any_value(rng, u64::MAX);
+        let id = |rng: &mut rand::rngs::SmallRng| any_value(rng, u32::MAX.into()) as u32;
+        let port = |rng: &mut rand::rngs::SmallRng| any_value(rng, u8::MAX.into()) as u8;
+        let worm = big(rng);
         let cause = match rng.gen_range(0..3) {
-            0 => BlockCause::StopBackpressure { ch: ChanId(sw.0) },
-            1 => BlockCause::OutputBusy { switch: sw, out: port },
-            _ => BlockCause::BranchWait { switch: sw, out: port },
+            0 => BlockCause::StopBackpressure {
+                ch: ChanId(id(rng)),
+            },
+            1 => BlockCause::OutputBusy {
+                switch: SwitchId(id(rng)),
+                out: port(rng),
+            },
+            _ => BlockCause::BranchWait {
+                switch: SwitchId(id(rng)),
+                out: port(rng),
+            },
         };
+        let host = HostId(id(rng));
         match rng.gen_range(0..13) {
             0 => TraceEvent::WormInjected { worm, host },
-            1 => TraceEvent::RouteConsumed { worm, switch: sw, out: port },
+            1 => TraceEvent::RouteConsumed {
+                worm,
+                switch: SwitchId(id(rng)),
+                out: port(rng),
+            },
             2 => TraceEvent::WormBlocked { worm, cause },
             3 => TraceEvent::WormResumed { worm, cause },
             4 => TraceEvent::WormReceived { worm, host },
             5 => TraceEvent::WormRefused { worm, host },
             6 => TraceEvent::WormCorrupt { worm, host },
             7 => TraceEvent::WormFlushed { worm, host },
-            8 => TraceEvent::FragmentParked { worm, host, body_got: worm * 10 },
-            9 => TraceEvent::FragmentResumed { worm, host, body_got: worm * 100 },
-            10 => TraceEvent::Delivered { msg: MessageId(worm), host },
-            11 => TraceEvent::StopInForce { ch: ChanId(sw.0), lane: port % 2 },
-            _ => TraceEvent::GoReceived { ch: ChanId(sw.0), lane: port % 2 },
+            8 => TraceEvent::FragmentParked {
+                worm,
+                host,
+                body_got: big(rng),
+            },
+            9 => TraceEvent::FragmentResumed {
+                worm,
+                host,
+                body_got: big(rng),
+            },
+            10 => TraceEvent::Delivered {
+                msg: MessageId(big(rng)),
+                host,
+            },
+            11 => TraceEvent::StopInForce {
+                ch: ChanId(id(rng)),
+                lane: port(rng),
+            },
+            _ => TraceEvent::GoReceived {
+                ch: ChanId(id(rng)),
+                lane: port(rng),
+            },
         }
+    }
+
+    /// [`render_line`] against [`oracle_line`] on every event kind and
+    /// cause, each field at every decimal width.
+    #[test]
+    fn render_line_matches_the_format_oracle() {
+        use rand::SeedableRng;
+        use std::mem::discriminant;
+        let mut shapes = std::collections::HashSet::new();
+        for case in 0..3000u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(case);
+            let (t, ev) = (any_value(&mut rng, u64::MAX), any_event(&mut rng));
+            assert_eq!(line(t, &ev), oracle_line(t, &ev), "case {case}");
+            let cause = match ev {
+                TraceEvent::WormBlocked { cause, .. } | TraceEvent::WormResumed { cause, .. } => {
+                    Some(discriminant(&cause))
+                }
+                _ => None,
+            };
+            shapes.insert((discriminant(&ev), cause));
+        }
+        assert_eq!(
+            shapes.len(),
+            17,
+            "13 events, blocked and resumed under 3 causes"
+        );
     }
 
     /// Two shards' traces concatenate out of time order when merged; the
@@ -602,12 +790,17 @@ mod tests {
                 };
                 let mut trace = Trace::new(cfg);
                 let in_order = rng.gen_bool(0.7);
-                let mut t = 0;
+                // Times near a width's end cross into the next width.
+                let base = match rng.gen_bool(0.5) {
+                    true => 0,
+                    false => any_value(rng, u64::MAX).saturating_sub(rng.gen_range(0..64)),
+                };
+                let mut t = base;
                 for _ in 0..rng.gen_range(0..120) {
                     t = if in_order {
-                        t + rng.gen_range(0..6u64) / 4
+                        t.saturating_add(rng.gen_range(0..6u64) / 4)
                     } else {
-                        rng.gen_range(0..8u64)
+                        base.saturating_add(rng.gen_range(0..8u64))
                     };
                     trace.push(t, any_event(rng));
                 }
